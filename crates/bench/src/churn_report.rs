@@ -93,7 +93,9 @@ pub fn measure(
                 match step {
                     BatchStep::Repair(events) => {
                         let t0 = Instant::now();
-                        let (next, stats) = sp.repair_batch_report(&g, events);
+                        let (next, stats) = sp
+                            .try_repair_batch_recycling(&g, events, None, None)
+                            .expect("churn schedule reweights are valid");
                         let elapsed = t0.elapsed();
                         sp = next;
                         repair_total += elapsed.as_secs_f64();

@@ -592,7 +592,7 @@ pub fn run_event_loop(
 ) -> (ControlPlane, EventLoopReport) {
     let mut arrivals: Vec<Instant> = Vec::new();
     let mut clean_shutdown = false;
-    let mut record_visible = |arrivals: &mut Vec<Instant>, published: bool| {
+    let record_visible = |arrivals: &mut Vec<Instant>, published: bool| {
         if !published {
             return;
         }

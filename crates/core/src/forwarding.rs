@@ -11,6 +11,7 @@ use crate::hash::slice_for_flow;
 use crate::header::ForwardingBits;
 use crate::slices::Splicing;
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
+use splice_routing::SpliceFib;
 use std::collections::HashSet;
 
 /// What a hop-by-hop walk recorded.
@@ -187,6 +188,88 @@ impl Default for ForwarderOptions {
     }
 }
 
+/// The one scalar walk loop: Algorithm 1 hop by hop over the first `k`
+/// planes of `fib` under `mask`, recording the full [`Trace`].
+///
+/// `choose` is the only thing that differs between header encodings: once
+/// per hop it maps the slice the packet arrived in to the slice it leaves
+/// in, plus whether the header is now *pinned* — can never change the
+/// slice again. A pinned walk is deterministic in `(node, slice)`, so
+/// revisiting such a state proves a persistent loop. The slice before the
+/// first hop is `Hash(src, dst)`, Algorithm 1's default branch. The hop
+/// budget is checked after moving, so a walk may record `ttl + 1` steps.
+fn walk(
+    fib: &SpliceFib,
+    k: usize,
+    mask: &EdgeMask,
+    src: NodeId,
+    dst: NodeId,
+    ttl: usize,
+    mut choose: impl FnMut(usize) -> (usize, bool),
+) -> ForwardingOutcome {
+    let mut slice = slice_for_flow(src, dst, k);
+    let mut steps = Vec::new();
+    let mut at = src;
+    let mut pinned_states: HashSet<(NodeId, usize)> = HashSet::new();
+    let trace = |steps, last| Trace {
+        src,
+        dst,
+        steps,
+        last,
+    };
+
+    while at != dst {
+        let (chosen, pinned) = choose(slice);
+        slice = chosen;
+        if pinned && !pinned_states.insert((at, slice)) {
+            return ForwardingOutcome::PersistentLoop(trace(steps, at));
+        }
+        let Some((next, edge)) = fib.lookup(slice, at, dst) else {
+            return ForwardingOutcome::DeadEnd(trace(steps, at));
+        };
+        if mask.is_failed(edge) {
+            return ForwardingOutcome::LinkDown {
+                trace: trace(steps, at),
+                slice,
+            };
+        }
+        steps.push(TraceStep {
+            node: at,
+            slice,
+            edge,
+        });
+        at = next;
+        if steps.len() > ttl {
+            return ForwardingOutcome::TtlExceeded(trace(steps, at));
+        }
+    }
+    ForwardingOutcome::Delivered(trace(steps, at))
+}
+
+/// Walk one packet driven by a forwarding-bits `header` over the first
+/// `k` planes of a bare arena (a prefix view's `k` is smaller than its
+/// arena's): each hop reads `lg k` bits and shifts; an exhausted header
+/// follows `opts.exhausted`. [`Forwarder::forward`] and the dataplane's
+/// `scalar_walk` are this function.
+pub fn walk_bits(
+    fib: &SpliceFib,
+    k: usize,
+    mask: &EdgeMask,
+    src: NodeId,
+    dst: NodeId,
+    mut header: ForwardingBits,
+    opts: &ForwarderOptions,
+) -> ForwardingOutcome {
+    walk(fib, k, mask, src, dst, opts.ttl, |current| {
+        let slice = match (header.read_and_shift(k), opts.exhausted) {
+            (Some(s), _) => s,
+            (None, ExhaustedPolicy::StayInCurrent) => current,
+            (None, ExhaustedPolicy::HashFallback) => slice_for_flow(src, dst, k),
+        };
+        (slice, header.is_exhausted())
+    })
+}
+
 /// A configured data plane: slices + topology + current failure state.
 pub struct Forwarder<'a> {
     splicing: &'a Splicing,
@@ -219,79 +302,11 @@ impl<'a> Forwarder<'a> {
         &self,
         src: NodeId,
         dst: NodeId,
-        mut header: ForwardingBits,
+        header: ForwardingBits,
         opts: &ForwarderOptions,
     ) -> ForwardingOutcome {
-        let k = self.splicing.k();
-        let mut current_slice = slice_for_flow(src, dst, k);
-        let mut steps = Vec::new();
-        let mut at = src;
-        // (node, slice) states seen with an exhausted header: revisiting
-        // one means the walk is deterministically periodic.
-        let mut exhausted_states: HashSet<(NodeId, usize)> = HashSet::new();
-
-        while at != dst {
-            match header.read_and_shift(k) {
-                Some(s) => current_slice = s,
-                None => match opts.exhausted {
-                    ExhaustedPolicy::StayInCurrent => {}
-                    ExhaustedPolicy::HashFallback => {
-                        current_slice = slice_for_flow(src, dst, k);
-                    }
-                },
-            }
-            if header.is_exhausted() && !exhausted_states.insert((at, current_slice)) {
-                let trace = Trace {
-                    src,
-                    dst,
-                    steps,
-                    last: at,
-                };
-                return ForwardingOutcome::PersistentLoop(trace);
-            }
-            let Some((next, edge)) = self.splicing.next_hop(current_slice, at, dst) else {
-                let trace = Trace {
-                    src,
-                    dst,
-                    steps,
-                    last: at,
-                };
-                return ForwardingOutcome::DeadEnd(trace);
-            };
-            if self.mask.is_failed(edge) {
-                let trace = Trace {
-                    src,
-                    dst,
-                    steps,
-                    last: at,
-                };
-                return ForwardingOutcome::LinkDown {
-                    trace,
-                    slice: current_slice,
-                };
-            }
-            steps.push(TraceStep {
-                node: at,
-                slice: current_slice,
-                edge,
-            });
-            at = next;
-            if steps.len() > opts.ttl {
-                let trace = Trace {
-                    src,
-                    dst,
-                    steps,
-                    last: at,
-                };
-                return ForwardingOutcome::TtlExceeded(trace);
-            }
-        }
-        ForwardingOutcome::Delivered(Trace {
-            src,
-            dst,
-            steps,
-            last: at,
-        })
+        let sp = self.splicing;
+        walk_bits(sp.arena(), sp.k(), self.mask, src, dst, header, opts)
     }
 
     /// Walk a packet driven by §5's compressed single-counter header:
@@ -307,61 +322,9 @@ impl<'a> Forwarder<'a> {
         mut header: crate::header::CounterHeader,
         opts: &ForwarderOptions,
     ) -> ForwardingOutcome {
-        let k = self.splicing.k();
-        let mut current_slice = slice_for_flow(src, dst, k);
-        let mut steps = Vec::new();
-        let mut at = src;
-        let mut drained_states: HashSet<(NodeId, usize)> = HashSet::new();
-
-        while at != dst {
-            current_slice = header.step(current_slice, k);
-            if header.counter == 0 && !drained_states.insert((at, current_slice)) {
-                return ForwardingOutcome::PersistentLoop(Trace {
-                    src,
-                    dst,
-                    steps,
-                    last: at,
-                });
-            }
-            let Some((next, edge)) = self.splicing.next_hop(current_slice, at, dst) else {
-                return ForwardingOutcome::DeadEnd(Trace {
-                    src,
-                    dst,
-                    steps,
-                    last: at,
-                });
-            };
-            if self.mask.is_failed(edge) {
-                return ForwardingOutcome::LinkDown {
-                    trace: Trace {
-                        src,
-                        dst,
-                        steps,
-                        last: at,
-                    },
-                    slice: current_slice,
-                };
-            }
-            steps.push(TraceStep {
-                node: at,
-                slice: current_slice,
-                edge,
-            });
-            at = next;
-            if steps.len() > opts.ttl {
-                return ForwardingOutcome::TtlExceeded(Trace {
-                    src,
-                    dst,
-                    steps,
-                    last: at,
-                });
-            }
-        }
-        ForwardingOutcome::Delivered(Trace {
-            src,
-            dst,
-            steps,
-            last: at,
+        let (fib, k) = (self.splicing.arena(), self.splicing.k());
+        walk(fib, k, self.mask, src, dst, opts.ttl, |current| {
+            (header.step(current, k), header.counter == 0)
         })
     }
 }
@@ -644,5 +607,130 @@ mod tests {
             &ForwarderOptions::default(),
         );
         assert!(matches!(out, ForwardingOutcome::DeadEnd(_)));
+    }
+
+    /// Every outcome variant and header encoding, step by step, on a
+    /// hand-built graph with explicit weights (no RNG anywhere). Literals,
+    /// not a second implementation: a change to what one hop does must
+    /// show up here as an edited literal.
+    #[test]
+    fn pinned_walks_on_the_six_node_fixture() {
+        use crate::header::CounterHeader;
+        use crate::recovery::NetworkRecovery;
+        use rand::{rngs::StdRng, SeedableRng};
+        use ForwardingOutcome::{DeadEnd, Delivered, LinkDown, PersistentLoop, TtlExceeded};
+
+        // A 5-ring with two chords; node 5 is isolated.
+        let g = from_edges(
+            6,
+            &[
+                (0, 1, 1.0),
+                (1, 2, 1.0),
+                (2, 3, 1.0),
+                (3, 4, 1.0),
+                (4, 0, 1.0),
+                (1, 3, 1.0),
+                (0, 2, 1.0),
+            ],
+        );
+        let sp = Splicing::from_weight_vectors(
+            &g,
+            vec![
+                vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+                vec![7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0],
+                vec![3.0, 1.0, 4.0, 1.5, 9.0, 2.5, 6.0],
+            ],
+        );
+        let trace = |dst: u32, steps: &[(u32, usize, u32)], last: u32| Trace {
+            src: NodeId(0),
+            dst: NodeId(dst),
+            steps: steps
+                .iter()
+                .map(|&(node, slice, edge)| TraceStep {
+                    node: NodeId(node),
+                    slice,
+                    edge: EdgeId(edge),
+                })
+                .collect(),
+            last: NodeId(last),
+        };
+        let (src, dst) = (NodeId(0), NodeId(3));
+        assert_eq!(slice_for_flow(src, dst, 3), 1);
+        let opts = ForwarderOptions::default();
+        let hash_fallback = ForwarderOptions {
+            exhausted: ExhaustedPolicy::HashFallback,
+            ..opts
+        };
+        let up = EdgeMask::all_up(g.edge_count());
+        let fwd = Forwarder::new(&sp, &g, &up);
+        let switching = ForwardingBits::from_hops(&[1, 2, 0, 1], 3);
+
+        // A header that switches slices at every hop.
+        assert_eq!(
+            fwd.forward(src, dst, switching, &opts),
+            Delivered(trace(3, &[(0, 1, 6), (2, 2, 1), (1, 0, 1), (2, 1, 2)], 3))
+        );
+        // One hop of bits, then exhausted: stay in slice 0's tree, or fall
+        // back to the flow hash (slice 1).
+        let one_hop = ForwardingBits::stay_in_slice(0, 3);
+        assert_eq!(
+            fwd.forward(src, dst, one_hop, &opts),
+            Delivered(trace(3, &[(0, 0, 0), (1, 0, 1), (2, 0, 2)], 3))
+        );
+        assert_eq!(
+            fwd.forward(src, dst, one_hop, &hash_fallback),
+            Delivered(trace(3, &[(0, 0, 0), (1, 1, 5)], 3))
+        );
+        // No bits at all: the hash slice end to end, like counter 0.
+        let hash_path = Delivered(trace(3, &[(0, 1, 6), (2, 1, 2)], 3));
+        assert_eq!(
+            fwd.forward(src, dst, ForwardingBits::empty(3), &opts),
+            hash_path
+        );
+        assert_eq!(
+            fwd.forward_counter(src, dst, CounterHeader::new(0), &opts),
+            hash_path
+        );
+        assert_eq!(
+            fwd.forward_counter(src, dst, CounterHeader::new(3), &opts),
+            Delivered(trace(3, &[(0, 2, 0), (1, 1, 5)], 3))
+        );
+        // The hop budget is checked after moving: ttl 1 records two hops.
+        assert_eq!(
+            fwd.forward(src, dst, one_hop, &ForwarderOptions { ttl: 1, ..opts }),
+            TtlExceeded(trace(3, &[(0, 0, 0), (1, 0, 1)], 2))
+        );
+        assert_eq!(
+            fwd.forward(src, NodeId(5), ForwardingBits::from_hops(&[1, 2], 3), &opts),
+            DeadEnd(trace(5, &[], 0))
+        );
+        let e2_down = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2)]);
+        assert_eq!(
+            Forwarder::new(&sp, &g, &e2_down).forward(src, dst, switching, &opts),
+            LinkDown {
+                trace: trace(3, &[(0, 1, 6), (2, 2, 1), (1, 0, 1)], 2),
+                slice: 1,
+            }
+        );
+
+        // Network-based recovery (deterministic first-alternate) from
+        // slice 0: a mid-path deflection that delivers, a deflection
+        // cycle, and a source cut off entirely.
+        let nr = NetworkRecovery::default();
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(
+            nr.forward(&sp, &e2_down, src, dst, 0, &mut rng),
+            Delivered(trace(3, &[(0, 0, 0), (1, 0, 1), (2, 2, 1), (1, 2, 5)], 3))
+        );
+        let e2_e5_down = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2), EdgeId(5)]);
+        assert_eq!(
+            nr.forward(&sp, &e2_e5_down, src, dst, 0, &mut rng),
+            PersistentLoop(trace(3, &[(0, 0, 0), (1, 0, 1), (2, 2, 1), (1, 0, 1)], 2))
+        );
+        let cut = EdgeMask::from_failed(g.edge_count(), &[EdgeId(0), EdgeId(4), EdgeId(6)]);
+        assert_eq!(
+            nr.forward(&sp, &cut, src, dst, 0, &mut rng),
+            DeadEnd(trace(3, &[], 0))
+        );
     }
 }

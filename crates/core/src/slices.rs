@@ -15,8 +15,7 @@ use splice_graph::traversal::reverse_reachable;
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
 use splice_routing::arena::{PlaneMut, RepairStats, SpliceFib};
 use splice_routing::spf::{
-    spf_repair_arena_failures, spf_repair_arena_reweight, spf_repair_plane_failures,
-    spf_repair_plane_reweight, FlightEvent, SpfTelemetry,
+    spf_repair_plane_failures, spf_repair_plane_reweight, FlightEvent, SpfTelemetry,
 };
 use splice_routing::RoutingTables;
 use std::sync::Arc;
@@ -393,278 +392,68 @@ impl Splicing {
         &self.failed
     }
 
-    /// Absorb a topology or weight event by incrementally repairing the
-    /// affected slice planes — delta-SPF instead of the k·n full
-    /// Dijkstras a rebuild costs.
-    ///
-    /// The returned deployment starts from a plane-level copy of this
-    /// one's arena (two `memcpy`s, no shortest-path work) and rewrites
-    /// only the destination columns the event can have touched; every
-    /// other column is carried over byte-identical. The result is
-    /// provably next-hop-identical to building from scratch on the
-    /// post-event topology: distances are repaired exactly and the
-    /// deterministic tie-break makes parents a pure function of exact
-    /// distances.
-    ///
-    /// Events stack: repairing an already-repaired splicing composes the
-    /// failure masks (see [`Splicing::failed_mask`]).
+    /// Absorb one topology or weight event: [`Splicing::repair_batch`]
+    /// on a batch of one.
     ///
     /// # Panics
     /// Panics on an invalid reweight (non-positive/non-finite weight or
-    /// out-of-range slice); see [`Splicing::try_repair_with_telemetry`]
+    /// out-of-range slice); see [`Splicing::try_repair_batch_recycling`]
     /// for the typed error.
     pub fn repair(&self, g: &Graph, event: &RepairEvent) -> Splicing {
-        self.repair_report(g, event).0
+        self.repair_batch(g, std::slice::from_ref(event))
     }
 
-    /// [`Splicing::repair`], also returning what the repair did — how
-    /// many columns were patched vs proven untouched, and the total
-    /// re-relaxed frontier.
-    pub fn repair_report(&self, g: &Graph, event: &RepairEvent) -> (Splicing, RepairStats) {
-        match self.try_repair_with_telemetry(g, event, None) {
-            Ok(pair) => pair,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Splicing::repair_report`] with optional per-plane repair timing
-    /// and frontier observations, and weight validation surfaced as a
-    /// typed error.
-    pub fn try_repair_with_telemetry(
-        &self,
-        g: &Graph,
-        event: &RepairEvent,
-        telemetry: Option<&SpfTelemetry>,
-    ) -> Result<(Splicing, RepairStats), WeightError> {
-        let mut stats = RepairStats::default();
-        // The trigger goes into the flight recorder before any plane is
-        // touched, so a dump reads trigger-then-repairs in causal order.
-        if let Some(flight) = telemetry.and_then(|t| t.flight.as_ref()) {
-            let ev = FlightEvent::new("repair_event", event.kind_label());
-            let ev = match event {
-                RepairEvent::LinkFailure(e) => ev.field("edge", e.index() as u64),
-                RepairEvent::LinkSetFailure(es) => ev.field("links", es.len() as u64),
-                RepairEvent::NodeFailure(n) => ev.field("node", n.index() as u64),
-                RepairEvent::SliceReweight { slice, edge, .. } => ev
-                    .field("slice", *slice as u64)
-                    .field("edge", edge.index() as u64),
-            };
-            flight.record(ev);
-        }
-        match event {
-            RepairEvent::LinkFailure(_)
-            | RepairEvent::LinkSetFailure(_)
-            | RepairEvent::NodeFailure(_) => {
-                // The cloned mask doubles as the new-failure dedup set:
-                // an edge is newly failed exactly when it is still up,
-                // and failing it on sight keeps SRLG-sized sets linear
-                // (the old `newly.contains` scan was quadratic).
-                let mut mask = (*self.failed).clone();
-                let mut newly: Vec<EdgeId> = Vec::new();
-                let mut note = |e: EdgeId| {
-                    if mask.is_up(e) {
-                        mask.fail(e);
-                        newly.push(e);
-                    }
-                };
-                match event {
-                    RepairEvent::LinkFailure(e) => note(*e),
-                    RepairEvent::LinkSetFailure(es) => es.iter().copied().for_each(note),
-                    RepairEvent::NodeFailure(n) => {
-                        g.neighbors(*n).iter().for_each(|&(_, e)| note(e))
-                    }
-                    RepairEvent::SliceReweight { .. } => unreachable!(),
-                }
-                if newly.is_empty() {
-                    // No new failures (e.g. re-failing an already-failed
-                    // link): nothing in the arena can change, so share
-                    // every Arc instead of deep-copying k·n² entries.
-                    return Ok((
-                        Splicing {
-                            k: self.k,
-                            weights: Arc::clone(&self.weights),
-                            fib: Arc::clone(&self.fib),
-                            failed: Arc::clone(&self.failed),
-                            strategy: self.strategy,
-                            seed: self.seed,
-                        },
-                        stats,
-                    ));
-                }
-                let mut fib = self.fib.clone_prefix(self.k);
-                let strategy = self.strategy.instance();
-                with_spf_workspace(|ws| {
-                    for slice in 0..self.k {
-                        if strategy.supports_delta_repair() {
-                            stats.absorb(spf_repair_arena_failures(
-                                g,
-                                &self.weights[slice],
-                                &mut fib,
-                                slice,
-                                &mask,
-                                &newly,
-                                ws,
-                                telemetry,
-                            ));
-                        } else {
-                            // Masked rebuild: by the determinism
-                            // contract this equals what the strategy
-                            // would have built on the failed topology,
-                            // so stacked repairs compose exactly like
-                            // the delta path's.
-                            strategy.fill_slice(
-                                g,
-                                slice,
-                                self.seed,
-                                &self.weights[slice],
-                                &mask,
-                                ws,
-                                &mut fib,
-                                telemetry,
-                            );
-                            stats.absorb(rebuild_stats(g));
-                        }
-                    }
-                });
-                Ok((
-                    Splicing {
-                        k: self.k,
-                        weights: Arc::clone(&self.weights),
-                        fib: Arc::new(fib),
-                        failed: Arc::new(mask),
-                        strategy: self.strategy,
-                        seed: self.seed,
-                    },
-                    stats,
-                ))
-            }
-            RepairEvent::SliceReweight {
-                slice,
-                edge,
-                new_weight,
-            } => {
-                assert!(
-                    *slice < self.k,
-                    "slice {slice} out of range (k = {})",
-                    self.k
-                );
-                if !(new_weight.is_finite() && *new_weight > 0.0) {
-                    return Err(WeightError::BadWeight {
-                        edge: *edge,
-                        value: *new_weight,
-                    });
-                }
-                let old_weight = self.weights[*slice][edge.index()];
-                let mut weights: Vec<Vec<f64>> = self.weights.to_vec();
-                weights[*slice][edge.index()] = *new_weight;
-                let mut fib = self.fib.clone_prefix(self.k);
-                let strategy = self.strategy.instance();
-                with_spf_workspace(|ws| {
-                    if strategy.supports_delta_repair() {
-                        stats.absorb(spf_repair_arena_reweight(
-                            g,
-                            &weights[*slice],
-                            &mut fib,
-                            *slice,
-                            &self.failed,
-                            *edge,
-                            old_weight,
-                            ws,
-                            telemetry,
-                        ));
-                    } else {
-                        // Only the reweighted slice can have changed;
-                        // rebuild it over the unchanged failure mask.
-                        strategy.fill_slice(
-                            g,
-                            *slice,
-                            self.seed,
-                            &weights[*slice],
-                            &self.failed,
-                            ws,
-                            &mut fib,
-                            telemetry,
-                        );
-                        stats.absorb(rebuild_stats(g));
-                    }
-                });
-                Ok((
-                    Splicing {
-                        k: self.k,
-                        weights: weights.into(),
-                        fib: Arc::new(fib),
-                        failed: Arc::clone(&self.failed),
-                        strategy: self.strategy,
-                        seed: self.seed,
-                    },
-                    stats,
-                ))
-            }
-        }
-    }
-
-    /// Absorb a whole batch of repair events in one coalesced pass —
-    /// the sustained-churn fast path.
-    ///
-    /// Semantically this is exactly `events.iter().fold(self, repair)`:
-    /// the result is bit-identical to stacking the events one at a time
-    /// (property-tested across every strategy). The difference is cost.
-    /// Folding runs one delta-SPF pass over every slice *per event*;
-    /// the batch path first composes all failures into one mask delta
-    /// and dedups reweights per `(slice, edge)`, then runs one failure
-    /// pass per slice for the whole union plus one short reweight chain
-    /// on just the reweighted slices — and repairs the (disjoint) slice
-    /// planes on parallel workers.
-    ///
-    /// Bit-exactness falls out of the delta-repair invariant: every
-    /// pass leaves a plane equal to a masked rebuild at its current
-    /// (weights, mask), and the deterministic tie-break makes parents a
-    /// pure function of exact distances, so any event order that ends
-    /// at the same final (weights, mask) ends at the same bytes.
-    ///
-    /// An empty or fully-absorbed batch (e.g. re-failing already-failed
-    /// links) returns a deployment sharing this one's arena — no copy.
+    /// Absorb a batch of repair events in one coalesced pass, panicking
+    /// on an invalid reweight — the convenience form of
+    /// [`Splicing::try_repair_batch_recycling`] without telemetry or a
+    /// recycled arena.
     ///
     /// # Panics
-    /// Panics on an invalid reweight (see
-    /// [`Splicing::try_repair_batch_with_telemetry`] for the typed
-    /// error); the batch is atomic — nothing is applied on error.
+    /// Panics on an invalid reweight; the batch is atomic — nothing is
+    /// applied on error.
     pub fn repair_batch(&self, g: &Graph, events: &[RepairEvent]) -> Splicing {
-        self.repair_batch_report(g, events).0
-    }
-
-    /// [`Splicing::repair_batch`], also returning the aggregate repair
-    /// stats folded across all slices and workers.
-    pub fn repair_batch_report(
-        &self,
-        g: &Graph,
-        events: &[RepairEvent],
-    ) -> (Splicing, RepairStats) {
-        match self.try_repair_batch_with_telemetry(g, events, None) {
-            Ok(pair) => pair,
+        match self.try_repair_batch_recycling(g, events, None, None) {
+            Ok((repaired, _)) => repaired,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// [`Splicing::repair_batch_report`] with optional telemetry and
-    /// reweight validation surfaced as a typed error. On `Err` nothing
-    /// has been applied: the batch validates every reweight up front so
-    /// it is atomic.
-    pub fn try_repair_batch_with_telemetry(
-        &self,
-        g: &Graph,
-        events: &[RepairEvent],
-        telemetry: Option<&SpfTelemetry>,
-    ) -> Result<(Splicing, RepairStats), WeightError> {
-        self.try_repair_batch_recycling(g, events, telemetry, None)
-    }
-
-    /// [`Splicing::try_repair_batch_with_telemetry`] with an optional
-    /// recycled arena — the mutable-owner path for a long-running
-    /// control plane.
+    /// The repair engine: absorb a batch of topology and weight events by
+    /// incrementally repairing the affected slice planes — delta-SPF
+    /// instead of the k·n full Dijkstras a rebuild costs.
     ///
-    /// The batch path starts every repair by cloning the current arena
-    /// (`clone_prefix`), a `k·n²` allocation per event batch. A daemon
+    /// The returned deployment starts from a plane-level copy of this
+    /// one's arena (two `memcpy`s, no shortest-path work) and rewrites
+    /// only the destination columns the batch can have touched; every
+    /// other column is carried over byte-identical. The batch is first
+    /// coalesced: all failures compose into one mask delta and reweights
+    /// dedup per `(slice, edge)`. Each dirty slice then gets one short
+    /// reweight chain plus one failure pass for the whole union (or, for
+    /// strategies without delta repair, one masked rebuild), with the
+    /// disjoint slice planes repaired on parallel workers. Also returned:
+    /// what the repair did — columns patched vs proven untouched and the
+    /// total re-relaxed frontier, folded across slices and workers.
+    ///
+    /// The result is bit-identical to building from scratch on the
+    /// post-batch topology, and therefore to absorbing the events one
+    /// batch of one at a time (property-tested across every strategy):
+    /// every pass leaves a plane equal to a masked rebuild at its current
+    /// (weights, mask), and the deterministic tie-break makes parents a
+    /// pure function of exact distances, so any event order that ends at
+    /// the same final (weights, mask) ends at the same bytes. Batches
+    /// stack: repairing an already-repaired splicing composes the failure
+    /// masks (see [`Splicing::failed_mask`]).
+    ///
+    /// An empty or fully-absorbed batch (e.g. re-failing already-failed
+    /// links) returns a deployment sharing this one's arena — no copy, no
+    /// SPF work.
+    ///
+    /// On `Err` nothing has been applied: every reweight is validated up
+    /// front, so the batch is atomic.
+    ///
+    /// `recycle` is the mutable-owner path for a long-running control
+    /// plane. Every repair starts by cloning the current arena
+    /// (`clone_prefix`), a `k·n²` allocation per batch. A daemon
     /// that owns its deployment can instead hand back a *retired* arena
     /// (a superseded snapshot no reader holds anymore): when its shape
     /// matches it is overwritten in place ([`SpliceFib::copy_from`]) and
@@ -702,9 +491,10 @@ impl Splicing {
         }
 
         // Coalesce. The cloned mask doubles as the new-failure dedup
-        // set (same trick as the single-event path); reweights keep
-        // first-occurrence order per slice and only their final value —
-        // intermediate values are unobservable in the fold's result.
+        // set: an edge is newly failed exactly when it is still up, and
+        // failing it on sight keeps SRLG-sized sets linear. Reweights
+        // keep first-occurrence order per slice and only their final
+        // value — intermediate values are unobservable in the result.
         let mut mask = (*self.failed).clone();
         let mut newly: Vec<EdgeId> = Vec::new();
         let mut note = |e: EdgeId| {
@@ -743,18 +533,9 @@ impl Splicing {
         }
 
         if newly.is_empty() && final_weights.is_none() {
-            // Nothing survived coalescing: share everything.
-            return Ok((
-                Splicing {
-                    k: self.k,
-                    weights: Arc::clone(&self.weights),
-                    fib: Arc::clone(&self.fib),
-                    failed: Arc::clone(&self.failed),
-                    strategy: self.strategy,
-                    seed: self.seed,
-                },
-                RepairStats::default(),
-            ));
+            // Nothing survived coalescing: share everything (a clone is
+            // three `Arc` bumps).
+            return Ok((self.clone(), RepairStats::default()));
         }
 
         // A slice is dirty when any failure touched the topology (every
@@ -1399,11 +1180,21 @@ mod tests {
         });
     }
 
+    /// The engine without telemetry or a spare arena, stats included.
+    fn repair_with_stats(
+        sp: &Splicing,
+        g: &Graph,
+        events: &[RepairEvent],
+    ) -> (Splicing, RepairStats) {
+        sp.try_repair_batch_recycling(g, events, None, None)
+            .expect("valid batch")
+    }
+
     #[test]
     fn repair_link_failure_matches_rebuild() {
         let g = abilene().graph();
         let sp = Splicing::build(&g, &SplicingConfig::degree_based(3, 0.0, 3.0), 11);
-        let (repaired, stats) = sp.repair_report(&g, &RepairEvent::LinkFailure(EdgeId(0)));
+        let (repaired, stats) = repair_with_stats(&sp, &g, &[RepairEvent::LinkFailure(EdgeId(0))]);
         assert!(stats.patched_columns > 0, "failure must touch some columns");
         assert_eq!(repaired.failed_mask().failed_count(), 1);
         assert!(repaired.failed_mask().is_failed(EdgeId(0)));
@@ -1429,7 +1220,8 @@ mod tests {
         assert_matches_masked_rebuild(&g, &stacked, stacked.failed_mask());
         assert_matches_masked_rebuild(&g, &batch, batch.failed_mask());
         // Re-failing an already-failed link is the identity.
-        let (again, stats) = stacked.repair_report(&g, &RepairEvent::LinkFailure(EdgeId(5)));
+        let (again, stats) =
+            repair_with_stats(&stacked, &g, &[RepairEvent::LinkFailure(EdgeId(5))]);
         assert_eq!(stats, RepairStats::default());
         assert_eq!(again.failed_mask().failed_count(), 2);
     }
@@ -1486,13 +1278,14 @@ mod tests {
         let sp = Splicing::build(&g, &SplicingConfig::uniform(2, 1.0), 1);
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let err = sp
-                .try_repair_with_telemetry(
+                .try_repair_batch_recycling(
                     &g,
-                    &RepairEvent::SliceReweight {
+                    &[RepairEvent::SliceReweight {
                         slice: 1,
                         edge: EdgeId(0),
                         new_weight: bad,
-                    },
+                    }],
+                    None,
                     None,
                 )
                 .unwrap_err();
@@ -1520,7 +1313,12 @@ mod tests {
         let rec = FlightRecorder::new(32);
         let tel = SpfTelemetry::register(&Registry::new()).with_flight(rec.clone());
         let (repaired, _) = sp
-            .try_repair_with_telemetry(&g, &RepairEvent::LinkFailure(EdgeId(0)), Some(&tel))
+            .try_repair_batch_recycling(
+                &g,
+                &[RepairEvent::LinkFailure(EdgeId(0))],
+                Some(&tel),
+                None,
+            )
             .unwrap();
         let rebuilt = sp.repair(&g, &RepairEvent::LinkFailure(EdgeId(0)));
         for slice in 0..repaired.k() {
@@ -1528,8 +1326,9 @@ mod tests {
         }
         let events = rec.snapshot();
         assert_eq!(events[0].event.kind, "repair_event");
-        assert_eq!(events[0].event.name, "link_failure");
-        assert_eq!(events[0].event.fields[0], ("edge", 0));
+        assert_eq!(events[0].event.name, "batch");
+        assert_eq!(events[0].event.fields[0], ("events", 1));
+        assert_eq!(events[0].event.fields[1], ("links", 1));
         // One per-plane repair event per slice follows the trigger.
         let planes = events
             .iter()
@@ -1575,6 +1374,38 @@ mod tests {
     }
 
     #[test]
+    fn one_event_repair_on_a_prefix_view_equals_masked_rebuild_for_every_strategy() {
+        // The batch engine's `planes_mut` over `clone_prefix(2)` of a
+        // 5-plane arena is the only repair path a prefix view has.
+        let g = abilene().graph();
+        for kind in StrategyKind::ALL {
+            let cfg = SplicingConfig::degree_based(5, 0.0, 3.0).with_strategy(kind);
+            let sp = Splicing::build(&g, &cfg, 9);
+            assert_eq!(sp.arena().k(), 5);
+            let repaired = sp
+                .prefix(2)
+                .repair(&g, &RepairEvent::LinkFailure(EdgeId(3)));
+            assert_eq!((repaired.k(), repaired.arena().k()), (2, 2), "{kind:?}");
+            let mut rebuilt = SpliceFib::empty(2, g.node_count());
+            with_spf_workspace(|ws| {
+                for slice in 0..2 {
+                    kind.instance().fill_slice(
+                        &g,
+                        slice,
+                        sp.build_seed(),
+                        sp.weights(slice),
+                        repaired.failed_mask(),
+                        ws,
+                        &mut rebuilt,
+                        None,
+                    );
+                }
+            });
+            assert_eq!(**repaired.arena(), rebuilt, "{kind:?}");
+        }
+    }
+
+    #[test]
     fn noop_repair_shares_the_arena_without_spf_work() {
         use splice_routing::spf::{Registry, SpfTelemetry};
 
@@ -1583,7 +1414,12 @@ mod tests {
         let failed = sp.repair(&g, &RepairEvent::LinkFailure(EdgeId(4)));
         let tel = SpfTelemetry::register(&Registry::new());
         let (again, stats) = failed
-            .try_repair_with_telemetry(&g, &RepairEvent::LinkFailure(EdgeId(4)), Some(&tel))
+            .try_repair_batch_recycling(
+                &g,
+                &[RepairEvent::LinkFailure(EdgeId(4))],
+                Some(&tel),
+                None,
+            )
             .unwrap();
         // Re-failing a failed link is free: no arena copy, no SPF work.
         assert_eq!(stats, RepairStats::default());
@@ -1650,7 +1486,7 @@ mod tests {
         let sp = Splicing::build(&g, &SplicingConfig::degree_based(3, 0.0, 3.0), 11);
         let events = mixed_batch(&sp);
         let folded = events.iter().fold(sp.clone(), |acc, ev| acc.repair(&g, ev));
-        let (batched, stats) = sp.repair_batch_report(&g, &events);
+        let (batched, stats) = repair_with_stats(&sp, &g, &events);
         assert!(stats.patched_columns > 0);
         assert_same_deployment(&g, &batched, &folded);
         assert_matches_masked_rebuild(&g, &batched, batched.failed_mask());
@@ -1687,12 +1523,13 @@ mod tests {
     fn empty_and_absorbed_batches_share_state() {
         let g = abilene().graph();
         let sp = Splicing::build(&g, &SplicingConfig::degree_based(2, 0.0, 3.0), 3);
-        let (same, stats) = sp.repair_batch_report(&g, &[]);
+        let (same, stats) = repair_with_stats(&sp, &g, &[]);
         assert_eq!(stats, RepairStats::default());
         assert!(Arc::ptr_eq(same.arena(), sp.arena()));
         // A batch fully absorbed by the current mask is also free.
         let failed = sp.repair(&g, &RepairEvent::LinkFailure(EdgeId(2)));
-        let (again, stats) = failed.repair_batch_report(
+        let (again, stats) = repair_with_stats(
+            &failed,
             &g,
             &[
                 RepairEvent::LinkFailure(EdgeId(2)),
@@ -1708,7 +1545,7 @@ mod tests {
         let g = diamond();
         let sp = Splicing::build(&g, &SplicingConfig::uniform(2, 1.0), 1);
         let err = sp
-            .try_repair_batch_with_telemetry(
+            .try_repair_batch_recycling(
                 &g,
                 &[
                     RepairEvent::LinkFailure(EdgeId(0)),
@@ -1718,6 +1555,7 @@ mod tests {
                         new_weight: f64::NAN,
                     },
                 ],
+                None,
                 None,
             )
             .unwrap_err();

@@ -526,8 +526,14 @@ mod tests {
         ] {
             let sp = Splicing::build(&g, &cfg_for(kind, 3), 9);
             assert!(!kind.instance().supports_delta_repair());
-            let (repaired, stats) =
-                sp.repair_report(&g, &crate::slices::RepairEvent::LinkFailure(EdgeId(2)));
+            let (repaired, stats) = sp
+                .try_repair_batch_recycling(
+                    &g,
+                    &[crate::slices::RepairEvent::LinkFailure(EdgeId(2))],
+                    None,
+                    None,
+                )
+                .expect("link failures carry no weights to reject");
             assert_eq!(stats.patched_columns, 3 * g.node_count());
             // Stacking a second failure equals the one-shot rebuild with
             // the cumulative mask (determinism contract).

@@ -145,7 +145,9 @@ proptest! {
                 }
             }
         };
-        let (repaired, stats) = sp.repair_report(&g, &event);
+        let (repaired, stats) = sp
+            .try_repair_batch_recycling(&g, std::slice::from_ref(&event), None, None)
+            .expect("generated reweights are positive and finite");
         // Oracle: fresh masked Dijkstra per (slice, dst) on the repaired
         // deployment's own weights and failure mask.
         let mut ws = SpfWorkspace::new();

@@ -13,10 +13,7 @@
 //!   network-based recovery).
 
 use crate::packet::Packet;
-use crate::walk::{scalar_walk, WalkOutcome};
-use splice_core::forwarding::ForwarderOptions;
 use splice_core::hash::slice_for_flow;
-use splice_core::header::ForwardingBits;
 use splice_core::slices::Splicing;
 use splice_graph::{EdgeId, EdgeMask, NodeId};
 use splice_routing::SpliceFib;
@@ -116,24 +113,6 @@ impl Router {
         (0..self.k)
             .map(|s| self.fib.installed_for_router(s, self.id))
             .sum()
-    }
-
-    /// Walk one flow end-to-end over this router's shared arena, one hop
-    /// at a time, with `Forwarder::forward` semantics (initial slice from
-    /// the flow hash, §4.4 stay-in-current on exhaustion, persistent-loop
-    /// detection, hop budget). This is the scalar baseline the
-    /// [`BatchForwarder`](crate::BatchForwarder) is measured against and
-    /// one of the three engines the testkit's differential oracle
-    /// compares.
-    pub fn forward(
-        &self,
-        mask: &EdgeMask,
-        src: NodeId,
-        dst: NodeId,
-        header: ForwardingBits,
-        opts: &ForwarderOptions,
-    ) -> WalkOutcome {
-        WalkOutcome::from_outcome(&scalar_walk(&self.fib, mask, src, dst, header, opts))
     }
 
     /// Process one packet. `link_state` tells which incident links are up;

@@ -2,8 +2,7 @@
 //! one-at-a-time scalar reference walk.
 //!
 //! Three engines walk packets over the spliced-FIB arena: the scalar
-//! [`scalar_walk`] (and [`Router::forward`](crate::Router::forward),
-//! which delegates to it), the struct-of-arrays
+//! [`scalar_walk`], the struct-of-arrays
 //! [`BatchForwarder`](crate::BatchForwarder), and the testkit's naive
 //! oracle walker. For a differential oracle to compare them cheaply,
 //! each reduces a walk to the same fixed-size [`WalkOutcome`]: the
@@ -12,23 +11,16 @@
 //! agree exactly when their outcomes are equal — path included, because
 //! the path is hashed, not stored.
 //!
-//! The scalar walk mirrors `Forwarder::forward` (splice-core) statement
-//! for statement — initial slice `Hash(src, dst)`, per-hop header read,
-//! `StayInCurrent` on exhaustion, persistent-loop detection by
-//! exhausted-(node, slice) revisit, hop budget checked after moving —
-//! but reads the `SpliceFib` arena directly, so it is the baseline the
-//! batch engine's speedup is measured against: identical semantics, one
-//! packet at a time, with the per-packet trace and hash-set allocations
-//! the batch engine exists to avoid.
+//! The scalar walk *is* splice-core's walk loop (the one
+//! `Forwarder::forward` runs) pointed at a bare `SpliceFib`, so it is the
+//! baseline the batch engine's speedup is measured against: one packet
+//! at a time, with the per-packet trace and hash-set allocations the
+//! batch engine exists to avoid.
 
-use splice_core::forwarding::{
-    ExhaustedPolicy, ForwarderOptions, ForwardingOutcome, Trace, TraceStep,
-};
-use splice_core::hash::slice_for_flow;
+use splice_core::forwarding::{walk_bits, ForwarderOptions, ForwardingOutcome};
 use splice_core::header::ForwardingBits;
 use splice_graph::{EdgeMask, NodeId};
 use splice_routing::SpliceFib;
-use std::collections::HashSet;
 
 /// How a walk ended — `ForwardingOutcome` without the trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -193,136 +185,26 @@ pub fn fold_outcomes_checksum(mut h: u64, outs: &[WalkOutcome]) -> u64 {
     h
 }
 
-/// Walk one packet over the arena, one hop at a time, mirroring
-/// `Forwarder::forward`'s semantics statement for statement — including
-/// its per-packet costs: a `Trace` whose step `Vec` grows hop by hop and
-/// a fresh `HashSet` for exhausted-state loop detection. This is the
-/// honest one-at-a-time scalar baseline (BENCH_fib.json's ~0.5 µs/hop
-/// path): the batch engine exists to shed exactly these allocations.
+/// Walk one packet over every plane of the arena, one hop at a time:
+/// splice-core's walk loop with its per-packet costs — a `Trace` whose
+/// step `Vec` grows hop by hop and a fresh `HashSet` for exhausted-state
+/// loop detection. This is the honest one-at-a-time scalar baseline
+/// (BENCH_fib.json's ~0.5 µs/hop path): the batch engine exists to shed
+/// exactly these allocations.
 pub fn scalar_walk(
     fib: &SpliceFib,
     mask: &EdgeMask,
     src: NodeId,
     dst: NodeId,
-    mut header: ForwardingBits,
+    header: ForwardingBits,
     opts: &ForwarderOptions,
 ) -> ForwardingOutcome {
-    let k = fib.k();
-    let mut current_slice = slice_for_flow(src, dst, k);
-    let mut steps = Vec::new();
-    let mut at = src;
-    let mut exhausted_states: HashSet<(NodeId, usize)> = HashSet::new();
-
-    macro_rules! trace {
-        () => {
-            Trace {
-                src,
-                dst,
-                steps,
-                last: at,
-            }
-        };
-    }
-
-    while at != dst {
-        match header.read_and_shift(k) {
-            Some(s) => current_slice = s,
-            None => match opts.exhausted {
-                ExhaustedPolicy::StayInCurrent => {}
-                ExhaustedPolicy::HashFallback => {
-                    current_slice = slice_for_flow(src, dst, k);
-                }
-            },
-        }
-        if header.is_exhausted() && !exhausted_states.insert((at, current_slice)) {
-            return ForwardingOutcome::PersistentLoop(trace!());
-        }
-        let Some((next, edge)) = fib.lookup(current_slice, at, dst) else {
-            return ForwardingOutcome::DeadEnd(trace!());
-        };
-        if mask.is_failed(edge) {
-            return ForwardingOutcome::LinkDown {
-                trace: trace!(),
-                slice: current_slice,
-            };
-        }
-        steps.push(TraceStep {
-            node: at,
-            slice: current_slice,
-            edge,
-        });
-        at = next;
-        if steps.len() > opts.ttl {
-            return ForwardingOutcome::TtlExceeded(trace!());
-        }
-    }
-    ForwardingOutcome::Delivered(trace!())
+    walk_bits(fib, fib.k(), mask, src, dst, header, opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splice_core::forwarding::Forwarder;
-    use splice_core::slices::{Splicing, SplicingConfig};
-    use splice_graph::EdgeId;
-
-    fn setup() -> (splice_graph::Graph, Splicing) {
-        let g = splice_topology::abilene::abilene().graph();
-        let sp = Splicing::build(&g, &SplicingConfig::degree_based(4, 0.0, 3.0), 21);
-        (g, sp)
-    }
-
-    /// The scalar arena walk must agree with `Forwarder::forward` on
-    /// every pair, header shape, and failure state — outcome variant,
-    /// full trace included.
-    #[test]
-    fn scalar_walk_matches_core_forwarder() {
-        let (g, sp) = setup();
-        let opts = ForwarderOptions::default();
-        for mask in [
-            EdgeMask::all_up(g.edge_count()),
-            EdgeMask::from_failed(g.edge_count(), &[EdgeId(0), EdgeId(5)]),
-        ] {
-            let fwd = Forwarder::new(&sp, &g, &mask);
-            for hops in [vec![], vec![1], vec![2, 0, 1], vec![3, 3, 1, 0, 2]] {
-                for s in g.nodes() {
-                    for t in g.nodes() {
-                        if s == t {
-                            continue;
-                        }
-                        let h = ForwardingBits::from_hops(&hops, sp.k());
-                        let core = fwd.forward(s, t, h, &opts);
-                        let ours = scalar_walk(sp.arena(), &mask, s, t, h, &opts);
-                        assert_eq!(core, ours, "{s:?}->{t:?} hops={hops:?}");
-                        assert_eq!(
-                            WalkOutcome::from_outcome(&core),
-                            WalkOutcome::from_outcome(&ours)
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ttl_matches_core_cutoff() {
-        let (g, sp) = setup();
-        let mask = EdgeMask::all_up(g.edge_count());
-        let fwd = Forwarder::new(&sp, &g, &mask);
-        let opts = ForwarderOptions {
-            ttl: 1,
-            ..Default::default()
-        };
-        let h = ForwardingBits::stay_in_slice(0, sp.k());
-        let core = fwd.forward(NodeId(0), NodeId(10), h, &opts);
-        assert!(matches!(core, ForwardingOutcome::TtlExceeded(_)));
-        let ours = scalar_walk(sp.arena(), &mask, NodeId(0), NodeId(10), h, &opts);
-        assert_eq!(core, ours);
-        assert_eq!(
-            WalkOutcome::from_outcome(&ours).class,
-            WalkClass::TtlExceeded
-        );
-    }
 
     #[test]
     fn checksum_is_order_sensitive_and_foldable() {

@@ -518,48 +518,6 @@ impl SpliceFib {
         self.plane_mut(slice).patch_column(dst, parents);
     }
 
-    /// Incrementally repair plane `slice` after the links in
-    /// `newly_failed` went down. `mask` is the new cumulative failure mask
-    /// (with `newly_failed` already failed) and `weights` the slice's
-    /// weight vector; the plane must hold the forwarding state that was
-    /// correct immediately before the event.
-    ///
-    /// Columns whose tree does not cross a newly failed link are skipped
-    /// after an O(n) scan — their entries are provably unchanged. Touched
-    /// columns are loaded into `ws`, repaired via
-    /// [`SpfWorkspace::repair_failures`], and written back whole.
-    pub fn patch_slice_failures(
-        &mut self,
-        g: &Graph,
-        weights: &[f64],
-        slice: usize,
-        mask: &EdgeMask,
-        newly_failed: &[EdgeId],
-        ws: &mut SpfWorkspace,
-    ) -> RepairStats {
-        self.plane_mut(slice)
-            .patch_failures(g, weights, mask, newly_failed, ws)
-    }
-
-    /// Incrementally repair plane `slice` after `edge`'s weight changed
-    /// from `old_weight` to `weights[edge]` (`weights` is the slice's new
-    /// vector). Weight increases skip columns that do not route over
-    /// `edge`; decreases probe every column, but a probe that changes
-    /// nothing costs one relaxation and skips the write-back.
-    pub fn patch_slice_reweight(
-        &mut self,
-        g: &Graph,
-        weights: &[f64],
-        slice: usize,
-        mask: &EdgeMask,
-        edge: EdgeId,
-        old_weight: f64,
-        ws: &mut SpfWorkspace,
-    ) -> RepairStats {
-        self.plane_mut(slice)
-            .patch_reweight(g, weights, mask, edge, old_weight, ws)
-    }
-
     /// Pack legacy per-slice [`RoutingTables`] into an arena.
     ///
     /// # Panics
@@ -805,7 +763,7 @@ mod tests {
     }
 
     #[test]
-    fn patch_slice_failures_matches_rebuild_and_skips_untouched() {
+    fn patch_failures_matches_rebuild_and_skips_untouched() {
         let g = diamond();
         let w = g.base_weights();
         for fail in g.edge_ids() {
@@ -814,7 +772,9 @@ mod tests {
             arena.fill_slice(&g, &w, 0, &mut ws);
             let mut mask = EdgeMask::all_up(g.edge_count());
             mask.fail(fail);
-            let stats = arena.patch_slice_failures(&g, &w, 0, &mask, &[fail], &mut ws);
+            let stats = arena
+                .plane_mut(0)
+                .patch_failures(&g, &w, &mask, &[fail], &mut ws);
             assert_eq!(
                 stats.patched_columns + stats.skipped_columns,
                 g.node_count(),
@@ -825,7 +785,7 @@ mod tests {
     }
 
     #[test]
-    fn patch_slice_reweight_matches_rebuild_both_directions() {
+    fn patch_reweight_matches_rebuild_both_directions() {
         let g = diamond();
         let mask = EdgeMask::all_up(g.edge_count());
         for edge in g.edge_ids() {
@@ -836,7 +796,14 @@ mod tests {
                 let mut arena = SpliceFib::empty(1, g.node_count());
                 let mut ws = SpfWorkspace::new();
                 arena.fill_slice(&g, &old, 0, &mut ws);
-                arena.patch_slice_reweight(&g, &new_w, 0, &mask, edge, old[edge.index()], &mut ws);
+                arena.plane_mut(0).patch_reweight(
+                    &g,
+                    &new_w,
+                    &mask,
+                    edge,
+                    old[edge.index()],
+                    &mut ws,
+                );
                 assert_plane_matches_rebuild(&arena, &g, &new_w, 0, &mask);
             }
         }
@@ -864,10 +831,14 @@ mod tests {
         direct.fill_slice(&g, &w1, 1, &mut ws);
         assert_eq!(via_planes, direct);
 
-        // Per-plane repair equals arena-level repair.
+        // Repair through a view handed out with its siblings equals
+        // repair through a lone `plane_mut` borrow.
         let mut mask = EdgeMask::all_up(g.edge_count());
         mask.fail(EdgeId(0));
-        let stats_direct = direct.patch_slice_failures(&g, &w0, 0, &mask, &[EdgeId(0)], &mut ws);
+        let stats_direct =
+            direct
+                .plane_mut(0)
+                .patch_failures(&g, &w0, &mask, &[EdgeId(0)], &mut ws);
         let stats_plane = {
             let mut planes = via_planes.planes_mut();
             planes[0].patch_failures(&g, &w0, &mask, &[EdgeId(0)], &mut ws)

@@ -33,9 +33,9 @@ pub struct SpfTelemetry {
     /// per splicing build — the §4.2 state-size accounting.
     pub arena_bytes: Arc<Histogram>,
     /// Wall time of one incremental slice-plane repair
-    /// ([`SpliceFib::patch_slice_failures`] /
-    /// [`SpliceFib::patch_slice_reweight`]), one observation per repaired
-    /// plane — the counterpart of `spf_seconds` for the delta-SPF path.
+    /// ([`PlaneMut::patch_failures`] / [`PlaneMut::patch_reweight`]), one
+    /// observation per repaired plane — the counterpart of `spf_seconds`
+    /// for the delta-SPF path.
     pub spf_repair_seconds: Arc<Histogram>,
     /// Re-relaxed nodes per repaired plane (the repair frontier). Small
     /// frontiers are the whole point of repairing instead of rebuilding;
@@ -183,31 +183,9 @@ pub fn spf_fill_plane(
     }
 }
 
-/// The mask-aware counterpart of [`spf_fill_arena`], used by rebuild-only
-/// strategies: refill plane `slice` from scratch over the `mask`-up
-/// subgraph, overwriting stale entries. One `splice_spf_seconds`
-/// observation covers the pass.
-pub fn spf_refill_arena(
-    g: &Graph,
-    weights: &[f64],
-    fib: &mut SpliceFib,
-    slice: usize,
-    mask: &EdgeMask,
-    ws: &mut SpfWorkspace,
-    telemetry: Option<&SpfTelemetry>,
-) {
-    spf_refill_plane(
-        g,
-        weights,
-        &mut fib.plane_mut(slice),
-        slice,
-        mask,
-        ws,
-        telemetry,
-    )
-}
-
-/// [`spf_refill_arena`] on an already-borrowed [`PlaneMut`].
+/// The mask-aware counterpart of [`spf_fill_plane`]: refill the plane
+/// from scratch over the `mask`-up subgraph, overwriting stale entries.
+/// One `splice_spf_seconds` observation covers the pass.
 pub fn spf_refill_plane(
     g: &Graph,
     weights: &[f64],
@@ -229,35 +207,11 @@ pub fn spf_refill_plane(
     }
 }
 
-/// The delta-SPF counterpart of [`spf_fill_arena`]: repair plane `slice`
-/// in place after the links in `newly_failed` went down, with optional
-/// per-plane timing and frontier-size observations. Entries are
-/// bit-identical with telemetry on or off.
-#[allow(clippy::too_many_arguments)]
-pub fn spf_repair_arena_failures(
-    g: &Graph,
-    weights: &[f64],
-    fib: &mut SpliceFib,
-    slice: usize,
-    mask: &EdgeMask,
-    newly_failed: &[EdgeId],
-    ws: &mut SpfWorkspace,
-    telemetry: Option<&SpfTelemetry>,
-) -> RepairStats {
-    spf_repair_plane_failures(
-        g,
-        weights,
-        &mut fib.plane_mut(slice),
-        slice,
-        mask,
-        newly_failed,
-        ws,
-        telemetry,
-    )
-}
-
-/// [`spf_repair_arena_failures`] on an already-borrowed [`PlaneMut`] —
-/// the form the parallel batch-repair workers call.
+/// The delta-SPF counterpart of [`spf_fill_plane`]: repair the plane in
+/// place after the links in `newly_failed` went down
+/// ([`PlaneMut::patch_failures`]), with optional per-plane timing and
+/// frontier-size observations. Entries are bit-identical with telemetry
+/// on or off; `slice` only labels the flight event.
 #[allow(clippy::too_many_arguments)]
 pub fn spf_repair_plane_failures(
     g: &Graph,
@@ -288,35 +242,10 @@ pub fn spf_repair_plane_failures(
     stats
 }
 
-/// [`spf_repair_arena_failures`]'s sibling for a single-link weight
-/// change: `weights` is the slice's new vector, `old_weight` the value
-/// `edge` had when the plane was last correct.
-#[allow(clippy::too_many_arguments)]
-pub fn spf_repair_arena_reweight(
-    g: &Graph,
-    weights: &[f64],
-    fib: &mut SpliceFib,
-    slice: usize,
-    mask: &EdgeMask,
-    edge: EdgeId,
-    old_weight: f64,
-    ws: &mut SpfWorkspace,
-    telemetry: Option<&SpfTelemetry>,
-) -> RepairStats {
-    spf_repair_plane_reweight(
-        g,
-        weights,
-        &mut fib.plane_mut(slice),
-        slice,
-        mask,
-        edge,
-        old_weight,
-        ws,
-        telemetry,
-    )
-}
-
-/// [`spf_repair_arena_reweight`] on an already-borrowed [`PlaneMut`].
+/// [`spf_repair_plane_failures`]'s sibling for a single-link weight
+/// change ([`PlaneMut::patch_reweight`]): `weights` is the slice's new
+/// vector, `old_weight` the value `edge` had when the plane was last
+/// correct.
 #[allow(clippy::too_many_arguments)]
 pub fn spf_repair_plane_reweight(
     g: &Graph,
@@ -418,8 +347,16 @@ mod tests {
         let failed = splice_graph::EdgeId(0);
         let mut mask = EdgeMask::all_up(g.edge_count());
         mask.fail(failed);
-        let stats =
-            spf_repair_arena_failures(&g, &w, &mut fib, 0, &mask, &[failed], &mut ws, Some(&tel));
+        let stats = spf_repair_plane_failures(
+            &g,
+            &w,
+            &mut fib.plane_mut(0),
+            0,
+            &mask,
+            &[failed],
+            &mut ws,
+            Some(&tel),
+        );
         assert!(stats.patched_columns > 0);
         assert_eq!(tel.spf_repair_seconds.count(), 1);
         assert_eq!(tel.spf_repair_frontier.count(), 1);
@@ -449,7 +386,16 @@ mod tests {
         let failed = splice_graph::EdgeId(0);
         let mut mask = EdgeMask::all_up(g.edge_count());
         mask.fail(failed);
-        spf_repair_arena_failures(&g, &w, &mut fib, 0, &mask, &[failed], &mut ws, Some(&tel));
+        spf_repair_plane_failures(
+            &g,
+            &w,
+            &mut fib.plane_mut(0),
+            0,
+            &mask,
+            &[failed],
+            &mut ws,
+            Some(&tel),
+        );
         let events = rec.snapshot();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].event.kind, "spf");

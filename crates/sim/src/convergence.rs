@@ -115,7 +115,9 @@ pub fn convergence_window_sweep(
             // What reconvergence costs once the window closes: repair the
             // deployment's FIB incrementally and account for what it
             // touched (next-hop-identical to a full rebuild).
-            let (_, repair) = splicing.repair_report(g, &RepairEvent::LinkFailure(e));
+            let (_, repair) = splicing
+                .try_repair_batch_recycling(g, &[RepairEvent::LinkFailure(e)], None, None)
+                .expect("link failures carry no weights to reject");
 
             WindowResult {
                 failed: e,

@@ -427,7 +427,9 @@ fn apply_repair(
     step: usize,
     opts: &ReplayOptions,
 ) -> Result<Splicing, Box<Divergence>> {
-    let (next, stats) = sp.repair_report(g, event);
+    let (next, stats) = sp
+        .try_repair_batch_recycling(g, std::slice::from_ref(event), None, None)
+        .expect("scenario reweights are positive and finite");
     if let Some(flight) = &opts.flight {
         flight.record(
             FlightEvent::new("repair_event", event.kind_label())

@@ -7,8 +7,8 @@
 //! 1. **batch** — `splice_dataplane::BatchForwarder`, the
 //!    struct-of-arrays burst engine (the thing under test);
 //! 2. **scalar** — `splice_dataplane::scalar_walk`, the one-packet
-//!    reference that mirrors `Forwarder::forward` statement for
-//!    statement over the same arena;
+//!    reference: splice-core's walk loop (the one `Forwarder::forward`
+//!    runs) over the same arena;
 //! 3. **naive** — [`crate::oracle::naive_walk`] over from-scratch
 //!    [`OracleTables`], written directly from Algorithm 1 with no arena
 //!    at all.

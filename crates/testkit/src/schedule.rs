@@ -171,7 +171,7 @@ pub fn churn_schedule(g: &Graph, k: usize, len: usize, seed: u64) -> Vec<EventSp
         state = splitmix64(state);
         state
     };
-    let mut pick_up_edge = |mask: &EdgeMask, next: &mut dyn FnMut() -> u64| -> Option<u32> {
+    let pick_up_edge = |mask: &EdgeMask, next: &mut dyn FnMut() -> u64| -> Option<u32> {
         let up: Vec<EdgeId> = (0..m as u32)
             .map(EdgeId)
             .filter(|&e| mask.is_up(e))

@@ -54,7 +54,7 @@ where
     let mut attempts = 0usize;
 
     // Re-check a candidate; returns its divergence if it still fails.
-    let mut try_candidate = |cand: &Scenario, attempts: &mut usize| -> Option<Divergence> {
+    let try_candidate = |cand: &Scenario, attempts: &mut usize| -> Option<Divergence> {
         if *attempts >= MAX_ATTEMPTS {
             return None;
         }

@@ -56,10 +56,14 @@ pub fn barabasi_albert(n: usize, m: usize, rng: &mut StdRng) -> Graph {
         }
     }
     for new in seed as u32..n as u32 {
-        let mut targets = std::collections::HashSet::new();
+        // Distinct targets in pick order (`m` is tiny): edge ids, and so
+        // every later degree-proportional pick, depend only on the seed.
+        let mut targets: Vec<u32> = Vec::with_capacity(m);
         while targets.len() < m {
             let pick = chances[rng.gen_range(0..chances.len())];
-            targets.insert(pick);
+            if !targets.contains(&pick) {
+                targets.push(pick);
+            }
         }
         for &t in &targets {
             b.add_edge(NodeId(new), NodeId(t), 1.0);

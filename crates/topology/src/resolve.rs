@@ -240,6 +240,21 @@ mod tests {
     }
 
     #[test]
+    fn ba_specs_resolve_to_the_same_graph_every_time() {
+        // Target sets used to be iterated out of a `HashSet`, so edge ids
+        // followed the process's hash seed.
+        let edges = |spec: &str| -> Vec<(u32, u32, f64)> {
+            let g = resolve(spec).unwrap().graph();
+            g.edges().iter().map(|e| (e.u.0, e.v.0, e.weight)).collect()
+        };
+        let first = edges("ba-60-2-7");
+        assert_eq!(first, edges("ba-60-2-7"));
+        // Seed clique K_{m+1}, then m edges per later node.
+        let (n, m) = (60, 2);
+        assert_eq!(first.len(), m * (m + 1) / 2 + (n - m - 1) * m);
+    }
+
+    #[test]
     fn unknown_names_are_typed_errors() {
         assert!(matches!(
             resolve("nope"),
