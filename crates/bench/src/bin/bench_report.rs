@@ -3,8 +3,7 @@
 //! `BENCH_fib.json` and `BENCH_spf_repair.json` used to exist only as a
 //! side effect of running the criterion suites; this binary produces both
 //! on demand — plus the per-strategy `BENCH_strategy.json` summary, the
-//! batched-repair `BENCH_churn.json` sweep, the live-daemon
-//! `BENCH_daemon.json` run, and the batched-forwarding
+//! batched-repair `BENCH_churn.json` sweep, and the batched-forwarding
 //! `BENCH_forward.json` engine comparison — by default into the
 //! repository root, where CI and the §4.2 state-size discussion pick
 //! them up — without pulling in criterion at all. The documents carry a
@@ -42,13 +41,6 @@ const STRATEGY_TRIALS: usize = 100;
 const CHURN_K: usize = 5;
 const CHURN_SCHEDULE_LEN: usize = 400;
 const CHURN_BATCH_SIZES: &[usize] = &[1, 2, 4, 8, 16];
-
-/// Live-daemon run: the same operating point pushed through the
-/// event-loop thread with subscribed forwarding workers.
-const DAEMON_SCHEDULE_LEN: usize = 400;
-const DAEMON_MAX_BATCH: usize = 8;
-const DAEMON_WORKERS: usize = 2;
-const DAEMON_BURST: usize = 128;
 
 fn main() {
     let mut topology = String::from("sprint");
@@ -160,22 +152,6 @@ fn main() {
         std::process::exit(1);
     }
     println!("wrote {}", churn_path.display());
-
-    let daemon_path = out.join("BENCH_daemon.json");
-    if let Err(e) = splice_bench::daemon_report::write_daemon_report(
-        &daemon_path,
-        &topology,
-        CHURN_K,
-        DAEMON_SCHEDULE_LEN,
-        DAEMON_MAX_BATCH,
-        DAEMON_WORKERS,
-        DAEMON_BURST,
-        seed,
-    ) {
-        eprintln!("writing {}: {e}", daemon_path.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", daemon_path.display());
 
     let forward_path = out.join("BENCH_forward.json");
     let forward_cfg =

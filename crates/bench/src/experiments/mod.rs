@@ -14,7 +14,6 @@ pub mod capacity_multipath;
 pub mod churn;
 pub mod convergence_window;
 pub mod coverage_ablation;
-pub mod daemon_churn;
 pub mod ecmp_baseline;
 pub mod explicit_paths_baseline;
 pub mod fig3_reliability;
@@ -68,7 +67,6 @@ pub fn registry() -> ExperimentRegistry {
     reg.register(Box::new(srlg_failures::SrlgFailures));
     reg.register(Box::new(convergence_window::ConvergenceWindow));
     reg.register(Box::new(churn::Churn));
-    reg.register(Box::new(daemon_churn::DaemonChurn));
     reg.register(Box::new(forward_storm::ForwardStorm));
     reg.register(Box::new(routing_dynamics::RoutingDynamics));
     reg.register(Box::new(ecmp_baseline::EcmpBaseline));
@@ -83,10 +81,8 @@ mod tests {
     #[test]
     fn registry_holds_all_experiments_with_unique_names() {
         let reg = registry();
-        assert_eq!(reg.len(), 29);
+        assert_eq!(reg.len(), 28);
         assert!(reg.find("churn").is_some());
-        assert!(reg.find("daemon_churn").is_some());
-        assert!(reg.find("daemon").is_some());
         assert!(reg.find("forward_storm").is_some());
         assert!(reg.find("forward").is_some());
         // Uniqueness is enforced by `register` (it panics on duplicates);

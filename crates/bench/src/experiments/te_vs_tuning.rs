@@ -52,15 +52,7 @@ impl Experiment for TeVsTuning {
             "weight search: cost {:.1} -> {:.1} over {} accepted moves\n",
             opt.initial_cost, opt.final_cost, opt.moves
         );
-        let tuned = {
-            use splice_core::slices::Slice;
-            let tables = splice_routing::spf::spf_from_weights(&g, &opt.weights);
-            Splicing::from_slices(vec![Slice {
-                id: 0,
-                weights: opt.weights.clone(),
-                tables,
-            }])
-        };
+        let tuned = Splicing::from_weight_vectors(&g, vec![opt.weights.clone()]);
         let base = ctx.deployment(
             &g,
             &SplicingConfig::degree_based(1, 0.0, 3.0),

@@ -50,8 +50,7 @@ use splice_core::header::ForwardingBits;
 use splice_core::slices::{Splicing, SplicingConfig};
 use splice_dataplane::{
     fold_outcomes_checksum, merged_checksum, outcomes_checksum, run_sharded, scalar_walk,
-    BatchForwarder, BatchStats, ForwardTelemetry, RotatingSnapshots, ShardReport, SnapshotSource,
-    WalkOutcome,
+    BatchForwarder, BatchStats, ForwardTelemetry, RotatingSnapshots, ShardReport, WalkOutcome,
 };
 use splice_graph::{EdgeMask, NodeId};
 use splice_sim::lab::LabError;

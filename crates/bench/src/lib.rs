@@ -26,7 +26,6 @@
 //! | failure-model extensions | `node_failures`, `srlg_failures` |
 //! | baselines | `ecmp_baseline`, `explicit_paths_baseline` |
 //! | batched-repair throughput | `churn` |
-//! | live-daemon churn | `daemon_churn` (alias `daemon`) |
 //! | batched-forwarding throughput | `forward_storm` (alias `forward`) |
 //!
 //! Every experiment accepts the shared flags `--trials N`, `--seed N`,
@@ -40,7 +39,6 @@
 //! `DIR/shards/` so `splice-lab resume` can skip completed work.
 
 pub mod churn_report;
-pub mod daemon_report;
 pub mod experiments;
 pub mod fib_report;
 pub mod forward_report;

@@ -11,7 +11,6 @@
 //!   slices       per-slice stretch statistics
 //!   forward      drain seeded traffic bursts through the sharded
 //!                batch forwarding engine
-//!   observe      standing churn loop with a live scrape endpoint
 //!   testkit      replay a fault-injection scenario by seed-spec
 //!   exp          the experiment engine (same as `splice-lab`)
 //! ```
@@ -20,27 +19,22 @@
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use splice_cli::{resolve_failures, resolve_node, resolve_topology, Flags};
-use splice_core::control::{ControlEvent, ControlPlane};
 use splice_core::prelude::*;
 use splice_core::slices::SplicingConfig;
 use splice_core::strategy::StrategyKind;
 use splice_core::stretch::{per_slice_stretch, StretchStats};
 use splice_dataplane::{NetTelemetry, Packet, RouterConfig, SimNetwork};
 use splice_graph::mincut::min_cut_links;
-use splice_graph::{EdgeId, EdgeMask, NodeId};
+use splice_graph::{EdgeMask, NodeId};
 use splice_sim::reliability::{
     reliability_experiment_instrumented, ReliabilityConfig, SpliceSemantics,
 };
 use splice_sim::telemetry::ExperimentTelemetry;
 use splice_sim::FailureModel;
-use splice_telemetry::{
-    serve_with_router, AdminResponse, FlightRecorder, Registry, Router, Span, Ticker, TraceSink,
-};
+use splice_telemetry::{Registry, TraceSink};
 use splice_topology::Topology;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 const HELP: &str = "\
 splice — path splicing on ISP topologies
@@ -55,8 +49,6 @@ commands:
   slices       per-slice stretch statistics
   forward      drain seeded Zipf bursts through the sharded batch
                forwarding engine and print throughput
-  observe      standing fail/repair/forward churn loop with a live
-               scrape endpoint (/metrics, /healthz, /snapshot)
   testkit      replay a fault-injection scenario by seed-spec
   exp          the experiment engine (same as `splice-lab`; try `splice exp list`)
   help         this message
@@ -88,20 +80,6 @@ forward flags:
   --burst N                         packets per burst (default 256)
   --bursts N                        bursts per shard (default 64)
   --shards N                        batch workers on scoped threads (default 2)
-
-observe flags:
-  --listen ADDR                     scrape address (default 127.0.0.1:0;
-                                    the bound address is printed); POST
-                                    /shutdown stops the loop gracefully
-  --duration-secs N                 how long to churn (default 30;
-                                    0 = until POST /shutdown)
-  --interval-ms N                   churn-round tick, deadline-paced
-                                    (default 200)
-  --walks N                         spliced packets injected per round (default 4)
-  --batch-size N                    distinct link failures coalesced per
-                                    control-plane repair pass (default 1 =
-                                    the single-event repair path)
-  --metrics PATH                    write the final Prometheus snapshot on exit
 
 telemetry flags (recover, reliability):
   --metrics PATH                    write a Prometheus metric snapshot
@@ -144,7 +122,6 @@ fn main() {
         "reliability" => cmd_reliability(&flags),
         "slices" => cmd_slices(&flags),
         "forward" => cmd_forward(&flags),
-        "observe" => cmd_observe(&flags),
         "help" | "--help" | "-h" => {
             print!("{HELP}");
             Ok(())
@@ -686,163 +663,6 @@ fn cmd_forward(flags: &Flags) -> Result<(), String> {
         "merged checksum: {:016x}",
         splice_dataplane::merged_checksum(&reports)
     );
-    Ok(())
-}
-
-/// `splice observe` — a standing churn loop behind a live scrape
-/// endpoint: each deadline-paced tick fails random links through the
-/// daemon's [`ControlPlane`] (ingest → coalesced repair → publish),
-/// pushes a few spliced packets through the broken data plane,
-/// recovers, and repeats — the same live-repair code path `spliced`
-/// runs, driven synchronously. Everything lands in one registry and
-/// one flight recorder, so `curl <addr>/metrics` shows span-duration
-/// histograms with quantile gauges and `<addr>/snapshot` shows the
-/// most recent repairs and walk anomalies while the loop is running;
-/// `POST <addr>/shutdown` stops the loop gracefully.
-fn cmd_observe(flags: &Flags) -> Result<(), String> {
-    let topo = resolve_topology(flags)?;
-    let (g, splicing) = build(&topo, flags)?;
-    let seed: u64 = flags.get_parsed("seed", 1)?;
-    let listen = flags.get("listen").unwrap_or("127.0.0.1:0");
-    let duration_secs: u64 = flags.get_parsed("duration-secs", 30)?;
-    let interval_ms: u64 = flags.get_parsed("interval-ms", 200)?;
-    let walks: usize = flags.get_parsed("walks", 4)?;
-    let batch_size: usize = flags.get_parsed("batch-size", 1)?;
-    if batch_size == 0 {
-        return Err("--batch-size must be at least 1".into());
-    }
-
-    let registry = Registry::new();
-    let flight = FlightRecorder::new(1024);
-    let telemetry = ExperimentTelemetry::register(&registry).with_flight(flight.clone());
-    // Graceful stop: POST /shutdown raises the flag the churn loop
-    // checks each round, so a scripted run (or CI) can end a
-    // `--duration-secs 0` loop without killing the process.
-    let stop = Arc::new(AtomicBool::new(false));
-    let router = Router::new().route("POST", "/shutdown", {
-        let stop = Arc::clone(&stop);
-        move |_req| {
-            stop.store(true, Ordering::SeqCst);
-            AdminResponse::text("shutting down\n")
-        }
-    });
-    let server = serve_with_router(listen, registry.clone(), Some(flight.clone()), router)
-        .map_err(|e| format!("cannot bind --listen {listen}: {e}"))?;
-    println!(
-        "observe: {} (k = {}), churn every {interval_ms} ms for {}",
-        topo.name,
-        splicing.k(),
-        if duration_secs == 0 {
-            "ever (interrupt to stop)".to_string()
-        } else {
-            format!("{duration_secs}s")
-        }
-    );
-    println!(
-        "observe: scrape http://{}/metrics — also /healthz, /snapshot",
-        server.local_addr()
-    );
-
-    let mut net = SimNetwork::new(
-        g.clone(),
-        &splicing,
-        topo.latencies(),
-        RouterConfig {
-            splicing_enabled: true,
-            network_recovery: true,
-        },
-    );
-    net.set_telemetry(NetTelemetry::register(&registry));
-    net.set_flight_recorder(flight.clone());
-
-    let round_span = Span::new(
-        "splice_observe_round",
-        registry.histogram_seconds(
-            "splice_observe_round_seconds",
-            "One fail/repair/forward/restore churn round",
-        ),
-    )
-    .with_flight(flight.clone());
-
-    // The churn rides the daemon's control plane — the same
-    // ingest/coalesce/publish state machine `spliced` runs — with
-    // `--batch-size` as the coalescing cap, instead of hand-rolled
-    // throwaway `try_repair` calls.
-    let mut cp = ControlPlane::new(g.clone(), splicing.clone(), batch_size)
-        .with_telemetry(telemetry.spf.clone());
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = g.node_count() as u32;
-    let m = g.edge_count() as u32;
-    if m == 0 {
-        return Err("topology has no links to churn".into());
-    }
-    let started = std::time::Instant::now();
-    // Deadline-paced rounds: tick i fires at `start + i * interval`, so
-    // a slow round doesn't push every later round back (the old
-    // `thread::sleep(interval)` drifted by the round's own latency).
-    let mut ticker = Ticker::new(std::time::Duration::from_millis(interval_ms));
-    let mut rounds = 0u64;
-    while !stop.load(Ordering::SeqCst)
-        && (duration_secs == 0 || started.elapsed().as_secs() < duration_secs)
-    {
-        {
-            let _round = round_span.enter();
-            // Draw `batch_size` distinct links; at 1 this is the classic
-            // single-event repair path, above it the round exercises the
-            // coalesced repair_batch path instead.
-            let mut edges: Vec<EdgeId> = Vec::with_capacity(batch_size.min(m as usize));
-            while edges.len() < batch_size.min(m as usize) {
-                let e = EdgeId(rng.gen_range(0..m));
-                if !edges.contains(&e) {
-                    edges.push(e);
-                }
-            }
-            for &edge in &edges {
-                cp.ingest(&ControlEvent::FailLink(edge));
-            }
-            cp.flush();
-            for &edge in &edges {
-                net.fail_link(edge);
-            }
-            for _ in 0..walks {
-                let (src, dst) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                if src == dst {
-                    continue;
-                }
-                net.inject(Packet::spliced(
-                    NodeId(src),
-                    NodeId(dst),
-                    64,
-                    ForwardingBits::stay_in_slice(0, splicing.k()),
-                    Bytes::from_static(b"observe"),
-                ));
-            }
-            for &edge in &edges {
-                net.restore_link(edge);
-                cp.ingest(&ControlEvent::Recover(edge));
-            }
-            cp.flush();
-        }
-        rounds += 1;
-        ticker.wait();
-    }
-    let (p50, _, p99) = telemetry.spf.spf_repair_seconds.quantiles();
-    let stats = cp.stats();
-    println!(
-        "observe: {rounds} round(s) in {:.1}s ({} tick(s) missed); repair p50 {p50:.6}s \
-         p99 {p99:.6}s; {} event(s), {} publish(es); flight {} event(s) recorded, {} dropped",
-        started.elapsed().as_secs_f64(),
-        ticker.missed(),
-        stats.events,
-        stats.publishes,
-        flight.recorded(),
-        flight.dropped()
-    );
-    if let Some(path) = flags.get("metrics") {
-        write_metrics(path, &registry)?;
-    }
-    server.shutdown();
     Ok(())
 }
 

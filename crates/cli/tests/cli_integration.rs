@@ -1,4 +1,5 @@
-//! Integration tests driving the compiled `splice` binary end to end.
+//! Integration tests driving the compiled `splice` and `spliced` binaries
+//! end to end.
 
 use std::process::{Command, Output};
 
@@ -218,4 +219,71 @@ fn file_topology_roundtrip() {
     assert!(text.contains("nodes    : 4"));
     assert!(text.contains("min cut  : 2"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One raw HTTP exchange with a running daemon; returns the response.
+fn http(addr: &str, request: &[u8]) -> String {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect to spliced");
+    stream.write_all(request).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    response
+}
+
+/// `POST /events` takes bytes off the network: a body that is not UTF-8
+/// (or opens with a multi-byte char) is a 400, never a dead admin
+/// thread — the next requests are still served and the daemon still
+/// exits 0 through its replay oracle.
+#[test]
+fn spliced_events_route_survives_a_non_utf8_body() {
+    use std::io::{BufRead, BufReader};
+    /// A failed assertion must not leave the daemon running.
+    struct KillOnDrop(std::process::Child);
+    impl Drop for KillOnDrop {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut child = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_spliced"))
+            .args(["--topology", "abilene", "--k", "2", "--workers", "1"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spliced starts"),
+    );
+    let mut lines = BufReader::new(child.0.stdout.take().unwrap()).lines();
+    let addr = lines
+        .find_map(|l| {
+            Some(
+                l.ok()?
+                    .strip_prefix("[spliced] listening on http://")?
+                    .to_string(),
+            )
+        })
+        .expect("spliced prints its bound address");
+
+    for body in [&b"\xff4"[..], "é4".as_bytes(), "f1+€".as_bytes()] {
+        let mut request = format!(
+            "POST /events HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(body);
+        let response = http(&addr, &request);
+        assert!(response.starts_with("HTTP/1.1 400"), "{body:?}: {response}");
+    }
+    let response = http(
+        &addr,
+        b"POST /events HTTP/1.1\r\nContent-Length: 2\r\n\r\nf1",
+    );
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    assert!(response.ends_with("accepted 1 event(s)\n"), "{response}");
+    let response = http(&addr, b"POST /shutdown HTTP/1.1\r\n\r\n");
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    // Keep draining stdout so the daemon never blocks on a full pipe.
+    let rest: Vec<String> = lines.map_while(Result::ok).collect();
+    let status = child.0.wait().expect("spliced exits");
+    assert!(status.success(), "exit oracle failed:\n{}", rest.join("\n"));
 }

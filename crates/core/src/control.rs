@@ -78,17 +78,20 @@ pub enum ControlEvent {
 impl ControlEvent {
     /// Parse one event token (the testkit spec grammar).
     pub fn parse(token: &str) -> Result<ControlEvent, String> {
-        if token.is_empty() {
+        let mut chars = token.chars();
+        let Some(kind) = chars.next() else {
             return Err("empty event token".to_string());
-        }
+        };
+        // Tokens arrive from the admin socket: split on the first char,
+        // which need not be one byte wide.
+        let rest = chars.as_str();
         let num = |t: &str| -> Result<u32, String> {
             t.parse::<u32>()
                 .map_err(|_| format!("bad number {t:?} in event token {token:?}"))
         };
-        let (kind, rest) = token.split_at(1);
         match kind {
-            "f" => Ok(ControlEvent::FailLink(EdgeId(num(rest)?))),
-            "g" => {
+            'f' => Ok(ControlEvent::FailLink(EdgeId(num(rest)?))),
+            'g' => {
                 let ids: Result<Vec<u32>, String> = rest.split('.').map(num).collect();
                 let ids = ids?;
                 if ids.is_empty() {
@@ -98,8 +101,8 @@ impl ControlEvent {
                     ids.into_iter().map(EdgeId).collect(),
                 ))
             }
-            "n" => Ok(ControlEvent::FailNode(NodeId(num(rest)?))),
-            "w" => {
+            'n' => Ok(ControlEvent::FailNode(NodeId(num(rest)?))),
+            'w' => {
                 let parts: Vec<&str> = rest.split('.').collect();
                 if parts.len() != 3 {
                     return Err(format!(
@@ -116,7 +119,7 @@ impl ControlEvent {
                     milli,
                 })
             }
-            "r" => Ok(ControlEvent::Recover(EdgeId(num(rest)?))),
+            'r' => Ok(ControlEvent::Recover(EdgeId(num(rest)?))),
             other => Err(format!("unknown event kind {other:?} in {token:?}")),
         }
     }
@@ -217,8 +220,12 @@ pub struct ControlPlane {
     /// Links currently failed, as scheduled (matches
     /// `current.failed_mask()` after a flush).
     shadow_mask: EdgeMask,
-    /// Every reweight applied since the base, in application order, as
-    /// `(slice, edge, absolute_weight)` — the carry for a rebuild.
+    /// The carry for a rebuild: one `(slice, edge, absolute_weight)` per
+    /// pair reweighted since the base, in first-application order,
+    /// holding the pair's latest weight — exactly what the repair engine
+    /// reduces a reweight sequence to, so the carry stays bounded by k·m
+    /// and the rebuilt arena is bit-identical to replaying every
+    /// reweight.
     reweights_applied: Vec<(usize, EdgeId, f64)>,
     pending: Vec<RepairEvent>,
     max_batch: usize,
@@ -290,8 +297,11 @@ impl ControlPlane {
     /// Ingest one event. Failures and reweights accumulate into the
     /// pending batch (auto-flushing at `max_batch`); a recovery flushes
     /// whatever is pending, then re-converges from the base deployment
-    /// and publishes. Returns the epoch of the newest snapshot this call
-    /// published, if any.
+    /// and publishes. Reweights compose multiplicatively, so a long
+    /// enough run of them leaves the range the repair engine can route
+    /// over ([`hops_still_count`]); such a reweight changes nothing (it
+    /// still counts in [`ControlStats::events`]). Returns the epoch of
+    /// the newest snapshot this call published, if any.
     ///
     /// # Panics
     /// Panics on an out-of-range slice/edge/node (validate untrusted
@@ -319,8 +329,18 @@ impl ControlPlane {
             ControlEvent::Reweight { slice, edge, milli } => {
                 let new_weight =
                     self.shadow_weights[*slice][edge.index()] * (*milli as f64 / 1000.0);
+                if !hops_still_count(&self.shadow_weights[*slice], *edge, new_weight) {
+                    return None;
+                }
                 self.shadow_weights[*slice][edge.index()] = new_weight;
-                self.reweights_applied.push((*slice, *edge, new_weight));
+                match self
+                    .reweights_applied
+                    .iter_mut()
+                    .find(|(s, e, _)| (s, e) == (slice, edge))
+                {
+                    Some(entry) => entry.2 = new_weight,
+                    None => self.reweights_applied.push((*slice, *edge, new_weight)),
+                }
                 self.pending.push(RepairEvent::SliceReweight {
                     slice: *slice,
                     edge: *edge,
@@ -363,16 +383,15 @@ impl ControlPlane {
         let (next, _stats) = self
             .current
             .try_repair_batch_recycling(&self.g, &events, self.telemetry.as_ref(), spare)
-            .expect("control plane reweights are positive by construction");
+            .expect("ingest only queues finite, positive reweights");
         self.stats.repair_batches += 1;
         self.install(next, recycled)
     }
 
-    /// Re-converge from the base deployment: replay every surviving
-    /// reweight (in application order) plus one failure set for the
-    /// links still down, then publish. `None` only when the rebuilt
-    /// deployment is bit-identical to the current one (nothing to
-    /// publish).
+    /// Re-converge from the base deployment: replay the reweight carry
+    /// plus one failure set for the links still down, then publish.
+    /// `None` only when the rebuilt deployment is bit-identical to the
+    /// current one (nothing to publish).
     fn rebuild(&mut self) -> Option<u64> {
         let mut carry: Vec<RepairEvent> = self
             .reweights_applied
@@ -446,6 +465,26 @@ impl ControlPlane {
         }
         self.spares.pop()
     }
+}
+
+/// Whether a slice running `weights` with `edge` moved to `new_weight`
+/// still makes every hop strictly lengthen a path.
+///
+/// Delta-SPF keeps parents acyclic only while `dist + w > dist` for
+/// every weight `w` and reachable distance `dist`; a weight that
+/// vanishes in f64 next to the longest possible path (twice the sum of
+/// all weights, for rounding slack) ties a node with its own child.
+/// Zero, infinite and NaN results fail the same comparison, so this is
+/// also the finite-and-positive check.
+fn hops_still_count(weights: &[f64], edge: EdgeId, new_weight: f64) -> bool {
+    let (mut span, mut least) = (0.0f64, f64::INFINITY);
+    for (i, &w) in weights.iter().enumerate() {
+        let w = if i == edge.index() { new_weight } else { w };
+        span += w;
+        least = least.min(w);
+    }
+    let longest = 2.0 * span;
+    longest.is_finite() && longest + least > longest
 }
 
 impl std::fmt::Debug for ControlPlane {
@@ -680,7 +719,11 @@ mod tests {
         let sched = ControlEvent::parse_schedule("f4+g2.7+n1+w2.5.1500+r4").unwrap();
         assert_eq!(sched.len(), 5);
         assert!(ControlEvent::parse_schedule("").unwrap().is_empty());
-        for bad in ["", "z9", "w1.2", "w1.2.0", "g", "f", "fx"] {
+        // Tokens whose first char is wider than one byte come off the
+        // admin socket too (lossy UTF-8 turns any stray byte into U+FFFD).
+        for bad in [
+            "", "z9", "w1.2", "w1.2.0", "g", "f", "fx", "é4", "\u{fffd}", "€",
+        ] {
             assert!(ControlEvent::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
@@ -842,6 +885,99 @@ mod tests {
             fib_checksum(&g, cp.current()),
             fib_checksum(&g, oracle.current())
         );
+    }
+
+    /// Composed reweights that leave the range the engine can route over
+    /// (vanishing, zero, infinite) are counted no-ops: the loop survives
+    /// them and ends where the same schedule without them ends.
+    #[test]
+    fn reweights_that_leave_the_routable_range_are_dropped() {
+        let (g, sp) = deployment(2, 5);
+        let shrink = ControlEvent::parse("w0.0.1").unwrap();
+        let tail = ControlEvent::parse_schedule("f1+r1").unwrap();
+        let cp = ControlPlane::new(g.clone(), sp.clone(), 16);
+        let (handle, rx) = control_channel();
+        let worker = std::thread::spawn(move || run_event_loop(cp, rx, None));
+        assert!(handle.events(std::iter::repeat(shrink.clone()).take(200)));
+        assert!(handle.events(tail.clone()));
+        assert!(handle.shutdown());
+        let (cp, report) = worker.join().expect("event loop must not panic");
+        assert!(report.clean_shutdown);
+        assert_eq!(report.stats.events, 202, "rejected reweights still count");
+        // Some steps landed, then the weight stopped shrinking.
+        let mut w = sp.weights(0)[0];
+        let mut accepted = 0;
+        while w != cp.current().weights(0)[0] {
+            w *= 0.001;
+            accepted += 1;
+            assert!(w > 0.0, "final weight is not base x 0.001^j");
+        }
+        assert!((1..200).contains(&accepted), "accepted {accepted} of 200");
+
+        // The same schedule without the rejected reweights.
+        let mut oracle = ControlPlane::new(g.clone(), sp.clone(), 1);
+        for ev in std::iter::repeat(&shrink).take(accepted).chain(&tail) {
+            oracle.ingest(ev);
+        }
+        assert_eq!(cp.current().arena(), oracle.current().arena());
+        assert_eq!(
+            fib_checksum(&g, cp.current()),
+            fib_checksum(&g, oracle.current())
+        );
+
+        // Overflow is rejected the same way, leaving the shadow state
+        // (and so the next reweight's base) untouched.
+        let mut cp = ControlPlane::new(g, sp, 1);
+        let grow = ControlEvent::parse("w1.2.4294967295").unwrap();
+        for _ in 0..40 {
+            cp.ingest(&grow);
+        }
+        let w12 = cp.current().weights(1)[2];
+        assert!(w12.is_finite() && w12 > 0.0);
+        assert_eq!(cp.pending_len(), 0);
+    }
+
+    /// The rebuild carry holds one entry per reweighted (slice, edge),
+    /// however many reweights hit it, and rebuilding from it is
+    /// bit-identical to replaying every reweight from the base.
+    #[test]
+    fn reweight_carry_is_bounded_by_distinct_pairs() {
+        let (g, sp) = deployment(3, 13);
+        let pairs = [(0usize, EdgeId(2)), (2, EdgeId(5)), (0, EdgeId(7))];
+        let mut cp = ControlPlane::new(g.clone(), sp.clone(), 8);
+        // Every reweight ever applied, un-deduplicated: what a rebuild
+        // used to replay.
+        let mut replayed = Vec::new();
+        let mut shadow: Vec<Vec<f64>> = (0..3).map(|s| sp.weights(s).to_vec()).collect();
+        for i in 0..1000u32 {
+            let (slice, edge) = pairs[i as usize % pairs.len()];
+            // Factors straddle 1 so weights wander without escaping.
+            let milli = if i % 2 == 0 { 1250 } else { 800 };
+            cp.ingest(&ControlEvent::Reweight { slice, edge, milli });
+            shadow[slice][edge.index()] *= milli as f64 / 1000.0;
+            replayed.push(RepairEvent::SliceReweight {
+                slice,
+                edge,
+                new_weight: shadow[slice][edge.index()],
+            });
+        }
+        let carried: Vec<(usize, EdgeId)> = cp
+            .reweights_applied
+            .iter()
+            .map(|&(s, e, _)| (s, e))
+            .collect();
+        assert_eq!(
+            carried, pairs,
+            "one entry per pair, first-application order"
+        );
+
+        cp.ingest(&ControlEvent::FailLink(EdgeId(1)));
+        cp.ingest(&ControlEvent::FailLink(EdgeId(4)));
+        assert!(cp.ingest(&ControlEvent::Recover(EdgeId(1))).is_some());
+        replayed.push(RepairEvent::LinkSetFailure(vec![EdgeId(4)]));
+        let oracle = sp.repair_batch(&g, &replayed);
+        assert_eq!(cp.current().arena(), oracle.arena());
+        assert_eq!(fib_checksum(&g, cp.current()), fib_checksum(&g, &oracle));
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! pseudorandom perturbations of §3.1.
 
 use crate::perturb::Perturbation;
-use crate::slices::{Slice, Splicing, SplicingConfig};
+use crate::slices::{Splicing, SplicingConfig};
+use crate::strategy::with_spf_workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use splice_graph::Graph;
-use splice_routing::spf::spf_from_weights;
+use splice_graph::{EdgeMask, Graph};
+use splice_routing::arena::{SpliceFib, NO_ROUTE};
 
 /// Configuration for coverage-aware construction.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,7 +45,8 @@ pub fn build_coverage_aware(g: &Graph, cfg: &CoverageConfig, seed: u64) -> Splic
     assert!(cfg.penalty >= 0.0 && cfg.penalty.is_finite());
     let m = g.edge_count();
     let mut uses = vec![0u32; m];
-    let mut slices = Vec::with_capacity(cfg.base.k);
+    let mut fib = SpliceFib::empty(cfg.base.k, g.node_count());
+    let mut slice_weights = Vec::with_capacity(cfg.base.k);
     for id in 0..cfg.base.k {
         let mut weights = if id == 0 && cfg.base.include_base_slice {
             g.base_weights()
@@ -58,12 +60,13 @@ pub fn build_coverage_aware(g: &Graph, cfg: &CoverageConfig, seed: u64) -> Splic
                 *w *= 1.0 + cfg.penalty * uses[i] as f64;
             }
         }
-        let tables = spf_from_weights(g, &weights);
+        with_spf_workspace(|ws| fib.fill_slice(g, &weights, id, ws));
         // Record which physical edges this slice's trees cover.
         let mut covered = vec![false; m];
-        for fib in &tables.fibs {
-            for entry in fib.entries.iter().flatten() {
-                covered[entry.1.index()] = true;
+        for u in g.nodes() {
+            let (_, out_edges) = fib.row(id, u);
+            for &e in out_edges.iter().filter(|&&e| e != NO_ROUTE) {
+                covered[e as usize] = true;
             }
         }
         for (i, c) in covered.iter().enumerate() {
@@ -71,13 +74,9 @@ pub fn build_coverage_aware(g: &Graph, cfg: &CoverageConfig, seed: u64) -> Splic
                 uses[i] += 1;
             }
         }
-        slices.push(Slice {
-            id,
-            weights,
-            tables,
-        });
+        slice_weights.push(weights);
     }
-    Splicing::from_slices(slices)
+    Splicing::from_parts(slice_weights, fib, EdgeMask::all_up(m))
 }
 
 /// Fraction of physical edges covered by the union of the first

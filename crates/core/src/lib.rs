@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::header::ForwardingBits;
     pub use crate::perturb::{DegreeBased, Perturbation, Uniform};
     pub use crate::recovery::{EndSystemRecovery, NetworkRecovery, RecoveryOutcome};
-    pub use crate::slices::{RepairEvent, Slice, Splicing, SplicingConfig};
+    pub use crate::slices::{RepairEvent, Splicing, SplicingConfig};
     pub use crate::strategy::{SliceStrategy, StrategyKind};
     pub use crate::stretch::StretchStats;
 }

@@ -175,10 +175,11 @@ mod tests {
             assert!(slice >= 1 && slice < k);
             // The validity condition guarantees the isolating config's
             // shortest paths avoid e entirely.
-            let tables = mrc.tables(slice);
-            for fib in &tables.fibs {
-                for entry in fib.entries.iter().flatten() {
-                    assert_ne!(entry.1, e, "isolated link used in its own config");
+            for u in g.nodes() {
+                for t in g.nodes() {
+                    if let Some((_, used)) = mrc.next_hop(slice, u, t) {
+                        assert_ne!(used, e, "isolated link used in its own config");
+                    }
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Slice construction: k routing instances over one topology (§3.1).
 //!
-//! A [`Slice`] is one converged routing instance — a perturbed weight
-//! vector and the forwarding tables it induces. A [`Splicing`] is the set
+//! A slice is one converged routing instance — a perturbed weight
+//! vector and the forwarding plane it induces. A [`Splicing`] is the set
 //! of `k` slices a deployment runs. By convention (matching the paper's
 //! "k = 1 (normal)" baseline) slice 0 uses the *unperturbed* base weights,
 //! so a single-slice splicing is exactly ordinary shortest-path routing;
@@ -17,7 +17,6 @@ use splice_routing::arena::{PlaneMut, RepairStats, SpliceFib};
 use splice_routing::spf::{
     spf_repair_plane_failures, spf_repair_plane_reweight, FlightEvent, SpfTelemetry,
 };
-use splice_routing::RoutingTables;
 use std::sync::Arc;
 
 /// A topology or weight event a deployed splicing must absorb without a
@@ -130,21 +129,6 @@ impl SplicingConfig {
     }
 }
 
-/// One routing slice as a *construction input*: a weight vector and the
-/// tables it induces. Built deployments store this state flattened in a
-/// shared [`SpliceFib`] arena; `Slice` survives as the unit alternative
-/// constructions (e.g. [`crate::coverage::build_coverage_aware`]) hand to
-/// [`Splicing::from_slices`].
-#[derive(Clone, Debug)]
-pub struct Slice {
-    /// Slice index (0 = base slice when configured).
-    pub id: usize,
-    /// The perturbed (or base) weight vector.
-    pub weights: Vec<f64>,
-    /// Converged forwarding tables for every router.
-    pub tables: RoutingTables,
-}
-
 /// A full splicing deployment: `k` slices over one graph, with all
 /// forwarding state in one flat [`SpliceFib`] arena.
 ///
@@ -171,41 +155,19 @@ pub struct Splicing {
 }
 
 impl Splicing {
-    /// Assemble a deployment from pre-built slices (used by alternative
-    /// constructions such as [`crate::coverage::build_coverage_aware`]).
-    ///
-    /// # Panics
-    /// Panics if `slices` is empty or slice ids are not `0..k` in order.
-    pub fn from_slices(slices: Vec<Slice>) -> Splicing {
-        assert!(!slices.is_empty(), "need at least one slice");
-        for (i, s) in slices.iter().enumerate() {
-            assert_eq!(s.id, i, "slice ids must be dense and ordered");
-        }
-        let fib = SpliceFib::from_tables(slices.iter().map(|s| &s.tables));
-        let weights: Vec<Vec<f64>> = slices.into_iter().map(|s| s.weights).collect();
-        let edge_count = weights[0].len();
-        Splicing {
-            k: weights.len(),
-            weights: weights.into(),
-            fib: Arc::new(fib),
-            failed: Arc::new(EdgeMask::all_up(edge_count)),
-            // Pre-built slices carry SPF-shaped state; repairs keep using
-            // the delta engine exactly as before the strategy extraction.
-            strategy: StrategyKind::PerturbedSpf,
-            seed: 0,
-        }
-    }
-
     /// Assemble a deployment from explicit state: per-slice weight
     /// vectors, a pre-populated arena, and the failure mask that arena
     /// is meant to reflect.
     ///
-    /// Production deployments come from [`Splicing::build`] and
-    /// [`Splicing::repair`], which keep these three consistent by
-    /// construction. This constructor exists for test harnesses that
-    /// need to break that consistency on purpose — `splice-testkit`
-    /// uses it to inject corrupted forwarding state (e.g. a slice whose
-    /// columns skipped a repair) and prove its oracles catch it.
+    /// [`Splicing::build`] and [`Splicing::repair`] keep these three
+    /// consistent by construction; here that is the caller's job.
+    /// Alternative constructions that fill the planes themselves end
+    /// here ([`crate::coverage::build_coverage_aware`]), and
+    /// `splice-testkit` uses it to break the consistency on purpose —
+    /// injecting corrupted forwarding state (e.g. a slice whose columns
+    /// skipped a repair) to prove its oracles catch it. The result
+    /// carries SPF-shaped state: repairs use the perturbed-SPF delta
+    /// engine.
     ///
     /// # Panics
     /// Panics when the shapes disagree: no slices, mismatched
@@ -671,18 +633,6 @@ impl Splicing {
         &self.weights[slice]
     }
 
-    /// Materialize `slice`'s forwarding state as legacy [`RoutingTables`]
-    /// (for serialization and protocol-simulator comparisons). This
-    /// allocates; the data plane should read the arena instead.
-    pub fn tables(&self, slice: usize) -> RoutingTables {
-        assert!(
-            slice < self.k,
-            "slice {slice} out of range (k = {})",
-            self.k
-        );
-        self.fib.to_tables(slice)
-    }
-
     /// The shared flat FIB arena. Note the arena may hold more planes
     /// than [`Splicing::k`] when `self` is a prefix view — consumers must
     /// bound slice indices by `k()`, not by the arena's plane count.
@@ -709,7 +659,7 @@ impl Splicing {
     }
 
     /// Installed FIB entries across this deployment's `k` slices (the
-    /// legacy entry-count state metric).
+    /// entry-count state metric).
     pub fn total_state(&self) -> usize {
         self.fib.installed(self.k)
     }
@@ -1114,23 +1064,22 @@ mod tests {
     }
 
     #[test]
-    fn arena_agrees_with_legacy_tables() {
+    fn arena_agrees_with_unfused_dijkstra() {
         let g = abilene().graph();
         let sp = Splicing::build(&g, &SplicingConfig::degree_based(3, 0.0, 3.0), 11);
+        let mut installed = 0;
         for slice in 0..sp.k() {
-            let tables = sp.tables(slice);
+            // The reference: standalone per-destination Dijkstras, no arena.
+            let spts = splice_graph::dijkstra::all_destinations(&g, sp.weights(slice));
             for u in g.nodes() {
                 for t in g.nodes() {
-                    assert_eq!(sp.next_hop(slice, u, t), tables.fib(u).entries[t.index()]);
+                    let parent = spts[t.index()].parent[u.index()];
+                    assert_eq!(sp.next_hop(slice, u, t), parent);
+                    installed += usize::from(parent.is_some());
                 }
             }
         }
-        assert_eq!(
-            sp.total_state(),
-            (0..sp.k())
-                .map(|s| sp.tables(s).total_state())
-                .sum::<usize>()
-        );
+        assert_eq!(sp.total_state(), installed);
         assert_eq!(
             sp.state_bytes(),
             sp.k() * 2 * g.node_count() * g.node_count() * 4
@@ -1322,7 +1271,7 @@ mod tests {
             .unwrap();
         let rebuilt = sp.repair(&g, &RepairEvent::LinkFailure(EdgeId(0)));
         for slice in 0..repaired.k() {
-            assert_eq!(repaired.tables(slice), rebuilt.tables(slice));
+            assert_eq!(repaired.arena().plane(slice), rebuilt.arena().plane(slice));
         }
         let events = rec.snapshot();
         assert_eq!(events[0].event.kind, "repair_event");

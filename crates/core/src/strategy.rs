@@ -544,8 +544,8 @@ mod tests {
             );
             for slice in 0..3 {
                 assert_eq!(
-                    stacked.tables(slice),
-                    batch.tables(slice),
+                    stacked.arena().plane(slice),
+                    batch.arena().plane(slice),
                     "{kind:?} slice {slice}"
                 );
             }

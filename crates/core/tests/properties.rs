@@ -51,25 +51,24 @@ proptest! {
         }
     }
 
-    /// The flat arena is bit-identical to the legacy per-slice
-    /// `RoutingTables` pipeline: for every (slice, router, dst) the arena
-    /// lookup equals what `spf_from_weights` installs from the same
-    /// weight vector.
+    /// The fused fill is entry-for-entry the un-fused reference: for
+    /// every (slice, router, dst) the arena lookup equals `u`'s parent in
+    /// a standalone Dijkstra rooted at `t` under the same weight vector
+    /// (no arena, no shared workspace).
     #[test]
-    fn arena_matches_legacy_tables(g in arb_graph(), seed in any::<u64>(), k in 1usize..=5) {
+    fn arena_matches_unfused_dijkstra(g in arb_graph(), seed in any::<u64>(), k in 1usize..=5) {
         let sp = Splicing::build(&g, &SplicingConfig::degree_based(k, 0.0, 3.0), seed);
         for slice in 0..k {
-            let legacy = splice_routing::spf::spf_from_weights(&g, sp.weights(slice));
+            let spts = splice_graph::dijkstra::all_destinations(&g, sp.weights(slice));
             for u in g.nodes() {
                 for t in g.nodes() {
                     prop_assert_eq!(
                         sp.next_hop(slice, u, t),
-                        legacy.fib(u).entries[t.index()],
+                        spts[t.index()].parent[u.index()],
                         "slice {} {:?} -> {:?}", slice, u, t
                     );
                 }
             }
-            prop_assert_eq!(&sp.tables(slice), &legacy);
         }
     }
 

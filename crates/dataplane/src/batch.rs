@@ -40,8 +40,8 @@
 //!
 //! The forwarder holds no FIB reference — `forward_burst` borrows a
 //! snapshot per call, so a caller can load an `Arc<SpliceFib>` from a
-//! [`FibCell`](splice_routing::FibCell) per burst and let the control
-//! plane republish between bursts (never mid-burst: that is the
+//! [`SnapshotHub`](splice_routing::SnapshotHub) per burst and let the
+//! control plane republish between bursts (never mid-burst: that is the
 //! torn-column-freedom argument, enforced by borrow, verified by
 //! proptest in the testkit).
 
@@ -216,7 +216,7 @@ impl BatchForwarder {
     ///
     /// The snapshot is borrowed for the whole call: a burst can never
     /// observe a repair mid-flight. Callers interleaving with a control
-    /// plane load a fresh `Arc` from a `FibCell` *between* calls.
+    /// plane load a fresh `Arc` from a `SnapshotHub` *between* calls.
     pub fn forward_burst(
         &mut self,
         fib: &SpliceFib,

@@ -49,7 +49,6 @@ pub use packet::{Packet, SPLICE_PROTO};
 pub use router::{Router, RouterAction, RouterConfig};
 pub use shard::{
     merged_checksum, run_live, run_sharded, LiveShardReport, RotatingSnapshots, ShardReport,
-    SnapshotSource,
 };
 pub use telemetry::{drop_reason_label, report_to_json, ForwardTelemetry, NetTelemetry};
 pub use walk::{

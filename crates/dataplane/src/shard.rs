@@ -1,8 +1,8 @@
 //! Per-core sharded batch forwarding on crossbeam scoped threads.
 //!
 //! [`run_sharded`] spawns one worker per shard; each owns a private
-//! [`BatchForwarder`] and loops: pull a burst from the feed, load a FIB
-//! snapshot from the [`SnapshotSource`], drain the burst, fold the
+//! [`BatchForwarder`] and loops: pull a burst from the feed, take a FIB
+//! snapshot from the [`RotatingSnapshots`], drain the burst, fold the
 //! outcomes into a per-shard checksum. Workers never share mutable
 //! state — only `Arc` clones of immutable arenas and atomic telemetry —
 //! so the merged result is deterministic in the inputs:
@@ -10,18 +10,16 @@
 //! * the feed is indexed by `(shard, burst)`, so each shard's packet
 //!   stream is a pure function of its own indices (the traffic crate's
 //!   per-shard splitmix64 streams), not of scheduling;
-//! * snapshot choice is delegated to the source: a
-//!   [`RotatingSnapshots`] assigns snapshots by `(shard, burst)` index
-//!   (reproducible, what the bench and oracle use), while a live
-//!   [`FibCell`] source picks up whatever the control plane last
-//!   published (what a daemon would run);
+//! * [`RotatingSnapshots`] assigns snapshots by `(shard, burst)` index
+//!   (reproducible, what the bench and oracle use); workers that follow
+//!   whatever a control plane last published are [`run_live`]'s job;
 //! * per-shard reports are returned in shard order, and each shard's
 //!   checksum folds its own outcomes in burst order.
 //!
-//! With a deterministic source, the concatenated per-shard checksums —
-//! and [`merged_checksum`] over them — are therefore identical run to
-//! run and engine to engine, which is exactly the equality the CI
-//! smoke job asserts between this path and the scalar baseline.
+//! The concatenated per-shard checksums — and [`merged_checksum`] over
+//! them — are therefore identical run to run and engine to engine, which
+//! is exactly the equality the CI smoke job asserts between this path
+//! and the scalar baseline.
 
 use crate::batch::{BatchForwarder, BatchStats};
 use crate::telemetry::ForwardTelemetry;
@@ -29,36 +27,10 @@ use crate::walk::{fold_outcomes_checksum, outcomes_checksum};
 use splice_core::forwarding::ForwarderOptions;
 use splice_core::header::ForwardingBits;
 use splice_graph::EdgeMask;
-use splice_routing::{FibCell, SnapshotHub, SpliceFib};
+use splice_routing::{SnapshotHub, SpliceFib};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Where a shard worker gets the FIB snapshot for a given burst.
-pub trait SnapshotSource: Sync {
-    /// The snapshot burst `burst` of shard `shard` forwards over.
-    fn snapshot(&self, shard: usize, burst: u64) -> Arc<SpliceFib>;
-}
-
-/// Live source: every burst forwards over whatever the control plane
-/// most recently published. Nondeterministic relative to repair timing
-/// (by design); per-burst atomicity still holds because the `Arc` is
-/// loaded once per burst.
-impl SnapshotSource for FibCell {
-    fn snapshot(&self, _shard: usize, _burst: u64) -> Arc<SpliceFib> {
-        self.load()
-    }
-}
-
-/// Polling live source: every burst forwards over the hub's current
-/// snapshot, without subscribing. Equivalent to the [`FibCell`] source;
-/// prefer [`run_live`] for long-running workers, which subscribe and
-/// observe the published epoch stream explicitly.
-impl SnapshotSource for SnapshotHub {
-    fn snapshot(&self, _shard: usize, _burst: u64) -> Arc<SpliceFib> {
-        self.load()
-    }
-}
 
 /// Deterministic source: snapshot `(shard + burst) mod len` from a
 /// fixed churn sequence. Every engine given the same sequence maps the
@@ -67,8 +39,9 @@ impl SnapshotSource for SnapshotHub {
 #[derive(Clone, Debug)]
 pub struct RotatingSnapshots(pub Vec<Arc<SpliceFib>>);
 
-impl SnapshotSource for RotatingSnapshots {
-    fn snapshot(&self, shard: usize, burst: u64) -> Arc<SpliceFib> {
+impl RotatingSnapshots {
+    /// The snapshot burst `burst` of shard `shard` forwards over.
+    pub fn snapshot(&self, shard: usize, burst: u64) -> Arc<SpliceFib> {
         Arc::clone(&self.0[(shard as u64 + burst) as usize % self.0.len()])
     }
 }
@@ -112,16 +85,15 @@ pub fn merged_checksum(reports: &[ShardReport]) -> u64 {
 /// given, receives per-burst observations from every worker.
 ///
 /// Reports come back in shard order regardless of scheduling.
-pub fn run_sharded<S, F>(
+pub fn run_sharded<F>(
     shards: usize,
     opts: ForwarderOptions,
-    source: &S,
+    source: &RotatingSnapshots,
     mask: &EdgeMask,
     telemetry: Option<&ForwardTelemetry>,
     feed: F,
 ) -> Vec<ShardReport>
 where
-    S: SnapshotSource + ?Sized,
     F: Fn(usize, u64, &mut Vec<(u32, u32, ForwardingBits)>) + Sync,
 {
     assert!(shards >= 1, "need at least one shard");
@@ -197,9 +169,9 @@ pub struct LiveShardReport {
 ///
 /// This is the daemon-shaped dual of [`run_sharded`]: instead of being
 /// handed a fixed snapshot sequence upfront, each worker owns a
-/// [`SnapshotFeed`](splice_routing::SnapshotFeed) and drains it
-/// latest-wins at every burst boundary, so a control plane publishing
-/// repairs is picked up within one burst without ever blocking on a
+/// [`SnapshotFeed`](splice_routing::SnapshotFeed) and refreshes it at
+/// every burst boundary (latest wins), so a control plane publishing
+/// repairs is picked up within one burst without ever waiting on a
 /// worker. Per-burst atomicity holds as in the batch engine: the arena
 /// `Arc` is pinned for the whole burst.
 ///
@@ -369,17 +341,17 @@ mod tests {
     }
 
     #[test]
-    fn live_cell_source_and_telemetry_feed() {
+    fn sharded_run_feeds_telemetry() {
         let (g, sp) = setup();
         let n = g.node_count() as u32;
         let mask = EdgeMask::all_up(g.edge_count());
-        let cell = FibCell::new(Arc::clone(sp.arena()));
+        let source = RotatingSnapshots(vec![Arc::clone(sp.arena())]);
         let reg = Registry::new();
         let tel = ForwardTelemetry::register(&reg);
         let reports = run_sharded(
             2,
             ForwarderOptions::default(),
-            &cell,
+            &source,
             &mask,
             Some(&tel),
             pair_feed(n, sp.k(), 2),
@@ -389,35 +361,6 @@ mod tests {
         assert_eq!(tel.packets.get(), total);
         assert_eq!(tel.bursts.get(), 4);
         assert!(tel.burst_seconds.count() == 4);
-    }
-
-    /// A hub used as a polling `SnapshotSource` behaves like a cell: the
-    /// run forwards over whatever is current, and matches a rotating
-    /// source pinned to the same single snapshot.
-    #[test]
-    fn hub_polling_source_matches_fixed_snapshot() {
-        let (g, sp) = setup();
-        let n = g.node_count() as u32;
-        let mask = EdgeMask::all_up(g.edge_count());
-        let hub = SnapshotHub::new(Arc::clone(sp.arena()));
-        let fixed = RotatingSnapshots(vec![Arc::clone(sp.arena())]);
-        let live = run_sharded(
-            2,
-            ForwarderOptions::default(),
-            &hub,
-            &mask,
-            None,
-            pair_feed(n, sp.k(), 3),
-        );
-        let pinned = run_sharded(
-            2,
-            ForwarderOptions::default(),
-            &fixed,
-            &mask,
-            None,
-            pair_feed(n, sp.k(), 3),
-        );
-        assert_eq!(merged_checksum(&live), merged_checksum(&pinned));
     }
 
     /// Subscribed workers over a quiescent hub: the primed epoch is the

@@ -10,12 +10,10 @@
 //! path. A k-prefix of a splicing is literally the first k planes of the
 //! slab, so prefix "views" share the arena instead of deep-cloning it.
 //!
-//! [`crate::fib::RoutingTables`] remains as the thin legacy type the
-//! protocol simulator produces and serialization consumes;
-//! [`SpliceFib::from_tables`] / [`SpliceFib::to_tables`] convert between
-//! the two losslessly.
+//! `SpliceFib` is the only table type in the workspace: the protocol
+//! simulator, the convergence-dynamics model and every slice
+//! construction fill planes of one directly.
 
-use crate::fib::{Fib, RoutingTables};
 use splice_graph::dijkstra::SpfWorkspace;
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
 
@@ -250,7 +248,7 @@ impl PlaneMut<'_> {
 /// A read-only borrow of one slice's n×n plane (see
 /// [`SpliceFib::plane`]). `Copy`, pointer-sized-cheap, and shareable
 /// across threads — the read-side counterpart of [`PlaneMut`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Plane<'a> {
     n: usize,
     next_hop: &'a [u32],
@@ -376,8 +374,7 @@ impl SpliceFib {
     }
 
     /// Installed (non-sentinel) entries across the first `k_prefix`
-    /// planes — the entry-count state metric legacy
-    /// [`RoutingTables::total_state`] reported.
+    /// planes — the entry-count state metric.
     pub fn installed(&self, k_prefix: usize) -> usize {
         assert!(k_prefix <= self.k);
         let end = k_prefix * self.n * self.n;
@@ -518,39 +515,11 @@ impl SpliceFib {
         self.plane_mut(slice).patch_column(dst, parents);
     }
 
-    /// Pack legacy per-slice [`RoutingTables`] into an arena.
-    ///
-    /// # Panics
-    /// Panics if `tables` is empty or the slices disagree on router count.
-    pub fn from_tables<'a, I>(tables: I) -> SpliceFib
-    where
-        I: IntoIterator<Item = &'a RoutingTables>,
-    {
-        let tables: Vec<&RoutingTables> = tables.into_iter().collect();
-        assert!(!tables.is_empty(), "need at least one slice");
-        let n = tables[0].fibs.len();
-        let mut arena = SpliceFib::empty(tables.len(), n);
-        for (slice, rt) in tables.iter().enumerate() {
-            assert_eq!(rt.fibs.len(), n, "slice {slice} router count");
-            for (u, fib) in rt.fibs.iter().enumerate() {
-                assert_eq!(fib.entries.len(), n, "router {u} entry count");
-                for (t, entry) in fib.entries.iter().enumerate() {
-                    if let Some((nh, e)) = entry {
-                        let i = (slice * n + u) * n + t;
-                        arena.next_hop[i] = nh.index() as u32;
-                        arena.out_edge[i] = e.index() as u32;
-                    }
-                }
-            }
-        }
-        arena
-    }
-
     /// A read-only view of one slice's full n×n plane, for concurrent
     /// walkers: the view borrows the arena, so any number of data-plane
     /// threads can hold planes of one `Arc<SpliceFib>` snapshot while the
     /// control plane repairs a *different* (cloned) arena and publishes
-    /// it through a [`crate::view::FibCell`].
+    /// it through a [`crate::snapshot::SnapshotHub`].
     #[inline]
     pub fn plane(&self, slice: usize) -> Plane<'_> {
         assert!(
@@ -577,28 +546,6 @@ impl SpliceFib {
     pub fn slabs(&self) -> (&[u32], &[u32]) {
         (&self.next_hop, &self.out_edge)
     }
-
-    /// Materialize one plane back into the legacy nested shape, for
-    /// serialization and protocol-simulator comparisons.
-    pub fn to_tables(&self, slice: usize) -> RoutingTables {
-        assert!(
-            slice < self.k,
-            "slice {slice} out of range (k = {})",
-            self.k
-        );
-        let fibs = (0..self.n)
-            .map(|u| {
-                let router = NodeId(u as u32);
-                Fib {
-                    router,
-                    entries: (0..self.n)
-                        .map(|t| self.lookup(slice, router, NodeId(t as u32)))
-                        .collect(),
-                }
-            })
-            .collect();
-        RoutingTables { fibs }
-    }
 }
 
 #[cfg(test)]
@@ -611,37 +558,69 @@ mod tests {
         from_edges(4, &[(0, 1, 1.0), (1, 3, 2.0), (0, 2, 2.0), (2, 3, 2.0)])
     }
 
-    fn legacy(g: &splice_graph::Graph, w: &[f64]) -> RoutingTables {
-        RoutingTables::from_spts(&all_destinations(g, w))
+    /// Assert plane `slice` equals the un-fused reference entry for
+    /// entry: one standalone Dijkstra per destination, no arena involved;
+    /// `spts[t].parent[u]` is router `u`'s entry toward `t`.
+    fn assert_plane_matches_spts(
+        arena: &SpliceFib,
+        slice: usize,
+        g: &splice_graph::Graph,
+        w: &[f64],
+    ) {
+        let spts = all_destinations(g, w);
+        for u in g.nodes() {
+            for t in g.nodes() {
+                assert_eq!(
+                    arena.lookup(slice, u, t),
+                    spts[t.index()].parent[u.index()],
+                    "router {u:?} toward {t:?}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn fill_slice_matches_legacy_pipeline() {
+    fn fill_slice_matches_unfused_dijkstra() {
         let g = diamond();
         let w = g.base_weights();
         let mut arena = SpliceFib::empty(1, g.node_count());
         let mut ws = SpfWorkspace::new();
         arena.fill_slice(&g, &w, 0, &mut ws);
-        let rt = legacy(&g, &w);
+        assert_plane_matches_spts(&arena, 0, &g, &w);
+        // Router 0 toward 3: via 1 (cost 3 < 4); symmetric on the way
+        // back; self entries are empty.
+        let next = |u: u32, t: u32| arena.lookup(0, NodeId(u), NodeId(t)).map(|(nh, _)| nh);
+        assert_eq!(next(0, 3), Some(NodeId(1)));
+        assert_eq!(next(3, 0), Some(NodeId(1)));
+        assert_eq!(next(2, 2), None);
+        // Connected graph: every router has n-1 entries.
+        assert_eq!(arena.installed(1), 4 * 3);
+        assert_eq!(arena.installed_for_router(0, NodeId(0)), 3);
+        // Every installed out-edge joins the router to its next hop.
         for u in g.nodes() {
             for t in g.nodes() {
-                assert_eq!(arena.lookup(0, u, t), rt.fib(u).entries[t.index()]);
+                if let Some((nh, e)) = arena.lookup(0, u, t) {
+                    let edge = g.edge(e);
+                    assert!(edge.touches(u) && edge.touches(nh));
+                }
             }
         }
-        assert_eq!(arena.to_tables(0), rt);
     }
 
     #[test]
-    fn tables_roundtrip_is_lossless() {
+    fn planes_hold_independent_slices() {
         let g = diamond();
-        let slices = [
-            legacy(&g, &g.base_weights()),
-            legacy(&g, &[1.0, 10.0, 2.0, 2.0]),
-        ];
-        let arena = SpliceFib::from_tables(slices.iter());
+        let weights = [g.base_weights(), vec![1.0, 10.0, 2.0, 2.0]];
+        let mut arena = SpliceFib::empty(2, g.node_count());
+        let mut ws = SpfWorkspace::new();
+        for (slice, w) in weights.iter().enumerate() {
+            arena.fill_slice(&g, w, slice, &mut ws);
+        }
         assert_eq!(arena.k(), 2);
-        assert_eq!(arena.to_tables(0), slices[0]);
-        assert_eq!(arena.to_tables(1), slices[1]);
+        for (slice, w) in weights.iter().enumerate() {
+            assert_plane_matches_spts(&arena, slice, &g, w);
+        }
+        assert_ne!(arena.plane(0), arena.plane(1));
     }
 
     #[test]
@@ -718,7 +697,7 @@ mod tests {
         arena.fill_slice(&g, &[1.0, 10.0, 2.0, 2.0], 1, &mut ws);
         let one = arena.clone_prefix(1);
         assert_eq!(one.k(), 1);
-        assert_eq!(one.to_tables(0), arena.to_tables(0));
+        assert_eq!(one.plane(0), arena.plane(0));
         let both = arena.clone_prefix(2);
         assert_eq!(both, arena);
     }

@@ -22,8 +22,8 @@
 //! classifies every pair; the splicing experiments in `splice-sim` build
 //! on it.
 
-use crate::fib::RoutingTables;
-use crate::spf::spf_from_weights;
+use crate::arena::SpliceFib;
+use splice_graph::dijkstra::SpfWorkspace;
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
 use std::collections::HashSet;
 
@@ -59,10 +59,10 @@ pub struct ConvergenceTimeline {
     pub failed: EdgeId,
     /// Per-router time (ms) at which the *new* FIB is installed.
     pub install_at: Vec<f64>,
-    /// The pre-failure tables.
-    pub old_tables: RoutingTables,
-    /// The post-failure tables.
-    pub new_tables: RoutingTables,
+    /// The pre-failure tables (one plane).
+    pub old_fib: SpliceFib,
+    /// The post-failure tables (one plane).
+    pub new_fib: SpliceFib,
 }
 
 impl ConvergenceTimeline {
@@ -79,12 +79,12 @@ impl ConvergenceTimeline {
     /// The next hop router `r` uses toward `dst` at time `t` (old or new
     /// table depending on its install time).
     pub fn next_hop_at(&self, r: NodeId, dst: NodeId, t: f64) -> Option<(NodeId, EdgeId)> {
-        let tables = if self.is_updated(r, t) {
-            &self.new_tables
+        let fib = if self.is_updated(r, t) {
+            &self.new_fib
         } else {
-            &self.old_tables
+            &self.old_fib
         };
-        tables.fib(r).entries[dst.index()]
+        fib.lookup(0, r, dst)
     }
 
     /// The distinct interesting instants: just after the failure, and
@@ -109,16 +109,13 @@ pub fn failure_timeline(
     cfg: &DynamicsConfig,
 ) -> ConvergenceTimeline {
     assert_eq!(latencies.len(), g.edge_count());
-    let old_tables = spf_from_weights(g, weights);
+    let mut ws = SpfWorkspace::new();
+    let mut old_fib = SpliceFib::empty(1, g.node_count());
+    old_fib.fill_slice(g, weights, 0, &mut ws);
     let mask = EdgeMask::from_failed(g.edge_count(), &[e]);
     // Post-failure tables: SPF with the failed link removed.
-    let new_tables = {
-        let spts: Vec<_> = g
-            .nodes()
-            .map(|t| splice_graph::dijkstra_masked(g, t, weights, &mask))
-            .collect();
-        RoutingTables::from_spts(&spts)
-    };
+    let mut new_fib = SpliceFib::empty(1, g.node_count());
+    new_fib.fill_slice_masked(g, weights, 0, &mask, &mut ws);
 
     // LSA arrival: earliest flood time from either endpoint, over the
     // surviving topology, with per-hop cost latency + processing.
@@ -147,8 +144,8 @@ pub fn failure_timeline(
     ConvergenceTimeline {
         failed: e,
         install_at,
-        old_tables,
-        new_tables,
+        old_fib,
+        new_fib,
     }
 }
 

@@ -16,34 +16,35 @@
 //! * [`flooding`] — reliable flooding over the topology, counting every
 //!   LSA transmission so message complexity can be measured rather than
 //!   asserted.
-//! * [`spf`] — shortest-path-first computation from a synchronized LSDB
-//!   into per-router forwarding tables.
-//! * [`fib`] — forwarding tables: per-destination next hops, the object
-//!   Algorithm 1's `Lookup(dst, slice)` consults.
+//! * [`spf`] — shortest-path-first computation from a weight vector
+//!   (for the protocol simulator, the one a synchronized LSDB
+//!   reconstructs) into an arena plane, with optional timing.
 //! * [`arena`] — the flat spliced-FIB arena packing all k slices'
-//!   forwarding state into one contiguous slab; its byte size is the
-//!   measured §4.2 state-size accounting.
+//!   forwarding state into one contiguous slab: the only table type,
+//!   the object Algorithm 1's `Lookup(dst, slice)` consults, and its
+//!   byte size is the measured §4.2 state-size accounting.
 //! * [`multitopology`] — RFC 4915-style multi-topology routing hosting k
 //!   independent instances over one physical topology; this is the
 //!   deployment vehicle the paper names (Cisco MTR) and the unit whose
 //!   state/message accounting backs Figure-free claim §4.2.
+//! * [`dynamics`] — the old/new mixed-table timeline while the protocol
+//!   reconverges after a failure.
+//! * [`snapshot`] — the control-plane → data-plane hand-off: one
+//!   versioned cell holding the current `(epoch, arena)` pair, and the
+//!   cursor a forwarding worker keeps on it.
 
 pub mod arena;
 pub mod dynamics;
 pub mod ecmp;
-pub mod fib;
 pub mod flooding;
 pub mod lsa;
 pub mod lsdb;
 pub mod multitopology;
 pub mod snapshot;
 pub mod spf;
-pub mod view;
 
 pub use arena::{Plane, PlaneMut, RepairStats, SpliceFib, NO_ROUTE};
-pub use fib::{Fib, RoutingTables};
 pub use lsa::LinkStateAd;
 pub use lsdb::LinkStateDb;
 pub use multitopology::{MultiTopology, ResourceUsage};
 pub use snapshot::{SnapshotFeed, SnapshotHub, SnapshotUpdate};
-pub use view::FibCell;

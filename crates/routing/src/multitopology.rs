@@ -6,8 +6,10 @@
 //! produced here is what substantiates §4.2's claim that splicing costs
 //! grow *linearly* in k while path diversity grows exponentially.
 
-use crate::fib::RoutingTables;
+use crate::arena::SpliceFib;
 use crate::flooding::converge_instance;
+use crate::spf::spf_fill_arena;
+use splice_graph::dijkstra::SpfWorkspace;
 use splice_graph::{Graph, NodeId};
 
 /// k routing instances converged over one topology.
@@ -15,8 +17,9 @@ use splice_graph::{Graph, NodeId};
 pub struct MultiTopology {
     /// Per-instance weight vectors (index = instance / slice id).
     pub weights: Vec<Vec<f64>>,
-    /// Per-instance routing tables.
-    pub tables: Vec<RoutingTables>,
+    /// All instances' forwarding state: plane `i` is instance `i`'s
+    /// tables.
+    pub fib: SpliceFib,
     /// Control-plane cost of converging all instances from scratch.
     pub usage: ResourceUsage,
 }
@@ -40,37 +43,42 @@ pub struct ResourceUsage {
 impl MultiTopology {
     /// Converge `k` instances, one per weight vector, running the full
     /// flooding protocol for each (so message accounting is measured, not
-    /// estimated).
+    /// estimated). Each plane is filled from the weights router 0's
+    /// converged database reconstructs
+    /// ([`crate::lsdb::LinkStateDb::instance_weights`]), not from
+    /// `weight_vectors` directly.
     pub fn converge(g: &Graph, weight_vectors: Vec<Vec<f64>>) -> MultiTopology {
+        let k = weight_vectors.len();
         let mut usage = ResourceUsage::default();
-        let mut tables = Vec::with_capacity(weight_vectors.len());
+        let mut fib = SpliceFib::empty(k, g.node_count());
+        let mut ws = SpfWorkspace::new();
         for (instance, w) in weight_vectors.iter().enumerate() {
             assert_eq!(w.len(), g.edge_count(), "instance {instance} weight length");
             let (dbs, stats) = converge_instance(g, instance, w, 1);
             usage.messages += stats.messages;
             usage.bytes += stats.bytes;
             usage.lsdb_entries += dbs[0].len();
-            let rt = crate::spf::spf(g, &dbs[0], instance);
+            let learned = dbs[0].instance_weights(g, instance);
+            spf_fill_arena(g, &learned, &mut fib, instance, &mut ws, None);
             usage.spf_runs += g.node_count();
-            usage.fib_entries += rt.total_state();
-            tables.push(rt);
         }
+        usage.fib_entries = fib.installed(k);
         MultiTopology {
             weights: weight_vectors,
-            tables,
+            fib,
             usage,
         }
     }
 
     /// Number of instances (slices).
     pub fn k(&self) -> usize {
-        self.tables.len()
+        self.fib.k()
     }
 
     /// Next hop of `router` toward `dst` in `slice`.
     #[inline]
     pub fn next_hop(&self, slice: usize, router: NodeId, dst: NodeId) -> Option<NodeId> {
-        self.tables[slice].next_hop(router, dst)
+        self.fib.lookup(slice, router, dst).map(|(nh, _)| nh)
     }
 
     /// The successor sets toward `dst`: `succ[u]` = the distinct next hops
@@ -78,9 +86,9 @@ impl MultiTopology {
     /// splicing reachability is computed on.
     pub fn successors_toward(&self, dst: NodeId, n: usize) -> Vec<Vec<NodeId>> {
         let mut succ = vec![Vec::new(); n];
-        for rt in &self.tables {
+        for slice in 0..self.k() {
             for (u, s) in succ.iter_mut().enumerate() {
-                if let Some(nh) = rt.next_hop(NodeId(u as u32), dst) {
+                if let Some(nh) = self.next_hop(slice, NodeId(u as u32), dst) {
                     if !s.contains(&nh) {
                         s.push(nh);
                     }

@@ -1,35 +1,31 @@
 //! Epoch-published FIB snapshots: the control-plane → data-plane
-//! hand-off for a long-running daemon.
+//! hand-off.
 //!
-//! A [`FibCell`] answers "what is the FIB *right now*" to a caller that
-//! polls. A daemon's forwarding workers want the dual: "tell me when the
-//! FIB *changes*", without the control plane ever blocking on a slow
-//! worker. [`SnapshotHub`] layers that on top of a cell: `publish`
-//! installs a new immutable `Arc<SpliceFib>` under a monotone **epoch**
-//! and fans the `(epoch, fib)` pair out to every live subscriber over an
-//! unbounded crossbeam channel; `subscribe` returns a [`SnapshotFeed`]
-//! primed with the current snapshot.
+//! The arena is copy-on-repair (`Splicing::repair_batch` returns a *new*
+//! deployment), so the only mutable state the control plane and the
+//! data plane share is which arena is current. [`SnapshotHub`] keeps
+//! that in one cell holding the `(epoch, Arc<SpliceFib>)` pair:
+//! `publish` installs a new immutable arena under the next **epoch**,
+//! `load`/`epoch` answer "what is the FIB right now" to a poller, and
+//! `subscribe` hands a forwarding worker a [`SnapshotFeed`] — a cursor
+//! on the same cell that remembers the last pair it saw.
+//!
+//! Torn reads are impossible by construction: a walker pins the `Arc`
+//! once per packet burst and does not look at the cell again until the
+//! burst finishes, so every packet of a burst sees either the whole
+//! pre-repair FIB or the whole post-repair FIB — no arena is ever
+//! patched after publication.
 //!
 //! Backpressure policy: snapshots are *complete* state, not deltas, so a
-//! subscriber that falls behind loses nothing by skipping intermediate
-//! epochs. Feeds therefore drain their queue **latest-wins**
-//! ([`SnapshotFeed::refresh`]), and the hub never blocks or drops a
-//! publish — the queue holds at most a few superseded `Arc`s (two words
-//! each) until the subscriber's next drain. Disconnected subscribers
-//! (dropped feeds) are pruned on the next publish.
-//!
-//! This generalizes the batch engine's `RotatingSnapshots` test fixture:
-//! where the batch engine hands workers a fixed snapshot sequence
-//! upfront, the hub is the live-ordered version — every worker observes
-//! a (possibly subsampled) prefix-ordered view of the published epochs,
-//! and the torn-read impossibility argument of [`FibCell`] carries over
-//! unchanged because arenas are never patched after publication.
+//! worker that falls behind loses nothing by skipping epochs. The cell
+//! holds only the latest pair, so [`SnapshotFeed::refresh`] is
+//! latest-wins by construction, `publish` never waits on a worker (only
+//! on a reader mid-clone of the `Arc`), and a superseded arena is
+//! retained only by the workers still forwarding a burst over it.
 
 use crate::arena::SpliceFib;
-use crate::view::FibCell;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
 /// One published snapshot: the arena plus the epoch it was installed
 /// under. Epochs are assigned by [`SnapshotHub::publish`] and strictly
@@ -42,162 +38,117 @@ pub struct SnapshotUpdate {
     pub fib: Arc<SpliceFib>,
 }
 
-/// Single-writer, many-subscriber snapshot publication handle.
+/// The shared cell: the current pair, plus its epoch mirrored in an
+/// atomic so "did anything change" costs no lock.
+#[derive(Debug)]
+struct Cell {
+    current: RwLock<SnapshotUpdate>,
+    /// Always `current.epoch`, stored (Release) while the write lock is
+    /// still held and read with Acquire: a reader that sees epoch `e`
+    /// and then takes the read lock finds the pair of epoch `e` or a
+    /// later one, never an earlier one.
+    epoch: AtomicU64,
+}
+
+impl Cell {
+    fn read(&self) -> SnapshotUpdate {
+        self.current
+            .read()
+            .expect("snapshot cell lock poisoned")
+            .clone()
+    }
+}
+
+/// Single-writer, many-reader snapshot publication handle.
 #[derive(Debug)]
 pub struct SnapshotHub {
-    cell: FibCell,
-    subscribers: Mutex<Vec<Sender<SnapshotUpdate>>>,
+    cell: Arc<Cell>,
 }
 
 impl SnapshotHub {
     /// A hub whose epoch-0 snapshot is `initial`.
     pub fn new(initial: Arc<SpliceFib>) -> SnapshotHub {
         SnapshotHub {
-            cell: FibCell::new(initial),
-            subscribers: Mutex::new(Vec::new()),
+            cell: Arc::new(Cell {
+                current: RwLock::new(SnapshotUpdate {
+                    epoch: 0,
+                    fib: initial,
+                }),
+                epoch: AtomicU64::new(0),
+            }),
         }
     }
 
-    /// The current snapshot, for pollers (same contract as
-    /// [`FibCell::load`]: hold the `Arc` for a whole burst).
+    /// The current snapshot, for pollers. Cheap (an `Arc` clone under a
+    /// read lock); hold the returned `Arc` for a whole burst rather than
+    /// re-loading per packet. An unchanged [`SnapshotHub::epoch`] before
+    /// and after the call means the arena is the one published at that
+    /// epoch.
     pub fn load(&self) -> Arc<SpliceFib> {
-        self.cell.load()
+        self.cell.read().fib
     }
 
     /// The epoch of the currently installed snapshot.
     pub fn epoch(&self) -> u64 {
-        self.cell.version()
+        self.cell.epoch.load(Ordering::Acquire)
     }
 
-    /// Install `fib` as the new current snapshot and fan it out to all
-    /// live subscribers; returns the new epoch. Never blocks on a
-    /// subscriber: sends are unbounded, and dead subscribers are pruned.
+    /// Install `fib` as the new current snapshot; returns the new epoch.
     pub fn publish(&self, fib: Arc<SpliceFib>) -> u64 {
-        let epoch = self.cell.publish(Arc::clone(&fib));
-        let mut subs = self.subscribers.lock().expect("SnapshotHub lock poisoned");
-        subs.retain(|tx| {
-            tx.send(SnapshotUpdate {
-                epoch,
-                fib: Arc::clone(&fib),
-            })
-            .is_ok()
-        });
+        let mut slot = self
+            .cell
+            .current
+            .write()
+            .expect("snapshot cell lock poisoned");
+        let epoch = slot.epoch + 1;
+        *slot = SnapshotUpdate { epoch, fib };
+        self.cell.epoch.store(epoch, Ordering::Release);
         epoch
     }
 
-    /// Register a new subscriber, primed with the current snapshot.
-    ///
-    /// The feed is guaranteed gap-free from its primed epoch: the prime
-    /// is read under the subscriber lock, so any publish that the prime
-    /// missed is already queued on the channel (a publish that lands
-    /// between the cell install and the fan-out may be seen twice — once
-    /// primed, once queued — which latest-wins draining makes harmless).
+    /// A cursor on this hub's cell, primed with the current snapshot.
     pub fn subscribe(&self) -> SnapshotFeed {
-        let (tx, rx) = unbounded();
-        let mut subs = self.subscribers.lock().expect("SnapshotHub lock poisoned");
-        let current = SnapshotUpdate {
-            epoch: self.cell.version(),
-            fib: self.cell.load(),
-        };
-        subs.push(tx);
-        drop(subs);
         SnapshotFeed {
-            rx,
-            current,
-            disconnected: false,
+            current: self.cell.read(),
+            cell: Arc::clone(&self.cell),
         }
-    }
-
-    /// How many subscribers are currently registered (dead ones linger
-    /// until the next publish prunes them).
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers
-            .lock()
-            .expect("SnapshotHub lock poisoned")
-            .len()
     }
 }
 
-/// A subscriber's view of the published snapshot stream.
+/// A forwarding worker's cursor on the published snapshots: the last
+/// pair it saw plus a handle on the cell, so the final snapshot stays
+/// reachable after the hub itself is dropped.
 ///
-/// Owned by exactly one worker thread. The worker calls
-/// [`SnapshotFeed::refresh`] at burst boundaries (cheap: a non-blocking
-/// channel drain) or [`SnapshotFeed::wait_newer`] when it has nothing to
-/// do until the FIB changes.
+/// Owned by exactly one worker thread, which calls
+/// [`SnapshotFeed::refresh`] at burst boundaries.
 #[derive(Debug)]
 pub struct SnapshotFeed {
-    rx: Receiver<SnapshotUpdate>,
+    cell: Arc<Cell>,
     current: SnapshotUpdate,
-    disconnected: bool,
 }
 
 impl SnapshotFeed {
-    /// Drain queued publishes latest-wins and return the freshest
-    /// snapshot known to this feed.
+    /// The freshest published snapshot: one atomic epoch compare, and
+    /// only when the epoch moved one read-locked clone of the pair.
+    /// Intermediate epochs are skipped (latest wins).
     pub fn refresh(&mut self) -> &SnapshotUpdate {
-        loop {
-            match self.rx.try_recv() {
-                Ok(up) => {
-                    if up.epoch >= self.current.epoch {
-                        self.current = up;
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    self.disconnected = true;
-                    break;
-                }
-            }
+        if self.cell.epoch.load(Ordering::Acquire) != self.current.epoch {
+            self.current = self.cell.read();
         }
         &self.current
     }
 
-    /// The freshest snapshot seen so far, without draining the queue.
+    /// The snapshot the last [`SnapshotFeed::refresh`] (or the
+    /// subscription) observed, without looking at the cell.
     pub fn current(&self) -> &SnapshotUpdate {
         &self.current
-    }
-
-    /// Block until a snapshot with epoch strictly greater than `epoch`
-    /// is observed, or `timeout` passes. Returns `true` when a newer
-    /// snapshot is now current (also drains any backlog latest-wins).
-    pub fn wait_newer(&mut self, epoch: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            self.refresh();
-            if self.current.epoch > epoch {
-                return true;
-            }
-            if self.disconnected {
-                return false;
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            match self.rx.recv_timeout(remaining) {
-                Ok(up) => {
-                    if up.epoch >= self.current.epoch {
-                        self.current = up;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => return false,
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.disconnected = true;
-                    return false;
-                }
-            }
-        }
-    }
-
-    /// Whether the publishing hub has gone away. The current snapshot
-    /// stays valid — it is the final one.
-    pub fn is_disconnected(&self) -> bool {
-        self.disconnected
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     fn fib(k: usize) -> Arc<SpliceFib> {
         Arc::new(SpliceFib::empty(k, 3))
@@ -214,47 +165,25 @@ mod tests {
 
     #[test]
     fn publishes_fan_out_and_refresh_takes_the_latest() {
-        let hub = SnapshotHub::new(fib(1));
-        let mut feed = hub.subscribe();
-        assert_eq!(feed.current().epoch, 0);
-        for k in 2..=5 {
-            hub.publish(fib(k));
+        let initial = fib(1);
+        let hub = SnapshotHub::new(Arc::clone(&initial));
+        assert_eq!(hub.epoch(), 0);
+        assert!(Arc::ptr_eq(&hub.load(), &initial));
+        let mut feeds = [hub.subscribe(), hub.subscribe()];
+        for (i, k) in (2..=5).enumerate() {
+            assert_eq!(hub.publish(fib(k)), i as u64 + 1);
         }
-        // Four epochs queued; a single refresh lands on the last.
-        let snap = feed.refresh();
-        assert_eq!(snap.epoch, 4);
-        assert_eq!(snap.fib.k(), 5);
-    }
-
-    #[test]
-    fn dropped_feeds_are_pruned_on_publish() {
-        let hub = SnapshotHub::new(fib(1));
-        let feed = hub.subscribe();
-        let _kept = hub.subscribe();
-        assert_eq!(hub.subscriber_count(), 2);
-        drop(feed);
-        hub.publish(fib(2));
-        assert_eq!(hub.subscriber_count(), 1);
-    }
-
-    #[test]
-    fn wait_newer_blocks_until_a_publish_or_times_out() {
-        let hub = Arc::new(SnapshotHub::new(fib(1)));
-        let mut feed = hub.subscribe();
-        assert!(
-            !feed.wait_newer(0, Duration::from_millis(20)),
-            "no publish: must time out"
-        );
-        let publisher = {
-            let hub = Arc::clone(&hub);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(10));
-                hub.publish(fib(2));
-            })
-        };
-        assert!(feed.wait_newer(0, Duration::from_secs(5)));
-        assert_eq!(feed.current().epoch, 1);
-        publisher.join().unwrap();
+        assert_eq!(hub.epoch(), 4);
+        assert_eq!(hub.load().k(), 5);
+        // Four epochs published; every feed still holds the primed pair
+        // until its own refresh, which lands on the last.
+        for feed in &mut feeds {
+            assert_eq!(feed.current().epoch, 0);
+            let snap = feed.refresh();
+            assert_eq!(snap.epoch, 4);
+            assert_eq!(snap.fib.k(), 5);
+            assert_eq!(feed.current().epoch, 4);
+        }
     }
 
     #[test]
@@ -264,42 +193,75 @@ mod tests {
         hub.publish(fib(4));
         drop(hub);
         assert_eq!(feed.refresh().fib.k(), 4);
-        assert!(feed.is_disconnected());
-        assert!(!feed.wait_newer(1, Duration::from_millis(5)));
+        assert_eq!(feed.refresh().epoch, 1);
     }
 
     #[test]
     fn concurrent_publish_and_subscribe_never_miss_the_latest_epoch() {
         let hub = Arc::new(SnapshotHub::new(fib(1)));
         let total = 200u64;
+        let start = Arc::new(Barrier::new(2));
         let publisher = {
-            let hub = Arc::clone(&hub);
+            let (hub, start) = (Arc::clone(&hub), Arc::clone(&start));
             std::thread::spawn(move || {
+                start.wait();
                 for _ in 0..total {
                     hub.publish(fib(2));
                 }
             })
         };
         let subscriber = {
-            let hub = Arc::clone(&hub);
+            let (hub, start) = (Arc::clone(&hub), Arc::clone(&start));
             std::thread::spawn(move || {
-                let mut max_seen = 0;
+                start.wait();
                 for _ in 0..50 {
                     // Primed epoch is never behind the epoch the hub
-                    // reported before the subscribe.
+                    // reported before the subscribe, and a refresh never
+                    // moves a feed backward.
                     let before = hub.epoch();
                     let mut feed = hub.subscribe();
-                    assert!(feed.current().epoch >= before);
-                    feed.wait_newer(before, Duration::from_millis(1));
-                    max_seen = max_seen.max(feed.current().epoch);
+                    let primed = feed.current().epoch;
+                    assert!(primed >= before);
+                    assert!(feed.refresh().epoch >= primed);
                 }
-                max_seen
             })
         };
         publisher.join().unwrap();
-        let _ = subscriber.join().unwrap();
+        subscriber.join().unwrap();
         // After the publisher finishes, a fresh feed must be primed with
         // the final epoch exactly.
         assert_eq!(hub.subscribe().current().epoch, total);
+    }
+
+    /// The contract a polling observer relies on: an unchanged `epoch()`
+    /// around a `load()` means the arena is the one published at that
+    /// epoch. Arena `k` identifies the publish (epoch e carries k = e+1).
+    #[test]
+    fn unchanged_epoch_around_load_names_the_loaded_arena() {
+        let hub = Arc::new(SnapshotHub::new(fib(1)));
+        let total = 300usize;
+        let start = Arc::new(Barrier::new(2));
+        let publisher = {
+            let (hub, start) = (Arc::clone(&hub), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                for k in 2..=total + 1 {
+                    hub.publish(fib(k));
+                }
+            })
+        };
+        start.wait();
+        let mut last = 0;
+        while last < total as u64 {
+            let e = hub.epoch();
+            let f = hub.load();
+            if hub.epoch() == e {
+                assert_eq!(f.k() as u64, e + 1, "arena of another epoch at {e}");
+            }
+            assert!(e >= last, "epochs never move backward");
+            last = e;
+        }
+        publisher.join().unwrap();
+        assert_eq!(hub.load().k(), total + 1);
     }
 }

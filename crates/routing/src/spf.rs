@@ -1,13 +1,13 @@
-//! Shortest-path-first: from a converged LSDB to routing tables.
+//! Shortest-path-first: from a weight vector to installed arena planes.
 //!
-//! This is the glue a real router runs after flooding quiesces: rebuild
-//! the instance's weight vector from the database, run Dijkstra per
-//! destination, install FIBs.
+//! This is the glue a real router runs after flooding quiesces: take the
+//! instance's weight vector (for the protocol simulator,
+//! [`crate::lsdb::LinkStateDb::instance_weights`]), run Dijkstra per
+//! destination, install next hops into the instance's [`SpliceFib`]
+//! plane — one fused pass, with optional timing.
 
 use crate::arena::{PlaneMut, RepairStats, SpliceFib};
-use crate::fib::RoutingTables;
-use crate::lsdb::LinkStateDb;
-use splice_graph::dijkstra::{all_destinations, SpfWorkspace};
+use splice_graph::dijkstra::SpfWorkspace;
 use splice_graph::{EdgeId, EdgeMask, Graph};
 // Re-exported so downstream crates (splice-core) can build flight events,
 // registries, and latency histograms without a direct telemetry
@@ -21,14 +21,10 @@ use std::time::Instant;
 /// distributions describe per-slice build cost across all trials.
 #[derive(Clone, Debug)]
 pub struct SpfTelemetry {
-    /// Wall time of the all-destinations Dijkstra pass for one slice. On
-    /// the fused arena path ([`spf_fill_arena`]) this covers the whole
-    /// per-slice build, FIB emission included.
+    /// Wall time of the all-destinations Dijkstra pass for one slice
+    /// ([`spf_fill_arena`]): the whole per-slice build, FIB emission
+    /// included.
     pub spf_seconds: Arc<Histogram>,
-    /// Wall time of transposing SPTs into installed FIBs for one slice
-    /// (legacy [`RoutingTables`] path only; the arena path fuses this
-    /// into `spf_seconds`).
-    pub fib_build_seconds: Arc<Histogram>,
     /// Measured [`SpliceFib`] arena footprint in bytes, one observation
     /// per splicing build — the §4.2 state-size accounting.
     pub arena_bytes: Arc<Histogram>,
@@ -57,7 +53,7 @@ impl SpfTelemetry {
     /// Register the SPF timing histograms with the state and repair
     /// series labeled `strategy="<name>"`, so a cross-strategy sweep
     /// keeps one series per construction instead of aggregating them.
-    /// The per-slice SPF/FIB timings stay unlabeled: they time the same
+    /// The per-slice SPF timing stays unlabeled: it times the same
     /// Dijkstra substrate whichever strategy drives it.
     pub fn register_for_strategy(registry: &Registry, strategy: &str) -> SpfTelemetry {
         let labels: &[(&str, &str)] = &[("strategy", strategy)];
@@ -65,10 +61,6 @@ impl SpfTelemetry {
             spf_seconds: registry.histogram_seconds(
                 "splice_spf_seconds",
                 "Per-slice all-destinations shortest-path (Dijkstra) wall time",
-            ),
-            fib_build_seconds: registry.histogram_seconds(
-                "splice_fib_build_seconds",
-                "Per-slice FIB construction (SPT transpose) wall time",
             ),
             arena_bytes: registry.histogram_with(
                 "splice_fib_arena_bytes",
@@ -105,46 +97,9 @@ const _: () = {
     assert_shareable::<SpfTelemetry>();
 };
 
-/// Compute the routing tables of `instance` from a (converged) database.
-///
-/// Uses the database's reconstructed weight vector; during partial
-/// convergence un-advertised links keep their base weights, exactly as
-/// [`LinkStateDb::instance_weights`] documents.
-pub fn spf(g: &Graph, db: &LinkStateDb, instance: usize) -> RoutingTables {
-    let weights = db.instance_weights(g, instance);
-    RoutingTables::from_spts(&all_destinations(g, &weights))
-}
-
-/// Compute routing tables directly from a weight vector, bypassing the
-/// protocol machinery — the fast path the Monte-Carlo simulator uses when
-/// protocol dynamics are not under study.
-pub fn spf_from_weights(g: &Graph, weights: &[f64]) -> RoutingTables {
-    RoutingTables::from_spts(&all_destinations(g, weights))
-}
-
-/// [`spf_from_weights`] with optional per-phase timing. With `None` this
-/// is exactly the untimed fast path — callers thread an `Option` through
-/// so telemetry stays free when disabled.
-pub fn spf_from_weights_timed(
-    g: &Graph,
-    weights: &[f64],
-    telemetry: Option<&SpfTelemetry>,
-) -> RoutingTables {
-    let Some(tel) = telemetry else {
-        return spf_from_weights(g, weights);
-    };
-    let t0 = Instant::now();
-    let spts = all_destinations(g, weights);
-    tel.spf_seconds.record_duration(t0.elapsed());
-    let t1 = Instant::now();
-    let tables = RoutingTables::from_spts(&spts);
-    tel.fib_build_seconds.record_duration(t1.elapsed());
-    tables
-}
-
-/// The arena fast path: run the n destination-rooted Dijkstras for one
-/// slice and emit next hops straight into plane `slice` of `fib`, reusing
-/// `ws` across roots (and across slices, when the caller holds it).
+/// Run the n destination-rooted Dijkstras for one slice and emit next
+/// hops straight into plane `slice` of `fib`, reusing `ws` across roots
+/// (and across slices, when the caller holds it).
 ///
 /// With telemetry enabled, one `splice_spf_seconds` observation covers
 /// the fused SPF + emission pass. Timing is observation only — the
@@ -281,55 +236,77 @@ pub fn spf_repair_plane_reweight(
 mod tests {
     use super::*;
     use crate::flooding::converge_instance;
+    use crate::lsdb::LinkStateDb;
+    use splice_graph::dijkstra::all_destinations;
     use splice_graph::graph::from_edges;
     use splice_graph::NodeId;
 
+    fn diamond() -> Graph {
+        from_edges(4, &[(0, 1, 1.0), (1, 3, 2.0), (0, 2, 2.0), (2, 3, 2.0)])
+    }
+
+    /// Plane 0 of `fib` against the un-fused reference: one standalone
+    /// Dijkstra per destination, no arena; `spts[t].parent[u]` is router
+    /// `u`'s entry toward `t`.
+    fn assert_matches_unfused_dijkstra(fib: &SpliceFib, g: &Graph, w: &[f64]) {
+        let spts = all_destinations(g, w);
+        for u in g.nodes() {
+            for t in g.nodes() {
+                assert_eq!(fib.lookup(0, u, t), spts[t.index()].parent[u.index()]);
+            }
+        }
+    }
+
+    /// One plane filled from `db`'s reconstructed view of instance 0 —
+    /// what a router computes after flooding quiesces.
+    fn plane_from_db(g: &Graph, db: &LinkStateDb) -> SpliceFib {
+        let mut fib = SpliceFib::empty(1, g.node_count());
+        let weights = db.instance_weights(g, 0);
+        spf_fill_arena(g, &weights, &mut fib, 0, &mut SpfWorkspace::new(), None);
+        fib
+    }
+
     #[test]
     fn spf_after_flooding_matches_direct_computation() {
-        let g = from_edges(4, &[(0, 1, 1.0), (1, 3, 2.0), (0, 2, 2.0), (2, 3, 2.0)]);
+        let g = diamond();
         let perturbed = vec![1.0, 10.0, 2.0, 2.0]; // push 0->3 via 2
         let (dbs, _) = converge_instance(&g, 0, &perturbed, 1);
-        let from_protocol = spf(&g, &dbs[0], 0);
-        let direct = spf_from_weights(&g, &perturbed);
-        assert_eq!(from_protocol, direct);
+        let from_protocol = plane_from_db(&g, &dbs[0]);
+        assert_matches_unfused_dijkstra(&from_protocol, &g, &perturbed);
         assert_eq!(
-            from_protocol.next_hop(NodeId(0), NodeId(3)),
+            from_protocol
+                .lookup(0, NodeId(0), NodeId(3))
+                .map(|(nh, _)| nh),
             Some(NodeId(2))
         );
     }
 
     #[test]
-    fn timed_spf_matches_untimed_and_records() {
-        let g = from_edges(4, &[(0, 1, 1.0), (1, 3, 2.0), (0, 2, 2.0), (2, 3, 2.0)]);
+    fn timed_fill_matches_untimed_and_records() {
+        let g = diamond();
         let w = g.base_weights();
+        let mut ws = SpfWorkspace::new();
         let reg = Registry::new();
         let tel = SpfTelemetry::register(&reg);
-        let timed = spf_from_weights_timed(&g, &w, Some(&tel));
-        assert_eq!(
-            timed,
-            spf_from_weights(&g, &w),
-            "timing must not change tables"
-        );
+        let mut timed = SpliceFib::empty(1, g.node_count());
+        spf_fill_arena(&g, &w, &mut timed, 0, &mut ws, Some(&tel));
         assert_eq!(tel.spf_seconds.count(), 1);
-        assert_eq!(tel.fib_build_seconds.count(), 1);
-        assert_eq!(
-            spf_from_weights_timed(&g, &w, None),
-            timed,
-            "disabled telemetry is the identity"
-        );
+        let mut untimed = SpliceFib::empty(1, g.node_count());
+        spf_fill_arena(&g, &w, &mut untimed, 0, &mut ws, None);
+        assert_eq!(timed, untimed, "timing must not change tables");
         assert_eq!(tel.spf_seconds.count(), 1, "None must not record");
     }
 
     #[test]
-    fn arena_fill_matches_table_pipeline() {
-        let g = from_edges(4, &[(0, 1, 1.0), (1, 3, 2.0), (0, 2, 2.0), (2, 3, 2.0)]);
+    fn arena_fill_matches_unfused_dijkstra() {
+        let g = diamond();
         let w = vec![1.0, 10.0, 2.0, 2.0];
         let mut fib = SpliceFib::empty(1, g.node_count());
         let mut ws = SpfWorkspace::new();
         let reg = Registry::new();
         let tel = SpfTelemetry::register(&reg);
         spf_fill_arena(&g, &w, &mut fib, 0, &mut ws, Some(&tel));
-        assert_eq!(fib.to_tables(0), spf_from_weights(&g, &w));
+        assert_matches_unfused_dijkstra(&fib, &g, &w);
         assert_eq!(tel.spf_seconds.count(), 1, "fused pass records once");
         tel.arena_bytes.record(fib.state_bytes() as u64);
         assert!(reg.render_prometheus().contains("splice_fib_arena_bytes"));
@@ -418,9 +395,9 @@ mod tests {
             ],
         );
         let (dbs, _) = converge_instance(&g, 0, &g.base_weights(), 1);
-        let reference = spf(&g, &dbs[0], 0);
+        let reference = plane_from_db(&g, &dbs[0]);
         for db in &dbs[1..] {
-            assert_eq!(spf(&g, db, 0), reference);
+            assert_eq!(plane_from_db(&g, db), reference);
         }
     }
 }

@@ -13,7 +13,6 @@
 use splice_core::slices::{RepairEvent, Splicing, SplicingConfig};
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
 use splice_routing::dynamics::{failure_timeline, DynamicsConfig, TransientCensus};
-use splice_routing::fib::RoutingTables;
 use std::collections::HashSet;
 
 /// Per-slice mixed-table state for one convergence episode: every slice
@@ -21,8 +20,10 @@ use std::collections::HashSet;
 pub struct SplicedTimeline {
     /// Shared install times and the failed link (from slice 0's view).
     pub base: splice_routing::dynamics::ConvergenceTimeline,
-    /// Per-slice (old, new) tables.
-    pub per_slice: Vec<(RoutingTables, RoutingTables)>,
+    /// The pre-failure deployment.
+    pub splicing: Splicing,
+    /// The deployment every router ends on.
+    pub repaired: Splicing,
 }
 
 impl SplicedTimeline {
@@ -34,9 +35,12 @@ impl SplicedTimeline {
         dst: NodeId,
         t: f64,
     ) -> Option<(NodeId, EdgeId)> {
-        let (old, new) = &self.per_slice[slice];
-        let tables = if self.base.is_updated(r, t) { new } else { old };
-        tables.fib(r).entries[dst.index()]
+        let deployment = if self.base.is_updated(r, t) {
+            &self.repaired
+        } else {
+            &self.splicing
+        };
+        deployment.next_hop(slice, r, dst)
     }
 }
 
@@ -54,11 +58,11 @@ pub fn spliced_timeline(
     // from-scratch rebuild on the failed topology, so the sweep's numbers
     // are unchanged while each episode only pays for the failed link's
     // dirty subtrees.
-    let repaired = splicing.repair(g, &RepairEvent::LinkFailure(e));
-    let per_slice = (0..splicing.k())
-        .map(|i| (splicing.tables(i), repaired.tables(i)))
-        .collect();
-    SplicedTimeline { base, per_slice }
+    SplicedTimeline {
+        base,
+        splicing: splicing.clone(),
+        repaired: splicing.repair(g, &RepairEvent::LinkFailure(e)),
+    }
 }
 
 /// Walk every pair at time `t` with splicing deflection over the mixed
@@ -70,7 +74,7 @@ pub fn transient_outcomes_with_splicing(
     t: f64,
 ) -> TransientCensus {
     let mask = EdgeMask::from_failed(g.edge_count(), &[tl.base.failed]);
-    let k = tl.per_slice.len();
+    let k = tl.splicing.k();
     let mut census = TransientCensus::default();
     for dst in g.nodes() {
         for src in g.nodes() {

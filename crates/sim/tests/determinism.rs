@@ -68,12 +68,10 @@ fn reliability_curves_unchanged_by_telemetry() {
     );
     // One trial observation per trial, one fused SPF+FIB observation per
     // slice built (kmax = 3 slices per trial), and one arena-size
-    // observation per splicing build. The arena path emits FIB entries
-    // inside the SPF pass, so `fib_build_seconds` stays empty.
+    // observation per splicing build.
     assert_eq!(tel.trials.trials_total.get(), 24);
     assert_eq!(tel.trials.trial_seconds.count(), 24);
     assert_eq!(tel.spf.spf_seconds.count(), 24 * 3);
-    assert_eq!(tel.spf.fib_build_seconds.count(), 0);
     assert_eq!(tel.spf.arena_bytes.count(), 24);
 }
 

@@ -457,16 +457,12 @@ fn apply_repair(
             // slice `sab`'s plane still holding its pre-event columns —
             // exactly what a repair engine that skipped `patch_column`
             // for that slice would install.
-            let tables: Vec<_> = (0..sp.k())
-                .map(|s| {
-                    if s == sab {
-                        sp.tables(s)
-                    } else {
-                        next.tables(s)
-                    }
-                })
-                .collect();
-            let fib = splice_routing::arena::SpliceFib::from_tables(tables.iter());
+            let mut fib = next.arena().clone_prefix(sp.k());
+            for u in g.nodes() {
+                for t in g.nodes() {
+                    fib.set(sab, u, t, sp.next_hop(sab, u, t));
+                }
+            }
             let weights: Vec<Vec<f64>> = (0..sp.k()).map(|s| next.weights(s).to_vec()).collect();
             Ok(Splicing::from_parts(
                 weights,

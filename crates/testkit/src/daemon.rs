@@ -221,6 +221,29 @@ mod tests {
         }
     }
 
+    /// The control plane carries one reweight per (slice, edge) across a
+    /// recovery; the offline oracle replays all thousand. Same bytes.
+    #[test]
+    fn deduplicated_reweight_carry_matches_the_full_replay() {
+        let pairs = [(0u32, 2u32), (2, 5), (0, 7)];
+        let mut events: Vec<EventSpec> = (0..1000usize)
+            .map(|i| EventSpec::Reweight {
+                slice: pairs[i % 3].0,
+                edge: pairs[i % 3].1,
+                milli: if i % 2 == 0 { 1250 } else { 800 },
+            })
+            .collect();
+        events.extend([
+            EventSpec::FailLink(1),
+            EventSpec::FailLink(4),
+            EventSpec::Recover(1),
+        ]);
+        let rep = daemon_replay(&scenario(StrategyKind::PerturbedSpf, events), 16).unwrap();
+        assert_eq!(rep.daemon_checksum, rep.batch_checksum);
+        assert_eq!(rep.stats.rebuilds, 1);
+        assert!(rep.subscriber_in_sync);
+    }
+
     /// An empty schedule publishes nothing: epoch stays 0 and the
     /// subscriber keeps the primed base arena.
     #[test]

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use splice_core::forwarding::ForwarderOptions;
 use splice_core::slices::{Splicing, SplicingConfig};
 use splice_core::strategy::StrategyKind;
-use splice_routing::FibCell;
+use splice_routing::SnapshotHub;
 use splice_testkit::strategies::{arb_backbone_graph, arb_scenario};
 use splice_testkit::{
     apply_batches, churn_schedule, derive_seed, flight_tail, forward_oracle, replay,
@@ -85,17 +85,17 @@ proptest! {
 
             // Race a reader draining bursts against the repair thread
             // publishing the post-churn arena mid-run.
-            let cell = FibCell::new(Arc::clone(before.arena()));
+            let hub = SnapshotHub::new(Arc::clone(before.arena()));
             let result: Result<(), String> = std::thread::scope(|scope| {
                 let publisher = scope.spawn(|| {
                     // Redo the real repair work, then publish its arena.
                     let repaired = apply_batches(&g, &before, &steps);
-                    cell.publish(Arc::clone(repaired.arena()));
+                    hub.publish(Arc::clone(repaired.arena()));
                 });
                 let mut engine = splice_dataplane::BatchForwarder::new(opts);
                 let mut saw_after = false;
                 for _ in 0..200 {
-                    let snap = cell.load();
+                    let snap = hub.load();
                     let outcomes = engine.forward_burst(&snap, &mask, &pkts);
                     let expect = if Arc::ptr_eq(&snap, before.arena()) {
                         &pure_before
@@ -115,7 +115,7 @@ proptest! {
                 }
                 publisher.join().expect("publisher panicked");
                 // The publish must eventually be visible to the reader.
-                let snap = cell.load();
+                let snap = hub.load();
                 let outcomes = engine.forward_burst(&snap, &mask, &pkts);
                 if outcomes != pure_after.as_slice() {
                     return Err(format!(

@@ -62,17 +62,9 @@ pub fn network_cost(g: &Graph, weights: &[f64], tm: &TrafficMatrix, capacity: f6
         + report.undelivered * 1e6 // stranded demand is intolerable
 }
 
+/// A 1-slice deployment whose slice-0 weights are `weights`.
 fn splicing_for(g: &Graph, weights: &[f64]) -> Splicing {
-    // Build a 1-slice deployment with custom weights by rebuilding the
-    // graph's base weights. Cheapest correct path: construct tables
-    // directly.
-    use splice_core::slices::Slice;
-    let tables = splice_routing::spf::spf_from_weights(g, weights);
-    Splicing::from_slices(vec![Slice {
-        id: 0,
-        weights: weights.to_vec(),
-        tables,
-    }])
+    Splicing::from_weight_vectors(g, vec![weights.to_vec()])
 }
 
 /// Result of an optimization run.

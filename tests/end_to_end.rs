@@ -22,10 +22,11 @@ fn protocol_and_fast_path_agree_end_to_end() {
         .map(|i| splicing.weights(i).to_vec())
         .collect();
     let mt = MultiTopology::converge(&g, weights);
-    for (slice, rt) in mt.tables.iter().enumerate() {
+    assert_eq!(mt.k(), splicing.k());
+    for slice in 0..splicing.k() {
         assert_eq!(
-            rt,
-            &splicing.tables(slice),
+            mt.fib.plane(slice),
+            splicing.arena().plane(slice),
             "protocol-converged tables differ from direct SPF in slice {slice}"
         );
     }
