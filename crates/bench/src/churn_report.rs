@@ -3,7 +3,7 @@
 //! The spf-repair report times isolated single-link events from a clean
 //! deployment. This module answers the operational question instead: when
 //! failures, reweights, and recoveries arrive as a continuous stream, how
-//! many updates per second does the control plane absorb, and what does
+//! many updates per second does the repair engine absorb, and what does
 //! batching buy? It replays one deterministic
 //! [`churn_schedule`](splice_testkit::churn_schedule) through
 //! [`Splicing::repair_batch`] at several batch sizes and reports sustained
@@ -15,7 +15,7 @@
 use splice_core::slices::{Splicing, SplicingConfig};
 use splice_sim::lab::LabError;
 use splice_telemetry::{Histogram, JsonArray, JsonObject};
-use splice_testkit::{churn_schedule, schedule_to_batches, BatchStep};
+use splice_testkit::{churn_schedule, schedule_to_batches};
 use splice_topology::TopologyError;
 use std::path::Path;
 use std::time::Instant;
@@ -27,12 +27,10 @@ use crate::load_topology;
 pub struct ChurnBenchEntry {
     /// Maximum repair events coalesced into one `repair_batch` call.
     pub batch_size: usize,
-    /// Timed `repair_batch` calls (rebuild steps are not counted).
+    /// Timed `repair_batch` calls: every step of the schedule.
     pub batches: usize,
-    /// Repair events applied across the timed batches.
+    /// Repair events applied across the batches (recoveries included).
     pub events_applied: usize,
-    /// Untimed rebuild-from-base steps (link recoveries).
-    pub rebuilds: usize,
     /// `events_applied` / total repair wall time — the headline number.
     pub updates_per_sec: f64,
     /// Median per-batch repair time (log2-bucket interpolated).
@@ -64,7 +62,7 @@ pub struct ChurnBenchEntry {
 pub use splice_core::control::fib_checksum;
 
 /// Replay `schedule_len` churn events on `topology` with `k` slices at
-/// each batch size, timing only the `repair_batch` calls.
+/// each batch size, timing every `repair_batch` call.
 pub fn measure(
     topology: &str,
     k: usize,
@@ -81,34 +79,25 @@ pub fn measure(
     let mut entries: Vec<ChurnBenchEntry> = batch_sizes
         .iter()
         .map(|&batch_size| {
-            let steps = schedule_to_batches(&g, &base_weights, &schedule, batch_size);
+            let steps = schedule_to_batches(&base_weights, &schedule, batch_size);
             let hist = Histogram::with_scale(1e-9);
             let mut repair_total = 0.0f64;
             let mut batches = 0usize;
             let mut events_applied = 0usize;
-            let mut rebuilds = 0usize;
             let mut patched = 0usize;
             let mut sp = base.clone();
-            for step in &steps {
-                match step {
-                    BatchStep::Repair(events) => {
-                        let t0 = Instant::now();
-                        let (next, stats) = sp
-                            .try_repair_batch_recycling(&g, events, None, None)
-                            .expect("churn schedule reweights are valid");
-                        let elapsed = t0.elapsed();
-                        sp = next;
-                        repair_total += elapsed.as_secs_f64();
-                        hist.record_duration(elapsed);
-                        batches += 1;
-                        events_applied += events.len();
-                        patched += stats.patched_columns;
-                    }
-                    BatchStep::Rebuild { carry } => {
-                        sp = base.repair_batch(&g, carry);
-                        rebuilds += 1;
-                    }
-                }
+            for events in &steps {
+                let t0 = Instant::now();
+                let (next, stats) = sp
+                    .try_repair_batch_recycling(&g, events, None, None)
+                    .expect("churn schedule reweights are valid");
+                let elapsed = t0.elapsed();
+                sp = next;
+                repair_total += elapsed.as_secs_f64();
+                hist.record_duration(elapsed);
+                batches += 1;
+                events_applied += events.len();
+                patched += stats.patched_columns;
             }
             let secs = repair_total.max(1e-12);
             let (p50, _, p99) = hist.quantiles();
@@ -116,7 +105,6 @@ pub fn measure(
                 batch_size,
                 batches,
                 events_applied,
-                rebuilds,
                 updates_per_sec: events_applied as f64 / secs,
                 repair_seconds_p50: p50,
                 repair_seconds_p99: p99,
@@ -186,7 +174,6 @@ pub fn render(
                 .field_u64("batch_size", e.batch_size as u64)
                 .field_u64("batches", e.batches as u64)
                 .field_u64("events_applied", e.events_applied as u64)
-                .field_u64("rebuilds", e.rebuilds as u64)
                 .field_f64("updates_per_sec", e.updates_per_sec)
                 .field_f64("repair_seconds_p50", e.repair_seconds_p50)
                 .field_f64("repair_seconds_p99", e.repair_seconds_p99)
@@ -250,10 +237,10 @@ mod tests {
             assert!(e.repair_seconds_p99 <= e.repair_seconds_max);
             assert!(e.patched_columns > 0);
         }
-        // Every non-recovery event lands in a timed batch regardless of
-        // the batch size.
-        assert_eq!(entries[0].events_applied, entries[1].events_applied);
-        assert_eq!(entries[0].rebuilds, entries[1].rebuilds);
+        // Every event lands in a timed batch regardless of the batch
+        // size.
+        assert_eq!(entries[0].events_applied, 40);
+        assert_eq!(entries[1].events_applied, 40);
         assert!((entries[0].speedup_vs_batch1 - 1.0).abs() < 1e-12);
     }
 

@@ -29,17 +29,16 @@ pub struct Churn;
 
 fn csv(entries: &[ChurnBenchEntry]) -> String {
     let mut out = String::from(
-        "batch_size,batches,events_applied,rebuilds,updates_per_sec,\
+        "batch_size,batches,events_applied,updates_per_sec,\
          repair_seconds_p50,repair_seconds_p99,repair_seconds_max,\
          patched_columns,patched_columns_per_sec,speedup_vs_batch1,fib_checksum\n",
     );
     for e in entries {
         out.push_str(&format!(
-            "{},{},{},{},{:.1},{:.9},{:.9},{:.9},{},{:.1},{:.3},{}\n",
+            "{},{},{},{:.1},{:.9},{:.9},{:.9},{},{:.1},{:.3},{}\n",
             e.batch_size,
             e.batches,
             e.events_applied,
-            e.rebuilds,
             e.updates_per_sec,
             e.repair_seconds_p50,
             e.repair_seconds_p99,
@@ -103,7 +102,7 @@ impl Experiment for Churn {
                 entries.len(),
                 entries[0].fib_checksum
             ),
-            "timed steps are repair_batch calls only; rebuild-from-base recoveries are untimed"
+            "every step is a timed repair_batch call; recoveries coalesce like any other event"
                 .to_string(),
         ];
 

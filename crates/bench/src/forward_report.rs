@@ -56,8 +56,8 @@ use splice_graph::{EdgeMask, NodeId};
 use splice_sim::lab::LabError;
 use splice_telemetry::{Histogram, JsonArray, JsonObject, Registry};
 use splice_testkit::{
-    churn_schedule, forward_oracle, schedule_to_batches, BatchStep, ForwardOracleOptions,
-    PerturbationSpec, Scenario, TopologySpec,
+    churn_schedule, forward_oracle, schedule_to_batches, ForwardOracleOptions, PerturbationSpec,
+    Scenario, TopologySpec,
 };
 use splice_topology::TopologyError;
 use splice_traffic::{FlowConfig, FlowGen};
@@ -185,14 +185,11 @@ fn churn_snapshots(
     let k = base.k();
     let weights: Vec<Vec<f64>> = (0..k).map(|s| base.weights(s).to_vec()).collect();
     let events = churn_schedule(g, k, schedule_len, seed);
-    let steps = schedule_to_batches(g, &weights, &events, batch);
+    let steps = schedule_to_batches(&weights, &events, batch);
     let mut snapshots = vec![base.clone()];
     let mut sp = base.clone();
-    for step in &steps {
-        sp = match step {
-            BatchStep::Repair(events) => sp.repair_batch(g, events),
-            BatchStep::Rebuild { carry } => base.repair_batch(g, carry),
-        };
+    for events in &steps {
+        sp = sp.repair_batch(g, events);
         snapshots.push(sp.clone());
     }
     (snapshots, EdgeMask::all_up(g.edge_count()))

@@ -325,7 +325,7 @@ fn run(flags: &Flags) -> Result<(), String> {
     let (lat_p50, _, lat_p99) = latency.quantiles();
     let stats = loop_report.stats;
     println!(
-        "[spliced] {} event(s) in {:.1}s: {} repair pass(es), {} rebuild(s), \
+        "[spliced] {} event(s) in {:.1}s: {} repair pass(es), {} as full rebuild(s), \
          {} publish(es) (final epoch {}), {} arena(s) recycled",
         stats.events,
         wall.as_secs_f64(),

@@ -15,12 +15,14 @@ use splice_graph::traversal::reverse_reachable;
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
 use splice_routing::arena::{PlaneMut, RepairStats, SpliceFib};
 use splice_routing::spf::{
-    spf_repair_plane_failures, spf_repair_plane_reweight, FlightEvent, SpfTelemetry,
+    spf_repair_plane_failures, spf_repair_plane_restores, spf_repair_plane_reweight, FlightEvent,
+    SpfTelemetry,
 };
 use std::sync::Arc;
 
 /// A topology or weight event a deployed splicing must absorb without a
 /// full rebuild — the reconvergence workload of §4.2's dynamics story.
+/// Links go down and come back up; both directions are deltas.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RepairEvent {
     /// One link went down (in every slice — failures are physical).
@@ -29,6 +31,9 @@ pub enum RepairEvent {
     LinkSetFailure(Vec<EdgeId>),
     /// A router went down: every incident link fails.
     NodeFailure(NodeId),
+    /// One link came back up (in every slice). Restoring a link that is
+    /// already up is a no-op.
+    LinkRestore(EdgeId),
     /// One slice's weight for `edge` changed to `new_weight` — the
     /// control-plane event behind traffic engineering and perturbation
     /// re-draws. Weight changes are per-slice; other slices keep routing
@@ -51,6 +56,7 @@ impl RepairEvent {
             RepairEvent::LinkFailure(_) => "link_failure",
             RepairEvent::LinkSetFailure(_) => "link_set_failure",
             RepairEvent::NodeFailure(_) => "node_failure",
+            RepairEvent::LinkRestore(_) => "link_restore",
             RepairEvent::SliceReweight { .. } => "slice_reweight",
         }
     }
@@ -143,8 +149,9 @@ pub struct Splicing {
     weights: Arc<[Vec<f64>]>,
     /// The flat forwarding-state arena (shared).
     fib: Arc<SpliceFib>,
-    /// Cumulative failed-link set the arena's state reflects (all-up for
-    /// a fresh build; grows as [`Splicing::repair`] absorbs failures).
+    /// Failed-link set the arena's state reflects (all-up for a fresh
+    /// build; [`Splicing::repair`] grows it on failures and shrinks it
+    /// on restores).
     failed: Arc<EdgeMask>,
     /// How the planes were constructed — consulted by [`Splicing::repair`]
     /// to choose delta-patching vs masked rebuild.
@@ -346,9 +353,9 @@ impl Splicing {
         self.seed
     }
 
-    /// The cumulative failed-link set this deployment's forwarding state
-    /// reflects: all-up after a fresh build, growing as
-    /// [`Splicing::repair`] absorbs failure events.
+    /// The failed-link set this deployment's forwarding state reflects:
+    /// all-up after a fresh build, growing as [`Splicing::repair`]
+    /// absorbs failures and shrinking as it absorbs restores.
     #[inline]
     pub fn failed_mask(&self) -> &EdgeMask {
         &self.failed
@@ -388,13 +395,17 @@ impl Splicing {
     /// one's arena (two `memcpy`s, no shortest-path work) and rewrites
     /// only the destination columns the batch can have touched; every
     /// other column is carried over byte-identical. The batch is first
-    /// coalesced: all failures compose into one mask delta and reweights
-    /// dedup per `(slice, edge)`. Each dirty slice then gets one short
-    /// reweight chain plus one failure pass for the whole union (or, for
-    /// strategies without delta repair, one masked rebuild), with the
-    /// disjoint slice planes repaired on parallel workers. Also returned:
-    /// what the repair did — columns patched vs proven untouched and the
-    /// total re-relaxed frontier, folded across slices and workers.
+    /// coalesced: failures and restores are folded, in order, into one
+    /// net mask change (a fail/restore pair on one link cancels before
+    /// any SPF runs) and reweights dedup per `(slice, edge)`. Each dirty
+    /// slice then gets, in this order, one short reweight chain under the
+    /// pre-batch mask, one failure pass for all newly failed links, and
+    /// one restore pass for all restored links under the final mask (or,
+    /// for strategies without delta repair, one masked rebuild at the
+    /// final state), with the disjoint slice planes repaired on parallel
+    /// workers. Also returned: what the repair did — columns patched vs
+    /// proven untouched and the total re-relaxed frontier, folded across
+    /// slices and workers.
     ///
     /// The result is bit-identical to building from scratch on the
     /// post-batch topology, and therefore to absorbing the events one
@@ -403,11 +414,13 @@ impl Splicing {
     /// (weights, mask), and the deterministic tie-break makes parents a
     /// pure function of exact distances, so any event order that ends at
     /// the same final (weights, mask) ends at the same bytes. Batches
-    /// stack: repairing an already-repaired splicing composes the failure
-    /// masks (see [`Splicing::failed_mask`]).
+    /// stack: each starts from the mask the last one ended on (see
+    /// [`Splicing::failed_mask`]), which failures grow and restores
+    /// shrink.
     ///
-    /// An empty or fully-absorbed batch (e.g. re-failing already-failed
-    /// links) returns a deployment sharing this one's arena — no copy, no
+    /// An empty or fully-absorbed batch (re-failing already-failed links,
+    /// restoring links that are up, a link failed and restored within the
+    /// batch) returns a deployment sharing this one's arena — no copy, no
     /// SPF work.
     ///
     /// On `Err` nothing has been applied: every reweight is validated up
@@ -452,26 +465,23 @@ impl Splicing {
             }
         }
 
-        // Coalesce. The cloned mask doubles as the new-failure dedup
-        // set: an edge is newly failed exactly when it is still up, and
-        // failing it on sight keeps SRLG-sized sets linear. Reweights
-        // keep first-occurrence order per slice and only their final
-        // value — intermediate values are unobservable in the result.
+        // Coalesce. The mask is tracked through the batch in order (a
+        // failure sets a bit, a restore clears it), so only its net
+        // change reaches SPF: a fail/restore pair on one link cancels
+        // here. Reweights keep first-occurrence order per slice and only
+        // their final value — intermediate values are unobservable in
+        // the result.
         let mut mask = (*self.failed).clone();
-        let mut newly: Vec<EdgeId> = Vec::new();
-        let mut note = |e: EdgeId| {
-            if mask.is_up(e) {
-                mask.fail(e);
-                newly.push(e);
-            }
-        };
         let mut reweighted: Vec<Vec<EdgeId>> = vec![Vec::new(); self.k];
         let mut final_weights: Option<Vec<Vec<f64>>> = None;
         for event in events {
             match event {
-                RepairEvent::LinkFailure(e) => note(*e),
-                RepairEvent::LinkSetFailure(es) => es.iter().copied().for_each(&mut note),
-                RepairEvent::NodeFailure(n) => g.neighbors(*n).iter().for_each(|&(_, e)| note(e)),
+                RepairEvent::LinkFailure(e) => mask.fail(*e),
+                RepairEvent::LinkSetFailure(es) => es.iter().for_each(|e| mask.fail(*e)),
+                RepairEvent::NodeFailure(n) => {
+                    g.neighbors(*n).iter().for_each(|&(_, e)| mask.fail(e))
+                }
+                RepairEvent::LinkRestore(e) => mask.restore(*e),
                 RepairEvent::SliceReweight {
                     slice,
                     edge,
@@ -485,26 +495,52 @@ impl Splicing {
                 }
             }
         }
+        let newly: Vec<EdgeId> = mask
+            .failed_edges()
+            .filter(|&e| self.failed.is_up(e))
+            .collect();
+        let restored: Vec<EdgeId> = self
+            .failed
+            .failed_edges()
+            .filter(|&e| mask.is_up(e))
+            .collect();
+        let mask_changed = !newly.is_empty() || !restored.is_empty();
 
         if let Some(flight) = telemetry.and_then(|t| t.flight.as_ref()) {
             flight.record(
                 FlightEvent::new("repair_event", "batch")
                     .field("events", events.len() as u64)
-                    .field("links", newly.len() as u64),
+                    .field("links", newly.len() as u64)
+                    .field("restored", restored.len() as u64),
             );
         }
 
-        if newly.is_empty() && final_weights.is_none() {
+        if !mask_changed && final_weights.is_none() {
             // Nothing survived coalescing: share everything (a clone is
             // three `Arc` bumps).
             return Ok((self.clone(), RepairStats::default()));
         }
 
-        // A slice is dirty when any failure touched the topology (every
+        // The failure pass runs before the restore pass, under the
+        // pre-batch mask plus the new failures.
+        let with_failures = (!restored.is_empty()).then(|| {
+            let mut m = mask.clone();
+            restored.iter().for_each(|e| m.fail(*e));
+            m
+        });
+        let delta = MaskDelta {
+            before: &self.failed,
+            with_failures: with_failures.as_ref().unwrap_or(&mask),
+            after: &mask,
+            newly_failed: &newly,
+            restored: &restored,
+        };
+
+        // A slice is dirty when the batch changed the topology (every
         // plane shares the mask) or it was reweighted. Clean planes ride
         // along untouched from the prefix copy.
         let dirty: Vec<usize> = (0..self.k)
-            .filter(|&s| !newly.is_empty() || !reweighted[s].is_empty())
+            .filter(|&s| mask_changed || !reweighted[s].is_empty())
             .collect();
         let strategy = self.strategy.instance();
         let seed = self.seed;
@@ -541,9 +577,7 @@ impl Splicing {
                             &base_weights[slice],
                             finals.map_or(&base_weights[slice], |w| &w[slice]),
                             &reweighted[slice],
-                            &self.failed,
-                            &mask,
-                            &newly,
+                            delta,
                             ws,
                             telemetry,
                         ));
@@ -559,9 +593,6 @@ impl Splicing {
                     let plane = planes[slice].take().expect("each plane taken once");
                     jobs[i % threads].push((slice, plane));
                 }
-                let old_mask: &EdgeMask = &self.failed;
-                let new_mask = &mask;
-                let newly_ref = &newly;
                 let reweighted_ref = &reweighted;
                 let per_worker: Vec<RepairStats> = crossbeam::thread::scope(|scope| {
                     let handles: Vec<_> = jobs
@@ -580,9 +611,7 @@ impl Splicing {
                                         &base_weights[slice],
                                         finals.map_or(&base_weights[slice], |w| &w[slice]),
                                         &reweighted_ref[slice],
-                                        old_mask,
-                                        new_mask,
-                                        newly_ref,
+                                        delta,
                                         &mut ws,
                                         telemetry,
                                     ));
@@ -610,10 +639,10 @@ impl Splicing {
                     None => Arc::clone(&self.weights),
                 },
                 fib: Arc::new(fib),
-                failed: if newly.is_empty() {
-                    Arc::clone(&self.failed)
-                } else {
+                failed: if mask_changed {
                     Arc::new(mask)
+                } else {
+                    Arc::clone(&self.failed)
                 },
                 strategy: self.strategy,
                 seed: self.seed,
@@ -810,7 +839,7 @@ impl Splicing {
 /// column rewritten, nothing provably skippable, and the frontier counted
 /// once per plane (one global pass recomputes the whole plane, unlike the
 /// delta engine's per-column frontiers).
-fn rebuild_stats(g: &Graph) -> RepairStats {
+fn masked_rebuild_stats(g: &Graph) -> RepairStats {
     RepairStats {
         patched_columns: g.node_count(),
         skipped_columns: 0,
@@ -818,14 +847,27 @@ fn rebuild_stats(g: &Graph) -> RepairStats {
     }
 }
 
+/// What a coalesced batch does to the failure mask, shared by every
+/// plane: `with_failures` = `before` ∪ `newly_failed`, and `after` =
+/// `with_failures` ∖ `restored` is the batch's final mask.
+#[derive(Clone, Copy)]
+struct MaskDelta<'a> {
+    before: &'a EdgeMask,
+    with_failures: &'a EdgeMask,
+    after: &'a EdgeMask,
+    newly_failed: &'a [EdgeId],
+    restored: &'a [EdgeId],
+}
+
 /// Repair one plane against a coalesced batch: chain the slice's deduped
 /// reweights (each pass exact, under the pre-batch mask), then one
-/// failure pass for the whole union under the final mask. Rebuild-only
-/// strategies collapse to a single masked rebuild at the final state.
+/// failure pass for the whole union, then one restore pass under the
+/// final mask. Each pass leaves the plane equal to a masked rebuild at
+/// its (weights, mask). Rebuild-only strategies collapse to a single
+/// masked rebuild at the final state.
 ///
 /// `final_weights` must already hold every reweight's final value (it
-/// aliases `base_weights` when the slice was not reweighted), and
-/// `new_mask` must equal `old_mask` plus `newly_failed`.
+/// aliases `base_weights` when the slice was not reweighted).
 #[allow(clippy::too_many_arguments)]
 fn repair_plane_batched(
     g: &Graph,
@@ -836,9 +878,7 @@ fn repair_plane_batched(
     base_weights: &[f64],
     final_weights: &[f64],
     reweighted: &[EdgeId],
-    old_mask: &EdgeMask,
-    new_mask: &EdgeMask,
-    newly_failed: &[EdgeId],
+    delta: MaskDelta<'_>,
     ws: &mut SpfWorkspace,
     telemetry: Option<&SpfTelemetry>,
 ) -> RepairStats {
@@ -851,35 +891,55 @@ fn repair_plane_batched(
             slice,
             seed,
             final_weights,
-            new_mask,
+            delta.after,
             ws,
             plane,
             telemetry,
         );
-        stats.absorb(rebuild_stats(g));
+        stats.absorb(masked_rebuild_stats(g));
         return stats;
     }
     if !reweighted.is_empty() {
         // Walk the cumulative weight vector from pre-batch to final,
         // one exact delta pass per reweighted edge. The mask stays the
-        // pre-batch one; failures land in a single pass afterwards.
+        // pre-batch one; failures and restores land afterwards.
         let mut cur = base_weights.to_vec();
         for &edge in reweighted {
             let old = cur[edge.index()];
             cur[edge.index()] = final_weights[edge.index()];
             stats.absorb(spf_repair_plane_reweight(
-                g, &cur, plane, slice, old_mask, edge, old, ws, telemetry,
+                g,
+                &cur,
+                plane,
+                slice,
+                delta.before,
+                edge,
+                old,
+                ws,
+                telemetry,
             ));
         }
     }
-    if !newly_failed.is_empty() {
+    if !delta.newly_failed.is_empty() {
         stats.absorb(spf_repair_plane_failures(
             g,
             final_weights,
             plane,
             slice,
-            new_mask,
-            newly_failed,
+            delta.with_failures,
+            delta.newly_failed,
+            ws,
+            telemetry,
+        ));
+    }
+    if !delta.restored.is_empty() {
+        stats.absorb(spf_repair_plane_restores(
+            g,
+            final_weights,
+            plane,
+            slice,
+            delta.after,
+            delta.restored,
             ws,
             telemetry,
         ));
@@ -1301,6 +1361,10 @@ mod tests {
             "node_failure"
         );
         assert_eq!(
+            RepairEvent::LinkRestore(EdgeId(0)).kind_label(),
+            "link_restore"
+        );
+        assert_eq!(
             RepairEvent::SliceReweight {
                 slice: 0,
                 edge: EdgeId(0),
@@ -1309,6 +1373,82 @@ mod tests {
             .kind_label(),
             "slice_reweight"
         );
+    }
+
+    #[test]
+    fn repair_link_restore_shrinks_the_mask_and_matches_rebuild() {
+        use splice_routing::spf::{FlightRecorder, Registry};
+
+        let g = abilene().graph();
+        let sp = Splicing::build(&g, &SplicingConfig::degree_based(3, 0.0, 3.0), 11);
+        let down = sp.repair(&g, &RepairEvent::LinkSetFailure(vec![EdgeId(0), EdgeId(5)]));
+        let rec = FlightRecorder::new(32);
+        let tel = SpfTelemetry::register(&Registry::new()).with_flight(rec.clone());
+        let (up, stats) = down
+            .try_repair_batch_recycling(
+                &g,
+                &[RepairEvent::LinkRestore(EdgeId(0))],
+                Some(&tel),
+                None,
+            )
+            .unwrap();
+        assert!(stats.patched_columns > 0, "the link carried routes");
+        let failed: Vec<EdgeId> = up.failed_mask().failed_edges().collect();
+        assert_eq!(failed, [EdgeId(5)]);
+        assert_matches_masked_rebuild(&g, &up, up.failed_mask());
+        let passes = rec
+            .snapshot()
+            .iter()
+            .filter(|e| e.event.kind == "repair" && e.event.name == "patch_restore")
+            .count();
+        assert_eq!(passes, 3, "one restore pass per plane, nothing else");
+        assert_eq!(tel.spf_repair_seconds.count(), 3);
+        // Restoring the last link lands back on the fresh build's bytes;
+        // restoring it again is free.
+        let clean = up.repair(&g, &RepairEvent::LinkRestore(EdgeId(5)));
+        assert_eq!(clean.arena(), sp.arena());
+        assert_eq!(clean.failed_mask().failed_count(), 0);
+        let (again, stats) = repair_with_stats(&clean, &g, &[RepairEvent::LinkRestore(EdgeId(5))]);
+        assert_eq!(stats, RepairStats::default());
+        assert!(Arc::ptr_eq(again.arena(), clean.arena()));
+    }
+
+    #[test]
+    fn fail_restore_pairs_cancel_before_any_spf_runs() {
+        let g = abilene().graph();
+        let sp = Splicing::build(&g, &SplicingConfig::degree_based(2, 0.0, 3.0), 3);
+        let (same, stats) = repair_with_stats(
+            &sp,
+            &g,
+            &[
+                RepairEvent::LinkFailure(EdgeId(3)),
+                RepairEvent::NodeFailure(NodeId(4)),
+                RepairEvent::LinkRestore(EdgeId(3)),
+            ],
+        );
+        // Only the node's links survive coalescing (edge 3 is not one).
+        assert!(g.neighbors(NodeId(4)).iter().all(|&(_, e)| e != EdgeId(3)));
+        assert_eq!(
+            same.failed_mask().failed_count(),
+            g.neighbors(NodeId(4)).len()
+        );
+        assert_same_deployment(
+            &g,
+            &same,
+            &sp.repair(&g, &RepairEvent::NodeFailure(NodeId(4))),
+        );
+        assert!(stats.patched_columns > 0);
+        // A batch that is nothing but a cancelled pair shares the arena.
+        let (noop, stats) = repair_with_stats(
+            &sp,
+            &g,
+            &[
+                RepairEvent::LinkFailure(EdgeId(3)),
+                RepairEvent::LinkRestore(EdgeId(3)),
+            ],
+        );
+        assert_eq!(stats, RepairStats::default());
+        assert!(Arc::ptr_eq(noop.arena(), sp.arena()));
     }
 
     #[test]

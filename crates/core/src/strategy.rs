@@ -517,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_only_repairs_match_from_scratch_masked_build() {
+    fn repairs_without_delta_support_match_from_scratch_masked_build() {
         let g = abilene().graph();
         for kind in [
             StrategyKind::RandomSpanningTree,

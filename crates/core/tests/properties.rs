@@ -265,6 +265,125 @@ proptest! {
         }
     }
 
+    /// Restore ≡ rebuild: a random interleaving of failures, restores
+    /// and reweights, absorbed one event at a time, three at a time, or
+    /// all at once, ends on the very bytes a from-scratch build at the
+    /// final weights plus one failure set for the final mask ends on —
+    /// under every slice-construction strategy.
+    #[test]
+    fn interleaved_fails_restores_and_reweights_equal_a_fresh_build(
+        g in arb_graph(),
+        seed in any::<u64>(),
+        k in 1usize..=4,
+        strategy_sel in 0usize..4,
+        specs in proptest::collection::vec(
+            (0usize..6, any::<prop::sample::Index>(), any::<prop::sample::Index>(),
+             prop_oneof![0.2f64..0.9, 1.2f64..4.0]),
+            1..12,
+        ),
+    ) {
+        use splice_core::strategy::StrategyKind;
+        let strategy = StrategyKind::ALL[strategy_sel];
+        let sp = if strategy == StrategyKind::PerturbedSpf {
+            // Small integer weights: equal-cost routes everywhere, so the
+            // `(parent, edge)` tie-break decides most columns.
+            let mut h = seed;
+            let vectors = (0..k)
+                .map(|_| {
+                    (0..g.edge_count())
+                        .map(|_| {
+                            h = splice_core::hash::splitmix64(h);
+                            1.0 + (h % 3) as f64
+                        })
+                        .collect()
+                })
+                .collect();
+            Splicing::from_weight_vectors(&g, vectors)
+        } else {
+            let cfg = SplicingConfig::degree_based(k, 0.0, 3.0).with_strategy(strategy);
+            Splicing::build(&g, &cfg, seed)
+        };
+        // Shadow state: what the mask and weights should end up as.
+        let mut mask = EdgeMask::all_up(g.edge_count());
+        let mut weights: Vec<Vec<f64>> = (0..k).map(|s| sp.weights(s).to_vec()).collect();
+        let mut reweighted: Vec<(usize, EdgeId)> = Vec::new();
+        let edge = |sel: &prop::sample::Index| EdgeId(sel.index(g.edge_count()) as u32);
+        let events: Vec<RepairEvent> = specs
+            .iter()
+            .map(|(which, a, b, factor)| match which {
+                0 => {
+                    mask.fail(edge(a));
+                    RepairEvent::LinkFailure(edge(a))
+                }
+                1 => {
+                    mask.fail(edge(a));
+                    mask.fail(edge(b));
+                    RepairEvent::LinkSetFailure(vec![edge(a), edge(b)])
+                }
+                2 => {
+                    let v = splice_graph::NodeId(a.index(g.node_count()) as u32);
+                    g.neighbors(v).iter().for_each(|&(_, e)| mask.fail(e));
+                    RepairEvent::NodeFailure(v)
+                }
+                3 => {
+                    let (slice, e) = (b.index(k), edge(a));
+                    weights[slice][e.index()] *= factor;
+                    if !reweighted.contains(&(slice, e)) {
+                        reweighted.push((slice, e));
+                    }
+                    RepairEvent::SliceReweight {
+                        slice,
+                        edge: e,
+                        new_weight: weights[slice][e.index()],
+                    }
+                }
+                _ => {
+                    // Mostly a link that is down; an up link (a no-op
+                    // restore) when none is.
+                    let down: Vec<EdgeId> = mask.failed_edges().collect();
+                    let e = if down.is_empty() { edge(a) } else { down[a.index(down.len())] };
+                    mask.restore(e);
+                    RepairEvent::LinkRestore(e)
+                }
+            })
+            .collect();
+        let still_down = RepairEvent::LinkSetFailure(mask.failed_edges().collect());
+        let fresh = if strategy == StrategyKind::PerturbedSpf {
+            Splicing::try_from_weight_vectors(&g, weights.clone())
+                .expect("factors keep weights positive and finite")
+                .repair(&g, &still_down)
+        } else {
+            // Tree constructions draw from the build seed: rebuild from
+            // the fresh deployment at the final weights and mask.
+            let mut carry: Vec<RepairEvent> = reweighted
+                .iter()
+                .map(|&(slice, e)| RepairEvent::SliceReweight {
+                    slice,
+                    edge: e,
+                    new_weight: weights[slice][e.index()],
+                })
+                .collect();
+            carry.push(still_down);
+            sp.repair_batch(&g, &carry)
+        };
+        for batch in [1, 3, events.len()] {
+            let landed = events
+                .chunks(batch)
+                .fold(sp.clone(), |acc, chunk| acc.repair_batch(&g, chunk));
+            prop_assert_eq!(landed.failed_mask(), &mask, "batch {}", batch);
+            for (slice, want) in weights.iter().enumerate() {
+                for (x, y) in landed.weights(slice).iter().zip(want) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "slice {} weight bits", slice);
+                }
+            }
+            prop_assert!(
+                landed.arena().slabs() == fresh.arena().slabs(),
+                "batch {} of {:?} under {:?} diverged from the fresh build",
+                batch, &events, strategy
+            );
+        }
+    }
+
     /// Perturbations are total over any graph the constructor accepts —
     /// including near-degenerate tiny weights — and never produce an
     /// invalid vector from a valid one.

@@ -476,17 +476,66 @@ impl SpfWorkspace {
             self.reseed_dirty(g, weights, mask);
             return dirty;
         }
-        // Decrease: relax `edge` in both directions under the new weight,
-        // then propagate strict improvements. Distances converge to the
-        // exact fixpoint (every value is some path's weight fold, and
-        // every edge constraint is re-checked when its tail improves).
+        self.relax_improved_edge(g, root, weights, mask, edge)
+    }
+
+    /// Incrementally repair the loaded tree after `edge` came back up.
+    /// `mask` is the *new* failure mask (with `edge` already restored);
+    /// the workspace must hold the tree that was correct under `weights`
+    /// while `edge` was still down. Returns the number of nodes whose
+    /// distance or parent changed.
+    ///
+    /// A restored link is a weight decrease from +∞: it can only improve
+    /// distances, re-attach a component that was cut off, or win the
+    /// `(parent, edge)` tie-break at one of its endpoints — the same
+    /// relaxation [`Self::repair_reweight`] runs for a cheaper link, so
+    /// the result matches a full rebuild bit for bit.
+    pub fn repair_restore(
+        &mut self,
+        g: &Graph,
+        root: NodeId,
+        weights: &[f64],
+        mask: &EdgeMask,
+        edge: EdgeId,
+    ) -> usize {
+        assert_eq!(
+            weights.len(),
+            g.edge_count(),
+            "weight vector length must equal edge count"
+        );
+        assert_eq!(
+            self.dist.len(),
+            g.node_count(),
+            "workspace does not hold a tree for this graph"
+        );
+        assert!(mask.is_up(edge), "{edge:?} must be up in the new mask");
+        self.relax_improved_edge(g, root, weights, mask, edge)
+    }
+
+    /// `edge` just got better — cheaper, or back up — and every other
+    /// constraint of the loaded tree still holds: relax `edge` in both
+    /// directions under `weights`, then propagate strict improvements.
+    /// Distances converge to the exact fixpoint (every value is some
+    /// path's weight fold, and every edge constraint is re-checked when
+    /// its tail improves); parents are then recomputed canonically.
+    /// Returns the number of nodes whose distance or parent changed.
+    fn relax_improved_edge(
+        &mut self,
+        g: &Graph,
+        root: NodeId,
+        weights: &[f64],
+        mask: &EdgeMask,
+        edge: EdgeId,
+    ) -> usize {
+        let (eu, ev) = (g.edge(edge).u, g.edge(edge).v);
+        let w = weights[edge.index()];
         self.heap.clear();
         self.mark.clear();
         self.mark.resize(g.node_count(), 0);
         let mut changed = 0usize;
         for (a, b) in [(eu, ev), (ev, eu)] {
             if self.dist[a.index()].is_finite() {
-                let nd = self.dist[a.index()] + new_w;
+                let nd = self.dist[a.index()] + w;
                 if nd.total_cmp(&self.dist[b.index()]) == Ordering::Less {
                     self.dist[b.index()] = nd;
                     self.heap.push(HeapEntry { dist: nd, node: b });
@@ -517,9 +566,9 @@ impl SpfWorkspace {
             }
         }
         if changed == 0 {
-            // No distance moved, but the cheaper edge may have become an
-            // optimal predecessor of one of its endpoints, which can win
-            // the lexicographic tie-break.
+            // No distance moved, but the edge may have become an optimal
+            // predecessor of one of its endpoints, which can win the
+            // lexicographic tie-break.
             let mut touched = 0usize;
             for v in [eu, ev] {
                 if self.recompute_parent(g, weights, mask, root, v) {
@@ -954,6 +1003,72 @@ mod tests {
             0
         );
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
+    }
+
+    #[test]
+    fn restore_rewins_tie_break_without_moving_a_distance() {
+        // Two equal routes 0-1-3 and 0-2-3; with 1-3 down node 3 hangs
+        // off 2. Restoring 1-3 moves no distance, but (1, e2) outranks
+        // (2, e3) and a fresh run picks it.
+        let g = from_edges(4, &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]);
+        let w = g.base_weights();
+        let mut mask = EdgeMask::all_up(g.edge_count());
+        mask.fail(EdgeId(2));
+        let down = dijkstra_masked(&g, NodeId(0), &w, &mask);
+        assert_eq!(down.parent[3], Some((NodeId(2), EdgeId(3))));
+        let mut ws = SpfWorkspace::new();
+        ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
+        mask.restore(EdgeId(2));
+        let touched = ws.repair_restore(&g, NodeId(0), &w, &mask, EdgeId(2));
+        assert_eq!(touched, 1, "only node 3 re-picks its parent");
+        assert_eq!(ws.distances(), &down.dist[..], "no distance moved");
+        assert_eq!(ws.parents()[3], Some((NodeId(1), EdgeId(2))));
+        assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
+    }
+
+    #[test]
+    fn restore_reattaches_an_unreachable_component() {
+        // Path 0-1-2-3 with a chord 2-3: failing 1-2 cuts {2, 3} off.
+        let g = from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 3, 4.0)]);
+        let w = g.base_weights();
+        let mut mask = EdgeMask::all_up(g.edge_count());
+        mask.fail(EdgeId(1));
+        let down = dijkstra_masked(&g, NodeId(0), &w, &mask);
+        assert_eq!(down.dist[2], f64::INFINITY);
+        assert_eq!(down.parent[3], None);
+        let mut ws = SpfWorkspace::new();
+        ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
+        mask.restore(EdgeId(1));
+        let touched = ws.repair_restore(&g, NodeId(0), &w, &mask, EdgeId(1));
+        assert_eq!(touched, 2, "both cut-off nodes come back");
+        assert_eq!(ws.distances()[3], 3.0);
+        assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
+        // A link between two nodes that both stay unreachable changes
+        // nothing.
+        mask.fail(EdgeId(1));
+        mask.fail(EdgeId(2));
+        let down = dijkstra_masked(&g, NodeId(0), &w, &mask);
+        ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
+        mask.restore(EdgeId(2));
+        assert_eq!(ws.repair_restore(&g, NodeId(0), &w, &mask, EdgeId(2)), 0);
+        assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
+    }
+
+    #[test]
+    fn restore_matches_fresh_run_for_every_root_and_edge() {
+        let g = diamond();
+        let w = g.base_weights();
+        for root in g.nodes() {
+            for e in g.edge_ids() {
+                let mut mask = EdgeMask::all_up(g.edge_count());
+                mask.fail(e);
+                let mut ws = SpfWorkspace::new();
+                ws.run(&g, root, &w, Some(&mask));
+                mask.restore(e);
+                ws.repair_restore(&g, root, &w, &mask, e);
+                assert_matches_fresh(&ws, &g, root, &w, &mask);
+            }
+        }
     }
 
     #[test]

@@ -176,6 +176,42 @@ proptest! {
         }
     }
 
+    /// Delta-SPF restore of a failed edge — on a tree reloaded from
+    /// parent pointers, the way a FIB column is — is bit-identical to a
+    /// from-scratch masked run, one restored edge after another until the
+    /// mask is empty. Weights are small integers so equal-cost routes
+    /// (and with them the `(parent, edge)` tie-break) are the common
+    /// case, not the exception.
+    #[test]
+    fn repair_restore_matches_rebuild(
+        (g, failed) in arb_graph_with_mask(),
+        picks in proptest::collection::vec(1u8..=3, 30),
+    ) {
+        let w: Vec<f64> = (0..g.edge_count()).map(|i| picks[i % picks.len()] as f64).collect();
+        let mut ws = SpfWorkspace::new();
+        for root in g.nodes() {
+            let mut mask = failed.clone();
+            let before = dijkstra_masked(&g, root, &w, &mask);
+            ws.load_tree(&g, root, &w, |u| before.parent[u]);
+            for e in failed.failed_edges() {
+                mask.restore(e);
+                ws.repair_restore(&g, root, &w, &mask, e);
+                let fresh = dijkstra_masked(&g, root, &w, &mask);
+                for i in 0..g.node_count() {
+                    prop_assert!(
+                        ws.distances()[i].total_cmp(&fresh.dist[i]).is_eq(),
+                        "dist mismatch at node {} of root {:?} after restoring {:?}: {} vs {}",
+                        i, root, e, ws.distances()[i], fresh.dist[i]
+                    );
+                    prop_assert_eq!(
+                        ws.parents()[i], fresh.parent[i],
+                        "parent mismatch at node {} of root {:?} after restoring {:?}", i, root, e
+                    );
+                }
+            }
+        }
+    }
+
     /// Component labels partition the node set.
     #[test]
     fn components_partition((g, mask) in arb_graph_with_mask()) {

@@ -16,6 +16,7 @@
 
 use splice_graph::dijkstra::SpfWorkspace;
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
+use std::cmp::Ordering;
 
 /// Sentinel for "no installed entry" in both slabs. Valid node and edge
 /// ids are dense and far below `u32::MAX`, so the sentinel can never
@@ -242,6 +243,111 @@ impl PlaneMut<'_> {
             stats.patched_columns += 1;
         }
         stats
+    }
+
+    /// Incrementally repair this plane after the links in `restored` came
+    /// back up. `mask` is the new failure mask (with `restored` already
+    /// up) and `weights` the slice's weight vector; the plane must hold
+    /// the forwarding state that was correct under `weights` while those
+    /// links were still down.
+    ///
+    /// A restored link can improve any column, so every column is
+    /// probed — but the probe is two parent-chain walks
+    /// ([`PlaneMut::chain_distance`]), not a tree load: a column is loaded
+    /// into `ws` only once some restored link shortens a route or wins a
+    /// tie-break in it, then every remaining link is relaxed in the same
+    /// workspace ([`SpfWorkspace::repair_restore`]) and the column is
+    /// written back once.
+    pub fn patch_restores(
+        &mut self,
+        g: &Graph,
+        weights: &[f64],
+        mask: &EdgeMask,
+        restored: &[EdgeId],
+        ws: &mut SpfWorkspace,
+    ) -> RepairStats {
+        assert_eq!(self.n, g.node_count(), "plane built for a different graph");
+        let mut stats = RepairStats::default();
+        let mut chain = Vec::new();
+        for t in g.nodes() {
+            let mut loaded = false;
+            let mut touched = 0usize;
+            for &edge in restored {
+                if !loaded {
+                    if !self.restore_changes_column(g, weights, t, edge, &mut chain) {
+                        continue;
+                    }
+                    ws.load_tree(g, t, weights, |u| self.lookup(NodeId(u as u32), t));
+                    loaded = true;
+                }
+                touched += ws.repair_restore(g, t, weights, mask, edge);
+            }
+            if touched == 0 {
+                stats.skipped_columns += 1;
+                continue;
+            }
+            stats.frontier_nodes += touched;
+            self.patch_column(t, ws.parents());
+            stats.patched_columns += 1;
+        }
+        stats
+    }
+
+    /// Whether bringing `edge` up changes the `dst` column as installed:
+    /// it gives one endpoint a strictly shorter route through the other,
+    /// or an equally short one that outranks the installed parent in the
+    /// `(parent, edge)` tie-break. Exact, not conservative — the same
+    /// comparisons [`SpfWorkspace::repair_restore`] starts from.
+    fn restore_changes_column(
+        &self,
+        g: &Graph,
+        weights: &[f64],
+        dst: NodeId,
+        edge: EdgeId,
+        chain: &mut Vec<u32>,
+    ) -> bool {
+        let (a, b) = (g.edge(edge).u, g.edge(edge).v);
+        let da = self.chain_distance(dst, a, weights, chain);
+        let db = self.chain_distance(dst, b, weights, chain);
+        let w = weights[edge.index()];
+        [(a, da, b, db), (b, db, a, da)]
+            .into_iter()
+            .any(|(u, du, v, dv)| {
+                du.is_finite()
+                    && match (du + w).total_cmp(&dv) {
+                        Ordering::Less => true,
+                        Ordering::Equal => self.lookup(v, dst).is_none_or(|p| (u, edge) < p),
+                        Ordering::Greater => false,
+                    }
+            })
+    }
+
+    /// `node`'s distance to `dst` along its installed parent chain,
+    /// summed root-first — the same `dist[parent] + w(edge)` additions,
+    /// in the same order, as the Dijkstra run that produced the column
+    /// (and as [`SpfWorkspace::load_tree`]), so the value is bit-identical
+    /// to both. `f64::INFINITY` when the chain never reaches `dst`.
+    fn chain_distance(
+        &self,
+        dst: NodeId,
+        node: NodeId,
+        weights: &[f64],
+        chain: &mut Vec<u32>,
+    ) -> f64 {
+        chain.clear();
+        let mut u = node;
+        while u != dst {
+            let Some((p, e)) = self.lookup(u, dst) else {
+                return f64::INFINITY;
+            };
+            chain.push(e.0);
+            assert!(chain.len() <= self.n, "parent pointers contain a cycle");
+            u = p;
+        }
+        chain
+            .iter()
+            .rev()
+            .fold(0.0, |d, &e| d + weights[e as usize])
     }
 }
 
@@ -786,6 +892,50 @@ mod tests {
                 assert_plane_matches_rebuild(&arena, &g, &new_w, 0, &mask);
             }
         }
+    }
+
+    #[test]
+    fn patch_restores_matches_rebuild_and_skips_untouched() {
+        let g = diamond();
+        let w = g.base_weights();
+        let mut ws = SpfWorkspace::new();
+        for down in [
+            vec![EdgeId(0)],
+            vec![EdgeId(1), EdgeId(2)],
+            vec![EdgeId(0), EdgeId(3)],
+        ] {
+            let mut mask = EdgeMask::from_failed(g.edge_count(), &down);
+            let mut arena = SpliceFib::empty(1, g.node_count());
+            arena.fill_slice_masked(&g, &w, 0, &mask, &mut ws);
+            // Bring the links back one batch at a time: first alone, then
+            // the rest together.
+            for batch in [&down[..1], &down[1..]] {
+                for e in batch {
+                    mask.restore(*e);
+                }
+                let stats = arena
+                    .plane_mut(0)
+                    .patch_restores(&g, &w, &mask, batch, &mut ws);
+                assert_eq!(
+                    stats.patched_columns + stats.skipped_columns,
+                    g.node_count(),
+                    "every column accounted for"
+                );
+                assert_plane_matches_rebuild(&arena, &g, &w, 0, &mask);
+            }
+        }
+        // A link no column would route over (or tie on) patches nothing:
+        // 0-2-3 at 1000 + 2 never competes with 0-1-3 at 1 + 2.
+        let heavy = [1.0, 2.0, 1000.0, 2.0];
+        let mut mask = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2)]);
+        let mut arena = SpliceFib::empty(1, g.node_count());
+        arena.fill_slice_masked(&g, &heavy, 0, &mask, &mut ws);
+        mask.restore(EdgeId(2));
+        let stats = arena
+            .plane_mut(0)
+            .patch_restores(&g, &heavy, &mask, &[EdgeId(2)], &mut ws);
+        assert_eq!(stats.patched_columns, 0);
+        assert_plane_matches_rebuild(&arena, &g, &heavy, 0, &mask);
     }
 
     #[test]

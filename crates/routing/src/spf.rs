@@ -29,9 +29,9 @@ pub struct SpfTelemetry {
     /// per splicing build — the §4.2 state-size accounting.
     pub arena_bytes: Arc<Histogram>,
     /// Wall time of one incremental slice-plane repair
-    /// ([`PlaneMut::patch_failures`] / [`PlaneMut::patch_reweight`]), one
-    /// observation per repaired plane — the counterpart of `spf_seconds`
-    /// for the delta-SPF path.
+    /// ([`PlaneMut::patch_failures`] / [`PlaneMut::patch_restores`] /
+    /// [`PlaneMut::patch_reweight`]), one observation per pass — the
+    /// counterpart of `spf_seconds` for the delta-SPF path.
     pub spf_repair_seconds: Arc<Histogram>,
     /// Re-relaxed nodes per repaired plane (the repair frontier). Small
     /// frontiers are the whole point of repairing instead of rebuilding;
@@ -162,11 +162,37 @@ pub fn spf_refill_plane(
     }
 }
 
+/// Run one delta-SPF pass over a plane, with optional per-plane timing
+/// and frontier-size observations; `pass` names the flight event and
+/// `slice` labels it. Entries are bit-identical with telemetry on or off.
+fn observed_repair(
+    telemetry: Option<&SpfTelemetry>,
+    pass: &'static str,
+    slice: usize,
+    patch: impl FnOnce() -> RepairStats,
+) -> RepairStats {
+    let Some(tel) = telemetry else {
+        return patch();
+    };
+    let t0 = Instant::now();
+    let stats = patch();
+    tel.spf_repair_seconds.record_duration(t0.elapsed());
+    tel.spf_repair_frontier.record(stats.frontier_nodes as u64);
+    if let Some(flight) = &tel.flight {
+        flight.record(
+            FlightEvent::new("repair", pass)
+                .field("slice", slice as u64)
+                .field("frontier", stats.frontier_nodes as u64)
+                .field("patched", stats.patched_columns as u64)
+                .field("skipped", stats.skipped_columns as u64),
+        );
+    }
+    stats
+}
+
 /// The delta-SPF counterpart of [`spf_fill_plane`]: repair the plane in
 /// place after the links in `newly_failed` went down
-/// ([`PlaneMut::patch_failures`]), with optional per-plane timing and
-/// frontier-size observations. Entries are bit-identical with telemetry
-/// on or off; `slice` only labels the flight event.
+/// ([`PlaneMut::patch_failures`]).
 #[allow(clippy::too_many_arguments)]
 pub fn spf_repair_plane_failures(
     g: &Graph,
@@ -178,23 +204,27 @@ pub fn spf_repair_plane_failures(
     ws: &mut SpfWorkspace,
     telemetry: Option<&SpfTelemetry>,
 ) -> RepairStats {
-    let Some(tel) = telemetry else {
-        return plane.patch_failures(g, weights, mask, newly_failed, ws);
-    };
-    let t0 = Instant::now();
-    let stats = plane.patch_failures(g, weights, mask, newly_failed, ws);
-    tel.spf_repair_seconds.record_duration(t0.elapsed());
-    tel.spf_repair_frontier.record(stats.frontier_nodes as u64);
-    if let Some(flight) = &tel.flight {
-        flight.record(
-            FlightEvent::new("repair", "patch_failures")
-                .field("slice", slice as u64)
-                .field("frontier", stats.frontier_nodes as u64)
-                .field("patched", stats.patched_columns as u64)
-                .field("skipped", stats.skipped_columns as u64),
-        );
-    }
-    stats
+    observed_repair(telemetry, "patch_failures", slice, || {
+        plane.patch_failures(g, weights, mask, newly_failed, ws)
+    })
+}
+
+/// [`spf_repair_plane_failures`]'s sibling for links that came back up
+/// ([`PlaneMut::patch_restores`]): `mask` already has `restored` up.
+#[allow(clippy::too_many_arguments)]
+pub fn spf_repair_plane_restores(
+    g: &Graph,
+    weights: &[f64],
+    plane: &mut PlaneMut<'_>,
+    slice: usize,
+    mask: &EdgeMask,
+    restored: &[EdgeId],
+    ws: &mut SpfWorkspace,
+    telemetry: Option<&SpfTelemetry>,
+) -> RepairStats {
+    observed_repair(telemetry, "patch_restore", slice, || {
+        plane.patch_restores(g, weights, mask, restored, ws)
+    })
 }
 
 /// [`spf_repair_plane_failures`]'s sibling for a single-link weight
@@ -213,23 +243,9 @@ pub fn spf_repair_plane_reweight(
     ws: &mut SpfWorkspace,
     telemetry: Option<&SpfTelemetry>,
 ) -> RepairStats {
-    let Some(tel) = telemetry else {
-        return plane.patch_reweight(g, weights, mask, edge, old_weight, ws);
-    };
-    let t0 = Instant::now();
-    let stats = plane.patch_reweight(g, weights, mask, edge, old_weight, ws);
-    tel.spf_repair_seconds.record_duration(t0.elapsed());
-    tel.spf_repair_frontier.record(stats.frontier_nodes as u64);
-    if let Some(flight) = &tel.flight {
-        flight.record(
-            FlightEvent::new("repair", "patch_reweight")
-                .field("slice", slice as u64)
-                .field("frontier", stats.frontier_nodes as u64)
-                .field("patched", stats.patched_columns as u64)
-                .field("skipped", stats.skipped_columns as u64),
-        );
-    }
-    stats
+    observed_repair(telemetry, "patch_reweight", slice, || {
+        plane.patch_reweight(g, weights, mask, edge, old_weight, ws)
+    })
 }
 
 #[cfg(test)]

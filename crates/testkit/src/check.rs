@@ -2,8 +2,9 @@
 //! production stack and every oracle, failing on the first divergence.
 //!
 //! For each scenario the engine builds the deployment with
-//! `Splicing::build`, applies each scheduled event through the
-//! *incremental* production path (`Splicing::repair`), and after the
+//! `Splicing::build`, applies each scheduled event — failures, reweights
+//! and recoveries alike — through the *incremental* production path
+//! (`Splicing::repair`), and after the
 //! build and after every event compares the full forwarding state
 //! against from-scratch oracles:
 //!
@@ -24,15 +25,20 @@
 //!    the perturbation's stretch bound (Theorem A.1's `2Dk`, or `1 + b`
 //!    for degree-based `Weight(0, b)`).
 //!
-//! [`EventSpec::Recover`] has no incremental production path (real
-//! control planes re-converge on link-up), so it replays as a fresh
-//! build plus re-application of the surviving reweights and failures —
-//! which exercises event *stacking* on the repaired path.
+//! Event semantics are the live control plane's: a reweight composes
+//! against the weight the slice runs now and is dropped when the result
+//! would leave the routable range
+//! ([`splice_core::control::hops_still_count`]), and an
+//! [`EventSpec::Recover`] goes through the same incremental path as
+//! every other event (`RepairEvent::LinkRestore`), checked at its
+//! checkpoint against tables the oracles build from scratch on the
+//! restored topology.
 
 use crate::oracle::{naive_walk, outcome_signature, OracleTables};
 use crate::scenario::{EventSpec, PerturbationSpec, Scenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use splice_core::control::hops_still_count;
 use splice_core::forwarding::{Forwarder, ForwarderOptions, ForwardingOutcome};
 use splice_core::perturb::TheoremA1;
 use splice_core::recovery::HeaderStrategy;
@@ -273,14 +279,12 @@ fn replay_inner(sc: &Scenario, opts: &ReplayOptions) -> Result<ReplayReport, Box
     validate_events(sc, &g)?;
 
     let cfg = build_config(sc);
-    let base = Splicing::build(&g, &cfg, sc.build_seed);
-    let mut sp = base.clone();
+    let mut sp = Splicing::build(&g, &cfg, sc.build_seed);
 
     // Shadow state the oracles trust: what the weights and the failure
     // mask *should* be, tracked independently of the production stack.
-    let mut shadow_weights: Vec<Vec<f64>> = (0..sc.k).map(|s| base.weights(s).to_vec()).collect();
+    let mut shadow_weights: Vec<Vec<f64>> = (0..sc.k).map(|s| sp.weights(s).to_vec()).collect();
     let mut shadow_mask = EdgeMask::all_up(g.edge_count());
-    let mut reweights_applied: Vec<(usize, EdgeId, f64)> = Vec::new();
     let mut reweighted_slices: HashSet<usize> = HashSet::new();
 
     let mut report = ReplayReport::default();
@@ -321,49 +325,28 @@ fn replay_inner(sc: &Scenario, opts: &ReplayOptions) -> Result<ReplayReport, Box
                 let slice = *slice as usize;
                 let e = EdgeId(*edge);
                 let new_weight = shadow_weights[slice][e.index()] * (*milli as f64 / 1000.0);
-                shadow_weights[slice][e.index()] = new_weight;
-                reweights_applied.push((slice, e, new_weight));
-                reweighted_slices.insert(slice);
-                sp = apply_repair(
-                    &g,
-                    &sp,
-                    &RepairEvent::SliceReweight {
-                        slice,
-                        edge: e,
-                        new_weight,
-                    },
-                    step,
-                    opts,
-                )?;
-            }
-            EventSpec::Recover(e) => {
-                shadow_mask.restore(EdgeId(*e));
-                // Link-up re-converges from scratch, then re-applies the
-                // surviving state through the incremental path.
-                sp = base.clone();
-                for &(slice, edge, new_weight) in &reweights_applied {
+                // The live plane drops a reweight that leaves the
+                // routable range; the checkpoint below then checks that
+                // nothing changed.
+                if hops_still_count(&shadow_weights[slice], e, new_weight) {
+                    shadow_weights[slice][e.index()] = new_weight;
+                    reweighted_slices.insert(slice);
                     sp = apply_repair(
                         &g,
                         &sp,
                         &RepairEvent::SliceReweight {
                             slice,
-                            edge,
+                            edge: e,
                             new_weight,
                         },
                         step,
                         opts,
                     )?;
                 }
-                let still_failed: Vec<EdgeId> = shadow_mask.failed_edges().collect();
-                if !still_failed.is_empty() {
-                    sp = apply_repair(
-                        &g,
-                        &sp,
-                        &RepairEvent::LinkSetFailure(still_failed),
-                        step,
-                        opts,
-                    )?;
-                }
+            }
+            EventSpec::Recover(e) => {
+                shadow_mask.restore(EdgeId(*e));
+                sp = apply_repair(&g, &sp, &RepairEvent::LinkRestore(EdgeId(*e)), step, opts)?;
             }
         }
         check_deployment(

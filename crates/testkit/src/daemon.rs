@@ -80,7 +80,7 @@ pub fn daemon_replay(sc: &Scenario, max_batch: usize) -> Result<DaemonReplayRepo
 
     // Offline oracle: the same schedule coalesced ahead of time.
     let weights: Vec<Vec<f64>> = (0..sc.k).map(|s| base.weights(s).to_vec()).collect();
-    let steps = schedule_to_batches(&g, &weights, &sc.events, max_batch.max(1));
+    let steps = schedule_to_batches(&weights, &sc.events, max_batch.max(1));
     let batch_checksum = fib_checksum(&g, &apply_batches(&g, &base, &steps));
 
     // Live daemon: event loop on its own thread, events over the channel.
@@ -198,7 +198,11 @@ mod tests {
         assert_eq!(rep.daemon_checksum, rep.batch_checksum);
         assert!(rep.subscriber_in_sync);
         assert_eq!(rep.stats.events, 80);
-        assert!(rep.stats.rebuilds > 0, "churn schedule must recover links");
+        assert!(
+            sc.events.iter().any(|e| matches!(e, EventSpec::Recover(_))),
+            "churn schedule must recover links"
+        );
+        assert_eq!(rep.stats.rebuilds, 0, "recoveries are deltas");
         assert!(rep.final_epoch > 0, "churn must publish new snapshots");
     }
 
@@ -221,10 +225,12 @@ mod tests {
         }
     }
 
-    /// The control plane carries one reweight per (slice, edge) across a
-    /// recovery; the offline oracle replays all thousand. Same bytes.
+    /// A thousand reweights on three pairs, then fail/fail/recover:
+    /// whatever the live loop coalesces, it ends where the offline
+    /// oracle's fixed batches end — and a tree deployment counts each
+    /// of its passes as the masked rebuild it is.
     #[test]
-    fn deduplicated_reweight_carry_matches_the_full_replay() {
+    fn long_reweight_history_then_recover_matches_the_batch_oracle() {
         let pairs = [(0u32, 2u32), (2, 5), (0, 7)];
         let mut events: Vec<EventSpec> = (0..1000usize)
             .map(|i| EventSpec::Reweight {
@@ -238,10 +244,39 @@ mod tests {
             EventSpec::FailLink(4),
             EventSpec::Recover(1),
         ]);
-        let rep = daemon_replay(&scenario(StrategyKind::PerturbedSpf, events), 16).unwrap();
+        let rep = daemon_replay(&scenario(StrategyKind::PerturbedSpf, events.clone()), 16).unwrap();
         assert_eq!(rep.daemon_checksum, rep.batch_checksum);
-        assert_eq!(rep.stats.rebuilds, 1);
+        assert_eq!(rep.stats.rebuilds, 0);
         assert!(rep.subscriber_in_sync);
+        let rep = daemon_replay(&scenario(StrategyKind::RandomSpanningTree, events), 16).unwrap();
+        assert_eq!(rep.daemon_checksum, rep.batch_checksum);
+        assert_eq!(rep.stats.rebuilds, rep.stats.publishes);
+        assert!(rep.stats.rebuilds > 0);
+    }
+
+    /// Reweights that would leave the routable range are dropped by the
+    /// live plane; the offline oracle must drop the same ones instead of
+    /// handing the repair engine a weight it rejects.
+    #[test]
+    fn offline_oracle_applies_the_routable_range_guard() {
+        let mut events = vec![
+            EventSpec::Reweight {
+                slice: 0,
+                edge: 0,
+                milli: 1,
+            };
+            200
+        ];
+        events.extend([EventSpec::FailLink(1), EventSpec::Recover(1)]);
+        let sc = scenario(StrategyKind::PerturbedSpf, events);
+        for max_batch in [1usize, 16] {
+            let rep = daemon_replay(&sc, max_batch).unwrap();
+            assert_eq!(rep.daemon_checksum, rep.batch_checksum, "{max_batch}");
+            assert_eq!(rep.stats.events, 202);
+            assert!(rep.clean_shutdown);
+        }
+        // The one-event-at-a-time replay engine drops them too.
+        replay(&sc, &ReplayOptions::default()).expect("guarded replay stays divergence-free");
     }
 
     /// An empty schedule publishes nothing: epoch stays 0 and the

@@ -34,7 +34,7 @@
 use crate::check::{build_config, strategy_oracle, validate_events, Divergence};
 use crate::oracle::{naive_walk, OracleTables};
 use crate::scenario::{derive_seed, Scenario};
-use crate::schedule::{schedule_to_batches, BatchStep};
+use crate::schedule::schedule_to_batches;
 use splice_core::forwarding::ForwarderOptions;
 use splice_core::slices::Splicing;
 use splice_core::strategy::StrategyKind;
@@ -97,7 +97,7 @@ pub fn forward_oracle(
     let cfg = build_config(sc);
     let base = Splicing::build(&g, &cfg, sc.build_seed);
     let base_weights: Vec<Vec<f64>> = (0..sc.k).map(|s| base.weights(s).to_vec()).collect();
-    let steps = schedule_to_batches(&g, &base_weights, &sc.events, opts.batch.max(1));
+    let steps = schedule_to_batches(&base_weights, &sc.events, opts.batch.max(1));
 
     let checkpoints = steps.len() + 1;
     let per_checkpoint = opts.flows.div_ceil(checkpoints).max(1);
@@ -121,10 +121,7 @@ pub fn forward_oracle(
     let mut sp = base.clone();
     for step in 0..checkpoints {
         if step > 0 {
-            sp = match &steps[step - 1] {
-                BatchStep::Repair(events) => sp.repair_batch(&g, events),
-                BatchStep::Rebuild { carry } => base.repair_batch(&g, carry),
-            };
+            sp = sp.repair_batch(&g, &steps[step - 1]);
         }
 
         let mask = sp.failed_mask();

@@ -35,5 +35,5 @@ pub use daemon::{daemon_replay, to_control_event, DaemonReplayReport};
 pub use forward_oracle::{forward_oracle, ForwardOracleOptions, ForwardOracleReport};
 pub use oracle::{naive_walk, outcome_signature, OracleTables};
 pub use scenario::{derive_seed, EventSpec, PerturbationSpec, Scenario, TopologySpec};
-pub use schedule::{apply_batches, churn_schedule, schedule_to_batches, BatchStep};
+pub use schedule::{apply_batches, churn_schedule, schedule_to_batches};
 pub use shrink::{shrink, ShrinkResult};

@@ -18,6 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use splice_core::control::ControlEvent;
 use splice_core::strategy::StrategyKind;
 use splice_graph::Graph;
 
@@ -131,9 +132,7 @@ pub enum EventSpec {
         /// New weight as a permille of the current weight (> 0).
         milli: u32,
     },
-    /// Restore a failed link (`r<edge>`). The production stack has no
-    /// incremental un-fail, so replay re-converges from a fresh build —
-    /// exactly what a real control plane does on link-up.
+    /// Restore a failed link (`r<edge>`); a no-op on a link that is up.
     Recover(u32),
 }
 
@@ -151,41 +150,20 @@ impl EventSpec {
         }
     }
 
+    /// One grammar, one parser: the daemon's ([`ControlEvent::parse`]),
+    /// converted to the testkit's id-typed twin.
     fn from_spec(s: &str) -> Result<EventSpec, String> {
-        let num = |t: &str| -> Result<u32, String> {
-            t.parse::<u32>()
-                .map_err(|_| format!("bad number {t:?} in event spec {s:?}"))
-        };
-        let (kind, rest) = s.split_at(1);
-        match kind {
-            "f" => Ok(EventSpec::FailLink(num(rest)?)),
-            "g" => {
-                let ids: Result<Vec<u32>, String> = rest.split('.').map(num).collect();
-                let ids = ids?;
-                if ids.is_empty() {
-                    return Err(format!("empty link group in {s:?}"));
-                }
-                Ok(EventSpec::FailGroup(ids))
-            }
-            "n" => Ok(EventSpec::FailNode(num(rest)?)),
-            "w" => {
-                let parts: Vec<&str> = rest.split('.').collect();
-                if parts.len() != 3 {
-                    return Err(format!("bad reweight {s:?}; want w<slice>.<edge>.<milli>"));
-                }
-                let milli = num(parts[2])?;
-                if milli == 0 {
-                    return Err(format!("reweight factor must be positive in {s:?}"));
-                }
-                Ok(EventSpec::Reweight {
-                    slice: num(parts[0])?,
-                    edge: num(parts[1])?,
-                    milli,
-                })
-            }
-            "r" => Ok(EventSpec::Recover(num(rest)?)),
-            other => Err(format!("unknown event kind {other:?} in {s:?}")),
-        }
+        Ok(match ControlEvent::parse(s)? {
+            ControlEvent::FailLink(e) => EventSpec::FailLink(e.0),
+            ControlEvent::FailGroup(es) => EventSpec::FailGroup(es.iter().map(|e| e.0).collect()),
+            ControlEvent::FailNode(v) => EventSpec::FailNode(v.0),
+            ControlEvent::Reweight { slice, edge, milli } => EventSpec::Reweight {
+                slice: slice as u32,
+                edge: edge.0,
+                milli,
+            },
+            ControlEvent::Recover(e) => EventSpec::Recover(e.0),
+        })
     }
 }
 
@@ -468,6 +446,10 @@ mod tests {
             "abilene/k3d/s7/w1.2",
             "abilene/k3d/s7/w1.2.0",
             "abilene/k3d/s7/g",
+            // A first char wider than one byte must not split mid-char.
+            "abilene/k2d/s1/é4",
+            "abilene/k2d/s1/\u{fffd}",
+            "abilene/k2d/s1/f1+€",
             "rand-3-4/k1d/s0/",
             "abilene/k3d/bogus/s7/",
             "abilene/k3d/tree/7/",

@@ -12,11 +12,12 @@
 //!   recoveries once enough links are down) from a seed, using the
 //!   repo's own SplitMix64 chain — no RNG crate in the loop, so the
 //!   schedule is bit-stable across toolchains and stub environments.
-//! - [`schedule_to_batches`] folds a schedule into [`BatchStep`]s with
-//!   exactly the semantics of the replay engine: reweights are
-//!   multiplicative against the *current* shadow weights, and a
-//!   [`EventSpec::Recover`] re-converges from the base deployment by
-//!   carrying the surviving reweights and failures forward.
+//! - [`schedule_to_batches`] folds a schedule into batches of
+//!   [`RepairEvent`]s with exactly the semantics of the live control
+//!   plane: reweights are multiplicative against the *current* shadow
+//!   weights (and dropped when they would leave the routable range, by
+//!   the control plane's own guard), and an [`EventSpec::Recover`] is a
+//!   [`RepairEvent::LinkRestore`] that coalesces like any other event.
 //!
 //! Because `repair_batch` is bit-identical to folding its events one at
 //! a time, applying the same schedule at any batch size lands on the
@@ -24,127 +25,70 @@
 //! checksum column asserts in CI.
 
 use crate::scenario::EventSpec;
+use splice_core::control::hops_still_count;
 use splice_core::hash::splitmix64;
 use splice_core::slices::{RepairEvent, Splicing};
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
 
-/// One unit of work for a churn driver replaying a schedule against the
-/// batched repair path.
-#[derive(Clone, Debug, PartialEq)]
-pub enum BatchStep {
-    /// Apply these coalesced events to the *current* deployment in one
-    /// [`Splicing::repair_batch`] call. At batch size 1 every step holds
-    /// exactly one event, which is the sequential baseline.
-    Repair(Vec<RepairEvent>),
-    /// A link came back up. There is no incremental un-fail, so the
-    /// driver must re-converge from the *base* deployment by applying
-    /// `carry`: every surviving reweight (in application order) followed
-    /// by one failure set for the links still down. Drivers time
-    /// `Repair` steps only; a rebuild is control-plane re-convergence,
-    /// not repair throughput.
-    Rebuild {
-        /// Events to replay from the base deployment.
-        carry: Vec<RepairEvent>,
-    },
-}
-
 /// Fold `events` into batches of at most `batch_size` repair events,
-/// mirroring the replay engine's shadow-state semantics (multiplicative
-/// reweights, rebuild-from-base on recovery).
+/// mirroring the live control plane's shadow-state semantics:
+/// multiplicative reweights, dropped when the result would leave the
+/// range the repair engine can route over ([`hops_still_count`]).
 ///
 /// `base_weights` must be the *initial* per-slice weight vectors of the
 /// deployment the schedule starts from (`Splicing::weights` per slice).
 ///
 /// # Panics
-/// Panics if `batch_size == 0` or an event references an out-of-range
-/// slice, edge, or node.
+/// Panics if `batch_size == 0` or a reweight references an out-of-range
+/// slice or edge.
 pub fn schedule_to_batches(
-    g: &Graph,
     base_weights: &[Vec<f64>],
     events: &[EventSpec],
     batch_size: usize,
-) -> Vec<BatchStep> {
+) -> Vec<Vec<RepairEvent>> {
     assert!(batch_size >= 1, "batch size must be at least 1");
     let mut shadow_weights: Vec<Vec<f64>> = base_weights.to_vec();
-    let mut shadow_mask = EdgeMask::all_up(g.edge_count());
-    let mut reweights_applied: Vec<(usize, EdgeId, f64)> = Vec::new();
-
-    let mut steps: Vec<BatchStep> = Vec::new();
+    let mut batches: Vec<Vec<RepairEvent>> = Vec::new();
     let mut pending: Vec<RepairEvent> = Vec::new();
     for ev in events {
         match ev {
-            EventSpec::FailLink(e) => {
-                shadow_mask.fail(EdgeId(*e));
-                pending.push(RepairEvent::LinkFailure(EdgeId(*e)));
-            }
-            EventSpec::FailGroup(es) => {
-                let ids: Vec<EdgeId> = es.iter().map(|e| EdgeId(*e)).collect();
-                for e in &ids {
-                    shadow_mask.fail(*e);
-                }
-                pending.push(RepairEvent::LinkSetFailure(ids));
-            }
-            EventSpec::FailNode(v) => {
-                let node = NodeId(*v);
-                for &(_, e) in g.neighbors(node) {
-                    shadow_mask.fail(e);
-                }
-                pending.push(RepairEvent::NodeFailure(node));
-            }
+            EventSpec::FailLink(e) => pending.push(RepairEvent::LinkFailure(EdgeId(*e))),
+            EventSpec::FailGroup(es) => pending.push(RepairEvent::LinkSetFailure(
+                es.iter().map(|e| EdgeId(*e)).collect(),
+            )),
+            EventSpec::FailNode(v) => pending.push(RepairEvent::NodeFailure(NodeId(*v))),
             EventSpec::Reweight { slice, edge, milli } => {
                 let slice = *slice as usize;
                 let e = EdgeId(*edge);
                 let new_weight = shadow_weights[slice][e.index()] * (*milli as f64 / 1000.0);
+                if !hops_still_count(&shadow_weights[slice], e, new_weight) {
+                    continue;
+                }
                 shadow_weights[slice][e.index()] = new_weight;
-                reweights_applied.push((slice, e, new_weight));
                 pending.push(RepairEvent::SliceReweight {
                     slice,
                     edge: e,
                     new_weight,
                 });
             }
-            EventSpec::Recover(e) => {
-                if !pending.is_empty() {
-                    steps.push(BatchStep::Repair(std::mem::take(&mut pending)));
-                }
-                shadow_mask.restore(EdgeId(*e));
-                let mut carry: Vec<RepairEvent> = reweights_applied
-                    .iter()
-                    .map(|&(slice, edge, new_weight)| RepairEvent::SliceReweight {
-                        slice,
-                        edge,
-                        new_weight,
-                    })
-                    .collect();
-                let still_failed: Vec<EdgeId> = shadow_mask.failed_edges().collect();
-                if !still_failed.is_empty() {
-                    carry.push(RepairEvent::LinkSetFailure(still_failed));
-                }
-                steps.push(BatchStep::Rebuild { carry });
-                continue;
-            }
+            EventSpec::Recover(e) => pending.push(RepairEvent::LinkRestore(EdgeId(*e))),
         }
         if pending.len() >= batch_size {
-            steps.push(BatchStep::Repair(std::mem::take(&mut pending)));
+            batches.push(std::mem::take(&mut pending));
         }
     }
     if !pending.is_empty() {
-        steps.push(BatchStep::Repair(pending));
+        batches.push(pending);
     }
-    steps
+    batches
 }
 
-/// Apply `steps` starting from `base` and return the final deployment —
+/// Apply `batches` starting from `base` and return the final deployment —
 /// the reference driver (untimed) for tests and smoke checks.
-pub fn apply_batches(g: &Graph, base: &Splicing, steps: &[BatchStep]) -> Splicing {
-    let mut sp = base.clone();
-    for step in steps {
-        match step {
-            BatchStep::Repair(events) => sp = sp.repair_batch(g, events),
-            BatchStep::Rebuild { carry } => sp = base.repair_batch(g, carry),
-        }
-    }
-    sp
+pub fn apply_batches(g: &Graph, base: &Splicing, batches: &[Vec<RepairEvent>]) -> Splicing {
+    batches
+        .iter()
+        .fold(base.clone(), |sp, events| sp.repair_batch(g, events))
 }
 
 /// Deterministically generate a churn schedule of `len` events for a
@@ -152,9 +96,8 @@ pub fn apply_batches(g: &Graph, base: &Splicing, steps: &[BatchStep]) -> Splicin
 /// (~72%) mixed with per-slice reweights (factor 0.25–3.25, ~28%),
 /// punctuated by recovery *bursts* — once more than a third of the
 /// links are down the network drains back below a sixth, one
-/// [`EventSpec::Recover`] per event. The hysteresis matters for the
-/// benchmark: single opportunistic recoveries would flush the pending
-/// batch every few events and no batch would ever fill. Link and group
+/// [`EventSpec::Recover`] per event. The hysteresis keeps a standing
+/// set of failed links for recoveries to draw from. Link and group
 /// failures sample currently-*up* edges, so every failure event is
 /// real work rather than a free already-failed no-op.
 ///
@@ -301,22 +244,20 @@ mod tests {
             .filter(|e| matches!(e, EventSpec::Recover(_)))
             .count();
         for batch_size in [1usize, 4, 16] {
-            let steps = schedule_to_batches(&g, &weights, &schedule, batch_size);
-            let mut repairs = 0usize;
-            let mut rebuilds = 0usize;
-            for step in &steps {
-                match step {
-                    BatchStep::Repair(events) => {
-                        assert!(!events.is_empty() && events.len() <= batch_size);
-                        repairs += events.len();
-                    }
-                    BatchStep::Rebuild { .. } => rebuilds += 1,
-                }
-            }
-            // One repair event per non-recovery spec, one rebuild per
-            // recovery: nothing dropped, nothing duplicated.
-            assert_eq!(repairs + rebuilds, schedule.len());
-            assert_eq!(rebuilds, recoveries);
+            let batches = schedule_to_batches(&weights, &schedule, batch_size);
+            // Every batch but the last is full: recoveries coalesce like
+            // any other event.
+            let (last, full) = batches.split_last().unwrap();
+            assert!(full.iter().all(|b| b.len() == batch_size));
+            assert!(!last.is_empty() && last.len() <= batch_size);
+            // One repair event per spec: nothing dropped or duplicated.
+            let events: Vec<&RepairEvent> = batches.iter().flatten().collect();
+            assert_eq!(events.len(), schedule.len());
+            let restores = events
+                .iter()
+                .filter(|e| matches!(e, RepairEvent::LinkRestore(_)))
+                .count();
+            assert_eq!(restores, recoveries);
         }
     }
 
@@ -326,9 +267,9 @@ mod tests {
         let sp = Splicing::build(&g, &SplicingConfig::degree_based(3, 0.0, 3.0), 7);
         let weights: Vec<Vec<f64>> = (0..3).map(|s| sp.weights(s).to_vec()).collect();
         let schedule = churn_schedule(&g, 3, 60, 11);
-        let sequential = apply_batches(&g, &sp, &schedule_to_batches(&g, &weights, &schedule, 1));
+        let sequential = apply_batches(&g, &sp, &schedule_to_batches(&weights, &schedule, 1));
         for batch_size in [2usize, 8, 64] {
-            let steps = schedule_to_batches(&g, &weights, &schedule, batch_size);
+            let steps = schedule_to_batches(&weights, &schedule, batch_size);
             let batched = apply_batches(&g, &sp, &steps);
             assert_eq!(
                 sequential.failed_mask().failed_edges().collect::<Vec<_>>(),

@@ -66,7 +66,7 @@ proptest! {
             let before = Splicing::build(&g, &cfg, build_seed);
             let weights: Vec<Vec<f64>> =
                 (0..k).map(|s| before.weights(s).to_vec()).collect();
-            let steps = schedule_to_batches(&g, &weights, &events, 4);
+            let steps = schedule_to_batches(&weights, &events, 4);
             let after = apply_batches(&g, &before, &steps);
             let mask = after.failed_mask().clone();
 
