@@ -11,7 +11,6 @@ use splice_sim::lab::ExperimentRegistry;
 
 pub mod bgp_splicing;
 pub mod capacity_multipath;
-pub mod churn;
 pub mod convergence_window;
 pub mod coverage_ablation;
 pub mod ecmp_baseline;
@@ -19,7 +18,6 @@ pub mod explicit_paths_baseline;
 pub mod fig3_reliability;
 pub mod fig4_end_system_recovery;
 pub mod fig5_network_recovery;
-pub mod forward_storm;
 pub mod header_encoding_ablation;
 pub mod loop_stats;
 pub mod loopfree_ablation;
@@ -66,8 +64,6 @@ pub fn registry() -> ExperimentRegistry {
     reg.register(Box::new(node_failures::NodeFailures));
     reg.register(Box::new(srlg_failures::SrlgFailures));
     reg.register(Box::new(convergence_window::ConvergenceWindow));
-    reg.register(Box::new(churn::Churn));
-    reg.register(Box::new(forward_storm::ForwardStorm));
     reg.register(Box::new(routing_dynamics::RoutingDynamics));
     reg.register(Box::new(ecmp_baseline::EcmpBaseline));
     reg.register(Box::new(explicit_paths_baseline::ExplicitPathsBaseline));
@@ -81,10 +77,7 @@ mod tests {
     #[test]
     fn registry_holds_all_experiments_with_unique_names() {
         let reg = registry();
-        assert_eq!(reg.len(), 28);
-        assert!(reg.find("churn").is_some());
-        assert!(reg.find("forward_storm").is_some());
-        assert!(reg.find("forward").is_some());
+        assert_eq!(reg.len(), 26);
         // Uniqueness is enforced by `register` (it panics on duplicates);
         // here we spot-check lookups by both canonical name and alias.
         assert!(reg.find("fig3_reliability").is_some());

@@ -1,9 +1,11 @@
 //! # splice-bench
 //!
-//! The benchmark harness: the `splice-lab` binary drives every
-//! figure/table of the paper (plus the extensions, ablations, and
+//! The regenerator of the paper's figures and tables: the `splice-lab`
+//! binary drives every one of them (plus the extensions, ablations, and
 //! baselines) through one [`splice_sim::lab`] engine, and Criterion
-//! micro-benchmarks cover the primitives.
+//! micro-benchmarks cover the primitives. Throughput and latency of the
+//! shipped pipeline are measured by the end-to-end benchmark in `e2e/`
+//! (`BENCHMARK.json`), not here.
 //!
 //! | Paper artifact | `splice-lab run …` |
 //! |---|---|
@@ -25,8 +27,6 @@
 //! | ablations | `loopfree_ablation`, `perturbation_ablation`, `header_encoding_ablation` |
 //! | failure-model extensions | `node_failures`, `srlg_failures` |
 //! | baselines | `ecmp_baseline`, `explicit_paths_baseline` |
-//! | batched-repair throughput | `churn` |
-//! | batched-forwarding throughput | `forward_storm` (alias `forward`) |
 //!
 //! Every experiment accepts the shared flags `--trials N`, `--seed N`,
 //! `--topology NAME` (built-ins or generator specs like `rand-24-40-7`),
@@ -38,12 +38,7 @@
 //! `splice-lab run-all` journals per-experiment JSONL shards under
 //! `DIR/shards/` so `splice-lab resume` can skip completed work.
 
-pub mod churn_report;
 pub mod experiments;
-pub mod fib_report;
-pub mod forward_report;
-pub mod repair_report;
-pub mod strategy_report;
 
 pub use experiments::registry;
 

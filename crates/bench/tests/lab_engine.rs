@@ -7,7 +7,7 @@ use splice_bench::registry;
 use splice_sim::lab::{run_all, run_experiment, DeploymentCache, LabArgs};
 use splice_sim::output::series_to_csv;
 use splice_sim::reliability::{reliability_experiment, ReliabilityConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(name);
@@ -15,17 +15,16 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn lab_args(trials: usize, seed: u64, out: &PathBuf) -> LabArgs {
+fn lab_args(trials: usize, seed: u64, out: &Path) -> LabArgs {
     LabArgs {
         trials: Some(trials),
         seed,
         topology: "abilene".into(),
-        out: out.clone(),
+        out: out.to_path_buf(),
         semantics: "union".into(),
         strategy: splice_core::strategy::StrategyKind::PerturbedSpf,
         listen: None,
         linger_secs: 0,
-        batch_size: None,
     }
 }
 

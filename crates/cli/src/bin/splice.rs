@@ -549,17 +549,18 @@ fn cmd_reliability(flags: &Flags) -> Result<(), String> {
 }
 
 /// `splice forward` — drain seeded Zipf bursts through the sharded
-/// batch forwarding engine over this deployment's FIB arena (respecting
+/// batch forwarding workers over this deployment's FIB arena (respecting
 /// `--fail`/`--fail-edge`), then print aggregate throughput, outcome
-/// classes, burst-latency quantiles, and the per-shard outcome
-/// checksums. The first burst is replayed through the scalar walk
-/// packet-for-packet, so every run carries its own batch-vs-scalar
-/// differential check.
+/// classes, and burst-latency quantiles. The workers are the daemon's
+/// (`run_live`) on a hub nobody publishes to, so every burst forwards
+/// over the one primed snapshot. The first burst is replayed through the
+/// scalar walk packet-for-packet, so every run carries its own
+/// batch-vs-scalar differential check.
 fn cmd_forward(flags: &Flags) -> Result<(), String> {
     use splice_dataplane::{
-        outcomes_checksum, run_sharded, scalar_walk, ForwardTelemetry, RotatingSnapshots,
-        WalkOutcome,
+        outcomes_checksum, run_live, scalar_walk, ForwardTelemetry, WalkOutcome,
     };
+    use splice_routing::SnapshotHub;
     use splice_traffic::{FlowConfig, FlowGen};
 
     let topo = resolve_topology(flags)?;
@@ -574,19 +575,21 @@ fn cmd_forward(flags: &Flags) -> Result<(), String> {
     let seed: u64 = flags.get_parsed("seed", 1)?;
     let opts = ForwarderOptions::default();
     let gen = FlowGen::new(FlowConfig::new(g.node_count() as u32, splicing.k(), seed));
-    let source = RotatingSnapshots(vec![std::sync::Arc::clone(splicing.arena())]);
+    let hub = SnapshotHub::new(std::sync::Arc::clone(splicing.arena()));
+    let never_stop = std::sync::atomic::AtomicBool::new(false);
 
     let registry = Registry::new();
     let tel = ForwardTelemetry::register(&registry);
-    let reports = run_sharded(
+    let reports = run_live(
         shards,
         opts,
-        &source,
+        &hub,
         &mask,
         Some(&tel),
+        &never_stop,
         |shard, burst, buf| {
             if burst < bursts {
-                gen.stream(shard as usize * bursts as usize + burst as usize)
+                gen.stream(shard * bursts as usize + burst as usize)
                     .fill_burst(burst_size, buf);
             }
         },
@@ -623,17 +626,16 @@ fn cmd_forward(flags: &Flags) -> Result<(), String> {
         splicing.k(),
         mask.failed_count()
     );
-    println!("  shard   packets     hops  busy_ms  checksum");
+    println!("  shard   packets     hops  busy_ms");
     for r in &reports {
         stats.merge(&r.stats);
         busy += r.busy_seconds;
         println!(
-            "  {:<5} {:>9} {:>8} {:>8.2}  {:016x}",
+            "  {:<5} {:>9} {:>8} {:>8.2}",
             r.shard,
             r.stats.packets,
             r.stats.hops,
-            r.busy_seconds * 1e3,
-            r.checksum
+            r.busy_seconds * 1e3
         );
     }
     let secs = busy.max(1e-12);
@@ -659,10 +661,6 @@ fn cmd_forward(flags: &Flags) -> Result<(), String> {
             "differential spot check FAILED: scalar {scalar_sum:016x} != batch {batch_sum:016x}"
         ));
     }
-    println!(
-        "merged checksum: {:016x}",
-        splice_dataplane::merged_checksum(&reports)
-    );
     Ok(())
 }
 

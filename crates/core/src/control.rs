@@ -478,8 +478,8 @@ impl std::fmt::Debug for ControlPlane {
 /// FNV-1a digest over a deployment's forwarding state: every
 /// `(slice, node, dst)` next hop plus the failed-edge set. Two
 /// deployments with equal checksums forward identically. This is the
-/// canonical acceptance oracle shared by the churn benchmark, the
-/// testkit's daemon differential test, and `spliced`'s exit check.
+/// canonical acceptance oracle shared by the testkit's daemon
+/// differential test and `spliced`'s exit check.
 pub fn fib_checksum(g: &Graph, sp: &Splicing) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -623,11 +623,8 @@ pub fn run_event_loop(
         }
     };
 
-    'outer: loop {
-        let first = match rx.recv() {
-            Ok(env) => env,
-            Err(_) => break, // every handle dropped
-        };
+    // `recv` fails only once every handle is dropped.
+    'outer: while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
         while batch.len() < cp.max_batch {
             match rx.try_recv() {
@@ -722,6 +719,17 @@ mod tests {
         }
         .validate(&g, 2)
         .is_err());
+    }
+
+    /// Every acceptance gate compares `fib_checksum`s for equality; that
+    /// only means something if the digest moves when forwarding does.
+    #[test]
+    fn checksum_tracks_forwarding_state() {
+        let (g, sp) = deployment(2, 7);
+        let a = fib_checksum(&g, &sp);
+        assert_eq!(a, fib_checksum(&g, &sp));
+        let repaired = sp.repair(&g, &RepairEvent::LinkFailure(EdgeId(0)));
+        assert_ne!(a, fib_checksum(&g, &repaired));
     }
 
     #[test]
@@ -958,7 +966,7 @@ mod tests {
         let cp = ControlPlane::new(g.clone(), sp.clone(), 16);
         let (handle, rx) = control_channel();
         let worker = std::thread::spawn(move || run_event_loop(cp, rx, None));
-        assert!(handle.events(std::iter::repeat(shrink.clone()).take(200)));
+        assert!(handle.events(std::iter::repeat_n(shrink.clone(), 200)));
         assert!(handle.events(tail.clone()));
         assert!(handle.shutdown());
         let (cp, report) = worker.join().expect("event loop must not panic");
@@ -976,7 +984,7 @@ mod tests {
 
         // The same schedule without the rejected reweights.
         let mut oracle = ControlPlane::new(g.clone(), sp.clone(), 1);
-        for ev in std::iter::repeat(&shrink).take(accepted).chain(&tail) {
+        for ev in std::iter::repeat_n(&shrink, accepted).chain(&tail) {
             oracle.ingest(ev);
         }
         assert_eq!(cp.current().arena(), oracle.current().arena());

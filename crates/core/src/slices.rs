@@ -1007,17 +1007,27 @@ mod tests {
     #[test]
     fn splicing_beats_single_slice_on_diamond() {
         let g = diamond();
-        // Uniform strength 3 gives slice 1 a decent chance of routing 0->3
-        // via 2; find a seed where the slices differ, then kill slice 0's
-        // path and verify splicing still delivers.
+        // Uniform strength 3 gives each perturbed slice a decent chance of
+        // routing 0->3 via 2. Seed 0 does under rand 0.8's StdRng stream;
+        // scanning forward pins the test to the property (the slices
+        // diverge at node 0) instead of to one stream's draws.
         let cfg = SplicingConfig::uniform(4, 3.0);
-        // Seed chosen so at least one perturbed slice routes 0 -> 3 via 2.
-        let sp = Splicing::build(&g, &cfg, 0);
+        let sp = (0..200)
+            .map(|seed| Splicing::build(&g, &cfg, seed))
+            .find(|sp| {
+                (1..4).any(|s| {
+                    sp.next_hop(s, NodeId(0), NodeId(3)).map(|(n, _)| n) == Some(NodeId(2))
+                })
+            })
+            .expect("no seed in 0..200 routes 0 -> 3 via 2 in a perturbed slice");
         // Fail edge 0 (0-1). Slice 0's next hop from 0 is gone.
         let mask = EdgeMask::from_failed(4, &[EdgeId(0)]);
-        let reach = sp.reachable_to(NodeId(3), 4, &mask);
         assert!(
-            reach[0],
+            !sp.reachable_to(NodeId(3), 1, &mask)[0],
+            "slice 0 alone routes 0 -> 3 over the failed edge"
+        );
+        assert!(
+            sp.reachable_to(NodeId(3), 4, &mask)[0],
             "0 should reach 3 via the 0-2-3 segment in some slice"
         );
     }

@@ -92,7 +92,7 @@ pub fn per_slice_stretch(splicing: &Splicing, g: &Graph, latencies: &[f64]) -> V
             .nodes()
             .map(|s| base.path_from(s).map_or(f64::NAN, |p| p.length(latencies)))
             .collect();
-        for si in 0..splicing.k() {
+        for (si, samples) in per_slice.iter_mut().enumerate() {
             for s in g.nodes() {
                 if s == t {
                     continue;
@@ -121,7 +121,7 @@ pub fn per_slice_stretch(splicing: &Splicing, g: &Graph, latencies: &[f64]) -> V
                     }
                 };
                 if delivered {
-                    per_slice[si].push(len / bl);
+                    samples.push(len / bl);
                 }
             }
         }

@@ -25,11 +25,10 @@
 //!   ([`BatchForwarder`]): parallel per-packet lanes over one FIB
 //!   snapshot, pooled loop-stamp tables, no per-packet allocation.
 //! * [`shard`] — per-core sharded batch workers on crossbeam scoped
-//!   threads: the deterministic batch runner ([`run_sharded`]) fed
-//!   per-`(shard, burst)` and merged deterministically, and the live
-//!   daemon runner ([`run_live`]) whose workers subscribe to a
-//!   [`SnapshotHub`](splice_routing::SnapshotHub) and follow published
-//!   epochs until a stop flag is raised.
+//!   threads ([`run_live`]): fed per-`(shard, burst)`, each worker
+//!   subscribes to a [`SnapshotHub`](splice_routing::SnapshotHub) and
+//!   follows published epochs until its feed runs dry or a stop flag is
+//!   raised.
 //! * [`telemetry`] — the aggregate counter set networks report into
 //!   ([`NetTelemetry`]), batch-forwarding throughput/latency metrics
 //!   ([`ForwardTelemetry`]), and the JSONL serialization of packet
@@ -47,9 +46,7 @@ pub use batch::{BatchForwarder, BatchStats, LaneStamps};
 pub use network::{DeliveryReport, LinkEvent, RouterStats, SimNetwork};
 pub use packet::{Packet, SPLICE_PROTO};
 pub use router::{Router, RouterAction, RouterConfig};
-pub use shard::{
-    merged_checksum, run_live, run_sharded, LiveShardReport, RotatingSnapshots, ShardReport,
-};
+pub use shard::{run_live, LiveShardReport};
 pub use telemetry::{drop_reason_label, report_to_json, ForwardTelemetry, NetTelemetry};
 pub use walk::{
     fold_outcomes_checksum, outcomes_checksum, scalar_walk, PathHasher, WalkClass, WalkOutcome,

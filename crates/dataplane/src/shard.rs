@@ -1,146 +1,28 @@
 //! Per-core sharded batch forwarding on crossbeam scoped threads.
 //!
-//! [`run_sharded`] spawns one worker per shard; each owns a private
-//! [`BatchForwarder`] and loops: pull a burst from the feed, take a FIB
-//! snapshot from the [`RotatingSnapshots`], drain the burst, fold the
-//! outcomes into a per-shard checksum. Workers never share mutable
-//! state — only `Arc` clones of immutable arenas and atomic telemetry —
-//! so the merged result is deterministic in the inputs:
+//! [`run_live`] spawns one worker per shard; each owns a private
+//! [`BatchForwarder`] and a [`SnapshotFeed`](splice_routing::SnapshotFeed)
+//! on the [`SnapshotHub`], and loops: pull a burst from the feed, refresh
+//! the snapshot (latest wins), drain the burst. Workers never share
+//! mutable state — only `Arc` clones of immutable arenas and atomic
+//! telemetry.
 //!
-//! * the feed is indexed by `(shard, burst)`, so each shard's packet
-//!   stream is a pure function of its own indices (the traffic crate's
-//!   per-shard splitmix64 streams), not of scheduling;
-//! * [`RotatingSnapshots`] assigns snapshots by `(shard, burst)` index
-//!   (reproducible, what the bench and oracle use); workers that follow
-//!   whatever a control plane last published are [`run_live`]'s job;
-//! * per-shard reports are returned in shard order, and each shard's
-//!   checksum folds its own outcomes in burst order.
-//!
-//! The concatenated per-shard checksums — and [`merged_checksum`] over
-//! them — are therefore identical run to run and engine to engine, which
-//! is exactly the equality the CI smoke job asserts between this path
-//! and the scalar baseline.
+//! The feed is indexed by `(shard, burst)`, so each shard's packet
+//! stream is a pure function of its own indices (the traffic crate's
+//! per-shard splitmix64 streams), not of scheduling, and reports come
+//! back in shard order. Over a hub nobody publishes to, every burst
+//! lands on the primed epoch and the whole run is deterministic in its
+//! inputs; that is how `splice forward` uses it.
 
 use crate::batch::{BatchForwarder, BatchStats};
 use crate::telemetry::ForwardTelemetry;
-use crate::walk::{fold_outcomes_checksum, outcomes_checksum};
 use splice_core::forwarding::ForwarderOptions;
 use splice_core::header::ForwardingBits;
 use splice_graph::EdgeMask;
-use splice_routing::{SnapshotHub, SpliceFib};
+use splice_routing::SnapshotHub;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Deterministic source: snapshot `(shard + burst) mod len` from a
-/// fixed churn sequence. Every engine given the same sequence maps the
-/// same burst to the same snapshot, making cross-engine checksum
-/// equality meaningful under churn.
-#[derive(Clone, Debug)]
-pub struct RotatingSnapshots(pub Vec<Arc<SpliceFib>>);
-
-impl RotatingSnapshots {
-    /// The snapshot burst `burst` of shard `shard` forwards over.
-    pub fn snapshot(&self, shard: usize, burst: u64) -> Arc<SpliceFib> {
-        Arc::clone(&self.0[(shard as u64 + burst) as usize % self.0.len()])
-    }
-}
-
-/// One shard's merged results.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardReport {
-    /// Which shard.
-    pub shard: usize,
-    /// Outcome-class counters over every packet this shard walked.
-    pub stats: BatchStats,
-    /// FNV-1a over this shard's outcomes, in burst order.
-    pub checksum: u64,
-    /// Bursts drained.
-    pub bursts: u64,
-    /// Time spent inside `forward_burst` across this shard's bursts —
-    /// the shard's forwarding busy time, excluding feed fills, snapshot
-    /// loads, checksum folding, and scheduling gaps.
-    pub busy_seconds: f64,
-}
-
-/// Checksum of checksums, in shard order: one number summarizing an
-/// entire sharded run for cross-engine comparison.
-pub fn merged_checksum(reports: &[ShardReport]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for r in reports {
-        for byte in r.checksum.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Run `shards` batch-forwarder workers to completion.
-///
-/// `feed` fills the worker's reusable burst buffer for `(shard, burst)`;
-/// leaving it empty ends that shard's stream. `mask` is the failure
-/// state for the whole run (churn is expressed through the snapshot
-/// source, which is how the repair path delivers it). `telemetry`, when
-/// given, receives per-burst observations from every worker.
-///
-/// Reports come back in shard order regardless of scheduling.
-pub fn run_sharded<F>(
-    shards: usize,
-    opts: ForwarderOptions,
-    source: &RotatingSnapshots,
-    mask: &EdgeMask,
-    telemetry: Option<&ForwardTelemetry>,
-    feed: F,
-) -> Vec<ShardReport>
-where
-    F: Fn(usize, u64, &mut Vec<(u32, u32, ForwardingBits)>) + Sync,
-{
-    assert!(shards >= 1, "need at least one shard");
-    let feed = &feed;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                scope.spawn(move |_| {
-                    let mut engine = BatchForwarder::new(opts);
-                    let mut buf: Vec<(u32, u32, ForwardingBits)> = Vec::new();
-                    let mut checksum = outcomes_checksum(&[]);
-                    let mut bursts = 0u64;
-                    let mut busy = std::time::Duration::ZERO;
-                    loop {
-                        buf.clear();
-                        feed(shard, bursts, &mut buf);
-                        if buf.is_empty() {
-                            break;
-                        }
-                        let snapshot = source.snapshot(shard, bursts);
-                        let start = Instant::now();
-                        let outcomes = engine.forward_burst(&snapshot, mask, &buf);
-                        let elapsed = start.elapsed();
-                        busy += elapsed;
-                        checksum = fold_outcomes_checksum(checksum, outcomes);
-                        if let Some(tel) = telemetry {
-                            tel.observe_burst(outcomes, elapsed);
-                        }
-                        bursts += 1;
-                    }
-                    ShardReport {
-                        shard,
-                        stats: *engine.stats(),
-                        checksum,
-                        bursts,
-                        busy_seconds: busy.as_secs_f64(),
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    })
-    .expect("crossbeam scope panicked")
-}
 
 /// One live shard's results: outcome counters plus which snapshot
 /// epochs the worker actually forwarded over.
@@ -167,13 +49,11 @@ pub struct LiveShardReport {
 /// Run `shards` batch-forwarder workers **subscribed** to a live
 /// [`SnapshotHub`] until `stop` is raised (or a shard's feed runs dry).
 ///
-/// This is the daemon-shaped dual of [`run_sharded`]: instead of being
-/// handed a fixed snapshot sequence upfront, each worker owns a
-/// [`SnapshotFeed`](splice_routing::SnapshotFeed) and refreshes it at
-/// every burst boundary (latest wins), so a control plane publishing
-/// repairs is picked up within one burst without ever waiting on a
-/// worker. Per-burst atomicity holds as in the batch engine: the arena
-/// `Arc` is pinned for the whole burst.
+/// Each worker owns a [`SnapshotFeed`](splice_routing::SnapshotFeed)
+/// and refreshes it at every burst boundary (latest wins), so a control
+/// plane publishing repairs is picked up within one burst without ever
+/// waiting on a worker. Per-burst atomicity holds as in the batch
+/// engine: the arena `Arc` is pinned for the whole burst.
 ///
 /// `mask` is the forwarding-time failure mask; under the daemon the
 /// published snapshots are already repaired around failures (no route
@@ -256,7 +136,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walk::WalkOutcome;
     use splice_core::slices::{Splicing, SplicingConfig};
     use splice_telemetry::Registry;
 
@@ -289,82 +168,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_run_is_deterministic_and_ordered() {
-        let (g, sp) = setup();
-        let n = g.node_count() as u32;
-        let mask = EdgeMask::all_up(g.edge_count());
-        let source = RotatingSnapshots(vec![Arc::clone(sp.arena())]);
-        let run = || {
-            run_sharded(
-                3,
-                ForwarderOptions::default(),
-                &source,
-                &mask,
-                None,
-                pair_feed(n, sp.k(), 4),
-            )
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.len(), 3);
-        for (i, r) in a.iter().enumerate() {
-            assert_eq!(r.shard, i, "reports in shard order");
-            assert_eq!(r.bursts, 4);
-            assert_eq!(r.stats.packets, 4 * (n as u64) * (n as u64 - 1));
-            assert_eq!(r.checksum, b[i].checksum, "shard {i} deterministic");
-        }
-        assert_eq!(merged_checksum(&a), merged_checksum(&b));
-    }
-
-    /// One shard over a trivial feed must equal a hand-driven
-    /// `BatchForwarder` on the same packets — the runner adds
-    /// orchestration, not semantics.
-    #[test]
-    fn single_shard_equals_direct_engine() {
-        let (g, sp) = setup();
-        let mask = EdgeMask::all_up(g.edge_count());
-        let pkts: Vec<_> = (1..g.node_count() as u32)
-            .map(|d| (0u32, d, ForwardingBits::stay_in_slice(0, sp.k())))
-            .collect();
-        let feed = |_shard: usize, burst: u64, buf: &mut Vec<(u32, u32, ForwardingBits)>| {
-            if burst == 0 {
-                buf.extend_from_slice(&pkts);
-            }
-        };
-        let source = RotatingSnapshots(vec![Arc::clone(sp.arena())]);
-        let reports = run_sharded(1, ForwarderOptions::default(), &source, &mask, None, feed);
-        let mut engine = BatchForwarder::new(ForwarderOptions::default());
-        let direct: Vec<WalkOutcome> = engine.forward_burst(sp.arena(), &mask, &pkts).to_vec();
-        assert_eq!(reports[0].checksum, outcomes_checksum(&direct));
-        assert_eq!(reports[0].stats, *engine.stats());
-    }
-
-    #[test]
-    fn sharded_run_feeds_telemetry() {
-        let (g, sp) = setup();
-        let n = g.node_count() as u32;
-        let mask = EdgeMask::all_up(g.edge_count());
-        let source = RotatingSnapshots(vec![Arc::clone(sp.arena())]);
-        let reg = Registry::new();
-        let tel = ForwardTelemetry::register(&reg);
-        let reports = run_sharded(
-            2,
-            ForwarderOptions::default(),
-            &source,
-            &mask,
-            Some(&tel),
-            pair_feed(n, sp.k(), 2),
-        );
-        let total: u64 = reports.iter().map(|r| r.stats.packets).sum();
-        assert_eq!(total, 2 * 2 * (n as u64) * (n as u64 - 1));
-        assert_eq!(tel.packets.get(), total);
-        assert_eq!(tel.bursts.get(), 4);
-        assert!(tel.burst_seconds.count() == 4);
-    }
-
     /// Subscribed workers over a quiescent hub: the primed epoch is the
-    /// only one seen, and packet accounting matches the feed exactly.
+    /// only one seen, packet accounting matches the feed exactly, and
+    /// each worker's counters equal a hand-driven `BatchForwarder` on the
+    /// same bursts — the runner adds orchestration, not semantics.
     #[test]
     fn live_workers_on_a_quiescent_hub_see_one_epoch() {
         let (g, sp) = setup();
@@ -376,6 +183,7 @@ mod tests {
         hub.publish(Arc::clone(sp.arena()));
         hub.publish(Arc::clone(sp.arena()));
         let stop = AtomicBool::new(false);
+        let feed = pair_feed(n, sp.k(), 3);
         let reports = run_live(
             2,
             ForwarderOptions::default(),
@@ -383,7 +191,7 @@ mod tests {
             &mask,
             None,
             &stop,
-            pair_feed(n, sp.k(), 3),
+            &feed,
         );
         assert_eq!(reports.len(), 2);
         for (i, r) in reports.iter().enumerate() {
@@ -392,6 +200,15 @@ mod tests {
             assert_eq!(r.stats.packets, 3 * (n as u64) * (n as u64 - 1));
             assert_eq!(r.epochs_seen, 1, "no publish while running");
             assert_eq!(r.final_epoch, 2, "primed with the latest epoch");
+            assert!(r.busy_seconds > 0.0, "busy time must be measured");
+            let mut direct = BatchForwarder::new(ForwarderOptions::default());
+            let mut buf = Vec::new();
+            for burst in 0..3 {
+                buf.clear();
+                feed(i, burst, &mut buf);
+                direct.forward_burst(sp.arena(), &mask, &buf);
+            }
+            assert_eq!(r.stats, *direct.stats(), "shard {i} vs direct engine");
         }
     }
 
@@ -434,6 +251,9 @@ mod tests {
         let total: u64 = reports.iter().map(|r| r.stats.packets).sum();
         assert!(total > 0, "workers forwarded before the stop flag");
         assert_eq!(tel.packets.get(), total);
+        let bursts: u64 = reports.iter().map(|r| r.bursts).sum();
+        assert_eq!(tel.bursts.get(), bursts);
+        assert_eq!(tel.burst_seconds.count(), bursts);
         for r in &reports {
             assert!(r.bursts >= 1);
             assert!(r.epochs_seen >= 1 && r.epochs_seen <= 2);

@@ -85,9 +85,9 @@ impl NetTelemetry {
 }
 
 /// Batch-forwarding telemetry: throughput counters plus the latency
-/// histograms behind the `forward_storm` pps / per-hop-ns / tail
-/// numbers. Registered once per experiment; shard workers share the
-/// handles (everything inside is atomic).
+/// histograms behind the pps / per-hop-ns / burst-tail numbers.
+/// Registered once per run; shard workers share the handles
+/// (everything inside is atomic).
 #[derive(Clone, Debug)]
 pub struct ForwardTelemetry {
     /// Packets fully walked by the batch engine.
@@ -152,9 +152,8 @@ impl ForwardTelemetry {
         self.hops.add(stats.hops);
         self.dropped.add(stats.packets - stats.delivered);
         self.burst_seconds.record_duration(elapsed);
-        if stats.hops > 0 {
-            self.hop_seconds
-                .record(elapsed.as_nanos() as u64 / stats.hops);
+        if let Some(per_hop) = (elapsed.as_nanos() as u64).checked_div(stats.hops) {
+            self.hop_seconds.record(per_hop);
         }
     }
 }

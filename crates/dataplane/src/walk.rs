@@ -188,9 +188,9 @@ pub fn fold_outcomes_checksum(mut h: u64, outs: &[WalkOutcome]) -> u64 {
 /// Walk one packet over every plane of the arena, one hop at a time:
 /// splice-core's walk loop with its per-packet costs — a `Trace` whose
 /// step `Vec` grows hop by hop and a fresh `HashSet` for exhausted-state
-/// loop detection. This is the honest one-at-a-time scalar baseline
-/// (BENCH_fib.json's ~0.5 µs/hop path): the batch engine exists to shed
-/// exactly these allocations.
+/// loop detection. This is the one-at-a-time scalar reference the
+/// batch engine is checked against packet for packet; the batch engine
+/// exists to shed exactly these per-packet allocations.
 pub fn scalar_walk(
     fib: &SpliceFib,
     mask: &EdgeMask,

@@ -213,7 +213,7 @@ fn forbidden_dijkstra(
             };
             let nd = d + weights[e.index()] + surcharge;
             let better = nd < dist[u.index()]
-                || (nd == dist[u.index()] && parent[u.index()].map_or(true, |cur| (v, e) < cur));
+                || (nd == dist[u.index()] && parent[u.index()].is_none_or(|cur| (v, e) < cur));
             if better {
                 dist[u.index()] = nd;
                 parent[u.index()] = Some((v, e));

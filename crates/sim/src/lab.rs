@@ -48,10 +48,10 @@ pub const FLIGHT_CAPACITY: usize = 4096;
 
 /// The flags shared by every experiment:
 /// `[--trials N] [--seed N] [--topology NAME] [--out DIR] [--semantics union|directed]
-/// [--strategy NAME] [--batch-size N] [--listen ADDR] [--linger-secs N]`.
+/// [--strategy NAME] [--listen ADDR] [--linger-secs N]`.
 pub const USAGE_FLAGS: &str = "[--trials N] [--seed N] [--topology NAME] [--out DIR] \
      [--semantics union|directed] [--strategy perturbed-spf|tree|lst|arc] \
-     [--batch-size N] [--listen ADDR] [--linger-secs N]";
+     [--listen ADDR] [--linger-secs N]";
 
 /// Why the shared experiment flags failed to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -116,11 +116,6 @@ pub struct LabArgs {
     /// `--strategy` (default perturbed-SPF): the slice-construction
     /// strategy experiments that honor it build their deployments with.
     pub strategy: StrategyKind,
-    /// `--batch-size`, if given (must be ≥ 1): how many repair events the
-    /// experiments that replay churn coalesce per `repair_batch` call.
-    /// `None` lets each driver pick (the churn experiment sweeps a set of
-    /// sizes; a fixed size pins the sweep to that one).
-    pub batch_size: Option<usize>,
     /// `--listen`, if given: serve `/metrics`, `/healthz` and
     /// `/snapshot` on this address for the duration of the run (port
     /// `0` picks an ephemeral port, printed at startup).
@@ -140,7 +135,6 @@ impl Default for LabArgs {
             out: PathBuf::from("results"),
             semantics: "union".into(),
             strategy: StrategyKind::PerturbedSpf,
-            batch_size: None,
             listen: None,
             linger_secs: 0,
         }
@@ -189,17 +183,6 @@ impl LabArgs {
                         reason: "must be perturbed-spf, tree, lst or arc".into(),
                     })?;
                 }
-                "--batch-size" => {
-                    let v = number(value()?)? as usize;
-                    if v == 0 {
-                        return Err(ArgsError::BadValue {
-                            flag,
-                            value: "0".into(),
-                            reason: "batch size must be at least 1".into(),
-                        });
-                    }
-                    args.batch_size = Some(v);
-                }
                 "--listen" => args.listen = Some(value()?.clone()),
                 "--linger-secs" => args.linger_secs = number(value()?)?,
                 "--help" | "-h" => return Err(ArgsError::Help),
@@ -223,7 +206,6 @@ impl LabArgs {
             out: self.out.clone(),
             semantics: self.semantics.clone(),
             strategy: self.strategy,
-            batch_size: self.batch_size,
         }
     }
 }
@@ -244,9 +226,6 @@ pub struct RunConfig {
     pub semantics: String,
     /// Slice-construction strategy for experiments that honor it.
     pub strategy: StrategyKind,
-    /// Fixed repair batch size for churn-replaying experiments (`None`
-    /// lets the driver sweep its own defaults).
-    pub batch_size: Option<usize>,
 }
 
 impl RunConfig {
@@ -569,20 +548,15 @@ impl RunManifest {
                     .finish(),
             );
         }
-        let mut obj = JsonObject::new()
+        JsonObject::new()
             .field_u64("schema_version", SCHEMA_VERSION as u64)
             .field_str("experiment", &self.experiment)
             .field_str("topology", &self.config.topology)
             .field_u64("trials", self.config.trials as u64)
             .field_u64("seed", self.config.seed)
             .field_str("semantics", &self.config.semantics)
-            .field_str("strategy", self.config.strategy.name());
-        // Emitted only when pinned, so manifests of batch-size-agnostic
-        // experiments stay byte-identical to before the flag existed.
-        if let Some(batch) = self.config.batch_size {
-            obj = obj.field_u64("batch_size", batch as u64);
-        }
-        obj.field_raw("phases", &phases.finish())
+            .field_str("strategy", self.config.strategy.name())
+            .field_raw("phases", &phases.finish())
             .field_f64("total_seconds", self.started.elapsed().as_secs_f64())
             .field_raw(
                 "deployment_cache",
@@ -753,20 +727,15 @@ pub fn shard_path(out: &Path, experiment: &str) -> PathBuf {
 /// were produced under. `resume` re-runs any experiment whose recomputed
 /// header no longer matches (different seed, trials, topology, ...).
 pub fn shard_header(experiment: &str, config: &RunConfig) -> String {
-    let mut obj = JsonObject::new()
+    JsonObject::new()
         .field_u64("schema_version", SCHEMA_VERSION as u64)
         .field_str("experiment", experiment)
         .field_str("topology", &config.topology)
         .field_u64("trials", config.trials as u64)
         .field_u64("seed", config.seed)
         .field_str("semantics", &config.semantics)
-        .field_str("strategy", config.strategy.name());
-    // Only when pinned (see RunManifest::render): a pinned batch size
-    // changes what a churn shard holds, so it must invalidate resumes.
-    if let Some(batch) = config.batch_size {
-        obj = obj.field_u64("batch_size", batch as u64);
-    }
-    obj.finish()
+        .field_str("strategy", config.strategy.name())
+        .finish()
 }
 
 fn shard_is_complete(path: &Path, header: &str) -> bool {
@@ -883,8 +852,6 @@ mod tests {
             "directed",
             "--strategy",
             "tree",
-            "--batch-size",
-            "8",
             "--listen",
             "127.0.0.1:0",
             "--linger-secs",
@@ -899,19 +866,8 @@ mod tests {
         assert_eq!(a.configure(1).splice_semantics(), SpliceSemantics::Directed);
         assert_eq!(a.strategy, StrategyKind::RandomSpanningTree);
         assert_eq!(a.configure(1).strategy, StrategyKind::RandomSpanningTree);
-        assert_eq!(a.batch_size, Some(8));
-        assert_eq!(a.configure(1).batch_size, Some(8));
         assert_eq!(a.listen.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(a.linger_secs, 3);
-        // Unset stays None, and the shard header omits the field so old
-        // shards still match.
-        assert_eq!(LabArgs::default().batch_size, None);
-        assert!(!shard_header("dummy", &LabArgs::default().configure(1)).contains("batch_size"));
-        let pinned = LabArgs {
-            batch_size: Some(4),
-            ..LabArgs::default()
-        };
-        assert!(shard_header("dummy", &pinned.configure(1)).contains(r#""batch_size":4"#));
         // Aliases parse; the default is the paper's construction.
         let spf = LabArgs::parse(&argv(&["--strategy", "spf"])).unwrap();
         assert_eq!(spf.strategy, StrategyKind::PerturbedSpf);
@@ -934,10 +890,6 @@ mod tests {
         ));
         assert!(matches!(
             LabArgs::parse(&argv(&["--strategy", "ospf"])),
-            Err(ArgsError::BadValue { .. })
-        ));
-        assert!(matches!(
-            LabArgs::parse(&argv(&["--batch-size", "0"])),
             Err(ArgsError::BadValue { .. })
         ));
         assert!(matches!(

@@ -146,7 +146,7 @@ where
         tel.trials_total.inc();
         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(every) = tel.heartbeat_every {
-            if finished % every == 0 || finished == total {
+            if finished.is_multiple_of(every) || finished == total {
                 let rate = finished as f64 / started.elapsed().as_secs_f64().max(1e-9);
                 eprintln!("[splice-sim] {finished}/{total} trials ({rate:.1}/s)");
             }

@@ -328,9 +328,9 @@ mod tests {
 
     #[test]
     fn quantiles_never_exceed_the_recorded_max() {
-        // The BENCH_spf_repair regression this clamp fixes: a lone
-        // straggler in a sparse tail bucket used to report a p99 above
-        // the worst value ever observed.
+        // Why the clamp exists: interpolating inside a sparse tail
+        // bucket would put a lone straggler's p99 above the worst value
+        // ever observed.
         let h = Histogram::new();
         for _ in 0..99 {
             h.record(10);
@@ -390,8 +390,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
             /// For any sample set, quantiles are monotone in q and never
-            /// exceed the recorded maximum (the clamp invariant behind
-            /// every committed BENCH report's `p99 <= max`).
+            /// exceed the recorded maximum (the clamp invariant: every
+            /// reported `p99 <= max`).
             #[test]
             fn quantiles_monotone_and_bounded_by_max(
                 samples in proptest::collection::vec(0u64..=1u64 << 48, 1..200),

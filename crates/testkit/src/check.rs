@@ -544,10 +544,9 @@ fn check_deployment(
     } else {
         strategy_oracle(g, sc.strategy, sc.build_seed, &weights, shadow_mask)
     };
-    for slice in 0..k {
+    for (slice, &w) in weights.iter().enumerate() {
         for t in g.nodes() {
-            let bf =
-                spf_family.then(|| bellman_ford_masked(g, t, weights[slice], Some(shadow_mask)));
+            let bf = spf_family.then(|| bellman_ford_masked(g, t, w, Some(shadow_mask)));
             for u in g.nodes() {
                 if let Some(bf) = &bf {
                     let (du, bu) = (oracle.dist[slice][t.index()][u.index()], bf[u.index()]);

@@ -21,11 +21,14 @@ use splice_core::header::ForwardingBits;
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId, SpfWorkspace};
 use std::collections::HashSet;
 
+/// A parent pointer: the neighbor one hop closer and the edge to it.
+type NextHop = Option<(NodeId, EdgeId)>;
+
 /// From-scratch shortest-path state for every (slice, destination):
 /// `next[slice][dst][node]` and `dist[slice][dst][node]`.
 pub struct OracleTables {
     /// Parent pointers toward each destination, per slice.
-    pub next: Vec<Vec<Vec<Option<(NodeId, EdgeId)>>>>,
+    pub next: Vec<Vec<Vec<NextHop>>>,
     /// Exact distances toward each destination, per slice.
     pub dist: Vec<Vec<Vec<f64>>>,
 }

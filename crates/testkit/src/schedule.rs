@@ -3,9 +3,9 @@
 //!
 //! The differential harness ([`crate::check::replay`]) applies one
 //! [`EventSpec`] at a time because it checkpoints after every event. The
-//! sustained-churn benchmark wants the opposite: long event streams
-//! coalesced into fixed-size batches so the batched repair path earns its
-//! keep. This module provides both halves:
+//! daemon and forwarding differentials want the opposite: long event
+//! streams coalesced into fixed-size batches, the way the live control
+//! plane repairs. This module provides both halves:
 //!
 //! - [`churn_schedule`] deterministically generates a long mixed event
 //!   stream (mostly failures, some per-slice reweights, occasional
@@ -21,8 +21,8 @@
 //!
 //! Because `repair_batch` is bit-identical to folding its events one at
 //! a time, applying the same schedule at any batch size lands on the
-//! same deployment — the invariant the churn experiment's cross-batch
-//! checksum column asserts in CI.
+//! same deployment — the invariant `daemon_replay` asserts against the
+//! live control plane at several batch caps.
 
 use crate::scenario::EventSpec;
 use splice_core::control::hops_still_count;
