@@ -560,10 +560,16 @@ impl Splicing {
             // handing the borrows back — no copying, no reconciliation.
             let mut planes: Vec<Option<PlaneMut<'_>>> =
                 fib.planes_mut().into_iter().map(Some).collect();
-            let threads = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(dirty.len());
+            // Decided from the strategy first: asking for the core count
+            // reads cgroup files, which alone outweighs a forest plane.
+            let threads = if strategy.repair_fans_out() {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+                    .min(dirty.len())
+            } else {
+                1
+            };
             if threads <= 1 {
                 with_spf_workspace(|ws| {
                     for &slice in &dirty {
@@ -1670,12 +1676,46 @@ mod tests {
             StrategyKind::RandomSpanningTree,
             StrategyKind::LowStretchTree,
         ] {
-            let config = SplicingConfig::degree_based(3, 0.0, 3.0).with_strategy(strategy);
-            let sp = Splicing::build(&g, &config, 17);
-            let events = mixed_batch(&sp);
-            let folded = events.iter().fold(sp.clone(), |acc, ev| acc.repair(&g, ev));
-            let batched = sp.repair_batch(&g, &events);
-            assert_same_deployment(&g, &batched, &folded);
+            for k in [3, 8] {
+                let config = SplicingConfig::degree_based(k, 0.0, 3.0).with_strategy(strategy);
+                let sp = Splicing::build(&g, &config, 17);
+                let events = mixed_batch(&sp);
+                let folded = events.iter().fold(sp.clone(), |acc, ev| acc.repair(&g, ev));
+                let batched = sp.repair_batch(&g, &events);
+                assert_same_deployment(&g, &batched, &folded);
+                // Forest planes are repaired on the calling thread, one
+                // warm scratch for all k. The fan-out they no longer
+                // take — two workers, a cold workspace each, planes dealt
+                // round-robin — must land on the same bytes.
+                let mut fanned = sp.arena().clone_prefix(k);
+                let mut jobs = [Vec::new(), Vec::new()];
+                for (slice, plane) in fanned.planes_mut().into_iter().enumerate() {
+                    jobs[slice % 2].push((slice, plane));
+                }
+                std::thread::scope(|scope| {
+                    for job in jobs {
+                        scope.spawn(|| {
+                            let mut ws = SpfWorkspace::new();
+                            for (slice, mut plane) in job {
+                                strategy.instance().fill_plane(
+                                    &g,
+                                    slice,
+                                    17,
+                                    batched.weights(slice),
+                                    batched.failed_mask(),
+                                    &mut ws,
+                                    &mut plane,
+                                    None,
+                                );
+                            }
+                        });
+                    }
+                });
+                assert!(
+                    batched.arena().slabs() == fanned.slabs(),
+                    "{strategy:?} k={k}"
+                );
+            }
         }
     }
 }

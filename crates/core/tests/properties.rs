@@ -7,11 +7,14 @@ use splice_core::header::{bits_per_hop, CounterHeader, ForwardingBits};
 use splice_core::perturb::{DegreeBased, Perturbation, TheoremA1, Uniform};
 use splice_core::recovery::HeaderStrategy;
 use splice_core::slices::{RepairEvent, Splicing, SplicingConfig};
+use splice_core::strategy::{slice_seed, StrategyKind};
 use splice_graph::graph::from_edges;
-use splice_graph::{EdgeId, EdgeMask, SpfWorkspace};
+use splice_graph::{EdgeId, EdgeMask, Graph, NodeId, SpfWorkspace};
+use splice_routing::SpliceFib;
 // Ring-backbone graphs (always initially connected) from the shared
 // testkit strategy library.
 use splice_testkit::strategies::arb_backbone_graph as arb_graph;
+use splice_testkit::strategies::arb_multigraph_with_mask;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -211,7 +214,6 @@ proptest! {
             0..6,
         ),
     ) {
-        use splice_core::strategy::StrategyKind;
         let strategy = [
             StrategyKind::PerturbedSpf,
             StrategyKind::RandomSpanningTree,
@@ -282,7 +284,6 @@ proptest! {
             1..12,
         ),
     ) {
-        use splice_core::strategy::StrategyKind;
         let strategy = StrategyKind::ALL[strategy_sel];
         let sp = if strategy == StrategyKind::PerturbedSpf {
             // Small integer weights: equal-cost routes everywhere, so the
@@ -384,6 +385,22 @@ proptest! {
         }
     }
 
+    /// The rooted-forest fill kernel against the construction it
+    /// replaced, on multigraphs (parallel links included) under random
+    /// masks — half the links down on average, so several components and
+    /// stranded nodes are the common case — with one more node cut off
+    /// outright.
+    #[test]
+    fn forest_kernel_matches_per_destination_orientation(
+        (g, mut mask) in arb_multigraph_with_mask(),
+        seed in any::<u64>(),
+        stranded in any::<prop::sample::Index>(),
+    ) {
+        let stranded = NodeId(stranded.index(g.node_count()) as u32);
+        g.neighbors(stranded).iter().for_each(|&(_, e)| mask.fail(e));
+        assert_forest_kernel_matches_reference(&g, &mask, seed);
+    }
+
     /// Perturbations are total over any graph the constructor accepts —
     /// including near-degenerate tiny weights — and never produce an
     /// invalid vector from a valid one.
@@ -475,5 +492,209 @@ proptest! {
                 prop_assert!(hops.iter().all(|&h| h as usize == base));
             }
         }
+    }
+}
+
+/// The forest strategies as they were built before the rooted-forest
+/// kernel, kept as its reference: Wilson's walk collecting each step's up
+/// neighbors into a `Vec` and indexing it, the low-stretch SPTs on a
+/// private workspace, and one breadth-first orientation of the tree per
+/// destination, written down that destination's column.
+mod reference {
+    use rand::Rng;
+    use splice_graph::{EdgeId, EdgeMask, Graph, NodeId, SpfWorkspace};
+    use splice_routing::SpliceFib;
+    use std::collections::VecDeque;
+
+    /// Lowest-id node of every connected component of the up subgraph.
+    fn component_roots(g: &Graph, mask: &EdgeMask) -> Vec<NodeId> {
+        let mut seen = vec![false; g.node_count()];
+        let mut roots = Vec::new();
+        let mut queue = VecDeque::new();
+        for s in g.nodes() {
+            if seen[s.index()] {
+                continue;
+            }
+            roots.push(s);
+            seen[s.index()] = true;
+            queue.push_back(s);
+            while let Some(u) = queue.pop_front() {
+                for &(v, e) in g.neighbors(u) {
+                    if mask.is_up(e) && !seen[v.index()] {
+                        seen[v.index()] = true;
+                        queue.push_back(v);
+                    }
+                }
+            }
+        }
+        roots
+    }
+
+    pub fn wilson_edges<R: Rng>(g: &Graph, mask: &EdgeMask, rng: &mut R) -> Vec<EdgeId> {
+        let n = g.node_count();
+        let mut in_tree = vec![false; n];
+        let mut next: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
+        let mut edges = Vec::new();
+        for r in component_roots(g, mask) {
+            in_tree[r.index()] = true;
+        }
+        let mut scratch: Vec<(NodeId, EdgeId)> = Vec::new();
+        for start in g.nodes() {
+            let mut u = start;
+            while !in_tree[u.index()] {
+                scratch.clear();
+                scratch.extend(
+                    g.neighbors(u)
+                        .iter()
+                        .copied()
+                        .filter(|&(_, e)| mask.is_up(e)),
+                );
+                let &(v, e) = &scratch[rng.gen_range(0..scratch.len())];
+                next[u.index()] = Some((v, e));
+                u = v;
+            }
+            let mut u = start;
+            while !in_tree[u.index()] {
+                let (v, e) = next[u.index()].expect("walk recorded an exit");
+                in_tree[u.index()] = true;
+                edges.push(e);
+                u = v;
+            }
+        }
+        edges
+    }
+
+    pub fn low_stretch_edges<R: Rng>(
+        g: &Graph,
+        weights: &[f64],
+        mask: &EdgeMask,
+        rng: &mut R,
+    ) -> Vec<EdgeId> {
+        let n = g.node_count();
+        let root = NodeId(rng.gen_range(0..n as u32));
+        let mut ws = SpfWorkspace::new();
+        let mut edges = Vec::new();
+        let mut covered = vec![false; n];
+        let mut pending = vec![root];
+        let mut next_probe = 0;
+        while let Some(r) = pending.pop() {
+            if covered[r.index()] {
+                continue;
+            }
+            ws.run(g, r, weights, Some(mask));
+            covered[r.index()] = true;
+            for (i, p) in ws.parents().iter().enumerate() {
+                if let Some((_, e)) = p {
+                    covered[i] = true;
+                    edges.push(*e);
+                }
+            }
+            while next_probe < n && covered[next_probe] {
+                next_probe += 1;
+            }
+            if next_probe < n {
+                pending.push(NodeId(next_probe as u32));
+            }
+        }
+        edges
+    }
+
+    /// Orient the tree toward every destination in turn and install each
+    /// parent array as that destination's column of plane `slice`.
+    pub fn fill_columns(g: &Graph, mut edges: Vec<EdgeId>, fib: &mut SpliceFib, slice: usize) {
+        let n = g.node_count();
+        edges.sort_unstable();
+        edges.dedup();
+        let mut adjacency = vec![Vec::new(); n];
+        for &e in &edges {
+            let edge = g.edge(e);
+            adjacency[edge.u.index()].push((edge.v, e));
+            adjacency[edge.v.index()].push((edge.u, e));
+        }
+        for root in g.nodes() {
+            let mut parent = vec![None; n];
+            let mut seen = vec![false; n];
+            seen[root.index()] = true;
+            let mut queue = VecDeque::from([root]);
+            while let Some(u) = queue.pop_front() {
+                for &(v, e) in &adjacency[u.index()] {
+                    if !seen[v.index()] {
+                        seen[v.index()] = true;
+                        parent[v.index()] = Some((u, e));
+                        queue.push_back(v);
+                    }
+                }
+            }
+            fib.patch_column(slice, root, &parent);
+        }
+    }
+}
+
+/// `tree` and `lst` planes from the shipped `fill_slice`, written over a
+/// plane pre-filled with garbage (the `SliceStrategy` contract: "must
+/// tolerate a dirty plane"), equal the [`reference`] construction's on a
+/// clean one, slab for slab.
+fn assert_forest_kernel_matches_reference(g: &Graph, mask: &EdgeMask, seed: u64) {
+    const K: usize = 2;
+    let n = g.node_count();
+    let weights = g.base_weights();
+    let mut ws = SpfWorkspace::new();
+    for kind in [
+        StrategyKind::RandomSpanningTree,
+        StrategyKind::LowStretchTree,
+    ] {
+        let mut want = SpliceFib::empty(K, n);
+        let mut got = SpliceFib::empty(K, n);
+        for slice in 0..K {
+            for u in g.nodes() {
+                for t in g.nodes() {
+                    let junk =
+                        splice_core::hash::splitmix64(seed ^ (u.0 as u64) << 32 ^ t.0 as u64);
+                    got.set(slice, u, t, Some((NodeId(junk as u32 >> 1), EdgeId(t.0))));
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(slice_seed(seed, slice));
+            let edges = match kind {
+                StrategyKind::RandomSpanningTree => reference::wilson_edges(g, mask, &mut rng),
+                _ => reference::low_stretch_edges(g, &weights, mask, &mut rng),
+            };
+            reference::fill_columns(g, edges, &mut want, slice);
+            kind.instance()
+                .fill_slice(g, slice, seed, &weights, mask, &mut ws, &mut got, None);
+        }
+        assert!(
+            got.slabs() == want.slabs(),
+            "{kind:?} seed {seed} diverged from the reference on {g:?} under {mask:?}"
+        );
+    }
+}
+
+/// The shapes the random graphs only probably reach, each pinned: a
+/// single node, two components with parallel links in one, and a node
+/// with every incident link failed.
+#[test]
+fn forest_kernel_matches_reference_on_degenerate_shapes() {
+    let lone = from_edges(1, &[]);
+    let islands = from_edges(
+        7,
+        &[
+            (0, 1, 1.0),
+            (0, 1, 2.0),
+            (1, 2, 1.0),
+            (2, 0, 3.0),
+            (3, 4, 1.0),
+            (4, 5, 1.0),
+            (5, 3, 1.0),
+            (5, 6, 2.0),
+            (6, 4, 1.0),
+        ],
+    );
+    for seed in 0..16 {
+        assert_forest_kernel_matches_reference(&lone, &EdgeMask::all_up(0), seed);
+        assert_forest_kernel_matches_reference(&islands, &EdgeMask::all_up(9), seed);
+        // Node 4 loses all three of its links and becomes a third,
+        // single-node component.
+        let cut = EdgeMask::from_failed(9, &[EdgeId(4), EdgeId(5), EdgeId(8)]);
+        assert_forest_kernel_matches_reference(&islands, &cut, seed);
     }
 }

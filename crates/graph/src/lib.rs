@@ -56,6 +56,6 @@ pub use failover::{arc_disjoint_parents, arc_diverse_parents};
 pub use ids::{EdgeId, NodeId};
 pub use mask::EdgeMask;
 pub use paths::Path;
-pub use spanning::{low_stretch_forest, random_spanning_forest, SpanningForest};
+pub use spanning::{low_stretch_forest, random_spanning_forest, RootedForest};
 pub use spt::Spt;
 pub use unionfind::UnionFind;

@@ -120,6 +120,19 @@ impl PlaneMut<'_> {
         }
     }
 
+    /// `router`'s contiguous per-destination row, raw and writable:
+    /// `(next_hop, out_edge)`, both dst-indexed with [`NO_ROUTE`] holes —
+    /// the write primitive of fills that know a router's whole row at
+    /// once (a rooted tree does), which then store into one `4·n`-byte
+    /// run per slab instead of striding down `n` columns.
+    pub fn row_mut(&mut self, router: NodeId) -> (&mut [u32], &mut [u32]) {
+        let start = self.idx(router.index(), 0);
+        (
+            &mut self.next_hop[start..start + self.n],
+            &mut self.out_edge[start..start + self.n],
+        )
+    }
+
     /// Whether any router's installed out-edge in the `dst` column is
     /// flagged in the edge-indexed `marked` bitmask — the O(n) pre-scan
     /// that lets repairs skip columns an event cannot have touched.
