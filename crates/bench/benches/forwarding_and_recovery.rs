@@ -29,7 +29,7 @@ fn bench_forwarding_walk(c: &mut Criterion) {
     let g = sprint().graph();
     let sp = Splicing::build(&g, &SplicingConfig::degree_based(5, 0.0, 3.0), 42);
     let mask = EdgeMask::all_up(g.edge_count());
-    let fwd = Forwarder::new(&sp, &g, &mask);
+    let fwd = Forwarder::new(&sp, &mask);
     let opts = ForwarderOptions::default();
     c.bench_function("forward_walk_sprint_k5", |b| {
         b.iter(|| {
@@ -48,7 +48,7 @@ fn bench_end_system_recovery(c: &mut Criterion) {
     let sp = Splicing::build(&g, &SplicingConfig::degree_based(5, 0.0, 3.0), 42);
     let (_, edge) = sp.next_hop(0, NodeId(0), NodeId(47)).unwrap();
     let mask = EdgeMask::from_failed(g.edge_count(), &[edge]);
-    let fwd = Forwarder::new(&sp, &g, &mask);
+    let fwd = Forwarder::new(&sp, &mask);
     let opts = ForwarderOptions::default();
     let rec = EndSystemRecovery::default();
     c.bench_function("end_system_recovery_sprint_k5", |b| {
@@ -64,8 +64,7 @@ fn bench_network_recovery(c: &mut Criterion) {
     let mask = EdgeMask::from_failed(g.edge_count(), &[edge]);
     let nr = NetworkRecovery::default();
     c.bench_function("network_recovery_sprint_k5", |b| {
-        let mut rng = StdRng::seed_from_u64(7);
-        b.iter(|| nr.forward(&sp, &mask, NodeId(0), NodeId(47), 0, &mut rng));
+        b.iter(|| nr.forward(&sp, &mask, NodeId(0), NodeId(47), 0));
     });
 }
 

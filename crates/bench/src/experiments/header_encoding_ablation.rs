@@ -58,7 +58,7 @@ impl Experiment for HeaderEncodingAblation {
             let splicing = Splicing::build(&g, &scfg, seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
             let mask = FailureModel::IidLinks { p }.sample(&g, &mut rng);
-            let fwd = Forwarder::new(&splicing, &g, &mask);
+            let fwd = Forwarder::new(&splicing, &mask);
             let es = EndSystemRecovery::default();
             let cr = CounterRecovery::default();
             for t in g.nodes() {

@@ -44,7 +44,6 @@ impl Experiment for SlicingVsMrc {
 
         let n = g.node_count();
         let pairs = (n * (n - 1)) as f64;
-        let mut rng = StdRng::seed_from_u64(ctx.config.seed);
         let nr = NetworkRecovery::default();
 
         let mut rows = Vec::new();
@@ -54,7 +53,7 @@ impl Experiment for SlicingVsMrc {
 
             // Single-failure recovery coverage: fraction of (pair, failed
             // link on the pair's default path) cases deflection delivers.
-            let coverage = |sp: &Splicing, rng: &mut StdRng| -> f64 {
+            let coverage = |sp: &Splicing| -> f64 {
                 let (mut cases, mut ok) = (0usize, 0usize);
                 for e in g.edge_ids() {
                     let mask = EdgeMask::from_failed(g.edge_count(), &[e]);
@@ -80,7 +79,7 @@ impl Experiment for SlicingVsMrc {
                                 continue;
                             }
                             cases += 1;
-                            if nr.forward(sp, &mask, s, t, 0, rng).is_delivered() {
+                            if nr.forward(sp, &mask, s, t, 0).is_delivered() {
                                 ok += 1;
                             }
                         }
@@ -120,7 +119,7 @@ impl Experiment for SlicingVsMrc {
                     } else {
                         "-".to_string()
                     },
-                    format!("{:.1}%", 100.0 * coverage(&sp, &mut rng)),
+                    format!("{:.1}%", 100.0 * coverage(&sp)),
                     format!("{:.4}", reliability(&sp)),
                 ]);
             }

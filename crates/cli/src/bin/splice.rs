@@ -17,7 +17,6 @@
 //!
 //! Run `splice help` for the full flag list.
 
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use splice_cli::{resolve_failures, resolve_node, resolve_topology, Flags};
@@ -25,7 +24,7 @@ use splice_core::prelude::*;
 use splice_core::slices::SplicingConfig;
 use splice_core::strategy::StrategyKind;
 use splice_core::stretch::{per_slice_stretch, StretchStats};
-use splice_dataplane::{NetTelemetry, Packet, RouterConfig, SimNetwork};
+use splice_dataplane::{drop_reason_label, walk_to_json, NetTelemetry, RouterStats};
 use splice_graph::mincut::min_cut_links;
 use splice_graph::{EdgeMask, NodeId};
 use splice_sim::reliability::{
@@ -256,7 +255,7 @@ fn cmd_route(flags: &Flags) -> Result<(), String> {
             splicing.k()
         ));
     }
-    let fwd = Forwarder::new(&splicing, &g, &mask);
+    let fwd = Forwarder::new(&splicing, &mask);
     let out = fwd.forward(
         src,
         dst,
@@ -301,18 +300,20 @@ fn cmd_recover(flags: &Flags) -> Result<(), String> {
     if mask.failed_count() == 0 {
         return Err("recovery needs at least one --fail".into());
     }
-    let seed: u64 = flags.get_parsed("seed", 1)?;
-    let mut rng = StdRng::seed_from_u64(seed);
     let scheme = flags.get("scheme").unwrap_or("end-system");
-    match scheme {
+    // The walk the data-plane lines below report on.
+    let replay = match scheme {
         "end-system" => {
+            let seed: u64 = flags.get_parsed("seed", 1)?;
+            let mut rng = StdRng::seed_from_u64(seed);
             let trials: usize = flags.get_parsed("trials", 5)?;
-            let fwd = Forwarder::new(&splicing, &g, &mask);
+            let fwd = Forwarder::new(&splicing, &mask);
+            let opts = ForwarderOptions::default();
             let rec = EndSystemRecovery {
                 max_trials: trials,
                 ..Default::default()
             };
-            let out = rec.recover(&fwd, src, dst, 0, &ForwarderOptions::default(), &mut rng);
+            let out = rec.recover(&fwd, src, dst, 0, &opts, &mut rng);
             if out.recovered {
                 let trace = out
                     .delivery
@@ -327,51 +328,38 @@ fn cmd_recover(flags: &Flags) -> Result<(), String> {
             } else {
                 println!("not recovered within {trials} trials");
             }
+            // What the routers see before the end system reacts: the
+            // slice-0 packet, no in-network recovery.
+            let slice0 = ForwardingBits::stay_in_slice(0, splicing.k());
+            fwd.forward(src, dst, slice0, &opts)
         }
         "network" => {
-            let nr = NetworkRecovery::default();
-            let out = nr.forward(&splicing, &mask, src, dst, 0, &mut rng);
-            match out {
+            let out = NetworkRecovery::default().forward(&splicing, &mask, src, dst, 0);
+            match &out {
                 ForwardingOutcome::Delivered(trace) => {
                     println!(
                         "delivered with in-network deflection; {} hops, {} slice switch(es)",
                         trace.hop_count(),
                         trace.slice_switches()
                     );
-                    println!("{}", trace_names(&topo, &trace));
+                    println!("{}", trace_names(&topo, trace));
                 }
                 other => println!("not delivered: {other:?}"),
             }
+            out
         }
         other => return Err(format!("unknown --scheme {other:?}")),
-    }
+    };
 
-    // Packet-level replay: run the same failure set through the
-    // wire-format data plane and surface the per-router counters.
     let registry = Registry::new();
-    let mut net = SimNetwork::new(
-        g.clone(),
-        &splicing,
-        topo.latencies(),
-        RouterConfig {
-            splicing_enabled: true,
-            network_recovery: scheme == "network",
-        },
-    );
-    net.set_telemetry(NetTelemetry::register(&registry));
+    NetTelemetry::register(&registry).observe(&replay, 0);
+    let mut stats = vec![RouterStats::default(); g.node_count()];
+    RouterStats::tally(&mut stats, &replay, 0);
+    let latencies = topo.latencies();
     if let Some(path) = flags.get("trace") {
-        net.set_trace_sink(open_trace(path)?);
+        open_trace(path)?.emit(&walk_to_json(&replay, &latencies));
     }
-    for e in mask.failed_edges() {
-        net.fail_link(e);
-    }
-    let report = net.inject(Packet::spliced(
-        src,
-        dst,
-        64,
-        ForwardingBits::stay_in_slice(0, splicing.k()),
-        Bytes::from_static(b"splice-cli"),
-    ));
+    let trace = replay.trace();
     println!(
         "data plane replay ({}): {}",
         if scheme == "network" {
@@ -379,20 +367,16 @@ fn cmd_recover(flags: &Flags) -> Result<(), String> {
         } else {
             "no in-network recovery"
         },
-        match &report.drop {
+        match drop_reason_label(&replay) {
             None => format!(
                 "delivered, {} hop(s), {:.2} ms",
-                report.path.len().saturating_sub(1),
-                report.latency_ms
+                trace.hop_count(),
+                trace.length(&latencies)
             ),
-            Some(reason) => format!(
-                "dropped at {} ({})",
-                topo.node_name(*report.path.last().expect("path has the source")),
-                splice_dataplane::drop_reason_label(reason)
-            ),
+            Some(reason) => format!("dropped at {} ({reason})", topo.node_name(trace.last)),
         }
     );
-    print_router_stats(&topo, net.stats());
+    print_router_stats(&topo, &stats);
     if let Some(path) = flags.get("metrics") {
         write_metrics(path, &registry)?;
     }
@@ -403,7 +387,7 @@ fn cmd_recover(flags: &Flags) -> Result<(), String> {
 }
 
 /// Print the aggregate and noteworthy per-router counters of a walk.
-fn print_router_stats(topo: &Topology, stats: &[splice_dataplane::RouterStats]) {
+fn print_router_stats(topo: &Topology, stats: &[RouterStats]) {
     let forwarded: u64 = stats.iter().map(|s| s.forwarded).sum();
     let delivered: u64 = stats.iter().map(|s| s.delivered).sum();
     let dropped: u64 = stats.iter().map(|s| s.dropped).sum();
@@ -490,53 +474,33 @@ fn cmd_reliability(flags: &Flags) -> Result<(), String> {
     }
 
     if telemetry.is_some() {
-        // Data-plane sampling pass: one spliced walk per ordered pair
+        // Data-plane sampling pass: one deflecting walk per ordered pair
         // under one sampled failure mask per p, so the packet counters in
         // the snapshot reflect the sweep just printed.
         let splicing = Splicing::build(&g, &cfg.splicing, seed);
-        let mut net = SimNetwork::new(
-            g.clone(),
-            &splicing,
-            topo.latencies(),
-            RouterConfig {
-                splicing_enabled: true,
-                network_recovery: true,
-            },
-        );
-        net.set_telemetry(NetTelemetry::register(&registry));
-        if let Some(path) = trace {
-            net.set_trace_sink(open_trace(path)?);
-        }
+        let tel = NetTelemetry::register(&registry);
+        let sink = trace.map(open_trace).transpose()?;
+        let latencies = topo.latencies();
+        let nr = NetworkRecovery::default();
         let mut rng = StdRng::seed_from_u64(seed);
         for &p in &ps {
             let fail_mask: EdgeMask = FailureModel::IidLinks { p }.sample(&g, &mut rng);
-            for e in fail_mask.failed_edges() {
-                net.fail_link(e);
-            }
             for s in g.nodes() {
-                for t in g.nodes() {
-                    if s != t {
-                        net.inject(Packet::spliced(
-                            s,
-                            t,
-                            64,
-                            ForwardingBits::stay_in_slice(0, splicing.k()),
-                            Bytes::from_static(b"sample"),
-                        ));
+                for t in g.nodes().filter(|&t| t != s) {
+                    let out = nr.forward(&splicing, &fail_mask, s, t, 0);
+                    tel.observe(&out, 0);
+                    if let Some(sink) = &sink {
+                        sink.emit(&walk_to_json(&out, &latencies));
                     }
                 }
             }
-            for e in fail_mask.failed_edges() {
-                net.restore_link(e);
-            }
         }
-        let stats = net.stats();
+        let walks = (ps.len() * g.node_count() * (g.node_count() - 1)) as u64;
         println!(
-            "data-plane sample: {} walk(s), forwarded {} | dropped {} | deflections {}",
-            ps.len() * g.node_count() * (g.node_count() - 1),
-            stats.iter().map(|s| s.forwarded).sum::<u64>(),
-            stats.iter().map(|s| s.dropped).sum::<u64>(),
-            stats.iter().map(|s| s.deflections).sum::<u64>(),
+            "data-plane sample: {walks} walk(s), forwarded {} | dropped {} | deflections {}",
+            tel.forwarded.get(),
+            walks - tel.delivered.get(),
+            tel.deflections.get(),
         );
         if let Some(path) = trace {
             println!("wrote {path}");

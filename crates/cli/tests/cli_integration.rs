@@ -158,6 +158,63 @@ fn recover_surfaces_router_stats() {
     assert!(text.contains("router stats: forwarded"), "{text}");
 }
 
+/// Under `--scheme network` the replay line, the router-stats block and
+/// the `--trace` line are all read off the one walk the scheme ran, so
+/// they must agree with the "delivered with in-network deflection" line
+/// above them. Scans seeds like `recover_routes_around_failure`.
+#[test]
+fn recover_network_replay_reports_the_walk_it_ran() {
+    let dir = std::env::temp_dir().join("splice-cli-recover-replay");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("walk.jsonl");
+    let number_after = |text: &str, marker: &str| -> Option<u64> {
+        let rest = &text[text.find(marker)? + marker.len()..];
+        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().ok()
+    };
+    let delivered = (3..64).any(|seed| {
+        let out = splice(&[
+            "recover",
+            "--topology",
+            "abilene",
+            "--src",
+            "Seattle",
+            "--dst",
+            "New York",
+            "--fail",
+            "Seattle-Denver",
+            "--scheme",
+            "network",
+            "--seed",
+            &seed.to_string(),
+            "--k",
+            "5",
+            "--trace",
+            trace.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "seed {seed}: {}", stderr(&out));
+        let text = stdout(&out);
+        let Some(hops) = number_after(&text, "delivered with in-network deflection; ") else {
+            assert!(text.contains("network recovery on): dropped at"), "{text}");
+            return false;
+        };
+        let replay = "data plane replay (network recovery on): delivered, ";
+        assert_eq!(number_after(&text, replay), Some(hops), "{text}");
+        assert_eq!(
+            number_after(&text, "router stats: forwarded "),
+            Some(hops),
+            "{text}"
+        );
+        assert!(text.contains("| delivered 1 | dropped 0 |"), "{text}");
+        let walks = std::fs::read_to_string(&trace).unwrap();
+        assert_eq!(walks.lines().count(), 1, "{walks}");
+        assert!(walks.contains(&format!("\"hops\":{hops},")), "{walks}");
+        true
+    });
+    assert!(delivered, "no seed in 3..64 deflects Seattle -> New York");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn reliability_metrics_snapshot() {
     let dir = std::env::temp_dir().join("splice-cli-metrics");

@@ -10,7 +10,7 @@
 use crate::hash::slice_for_flow;
 use crate::header::ForwardingBits;
 use crate::slices::Splicing;
-use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
+use splice_graph::{EdgeId, EdgeMask, NodeId};
 use splice_routing::SpliceFib;
 use std::collections::HashSet;
 
@@ -122,7 +122,8 @@ impl Trace {
 pub enum ForwardingOutcome {
     /// The packet reached its destination.
     Delivered(Trace),
-    /// The selected slice had no FIB entry at this node.
+    /// The selected slice had no FIB entry at this node — or, for a
+    /// deflecting walk, no slice had a next hop whose link is up.
     DeadEnd(Trace),
     /// The selected slice's next-hop link was failed; without a recovery
     /// scheme the packet is dropped here.
@@ -195,19 +196,32 @@ impl Default for ForwarderOptions {
 /// per hop it maps the slice the packet arrived in to the slice it leaves
 /// in, plus whether the header is now *pinned* — can never change the
 /// slice again. A pinned walk is deterministic in `(node, slice)`, so
-/// revisiting such a state proves a persistent loop. The slice before the
-/// first hop is `Hash(src, dst)`, Algorithm 1's default branch. The hop
-/// budget is checked after moving, so a walk may record `ttl + 1` steps.
-fn walk(
+/// revisiting such a state proves a persistent loop. `start` is the slice
+/// the packet is in before the first hop. The hop budget is checked after
+/// moving, so a walk may record `ttl + 1` steps.
+///
+/// `DEFLECT` is §4.3's network-based recovery, a static function of the
+/// node's local link state: when the chosen slice has no next hop or its
+/// link is down, the router forwards in the lowest-numbered *other* slice
+/// whose next hop is up. A deflecting walk never ends in `LinkDown`; with
+/// no usable slice at all it is a `DeadEnd`. With the identity `choose`,
+/// always pinned, this is all of [`NetworkRecovery::forward`]: the
+/// `(node, slice)` check then runs on the slice the packet arrived in,
+/// before any deflection.
+///
+/// [`NetworkRecovery::forward`]: crate::recovery::NetworkRecovery::forward
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn walk<const DEFLECT: bool>(
     fib: &SpliceFib,
     k: usize,
     mask: &EdgeMask,
     src: NodeId,
     dst: NodeId,
+    start: usize,
     ttl: usize,
     mut choose: impl FnMut(usize) -> (usize, bool),
 ) -> ForwardingOutcome {
-    let mut slice = slice_for_flow(src, dst, k);
+    let mut slice = start;
     let mut steps = Vec::new();
     let mut at = src;
     let mut pinned_states: HashSet<(NodeId, usize)> = HashSet::new();
@@ -224,7 +238,18 @@ fn walk(
         if pinned && !pinned_states.insert((at, slice)) {
             return ForwardingOutcome::PersistentLoop(trace(steps, at));
         }
-        let Some((next, edge)) = fib.lookup(slice, at, dst) else {
+        let mut hop = fib.lookup(slice, at, dst);
+        if DEFLECT && !hop.is_some_and(|(_, e)| mask.is_up(e)) {
+            let usable = |s: usize| fib.lookup(s, at, dst).filter(|&(_, e)| mask.is_up(e));
+            let alternate = (0..k)
+                .filter(|&s| s != slice)
+                .find_map(|s| usable(s).map(|h| (s, h)));
+            match alternate {
+                Some((s, h)) => (slice, hop) = (s, Some(h)),
+                None => hop = None,
+            }
+        }
+        let Some((next, edge)) = hop else {
             return ForwardingOutcome::DeadEnd(trace(steps, at));
         };
         if mask.is_failed(edge) {
@@ -260,7 +285,8 @@ pub fn walk_bits(
     mut header: ForwardingBits,
     opts: &ForwarderOptions,
 ) -> ForwardingOutcome {
-    walk(fib, k, mask, src, dst, opts.ttl, |current| {
+    let start = slice_for_flow(src, dst, k);
+    walk::<false>(fib, k, mask, src, dst, start, opts.ttl, |current| {
         let slice = match (header.read_and_shift(k), opts.exhausted) {
             (Some(s), _) => s,
             (None, ExhaustedPolicy::StayInCurrent) => current,
@@ -270,22 +296,16 @@ pub fn walk_bits(
     })
 }
 
-/// A configured data plane: slices + topology + current failure state.
+/// A configured data plane: slices + current failure state.
 pub struct Forwarder<'a> {
     splicing: &'a Splicing,
-    #[allow(dead_code)]
-    graph: &'a Graph,
     mask: &'a EdgeMask,
 }
 
 impl<'a> Forwarder<'a> {
     /// Bind a data plane to a splicing deployment and a failure state.
-    pub fn new(splicing: &'a Splicing, graph: &'a Graph, mask: &'a EdgeMask) -> Self {
-        Forwarder {
-            splicing,
-            graph,
-            mask,
-        }
+    pub fn new(splicing: &'a Splicing, mask: &'a EdgeMask) -> Self {
+        Forwarder { splicing, mask }
     }
 
     /// Number of slices behind this forwarder.
@@ -323,7 +343,8 @@ impl<'a> Forwarder<'a> {
         opts: &ForwarderOptions,
     ) -> ForwardingOutcome {
         let (fib, k) = (self.splicing.arena(), self.splicing.k());
-        walk(fib, k, self.mask, src, dst, opts.ttl, |current| {
+        let start = slice_for_flow(src, dst, k);
+        walk::<false>(fib, k, self.mask, src, dst, start, opts.ttl, |current| {
             (header.step(current, k), header.counter == 0)
         })
     }
@@ -334,6 +355,7 @@ mod tests {
     use super::*;
     use crate::slices::SplicingConfig;
     use splice_graph::graph::from_edges;
+    use splice_graph::Graph;
     use splice_topology::abilene::abilene;
 
     fn setup() -> (Graph, Splicing) {
@@ -346,7 +368,7 @@ mod tests {
     fn delivers_on_clean_network() {
         let (g, sp) = setup();
         let mask = EdgeMask::all_up(g.edge_count());
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         for s in g.nodes() {
             for t in g.nodes() {
                 if s == t {
@@ -367,7 +389,7 @@ mod tests {
     fn slice0_trace_matches_shortest_path() {
         let (g, sp) = setup();
         let mask = EdgeMask::all_up(g.edge_count());
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let (s, t) = (NodeId(0), NodeId(10));
         let out = fwd.forward(
             s,
@@ -391,7 +413,7 @@ mod tests {
         // Fail the first edge of 0's shortest path to 10 in slice 0.
         let (_, edge) = sp.next_hop(0, NodeId(0), NodeId(10)).unwrap();
         let mask = EdgeMask::from_failed(g.edge_count(), &[edge]);
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let out = fwd.forward(
             NodeId(0),
             NodeId(10),
@@ -412,7 +434,7 @@ mod tests {
     fn header_switches_slices_mid_path() {
         let (g, sp) = setup();
         let mask = EdgeMask::all_up(g.edge_count());
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         // Alternate slices every hop; must still deliver (all links up).
         let hops: Vec<u8> = (0..20).map(|i| (i % sp.k()) as u8).collect();
         let out = fwd.forward(
@@ -428,7 +450,7 @@ mod tests {
     fn ttl_bounds_the_walk() {
         let (g, sp) = setup();
         let mask = EdgeMask::all_up(g.edge_count());
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let out = fwd.forward(
             NodeId(0),
             NodeId(10),
@@ -453,7 +475,7 @@ mod tests {
         // is guaranteed -- assert that instead.
         let (g, sp) = setup();
         let mask = EdgeMask::all_up(g.edge_count());
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let out = fwd.forward(
             NodeId(3),
             NodeId(7),
@@ -467,7 +489,7 @@ mod tests {
     fn empty_header_uses_hash_slice() {
         let (g, sp) = setup();
         let mask = EdgeMask::all_up(g.edge_count());
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let (s, t) = (NodeId(2), NodeId(8));
         let out = fwd.forward(
             s,
@@ -539,7 +561,7 @@ mod tests {
     fn counter_zero_follows_hash_slice() {
         let (g, sp) = setup();
         let mask = EdgeMask::all_up(g.edge_count());
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let (s, t) = (NodeId(1), NodeId(9));
         let out = fwd.forward_counter(
             s,
@@ -558,7 +580,7 @@ mod tests {
     fn counter_deflections_still_deliver_clean() {
         let (g, sp) = setup();
         let mask = EdgeMask::all_up(g.edge_count());
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         for n in [1u32, 2, 3, 5] {
             let out = fwd.forward_counter(
                 NodeId(0),
@@ -574,7 +596,7 @@ mod tests {
     fn counter_changes_the_path() {
         let (g, sp) = setup();
         let mask = EdgeMask::all_up(g.edge_count());
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let base = fwd.forward_counter(
             NodeId(0),
             NodeId(10),
@@ -599,7 +621,7 @@ mod tests {
         let g = from_edges(3, &[(0, 1, 1.0)]); // node 2 isolated
         let sp = Splicing::build(&g, &SplicingConfig::uniform(2, 1.0), 1);
         let mask = EdgeMask::all_up(g.edge_count());
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let out = fwd.forward(
             NodeId(0),
             NodeId(2),
@@ -617,7 +639,6 @@ mod tests {
     fn pinned_walks_on_the_six_node_fixture() {
         use crate::header::CounterHeader;
         use crate::recovery::NetworkRecovery;
-        use rand::{rngs::StdRng, SeedableRng};
         use ForwardingOutcome::{DeadEnd, Delivered, LinkDown, PersistentLoop, TtlExceeded};
 
         // A 5-ring with two chords; node 5 is isolated.
@@ -662,7 +683,7 @@ mod tests {
             ..opts
         };
         let up = EdgeMask::all_up(g.edge_count());
-        let fwd = Forwarder::new(&sp, &g, &up);
+        let fwd = Forwarder::new(&sp, &up);
         let switching = ForwardingBits::from_hops(&[1, 2, 0, 1], 3);
 
         // A header that switches slices at every hop.
@@ -706,7 +727,7 @@ mod tests {
         );
         let e2_down = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2)]);
         assert_eq!(
-            Forwarder::new(&sp, &g, &e2_down).forward(src, dst, switching, &opts),
+            Forwarder::new(&sp, &e2_down).forward(src, dst, switching, &opts),
             LinkDown {
                 trace: trace(3, &[(0, 1, 6), (2, 2, 1), (1, 0, 1)], 2),
                 slice: 1,
@@ -717,19 +738,18 @@ mod tests {
         // slice 0: a mid-path deflection that delivers, a deflection
         // cycle, and a source cut off entirely.
         let nr = NetworkRecovery::default();
-        let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(
-            nr.forward(&sp, &e2_down, src, dst, 0, &mut rng),
+            nr.forward(&sp, &e2_down, src, dst, 0),
             Delivered(trace(3, &[(0, 0, 0), (1, 0, 1), (2, 2, 1), (1, 2, 5)], 3))
         );
         let e2_e5_down = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2), EdgeId(5)]);
         assert_eq!(
-            nr.forward(&sp, &e2_e5_down, src, dst, 0, &mut rng),
+            nr.forward(&sp, &e2_e5_down, src, dst, 0),
             PersistentLoop(trace(3, &[(0, 0, 0), (1, 0, 1), (2, 2, 1), (1, 0, 1)], 2))
         );
         let cut = EdgeMask::from_failed(g.edge_count(), &[EdgeId(0), EdgeId(4), EdgeId(6)]);
         assert_eq!(
-            nr.forward(&sp, &cut, src, dst, 0, &mut rng),
+            nr.forward(&sp, &cut, src, dst, 0),
             DeadEnd(trace(3, &[], 0))
         );
     }

@@ -34,7 +34,7 @@
 //!
 //! // All links up: slice 0 forwards along plain shortest paths.
 //! let mask = EdgeMask::all_up(g.edge_count());
-//! let fwd = Forwarder::new(&splicing, &g, &mask);
+//! let fwd = Forwarder::new(&splicing, &mask);
 //! let out = fwd.forward(
 //!     NodeId(0),
 //!     NodeId(10),

@@ -9,13 +9,17 @@
 //!   trials (§4.3, Figure 4).
 //! * [`NetworkRecovery`] — a router adjacent to the failure deflects the
 //!   packet into an alternate slice whose next hop is still connected
-//!   (§4.3, Figure 5).
+//!   (§4.3, Figure 5). The rule is a static function of the router's
+//!   local link state, so it lives in the walk kernel
+//!   (`forwarding::walk::<DEFLECT>`), not in a hop loop of its own;
+//!   [`NetworkRecovery::forward`] is that kernel with a header that
+//!   never asks for a slice change.
 //!
 //! [`HeaderStrategy`] also provides the alternatives §4.4/§5 sketch:
 //! first-hop-biased flipping, never-revisit-a-slice (provably free of
 //! persistent loops), and bounded slice switches.
 
-use crate::forwarding::{Forwarder, ForwarderOptions, ForwardingOutcome, Trace, TraceStep};
+use crate::forwarding::{walk, Forwarder, ForwarderOptions, ForwardingOutcome, Trace};
 use crate::header::ForwardingBits;
 use crate::slices::Splicing;
 use rand::rngs::StdRng;
@@ -269,34 +273,20 @@ impl CounterRecovery {
     }
 }
 
-/// How network-based recovery picks the alternate slice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SliceSelection {
-    /// Deterministic: the lowest-numbered slice with a live next hop.
-    #[default]
-    FirstAlternate,
-    /// Uniformly random among slices with a live next hop.
-    Random,
-}
-
 /// Network-based recovery (§4.3, Figure 5): "when a router x receives
 /// packets destined to d with next-hop y and discovers that link (x, y)
 /// has failed, it finds in its forwarding table an alternate slice with a
-/// connected next-hop for d (if one exists)".
+/// connected next-hop for d (if one exists)" — here the lowest-numbered
+/// one, a static function of the router's local link state.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkRecovery {
-    /// Alternate-slice choice rule.
-    pub selection: SliceSelection,
     /// Hop budget.
     pub ttl: usize,
 }
 
 impl Default for NetworkRecovery {
     fn default() -> Self {
-        NetworkRecovery {
-            selection: SliceSelection::FirstAlternate,
-            ttl: 64,
-        }
+        NetworkRecovery { ttl: 64 }
     }
 }
 
@@ -304,6 +294,11 @@ impl NetworkRecovery {
     /// Walk a packet from `src` toward `dst`, starting in `initial_slice`,
     /// deflecting at dead links. Returns the forwarding outcome; the paper
     /// counts the pair recoverable iff this delivers.
+    ///
+    /// The packet carries no forwarding bits: every hop stays in the
+    /// slice it arrived in unless the router deflects it, so the walk is
+    /// deterministic and a revisited `(node, arriving slice)` is a
+    /// persistent loop.
     pub fn forward(
         &self,
         splicing: &Splicing,
@@ -311,77 +306,20 @@ impl NetworkRecovery {
         src: NodeId,
         dst: NodeId,
         initial_slice: usize,
-        rng: &mut StdRng,
     ) -> ForwardingOutcome {
         let k = splicing.k();
         assert!(initial_slice < k);
-        let mut slice = initial_slice;
-        let mut at = src;
-        let mut steps = Vec::new();
-        // Deterministic selection ⇒ (node, slice) revisit proves a loop.
-        let mut seen: HashSet<(NodeId, usize)> = HashSet::new();
-
-        while at != dst {
-            if self.selection == SliceSelection::FirstAlternate && !seen.insert((at, slice)) {
-                return ForwardingOutcome::PersistentLoop(Trace {
-                    src,
-                    dst,
-                    steps,
-                    last: at,
-                });
-            }
-            let usable = |s: usize| {
-                splicing
-                    .next_hop(s, at, dst)
-                    .filter(|&(_, e)| mask.is_up(e))
-            };
-            let chosen = match usable(slice) {
-                Some(hop) => Some((slice, hop)),
-                None => {
-                    // Local deflection: find an alternate slice whose next
-                    // hop is still connected.
-                    let mut candidates: Vec<usize> = (0..k)
-                        .filter(|&s| s != slice && usable(s).is_some())
-                        .collect();
-                    match self.selection {
-                        SliceSelection::FirstAlternate => {}
-                        SliceSelection::Random => candidates.shuffle(rng),
-                    }
-                    candidates
-                        .first()
-                        .map(|&s| (s, usable(s).expect("candidate is usable")))
-                }
-            };
-            let Some((new_slice, (next, edge))) = chosen else {
-                return ForwardingOutcome::DeadEnd(Trace {
-                    src,
-                    dst,
-                    steps,
-                    last: at,
-                });
-            };
-            slice = new_slice;
-            steps.push(TraceStep {
-                node: at,
-                slice,
-                edge,
-            });
-            at = next;
-            if steps.len() > self.ttl {
-                return ForwardingOutcome::TtlExceeded(Trace {
-                    src,
-                    dst,
-                    steps,
-                    last: at,
-                });
-            }
-        }
-        ForwardingOutcome::Delivered(Trace {
+        let stay = |arrived_in| (arrived_in, true);
+        walk::<true>(
+            splicing.arena(),
+            k,
+            mask,
             src,
             dst,
-            steps,
-            last: at,
-        })
+            initial_slice,
+            self.ttl,
+            stay,
+        )
     }
 }
 
@@ -566,7 +504,7 @@ mod tests {
         // Break slice 0's first hop for (0 -> 10).
         let (_, edge) = sp.next_hop(0, NodeId(0), NodeId(10)).unwrap();
         let mask = EdgeMask::from_failed(g.edge_count(), &[edge]);
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let rec = EndSystemRecovery::default();
         // Recovery re-draws random headers, so one header stream can
         // spend all five trials on a recoverable failure. Seed 6 recovers
@@ -597,7 +535,7 @@ mod tests {
         let (g, sp) = setup(1);
         let (_, edge) = sp.next_hop(0, NodeId(0), NodeId(10)).unwrap();
         let mask = EdgeMask::from_failed(g.edge_count(), &[edge]);
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let mut rng = StdRng::seed_from_u64(7);
         let rec = EndSystemRecovery::default();
         let out = rec.recover(
@@ -617,25 +555,10 @@ mod tests {
         let (g, sp) = setup(5);
         let (_, edge) = sp.next_hop(0, NodeId(0), NodeId(10)).unwrap();
         let mask = EdgeMask::from_failed(g.edge_count(), &[edge]);
-        let mut rng = StdRng::seed_from_u64(8);
         let nr = NetworkRecovery::default();
-        let out = nr.forward(&sp, &mask, NodeId(0), NodeId(10), 0, &mut rng);
+        let out = nr.forward(&sp, &mask, NodeId(0), NodeId(10), 0);
         assert!(out.is_delivered(), "{out:?}");
         assert!(out.trace().steps.iter().all(|s| s.edge != edge));
-    }
-
-    #[test]
-    fn network_recovery_random_mode_also_delivers() {
-        let (g, sp) = setup(5);
-        let (_, edge) = sp.next_hop(0, NodeId(0), NodeId(10)).unwrap();
-        let mask = EdgeMask::from_failed(g.edge_count(), &[edge]);
-        let mut rng = StdRng::seed_from_u64(9);
-        let nr = NetworkRecovery {
-            selection: SliceSelection::Random,
-            ttl: 64,
-        };
-        let out = nr.forward(&sp, &mask, NodeId(0), NodeId(10), 0, &mut rng);
-        assert!(out.is_delivered(), "{out:?}");
     }
 
     #[test]
@@ -644,8 +567,7 @@ mod tests {
         let (g, sp) = setup(3);
         let incident: Vec<EdgeId> = g.neighbors(NodeId(0)).iter().map(|&(_, e)| e).collect();
         let mask = EdgeMask::from_failed(g.edge_count(), &incident);
-        let mut rng = StdRng::seed_from_u64(10);
-        let out = NetworkRecovery::default().forward(&sp, &mask, NodeId(0), NodeId(5), 0, &mut rng);
+        let out = NetworkRecovery::default().forward(&sp, &mask, NodeId(0), NodeId(5), 0);
         assert!(matches!(out, ForwardingOutcome::DeadEnd(_)), "{out:?}");
     }
 
@@ -653,8 +575,7 @@ mod tests {
     fn network_recovery_clean_path_is_untouched() {
         let (g, sp) = setup(4);
         let mask = EdgeMask::all_up(g.edge_count());
-        let mut rng = StdRng::seed_from_u64(11);
-        let out = NetworkRecovery::default().forward(&sp, &mask, NodeId(1), NodeId(8), 0, &mut rng);
+        let out = NetworkRecovery::default().forward(&sp, &mask, NodeId(1), NodeId(8), 0);
         let ForwardingOutcome::Delivered(trace) = out else {
             panic!()
         };
@@ -672,7 +593,7 @@ mod tests {
         let hash_slice = crate::hash::slice_for_flow(s, t, sp.k());
         let (_, edge) = sp.next_hop(hash_slice, s, t).unwrap();
         let mask = EdgeMask::from_failed(g.edge_count(), &[edge]);
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let out = CounterRecovery::default().recover(&fwd, s, t, &ForwarderOptions::default());
         assert!(out.recovered, "{out:?}");
         let tr = out.delivery.unwrap();
@@ -684,7 +605,7 @@ mod tests {
         let (g, sp) = setup(5);
         let incident: Vec<EdgeId> = g.neighbors(NodeId(0)).iter().map(|&(_, e)| e).collect();
         let mask = EdgeMask::from_failed(g.edge_count(), &incident);
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let out = CounterRecovery { max_trials: 8 }.recover(
             &fwd,
             NodeId(0),
@@ -700,7 +621,7 @@ mod tests {
         let (g, sp) = setup(5);
         let (_, edge) = sp.next_hop(0, NodeId(0), NodeId(10)).unwrap();
         let mask = EdgeMask::from_failed(g.edge_count(), &[edge]);
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let mut rng = StdRng::seed_from_u64(12);
         // Run many recoveries; loops_seen must be consistent (possibly empty,
         // but the field is always well-formed: lengths >= 2).

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use splice_core::header::{bits_per_hop, CounterHeader, ForwardingBits};
 use splice_core::perturb::{DegreeBased, Perturbation, TheoremA1, Uniform};
-use splice_core::recovery::HeaderStrategy;
+use splice_core::recovery::{HeaderStrategy, NetworkRecovery};
 use splice_core::slices::{RepairEvent, Splicing, SplicingConfig};
 use splice_core::strategy::{slice_seed, StrategyKind};
 use splice_graph::graph::from_edges;
@@ -401,6 +401,28 @@ proptest! {
         assert_forest_kernel_matches_reference(&g, &mask, seed);
     }
 
+    /// The kernel's deflecting instantiation against the hand-written
+    /// loop it replaced: every pair, every initial slice, all four
+    /// strategies, on multigraphs built whole and walked under masks that
+    /// take half the links down — dead first hops, deflection ping-pong
+    /// and cut-off nodes are the common case — and under a sparser mask
+    /// where deflected walks run long.
+    #[test]
+    fn deflecting_kernel_matches_the_pre_fold_loop(
+        (g, mask) in arb_multigraph_with_mask(),
+        seed in any::<u64>(),
+        k in 1usize..=4,
+        sparse in proptest::collection::vec(any::<prop::sample::Index>(), 0..=2),
+    ) {
+        assert_deflecting_walk_matches_reference(&g, &mask, seed, k);
+        let failed: Vec<EdgeId> = sparse
+            .iter()
+            .map(|sel| EdgeId(sel.index(g.edge_count()) as u32))
+            .collect();
+        let sparse = EdgeMask::from_failed(g.edge_count(), &failed);
+        assert_deflecting_walk_matches_reference(&g, &sparse, seed, k);
+    }
+
     /// Perturbations are total over any graph the constructor accepts —
     /// including near-degenerate tiny weights — and never produce an
     /// invalid vector from a valid one.
@@ -502,9 +524,72 @@ proptest! {
 /// destination, written down that destination's column.
 mod reference {
     use rand::Rng;
+    use splice_core::forwarding::{ForwardingOutcome, Trace, TraceStep};
+    use splice_core::slices::Splicing;
     use splice_graph::{EdgeId, EdgeMask, Graph, NodeId, SpfWorkspace};
     use splice_routing::SpliceFib;
-    use std::collections::VecDeque;
+    use std::collections::{HashSet, VecDeque};
+
+    /// `NetworkRecovery::forward` as it was before it became an
+    /// instantiation of the walk kernel: its own hop loop, the loop check
+    /// on the incoming slice ahead of the choice, alternates scanned from
+    /// slice 0.
+    pub fn network_recovery_walk(
+        splicing: &Splicing,
+        mask: &EdgeMask,
+        src: NodeId,
+        dst: NodeId,
+        initial_slice: usize,
+        ttl: usize,
+    ) -> ForwardingOutcome {
+        let k = splicing.k();
+        let mut slice = initial_slice;
+        let mut at = src;
+        let mut steps = Vec::new();
+        let mut seen: HashSet<(NodeId, usize)> = HashSet::new();
+        let trace = |steps, last| Trace {
+            src,
+            dst,
+            steps,
+            last,
+        };
+
+        while at != dst {
+            if !seen.insert((at, slice)) {
+                return ForwardingOutcome::PersistentLoop(trace(steps, at));
+            }
+            let usable = |s: usize| {
+                splicing
+                    .next_hop(s, at, dst)
+                    .filter(|&(_, e)| mask.is_up(e))
+            };
+            let chosen = match usable(slice) {
+                Some(hop) => Some((slice, hop)),
+                None => {
+                    let candidates: Vec<usize> = (0..k)
+                        .filter(|&s| s != slice && usable(s).is_some())
+                        .collect();
+                    candidates
+                        .first()
+                        .map(|&s| (s, usable(s).expect("candidate is usable")))
+                }
+            };
+            let Some((new_slice, (next, edge))) = chosen else {
+                return ForwardingOutcome::DeadEnd(trace(steps, at));
+            };
+            slice = new_slice;
+            steps.push(TraceStep {
+                node: at,
+                slice,
+                edge,
+            });
+            at = next;
+            if steps.len() > ttl {
+                return ForwardingOutcome::TtlExceeded(trace(steps, at));
+            }
+        }
+        ForwardingOutcome::Delivered(trace(steps, at))
+    }
 
     /// Lowest-id node of every connected component of the up subgraph.
     fn component_roots(g: &Graph, mask: &EdgeMask) -> Vec<NodeId> {
@@ -669,13 +754,9 @@ fn assert_forest_kernel_matches_reference(g: &Graph, mask: &EdgeMask, seed: u64)
     }
 }
 
-/// The shapes the random graphs only probably reach, each pinned: a
-/// single node, two components with parallel links in one, and a node
-/// with every incident link failed.
-#[test]
-fn forest_kernel_matches_reference_on_degenerate_shapes() {
-    let lone = from_edges(1, &[]);
-    let islands = from_edges(
+/// Two components, parallel links in the first.
+fn islands() -> Graph {
+    from_edges(
         7,
         &[
             (0, 1, 1.0),
@@ -688,7 +769,16 @@ fn forest_kernel_matches_reference_on_degenerate_shapes() {
             (5, 6, 2.0),
             (6, 4, 1.0),
         ],
-    );
+    )
+}
+
+/// The shapes the random graphs only probably reach, each pinned: a
+/// single node, two components with parallel links in one, and a node
+/// with every incident link failed.
+#[test]
+fn forest_kernel_matches_reference_on_degenerate_shapes() {
+    let lone = from_edges(1, &[]);
+    let islands = islands();
     for seed in 0..16 {
         assert_forest_kernel_matches_reference(&lone, &EdgeMask::all_up(0), seed);
         assert_forest_kernel_matches_reference(&islands, &EdgeMask::all_up(9), seed);
@@ -696,5 +786,45 @@ fn forest_kernel_matches_reference_on_degenerate_shapes() {
         // single-node component.
         let cut = EdgeMask::from_failed(9, &[EdgeId(4), EdgeId(5), EdgeId(8)]);
         assert_forest_kernel_matches_reference(&islands, &cut, seed);
+    }
+}
+
+/// The shipped [`NetworkRecovery::forward`] returns the very
+/// `ForwardingOutcome` — variant, every step, `last` — the
+/// [`reference`] loop returns, for every ordered pair and initial slice,
+/// under each strategy's deployment of the whole graph, at a hop budget
+/// of one, of a few, and the default.
+fn assert_deflecting_walk_matches_reference(g: &Graph, mask: &EdgeMask, seed: u64, k: usize) {
+    for kind in StrategyKind::ALL {
+        let cfg = SplicingConfig::degree_based(k, 0.0, 3.0).with_strategy(kind);
+        let sp = Splicing::build(g, &cfg, seed);
+        for ttl in [1, 3, 64] {
+            let nr = NetworkRecovery { ttl };
+            for (s, t) in g.nodes().flat_map(|s| g.nodes().map(move |t| (s, t))) {
+                for slice in 0..k {
+                    assert_eq!(
+                        nr.forward(&sp, mask, s, t, slice),
+                        reference::network_recovery_walk(&sp, mask, s, t, slice, ttl),
+                        "{kind:?} seed {seed} ttl {ttl}: {s:?} -> {t:?} from slice {slice} \
+                         on {g:?} under {mask:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// What the random masks only probably reach, pinned: a stranded node as
+/// source, as destination and mid-path, a second component, and a source
+/// equal to its destination.
+#[test]
+fn deflecting_kernel_matches_reference_around_a_stranded_node() {
+    let islands = islands();
+    // Node 4 loses all three of its links.
+    let cut = EdgeMask::from_failed(9, &[EdgeId(4), EdgeId(5), EdgeId(8)]);
+    for seed in 0..8 {
+        for k in 1..=4 {
+            assert_deflecting_walk_matches_reference(&islands, &cut, seed, k);
+        }
     }
 }

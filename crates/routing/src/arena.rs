@@ -503,15 +503,6 @@ impl SpliceFib {
             .count()
     }
 
-    /// Installed entries in `router`'s row of `slice`.
-    pub fn installed_for_router(&self, slice: usize, router: NodeId) -> usize {
-        let start = self.idx(slice, router.index(), 0);
-        self.next_hop[start..start + self.n]
-            .iter()
-            .filter(|&&v| v != NO_ROUTE)
-            .count()
-    }
-
     /// `router`'s contiguous per-destination rows in `slice`, raw:
     /// `(next_hop, out_edge)`, both dst-indexed with [`NO_ROUTE`] holes.
     pub fn row(&self, slice: usize, router: NodeId) -> (&[u32], &[u32]) {
@@ -714,7 +705,6 @@ mod tests {
         assert_eq!(next(2, 2), None);
         // Connected graph: every router has n-1 entries.
         assert_eq!(arena.installed(1), 4 * 3);
-        assert_eq!(arena.installed_for_router(0, NodeId(0)), 3);
         // Every installed out-edge joins the router to its next hop.
         for u in g.nodes() {
             for t in g.nodes() {
@@ -996,7 +986,6 @@ mod tests {
         arena.set(1, NodeId(0), NodeId(2), Some((NodeId(1), EdgeId(0))));
         assert_eq!(arena.installed(1), 0, "prefix excludes plane 1");
         assert_eq!(arena.installed(2), 1);
-        assert_eq!(arena.installed_for_router(1, NodeId(0)), 1);
         assert_eq!(
             arena.lookup(1, NodeId(0), NodeId(2)),
             Some((NodeId(1), EdgeId(0)))

@@ -60,7 +60,6 @@ pub fn convergence_window_sweep(
     seed: u64,
 ) -> Vec<WindowResult> {
     let splicing = Splicing::build(g, splicing_cfg, seed);
-    let mut rng = rand::SeedableRng::seed_from_u64(seed);
     let nr = NetworkRecovery::default();
 
     g.edge_ids()
@@ -106,7 +105,7 @@ pub fn convergence_window_sweep(
                         continue;
                     }
                     affected += 1;
-                    let out = nr.forward(&splicing, &mask, s, t, 0, &mut rng);
+                    let out = nr.forward(&splicing, &mask, s, t, 0);
                     if out.is_delivered() {
                         rescued += 1;
                     }

@@ -84,7 +84,7 @@ pub fn state_vs_diversity(
             let per_pair: Vec<(usize, usize)> =
                 run_trials_stream(pairs.len(), seed, k as u64, |i, s| {
                     let (src, dst) = pairs[i];
-                    let fwd = Forwarder::new(&prefix, g, &mask);
+                    let fwd = Forwarder::new(&prefix, &mask);
                     let mut rng = StdRng::seed_from_u64(s);
                     let mut distinct: std::collections::HashSet<Vec<u32>> =
                         std::collections::HashSet::new();

@@ -35,7 +35,7 @@ use splice_topology::{Topology, TopologyError};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Version stamped into every manifest and shard header. Bump when the
@@ -263,7 +263,7 @@ pub struct CacheStats {
 /// own [`Perturbation::label`], so two configs collide only when they
 /// build bit-identical slices.
 pub struct DeploymentCache {
-    entries: parking_lot::Mutex<HashMap<(String, String, u64), Arc<Splicing>>>,
+    entries: Mutex<HashMap<(String, String, u64), Arc<Splicing>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -273,6 +273,9 @@ impl Default for DeploymentCache {
         DeploymentCache::new()
     }
 }
+
+/// Lookups and inserts cannot panic, so the lock is never poisoned.
+const CACHE_LOCK: &str = "deployment cache lock poisoned";
 
 fn config_key(cfg: &SplicingConfig) -> String {
     format!(
@@ -288,7 +291,7 @@ impl DeploymentCache {
     /// An empty cache.
     pub fn new() -> DeploymentCache {
         DeploymentCache {
-            entries: parking_lot::Mutex::new(HashMap::new()),
+            entries: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -305,7 +308,7 @@ impl DeploymentCache {
         seed: u64,
     ) -> Arc<Splicing> {
         let key = (topology.to_string(), config_key(cfg), seed);
-        if let Some(hit) = self.entries.lock().get(&key) {
+        if let Some(hit) = self.entries.lock().expect(CACHE_LOCK).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
@@ -315,6 +318,7 @@ impl DeploymentCache {
         let built = Arc::new(Splicing::build(g, cfg, seed));
         self.entries
             .lock()
+            .expect(CACHE_LOCK)
             .entry(key)
             .or_insert_with(|| Arc::clone(&built));
         built

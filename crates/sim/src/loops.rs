@@ -111,7 +111,7 @@ pub fn loop_experiment(g: &Graph, cfg: &LoopConfig) -> Vec<LoopStats> {
                 continue; // single slice: headers cannot switch, no loops
             }
             let prefix = splicing.prefix(k);
-            let fwd = Forwarder::new(&prefix, g, &mask);
+            let fwd = Forwarder::new(&prefix, &mask);
             for t in g.nodes() {
                 for s in g.nodes() {
                     if s == t {

@@ -8,6 +8,7 @@
 //! and table formatting.
 
 use crate::stats::Series;
+use splice_telemetry::{JsonArray, JsonObject};
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -114,10 +115,21 @@ pub fn write_text(path: impl AsRef<Path>, text: &str) -> std::io::Result<()> {
     f.write_all(text.as_bytes())
 }
 
-/// Serialize any `Serialize` value as pretty JSON to a file.
-pub fn write_json<T: serde::Serialize>(path: impl AsRef<Path>, value: &T) -> std::io::Result<()> {
-    let text = serde_json::to_string_pretty(value).expect("serializable");
-    write_text(path, &text)
+/// A series family as JSON, the twin of its CSV:
+/// `[{"label":…,"points":[[x,y],…]},…]`.
+pub fn series_to_json(series: &[Series]) -> String {
+    let mut family = JsonArray::new();
+    for s in series {
+        let mut points = JsonArray::new();
+        for &(x, y) in &s.points {
+            points = points.push_raw(&JsonArray::new().push_f64(x).push_f64(y).finish());
+        }
+        let obj = JsonObject::new()
+            .field_str("label", &s.label)
+            .field_raw("points", &points.finish());
+        family = family.push_raw(&obj.finish());
+    }
+    family.finish()
 }
 
 /// Render a fixed-width terminal table.
@@ -324,7 +336,7 @@ pub fn write_artifact(dir: &Path, artifact: &Artifact) -> Result<Vec<PathBuf>, A
             let mut written = vec![path];
             if *json_twin {
                 let twin = dir.join(format!("{}.json", artifact.base_name()));
-                write_json(&twin, series)?;
+                write_text(&twin, &series_to_json(series))?;
                 written.push(twin);
             }
             Ok(written)
@@ -420,12 +432,20 @@ mod tests {
 
     #[test]
     fn json_write() {
-        let dir = std::env::temp_dir().join("splice-sim-test-json");
-        let path = dir.join("out.json");
-        write_json(&path, &vec![1, 2, 3]).unwrap();
-        let back = std::fs::read_to_string(&path).unwrap();
-        assert!(back.contains('1'));
-        std::fs::remove_dir_all(&dir).ok();
+        let series = vec![
+            Series::new("k = 1", vec![(0.01, 0.1), (0.02, 0.25)]),
+            Series::new("\"best\" possible", vec![(0.01, f64::NAN)]),
+            Series::new("empty", vec![]),
+        ];
+        assert_eq!(
+            series_to_json(&series),
+            concat!(
+                r#"[{"label":"k = 1","points":[[0.01,0.1],[0.02,0.25]]},"#,
+                r#"{"label":"\"best\" possible","points":[[0.01,null]]},"#,
+                r#"{"label":"empty","points":[]}]"#
+            )
+        );
+        assert_eq!(series_to_json(&[]), "[]");
     }
 
     #[test]
@@ -468,8 +488,9 @@ mod tests {
         assert_eq!(written.len(), 2);
         let csv = std::fs::read_to_string(&written[0]).unwrap();
         assert_eq!(csv, series_to_csv(&series).unwrap());
+        assert!(written[1].ends_with("fam.json"));
         let json = std::fs::read_to_string(&written[1]).unwrap();
-        assert!(json.contains("k = 1"));
+        assert_eq!(json, r#"[{"label":"k = 1","points":[[0.01,0.1]]}]"#);
         std::fs::remove_dir_all(&dir).ok();
     }
 

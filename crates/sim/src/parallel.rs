@@ -8,6 +8,7 @@
 
 use crate::telemetry::TrialTelemetry;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 pub use splice_core::hash::splitmix64;
@@ -94,21 +95,20 @@ where
     }
 
     let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<&mut Option<T>>> =
-        results.iter_mut().map(parking_lot::Mutex::new).collect();
-    crossbeam::thread::scope(|scope| {
+    let slots: Vec<Mutex<&mut Option<T>>> = results.iter_mut().map(Mutex::new).collect();
+    // The scope joins every worker and re-raises a worker's panic.
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= trials {
                     break;
                 }
                 let out = job(i, derive_seed(base_seed, stream, i as u64));
-                **slots[i].lock() = Some(out);
+                **slots[i].lock().expect("each slot is locked once") = Some(out);
             });
         }
-    })
-    .expect("worker panicked");
+    });
     drop(slots);
     results
         .into_iter()

@@ -233,7 +233,7 @@ pub fn recovery_experiment_instrumented(
                             continue;
                         }
                         // Default path: slice 0 all the way.
-                        let fwd_full = Forwarder::new(&splicing, g, &mask);
+                        let fwd_full = Forwarder::new(&splicing, &mask);
                         let default_out = fwd_full.forward(
                             s,
                             t,
@@ -254,12 +254,12 @@ pub fn recovery_experiment_instrumented(
                                 Vec<usize>,
                             ) = match cfg.scheme {
                                 RecoveryScheme::EndSystem(rec) => {
-                                    let fwd = Forwarder::new(prefix, g, &mask);
+                                    let fwd = Forwarder::new(prefix, &mask);
                                     let out = rec.recover(&fwd, s, t, 0, &opts, &mut rng);
                                     (out.delivery, out.trials, out.loops_seen)
                                 }
                                 RecoveryScheme::Network(nr) => {
-                                    let out = nr.forward(prefix, &mask, s, t, 0, &mut rng);
+                                    let out = nr.forward(prefix, &mask, s, t, 0);
                                     let loops = out.trace().loop_lengths();
                                     match out {
                                         ForwardingOutcome::Delivered(tr) => (Some(tr), 1, loops),

@@ -40,7 +40,7 @@ pub fn ci95_halfwidth(xs: &[f64]) -> f64 {
 }
 
 /// A labelled (x, y) series — one curve of a figure.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Series {
     /// Legend label ("k = 3 (recovery)").
     pub label: String,

@@ -1,7 +1,7 @@
 //! Structured trace sinks: JSONL event streams for debugging.
 //!
 //! A [`TraceSink`] is a shared, buffered, line-oriented writer. The data
-//! plane serializes each packet walk (a `DeliveryReport`) as one JSON
+//! plane serializes each packet walk (a `ForwardingOutcome`) as one JSON
 //! line, so a failed recovery can be replayed hop by hop with nothing
 //! more than `grep` and `jq`. Emission is best-effort: a full disk must
 //! not take down a simulation, so write errors are counted, not raised.

@@ -659,7 +659,7 @@ fn check_deployment(
 
     // Oracle 3: production data plane vs. the naive walker, over seeded
     // samples of flows and header strategies.
-    let fwd = Forwarder::new(sp, g, shadow_mask);
+    let fwd = Forwarder::new(sp, shadow_mask);
     let fwd_opts = ForwarderOptions {
         ttl: opts.ttl,
         ..Default::default()

@@ -183,7 +183,7 @@ mod tests {
         let mask = EdgeMask::all_up(g.edge_count());
         let weights: Vec<&[f64]> = (0..k).map(|s| sp.weights(s)).collect();
         let oracle = OracleTables::build(&g, &weights, &mask);
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let opts = ForwarderOptions::default();
         for hops in [vec![], vec![1], vec![2, 0, 1], vec![0, 0, 2, 2, 1]] {
             for s in g.nodes() {

@@ -70,7 +70,7 @@ fn main() {
     );
     if let Some((_, edge)) = splicing.next_hop(0, src, dst) {
         let mask = EdgeMask::from_failed(g.edge_count(), &[edge]);
-        let fwd = Forwarder::new(&splicing, &g, &mask);
+        let fwd = Forwarder::new(&splicing, &mask);
         let mut rng = StdRng::seed_from_u64(9);
         let out = EndSystemRecovery::default().recover(
             &fwd,

@@ -1,5 +1,5 @@
-//! Failure storm on the Sprint backbone: packet-level simulation of a
-//! burst of link failures, comparing plain routing, end-system recovery,
+//! Failure storm on the Sprint backbone: every pair's packet walked
+//! through a burst of link failures, comparing plain routing, end-system recovery,
 //! and in-network deflection — the scenario the paper's introduction
 //! motivates ("an Internet that is always on in the face of fiber cuts").
 //!
@@ -7,8 +7,6 @@
 //! cargo run --release --example failure_storm
 //! ```
 
-use bytes::Bytes;
-use path_splicing::dataplane::{Packet, RouterConfig, SimNetwork};
 use path_splicing::sim::failure::FailureModel;
 use path_splicing::splicing::prelude::*;
 use path_splicing::topology::sprint::sprint;
@@ -37,23 +35,10 @@ fn main() {
         g.edge_count()
     );
 
-    // Three deployments of the same network.
-    let plain_cfg = RouterConfig {
-        splicing_enabled: false,
-        network_recovery: false,
-    };
-    let deflect_cfg = RouterConfig {
-        splicing_enabled: true,
-        network_recovery: true,
-    };
-    let mut plain = SimNetwork::new(g.clone(), &splicing, topo.latencies(), plain_cfg);
-    let mut deflecting = SimNetwork::new(g.clone(), &splicing, topo.latencies(), deflect_cfg);
-    for e in mask.failed_edges() {
-        plain.fail_link(e);
-        deflecting.fail_link(e);
-    }
-    let fwd = Forwarder::new(&splicing, &g, &mask);
+    let fwd = Forwarder::new(&splicing, &mask);
+    let opts = ForwarderOptions::default();
     let recovery = EndSystemRecovery::default();
+    let deflecting = NetworkRecovery::default();
 
     let (mut total, mut plain_ok, mut end_ok, mut net_ok) = (0u32, 0u32, 0u32, 0u32);
     let mut end_trials = 0u32;
@@ -63,23 +48,22 @@ fn main() {
                 continue;
             }
             total += 1;
-            // Plain destination-based routing (legacy routers, slice 0).
-            let pkt = Packet::plain(s, t, 64, Bytes::new());
-            if plain.inject(pkt).delivered {
+            // Plain destination-based routing: slice 0 end to end.
+            let plain = fwd.forward(s, t, ForwardingBits::stay_in_slice(0, k), &opts);
+            if plain.is_delivered() {
                 plain_ok += 1;
                 end_ok += 1; // no recovery needed
                 net_ok += 1;
                 continue;
             }
             // End-system recovery: retry with randomized forwarding bits.
-            let out = recovery.recover(&fwd, s, t, 0, &ForwarderOptions::default(), &mut rng);
+            let out = recovery.recover(&fwd, s, t, 0, &opts, &mut rng);
             if out.recovered {
                 end_ok += 1;
                 end_trials += out.trials as u32;
             }
             // Network-based recovery: routers deflect locally.
-            let pkt = Packet::spliced(s, t, 64, ForwardingBits::stay_in_slice(0, k), Bytes::new());
-            if deflecting.inject(pkt).delivered {
+            if deflecting.forward(&splicing, &mask, s, t, 0).is_delivered() {
                 net_ok += 1;
             }
         }

@@ -44,7 +44,7 @@ fn main() {
     // Demonstrate two concrete disjoint spliced paths.
     let k = 8;
     let splicing = Splicing::build(&g, &SplicingConfig::degree_based(k, 0.0, 3.0), 11);
-    let fwd = Forwarder::new(&splicing, &g, &up);
+    let fwd = Forwarder::new(&splicing, &up);
     let mut seen_paths: Vec<Vec<String>> = Vec::new();
     for slice in 0..k {
         let out = fwd.forward(

@@ -34,7 +34,7 @@ fn main() {
     // 3. Forward a packet along the default slice. The header pins the
     //    packet to slice 0 (Algorithm 1 reads 2 bits per hop).
     let mask = EdgeMask::all_up(g.edge_count());
-    let fwd = Forwarder::new(&splicing, &g, &mask);
+    let fwd = Forwarder::new(&splicing, &mask);
     let out = fwd.forward(
         src,
         dst,
@@ -56,7 +56,7 @@ fn main() {
         topo.node_name(g.edge(broken).u),
         topo.node_name(g.edge(broken).v)
     );
-    let fwd = Forwarder::new(&splicing, &g, &mask);
+    let fwd = Forwarder::new(&splicing, &mask);
     let out = fwd.forward(
         src,
         dst,

@@ -23,7 +23,7 @@
 pub use splice_bgp as bgp;
 /// The path-splicing primitive itself (re-export of `splice-core`).
 pub use splice_core as splicing;
-/// Packet-level data plane (re-export of `splice-dataplane`).
+/// Burst-forwarding data plane and walk telemetry (re-export of `splice-dataplane`).
 pub use splice_dataplane as dataplane;
 /// Graph algorithms substrate (re-export of `splice-graph`).
 pub use splice_graph as graph;

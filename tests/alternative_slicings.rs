@@ -29,7 +29,7 @@ fn mrc_slices_work_with_forwarding_bits() {
     for e in g.edge_ids().step_by(5) {
         let slice = isolating_slice(&g, k, e).expect("protected");
         let mask = EdgeMask::from_failed(g.edge_count(), &[e]);
-        let fwd = Forwarder::new(&mrc, &g, &mask);
+        let fwd = Forwarder::new(&mrc, &mask);
         for (s, t) in [(0u32, 12u32), (17, 3), (9, 20)] {
             let out = fwd.forward(
                 NodeId(s),
@@ -120,7 +120,7 @@ fn counter_recovery_over_mrc() {
     let hash_slice = path_splicing::splicing::hash::slice_for_flow(s, t, k);
     let (_, edge) = mrc.next_hop(hash_slice, s, t).unwrap();
     let mask = EdgeMask::from_failed(g.edge_count(), &[edge]);
-    let fwd = Forwarder::new(&mrc, &g, &mask);
+    let fwd = Forwarder::new(&mrc, &mask);
     let out =
         CounterRecovery { max_trials: k + 2 }.recover(&fwd, s, t, &ForwarderOptions::default());
     assert!(out.recovered, "{out:?}");

@@ -1,8 +1,6 @@
 //! End-to-end integration: topology → routing substrate → splicing →
-//! packet data plane, exercised together on the paper's topologies.
+//! forwarding, exercised together on the paper's topologies.
 
-use bytes::Bytes;
-use path_splicing::dataplane::{Packet, RouterConfig, SimNetwork};
 use path_splicing::graph::{EdgeMask, NodeId};
 use path_splicing::routing::MultiTopology;
 use path_splicing::splicing::prelude::*;
@@ -10,7 +8,7 @@ use path_splicing::topology::{geant::geant, sprint::sprint};
 
 /// The full pipeline on Sprint: converge the routing protocol per slice,
 /// check the protocol's tables equal the simulator's fast path, then
-/// deliver wire packets over them.
+/// deliver packets over them.
 #[test]
 fn protocol_and_fast_path_agree_end_to_end() {
     let topo = sprint();
@@ -31,27 +29,17 @@ fn protocol_and_fast_path_agree_end_to_end() {
         );
     }
 
-    // Wire-level delivery across the whole network.
-    let mut net = SimNetwork::new(
-        g.clone(),
-        &splicing,
-        topo.latencies(),
-        RouterConfig::default(),
-    );
+    // Delivery across the whole network.
+    let mask = EdgeMask::all_up(g.edge_count());
+    let fwd = Forwarder::new(&splicing, &mask);
     for (s, t) in [(0u32, 51u32), (17, 3), (40, 22)] {
-        let pkt = Packet::spliced(
+        let out = fwd.forward(
             NodeId(s),
             NodeId(t),
-            64,
             ForwardingBits::stay_in_slice(0, splicing.k()),
-            Bytes::from_static(b"integration"),
+            &ForwarderOptions::default(),
         );
-        let report = net.inject(pkt);
-        assert!(report.delivered, "{s} -> {t} failed: {report:?}");
-        assert_eq!(
-            report.final_packet.unwrap().payload,
-            Bytes::from_static(b"integration")
-        );
+        assert!(out.is_delivered(), "{s} -> {t} failed: {out:?}");
     }
 }
 
@@ -93,7 +81,7 @@ fn splicing_survives_non_cut_failures_on_geant() {
     );
 
     // And an actual recovery walk finds it.
-    let fwd = Forwarder::new(&splicing, &g, &mask);
+    let fwd = Forwarder::new(&splicing, &mask);
     let mut rng = rand::SeedableRng::seed_from_u64(5);
     let out = EndSystemRecovery {
         max_trials: 25,
@@ -133,7 +121,7 @@ fn splicing_never_recovers_across_a_cut() {
         assert!(!union[tacoma.index()]);
     }
 
-    let fwd = Forwarder::new(&splicing, &g, &mask);
+    let fwd = Forwarder::new(&splicing, &mask);
     let mut rng = rand::SeedableRng::seed_from_u64(9);
     let out = EndSystemRecovery::default().recover(
         &fwd,
@@ -167,51 +155,6 @@ fn slice_zero_is_vanilla_shortest_path_routing() {
                     topo.name
                 );
             }
-        }
-    }
-}
-
-/// Wire header and abstract header must stay in lockstep through a
-/// multi-hop journey with slice switches.
-#[test]
-fn wire_and_abstract_headers_agree() {
-    let topo = sprint();
-    let g = topo.graph();
-    let k = 4;
-    let splicing = Splicing::build(&g, &SplicingConfig::degree_based(k, 0.0, 3.0), 15);
-    let mask = EdgeMask::all_up(g.edge_count());
-    let fwd = Forwarder::new(&splicing, &g, &mask);
-    let mut net = SimNetwork::new(
-        g.clone(),
-        &splicing,
-        topo.latencies(),
-        RouterConfig::default(),
-    );
-
-    let hops: Vec<u8> = (0..20).map(|i| ((i * 7) % k) as u8).collect();
-    for (s, t) in [(0u32, 35u32), (12, 44), (50, 2)] {
-        let header = ForwardingBits::from_hops(&hops, k);
-        let abstract_out = fwd.forward(NodeId(s), NodeId(t), header, &ForwarderOptions::default());
-        let pkt = Packet::spliced(
-            NodeId(s),
-            NodeId(t),
-            64,
-            ForwardingBits::from_hops(&hops, k),
-            Bytes::new(),
-        );
-        let wire_out = net.inject(pkt);
-        match abstract_out {
-            ForwardingOutcome::Delivered(tr) => {
-                assert!(wire_out.delivered);
-                let abstract_path: Vec<NodeId> = std::iter::once(NodeId(s))
-                    .chain(tr.steps.iter().skip(1).map(|st| st.node))
-                    .chain(std::iter::once(NodeId(t)))
-                    .collect();
-                assert_eq!(wire_out.path, abstract_path);
-                let abstract_slices: Vec<usize> = tr.steps.iter().map(|st| st.slice).collect();
-                assert_eq!(wire_out.slices, abstract_slices);
-            }
-            other => panic!("abstract forwarding failed on clean net: {other:?}"),
         }
     }
 }

@@ -37,7 +37,7 @@ proptest! {
     fn delivered_traces_are_valid((g, mask, seed) in arb_scenario(), hops in proptest::collection::vec(0u8..4, 1..20)) {
         let k = 4;
         let sp = Splicing::build(&g, &SplicingConfig::degree_based(k, 0.0, 3.0), seed);
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let opts = ForwarderOptions::default();
         let n = g.node_count() as u32;
         for s in 0..n {
@@ -70,7 +70,7 @@ proptest! {
     fn recovery_success_is_honest((g, mask, seed) in arb_scenario()) {
         let k = 3;
         let sp = Splicing::build(&g, &SplicingConfig::uniform(k, 2.0), seed);
-        let fwd = Forwarder::new(&sp, &g, &mask);
+        let fwd = Forwarder::new(&sp, &mask);
         let mut rng = rand::SeedableRng::seed_from_u64(seed);
         let rec = EndSystemRecovery { max_trials: 3, ..Default::default() };
         let n = g.node_count() as u32;
