@@ -19,7 +19,7 @@ use crate::strategy::with_spf_workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use splice_graph::{EdgeMask, Graph};
-use splice_routing::arena::{SpliceFib, NO_ROUTE};
+use splice_routing::arena::SpliceFib;
 
 /// Configuration for coverage-aware construction.
 #[derive(Clone, Debug, PartialEq)]
@@ -63,11 +63,8 @@ pub fn build_coverage_aware(g: &Graph, cfg: &CoverageConfig, seed: u64) -> Splic
         with_spf_workspace(|ws| fib.fill_slice(g, &weights, id, ws));
         // Record which physical edges this slice's trees cover.
         let mut covered = vec![false; m];
-        for u in g.nodes() {
-            let (_, out_edges) = fib.row(id, u);
-            for &e in out_edges.iter().filter(|&&e| e != NO_ROUTE) {
-                covered[e as usize] = true;
-            }
+        for e in fib.plane(id).used_edges() {
+            covered[e.index()] = true;
         }
         for (i, c) in covered.iter().enumerate() {
             if *c {

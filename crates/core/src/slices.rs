@@ -813,17 +813,10 @@ impl Splicing {
     /// §4.2's union formulation, as an edge indicator.
     pub fn union_edges(&self, k_prefix: usize) -> Vec<bool> {
         assert!(k_prefix >= 1 && k_prefix <= self.k());
-        let m = self.weights[0].len();
-        let n = self.fib.n();
-        let mut used = vec![false; m];
+        let mut used = vec![false; self.weights[0].len()];
         for slice in 0..k_prefix {
-            for u in 0..n {
-                let (_, out_edges) = self.fib.row(slice, NodeId(u as u32));
-                for &e in out_edges {
-                    if e != splice_routing::NO_ROUTE {
-                        used[e as usize] = true;
-                    }
-                }
+            for e in self.fib.plane(slice).used_edges() {
+                used[e.index()] = true;
             }
         }
         used

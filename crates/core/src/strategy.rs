@@ -30,13 +30,13 @@
 //!
 //! `tree` and `lst` share one fill: the generator writes its edge set
 //! into this thread's [`RootedForest`], which roots every component with
-//! one DFS — parent arc, pre-order, and the pre-order interval of every
-//! subtree — and the plane is then written a router's row at a time.
-//! Tree paths are unique, so the row of `u` is its parent arc everywhere
-//! in its component except over the intervals of its children, which get
-//! the child's arc: O(n²) stores into contiguous rows and no traversal
-//! per destination, where orienting the tree toward each destination in
-//! turn cost n searches and n² stores a cache line apart. After a
+//! one DFS — parent arc and pre-order — and the plane is then written a
+//! destination's column at a time by re-rooting
+//! ([`PlaneMut::fill_tree_columns`]). Tree paths are unique, so the
+//! column toward a component's root is the parent arcs themselves, and
+//! the column toward any other node is its parent's column with the one
+//! arc between them turned round: n block copies of a contiguous column
+//! and 2·n stores per slab, no traversal per destination. After a
 //! thread's first fill nothing allocates. Such a plane costs less than
 //! the thread spawn that would hand it to a worker, so forest strategies
 //! answer `false` to [`SliceStrategy::repair_fans_out`] and are repaired
@@ -48,10 +48,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use splice_graph::dijkstra::SpfWorkspace;
 use splice_graph::{
-    arc_diverse_parents, low_stretch_forest, random_spanning_forest, EdgeMask, Graph, NodeId,
-    RootedForest,
+    arc_diverse_parents, low_stretch_forest, random_spanning_forest, EdgeMask, Graph, RootedForest,
 };
-use splice_routing::arena::{PlaneMut, SpliceFib, NO_ROUTE};
+use splice_routing::arena::{PlaneMut, SpliceFib};
 use splice_routing::spf::{spf_fill_plane, spf_refill_plane, FlightEvent, SpfTelemetry};
 use std::cell::RefCell;
 use std::time::Instant;
@@ -291,40 +290,17 @@ impl SliceStrategy for PerturbedSpf {
     }
 }
 
-/// Write every row of `plane` from a rooted forest — the shared tree *is*
-/// the slice. Tree paths are unique, so router `u` reaches the
-/// destinations below its child `c` over `c`'s arc, every other
-/// destination of its component over its parent arc, and nothing else:
-/// each row is three passes of stores into one contiguous `4·n`-byte run
-/// per slab, with no per-destination traversal, and a dirty plane is
-/// overwritten whole.
-fn write_forest_rows(forest: &RootedForest, plane: &mut PlaneMut<'_>) {
+/// Write every column of `plane` from a rooted forest — the shared tree
+/// *is* the slice — one component's tree at a time. Every node is in
+/// exactly one tree, so a dirty plane is overwritten whole.
+fn write_forest_columns(forest: &RootedForest, plane: &mut PlaneMut<'_>) {
     assert_eq!(
         plane.n(),
         forest.node_count(),
         "plane built for a different graph"
     );
-    for u in 0..plane.n() {
-        let (next_hop, out_edge) = plane.row_mut(NodeId(u as u32));
-        next_hop.fill(NO_ROUTE);
-        out_edge.fill(NO_ROUTE);
-        let mut route = |destinations: &[u32], (hop, edge): (u32, u32)| {
-            for &d in destinations {
-                next_hop[d as usize] = hop;
-                out_edge[d as usize] = edge;
-            }
-        };
-        let up = forest.parent(u);
-        if let Some(arc) = up {
-            route(forest.component(u), arc);
-        }
-        for &(child, edge) in forest.neighbors(u) {
-            if up.is_none_or(|(_, up_edge)| up_edge != edge) {
-                route(forest.subtree(child as usize), (child, edge));
-            }
-        }
-        next_hop[u] = NO_ROUTE;
-        out_edge[u] = NO_ROUTE;
+    for root in (0..plane.n()).filter(|&u| forest.parent(u).is_none()) {
+        plane.fill_tree_columns(forest.subtree(root), |u| forest.parent(u as usize));
     }
 }
 
@@ -344,7 +320,7 @@ fn fill_plane_from_forest(
     FOREST.with(|forest| {
         let forest = &mut forest.borrow_mut();
         grow(&mut rng, forest);
-        write_forest_rows(forest, plane);
+        write_forest_columns(forest, plane);
     });
     record_fill(telemetry, name, slice, t0);
 }

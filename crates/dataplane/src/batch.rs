@@ -1,17 +1,14 @@
 //! The struct-of-arrays packet-burst engine.
 //!
 //! [`BatchForwarder`] drains a whole burst of in-flight packets over
-//! one `SpliceFib` snapshot. Per-packet state lives in parallel `Vec`
-//! lanes (home slice, cursor, slice, hop count, outcome) — the
-//! struct-of-arrays layout keeps the burst's working set to a few
-//! contiguous `u32` columns instead of a heap object per packet, while
-//! the immutable inputs (src, dst, header bits) are read straight out
-//! of the caller's burst slice rather than copied. A setup pass fills
-//! the home-slice column; the drain pass then walks each lane to
-//! completion with the lane's cursor state hoisted into locals,
-//! touching the columns only at the endpoints (load on entry, store on
-//! retire) so the per-hop loop is register arithmetic plus the two
-//! slab reads.
+//! one `SpliceFib` snapshot. Per-packet state lives in two parallel
+//! `Vec` lanes (home slice in, outcome out) — a few contiguous columns
+//! instead of a heap object per packet — while the immutable inputs
+//! (src, dst, header bits) are read straight out of the caller's burst
+//! slice rather than copied. A setup pass fills the home-slice column;
+//! the drain pass then walks each lane to completion with the lane's
+//! cursor (node, slice, hop count) in locals, so the per-hop loop is
+//! register arithmetic plus the two slab reads.
 //!
 //! What the scalar walk pays per packet, this engine pays once per
 //! forwarder:
@@ -27,10 +24,13 @@
 //!   `n × n` table built once per `(n, k)` (same values, byte-for-byte,
 //!   as [`slice_for_flow`]), so the setup pass does one table load per
 //!   packet where the scalar walk re-runs the FNV fold;
-//! * no per-hop slice-plane multiply — each lane precomputes its plane
-//!   base `slice·n² + dst` and re-derives it only on a slice switch, so
-//!   the steady-state lookup is one multiply-add into the shared slabs,
-//!   with `NO_ROUTE` (`u32::MAX`) rejected straight off the raw word.
+//! * no per-hop index arithmetic and no new cache line per hop — the
+//!   arena is destination-major, so each lane precomputes where its
+//!   `(slice, dst)` column starts, re-derives it only on a slice
+//!   switch, and every hop it takes in that slice is `start + node`: one
+//!   add, into one contiguous `4·n`-byte run per slab that the walk (and
+//!   every other packet toward that destination) keeps hot, with
+//!   `NO_ROUTE` (`u32::MAX`) rejected straight off the raw word.
 //!
 //! Semantics are exactly `Forwarder::forward`'s (the differential
 //! oracle in `splice-testkit` holds all engines to that): initial slice
@@ -166,12 +166,9 @@ impl BatchStats {
 pub struct BatchForwarder {
     opts: ForwarderOptions,
     // Per-lane columns, indexed by position in the input burst.
-    at: Vec<u32>,
-    slice: Vec<u32>,
     /// `Hash(src, dst)` — the initial slice, and the slice HashFallback
     /// re-selects on exhaustion.
     home_slice: Vec<u32>,
-    hops: Vec<u32>,
     outcome: Vec<WalkOutcome>,
     /// One pooled loop-stamp table, re-armed (O(1)) per lane.
     stamps: LaneStamps,
@@ -193,10 +190,7 @@ impl BatchForwarder {
     pub fn new(opts: ForwarderOptions) -> BatchForwarder {
         BatchForwarder {
             opts,
-            at: Vec::new(),
-            slice: Vec::new(),
             home_slice: Vec::new(),
-            hops: Vec::new(),
             outcome: Vec::new(),
             stamps: LaneStamps::new(),
             slice_table: Vec::new(),
@@ -229,9 +223,7 @@ impl BatchForwarder {
 
         self.reset_lanes(len);
         // Columnar setup: the home-slice column, one memoized table load
-        // per packet (or the FNV fold itself past the table cutoff). The
-        // cursor columns are sized here and stored once per lane when it
-        // retires — the walk itself runs on locals.
+        // per packet (or the FNV fold itself past the table cutoff).
         self.ensure_slice_table(n, k);
         if self.slice_table.is_empty() {
             self.home_slice.extend(
@@ -245,9 +237,6 @@ impl BatchForwarder {
                     .map(|&(s, d, _)| table[s as usize * n + d as usize] as u32),
             );
         }
-        self.at.resize(len, 0);
-        self.slice.resize(len, 0);
-        self.hops.resize(len, 0);
 
         // Drain: the clean-mask case (no failed edges — the common case
         // for a converged FIB snapshot, whose slices already route
@@ -303,7 +292,8 @@ impl BatchForwarder {
     ) {
         let k = fib.k();
         let n = fib.n();
-        let nn = n * n;
+        // A hop from node `at` reads `column + at` in both slabs.
+        let column_base = |slice: u32, dst: u32| fib.column_start(slice as usize, dst as usize);
         let (next_hop, out_edge) = fib.slabs();
         let ttl = self.opts.ttl;
         let hash_fallback = matches!(self.opts.exhausted, ExhaustedPolicy::HashFallback);
@@ -311,14 +301,14 @@ impl BatchForwarder {
 
         for (lane, &(src, dst, header)) in pkts.iter().enumerate() {
             // Hide the next lane's first FIB miss behind this lane's
-            // walk: its first lookup index is computable from setup
-            // state alone, and under snapshot rotation that line is
-            // usually cold.
+            // walk: its first lookup — its source's entry in the
+            // `(home, dst)` column — is computable from setup state
+            // alone, and under snapshot rotation that line is usually
+            // cold.
             #[cfg(target_arch = "x86_64")]
             if lane + 1 < pkts.len() {
                 let (nsrc, ndst, _) = pkts[lane + 1];
-                let nidx =
-                    self.home_slice[lane + 1] as usize * nn + ndst as usize + nsrc as usize * n;
+                let nidx = column_base(self.home_slice[lane + 1], ndst) + nsrc as usize;
                 // SAFETY: the index is in bounds by construction
                 // (home < k, dst < n, src < n), and prefetching reads
                 // nothing architecturally.
@@ -331,7 +321,7 @@ impl BatchForwarder {
             let home = self.home_slice[lane];
             let mut at = src;
             let mut slice = home;
-            let mut plane_base = home as usize * nn + dst as usize;
+            let mut column = column_base(home, dst);
             let mut bits = header;
             let mut digest = PathHasher::new();
             let mut hops = 0u32;
@@ -356,13 +346,13 @@ impl BatchForwarder {
                     let s = s as u32;
                     if s != slice {
                         slice = s;
-                        plane_base = s as usize * nn + dst as usize;
+                        column = column_base(s, dst);
                     }
                     if bits.is_exhausted() && stamps.seen_or_mark(at as usize * k + slice as usize)
                     {
                         break 'walk (WalkClass::PersistentLoop, NO_SLICE);
                     }
-                    let idx = plane_base + at as usize * n;
+                    let idx = column + at as usize;
                     let nh = next_hop[idx];
                     if nh == NO_ROUTE {
                         break 'walk (WalkClass::DeadEnd, NO_SLICE);
@@ -388,32 +378,16 @@ impl BatchForwarder {
                 // every exhausted hop, to the same effect.
                 if hash_fallback && slice != home {
                     slice = home;
-                    plane_base = home as usize * nn + dst as usize;
+                    column = column_base(home, dst);
                 }
                 loop {
                     if stamps.seen_or_mark(at as usize * k + slice as usize) {
                         break 'walk (WalkClass::PersistentLoop, NO_SLICE);
                     }
-                    let idx = plane_base + at as usize * n;
+                    let idx = column + at as usize;
                     let nh = next_hop[idx];
                     if nh == NO_ROUTE {
                         break 'walk (WalkClass::DeadEnd, NO_SLICE);
-                    }
-                    // The slice is pinned here, so the next iteration's
-                    // index is known the moment `nh` lands — start its
-                    // (likely cold, under snapshot rotation) lines while
-                    // the digest and checks below run.
-                    #[cfg(target_arch = "x86_64")]
-                    {
-                        let nidx = plane_base + nh as usize * n;
-                        // SAFETY: in bounds by construction (nh < n when
-                        // it is not NO_ROUTE); prefetching reads nothing
-                        // architecturally.
-                        unsafe {
-                            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                            _mm_prefetch(next_hop.as_ptr().add(nidx) as *const i8, _MM_HINT_T0);
-                            _mm_prefetch(out_edge.as_ptr().add(nidx) as *const i8, _MM_HINT_T0);
-                        }
                     }
                     let edge = out_edge[idx];
                     if CHECK_MASK && mask.is_failed(splice_graph::EdgeId(edge)) {
@@ -431,9 +405,6 @@ impl BatchForwarder {
                 }
             };
 
-            self.at[lane] = at;
-            self.slice[lane] = slice;
-            self.hops[lane] = hops;
             let out = WalkOutcome {
                 class,
                 hops,
@@ -452,10 +423,7 @@ impl BatchForwarder {
     /// `LaneStamps` pool itself (the stamp table survives across lanes
     /// and bursts; `begin` re-arms it per use).
     fn reset_lanes(&mut self, len: usize) {
-        self.at.clear();
-        self.slice.clear();
         self.home_slice.clear();
-        self.hops.clear();
         self.outcome.clear();
         self.home_slice.reserve(len);
         self.outcome.reserve(len);

@@ -216,10 +216,9 @@ impl ForwardTelemetry {
     /// engine took to drain it.
     pub fn observe_burst(&self, outcomes: &[WalkOutcome], elapsed: Duration) {
         let mut stats = BatchStats::default();
-        for out in outcomes {
-            stats.record(out);
-            self.walk_hops.record(out.hops as u64);
-        }
+        outcomes.iter().for_each(|out| stats.record(out));
+        self.walk_hops
+            .record_all(outcomes.iter().map(|out| out.hops as u64));
         self.bursts.inc();
         self.packets.add(stats.packets);
         self.hops.add(stats.hops);

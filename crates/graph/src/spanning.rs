@@ -346,8 +346,8 @@ mod tests {
         forest
     }
 
-    /// `u`'s next hop toward `t`, read off the rooted arrays the way the
-    /// plane fill does.
+    /// `u`'s next hop toward `t`, read off the rooted arrays: the child
+    /// whose subtree holds `t`, else the parent.
     fn next_hop(f: &RootedForest, u: usize, t: usize) -> Option<(u32, u32)> {
         if u == t || !f.component(u).contains(&(t as u32)) {
             return None;

@@ -10,6 +10,13 @@
 //! path. A k-prefix of a splicing is literally the first k planes of the
 //! slab, so prefix "views" share the arena instead of deep-cloning it.
 //!
+//! Within a plane the slabs are *destination-major*: the `n` routers'
+//! entries toward one destination are one contiguous run (a "column").
+//! That is the unit everything here works in — a slice is a family of
+//! destination-rooted trees, so a repair loads, scans and rewrites whole
+//! columns at unit stride, and a packet, whose destination never
+//! changes, stays inside one column per slice for its whole walk.
+//!
 //! `SpliceFib` is the only table type in the workspace: the protocol
 //! simulator, the convergence-dynamics model and every slice
 //! construction fill planes of one directly.
@@ -59,6 +66,23 @@ fn edge_marks(edge_count: usize, edges: &[EdgeId]) -> Vec<bool> {
     marked
 }
 
+/// Offset of entry `(router, dst)` within a plane — the one place the
+/// destination-major order is written down.
+#[inline]
+fn plane_idx(n: usize, router: usize, dst: usize) -> usize {
+    debug_assert!(router < n && dst < n);
+    dst * n + router
+}
+
+/// Store `entry` (or the sentinel pair) into one slot of each slab.
+#[inline]
+fn store(next_hop: &mut u32, out_edge: &mut u32, entry: Option<(NodeId, EdgeId)>) {
+    (*next_hop, *out_edge) = match entry {
+        Some((nh, e)) => (nh.index() as u32, e.index() as u32),
+        None => (NO_ROUTE, NO_ROUTE),
+    };
+}
+
 /// A mutable view of one slice plane: that plane's `n·n` regions of the
 /// two slabs as disjoint `&mut` borrows.
 ///
@@ -83,8 +107,16 @@ impl PlaneMut<'_> {
 
     #[inline]
     fn idx(&self, router: usize, dst: usize) -> usize {
-        debug_assert!(router < self.n && dst < self.n);
-        router * self.n + dst
+        plane_idx(self.n, router, dst)
+    }
+
+    /// The `dst` column of both slabs, router-indexed and writable:
+    /// `(next_hop, out_edge)`.
+    #[inline]
+    fn column_mut(&mut self, dst: NodeId) -> (&mut [u32], &mut [u32]) {
+        let start = self.idx(0, dst.index());
+        let run = start..start + self.n;
+        (&mut self.next_hop[run.clone()], &mut self.out_edge[run])
     }
 
     /// Next hop and outgoing edge of `router` toward `dst` in this plane.
@@ -101,47 +133,63 @@ impl PlaneMut<'_> {
 
     /// Overwrite the whole `dst` column from a router-indexed parent
     /// array — the shape [`SpfWorkspace::parents`] produces. The repair
-    /// path's write primitive.
+    /// path's write primitive: one pass down one contiguous run per slab.
     pub fn patch_column(&mut self, dst: NodeId, parents: &[Option<(NodeId, EdgeId)>]) {
         assert_eq!(parents.len(), self.n, "parent array must be router-indexed");
-        let base = dst.index();
-        for (u, parent) in parents.iter().enumerate() {
-            let i = base + u * self.n;
-            match parent {
-                Some((nh, e)) => {
-                    self.next_hop[i] = nh.index() as u32;
-                    self.out_edge[i] = e.index() as u32;
-                }
-                None => {
-                    self.next_hop[i] = NO_ROUTE;
-                    self.out_edge[i] = NO_ROUTE;
-                }
-            }
+        let (next_hop, out_edge) = self.column_mut(dst);
+        for ((nh, oe), &parent) in next_hop.iter_mut().zip(out_edge).zip(parents) {
+            store(nh, oe, parent);
         }
     }
 
-    /// `router`'s contiguous per-destination row, raw and writable:
-    /// `(next_hop, out_edge)`, both dst-indexed with [`NO_ROUTE`] holes —
-    /// the write primitive of fills that know a router's whole row at
-    /// once (a rooted tree does), which then store into one `4·n`-byte
-    /// run per slab instead of striding down `n` columns.
-    pub fn row_mut(&mut self, router: NodeId) -> (&mut [u32], &mut [u32]) {
-        let start = self.idx(router.index(), 0);
-        (
-            &mut self.next_hop[start..start + self.n],
-            &mut self.out_edge[start..start + self.n],
-        )
+    /// Write the columns of one rooted tree — the tree *is* the slice on
+    /// its nodes — by re-rooting: the column toward the root is the tree's
+    /// parent arcs, and the column toward any other node `c` is its
+    /// parent's column with two entries changed, because only the arc
+    /// between them turns round (`parent(c)` now routes down it, `c` no
+    /// longer routes at all). So each column after the first is one
+    /// `memcpy` of `4·n` bytes per slab and two stores per slab.
+    ///
+    /// `preorder` lists the tree's nodes, root first, every node after
+    /// its parent; `parent_arc(u)` is `u`'s raw `(parent, edge)` pair,
+    /// `None` at the root only. Every entry of the written columns is
+    /// overwritten (nodes outside the tree get [`NO_ROUTE`]), so a dirty
+    /// plane is fine; columns of nodes outside `preorder` are not touched.
+    pub fn fill_tree_columns(
+        &mut self,
+        preorder: &[u32],
+        parent_arc: impl Fn(u32) -> Option<(u32, u32)>,
+    ) {
+        let Some((&root, below)) = preorder.split_first() else {
+            return;
+        };
+        let arc = |u| parent_arc(u).expect("only the root lacks a parent arc");
+        let (next_hop, out_edge) = self.column_mut(NodeId(root));
+        next_hop.fill(NO_ROUTE);
+        out_edge.fill(NO_ROUTE);
+        for &u in below {
+            (next_hop[u as usize], out_edge[u as usize]) = arc(u);
+        }
+        let n = self.n;
+        for &c in below {
+            let (p, e) = arc(c);
+            let (from, to) = (self.idx(0, p as usize), self.idx(0, c as usize));
+            for (slab, at_parent) in [(&mut *self.next_hop, c), (&mut *self.out_edge, e)] {
+                slab.copy_within(from..from + n, to);
+                slab[to + p as usize] = at_parent;
+                slab[to + c as usize] = NO_ROUTE;
+            }
+        }
     }
 
     /// Whether any router's installed out-edge in the `dst` column is
     /// flagged in the edge-indexed `marked` bitmask — the O(n) pre-scan
     /// that lets repairs skip columns an event cannot have touched.
     fn column_uses_marked(&self, dst: NodeId, marked: &[bool]) -> bool {
-        let base = dst.index();
-        (0..self.n).any(|u| {
-            let oe = self.out_edge[base + u * self.n];
-            oe != NO_ROUTE && marked[oe as usize]
-        })
+        let start = self.idx(0, dst.index());
+        self.out_edge[start..start + self.n]
+            .iter()
+            .any(|&oe| oe != NO_ROUTE && marked[oe as usize])
     }
 
     /// Run destination-rooted Dijkstra for every node under `weights` and
@@ -152,13 +200,10 @@ impl PlaneMut<'_> {
         assert_eq!(self.n, g.node_count(), "plane built for a different graph");
         for t in g.nodes() {
             ws.run(g, t, weights, None);
-            let parents = ws.parents();
-            let base = t.index();
-            for (u, parent) in parents.iter().enumerate() {
-                if let Some((nh, e)) = parent {
-                    let i = base + u * self.n;
-                    self.next_hop[i] = nh.index() as u32;
-                    self.out_edge[i] = e.index() as u32;
+            let (next_hop, out_edge) = self.column_mut(t);
+            for ((nh, oe), parent) in next_hop.iter_mut().zip(out_edge).zip(ws.parents()) {
+                if parent.is_some() {
+                    store(nh, oe, *parent);
                 }
             }
         }
@@ -386,8 +431,18 @@ impl<'a> Plane<'a> {
     /// batch walkers branch on the sentinel themselves.
     #[inline]
     pub fn lookup_raw(&self, router: u32, dst: u32) -> (u32, u32) {
-        let i = router as usize * self.n + dst as usize;
+        let i = plane_idx(self.n, router as usize, dst as usize);
         (self.next_hop[i], self.out_edge[i])
+    }
+
+    /// The out-edge of every installed entry, in storage order (so an
+    /// edge shows up once per `(router, dst)` pair routed over it) — one
+    /// linear scan answering "which links does this slice use".
+    pub fn used_edges(&self) -> impl Iterator<Item = EdgeId> + 'a {
+        self.out_edge
+            .iter()
+            .filter(|&&e| e != NO_ROUTE)
+            .map(|&e| EdgeId(e))
     }
 
     /// Typed lookup, same contract as [`SpliceFib::lookup`].
@@ -404,11 +459,14 @@ impl<'a> Plane<'a> {
 
 /// All routers' forwarding state for all k slices, as one flat arena.
 ///
-/// Layout: `plane(slice) → row(router) → column(dst)`, i.e. entry
-/// `(slice, router, dst)` lives at `(slice·n + router)·n + dst`. One
-/// router's per-destination row is therefore contiguous, and one slice's
-/// full table (a "plane") is a contiguous `n·n` block — which is what
-/// makes zero-copy k-prefix views possible.
+/// Layout: `plane(slice) → column(dst) → router`, i.e. entry
+/// `(slice, router, dst)` lives at `(slice·n + dst)·n + router`. The
+/// routers' entries toward one destination in one slice are therefore
+/// one contiguous run of `n` words per slab, and one slice's full table
+/// (a "plane") is a contiguous `n·n` block — which is what makes
+/// zero-copy k-prefix views possible. [`SpliceFib::lookup`] and
+/// [`SpliceFib::set`] speak `(slice, router, dst)`; only this module and
+/// the batch walker (through [`SpliceFib::slabs`]) know the order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpliceFib {
     k: usize,
@@ -431,8 +489,8 @@ impl SpliceFib {
 
     #[inline]
     fn idx(&self, slice: usize, router: usize, dst: usize) -> usize {
-        debug_assert!(slice < self.k && router < self.n && dst < self.n);
-        (slice * self.n + router) * self.n + dst
+        debug_assert!(slice < self.k);
+        slice * self.n * self.n + plane_idx(self.n, router, dst)
     }
 
     /// Next hop and outgoing edge of `router` toward `dst` in `slice` —
@@ -457,16 +515,7 @@ impl SpliceFib {
         entry: Option<(NodeId, EdgeId)>,
     ) {
         let i = self.idx(slice, router.index(), dst.index());
-        match entry {
-            Some((nh, e)) => {
-                self.next_hop[i] = nh.index() as u32;
-                self.out_edge[i] = e.index() as u32;
-            }
-            None => {
-                self.next_hop[i] = NO_ROUTE;
-                self.out_edge[i] = NO_ROUTE;
-            }
-        }
+        store(&mut self.next_hop[i], &mut self.out_edge[i], entry);
     }
 
     /// Number of slice planes in the arena.
@@ -503,25 +552,15 @@ impl SpliceFib {
             .count()
     }
 
-    /// `router`'s contiguous per-destination rows in `slice`, raw:
-    /// `(next_hop, out_edge)`, both dst-indexed with [`NO_ROUTE`] holes.
-    pub fn row(&self, slice: usize, router: NodeId) -> (&[u32], &[u32]) {
-        let start = self.idx(slice, router.index(), 0);
-        (
-            &self.next_hop[start..start + self.n],
-            &self.out_edge[start..start + self.n],
-        )
-    }
-
     /// Run destination-rooted Dijkstra for every node under `weights` and
     /// install the resulting next hops directly into plane `slice`,
     /// reusing `ws` across all n roots. The plane must be empty (or stale
     /// entries cleared) — unreachable pairs are *left* at [`NO_ROUTE`],
     /// not overwritten.
     ///
-    /// This fuses SPF and the FIB "transpose": the tree rooted at `t`
-    /// contains, for every router `u`, the next hop `u` uses toward `t`,
-    /// so each Dijkstra writes one column of the plane.
+    /// The tree rooted at `t` contains, for every router `u`, the next
+    /// hop `u` uses toward `t`, so each Dijkstra's parent array *is* one
+    /// column of the plane and lands in it as one contiguous run.
     pub fn fill_slice(&mut self, g: &Graph, weights: &[f64], slice: usize, ws: &mut SpfWorkspace) {
         self.plane_mut(slice).fill(g, weights, ws);
     }
@@ -637,8 +676,8 @@ impl SpliceFib {
             "slice {slice} out of range (k = {})",
             self.k
         );
-        let start = self.idx(slice, 0, 0);
         let len = self.n * self.n;
+        let start = slice * len;
         Plane {
             n: self.n,
             next_hop: &self.next_hop[start..start + len],
@@ -647,14 +686,22 @@ impl SpliceFib {
     }
 
     /// The whole arena's raw slabs, `(next_hop, out_edge)`, both indexed
-    /// by `(slice·n + router)·n + dst` with [`NO_ROUTE`] holes. This is
-    /// the batch-forwarding fast path: a walker precomputes one flat
-    /// plane base per packet (`slice·n·n + dst`) and advances with a
-    /// single multiply-add per hop, re-deriving the base only when the
+    /// by `(slice·n + dst)·n + router` with [`NO_ROUTE`] holes. This is
+    /// the batch-forwarding fast path: a walker precomputes one
+    /// [`column_start`](SpliceFib::column_start) per packet and advances
+    /// with a single add per hop, re-deriving the base only when the
     /// packet switches slices.
     #[inline]
     pub fn slabs(&self) -> (&[u32], &[u32]) {
         (&self.next_hop, &self.out_edge)
+    }
+
+    /// Where the `(slice, dst)` column starts in both
+    /// [`slabs`](SpliceFib::slabs): `router`'s entry is at
+    /// `column_start + router`.
+    #[inline]
+    pub fn column_start(&self, slice: usize, dst: usize) -> usize {
+        self.idx(slice, 0, dst)
     }
 }
 
@@ -740,10 +787,9 @@ mod tests {
         arena.fill_slice(&g, &g.base_weights(), 0, &mut ws);
         assert_eq!(arena.lookup(0, NodeId(0), NodeId(2)), None);
         assert_eq!(arena.lookup(0, NodeId(2), NodeId(0)), None);
-        let (nh, oe) = arena.row(0, NodeId(2));
-        assert!(nh.iter().all(|&v| v == NO_ROUTE));
-        assert!(oe.iter().all(|&v| v == NO_ROUTE));
         assert_eq!(arena.installed(1), 2); // 0<->1 only
+        let used: Vec<EdgeId> = arena.plane(0).used_edges().collect();
+        assert_eq!(used, [EdgeId(0), EdgeId(0)]);
     }
 
     #[test]
@@ -977,6 +1023,97 @@ mod tests {
         };
         assert_eq!(stats_plane, stats_direct);
         assert_eq!(via_planes, direct);
+    }
+
+    /// The layout contract the walker and the repair engine lean on, at
+    /// an `n` that is not a multiple of a cache line's 16 words: one
+    /// `(slice, dst)` column is one contiguous router-indexed run of both
+    /// slabs, columns tile the plane, planes tile the arena, and
+    /// `lookup`/`set` speak `(slice, router, dst)` whatever the order.
+    #[test]
+    fn a_destination_column_is_one_contiguous_run() {
+        let (k, n) = (3, 7);
+        let entry = |s: usize, u: usize, t: usize| {
+            (u != t).then(|| {
+                (
+                    NodeId((s * 100 + t * 10 + u) as u32),
+                    EdgeId((s + t + u) as u32),
+                )
+            })
+        };
+        let cells =
+            || (0..k).flat_map(|s| (0..n).flat_map(move |u| (0..n).map(move |t| (s, u, t))));
+        let mut arena = SpliceFib::empty(k, n);
+        for (s, u, t) in cells() {
+            arena.set(s, NodeId(u as u32), NodeId(t as u32), entry(s, u, t));
+        }
+        let (next_hop, out_edge) = arena.slabs();
+        assert_eq!((next_hop.len(), out_edge.len()), (k * n * n, k * n * n));
+        for s in 0..k {
+            for t in 0..n {
+                assert_eq!(arena.column_start(s, t), (s * n + t) * n);
+                let run = (s * n + t) * n..(s * n + t + 1) * n;
+                for (u, (&nh, &oe)) in next_hop[run.clone()].iter().zip(&out_edge[run]).enumerate()
+                {
+                    let want = entry(s, u, t).map_or((NO_ROUTE, NO_ROUTE), |(nh, e)| (nh.0, e.0));
+                    assert_eq!((nh, oe), want, "slice {s} dst {t} router {u}");
+                    assert_eq!(arena.plane(s).lookup_raw(u as u32, t as u32), want);
+                    assert_eq!(
+                        arena.lookup(s, NodeId(u as u32), NodeId(t as u32)),
+                        entry(s, u, t)
+                    );
+                }
+            }
+        }
+        // `planes_mut` views are those same blocks: a column written
+        // through view `s` lands in plane `s` and nowhere else.
+        let before = arena.clone();
+        let parents: Vec<_> = (0..n).map(|u| entry(9, u, 4)).collect();
+        arena.planes_mut()[1].patch_column(NodeId(4), &parents);
+        for (s, u, t) in cells() {
+            let (u_id, t_id) = (NodeId(u as u32), NodeId(t as u32));
+            let want = if (s, t) == (1, 4) {
+                entry(9, u, 4)
+            } else {
+                before.lookup(s, u_id, t_id)
+            };
+            assert_eq!(
+                arena.lookup(s, u_id, t_id),
+                want,
+                "slice {s} dst {t} router {u}"
+            );
+        }
+    }
+
+    /// Re-rooting writes exactly the per-destination orientation of the
+    /// tree, over a dirty plane, and leaves other trees' columns alone.
+    #[test]
+    fn fill_tree_columns_reroots_one_tree() {
+        // A path 3 - 1 - 0 - 2 rooted at 0 (edge ids 0: 0-1, 1: 0-2,
+        // 2: 1-3); node 4 is outside the tree.
+        let g = from_edges(5, &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0)]);
+        let parent = [None, Some((0, 0)), Some((0, 1)), Some((1, 2)), None];
+        let mut arena = SpliceFib::empty(1, 5);
+        for (u, t) in (0..5).flat_map(|u| (0..5).map(move |t| (u, t))) {
+            arena.set(0, NodeId(u), NodeId(t), Some((NodeId(77), EdgeId(88))));
+        }
+        arena
+            .plane_mut(0)
+            .fill_tree_columns(&[0, 1, 3, 2], |u| parent[u as usize]);
+        let mut want = SpliceFib::empty(1, 5);
+        want.fill_slice(&g, &g.base_weights(), 0, &mut SpfWorkspace::new());
+        for (u, t) in (0..5).flat_map(|u| (0..5).map(move |t| (NodeId(u), NodeId(t)))) {
+            let expect = if t == NodeId(4) {
+                Some((NodeId(77), EdgeId(88)))
+            } else {
+                want.lookup(0, u, t)
+            };
+            assert_eq!(arena.lookup(0, u, t), expect, "router {u:?} toward {t:?}");
+        }
+        // An empty tree writes nothing.
+        let before = arena.clone();
+        arena.plane_mut(0).fill_tree_columns(&[], |_| None);
+        assert_eq!(arena, before);
     }
 
     #[test]
