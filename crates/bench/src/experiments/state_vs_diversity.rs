@@ -1,7 +1,8 @@
 //! §4.2's scalability claim: control-plane cost (messages, LSDB, FIBs)
 //! grows **linearly** in k, while path diversity grows much faster.
-//! Costs are measured on the link-state substrate by actually flooding
-//! and converging k instances.
+//! Costs are counted, not estimated: LSA transmissions under reliable
+//! flooding (`splice_routing::dynamics::flood`), the LSAs one router
+//! stores, and the FIB entries the deployment's arena installs.
 //!
 //! ```text
 //! splice exp run state_vs_diversity

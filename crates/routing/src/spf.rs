@@ -3,9 +3,7 @@
 //!
 //! The work itself is [`PlaneMut`]'s — [`PlaneMut::fill`] for a whole
 //! plane (what a real router runs after flooding quiesces, on the
-//! instance's weight vector; for the protocol simulator
-//! [`crate::lsdb::LinkStateDb::instance_weights`]), `PlaneMut::patch_*`
-//! for one delta pass. `splice-core` is the one place that work is timed
+//! instance's weight vector), `PlaneMut::patch_*` for one delta pass. `splice-core` is the one place that work is timed
 //! and recorded, into an [`SpfTelemetry`].
 //!
 //! [`PlaneMut`]: crate::arena::PlaneMut
@@ -102,11 +100,9 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::arena::SpliceFib;
-    use crate::flooding::converge_instance;
-    use crate::lsdb::LinkStateDb;
     use splice_graph::dijkstra::{all_destinations, SpfWorkspace};
     use splice_graph::graph::from_edges;
-    use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
+    use splice_graph::{EdgeId, EdgeMask, Graph};
 
     fn diamond() -> Graph {
         from_edges(4, &[(0, 1, 1.0), (1, 3, 2.0), (0, 2, 2.0), (2, 3, 2.0)])
@@ -129,28 +125,6 @@ mod tests {
         let mut fib = SpliceFib::empty(1, g.node_count());
         fib.plane_mut(0).fill(g, w, mask, &mut SpfWorkspace::new());
         fib
-    }
-
-    /// One plane filled from `db`'s reconstructed view of instance 0 —
-    /// what a router computes after flooding quiesces.
-    fn plane_from_db(g: &Graph, db: &LinkStateDb) -> SpliceFib {
-        let weights = db.instance_weights(g, 0);
-        filled(g, &weights, &EdgeMask::all_up(g.edge_count()))
-    }
-
-    #[test]
-    fn spf_after_flooding_matches_direct_computation() {
-        let g = diamond();
-        let perturbed = vec![1.0, 10.0, 2.0, 2.0]; // push 0->3 via 2
-        let (dbs, _) = converge_instance(&g, 0, &perturbed, 1);
-        let from_protocol = plane_from_db(&g, &dbs[0]);
-        assert_matches_unfused_dijkstra(&from_protocol, &g, &perturbed);
-        assert_eq!(
-            from_protocol
-                .lookup(0, NodeId(0), NodeId(3))
-                .map(|(nh, _)| nh),
-            Some(NodeId(2))
-        );
     }
 
     #[test]
@@ -179,24 +153,5 @@ mod tests {
         // The repaired plane equals a from-scratch build on the failed
         // topology.
         assert_eq!(fib, filled(&g, &w, &mask));
-    }
-
-    #[test]
-    fn all_routers_compute_identical_tables() {
-        let g = from_edges(
-            5,
-            &[
-                (0, 1, 1.0),
-                (1, 2, 1.0),
-                (2, 3, 1.0),
-                (3, 4, 1.0),
-                (4, 0, 1.0),
-            ],
-        );
-        let (dbs, _) = converge_instance(&g, 0, &g.base_weights(), 1);
-        let reference = plane_from_db(&g, &dbs[0]);
-        for db in &dbs[1..] {
-            assert_eq!(plane_from_db(&g, db), reference);
-        }
     }
 }

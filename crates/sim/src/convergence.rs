@@ -9,14 +9,15 @@
 //! crossed the link is blacked out — unless splicing's *already
 //! installed* alternate slices carry the traffic.
 //!
-//! For each single-link failure we measure, from the routing substrate's
-//! real flooding behaviour, how long the window is (in flood rounds) and
-//! which pairs splicing rescues inside it.
+//! For each single-link failure we count how long the window is — the
+//! flood rounds for both endpoints' LSAs to cross the surviving links
+//! ([`splice_routing::dynamics::flood`]) — and which pairs splicing
+//! rescues inside it.
 
 use splice_core::prelude::*;
 use splice_core::slices::SplicingConfig;
 use splice_graph::{EdgeId, EdgeMask, Graph};
-use splice_routing::flooding::converge_instance;
+use splice_routing::dynamics::flood;
 
 /// Outcome for one failed link.
 #[derive(Clone, Debug, PartialEq)]
@@ -68,14 +69,8 @@ pub fn convergence_window_sweep(
 
             // The control-plane cost of reacting: both endpoints
             // re-originate; measure flooding on the surviving topology.
-            // (Seq 2 supersedes the steady-state LSAs at seq 1.)
             let edge = g.edge(e);
-            let (mut dbs, _) = converge_instance(g, 0, &g.base_weights(), 1);
-            let reoriginations = vec![
-                splice_routing::lsdb::originate(g, edge.u, 0, &g.base_weights(), 2),
-                splice_routing::lsdb::originate(g, edge.v, 0, &g.base_weights(), 2),
-            ];
-            let stats = splice_routing::flooding::flood(g, reoriginations, &mut dbs);
+            let stats = flood(g, &[edge.u, edge.v], &mask);
 
             // Data-plane impact during the window.
             let mut affected = 0usize;
@@ -201,6 +196,18 @@ mod tests {
             repair_frontier_nodes: 0,
         };
         assert_eq!(r.rescue_rate(), 1.0);
+    }
+
+    #[test]
+    fn failure_lsas_flood_around_the_failed_link() {
+        // Failing link 0-1 turns the 8-ring into the line 1-2-…-7-0: each
+        // endpoint's LSA reaches the other after 7 hops, where over the
+        // intact ring it would take 4.
+        let g = splice_topology::generators::ring(8);
+        let cfg = SplicingConfig::degree_based(2, 0.0, 3.0);
+        let results = convergence_window_sweep(&g, &cfg, 1);
+        assert_eq!(results[0].failed, EdgeId(0));
+        assert_eq!(results[0].flood_rounds, 7);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! §4.2's cost/benefit account: control-plane cost grows linearly in `k`
 //! while the set of reachable paths grows far faster.
 //!
-//! Costs are *measured* on the `splice-routing` substrate (LSA flood
-//! messages, LSDB entries, FIB entries, SPF runs), not estimated.
-//! Diversity is measured two ways:
+//! Costs are *counted* on the topology and the deployment, not estimated:
+//! LSA transmissions under reliable flooding
+//! ([`splice_routing::dynamics::flood`]), the LSAs one router stores, and
+//! the FIB entries the deployment's arena installs. Diversity is measured
+//! two ways:
 //!
 //! * distinct end-to-end paths discovered by sampling random headers —
 //!   the end-system's-eye view of "how many paths can I reach with the
@@ -15,19 +17,22 @@ use crate::parallel::run_trials;
 use splice_core::prelude::*;
 use splice_core::slices::SplicingConfig;
 use splice_graph::maxflow::succ_connectivity;
+use splice_graph::traversal::reachable_from;
 use splice_graph::{EdgeMask, Graph, NodeId, Rng};
-use splice_routing::MultiTopology;
+use splice_routing::dynamics::flood;
 
 /// Measurements for one `k`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiversityPoint {
     /// Slice count.
     pub k: usize,
-    /// LSA transmissions to converge all k instances.
+    /// LSA transmissions to converge all k instances from scratch: every
+    /// router floods one LSA per instance.
     pub messages: usize,
     /// Total installed FIB entries network-wide.
     pub fib_entries: usize,
-    /// LSDB entries at one router.
+    /// LSDB entries at router 0: one LSA per router of its component,
+    /// per instance.
     pub lsdb_entries: usize,
     /// Mean distinct paths per pair discovered by header sampling.
     pub distinct_paths: f64,
@@ -35,9 +40,13 @@ pub struct DiversityPoint {
     pub succ_connectivity: f64,
 }
 
-/// Sweep `ks`, measuring cost on the routing substrate and diversity by
+/// Sweep `ks`, counting control-plane cost and measuring diversity by
 /// sampling `header_samples` random headers per ordered pair (over a
 /// deterministic subset of `pair_samples` pairs to keep runtime bounded).
+///
+/// Each instance floods and stores the same LSAs whatever its weights,
+/// so the message and LSDB counts are one instance's times `k`; the FIB
+/// count is read off the first `k` planes of the deployment's arena.
 pub fn state_vs_diversity(
     g: &Graph,
     template: &SplicingConfig,
@@ -52,6 +61,12 @@ pub fn state_vs_diversity(
     let splicing = Splicing::build(g, &scfg, seed);
     let mask = EdgeMask::all_up(g.edge_count());
     let n = g.node_count();
+    let all_routers: Vec<NodeId> = g.nodes().collect();
+    let messages_per_instance = flood(g, &all_routers, &mask).messages;
+    let lsdb_per_instance = reachable_from(g, NodeId(0), &mask)
+        .iter()
+        .filter(|&&seen| seen)
+        .count();
 
     // Deterministic pair subset: stride over the ordered-pair space.
     let all_pairs: Vec<(NodeId, NodeId)> = (0..n as u32)
@@ -71,9 +86,6 @@ pub fn state_vs_diversity(
     ks.iter()
         .map(|&k| {
             let prefix = splicing.prefix(k);
-            // Measured control-plane cost: full protocol convergence.
-            let weights: Vec<Vec<f64>> = (0..k).map(|i| prefix.weights(i).to_vec()).collect();
-            let mt = MultiTopology::converge(g, weights);
 
             // Diversity by header sampling (parallel over pairs).
             let opts = ForwarderOptions::default();
@@ -112,9 +124,9 @@ pub fn state_vs_diversity(
 
             DiversityPoint {
                 k,
-                messages: mt.usage.messages,
-                fib_entries: mt.usage.fib_entries,
-                lsdb_entries: mt.usage.lsdb_entries,
+                messages: k * messages_per_instance,
+                fib_entries: prefix.arena().installed(k),
+                lsdb_entries: k * lsdb_per_instance,
                 distinct_paths,
                 succ_connectivity: succ_conn,
             }
@@ -125,7 +137,7 @@ pub fn state_vs_diversity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splice_topology::abilene::abilene;
+    use splice_topology::{abilene::abilene, sprint::sprint};
 
     #[test]
     fn cost_linear_diversity_growing() {
@@ -143,6 +155,23 @@ mod tests {
         assert!(pts[2].distinct_paths > pts[0].distinct_paths);
         assert!(pts[2].succ_connectivity >= pts[0].succ_connectivity);
         assert!((pts[0].succ_connectivity - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sprint_cost_columns_are_linear_in_k() {
+        // One instance on Sprint (52 routers, 84 links) floods
+        // 52 × (2·84 − 51) LSAs, installs 52·51 FIB entries and stores
+        // 52 LSAs at each router: EXPERIMENTS.md's §4.2 cost columns.
+        let g = sprint().graph();
+        let template = SplicingConfig::degree_based(10, 0.0, 3.0);
+        for p in state_vs_diversity(&g, &template, &[1, 2, 5, 10], 1, 1, 11) {
+            assert_eq!(
+                (p.messages, p.fib_entries, p.lsdb_entries),
+                (6084 * p.k, 2652 * p.k, 52 * p.k),
+                "k = {}",
+                p.k
+            );
+        }
     }
 
     #[test]

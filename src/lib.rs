@@ -29,7 +29,7 @@ pub use splice_dataplane as dataplane;
 pub use splice_graph as graph;
 /// Overlay-routing application (re-export of `splice-overlay`).
 pub use splice_overlay as overlay;
-/// Link-state routing simulator (re-export of `splice-routing`).
+/// Routing substrate: FIB arena, repair, flood counts (re-export of `splice-routing`).
 pub use splice_routing as routing;
 /// Monte-Carlo evaluation engine (re-export of `splice-sim`).
 pub use splice_sim as sim;

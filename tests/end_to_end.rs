@@ -1,45 +1,41 @@
-//! End-to-end integration: topology → routing substrate → splicing →
-//! forwarding, exercised together on the paper's topologies.
+//! End-to-end integration: topology → splicing (slice planes in the
+//! routing arena) → forwarding, exercised together on the paper's
+//! topologies.
 
-use path_splicing::graph::{EdgeMask, NodeId, Rng};
-use path_splicing::routing::MultiTopology;
+use path_splicing::graph::{EdgeId, EdgeMask, NodeId, Rng};
 use path_splicing::splicing::prelude::*;
 use path_splicing::topology::{geant::geant, sprint::sprint};
 
-/// The full pipeline on Sprint: converge the routing protocol per slice,
-/// check the protocol's tables equal the simulator's fast path, then
-/// deliver packets over them.
+/// The full pipeline on Sprint: build the slices, deliver packets across
+/// the whole network, and check the forwarding walk crosses exactly the
+/// links the installed slice-0 tables name.
 #[test]
 fn protocol_and_fast_path_agree_end_to_end() {
     let topo = sprint();
     let g = topo.graph();
     let splicing = Splicing::build(&g, &SplicingConfig::degree_based(3, 0.0, 3.0), 8);
 
-    // Full flooding + SPF per slice.
-    let weights: Vec<Vec<f64>> = (0..splicing.k())
-        .map(|i| splicing.weights(i).to_vec())
-        .collect();
-    let mt = MultiTopology::converge(&g, weights);
-    assert_eq!(mt.k(), splicing.k());
-    for slice in 0..splicing.k() {
-        assert_eq!(
-            mt.fib.plane(slice),
-            splicing.arena().plane(slice),
-            "protocol-converged tables differ from direct SPF in slice {slice}"
-        );
-    }
-
-    // Delivery across the whole network.
     let mask = EdgeMask::all_up(g.edge_count());
     let fwd = Forwarder::new(&splicing, &mask);
     for (s, t) in [(0u32, 51u32), (17, 3), (40, 22)] {
+        let (s, t) = (NodeId(s), NodeId(t));
         let out = fwd.forward(
-            NodeId(s),
-            NodeId(t),
+            s,
+            t,
             ForwardingBits::stay_in_slice(0, splicing.k()),
             &ForwarderOptions::default(),
         );
-        assert!(out.is_delivered(), "{s} -> {t} failed: {out:?}");
+        let ForwardingOutcome::Delivered(trace) = out else {
+            panic!("{s:?} -> {t:?} failed: {out:?}");
+        };
+        let walked: Vec<EdgeId> = trace.steps.iter().map(|st| st.edge).collect();
+        let installed: Vec<EdgeId> = splicing
+            .arena()
+            .plane(0)
+            .path(s, t)
+            .map(|(_, e)| e)
+            .collect();
+        assert_eq!(walked, installed, "{s:?} -> {t:?}");
     }
 }
 
