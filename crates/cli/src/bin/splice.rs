@@ -1,26 +1,10 @@
 //! The `splice` command-line tool: every surface of the reproduction
-//! behind one binary and one flag grammar.
-//!
-//! ```text
-//! splice <command> [flags]
-//!
-//! commands:
-//!   info         topology statistics (nodes, links, degrees, min cut)
-//!   route        forward a packet and print the hop-by-hop trace
-//!   recover      break links and run end-system or network recovery
-//!   reliability  quick Monte-Carlo disconnection numbers
-//!   slices       per-slice stretch statistics
-//!   forward      drain seeded traffic bursts through the sharded
-//!                batch forwarding engine
-//!   daemon       the long-running control-plane daemon
-//!   exp          the experiment engine: list, run, run-all, resume
-//!   testkit      replay one fault-injection scenario, or soak many
-//! ```
-//!
-//! Run `splice help` for the full flag list.
+//! behind one binary and one flag grammar. [`COMMANDS`] is that grammar:
+//! `main` dispatches through it, a command accepts the flags its row
+//! lists and reads their defaults from it, and `splice help` prints it.
 
 use splice_bench::CATALOGUE;
-use splice_cli::{resolve_failures, resolve_node, resolve_topology, ArgsError, Flags};
+use splice_cli::{resolve_failures, resolve_node, resolve_topology, ArgsError, Flag, Flags};
 use splice_core::prelude::*;
 use splice_core::stretch::{per_slice_stretch, StretchStats};
 use splice_dataplane::{
@@ -49,177 +33,177 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-const HELP: &str = "\
-splice — path splicing on ISP topologies
+/// One `splice` command: its words (a `<placeholder>` matches any one
+/// operand), a one-line summary, its body, and every flag it reads. A
+/// body's `Err` is a usage error (exit 2); a failed run exits 1 itself.
+struct Command {
+    words: &'static [&'static str],
+    summary: &'static str,
+    run: fn(&[&str], &Flags) -> Result<(), String>,
+    flags: &'static [Flag],
+}
 
-usage: splice <command> [flags]
-       (`--help` after any command prints this message)
+/// Flags more than one row reads, each written once, and `flag`, which
+/// builds a table entry on one line.
+#[rustfmt::skip]
+mod flag {
+    use splice_cli::Flag;
+    pub const fn flag(name: &'static str, value: &'static str, default: Option<&'static str>, help: &'static str) -> Flag {
+        Flag { name, value, default, help }
+    }
+    pub const TOPOLOGY: Flag = flag("topology", "NAME", Some("sprint"), "built-in (sprint|geant|abilene) or a generator spec like rand-24-40-7");
+    pub const FILE: Flag = flag("file", "PATH", None, "edge-list topology file instead");
+    pub const K: Flag = flag("k", "N", Some("5"), "number of slices");
+    pub const SEED: Flag = flag("seed", "N", Some("1"), "RNG seed");
+    pub const STRATEGY: Flag = flag("strategy", "perturbed-spf|tree|lst|arc", Some("perturbed-spf"), "slice construction");
+    pub const FAIL: Flag = flag("fail", "A-B", None, "fail the named link (repeatable)");
+    pub const FAIL_EDGE: Flag = flag("fail-edge", "ID", None, "fail a link by edge id (repeatable)");
+    pub const SRC: Flag = flag("src", "NAME", None, "source node (required)");
+    pub const DST: Flag = flag("dst", "NAME", None, "destination node (required)");
+    pub const SEMANTICS: Flag = flag("semantics", "union|directed", Some("union"), "spliced-path accounting");
+    pub const METRICS: Flag = flag("metrics", "PATH", None, "write a Prometheus metric snapshot when the run ends");
+    pub const TRACE: Flag = flag("trace", "PATH", None, "write packet walks as JSON lines");
+    /// What `exp run`, `exp run-all` and `exp resume` read.
+    pub const EXP: &[Flag] = &[
+        flag("trials", "N", None, "Monte-Carlo trials (default per experiment)"),
+        flag("seed", "N", Some("20080817"), "base seed"),
+        TOPOLOGY,
+        flag("out", "DIR", Some("results"), "artifact directory"),
+        SEMANTICS,
+        STRATEGY,
+        flag("listen", "ADDR", None, "serve /metrics, /healthz, /snapshot during the run"),
+        flag("linger-secs", "N", Some("0"), "keep that endpoint up N s after the run"),
+    ];
+}
+use flag::*;
 
-commands:
-  info         topology statistics (nodes, links, degrees, min cut)
-  route        forward a packet and print the hop-by-hop trace
-  recover      break links and run recovery
-  reliability  quick Monte-Carlo disconnection numbers
-  slices       per-slice stretch statistics
-  forward      drain seeded Zipf bursts through the sharded batch
-               forwarding engine and print throughput
-  daemon       the long-running control-plane daemon
-  exp          the experiment engine (list, run, run-all, resume)
-  testkit      replay one fault-injection scenario, or soak many
-  help         this message
+/// Every command, in `splice help`'s order.
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    Command { words: &["info"], summary: "topology statistics (nodes, links, degrees, min cut)",
+        run: |_, f| cmd_info(f), flags: &[TOPOLOGY, FILE, FAIL, FAIL_EDGE] },
+    Command { words: &["route"], summary: "forward a packet and print the hop-by-hop trace",
+        run: |_, f| cmd_route(f), flags: &[TOPOLOGY, FILE, K, SEED, STRATEGY, FAIL, FAIL_EDGE, SRC, DST,
+            flag("slice", "N", Some("0"), "pin to one slice")] },
+    Command { words: &["recover"], summary: "break links and run recovery",
+        run: |_, f| cmd_recover(f), flags: &[TOPOLOGY, FILE, K, SEED, STRATEGY, FAIL, FAIL_EDGE, SRC, DST,
+            flag("scheme", "end-system|network", Some("end-system"), "recovery scheme"),
+            flag("trials", "N", Some("5"), "recovery trials"),
+            METRICS, TRACE] },
+    Command { words: &["reliability"], summary: "quick Monte-Carlo disconnection numbers",
+        run: |_, f| cmd_reliability(f), flags: &[TOPOLOGY, FILE,
+            flag("k", "N,N,..", Some("1,5,10"), "slice counts"),
+            flag("p", "P,P,..", Some("0.05"), "failure probabilities"),
+            flag("trials", "N", Some("200"), "Monte-Carlo trials"),
+            SEED, SEMANTICS, STRATEGY, METRICS, TRACE] },
+    Command { words: &["slices"], summary: "per-slice stretch statistics",
+        run: |_, f| cmd_slices(f), flags: &[TOPOLOGY, FILE, K, SEED, STRATEGY] },
+    Command { words: &["forward"], summary: "drain seeded Zipf bursts through the sharded batch forwarder",
+        run: |_, f| cmd_forward(f), flags: &[TOPOLOGY, FILE, K, SEED, STRATEGY, FAIL, FAIL_EDGE,
+            flag("burst", "N", Some("256"), "packets per burst"),
+            flag("bursts", "N", Some("64"), "bursts per shard"),
+            flag("shards", "N", Some("2"), "batch workers on scoped threads")] },
+    Command { words: &["daemon"], summary: "the long-running control-plane daemon",
+        run: |_, f| cmd_daemon(f), flags: &[TOPOLOGY, FILE, K, SEED, STRATEGY,
+            flag("listen", "ADDR", Some("127.0.0.1:0"), "admin address, printed once bound: /metrics, /healthz, \
+                /snapshot, GET /show/fib, GET /show/slices, POST /events, POST /shutdown"),
+            flag("schedule", "SPEC", None, "'+'-joined event tokens fed one per tick: f<e> g<e1>.<e2> n<v> w<slice>.<edge>.<milli> r<e>"),
+            flag("schedule-churn", "N", Some("0"), "generate an N-event churn schedule instead, seeded by --seed"),
+            flag("interval-ms", "N", Some("50"), "event-injection tick, deadline-paced"),
+            flag("max-batch", "N", Some("16"), "events coalesced per repair pass"),
+            flag("workers", "N", Some("2"), "subscribed forwarding workers"),
+            flag("burst", "N", Some("128"), "packets per worker burst"),
+            flag("duration-secs", "N", Some("0"), "exit after N seconds; 0 runs until POST /shutdown"),
+            METRICS,
+            flag("manifest", "PATH", None, "write the run-manifest JSON on exit")] },
+    Command { words: &["exp", "list"], summary: "list the experiment catalogue",
+        run: |_, _| { exp_list(); Ok(()) }, flags: &[] },
+    Command { words: &["exp", "run", "<experiment>"], summary: "run one experiment",
+        run: |w, f| exp_run(w[2], f), flags: EXP },
+    Command { words: &["exp", "run-all"], summary: "run every experiment, journaling shards",
+        run: |_, f| exp_run_all(false, f), flags: EXP },
+    Command { words: &["exp", "resume"], summary: "like run-all, skipping completed shards",
+        run: |_, f| exp_run_all(true, f), flags: EXP },
+    Command { words: &["testkit", "replay", "<spec>"], summary: "replay the scenario a failing soak prints, e.g. rand-8-12-99/k3d/s7/f4+n1",
+        run: |w, _| testkit_replay(w[2]), flags: &[] },
+    Command { words: &["testkit", "soak"], summary: "replay generated scenarios; shrink and print the first divergence",
+        run: |_, f| testkit_soak(f), flags: &[
+            flag("trials", "N", Some("200"), "scenarios"),
+            flag("seed", "N", Some("7"), "scenario seed"),
+            flag("budget-secs", "N", None, "stop early after N seconds"),
+            flag("forward-flows", "N", Some("0"), "forward-oracle flows per scenario")] },
+    Command { words: &["help"], summary: "this message",
+        run: |_, _| { print!("{}", help()); Ok(()) }, flags: &[] },
+];
 
-Each command rejects a flag it does not read (exit 2).
+/// The row `words` name; no words is `help`.
+fn lookup(words: &[&str]) -> Option<&'static Command> {
+    let words = if words.is_empty() { &["help"] } else { words };
+    let fits = |(p, w): (&&str, &&str)| p.starts_with('<') || p == w;
+    COMMANDS
+        .iter()
+        .find(|c| c.words.len() == words.len() && c.words.iter().zip(words).all(fits))
+}
 
-common flags:
-  --topology NAME                   built-in (sprint|geant|abilene) or a
-                                    generator spec like rand-24-40-7 (default sprint)
-  --file PATH                       edge-list topology file instead
-  --k N                             number of slices (default 5)
-  --seed N                          RNG seed (default 1)
-  --strategy NAME                   slice construction: perturbed-spf
-                                    (default), tree, lst or arc
-  --fail A-B                        fail the named link (repeatable;
-                                    info, route, recover, forward)
-  --fail-edge ID                    fail a link by edge id (repeatable)
+/// Split a command line into its operand words (command, subcommand,
+/// experiment name, replay spec) and its flags: everything from the first
+/// `-`-prefixed argument on.
+fn split_words(argv: &[String]) -> (Vec<&str>, &[String]) {
+    let (words, flags) = argv.split_at(argv.iter().take_while(|a| !a.starts_with('-')).count());
+    (words.iter().map(String::as_str).collect(), flags)
+}
 
-route/recover flags:
-  --src NAME --dst NAME             endpoints (required)
-  --slice N                         pin to one slice (route; default 0)
-  --scheme end-system|network       recovery scheme (default end-system)
-  --trials N                        recovery trials (default 5)
-
-reliability flags:
-  --k 1,5,10                        slice counts (comma list)
-  --p 0.02,0.05,0.1                 failure probabilities (comma list)
-  --trials N                        Monte-Carlo trials (default 200)
-  --semantics union|directed        spliced-path accounting (default union)
-
-forward flags:
-  --burst N                         packets per burst (default 256)
-  --bursts N                        bursts per shard (default 64)
-  --shards N                        batch workers on scoped threads (default 2)
-
-telemetry flags (recover, reliability):
-  --metrics PATH                    write a Prometheus metric snapshot
-  --trace PATH                      write packet walks as JSON lines
-
-daemon flags (besides --topology/--file/--k/--seed/--strategy):
-  --listen ADDR                     admin/scrape address (default 127.0.0.1:0;
-                                    the bound address is printed)
-  --schedule SPEC                   '+'-joined event tokens fed one per tick:
-                                    f<e> g<e1>.<e2> n<v> w<slice>.<edge>.<milli> r<e>
-  --schedule-churn N                generate an N-event churn schedule instead
-                                    (seeded by --seed)
-  --interval-ms N                   event-injection tick, deadline-paced (default 50)
-  --max-batch N                     events coalesced per repair pass (default 16)
-  --workers N                       subscribed forwarding workers (default 2)
-  --burst N                         packets per worker burst (default 128)
-  --duration-secs N                 exit after N seconds (default 0 = run until
-                                    POST /shutdown)
-  --metrics PATH                    write the final Prometheus snapshot on exit
-  --manifest PATH                   write the run-manifest JSON on exit
-daemon admin routes (next to /metrics, /healthz, /snapshot):
-  GET  /show/fib                    current snapshot epoch and arena shape
-  GET  /show/slices                 deployment construction summary
-  POST /events                      submit a '+'-joined schedule (body)
-  POST /shutdown                    graceful exit: final flush, oracle check, exit 0
-daemon exit status: 0 when the live FIB matches the batch replay
-oracle, 1 when it does not, 2 on bad usage.
-
-exp:
-  exp list                          list the experiment catalogue
-  exp run <experiment> [flags]      run one experiment
-  exp run-all [flags]               run every experiment, journaling shards
-  exp resume [flags]                like run-all, skipping completed shards
-exp flags:
-  --trials N                        Monte-Carlo trials (default per experiment)
-  --seed N                          base seed (default 20080817)
-  --topology NAME                   as above (default sprint)
-  --out DIR                         artifact directory (default results)
-  --semantics union|directed        spliced-path accounting (default union)
-  --strategy NAME                   as above (default perturbed-spf)
-  --listen ADDR                     serve /metrics, /healthz, /snapshot during the run
-  --linger-secs N                   keep that endpoint up N s after the run (default 0)
-exp exit status: 0 ok, 1 the run failed, 2 bad usage.
-
-testkit:
-  testkit replay <SPEC>             replay a scenario through the
-                                    differential harness; SPEC is the
-                                    token a failing soak/CI run prints,
-                                    e.g. rand-8-12-99/k3d/s7/f4+n1
-  testkit soak [flags]              replay generated scenarios against the
-                                    differential oracles; shrink and print
-                                    the first divergence
-soak flags:
-  --trials N                        scenarios (default 200)
-  --seed N                          scenario seed (default 7)
-  --budget-secs N                   stop early after N seconds
-  --forward-flows N                 forward-oracle flows per scenario (default 0)
-testkit exit status: 0 clean, 1 divergence, 2 bad usage.
-";
-
-/// The flags each command reads (space-separated names without `--`);
-/// any other flag is rejected.
-const INFO_FLAGS: &str = "topology file fail fail-edge";
-const ROUTE_FLAGS: &str = "topology file k seed strategy fail fail-edge src dst slice";
-const RECOVER_FLAGS: &str =
-    "topology file k seed strategy fail fail-edge src dst scheme trials metrics trace";
-const RELIABILITY_FLAGS: &str = "topology file k p trials seed semantics strategy metrics trace";
-const SLICES_FLAGS: &str = "topology file k seed strategy";
-const FORWARD_FLAGS: &str = "topology file k seed strategy fail fail-edge burst bursts shards";
-const DAEMON_FLAGS: &str = "topology file k seed strategy listen schedule schedule-churn \
-     interval-ms max-batch workers burst duration-secs metrics manifest";
-const EXP_FLAGS: &str = "trials seed topology out semantics strategy listen linger-secs";
-const SOAK_FLAGS: &str = "trials seed budget-secs forward-flows";
-
-/// A command body: its operand words, then its parsed flags. `Err` is a
-/// usage or input error (exit 2); a command whose run fails exits 1
-/// itself.
-type Command = fn(&[&str], &Flags) -> Result<(), String>;
+/// `splice help`: every row of [`COMMANDS`], then each row's flags. A
+/// flag an earlier row already described is only named.
+fn help() -> String {
+    let mut out =
+        "splice — path splicing on ISP topologies\n\nusage: splice <command> [flags]\n       \
+        (`--help` after any command prints this message)\n\ncommands:\n"
+            .to_string();
+    for c in COMMANDS {
+        let words = c.words.join(" ") + if c.flags.is_empty() { "" } else { " [flags]" };
+        out += &format!("  {words:<30} {}\n", c.summary);
+    }
+    out += "\nEach command rejects a flag it does not read. Exit status: 0 ok, 1 the run failed\n\
+        (daemon: the live FIB differs from its replay oracle; testkit: a divergence), 2 bad usage.\n";
+    let mut described: Vec<&Flag> = Vec::new();
+    for c in COMMANDS.iter().filter(|c| !c.flags.is_empty()) {
+        out += &format!("\n{} flags:\n", c.words.join(" "));
+        let (known, new): (Vec<&Flag>, _) = c.flags.iter().partition(|f| described.contains(f));
+        if !known.is_empty() {
+            let names: Vec<String> = known.iter().map(|f| format!("--{}", f.name)).collect();
+            out += &format!("  {}  (as above)\n", names.join(" "));
+        }
+        for f in new {
+            let flag = format!("--{} {}", f.name, f.value);
+            let flag = if flag.len() <= 30 {
+                flag
+            } else {
+                format!("{flag}\n{:32}", "")
+            };
+            let default = f.default.map(|d| format!(" (default {d})"));
+            out += &format!("  {flag:<30} {}{}\n", f.help, default.unwrap_or_default());
+            described.push(f);
+        }
+    }
+    out
+}
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
-        eprint!("{HELP}");
+        eprint!("{}", help());
         exit(2);
     }
-    // Operand words (command, subcommand, experiment name, replay spec)
-    // come first; everything from the first `-`-prefixed argument on is
-    // flags.
-    let split = argv
-        .iter()
-        .position(|a| a.starts_with('-'))
-        .unwrap_or(argv.len());
-    let words: Vec<&str> = argv[..split].iter().map(String::as_str).collect();
-    let (accepted, command): (&str, Command) = match words.as_slice() {
-        [] | ["help"] => ("", |_, _| {
-            print!("{HELP}");
-            Ok(())
-        }),
-        ["info"] => (INFO_FLAGS, |_, f| cmd_info(f)),
-        ["route"] => (ROUTE_FLAGS, |_, f| cmd_route(f)),
-        ["recover"] => (RECOVER_FLAGS, |_, f| cmd_recover(f)),
-        ["reliability"] => (RELIABILITY_FLAGS, |_, f| cmd_reliability(f)),
-        ["slices"] => (SLICES_FLAGS, |_, f| cmd_slices(f)),
-        ["forward"] => (FORWARD_FLAGS, |_, f| cmd_forward(f)),
-        ["daemon"] => (DAEMON_FLAGS, |_, f| cmd_daemon(f)),
-        ["exp", "list"] => ("", |_, _| {
-            exp_list();
-            Ok(())
-        }),
-        ["exp", "run", _] => (EXP_FLAGS, |w, f| exp_run(w[2], f)),
-        ["exp", "run-all" | "resume"] => (EXP_FLAGS, |w, f| exp_run_all(w[1] == "resume", f)),
-        ["testkit", "replay", _] => ("", |w, _| testkit_replay(w[2])),
-        ["testkit", "soak"] => (SOAK_FLAGS, |_, f| testkit_soak(f)),
-        _ => fail(&format!(
-            "unknown command {:?} (try `splice help`)",
-            words.join(" ")
-        )),
+    let (words, flags) = split_words(&argv);
+    let Some(command) = lookup(&words) else {
+        let words = words.join(" ");
+        fail(&format!("unknown command {words:?} (try `splice help`)"))
     };
-    let result = match Flags::parse(&argv[split..], accepted) {
-        Ok(flags) => command(&words, &flags),
+    let result = match Flags::parse(flags, command.flags) {
+        Ok(flags) => (command.run)(&words, &flags),
         Err(ArgsError::Help) => {
-            print!("{HELP}");
+            print!("{}", help());
             Ok(())
         }
         Err(e) => Err(e.to_string()),
@@ -240,32 +224,13 @@ fn run_failed(e: impl std::fmt::Display) -> ! {
     exit(1);
 }
 
-/// `--strategy`: the slice construction (default perturbed-SPF).
-fn strategy_flag(flags: &Flags) -> Result<StrategyKind, ArgsError> {
-    flags.get_choice(
-        "strategy",
-        StrategyKind::PerturbedSpf,
-        StrategyKind::parse,
-        "perturbed-spf, tree, lst or arc",
-    )
-}
-
-/// `--semantics`: spliced-path accounting (default union).
-fn semantics_flag(flags: &Flags) -> Result<SpliceSemantics, ArgsError> {
-    flags.get_choice(
-        "semantics",
-        SpliceSemantics::UnionGraph,
-        SpliceSemantics::parse,
-        "union or directed",
-    )
-}
-
-/// The deployment `--k` (default 5), `--seed` (default 1) and
-/// `--strategy` ask for, over `topo`'s graph.
+/// The deployment `--k`, `--seed` and `--strategy` ask for, over `topo`'s
+/// graph.
 fn build(topo: &Topology, flags: &Flags) -> Result<(Graph, Splicing), ArgsError> {
-    let k = flags.get_count("k")?.unwrap_or(5);
-    let seed: u64 = flags.get_parsed("seed", 1)?;
-    let cfg = SplicingConfig::degree_based(k, 0.0, 3.0).with_strategy(strategy_flag(flags)?);
+    let k = flags.get_count("k")?.expect("--k has a default");
+    let seed: u64 = flags.get_parsed("seed")?;
+    let cfg = SplicingConfig::degree_based(k, 0.0, 3.0)
+        .with_strategy(flags.get_choice("strategy", StrategyKind::parse)?);
     let g = topo.graph();
     let splicing = Splicing::build(&g, &cfg, seed);
     Ok((g, splicing))
@@ -283,21 +248,18 @@ fn write_file(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))
 }
 
-/// The experiment engine's arguments from [`EXP_FLAGS`]; an absent flag
-/// keeps its [`LabArgs::default`].
+/// The experiment engine's arguments from [`flag::EXP`], whose defaults
+/// are [`LabArgs::default`]'s.
 fn lab_args(flags: &Flags) -> Result<LabArgs, ArgsError> {
-    let defaults = LabArgs::default();
     Ok(LabArgs {
         trials: flags.get_count("trials")?,
-        seed: flags.get_parsed("seed", defaults.seed)?,
-        topology: flags
-            .get("topology")
-            .map_or(defaults.topology, String::from),
-        out: flags.get("out").map_or(defaults.out, PathBuf::from),
-        semantics: semantics_flag(flags)?,
-        strategy: strategy_flag(flags)?,
+        seed: flags.get_parsed("seed")?,
+        topology: flags.value("topology").to_string(),
+        out: PathBuf::from(flags.value("out")),
+        semantics: flags.get_choice("semantics", SpliceSemantics::parse)?,
+        strategy: flags.get_choice("strategy", StrategyKind::parse)?,
         listen: flags.get("listen").map(String::from),
-        linger_secs: flags.get_parsed("linger-secs", defaults.linger_secs)?,
+        linger_secs: flags.get_parsed("linger-secs")?,
     })
 }
 
@@ -361,10 +323,10 @@ const FLIGHT_TAIL: usize = 16;
 /// against the differential oracles, and shrink + report the first
 /// divergence (exit 1).
 fn testkit_soak(flags: &Flags) -> Result<(), String> {
-    let trials: u64 = flags.get_parsed("trials", 200)?;
-    let seed: u64 = flags.get_parsed("seed", 7)?;
+    let trials: u64 = flags.get_parsed("trials")?;
+    let seed: u64 = flags.get_parsed("seed")?;
     let budget_secs: Option<u64> = flags.get_opt("budget-secs")?;
-    let forward_flows: usize = flags.get_parsed("forward-flows", 0)?;
+    let forward_flows: usize = flags.get_parsed("forward-flows")?;
     let opts = ReplayOptions::default();
     let fwd_opts = ForwardOracleOptions {
         flows: forward_flows,
@@ -488,13 +450,13 @@ fn cmd_daemon(flags: &Flags) -> Result<(), String> {
     let topo = resolve_topology(flags)?;
     let (g, base) = build(&topo, flags)?;
     let (k, strategy) = (base.k(), base.strategy());
-    let seed: u64 = flags.get_parsed("seed", 1)?;
-    let listen = flags.get("listen").unwrap_or("127.0.0.1:0");
-    let interval_ms: u64 = flags.get_parsed("interval-ms", 50)?;
-    let max_batch: usize = flags.get_parsed("max-batch", 16)?;
-    let workers: usize = flags.get_parsed("workers", 2)?;
-    let burst_size: usize = flags.get_parsed("burst", 128)?;
-    let duration_secs: u64 = flags.get_parsed("duration-secs", 0)?;
+    let seed: u64 = flags.get_parsed("seed")?;
+    let listen = flags.value("listen");
+    let interval_ms: u64 = flags.get_parsed("interval-ms")?;
+    let max_batch: usize = flags.get_parsed("max-batch")?;
+    let workers: usize = flags.get_parsed("workers")?;
+    let burst_size: usize = flags.get_parsed("burst")?;
+    let duration_secs: u64 = flags.get_parsed("duration-secs")?;
     if max_batch == 0 || workers == 0 || burst_size == 0 {
         return Err("--max-batch, --workers and --burst must all be at least 1".into());
     }
@@ -504,7 +466,7 @@ fn cmd_daemon(flags: &Flags) -> Result<(), String> {
     let schedule: Vec<ControlEvent> = if let Some(spec) = flags.get("schedule") {
         ControlEvent::parse_schedule(spec)?
     } else {
-        let churn: usize = flags.get_parsed("schedule-churn", 0)?;
+        let churn: usize = flags.get_parsed("schedule-churn")?;
         splice_testkit::churn_schedule(&g, k, churn, seed)
     };
     for ev in &schedule {
@@ -800,7 +762,7 @@ fn cmd_route(flags: &Flags) -> Result<(), String> {
     let src = resolve_node(&topo, flags.get("src").ok_or("--src required")?)?;
     let dst = resolve_node(&topo, flags.get("dst").ok_or("--dst required")?)?;
     let mask = resolve_failures(&topo, flags)?;
-    let slice: usize = flags.get_parsed("slice", 0)?;
+    let slice: usize = flags.get_parsed("slice")?;
     if slice >= splicing.k() {
         return Err(format!(
             "--slice {slice} out of range (k = {})",
@@ -818,18 +780,21 @@ fn cmd_route(flags: &Flags) -> Result<(), String> {
         ForwardingOutcome::Delivered(trace) => {
             println!("delivered in {} hops via slice {slice}", trace.hop_count());
             println!("{}", trace_names(&topo, &trace));
-            println!(
-                "latency {:.2} ms ({}x the base shortest path)",
-                trace.length(&topo.latencies()),
-                {
-                    let spt = splice_graph::dijkstra(&g, dst, &g.base_weights());
-                    let base = spt
-                        .path_from(src)
-                        .map(|p| p.length(&topo.latencies()))
-                        .unwrap_or(f64::NAN);
-                    format!("{:.2}", trace.length(&topo.latencies()) / base)
-                }
-            );
+            // A zero-hop delivery (src = dst) has no path to stretch.
+            if trace.hop_count() == 0 {
+                println!("latency 0.00 ms");
+            } else {
+                let latency = trace.length(&topo.latencies());
+                let spt = splice_graph::dijkstra(&g, dst, &g.base_weights());
+                let base = spt
+                    .path_from(src)
+                    .map(|p| p.length(&topo.latencies()))
+                    .unwrap_or(f64::NAN);
+                println!(
+                    "latency {latency:.2} ms ({:.2}x the base shortest path)",
+                    latency / base
+                );
+            }
         }
         ForwardingOutcome::LinkDown { trace, slice } => {
             println!(
@@ -852,13 +817,13 @@ fn cmd_recover(flags: &Flags) -> Result<(), String> {
     if mask.failed_count() == 0 {
         return Err("recovery needs at least one --fail".into());
     }
-    let scheme = flags.get("scheme").unwrap_or("end-system");
+    let scheme = flags.value("scheme");
     // The walk the data-plane lines below report on.
     let replay = match scheme {
         "end-system" => {
-            let seed: u64 = flags.get_parsed("seed", 1)?;
+            let seed: u64 = flags.get_parsed("seed")?;
             let mut rng = Rng::seed_from_u64(seed);
-            let trials = flags.get_count("trials")?.unwrap_or(5);
+            let trials = flags.get_count("trials")?.expect("--trials has a default");
             let fwd = Forwarder::new(&splicing, &mask);
             let opts = ForwarderOptions::default();
             let rec = EndSystemRecovery {
@@ -975,26 +940,23 @@ fn write_metrics(path: &str, registry: &Registry) -> Result<(), String> {
 fn cmd_reliability(flags: &Flags) -> Result<(), String> {
     let topo = resolve_topology(flags)?;
     let g = topo.graph();
-    let ks: Vec<usize> = flags.get_list("k", vec![1, 5, 10])?;
-    let ps: Vec<f64> = flags.get_list("p", vec![0.05])?;
-    let trials = flags.get_count("trials")?.unwrap_or(200);
-    let seed: u64 = flags.get_parsed("seed", 1)?;
-    let semantics = semantics_flag(flags)?;
-    let kmax = *ks.iter().max().ok_or("--k list empty")?;
-    if ps.is_empty() {
-        return Err("--p list empty".into());
-    }
+    let ks = flags.get_counts("k")?;
+    let ps: Vec<f64> = flags.get_list("p")?;
+    let trials = flags.get_count("trials")?.expect("--trials has a default");
+    let seed: u64 = flags.get_parsed("seed")?;
+    let semantics = flags.get_choice("semantics", SpliceSemantics::parse)?;
+    let kmax = *ks.iter().max().expect("--k lists a count");
     // NaN would panic a worker's coin flip; anything else outside [0, 1]
     // would be clamped while the table still printed it.
     if let Some(p) = ps.iter().find(|p| !(0.0..=1.0).contains(*p)) {
         return Err(format!("bad --p {p}: a failure probability is in [0, 1]"));
     }
-    let strategy = strategy_flag(flags)?;
+    let strategy = flags.get_choice("strategy", StrategyKind::parse)?;
     let cfg = ReliabilityConfig {
         ks: ks.clone(),
         ps: ps.clone(),
         trials,
-        splicing: SplicingConfig::degree_based(kmax.max(1), 0.0, 3.0).with_strategy(strategy),
+        splicing: SplicingConfig::degree_based(kmax, 0.0, 3.0).with_strategy(strategy),
         semantics,
         seed,
     };
@@ -1075,13 +1037,13 @@ fn cmd_forward(flags: &Flags) -> Result<(), String> {
     let topo = resolve_topology(flags)?;
     let (g, splicing) = build(&topo, flags)?;
     let mask = resolve_failures(&topo, flags)?;
-    let burst_size: usize = flags.get_parsed("burst", 256)?;
-    let bursts: u64 = flags.get_parsed("bursts", 64)?;
-    let shards: usize = flags.get_parsed("shards", 2)?;
+    let burst_size: usize = flags.get_parsed("burst")?;
+    let bursts: u64 = flags.get_parsed("bursts")?;
+    let shards: usize = flags.get_parsed("shards")?;
     if burst_size == 0 || bursts == 0 || shards == 0 {
         return Err("--burst, --bursts and --shards must all be at least 1".into());
     }
-    let seed: u64 = flags.get_parsed("seed", 1)?;
+    let seed: u64 = flags.get_parsed("seed")?;
     let opts = ForwarderOptions::default();
     let gen = FlowGen::new(FlowConfig::new(g.node_count() as u32, splicing.k(), seed));
     let hub = SnapshotHub::new(std::sync::Arc::clone(splicing.arena()));
@@ -1202,7 +1164,7 @@ mod tests {
 
     fn flags(s: &[&str]) -> Flags {
         let argv: Vec<String> = s.iter().map(|x| x.to_string()).collect();
-        Flags::parse(&argv, EXP_FLAGS).unwrap()
+        Flags::parse(&argv, flag::EXP).unwrap()
     }
 
     #[test]
@@ -1253,5 +1215,134 @@ mod tests {
                 Err(ArgsError::BadValue { flag: f, .. }) if f == flag
             ));
         }
+    }
+
+    /// `line`'s words as a POSIX shell splits them, for the quoting the
+    /// docs use (`"…"`, `'…'`), up to a `#` comment or a `&`, `|`, `;` or
+    /// `>` that ends the command.
+    fn shell_words(line: &str) -> Vec<String> {
+        let (mut words, mut word, mut quote) = (Vec::new(), None::<String>, None);
+        for c in line.chars() {
+            match quote {
+                Some(q) if c == q => quote = None,
+                Some(_) => word.get_or_insert_with(String::new).push(c),
+                None if c == '"' || c == '\'' => {
+                    quote = Some(c);
+                    word.get_or_insert_with(String::new);
+                }
+                None if c.is_whitespace() => words.extend(word.take()),
+                None if word.is_none() && "#&|;>".contains(c) => break,
+                None => word.get_or_insert_with(String::new).push(c),
+            }
+        }
+        words.extend(word);
+        words
+    }
+
+    /// The `splice …` commands in `text`'s fenced blocks (a `.rs` file's
+    /// from its `//!` doc), each with the line it starts on: a `$ ` or
+    /// `lib/` prefix dropped, `\`-continued lines joined.
+    fn fenced_commands(path: &str, text: &str) -> Vec<(usize, String)> {
+        let mut commands: Vec<(usize, String)> = Vec::new();
+        let (mut fenced, mut continued) = (false, false);
+        for (i, line) in text.lines().enumerate() {
+            let line = if path.ends_with(".rs") {
+                line.strip_prefix("//!").unwrap_or("")
+            } else {
+                line
+            };
+            let line = line.trim();
+            if continued {
+                commands.last_mut().expect("a command continues").1 += line;
+            } else if line.starts_with("```") {
+                fenced = !fenced;
+                continue;
+            } else {
+                let command = line.strip_prefix("$ ").unwrap_or(line);
+                let command = command.strip_prefix("lib/").unwrap_or(command);
+                if !fenced || !command.starts_with("splice ") {
+                    continue;
+                }
+                commands.push((i + 1, command.to_string()));
+            }
+            let last = &mut commands.last_mut().expect("a command was read").1;
+            continued = last.ends_with('\\');
+            if continued {
+                last.pop();
+                last.push(' ');
+            }
+        }
+        commands
+    }
+
+    /// Look `argv` (after `splice`) up as `main` does and parse its flags,
+    /// then check an `exp run` experiment against the catalogue and a
+    /// `testkit replay` spec against the scenario grammar. Runs nothing.
+    fn check(argv: &[String]) -> Result<(), String> {
+        let (words, flags) = split_words(argv);
+        let command = lookup(&words).ok_or(format!("unknown command {:?}", words.join(" ")))?;
+        Flags::parse(flags, command.flags)?;
+        match words.as_slice() {
+            ["exp", "run", name] if find(CATALOGUE, name).is_none() => {
+                Err(format!("unknown experiment {name:?}"))
+            }
+            ["testkit", "replay", spec] => Scenario::from_spec(spec).map(drop),
+            _ => Ok(()),
+        }
+    }
+
+    /// Every `splice …` line in the docs' fenced blocks, and every
+    /// `$LAB run …` line of `scripts/reproduce.sh`, names a command, flags
+    /// and experiment the table and catalogue know.
+    #[test]
+    fn documented_commands_parse() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |path: &str| {
+            std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
+        };
+        let mut commands: Vec<(&str, usize, String)> = Vec::new();
+        for path in [
+            "README.md",
+            "EXPERIMENTS.md",
+            "DESIGN.md",
+            "CONTRIBUTING.md",
+            ".claude/skills/verify/SKILL.md",
+            "crates/cli/src/lib.rs",
+        ] {
+            let found = fenced_commands(path, &read(path));
+            commands.extend(found.into_iter().map(|(line, cmd)| (path, line, cmd)));
+        }
+        let script = "scripts/reproduce.sh";
+        let text = read(script);
+        assert!(
+            text.contains(r#"LAB="target/release/splice exp""#),
+            "{script}: $LAB moved"
+        );
+        for (i, line) in text.lines().enumerate() {
+            if let Some(rest) = line.strip_prefix("run $LAB ") {
+                commands.push((script, i + 1, format!("splice exp {rest}")));
+            }
+        }
+        // A reader that found nothing would pass vacuously.
+        for path in [
+            "README.md",
+            "EXPERIMENTS.md",
+            "crates/cli/src/lib.rs",
+            script,
+        ] {
+            assert!(
+                commands.iter().any(|c| c.0 == path),
+                "no command read from {path}"
+            );
+        }
+        let failures: Vec<String> = commands
+            .iter()
+            .filter_map(|(path, line, cmd)| {
+                let argv = shell_words(cmd);
+                let e = check(&argv[1..]).err()?;
+                Some(format!("{path}:{line}: {e}\n    {cmd}"))
+            })
+            .collect();
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 }

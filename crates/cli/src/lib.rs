@@ -14,8 +14,9 @@
 //! splice testkit soak --trials 40 --seed 7
 //! ```
 //!
-//! Every command parses its flags through one [`Flags`] grammar that
-//! rejects flags the command does not read.
+//! Every command parses its flags through one [`Flags`] grammar: it
+//! rejects flags the command does not list as a [`Flag`], and a listed
+//! flag that is not given reads as the default its [`Flag`] holds.
 //!
 //! Topologies can also be loaded from edge-list files via
 //! `--file path.topo` (see `splice_topology::parse`).
@@ -75,19 +76,34 @@ impl From<ArgsError> for String {
     }
 }
 
-/// A parsed command line: flag → values (flags may repeat).
+/// One flag a command accepts: its name without `--`, the placeholder
+/// its value shows in help, its default, and a one-line description.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Flag {
+    /// The name, without `--`.
+    pub name: &'static str,
+    /// The value's placeholder in help (`N`, `NAME`, `union|directed`).
+    pub value: &'static str,
+    /// The value an absent flag reads as, if it has one.
+    pub default: Option<&'static str>,
+    /// What the flag does, one line.
+    pub help: &'static str,
+}
+
+/// A parsed command line: flag → values (flags may repeat), and the
+/// flags the command accepts, whose defaults stand in for absent values.
 #[derive(Clone, Debug, Default)]
 pub struct Flags {
     values: HashMap<String, Vec<String>>,
+    accepted: Vec<Flag>,
 }
 
 impl Flags {
-    /// Parse `--flag value` pairs; repeated flags accumulate. `accepted`
-    /// names every flag the command reads, space-separated and without
-    /// `--`: any other flag or a stray operand is an
+    /// Parse `--flag value` pairs; repeated flags accumulate. A flag not
+    /// in `accepted`, or a stray operand, is an
     /// [`ArgsError::UnknownFlag`], and `--help` or `-h` in a flag
     /// position is [`ArgsError::Help`].
-    pub fn parse(args: &[String], accepted: &str) -> Result<Flags, ArgsError> {
+    pub fn parse(args: &[String], accepted: &[Flag]) -> Result<Flags, ArgsError> {
         let mut values: HashMap<String, Vec<String>> = HashMap::new();
         let mut args = args.iter();
         while let Some(flag) = args.next() {
@@ -96,7 +112,7 @@ impl Flags {
             }
             let name = flag
                 .strip_prefix("--")
-                .filter(|name| accepted.split_whitespace().any(|a| a == *name))
+                .filter(|name| accepted.iter().any(|a| a.name == *name))
                 .ok_or_else(|| ArgsError::UnknownFlag { flag: flag.clone() })?;
             let value = args
                 .next()
@@ -106,15 +122,28 @@ impl Flags {
                 .or_default()
                 .push(value.clone());
         }
-        Ok(Flags { values })
+        let accepted = accepted.to_vec();
+        Ok(Flags { values, accepted })
     }
 
-    /// Last value of a flag, if present.
+    /// Last value of a flag, else its default, if either exists.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.values
             .get(name)
             .and_then(|v| v.last())
             .map(String::as_str)
+            .or_else(|| self.flag(name)?.default)
+    }
+
+    fn flag(&self, name: &str) -> Option<&Flag> {
+        self.accepted.iter().find(|a| a.name == name)
+    }
+
+    /// A flag's value or default. Panics if the flag has neither: a
+    /// flag read this way must have a default in the command's table.
+    pub fn value(&self, name: &str) -> &str {
+        self.get(name)
+            .unwrap_or_else(|| panic!("--{name} is read as if it had a default, and has none"))
     }
 
     /// All values of a repeatable flag.
@@ -122,7 +151,7 @@ impl Flags {
         self.values.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// A flag parsed as `T`, if present.
+    /// A flag parsed as `T`, if given or defaulted.
     pub fn get_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgsError>
     where
         T::Err: std::fmt::Display,
@@ -132,15 +161,17 @@ impl Flags {
             .transpose()
     }
 
-    /// A flag parsed as `T`, with a default.
-    pub fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgsError>
+    /// A flag with a default, parsed as `T`.
+    pub fn get_parsed<T: std::str::FromStr>(&self, name: &str) -> Result<T, ArgsError>
     where
         T::Err: std::fmt::Display,
     {
-        Ok(self.get_opt(name)?.unwrap_or(default))
+        let v = self.value(name);
+        v.parse().map_err(|e: T::Err| bad_value(name, v, e))
     }
 
-    /// A count that must be at least 1 (`--k`, `--trials`), if present.
+    /// A count that must be at least 1 (`--k`, `--trials`), if given or
+    /// defaulted.
     pub fn get_count(&self, name: &str) -> Result<Option<usize>, ArgsError> {
         match self.get_opt::<usize>(name)? {
             Some(0) => Err(bad_value(name, "0", "must be at least 1")),
@@ -148,37 +179,39 @@ impl Flags {
         }
     }
 
-    /// A flag whose value is one token of a closed set: `parse` maps a
-    /// token to its value, `expected` lists the tokens for the error.
-    pub fn get_choice<T>(
-        &self,
-        name: &str,
-        default: T,
-        parse: fn(&str) -> Option<T>,
-        expected: &str,
-    ) -> Result<T, ArgsError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => parse(v).ok_or_else(|| bad_value(name, v, format!("must be {expected}"))),
-        }
+    /// A flag with a default whose value is one token of a closed set:
+    /// `parse` maps a token to its value, and the flag's placeholder
+    /// (`a|b|c`) lists the tokens for the error ("must be a, b or c").
+    pub fn get_choice<T>(&self, name: &str, parse: fn(&str) -> Option<T>) -> Result<T, ArgsError> {
+        let v = self.value(name);
+        parse(v).ok_or_else(|| {
+            let tokens = self.flag(name).map_or("", |f| f.value);
+            let expected = match tokens.rsplit_once('|') {
+                Some((rest, last)) => format!("{} or {last}", rest.replace('|', ", ")),
+                None => tokens.to_string(),
+            };
+            bad_value(name, v, format!("must be {expected}"))
+        })
     }
 
-    /// A comma-separated list flag parsed as `Vec<T>`.
-    pub fn get_list<T: std::str::FromStr>(
-        &self,
-        name: &str,
-        default: Vec<T>,
-    ) -> Result<Vec<T>, ArgsError>
+    /// A comma-separated list flag with a default, parsed as `Vec<T>`.
+    pub fn get_list<T: std::str::FromStr>(&self, name: &str) -> Result<Vec<T>, ArgsError>
     where
         T::Err: std::fmt::Display,
     {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .split(',')
-                .map(|x| x.trim().parse().map_err(|e: T::Err| bad_value(name, x, e)))
-                .collect(),
+        self.value(name)
+            .split(',')
+            .map(|x| x.trim().parse().map_err(|e: T::Err| bad_value(name, x, e)))
+            .collect()
+    }
+
+    /// A comma-separated list of counts, each at least 1 (`--k 1,5,10`).
+    pub fn get_counts(&self, name: &str) -> Result<Vec<usize>, ArgsError> {
+        let counts = self.get_list(name)?;
+        if counts.contains(&0) {
+            return Err(bad_value(name, "0", "must be at least 1"));
         }
+        Ok(counts)
     }
 }
 
@@ -204,7 +237,7 @@ pub fn resolve_topology(flags: &Flags) -> Result<Topology, String> {
             .unwrap_or("file");
         return parse::parse_edge_list(name, &text).map_err(|e| e.to_string());
     }
-    splice_topology::resolve(flags.get("topology").unwrap_or("sprint")).map_err(|e| e.to_string())
+    splice_topology::resolve(flags.value("topology")).map_err(|e| e.to_string())
 }
 
 /// Resolve a node by name (exact, then case-insensitive).
@@ -251,8 +284,24 @@ pub fn resolve_failures(topo: &Topology, flags: &Flags) -> Result<EdgeMask, Stri
 mod tests {
     use super::*;
 
-    /// Every flag any test here passes.
-    const ANY: &str = "k fail fail-edge topology file p";
+    /// Every flag any test here passes; `p` and `topology` have defaults.
+    const ANY: &[Flag] = &[
+        flag("k", None),
+        flag("p", Some("9")),
+        flag("topology", Some("sprint")),
+        flag("file", None),
+        flag("fail", None),
+        flag("fail-edge", None),
+    ];
+
+    const fn flag(name: &'static str, default: Option<&'static str>) -> Flag {
+        Flag {
+            name,
+            value: "V",
+            default,
+            help: "",
+        }
+    }
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -267,13 +316,18 @@ mod tests {
         let f = flags(&["--k", "5", "--fail", "a-b", "--fail", "c-d"]);
         assert_eq!(f.get("k"), Some("5"));
         assert_eq!(f.get_all("fail"), &["a-b".to_string(), "c-d".to_string()]);
-        assert_eq!(f.get_parsed::<usize>("k", 1).unwrap(), 5);
-        assert_eq!(f.get_parsed::<usize>("missing", 7).unwrap(), 7);
+        assert_eq!(f.get_parsed::<usize>("k").unwrap(), 5);
+        assert_eq!(
+            f.get_parsed::<usize>("p").unwrap(),
+            9,
+            "default when absent"
+        );
+        assert_eq!(f.get("file"), None, "no value, no default");
     }
 
     #[test]
     fn flag_errors_are_typed() {
-        let parse = |s: &[&str]| Flags::parse(&argv(s), "k");
+        let parse = |s: &[&str]| Flags::parse(&argv(s), &ANY[..1]);
         assert!(matches!(parse(&["--k"]), Err(ArgsError::MissingValue { flag }) if flag == "--k"));
         assert!(matches!(
             parse(&["stray"]),
@@ -286,9 +340,25 @@ mod tests {
         assert_eq!(parse(&["-h"]).unwrap_err(), ArgsError::Help);
         let f = flags(&["--k", "abc"]);
         assert!(matches!(
-            f.get_parsed::<usize>("k", 1),
+            f.get_parsed::<usize>("k"),
             Err(ArgsError::BadValue { flag, .. }) if flag == "--k"
         ));
+        let choice = [Flag {
+            name: "mode",
+            value: "a|b|c",
+            default: Some("a"),
+            help: "",
+        }];
+        let pick = |s: &[&str]| {
+            Flags::parse(&argv(s), &choice)
+                .unwrap()
+                .get_choice("mode", |t| (t != "d").then_some(t.len()))
+        };
+        assert_eq!(pick(&[]).unwrap(), 1, "the default parses");
+        assert_eq!(
+            pick(&["--mode", "d"]).unwrap_err().to_string(),
+            r#"bad --mode "d": must be a, b or c"#
+        );
         assert!(flags(&["--k", "0"]).get_count("k").is_err());
         assert_eq!(flags(&["--k", "2"]).get_count("k").unwrap(), Some(2));
         assert_eq!(flags(&[]).get_count("k").unwrap(), None);
@@ -297,12 +367,20 @@ mod tests {
     #[test]
     fn list_flags() {
         let f = flags(&["--k", "1,3, 5"]);
-        assert_eq!(f.get_list::<usize>("k", vec![]).unwrap(), vec![1, 3, 5]);
+        assert_eq!(f.get_list::<usize>("k").unwrap(), vec![1, 3, 5]);
+        assert_eq!(f.get_counts("k").unwrap(), vec![1, 3, 5]);
         assert_eq!(
-            f.get_list::<usize>("p", vec![9]).unwrap(),
+            f.get_list::<usize>("p").unwrap(),
             vec![9],
             "default when absent"
         );
+        // A zero count is rejected inside a list as it is alone.
+        for list in ["0", "1,0"] {
+            assert!(matches!(
+                flags(&["--k", list]).get_counts("k"),
+                Err(ArgsError::BadValue { flag, .. }) if flag == "--k"
+            ));
+        }
     }
 
     #[test]

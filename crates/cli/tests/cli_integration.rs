@@ -129,6 +129,27 @@ fn route_prints_a_trace() {
     assert!(text.contains("pt[s0]"));
 }
 
+/// A packet addressed to its source is delivered in zero hops, with a
+/// latency of 0 and no stretch: the base path's length is 0, and 0/0 once
+/// printed `NaNx`.
+#[test]
+fn route_to_the_source_itself_is_zero_hops() {
+    let out = splice(&[
+        "route",
+        "--topology",
+        "abilene",
+        "--src",
+        "Seattle",
+        "--dst",
+        "Seattle",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("delivered in 0 hops"), "{text}");
+    assert!(text.contains("latency 0.00 ms"), "{text}");
+    assert!(!text.contains("NaN") && !text.contains("-0.00"), "{text}");
+}
+
 #[test]
 fn route_detects_failed_link() {
     let out = splice(&[
@@ -147,10 +168,10 @@ fn route_detects_failed_link() {
 }
 
 /// End-system recovery re-draws random headers over randomly perturbed
-/// slices, so whether one seed recovers depends on the RNG stream. Seed 3
-/// does under rand 0.8; scanning forward pins the test to the property
-/// (some deployment routes around the failure) instead of to one
-/// stream's draws.
+/// slices, so whether one seed recovers depends on the RNG stream: under
+/// the in-tree `Rng`, 9 of seeds 1–63 recover at k = 5, 15 the first.
+/// Scanning forward pins the test to the property (some deployment routes
+/// around the failure) instead of to one stream's draws.
 #[test]
 fn recover_routes_around_failure() {
     let recovered = (3..64).any(|seed| {
@@ -427,6 +448,9 @@ fn bad_flags_fail_cleanly() {
         (vec!["reliability", "--p", "1.5"], "--p"),
         (vec!["reliability", "--p", "-0.2"], "--p"),
         (vec!["reliability", "--p", "inf"], "--p"),
+        // A zero slice count panicked building the deployment.
+        (vec!["reliability", "--k", "0"], "--k"),
+        (vec!["reliability", "--k", "1,0"], "--k"),
         ([&recover[..], &["--trials", "0"]].concat(), "--trials"),
         (vec!["exp", "run", "fig3", "--trials", "0"], "--trials"),
         (vec!["exp", "run", "fig3", "--trials"], "--trials"),

@@ -13,7 +13,10 @@ SCALE=${1:-1}
 t() { echo $(( $2 * SCALE )); }
 cargo build --release -p splice-cli || exit 1
 LAB="target/release/splice exp"   # unquoted below: two words
-run() { echo "=== $* ==="; "$@" || echo "FAILED: $*"; }
+# A failed experiment does not stop the rest; each is listed at the end,
+# and any failure makes the script exit 1.
+failed=()
+run() { echo "=== $* ==="; "$@" || { echo "FAILED: $*"; failed+=("$*"); }; }
 
 # The paper's own artifacts.
 run $LAB run fig3_reliability --trials "$(t fig3 1000)"
@@ -46,4 +49,9 @@ run $LAB run convergence_window
 run $LAB run routing_dynamics
 run $LAB run ecmp_baseline --trials "$(t ecmp 200)"
 run $LAB run explicit_paths_baseline
+if [ ${#failed[@]} -gt 0 ]; then
+    echo "${#failed[@]} experiment(s) failed:"
+    printf '  %s\n' "${failed[@]}"
+    exit 1
+fi
 echo "all experiments done; see results/"
