@@ -18,8 +18,8 @@ use splice_sim::reliability::{reliability_experiment, ReliabilityConfig, SpliceS
 use splice_sim::telemetry::ExperimentTelemetry;
 use splice_sim::FailureModel;
 use splice_telemetry::{
-    serve_with_router, AdminResponse, FlightRecorder, JsonArray, JsonObject, Registry, Router,
-    Ticker, TraceSink,
+    series, serve_with_router, AdminResponse, FlightRecorder, JsonArray, JsonObject, Registry,
+    Router, Ticker,
 };
 use splice_testkit::{
     derive_seed, flight_tail, forward_oracle, replay, shrink, Divergence, ForwardOracleOptions,
@@ -476,10 +476,7 @@ fn cmd_daemon(flags: &Flags) -> Result<(), String> {
     let registry = Registry::new();
     let flight = FlightRecorder::new(1024);
     let spf_tel = SpfTelemetry::register(&registry).with_flight(flight.clone());
-    let latency = registry.histogram_seconds(
-        "spliced_event_visible_seconds",
-        "Event enqueue to FIB-visible publish",
-    );
+    let latency = registry.histogram(&series::EVENT_VISIBLE_SECONDS, None);
 
     let cp = ControlPlane::new(g.clone(), base.clone(), max_batch).with_telemetry(spf_tel);
     let hub = Arc::clone(cp.hub());
@@ -873,9 +870,6 @@ fn cmd_recover(flags: &Flags) -> Result<(), String> {
     let mut stats = vec![RouterStats::default(); g.node_count()];
     RouterStats::tally(&mut stats, &replay, 0);
     let latencies = topo.latencies();
-    if let Some(path) = flags.get("trace") {
-        open_trace(path)?.emit(&walk_to_json(&replay, &latencies));
-    }
     let trace = replay.trace();
     println!(
         "data plane replay ({}): {}",
@@ -895,10 +889,10 @@ fn cmd_recover(flags: &Flags) -> Result<(), String> {
     );
     print_router_stats(&topo, &stats);
     if let Some(path) = flags.get("metrics") {
-        write_metrics(path, &registry)?;
+        write_reported(path, &registry.render_prometheus())?;
     }
     if let Some(path) = flags.get("trace") {
-        println!("wrote {path}");
+        write_reported(path, &(walk_to_json(&replay, &latencies) + "\n"))?;
     }
     Ok(())
 }
@@ -925,14 +919,9 @@ fn print_router_stats(topo: &Topology, stats: &[RouterStats]) {
     }
 }
 
-/// Open a `--trace` JSONL sink.
-fn open_trace(path: &str) -> Result<TraceSink, String> {
-    TraceSink::create(path).map_err(|e| format!("cannot create --trace {path}: {e}"))
-}
-
-/// Write a Prometheus snapshot of `registry` to `path`.
-fn write_metrics(path: &str, registry: &Registry) -> Result<(), String> {
-    write_file(path, &registry.render_prometheus())?;
+/// Write a `--metrics` or `--trace` file and say so.
+fn write_reported(path: &str, contents: &str) -> Result<(), String> {
+    write_file(path, contents)?;
     println!("wrote {path}");
     Ok(())
 }
@@ -989,7 +978,7 @@ fn cmd_reliability(flags: &Flags) -> Result<(), String> {
         // the snapshot reflect the sweep just printed.
         let splicing = Splicing::build(&g, &cfg.splicing, seed);
         let tel = NetTelemetry::register(&registry);
-        let sink = trace.map(open_trace).transpose()?;
+        let mut jsonl = String::new();
         let latencies = topo.latencies();
         let nr = NetworkRecovery::default();
         let mut rng = Rng::seed_from_u64(seed);
@@ -999,8 +988,9 @@ fn cmd_reliability(flags: &Flags) -> Result<(), String> {
                 for t in g.nodes().filter(|&t| t != s) {
                     let out = nr.forward(&splicing, &fail_mask, s, t, 0);
                     tel.observe(&out, 0);
-                    if let Some(sink) = &sink {
-                        sink.emit(&walk_to_json(&out, &latencies));
+                    if trace.is_some() {
+                        jsonl += &walk_to_json(&out, &latencies);
+                        jsonl.push('\n');
                     }
                 }
             }
@@ -1013,11 +1003,11 @@ fn cmd_reliability(flags: &Flags) -> Result<(), String> {
             tel.deflections.get(),
         );
         if let Some(path) = trace {
-            println!("wrote {path}");
+            write_reported(path, &jsonl)?;
         }
     }
     if let Some(path) = metrics {
-        write_metrics(path, &registry)?;
+        write_reported(path, &registry.render_prometheus())?;
     }
     Ok(())
 }
@@ -1341,6 +1331,76 @@ mod tests {
                 let argv = shell_words(cmd);
                 let e = check(&argv[1..]).err()?;
                 Some(format!("{path}:{line}: {e}\n    {cmd}"))
+            })
+            .collect();
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    /// One registry built through every registrar in the workspace holds
+    /// exactly the families [`SERIES`](splice_telemetry::SERIES) lists:
+    /// a series registered outside the table, or a row nothing
+    /// registers, fails here.
+    #[test]
+    fn series_table_is_what_the_registrars_register() {
+        use splice_sim::lab::RunContext;
+        use splice_sim::telemetry::TrialTelemetry;
+        let cache = DeploymentCache::new();
+        let topology = splice_topology::resolve("ring-4").unwrap();
+        // The lab's two phase histograms.
+        let ctx = RunContext::new(LabArgs::default().configure(1), topology, &cache);
+        let registry = ctx.registry.clone();
+        SpfTelemetry::register_for_strategy(&registry, "tree");
+        NetTelemetry::register(&registry);
+        ForwardTelemetry::register(&registry);
+        TrialTelemetry::register(&registry);
+        // `splice daemon`'s event-visible latency.
+        registry.histogram(&series::EVENT_VISIBLE_SECONDS, None);
+
+        let text = registry.render_prometheus();
+        let mut registered: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split_once(' '))
+            .filter(|(_, kind)| *kind != "gauge")
+            .map(|(name, _)| name)
+            .collect();
+        let mut listed: Vec<&str> = splice_telemetry::SERIES.iter().map(|s| s.name).collect();
+        registered.sort_unstable();
+        listed.sort_unstable();
+        assert_eq!(registered, listed);
+    }
+
+    /// Every row of README.md's metric table names a series of the table
+    /// with the type it states.
+    #[test]
+    fn readme_metric_table_names_series() {
+        use splice_telemetry::series::Kind;
+        let path = "README.md";
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let text = std::fs::read_to_string(root.join(path)).unwrap();
+        let rows: Vec<(usize, &str)> = text
+            .lines()
+            .enumerate()
+            .skip_while(|(_, l)| !l.starts_with("| Metric | Type |"))
+            .skip(2)
+            .take_while(|(_, l)| l.starts_with('|'))
+            .collect();
+        assert!(!rows.is_empty(), "{path}: no metric table");
+        let failures: Vec<String> = rows
+            .iter()
+            .filter_map(|&(i, row)| {
+                let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+                let name = cells[1].trim_matches('`');
+                let name = name.split('{').next().unwrap_or(name);
+                let kind = match splice_telemetry::SERIES.iter().find(|s| s.name == name) {
+                    None => return Some(format!("{path}:{}: {name} is not a series", i + 1)),
+                    Some(s) => match s.kind {
+                        Kind::Counter => "counter",
+                        Kind::Histogram { .. } => "histogram",
+                    },
+                };
+                (cells[2] != kind)
+                    .then(|| format!("{path}:{}: {name} is a {kind}, not a {}", i + 1, cells[2]))
             })
             .collect();
         assert!(failures.is_empty(), "{}", failures.join("\n"));

@@ -452,6 +452,23 @@ fn bad_flags_fail_cleanly() {
         (vec!["reliability", "--k", "0"], "--k"),
         (vec!["reliability", "--k", "1,0"], "--k"),
         ([&recover[..], &["--trials", "0"]].concat(), "--trials"),
+        // A --trace file that cannot be written was reported as written.
+        (
+            [&recover[..], &["--trace", "/dev/full"]].concat(),
+            "writing /dev/full: No space left on device",
+        ),
+        (
+            vec![
+                "reliability",
+                "--topology",
+                "abilene",
+                "--trials",
+                "5",
+                "--trace",
+                "/dev/full",
+            ],
+            "writing /dev/full: No space left on device",
+        ),
         (vec!["exp", "run", "fig3", "--trials", "0"], "--trials"),
         (vec!["exp", "run", "fig3", "--trials"], "--trials"),
         (vec!["exp", "run", "fig3", "--trials", "x"], "--trials"),

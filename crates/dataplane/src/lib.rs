@@ -22,7 +22,7 @@
 //! * [`telemetry`] — what a finished `ForwardingOutcome` reports:
 //!   per-router counters ([`RouterStats`]), the aggregate counter set
 //!   ([`NetTelemetry`]) and the JSONL walk line ([`walk_to_json`]); plus
-//!   batch-forwarding throughput/latency metrics ([`ForwardTelemetry`]).
+//!   the per-burst latency histogram ([`ForwardTelemetry`]).
 
 pub mod batch;
 pub mod shard;

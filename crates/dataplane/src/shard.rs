@@ -248,9 +248,7 @@ mod tests {
         });
         let total: u64 = reports.iter().map(|r| r.stats.packets).sum();
         assert!(total > 0, "workers forwarded before the stop flag");
-        assert_eq!(tel.packets.get(), total);
         let bursts: u64 = reports.iter().map(|r| r.bursts).sum();
-        assert_eq!(tel.bursts.get(), bursts);
         assert_eq!(tel.burst_seconds.count(), bursts);
         for r in &reports {
             assert!(r.bursts >= 1);

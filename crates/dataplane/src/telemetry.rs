@@ -6,7 +6,7 @@
 //! counters, [`NetTelemetry`] aggregates the same events into a shared
 //! [`Registry`] so one metric snapshot covers a whole experiment (many
 //! walks, many trials), and [`walk_to_json`] is the one-line record a
-//! trace sink gets. All three count one definition of a deflection.
+//! `--trace` file gets. All three count one definition of a deflection.
 //!
 //! A *deflection* is a hop whose slice differs from the slice the packet
 //! arrived in. That reads §4.3's network-based recovery off the walks
@@ -16,11 +16,10 @@
 //!
 //! [`NetworkRecovery::forward`]: splice_core::recovery::NetworkRecovery::forward
 
-use crate::batch::BatchStats;
 use crate::walk::WalkOutcome;
 use splice_core::forwarding::{ForwardingOutcome, Trace};
 use splice_graph::NodeId;
-use splice_telemetry::{Counter, Histogram, JsonArray, JsonObject, Registry};
+use splice_telemetry::{series, Counter, Histogram, JsonArray, JsonObject, Registry};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -107,34 +106,16 @@ pub struct NetTelemetry {
 impl NetTelemetry {
     /// Register (or re-acquire) the data-plane counter set in `registry`.
     pub fn register(registry: &Registry) -> NetTelemetry {
-        let dropped = |reason| {
-            registry.counter_with(
-                "splice_packets_dropped_total",
-                "Packets dropped by the data plane, by reason",
-                &[("reason", reason)],
-            )
-        };
+        let dropped = |reason| registry.counter(&series::PACKETS_DROPPED, Some(reason));
         NetTelemetry {
-            forwarded: registry.counter(
-                "splice_packets_forwarded_total",
-                "Packets forwarded one hop by any router",
-            ),
-            delivered: registry.counter(
-                "splice_packets_delivered_total",
-                "Packets delivered to their destination",
-            ),
+            forwarded: registry.counter(&series::PACKETS_FORWARDED, None),
+            delivered: registry.counter(&series::PACKETS_DELIVERED, None),
             dropped_ttl: dropped("ttl_expired"),
             dropped_no_route: dropped("no_route"),
             dropped_link_down: dropped("link_down"),
             dropped_loop: dropped("persistent_loop"),
-            deflections: registry.counter(
-                "splice_deflections_total",
-                "Local network-based recovery deflections into an alternate slice",
-            ),
-            slice_switches: registry.counter(
-                "splice_slice_switches_total",
-                "Hops where a packet changed routing slice",
-            ),
+            deflections: registry.counter(&series::DEFLECTIONS, None),
+            slice_switches: registry.counter(&series::SLICE_SWITCHES, None),
         }
     }
 
@@ -157,80 +138,35 @@ impl NetTelemetry {
     }
 }
 
-/// Batch-forwarding telemetry: throughput counters plus the latency
-/// histograms behind the pps / per-hop-ns / burst-tail numbers.
-/// Registered once per run; shard workers share the handles
-/// (everything inside is atomic).
+/// Batch-forwarding telemetry: the burst-latency histogram behind
+/// `splice forward`'s `burst p50 … p99` line. Packet, hop and drop
+/// counts are not repeated here: every worker returns them in its
+/// `LiveShardReport`'s `BatchStats`. Registered once per run; shard
+/// workers share the handle.
 #[derive(Clone, Debug)]
 pub struct ForwardTelemetry {
-    /// Packets fully walked by the batch engine.
-    pub packets: Arc<Counter>,
-    /// Total hops taken across all walked packets.
-    pub hops: Arc<Counter>,
-    /// Bursts drained.
-    pub bursts: Arc<Counter>,
-    /// Packets dropped (any non-delivered class).
-    pub dropped: Arc<Counter>,
     /// Wall time to drain one burst (tail latency lives here).
     pub burst_seconds: Arc<Histogram>,
-    /// Amortized per-hop time within each burst.
-    pub hop_seconds: Arc<Histogram>,
-    /// Hops per walked packet.
-    pub walk_hops: Arc<Histogram>,
 }
 
 impl ForwardTelemetry {
     /// Register (or re-acquire) the batch-forwarding metric set.
     pub fn register(registry: &Registry) -> ForwardTelemetry {
         ForwardTelemetry {
-            packets: registry.counter(
-                "splice_forward_packets_total",
-                "Packets fully walked by the batch forwarding engine",
-            ),
-            hops: registry.counter(
-                "splice_forward_hops_total",
-                "Hops taken across all batch-forwarded packets",
-            ),
-            bursts: registry.counter(
-                "splice_forward_bursts_total",
-                "Packet bursts drained by the batch forwarding engine",
-            ),
-            dropped: registry.counter(
-                "splice_forward_dropped_total",
-                "Batch-forwarded packets that did not reach their destination",
-            ),
-            burst_seconds: registry.histogram_seconds(
-                "splice_forward_burst_seconds",
-                "Wall time to drain one packet burst",
-            ),
-            hop_seconds: registry.histogram_seconds(
-                "splice_forward_hop_seconds",
-                "Amortized per-hop forwarding time within a burst",
-            ),
-            walk_hops: registry
-                .histogram("splice_forward_walk_hops", "Hops taken per walked packet"),
+            burst_seconds: registry.histogram(&series::FORWARD_BURST_SECONDS, None),
         }
     }
 
-    /// Fold one drained burst in: its outcomes and the wall time the
-    /// engine took to drain it.
-    pub fn observe_burst(&self, outcomes: &[WalkOutcome], elapsed: Duration) {
-        let mut stats = BatchStats::default();
-        outcomes.iter().for_each(|out| stats.record(out));
-        self.walk_hops
-            .record_all(outcomes.iter().map(|out| out.hops as u64));
-        self.bursts.inc();
-        self.packets.add(stats.packets);
-        self.hops.add(stats.hops);
-        self.dropped.add(stats.packets - stats.delivered);
+    /// Record one drained burst: one sample of the wall time the engine
+    /// took to drain it. The outcomes are not read; the parameter stays
+    /// because the benchmark's traced workers (`e2e/src/traced.rs`)
+    /// call this signature.
+    pub fn observe_burst(&self, _outcomes: &[WalkOutcome], elapsed: Duration) {
         self.burst_seconds.record_duration(elapsed);
-        if let Some(per_hop) = (elapsed.as_nanos() as u64).checked_div(stats.hops) {
-            self.hop_seconds.record(per_hop);
-        }
     }
 }
 
-/// Serialize one packet walk as a single JSON line for a trace sink.
+/// Serialize one packet walk as a single JSON line of a `--trace` file.
 ///
 /// Fields: `delivered`, `src`/`dst` (node ids), `hops`, `latency_ms`
 /// (the walk's length under the per-edge `latencies`), `drop` (reason
@@ -406,13 +342,9 @@ mod tests {
             },
         ];
         tel.observe_burst(&outs, Duration::from_micros(8));
-        assert_eq!(tel.packets.get(), 2);
-        assert_eq!(tel.hops.get(), 4);
-        assert_eq!(tel.dropped.get(), 1);
-        assert_eq!(tel.bursts.get(), 1);
-        assert_eq!(tel.burst_seconds.count(), 1);
-        assert_eq!(tel.hop_seconds.count(), 1);
-        assert_eq!(tel.walk_hops.count(), 2);
+        tel.observe_burst(&outs[..1], Duration::from_micros(2));
+        assert_eq!(tel.burst_seconds.count(), 2, "one sample per burst");
+        assert!((tel.burst_seconds.sum_scaled() - 10e-6).abs() < 1e-12);
     }
 
     #[test]

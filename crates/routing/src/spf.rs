@@ -13,6 +13,8 @@
 // registries, and latency histograms without a direct telemetry
 // dependency.
 pub use splice_telemetry::{FlightEvent, FlightRecorder, Histogram, Registry};
+
+use splice_telemetry::series;
 use std::sync::Arc;
 
 /// Timing handles for the SPF → FIB pipeline. One observation lands in
@@ -55,27 +57,12 @@ impl SpfTelemetry {
     /// The per-slice SPF timing stays unlabeled: it times the same
     /// Dijkstra substrate whichever strategy drives it.
     pub fn register_for_strategy(registry: &Registry, strategy: &str) -> SpfTelemetry {
-        let labels: &[(&str, &str)] = &[("strategy", strategy)];
+        let labeled = |row| registry.histogram(row, Some(strategy));
         SpfTelemetry {
-            spf_seconds: registry.histogram_seconds(
-                "splice_spf_seconds",
-                "Per-slice all-destinations shortest-path (Dijkstra) wall time",
-            ),
-            arena_bytes: registry.histogram_with(
-                "splice_fib_arena_bytes",
-                "Flat spliced-FIB arena size in bytes, one observation per splicing build",
-                labels,
-            ),
-            spf_repair_seconds: registry.histogram_seconds_with(
-                "splice_spf_repair_seconds",
-                "Per-plane incremental SPF repair wall time",
-                labels,
-            ),
-            spf_repair_frontier: registry.histogram_with(
-                "splice_spf_repair_frontier",
-                "Re-relaxed nodes per repaired slice plane (repair frontier size)",
-                labels,
-            ),
+            spf_seconds: registry.histogram(&series::SPF_SECONDS, None),
+            arena_bytes: labeled(&series::FIB_ARENA_BYTES),
+            spf_repair_seconds: labeled(&series::SPF_REPAIR_SECONDS),
+            spf_repair_frontier: labeled(&series::SPF_REPAIR_FRONTIER),
             flight: None,
         }
     }

@@ -31,7 +31,8 @@ use crate::reliability::SpliceSemantics;
 use splice_core::slices::{Splicing, SplicingConfig};
 use splice_core::strategy::StrategyKind;
 use splice_graph::Graph;
-use splice_telemetry::{FlightEvent, FlightRecorder, Histogram, JsonArray, JsonObject, Registry};
+use splice_telemetry::series::{self, Series};
+use splice_telemetry::{FlightEvent, FlightRecorder, JsonArray, JsonObject, Registry, Router};
 use splice_topology::{Topology, TopologyError};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -233,16 +234,25 @@ pub struct RunContext<'a> {
 }
 
 impl<'a> RunContext<'a> {
-    /// A context over an already-resolved topology.
+    /// A context over an already-resolved topology. Both lab phase
+    /// histograms are registered up front, so every manifest lists them
+    /// (the deployment one empty for an experiment that fetches none).
     pub fn new(
         config: RunConfig,
         topology: Topology,
         cache: &'a DeploymentCache,
     ) -> RunContext<'a> {
+        let registry = Registry::new();
+        for phase in [
+            &series::LAB_DEPLOYMENT_SECONDS,
+            &series::LAB_EXPERIMENT_SECONDS,
+        ] {
+            registry.histogram(phase, None);
+        }
         RunContext {
             config,
             topology,
-            registry: Registry::new(),
+            registry,
             flight: FlightRecorder::new(FLIGHT_CAPACITY),
             cache,
         }
@@ -271,13 +281,12 @@ impl<'a> RunContext<'a> {
     /// seed)` across the whole sweep). Each fetch — hit or build — is
     /// timed as the `splice_lab_deployment` phase.
     pub fn deployment(&self, g: &Graph, cfg: &SplicingConfig, seed: u64) -> Arc<Splicing> {
-        let seconds = self.registry.histogram_seconds(
-            "splice_lab_deployment_seconds",
-            "Deployment fetch (cache hit or slice build) wall time",
-        );
-        timed_phase("splice_lab_deployment", &seconds, &self.flight, || {
-            self.cache.get_or_build(&self.config.topology, g, cfg, seed)
-        })
+        timed_phase(
+            &series::LAB_DEPLOYMENT_SECONDS,
+            &self.registry,
+            &self.flight,
+            || self.cache.get_or_build(&self.config.topology, g, cfg, seed),
+        )
     }
 
     /// Seed of `index` in RNG stream `stream` of this run's base seed
@@ -455,19 +464,21 @@ pub struct RunSummary {
     pub manifest: PathBuf,
 }
 
-/// Run `f` as the lab phase `name`: its wall time lands in `seconds`,
-/// and a `span/<name>` closure event carrying it as `nanos` lands in
-/// `flight`.
+/// Run `f` as the lab phase `phase`: its wall time lands in the phase's
+/// histogram in `registry`, and a `span/<name>` closure event carrying
+/// it as `nanos` lands in `flight`, where `<name>` is the series name
+/// without its `_seconds` suffix.
 fn timed_phase<T>(
-    name: &'static str,
-    seconds: &Histogram,
+    phase: &'static Series,
+    registry: &Registry,
     flight: &FlightRecorder,
     f: impl FnOnce() -> T,
 ) -> T {
     let started = Instant::now();
     let out = f();
     let elapsed = started.elapsed();
-    seconds.record_duration(elapsed);
+    registry.histogram(phase, None).record_duration(elapsed);
+    let name = phase.name.strip_suffix("_seconds").unwrap_or(phase.name);
     let nanos = elapsed.as_nanos().min(u64::MAX as u128) as u64;
     flight.record(FlightEvent::new("span", name).field("nanos", nanos));
     out
@@ -491,20 +502,17 @@ pub fn run_experiment(
     // runs stay byte-identical to plain ones.
     let server = match &args.listen {
         Some(addr) => {
+            let (registry, flight) = (ctx.registry.clone(), Some(ctx.flight.clone()));
             let server =
-                splice_telemetry::serve(addr, ctx.registry.clone(), Some(ctx.flight.clone()))?;
+                splice_telemetry::serve_with_router(addr, registry, flight, Router::new())?;
             println!("[splice-lab] listening on http://{}", server.local_addr());
             Some(server)
         }
         None => None,
     };
     let mut manifest = RunManifest::start(exp.name, &ctx.config);
-    let seconds = ctx.registry.histogram_seconds(
-        "splice_lab_experiment_seconds",
-        "Wall time of the experiment phase (excludes artifact writing)",
-    );
-    let flight = ctx.flight.clone();
-    let output = timed_phase("splice_lab_experiment", &seconds, &flight, || {
+    let (registry, flight) = (ctx.registry.clone(), ctx.flight.clone());
+    let output = timed_phase(&series::LAB_EXPERIMENT_SECONDS, &registry, &flight, || {
         (exp.run)(&mut ctx)
     })?;
     manifest.phase_done("experiment");
@@ -686,6 +694,13 @@ mod tests {
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 5 });
     }
 
+    const DUMMY_RUNS: Series = Series {
+        name: "dummy_runs_total",
+        help: "Runs",
+        kind: splice_telemetry::series::Kind::Counter,
+        label: None,
+    };
+
     const DUMMY: Experiment = Experiment {
         name: "dummy",
         aliases: &["dum"],
@@ -695,7 +710,7 @@ mod tests {
     };
 
     fn run_dummy(ctx: &mut RunContext<'_>) -> Result<ExperimentOutput, LabError> {
-        ctx.registry.counter("dummy_runs_total", "Runs").add(1);
+        ctx.registry.counter(&DUMMY_RUNS, None).add(1);
         let g = ctx.graph();
         ctx.deployment(&g, &degree_cfg(2), ctx.config.seed);
         Ok(ExperimentOutput {

@@ -6,17 +6,15 @@
 //! that property across thread counts.
 
 use splice_routing::spf::SpfTelemetry;
-use splice_telemetry::{Counter, Histogram, Registry};
+use splice_telemetry::{series, Histogram, Registry};
 use std::sync::Arc;
 
-/// Handles the Monte-Carlo driver records into: one histogram sample and
-/// one counter increment per finished trial.
+/// Handles the Monte-Carlo driver records into: one histogram sample per
+/// finished trial, so the histogram's count is the trials completed.
 #[derive(Clone, Debug)]
 pub struct TrialTelemetry {
     /// Wall time of one full trial closure.
     pub trial_seconds: Arc<Histogram>,
-    /// Trials completed.
-    pub trials_total: Arc<Counter>,
     /// Print a stderr progress line every this many trials (off = never).
     pub heartbeat_every: Option<u64>,
 }
@@ -25,11 +23,7 @@ impl TrialTelemetry {
     /// Register (or re-acquire) the trial metrics in `registry`.
     pub fn register(registry: &Registry) -> TrialTelemetry {
         TrialTelemetry {
-            trial_seconds: registry.histogram_seconds(
-                "splice_trial_duration_seconds",
-                "Wall time of one Monte-Carlo trial",
-            ),
-            trials_total: registry.counter("splice_trials_total", "Monte-Carlo trials completed"),
+            trial_seconds: registry.histogram(&series::TRIAL_DURATION_SECONDS, None),
             heartbeat_every: None,
         }
     }
@@ -95,10 +89,8 @@ mod tests {
     fn registers_trial_metrics() {
         let reg = Registry::new();
         let tel = TrialTelemetry::register(&reg);
-        tel.trials_total.add(3);
         tel.trial_seconds.record(1_000_000); // 1 ms in ns
         let text = reg.render_prometheus();
-        assert!(text.contains("splice_trials_total 3"));
         assert!(text.contains("splice_trial_duration_seconds_count 1"));
         assert!(tel.heartbeat_every.is_none(), "heartbeat is opt-in");
     }
@@ -115,8 +107,8 @@ mod tests {
         let reg = Registry::new();
         let a = ExperimentTelemetry::register(&reg);
         let b = ExperimentTelemetry::register(&reg);
-        a.trials.trials_total.inc();
-        assert_eq!(b.trials.trials_total.get(), 1);
+        a.trials.trial_seconds.record(10);
+        assert_eq!(b.trials.trial_seconds.count(), 1);
         a.spf.spf_seconds.record(10);
         assert_eq!(b.spf.spf_seconds.count(), 1);
     }

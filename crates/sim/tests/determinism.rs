@@ -25,7 +25,6 @@ fn telemetry_does_not_change_trial_results() {
         baseline,
         "instrumentation changed trial results"
     );
-    assert_eq!(tel.trials_total.get(), 40);
     assert_eq!(tel.trial_seconds.count(), 40);
 }
 
@@ -57,7 +56,6 @@ fn reliability_curves_unchanged_by_telemetry() {
     // One trial observation per trial, one fused SPF+FIB observation per
     // slice built (kmax = 3 slices per trial), and one arena-size
     // observation per splicing build.
-    assert_eq!(tel.trials.trials_total.get(), 24);
     assert_eq!(tel.trials.trial_seconds.count(), 24);
     assert_eq!(tel.spf.spf_seconds.count(), 24 * 3);
     assert_eq!(tel.spf.arena_bytes.count(), 24);
@@ -88,5 +86,5 @@ fn recovery_curves_unchanged_by_telemetry() {
     for (a, b) in plain.reliability.iter().zip(&instrumented.reliability) {
         assert_eq!(a.points, b.points);
     }
-    assert_eq!(tel.trials.trials_total.get(), 10);
+    assert_eq!(tel.trials.trial_seconds.count(), 10);
 }

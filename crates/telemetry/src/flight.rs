@@ -150,11 +150,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Shorthand for recording an event with no payload fields.
-    pub fn note(&self, kind: &'static str, name: &'static str) {
-        self.record(FlightEvent::new(kind, name));
-    }
-
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
         self.inner.slots.len()
@@ -196,15 +191,15 @@ impl FlightRecorder {
         events
     }
 
-    /// Dump every surviving event as JSONL (one JSON object per line,
-    /// trailing newline when non-empty).
-    pub fn to_jsonl(&self) -> String {
-        render_jsonl(&self.snapshot())
-    }
-
-    /// Dump the last `k` surviving events as JSONL.
+    /// Dump the last `k` surviving events as JSONL (one JSON object per
+    /// line, trailing newline when non-empty).
     pub fn tail_jsonl(&self, k: usize) -> String {
-        render_jsonl(&self.tail(k))
+        let mut out = String::new();
+        for ev in self.tail(k) {
+            out.push_str(&ev.to_json());
+            out.push('\n');
+        }
+        out
     }
 }
 
@@ -216,15 +211,6 @@ impl std::fmt::Debug for FlightRecorder {
             .field("dropped", &self.dropped())
             .finish()
     }
-}
-
-fn render_jsonl(events: &[RecordedEvent]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        out.push_str(&ev.to_json());
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -270,7 +256,7 @@ mod tests {
                 .field("frontier", 3)
                 .field("patched", 12),
         );
-        let dump = rec.to_jsonl();
+        let dump = rec.tail_jsonl(4);
         assert_eq!(dump.lines().count(), 1);
         let line = dump.lines().next().unwrap();
         assert!(line.contains(r#""kind":"repair""#));

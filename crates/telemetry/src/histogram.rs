@@ -79,34 +79,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Record every value of `values`, ending in exactly the state one
-    /// [`Histogram::record`] per value would (the sum wraps the same
-    /// way). The values are folded on the stack first and flushed with
-    /// one atomic add per bucket they touched plus three for count, sum
-    /// and max — a burst of packets costs a handful of atomics, not four
-    /// per packet.
-    pub fn record_all(&self, values: impl IntoIterator<Item = u64>) {
-        let mut buckets = [0u64; NUM_BUCKETS];
-        let (mut count, mut sum, mut max) = (0u64, 0u64, 0u64);
-        for v in values {
-            buckets[bucket_index(v)] += 1;
-            count += 1;
-            sum = sum.wrapping_add(v);
-            max = max.max(v);
-        }
-        if count == 0 {
-            return;
-        }
-        for (bucket, &add) in self.buckets.iter().zip(&buckets) {
-            if add != 0 {
-                bucket.fetch_add(add, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(count, Ordering::Relaxed);
-        self.sum.fetch_add(sum, Ordering::Relaxed);
-        self.max.fetch_max(max, Ordering::Relaxed);
-    }
-
     /// Record a duration in nanoseconds (pair with `scale = 1e-9` to
     /// expose seconds).
     #[inline]
@@ -443,34 +415,6 @@ mod tests {
                         max
                     );
                     prev = v;
-                }
-            });
-        }
-
-        /// `record_all` ends in the state per-value `record` does —
-        /// buckets, count, (wrapping) sum and max — on top of
-        /// whatever was recorded before, for values that include
-        /// both ends of the range and an empty batch.
-        #[test]
-        fn record_all_matches_per_value_record() {
-            run_cases(128, |rng| {
-                let batches = vec_of(rng, 1..4, |r| {
-                    vec_of(r, 0..150, |r| match r.gen_range(0..5) {
-                        0 => 0,
-                        1 => 1,
-                        2 => u64::MAX,
-                        3 => r.gen_range(0..64),
-                        _ => r.next_u64(),
-                    })
-                });
-                let (folded, single) = (Histogram::new(), Histogram::new());
-                for batch in &batches {
-                    folded.record_all(batch.iter().copied());
-                    batch.iter().for_each(|&v| single.record(v));
-                    assert_eq!(folded.bucket_counts(), single.bucket_counts());
-                    assert_eq!(folded.count(), single.count());
-                    assert_eq!(folded.sum_scaled(), single.sum_scaled());
-                    assert_eq!(folded.max_scaled(), single.max_scaled());
                 }
             });
         }

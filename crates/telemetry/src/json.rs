@@ -126,15 +126,6 @@ impl JsonArray {
         }
     }
 
-    /// Append a string element.
-    pub fn push_str_elem(mut self, v: &str) -> JsonArray {
-        self.sep();
-        self.buf.push('"');
-        self.buf.push_str(&escape(v));
-        self.buf.push('"');
-        self
-    }
-
     /// Append an unsigned integer element.
     pub fn push_u64(mut self, v: u64) -> JsonArray {
         self.sep();
@@ -200,10 +191,9 @@ mod tests {
         let a = JsonArray::new()
             .push_u64(1)
             .push_f64(0.5)
-            .push_str_elem("x")
             .push_raw("{}")
             .finish();
-        assert_eq!(a, r#"[1,0.5,"x",{}]"#);
+        assert_eq!(a, r#"[1,0.5,{}]"#);
     }
 
     #[test]

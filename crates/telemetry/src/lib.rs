@@ -6,8 +6,13 @@
 //! [`FlightRecorder`] keeping the last N structured events, a drift-free
 //! [`Ticker`], a global-free [`Registry`] that snapshots everything to
 //! Prometheus text exposition or JSON, and a thread-based scrape
-//! endpoint ([`serve`]) exposing `/metrics`, `/healthz`, and `/snapshot`
-//! over plain `std::net`.
+//! endpoint ([`serve_with_router`]) exposing `/metrics`, `/healthz`, and
+//! `/snapshot` over plain `std::net`.
+//!
+//! Every series the workspace exports is one row of [`SERIES`]: its
+//! name, help text, kind and label key, and the reader that makes it
+//! worth keeping. Registrars register through their row, never through
+//! a name of their own.
 //!
 //! Design constraints, in order:
 //!
@@ -23,12 +28,12 @@
 //!    link it everywhere.
 //!
 //! ```
-//! use splice_telemetry::Registry;
+//! use splice_telemetry::{series, Registry};
 //! use std::time::Duration;
 //!
 //! let reg = Registry::new();
-//! let forwarded = reg.counter("splice_packets_forwarded_total", "Packets forwarded");
-//! let latency = reg.histogram_seconds("splice_trial_duration_seconds", "Trial wall time");
+//! let forwarded = reg.counter(&series::PACKETS_FORWARDED, None);
+//! let latency = reg.histogram(&series::TRIAL_DURATION_SECONDS, None);
 //! forwarded.inc();
 //! latency.record_duration(Duration::from_micros(250));
 //! let text = reg.render_prometheus();
@@ -40,15 +45,15 @@ pub mod flight;
 pub mod histogram;
 pub mod json;
 pub mod registry;
+pub mod series;
 pub mod serve;
 pub mod timer;
-pub mod trace;
 
 pub use counter::Counter;
 pub use flight::{FlightEvent, FlightRecorder, RecordedEvent};
 pub use histogram::{Histogram, NUM_BUCKETS};
 pub use json::{JsonArray, JsonObject};
 pub use registry::Registry;
-pub use serve::{serve, serve_with_router, AdminRequest, AdminResponse, MetricsServer, Router};
+pub use series::{Series, SERIES};
+pub use serve::{serve_with_router, AdminRequest, AdminResponse, MetricsServer, Router};
 pub use timer::Ticker;
-pub use trace::TraceSink;

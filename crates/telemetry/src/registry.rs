@@ -4,12 +4,13 @@
 //! default — that hands out `Arc` handles to counters and histograms and
 //! can render everything it has seen as Prometheus text exposition or as
 //! one JSON object. Registration is idempotent: asking twice for the
-//! same `(name, labels)` returns the same handle, so independent
+//! same `(name, label)` returns the same handle, so independent
 //! subsystems can wire themselves without coordination.
 
 use crate::counter::Counter;
 use crate::histogram::Histogram;
 use crate::json::{JsonArray, JsonObject};
+use crate::series::{Kind, Series};
 use std::sync::{Arc, Mutex};
 
 #[derive(Clone)]
@@ -21,7 +22,7 @@ enum Handle {
 struct Metric {
     name: String,
     help: String,
-    labels: Vec<(String, String)>,
+    label: Option<(&'static str, String)>,
     handle: Handle,
 }
 
@@ -44,13 +45,13 @@ impl Registry {
         &self,
         name: &str,
         help: &str,
-        labels: &[(&str, &str)],
+        label: Option<(&'static str, &str)>,
         make: impl FnOnce() -> Handle,
     ) -> Handle {
         let mut metrics = self.metrics.lock().expect("registry lock");
         if let Some(m) = metrics
             .iter()
-            .find(|m| m.name == name && label_eq(&m.labels, labels))
+            .find(|m| m.name == name && m.label.as_ref().map(|(k, v)| (*k, v.as_str())) == label)
         {
             return m.handle.clone();
         }
@@ -58,81 +59,66 @@ impl Registry {
         metrics.push(Metric {
             name: name.to_string(),
             help: help.to_string(),
-            labels: labels
-                .iter()
-                .map(|&(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            label: label.map(|(k, v)| (k, v.to_string())),
             handle: handle.clone(),
         });
         handle
     }
 
-    /// A counter with no labels.
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        self.counter_with(name, help, &[])
+    /// The member of `row`'s family with label value `value` (`None`
+    /// exactly when the row has no label key).
+    fn row_handle(
+        &self,
+        row: &Series,
+        value: Option<&str>,
+        make: impl FnOnce() -> Handle,
+    ) -> Handle {
+        assert_eq!(
+            row.label.is_some(),
+            value.is_some(),
+            "metric {} is labeled by {:?}",
+            row.name,
+            row.label
+        );
+        self.get_or_insert(row.name, row.help, row.label.zip(value), make)
     }
 
-    /// A counter with labels, e.g.
-    /// `counter_with("splice_packets_dropped_total", "...", &[("reason", "ttl_expired")])`.
-    pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        match self.get_or_insert(name, help, labels, || {
-            Handle::Counter(Arc::new(Counter::new()))
-        }) {
+    /// The counter of a [`Kind::Counter`] row, e.g.
+    /// `counter(&series::PACKETS_DROPPED, Some("ttl_expired"))`.
+    /// Registration is idempotent: every label value is its own series
+    /// under the row's family name.
+    pub fn counter(&self, row: &Series, label: Option<&str>) -> Arc<Counter> {
+        let Kind::Counter = row.kind else {
+            panic!("metric {} is a histogram", row.name);
+        };
+        match self.row_handle(row, label, || Handle::Counter(Arc::new(Counter::new()))) {
             Handle::Counter(c) => c,
-            Handle::Histogram(_) => panic!("metric {name} already registered as a histogram"),
+            Handle::Histogram(_) => panic!("metric {} already registered as a histogram", row.name),
         }
     }
 
-    /// A histogram of raw values (exposition scale 1).
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        self.histogram_scaled(name, help, 1.0)
-    }
-
-    /// A histogram recorded in nanoseconds and exposed in seconds — the
-    /// Prometheus convention for `*_seconds` duration histograms. Record
-    /// into it with [`Histogram::record_duration`].
-    pub fn histogram_seconds(&self, name: &str, help: &str) -> Arc<Histogram> {
-        self.histogram_scaled(name, help, 1e-9)
-    }
-
-    /// A labeled `*_seconds` duration histogram, e.g.
-    /// `histogram_seconds_with("splice_spf_repair_seconds", "...", &[("strategy", "tree")])`.
-    pub fn histogram_seconds_with(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-    ) -> Arc<Histogram> {
-        self.histogram_scaled_with(name, help, 1e-9, labels)
-    }
-
-    /// A labeled histogram of raw values (exposition scale 1).
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-    ) -> Arc<Histogram> {
-        self.histogram_scaled_with(name, help, 1.0, labels)
-    }
-
-    /// A histogram with an explicit exposition scale.
-    pub fn histogram_scaled(&self, name: &str, help: &str, scale: f64) -> Arc<Histogram> {
-        self.histogram_scaled_with(name, help, scale, &[])
-    }
-
-    /// A labeled histogram with an explicit exposition scale. Like
-    /// counters, every distinct label set is its own series under one
-    /// family name.
-    pub fn histogram_scaled_with(
-        &self,
-        name: &str,
-        help: &str,
-        scale: f64,
-        labels: &[(&str, &str)],
-    ) -> Arc<Histogram> {
-        match self.get_or_insert(name, help, labels, || {
+    /// The histogram of a [`Kind::Histogram`] row, exposed at the row's
+    /// scale, e.g. `histogram(&series::SPF_REPAIR_SECONDS, Some("tree"))`.
+    pub fn histogram(&self, row: &Series, label: Option<&str>) -> Arc<Histogram> {
+        let Kind::Histogram { scale } = row.kind else {
+            panic!("metric {} is a counter", row.name);
+        };
+        match self.row_handle(row, label, || {
             Handle::Histogram(Arc::new(Histogram::with_scale(scale)))
+        }) {
+            Handle::Histogram(h) => h,
+            Handle::Counter(_) => panic!("metric {} already registered as a counter", row.name),
+        }
+    }
+
+    /// An unlabeled histogram recorded in nanoseconds and exposed in
+    /// seconds, named by the caller instead of by a [`Series`] row. The
+    /// benchmark harness (`e2e/src/pipeline.rs`) registers the daemon's
+    /// event-visible latency through it; code in this workspace uses
+    /// [`Registry::histogram`].
+    pub fn histogram_seconds(&self, name: &str, help: &str) -> Arc<Histogram> {
+        match self.get_or_insert(name, help, None, || {
+            Handle::Histogram(Arc::new(Histogram::with_scale(1e-9)))
         }) {
             Handle::Histogram(h) => h,
             Handle::Counter(_) => panic!("metric {name} already registered as a counter"),
@@ -175,7 +161,7 @@ impl Registry {
                         out.push_str(&format!(
                             "{}{} {}\n",
                             m.name,
-                            label_text(&m.labels, None),
+                            label_text(&m.label, None),
                             c.get()
                         ));
                     }
@@ -184,26 +170,26 @@ impl Registry {
                             out.push_str(&format!(
                                 "{}_bucket{} {}\n",
                                 m.name,
-                                label_text(&m.labels, Some(&format!("{le}"))),
+                                label_text(&m.label, Some(("le", &format!("{le}")))),
                                 cum
                             ));
                         }
                         out.push_str(&format!(
                             "{}_bucket{} {}\n",
                             m.name,
-                            label_text(&m.labels, Some("+Inf")),
+                            label_text(&m.label, Some(("le", "+Inf"))),
                             h.count()
                         ));
                         out.push_str(&format!(
                             "{}_sum{} {}\n",
                             m.name,
-                            label_text(&m.labels, None),
+                            label_text(&m.label, None),
                             h.sum_scaled()
                         ));
                         out.push_str(&format!(
                             "{}_count{} {}\n",
                             m.name,
-                            label_text(&m.labels, None),
+                            label_text(&m.label, None),
                             h.count()
                         ));
                     }
@@ -225,7 +211,7 @@ impl Registry {
                     for (q, v) in [("0.5", p50), ("0.9", p90), ("0.99", p99)] {
                         out.push_str(&format!(
                             "{family}_quantile{} {v}\n",
-                            quantile_label_text(&m.labels, q)
+                            label_text(&m.label, Some(("quantile", q)))
                         ));
                     }
                 }
@@ -242,7 +228,7 @@ impl Registry {
         let mut histograms = JsonArray::new();
         for m in metrics.iter() {
             let mut labels = JsonObject::new();
-            for (k, v) in &m.labels {
+            if let Some((k, v)) = &m.label {
                 labels = labels.field_str(k, v);
             }
             match &m.handle {
@@ -288,14 +274,6 @@ impl Registry {
     }
 }
 
-fn label_eq(have: &[(String, String)], want: &[(&str, &str)]) -> bool {
-    have.len() == want.len()
-        && have
-            .iter()
-            .zip(want)
-            .all(|((hk, hv), (wk, wv))| hk == wk && hv == wv)
-}
-
 /// Escape a HELP string for the text exposition format, which gives
 /// backslash and line feed special meaning (a raw newline would start a
 /// bogus sample line).
@@ -303,42 +281,45 @@ fn escape_help(help: &str) -> String {
     help.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-/// Render a Prometheus label set with a trailing `quantile` pair — the
-/// companion-gauge analogue of [`label_text`], so labeled histogram
-/// families keep their identifying labels on the quantile series.
-fn quantile_label_text(labels: &[(String, String)], q: &str) -> String {
-    let mut parts: Vec<String> = labels
+/// Render a Prometheus label set: the series' own label, then `extra`
+/// (`le` on a bucket sample, `quantile` on a companion gauge), so
+/// labeled families keep their identifying label on every sample.
+fn label_text(label: &Option<(&'static str, String)>, extra: Option<(&str, &str)>) -> String {
+    let parts: Vec<String> = label
         .iter()
+        .map(|(k, v)| (*k, v.as_str()))
+        .chain(extra)
         .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
         .collect();
-    parts.push(format!("quantile=\"{q}\""));
-    format!("{{{}}}", parts.join(","))
-}
-
-/// Render a Prometheus label set, optionally with a trailing `le`.
-fn label_text(labels: &[(String, String)], le: Option<&str>) -> String {
-    if labels.is_empty() && le.is_none() {
-        return String::new();
+    if parts.is_empty() {
+        String::new()
+    } else {
+        format!("{{{}}}", parts.join(","))
     }
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
-        .collect();
-    if let Some(le) = le {
-        parts.push(format!("le=\"{le}\""));
-    }
-    format!("{{{}}}", parts.join(","))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::{self, Kind, Series};
+
+    const fn row(name: &'static str, kind: Kind, label: Option<&'static str>) -> Series {
+        Series {
+            name,
+            help: "A test series",
+            kind,
+            label,
+        }
+    }
+    const DROPS: Series = row("drops_total", Kind::Counter, Some("reason"));
+    const C: Series = row("c_total", Kind::Counter, None);
+    const H: Series = row("h", Kind::Histogram { scale: 1.0 }, None);
 
     #[test]
     fn counter_registration_is_idempotent() {
         let reg = Registry::new();
-        let a = reg.counter("splice_packets_forwarded_total", "Packets forwarded");
-        let b = reg.counter("splice_packets_forwarded_total", "Packets forwarded");
+        let a = reg.counter(&series::PACKETS_FORWARDED, None);
+        let b = reg.counter(&series::PACKETS_FORWARDED, None);
         a.inc();
         b.inc();
         assert_eq!(a.get(), 2, "same underlying counter");
@@ -347,8 +328,8 @@ mod tests {
     #[test]
     fn labeled_counters_are_distinct() {
         let reg = Registry::new();
-        let ttl = reg.counter_with("drops_total", "Drops", &[("reason", "ttl")]);
-        let route = reg.counter_with("drops_total", "Drops", &[("reason", "no_route")]);
+        let ttl = reg.counter(&DROPS, Some("ttl"));
+        let route = reg.counter(&DROPS, Some("no_route"));
         ttl.add(3);
         route.add(5);
         let text = reg.render_prometheus();
@@ -361,10 +342,12 @@ mod tests {
     #[test]
     fn prometheus_counter_format() {
         let reg = Registry::new();
-        reg.counter("splice_deflections_total", "Deflections")
-            .add(7);
+        reg.counter(&series::DEFLECTIONS, None).add(7);
         let text = reg.render_prometheus();
-        assert!(text.contains("# HELP splice_deflections_total Deflections\n"));
+        assert!(text.contains(&format!(
+            "# HELP splice_deflections_total {}\n",
+            series::DEFLECTIONS.help
+        )));
         assert!(text.contains("# TYPE splice_deflections_total counter\n"));
         assert!(text.contains("\nsplice_deflections_total 7\n") || text.starts_with("# HELP"));
         assert!(text.contains("splice_deflections_total 7\n"));
@@ -373,15 +356,15 @@ mod tests {
     #[test]
     fn prometheus_histogram_format() {
         let reg = Registry::new();
-        let h = reg.histogram("splice_trial_duration_seconds", "Trial wall time");
+        let h = reg.histogram(&H, None);
         h.record(3); // bucket (2, 4]
         h.record(4);
         let text = reg.render_prometheus();
-        assert!(text.contains("# TYPE splice_trial_duration_seconds histogram"));
-        assert!(text.contains("splice_trial_duration_seconds_bucket{le=\"4\"} 2"));
-        assert!(text.contains("splice_trial_duration_seconds_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("splice_trial_duration_seconds_sum 7"));
-        assert!(text.contains("splice_trial_duration_seconds_count 2"));
+        assert!(text.contains("# TYPE h histogram"));
+        assert!(text.contains("h_bucket{le=\"4\"} 2"));
+        assert!(text.contains("h_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("h_sum 7"));
+        assert!(text.contains("h_count 2"));
     }
 
     /// A promtool-flavored validity check of text exposition: every
@@ -443,14 +426,12 @@ mod tests {
     #[test]
     fn exposition_passes_promtool_style_parsing() {
         let reg = Registry::new();
-        reg.counter_with("drops_total", "Drops", &[("reason", "ttl")])
-            .inc();
+        reg.counter(&DROPS, Some("ttl")).inc();
         let h = reg.histogram_seconds("repair_seconds", "Repair wall time");
         h.record(1500);
         // Registered after the histogram, but the exposition must fold
         // it back into the drops_total family block.
-        reg.counter_with("drops_total", "Drops", &[("reason", "no_route")])
-            .add(2);
+        reg.counter(&DROPS, Some("no_route")).add(2);
         let text = reg.render_prometheus();
         assert_promtool_valid(&text);
         let lines: Vec<&str> = text.lines().collect();
@@ -494,16 +475,8 @@ mod tests {
     #[test]
     fn labeled_histograms_export_per_member_quantiles() {
         let reg = Registry::new();
-        let spf = reg.histogram_with(
-            "splice_fib_arena_bytes",
-            "Arena footprint",
-            &[("strategy", "perturbed-spf")],
-        );
-        let tree = reg.histogram_with(
-            "splice_fib_arena_bytes",
-            "Arena footprint",
-            &[("strategy", "tree")],
-        );
+        let spf = reg.histogram(&series::FIB_ARENA_BYTES, Some("perturbed-spf"));
+        let tree = reg.histogram(&series::FIB_ARENA_BYTES, Some("tree"));
         spf.record(4096);
         tree.record(128);
         let text = reg.render_prometheus();
@@ -527,7 +500,11 @@ mod tests {
     #[test]
     fn help_text_is_escaped() {
         let reg = Registry::new();
-        reg.counter("c_total", "line one\nline two \\ done").inc();
+        let c = Series {
+            help: "line one\nline two \\ done",
+            ..C
+        };
+        reg.counter(&c, None).inc();
         let text = reg.render_prometheus();
         assert!(text.contains("# HELP c_total line one\\nline two \\\\ done\n"));
         assert_promtool_valid(&text);
@@ -536,7 +513,7 @@ mod tests {
     #[test]
     fn json_snapshot_carries_quantiles() {
         let reg = Registry::new();
-        let h = reg.histogram("h", "A histogram");
+        let h = reg.histogram(&H, None);
         for v in 1..=100u64 {
             h.record(v);
         }
@@ -549,8 +526,8 @@ mod tests {
     #[test]
     fn json_snapshot_shape() {
         let reg = Registry::new();
-        reg.counter("c_total", "A counter").add(2);
-        let h = reg.histogram("h", "A histogram");
+        reg.counter(&C, None).add(2);
+        let h = reg.histogram(&H, None);
         h.record(1);
         let json = reg.render_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -570,15 +547,21 @@ mod tests {
     fn clones_share_metrics() {
         let reg = Registry::new();
         let clone = reg.clone();
-        clone.counter("shared_total", "Shared").inc();
-        assert!(reg.render_prometheus().contains("shared_total 1"));
+        clone.counter(&C, None).inc();
+        assert!(reg.render_prometheus().contains("c_total 1"));
     }
 
     #[test]
     #[should_panic(expected = "already registered")]
     fn kind_mismatch_panics() {
         let reg = Registry::new();
-        reg.counter("m", "As counter");
-        reg.histogram("m", "As histogram");
+        reg.histogram_seconds("c_total", "As histogram");
+        reg.counter(&C, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "is labeled by")]
+    fn a_labeled_row_needs_its_label_value() {
+        Registry::new().counter(&DROPS, None);
     }
 }

@@ -1,8 +1,9 @@
 //! A minimal HTTP scrape endpoint: `std::net::TcpListener`, one accept
 //! thread, no async runtime.
 //!
-//! [`serve`] binds an address (port `0` picks an ephemeral port — see
-//! [`MetricsServer::local_addr`]) and answers three `GET` routes:
+//! [`serve_with_router`] binds an address (port `0` picks an ephemeral
+//! port — see [`MetricsServer::local_addr`]) and answers three `GET`
+//! routes:
 //!
 //! - `/metrics` — Prometheus text exposition of the [`Registry`]
 //!   (histogram families plus their `_quantile` companion gauges);
@@ -10,12 +11,13 @@
 //! - `/snapshot` — one JSON object: the registry snapshot plus the
 //!   flight recorder's recent tail.
 //!
-//! [`serve_with_router`] additionally dispatches to caller-registered
-//! [`Router`] routes, which is how a daemon exposes `show`-style admin
-//! endpoints (`/show/fib`, `/events`, `/shutdown`) next to the scrape
-//! routes without this crate knowing anything about FIBs. Registered
-//! routes may accept `POST` (the request body is read up to a small
-//! cap); everything unregistered keeps the old GET-only behavior.
+//! It also dispatches to caller-registered [`Router`] routes, which is
+//! how a daemon exposes `show`-style admin endpoints (`/show/fib`,
+//! `/events`, `/shutdown`) next to the scrape routes without this crate
+//! knowing anything about FIBs; a lab run passes an empty router.
+//! Registered routes may accept `POST`. A request is dispatched only
+//! whole: one larger than a small cap is refused with `413`, and a body
+//! shorter than its `Content-Length` with `400`.
 //!
 //! Requests are served inline on the accept thread: a scrape is a small
 //! snapshot read, and serializing them keeps the server from ever
@@ -28,7 +30,7 @@ use crate::flight::FlightRecorder;
 use crate::json::JsonObject;
 use crate::registry::Registry;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -41,10 +43,13 @@ const SNAPSHOT_TAIL: usize = 256;
 /// window is abandoned.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Largest request (head + body) a registered route will accept. Admin
-/// bodies are event specs — a few hundred bytes; anything bigger is a
-/// client bug, not a use case.
+/// Largest request (head + body) the server reads. Admin bodies are
+/// event specs — a few hundred bytes; anything bigger is a client bug,
+/// not a use case, and is refused with `413` rather than cut short.
 const MAX_REQUEST: usize = 64 * 1024;
+
+/// Most input read and dropped after a refusal (see `handle_request`).
+const DRAIN_LIMIT: u64 = 16 * MAX_REQUEST as u64;
 
 /// A parsed request handed to a registered [`Router`] handler.
 #[derive(Clone, Debug)]
@@ -110,7 +115,7 @@ pub struct Router {
 }
 
 impl Router {
-    /// An empty router (what plain [`serve`] uses).
+    /// An empty router: the scrape endpoints only.
     pub fn new() -> Router {
         Router::default()
     }
@@ -155,19 +160,11 @@ pub struct MetricsServer {
 }
 
 /// Bind `addr` (e.g. `"127.0.0.1:9090"`, or port `0` for an ephemeral
-/// port) and serve `/metrics`, `/healthz`, and `/snapshot` from a
-/// background thread until the returned server is shut down or dropped.
-pub fn serve(
-    addr: &str,
-    registry: Registry,
-    flight: Option<FlightRecorder>,
-) -> std::io::Result<MetricsServer> {
-    serve_with_router(addr, registry, flight, Router::new())
-}
-
-/// [`serve`] plus caller-registered admin routes. Registered routes are
-/// consulted after the built-in scrape endpoints miss, and are the only
-/// way a non-`GET` request is ever accepted.
+/// port) and serve `/metrics`, `/healthz`, `/snapshot` and `router`'s
+/// routes from a background thread until the returned server is shut
+/// down or dropped. Registered routes are consulted after the built-in
+/// scrape endpoints miss, and are the only way a non-`GET` request is
+/// ever accepted.
 pub fn serve_with_router(
     addr: &str,
     registry: Registry,
@@ -241,71 +238,76 @@ fn accept_loop(
         let Ok(mut stream) = conn else { continue };
         let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
         let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-        // Best-effort, like the trace sink: a dead client must not take
-        // down the run being observed.
+        // Best-effort: a dead client must not take down the run being
+        // observed.
         let _ = handle_request(&mut stream, &registry, flight.as_ref(), &router);
     }
 }
 
-/// Read one request: head always, body only when `Content-Length` says
-/// there is one (bounded by [`MAX_REQUEST`]).
-fn read_request(stream: &mut TcpStream) -> std::io::Result<(String, String, String)> {
-    let mut buf = vec![0u8; 4096];
-    let mut len = 0;
-    let mut head_end = None;
-    loop {
-        if head_end.is_none() {
-            if let Some(pos) = buf[..len].windows(4).position(|w| w == b"\r\n\r\n") {
-                head_end = Some(pos + 4);
-            }
+/// Read one request: the head, then the body its `Content-Length`
+/// declares. `Err` is the refusal to send instead of dispatching: `413`
+/// when the head or the declared body would pass [`MAX_REQUEST`], `400`
+/// when the body ends short of its `Content-Length` or that header does
+/// not parse. A head cut off by the client closing is served as a bare
+/// request line.
+fn read_request(stream: &mut TcpStream) -> std::io::Result<Result<AdminRequest, AdminResponse>> {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let head_end = loop {
+        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break Some(pos + 4);
         }
-        if let Some(he) = head_end {
-            let head = String::from_utf8_lossy(&buf[..he]).into_owned();
-            let content_length: usize = head
-                .lines()
-                .find_map(|l| {
-                    let (name, value) = l.split_once(':')?;
-                    name.eq_ignore_ascii_case("content-length")
-                        .then(|| value.trim().parse().ok())?
-                })
-                .unwrap_or(0)
-                .min(MAX_REQUEST);
-            if he + content_length > buf.len() {
-                buf.resize(he + content_length, 0);
-            }
-            while len < he + content_length {
-                let n = stream.read(&mut buf[len..he + content_length])?;
-                if n == 0 {
-                    break;
-                }
-                len += n;
-            }
-            let body = String::from_utf8_lossy(&buf[he..len.max(he)]).into_owned();
-            let mut parts = head.split_whitespace();
-            let method = parts.next().unwrap_or("").to_string();
-            let path = parts.next().unwrap_or("");
-            let path = path.split('?').next().unwrap_or("").to_string();
-            return Ok((method, path, body));
+        if buf.len() > MAX_REQUEST {
+            return Ok(Err(too_large()));
         }
-        if len == buf.len() {
-            if buf.len() >= MAX_REQUEST {
-                break;
-            }
-            buf.resize((buf.len() * 2).min(MAX_REQUEST), 0);
-        }
-        let n = stream.read(&mut buf[len..])?;
+        let n = stream.read(&mut chunk)?;
         if n == 0 {
-            break;
+            break None;
         }
-        len += n;
-    }
-    // No complete head: treat what we have as a bare request line.
-    let head = String::from_utf8_lossy(&buf[..len]).into_owned();
+        buf.extend_from_slice(&chunk[..n]);
+    };
+    let head = String::from_utf8_lossy(&buf[..head_end.unwrap_or(buf.len())]).into_owned();
     let mut parts = head.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("");
     let path = path.split('?').next().unwrap_or("").to_string();
-    Ok((method, path, String::new()))
+    let Some(head_end) = head_end else {
+        let body = String::new();
+        return Ok(Ok(AdminRequest { method, path, body }));
+    };
+    let declared = head.lines().find_map(|l| {
+        let (name, value) = l.split_once(':')?;
+        name.eq_ignore_ascii_case("content-length")
+            .then(|| value.trim().parse::<usize>())
+    });
+    let content_length = match declared {
+        None => 0,
+        Some(Ok(n)) => n,
+        Some(Err(_)) => return Ok(Err(AdminResponse::bad_request("bad Content-Length\n"))),
+    };
+    let end = head_end.saturating_add(content_length);
+    if end > MAX_REQUEST {
+        return Ok(Err(too_large()));
+    }
+    while buf.len() < end {
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            return Ok(Err(AdminResponse::bad_request(
+                "body shorter than its Content-Length\n",
+            )));
+        }
+        buf.extend_from_slice(&chunk[..n]);
+    }
+    let body = String::from_utf8_lossy(&buf[head_end..end]).into_owned();
+    Ok(Ok(AdminRequest { method, path, body }))
+}
+
+fn too_large() -> AdminResponse {
+    AdminResponse {
+        status: "413 Payload Too Large",
+        content_type: "text/plain; charset=utf-8",
+        body: format!("request larger than {MAX_REQUEST} bytes\n"),
+    }
 }
 
 fn handle_request(
@@ -314,53 +316,59 @@ fn handle_request(
     flight: Option<&FlightRecorder>,
     router: &Router,
 ) -> std::io::Result<()> {
-    let (method, path, body) = read_request(stream)?;
-
-    let built_in = if method == "GET" {
-        match path.as_str() {
-            "/metrics" => Some((
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                registry.render_prometheus(),
-            )),
-            "/healthz" => Some(("200 OK", "text/plain; charset=utf-8", "ok\n".to_string())),
-            "/snapshot" => Some((
-                "200 OK",
-                "application/json; charset=utf-8",
-                snapshot_json(registry, flight),
-            )),
-            _ => None,
-        }
-    } else {
-        None
-    };
-
-    let (status, content_type, body) = match built_in {
-        Some(triple) => triple,
-        None => {
-            let req = AdminRequest { method, path, body };
-            match router.dispatch(&req) {
-                Some(resp) => (resp.status, resp.content_type, resp.body),
-                None if req.method != "GET" => (
-                    "405 Method Not Allowed",
-                    "text/plain; charset=utf-8",
-                    "method not served on this route\n".to_string(),
-                ),
-                None => (
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    format!("no route for {}\n", req.path),
-                ),
-            }
+    let req = match read_request(stream)? {
+        Ok(req) => req,
+        Err(refusal) => {
+            respond(stream, &refusal)?;
+            // Drop (a bounded amount of) what the client is still
+            // sending, so closing with unread input does not reset the
+            // connection before the client reads the refusal.
+            stream.shutdown(Shutdown::Write)?;
+            let _ = std::io::copy(&mut (&*stream).take(DRAIN_LIMIT), &mut std::io::sink());
+            return Ok(());
         }
     };
+    let built_in = |content_type, body| AdminResponse {
+        status: "200 OK",
+        content_type,
+        body,
+    };
+    let resp = match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/metrics") => built_in(
+            "text/plain; version=0.0.4; charset=utf-8",
+            registry.render_prometheus(),
+        ),
+        ("GET", "/healthz") => built_in("text/plain; charset=utf-8", "ok\n".to_string()),
+        ("GET", "/snapshot") => built_in(
+            "application/json; charset=utf-8",
+            snapshot_json(registry, flight),
+        ),
+        _ => match router.dispatch(&req) {
+            Some(resp) => resp,
+            None if req.method != "GET" => AdminResponse {
+                status: "405 Method Not Allowed",
+                content_type: "text/plain; charset=utf-8",
+                body: "method not served on this route\n".to_string(),
+            },
+            None => AdminResponse {
+                status: "404 Not Found",
+                content_type: "text/plain; charset=utf-8",
+                body: format!("no route for {}\n", req.path),
+            },
+        },
+    };
+    respond(stream, &resp)
+}
 
+fn respond(stream: &mut TcpStream, resp: &AdminResponse) -> std::io::Result<()> {
     write!(
         stream,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
+        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        resp.status,
+        resp.content_type,
+        resp.body.len()
     )?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(resp.body.as_bytes())?;
     stream.flush()
 }
 
@@ -384,6 +392,7 @@ fn snapshot_json(registry: &Registry, flight: Option<&FlightRecorder>) -> String
 mod tests {
     use super::*;
     use crate::flight::FlightEvent;
+    use crate::series;
 
     /// A bare-hands HTTP GET, returning (status line, body).
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -402,23 +411,24 @@ mod tests {
     fn test_server() -> (MetricsServer, Registry, FlightRecorder) {
         let registry = Registry::new();
         let flight = FlightRecorder::new(16);
-        let server = serve("127.0.0.1:0", registry.clone(), Some(flight.clone()))
-            .expect("bind an ephemeral port");
+        let server = serve_with_router(
+            "127.0.0.1:0",
+            registry.clone(),
+            Some(flight.clone()),
+            Router::new(),
+        )
+        .expect("bind an ephemeral port");
         (server, registry, flight)
     }
 
     #[test]
     fn metrics_route_serves_the_live_registry() {
         let (server, registry, _flight) = test_server();
-        registry
-            .counter("splice_packets_forwarded_total", "Packets forwarded")
-            .add(3);
+        registry.counter(&series::PACKETS_FORWARDED, None).add(3);
         let (status, body) = get(server.local_addr(), "/metrics");
         assert_eq!(status, "HTTP/1.1 200 OK");
         assert!(body.contains("splice_packets_forwarded_total 3"));
-        registry
-            .counter("splice_packets_forwarded_total", "Packets forwarded")
-            .inc();
+        registry.counter(&series::PACKETS_FORWARDED, None).inc();
         let (_, body) = get(server.local_addr(), "/metrics");
         assert!(
             body.contains("splice_packets_forwarded_total 4"),
@@ -441,11 +451,11 @@ mod tests {
     #[test]
     fn snapshot_includes_metrics_and_flight_tail() {
         let (server, registry, flight) = test_server();
-        registry.counter("c_total", "A counter").inc();
+        registry.counter(&series::DEFLECTIONS, None).inc();
         flight.record(FlightEvent::new("repair", "link_failure").field("frontier", 5));
         let (status, body) = get(server.local_addr(), "/snapshot");
         assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(body.contains(r#""name":"c_total""#));
+        assert!(body.contains(r#""name":"splice_deflections_total""#));
         assert!(body.contains(r#""kind":"repair""#));
         assert!(body.contains(r#""frontier":5"#));
         assert!(body.contains(r#""flight_recorded":1"#));
@@ -460,6 +470,61 @@ mod tests {
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 405"));
+        server.shutdown();
+    }
+
+    /// Send `request` raw (half-closing after it when `half_close`) and
+    /// return the whole response.
+    fn exchange(addr: SocketAddr, request: &[u8], half_close: bool) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(request).unwrap();
+        if half_close {
+            stream.shutdown(Shutdown::Write).unwrap();
+        }
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    /// A request that is too large or cut short never reaches a
+    /// registered route: it is refused whole, not dispatched truncated.
+    #[test]
+    fn oversized_or_short_requests_are_refused_undispatched() {
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let router = Router::new().route("POST", "/events", move |_req| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            AdminResponse::text("accepted\n")
+        });
+        let server = serve_with_router("127.0.0.1:0", Registry::new(), None, router)
+            .expect("bind ephemeral");
+        let addr = server.local_addr();
+        let post = |len: usize| format!("POST /events HTTP/1.1\r\nContent-Length: {len}\r\n\r\n");
+
+        let body = "f1+".repeat(MAX_REQUEST / 3) + "f12";
+        assert!(body.len() > MAX_REQUEST);
+        let sent_in_full = post(body.len()) + &body;
+        let declared_only = post(10 * MAX_REQUEST);
+        let endless_head = format!(
+            "POST /events HTTP/1.1\r\nX-Pad: {}",
+            "a".repeat(MAX_REQUEST)
+        );
+        for request in [sent_in_full, declared_only, endless_head] {
+            let response = exchange(addr, request.as_bytes(), false);
+            assert!(response.starts_with("HTTP/1.1 413"), "{response}");
+        }
+        let short = post(100) + "f1+f2";
+        let response = exchange(addr, short.as_bytes(), true);
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        let bad_length = "POST /events HTTP/1.1\r\nContent-Length: ten\r\n\r\nf1";
+        let response = exchange(addr, bad_length.as_bytes(), false);
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "no refused request ran");
+
+        let whole = post(5) + "f1+f2";
+        let response = exchange(addr, whole.as_bytes(), false);
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
         server.shutdown();
     }
 
@@ -509,14 +574,17 @@ mod tests {
     #[test]
     fn built_in_routes_cannot_be_shadowed() {
         let registry = Registry::new();
-        registry.counter("shadow_total", "A counter").inc();
+        registry.counter(&series::DEFLECTIONS, None).inc();
         let router =
             Router::new().route("GET", "/metrics", |_req| AdminResponse::text("shadowed!\n"));
         let server =
             serve_with_router("127.0.0.1:0", registry, None, router).expect("bind ephemeral");
         let (status, body) = get(server.local_addr(), "/metrics");
         assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(body.contains("shadow_total 1"), "built-in wins: {body}");
+        assert!(
+            body.contains("splice_deflections_total 1"),
+            "built-in wins: {body}"
+        );
         server.shutdown();
     }
 

@@ -86,11 +86,6 @@ impl Ticker {
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
-
-    /// The configured tick interval.
-    pub fn interval(&self) -> Duration {
-        self.interval
-    }
 }
 
 #[cfg(test)]
