@@ -62,7 +62,8 @@ fn run(ctx: &mut RunContext<'_>) -> Result<ExperimentOutput, LabError> {
             rows,
         )],
         notes: vec![
-            "claim: installing k best BGP routes sharply cuts AS-level disconnection".to_string(),
+            "claim: 2 routes cut AS-level disconnection at p=0.10 to at most 1/5 of one route's"
+                .to_string(),
         ],
     })
 }

@@ -35,7 +35,6 @@ pub mod strategy_sweep;
 pub mod stretch_stats;
 pub mod table1;
 pub mod te_load_balance;
-pub mod te_vs_tuning;
 pub mod theorem_b1;
 
 /// Every experiment in canonical `run-all` order: paper figures and
@@ -52,7 +51,6 @@ pub const CATALOGUE: &[Experiment] = &[
     state_vs_diversity::EXPERIMENT,
     strategy_sweep::EXPERIMENT,
     te_load_balance::EXPERIMENT,
-    te_vs_tuning::EXPERIMENT,
     capacity_multipath::EXPERIMENT,
     bgp_splicing::EXPERIMENT,
     overlay_splicing::EXPERIMENT,
@@ -76,7 +74,7 @@ mod tests {
 
     #[test]
     fn catalogue_names_and_aliases_are_unique_and_resolve() {
-        assert_eq!(CATALOGUE.len(), 26);
+        assert_eq!(CATALOGUE.len(), 25);
         let keys: Vec<&str> = CATALOGUE
             .iter()
             .flat_map(|e| std::iter::once(e.name).chain(e.aliases.iter().copied()))

@@ -13,6 +13,7 @@ use splice_graph::{EdgeMask, Rng};
 use splice_overlay::{Metric, Overlay, OverlaySplicing};
 use splice_sim::lab::{Experiment, ExperimentOutput, LabError, RunContext};
 use splice_sim::output::Artifact;
+use splice_topology::TopologyError;
 
 /// Overlay pair disconnection: single-metric trees vs their spliced union.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -33,6 +34,17 @@ fn run(ctx: &mut RunContext<'_>) -> Result<ExperimentOutput, LabError> {
         .map(|_| loss_rng.gen_range_f64(0.0..0.05))
         .collect();
     let members: Vec<_> = g.nodes().step_by(3).collect();
+    if members.len() < 2 {
+        return Err(TopologyError::BadSpec {
+            spec: ctx.topology.name.clone(),
+            reason: format!(
+                "overlay_splicing needs >= 4 nodes (every third PoP joins the overlay, \
+                 and an overlay needs two members), got {}",
+                g.node_count()
+            ),
+        }
+        .into());
+    }
     banner(&format!(
         "§5 — overlay splicing over {} ({} members of {} PoPs), {} trials",
         ctx.topology.name,

@@ -78,7 +78,9 @@ fn run(ctx: &mut RunContext<'_>) -> Result<ExperimentOutput, LabError> {
                 .to_string(),
             "total and peak load can rise on distance-weighted maps — the §5 trade-off the"
                 .to_string(),
-            "paper flags for study; the failure columns show spreading's robustness payoff."
+            "paper flags for study. On Sprint spreading lowers the worst peak shift (every seed"
+                .to_string(),
+            "in 1..=12); hash-spread raises it at 10 of those seeds on Abilene, 4 on GEANT."
                 .to_string(),
         ],
     })

@@ -18,7 +18,7 @@
 //! | Theorem A.1 scaling | `scaling_lognslices` |
 //! | Theorem B.1 concentration | `theorem_b1` |
 //! | §4.2 linear cost vs diversity | `state_vs_diversity` |
-//! | §5 TE interaction (extension) | `te_load_balance`, `te_vs_tuning` |
+//! | §5 TE interaction (extension) | `te_load_balance` |
 //! | §5 multipath capacity (extension) | `capacity_multipath` |
 //! | §5 interdomain splicing (extension) | `bgp_splicing` |
 //! | §5 overlay splicing (extension) | `overlay_splicing` |

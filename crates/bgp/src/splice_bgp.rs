@@ -147,25 +147,93 @@ mod tests {
         assert!(reach.iter().all(|&r| r));
     }
 
+    /// Mean fraction of ASes cut off at `p` for each k in `ks`, averaged
+    /// over `dests`. Every destination sees trial i's failure set, so
+    /// trial i's average over them is one sample in [0, 1].
+    fn disconnection_by_k(
+        g: &AsGraph,
+        dests: &[AsId],
+        ks: &[usize],
+        p: f64,
+        trials: usize,
+        seed: u64,
+    ) -> Vec<f64> {
+        let mut by_k = vec![0.0; ks.len()];
+        for &d in dests {
+            let points = bgp_reliability(g, d, ks, &[p], trials, seed);
+            for (acc, pt) in by_k.iter_mut().zip(points) {
+                *acc += pt.disconnected / dests.len() as f64;
+            }
+        }
+        by_k
+    }
+
+    /// Relative entropy KL(p ‖ q) between Bernoulli(p) and Bernoulli(q).
+    fn kl(p: f64, q: f64) -> f64 {
+        let term = |a: f64, b: f64| if a == 0.0 { 0.0 } else { a * (a / b).ln() };
+        term(p, q) + term(1.0 - p, 1.0 - q)
+    }
+
+    /// A confidence bound, at level 1 − `delta`, on the true mean of `n`
+    /// independent samples in [0, 1] whose sample mean is `mean`: the q
+    /// above `mean` (below, if `!upper`) where n·KL(mean ‖ q) reaches
+    /// ln(1/δ). Hoeffding's relative-entropy bound (1963, Theorem 1)
+    /// puts the true mean past it with probability at most `delta`.
+    fn kl_bound(mean: f64, n: usize, delta: f64, upper: bool) -> f64 {
+        let budget = (1.0 / delta).ln() / n as f64;
+        let (mut inside, mut outside) = (mean, if upper { 1.0 } else { 0.0 });
+        for _ in 0..60 {
+            let mid = (inside + outside) / 2.0;
+            if kl(mean, mid) > budget {
+                outside = mid;
+            } else {
+                inside = mid;
+            }
+        }
+        outside
+    }
+
+    /// Trials per destination for the claim below: enough that both
+    /// bounds at δ = 1e-3 sit well inside a 5× gap.
+    const CLAIM_TRIALS: usize = 5000;
+
+    /// More installed routes never disconnect more ASes (k + 1 routes
+    /// keep the first k), on a small hierarchy and on the `bgp_splicing`
+    /// row's own graph and destinations at the lab's default seed.
+    ///
+    /// On the row's graph this also checks §5's interdomain claim: at
+    /// p = 0.10, two routes cut AS-level disconnection to at most 1/5 of
+    /// one route's. Band: an upper confidence bound on k = 2's mean and a
+    /// lower one on k = 1's, each by [`kl_bound`] at δ/2 with δ = 1e-3;
+    /// the claim passes only if the first is at most a fifth of the
+    /// second, so where the claim is false this passes with probability
+    /// at most δ.
     #[test]
     fn more_routes_help_under_failures() {
-        let g = AsGraph::internet_like(3, 6, 15, 5);
-        let points = bgp_reliability(&g, AsId(3), &[1, 2, 3], &[0.05, 0.1], 60, 11);
-        // Group by p and check monotone improvement in k.
-        for &p in &[0.05, 0.1] {
-            let by_k: Vec<f64> = [1, 2, 3]
-                .iter()
-                .map(|&k| {
-                    points
-                        .iter()
-                        .find(|pt| pt.k == k && (pt.p - p).abs() < 1e-12)
-                        .unwrap()
-                        .disconnected
-                })
-                .collect();
+        let small = AsGraph::internet_like(3, 6, 15, 5);
+        let row = AsGraph::internet_like(4, 12, 40, 20080817);
+        let row_dests = [AsId(0), AsId(6), AsId(30), AsId(50)];
+        let monotone_by_k = |g: &AsGraph, dests: &[AsId], p: f64, trials: usize, seed: u64| {
+            let by_k = disconnection_by_k(g, dests, &[1, 2, 3], p, trials, seed);
             assert!(by_k[1] <= by_k[0] + 1e-12, "k=2 worse at p={p}");
             assert!(by_k[2] <= by_k[1] + 1e-12, "k=3 worse at p={p}");
+            by_k
+        };
+        for p in [0.05, 0.1] {
+            monotone_by_k(&small, &[AsId(3)], p, 60, 11);
         }
+        let by_k = monotone_by_k(&row, &row_dests, 0.1, CLAIM_TRIALS, 20080817);
+
+        let delta = 1e-3;
+        let one_route = kl_bound(by_k[0], CLAIM_TRIALS, delta / 2.0, false);
+        let two_routes = kl_bound(by_k[1], CLAIM_TRIALS, delta / 2.0, true);
+        assert!(
+            two_routes <= one_route / 5.0,
+            "k=2 disconnection {:.4} (upper bound {two_routes:.4}) is not within 1/5 of \
+             k=1's {:.4} (lower bound {one_route:.4})",
+            by_k[1],
+            by_k[0]
+        );
     }
 
     #[test]

@@ -59,8 +59,9 @@ fn exp_list_prints_the_catalogue() {
     let out = splice(&["exp", "list"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
-    assert!(text.starts_with("experiments (26):\n"), "{text}");
-    assert_eq!(text.lines().count(), 1 + 26, "{text}");
+    let n = splice_bench::CATALOGUE.len();
+    assert!(text.starts_with(&format!("experiments ({n}):\n")), "{text}");
+    assert_eq!(text.lines().count(), 1 + n, "{text}");
     assert!(text.contains("fig3_reliability"), "{text}");
 }
 
@@ -422,7 +423,8 @@ fn forward_rejects_zero_shards() {
     );
 }
 
-/// Every rejected input exits 2 with a message naming what was wrong.
+/// Every rejected input exits 2 with a message naming what was wrong;
+/// a topology an experiment cannot run on exits 1, naming the minimum.
 #[test]
 fn bad_flags_fail_cleanly() {
     let recover = [
@@ -510,6 +512,21 @@ fn bad_flags_fail_cleanly() {
     ] {
         let out = splice(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(named), "{args:?}: {}", stderr(&out));
+    }
+    for (args, named) in [
+        (
+            ["exp", "run", "fig3", "--topology", "rand-2-1-1"],
+            "need >= 3 nodes",
+        ),
+        // Three nodes make a one-member overlay, which panicked.
+        (
+            ["exp", "run", "overlay_splicing", "--topology", "rand-3-2-1"],
+            "overlay_splicing needs >= 4 nodes",
+        ),
+    ] {
+        let out = splice(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
         assert!(stderr(&out).contains(named), "{args:?}: {}", stderr(&out));
     }
 }

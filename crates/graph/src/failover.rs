@@ -1,21 +1,21 @@
 //! Arc-diverse failover slices: the static-failover baseline behind the
 //! `arc` slice strategy.
 //!
-//! "Exploring the Limits of Static Failover Routing" shows that the
-//! strongest static (no-reconvergence) protection a forwarding plane can
-//! offer is bounded by per-destination arc-disjoint routes: if every
-//! router owns `k` pairwise arc-disjoint out-arcs toward a destination,
-//! up to `k - 1` adversarial link cuts are survivable by local rerouting
-//! alone. [`arc_diverse_parents`] builds that baseline greedily: slice 0
-//! is the plain shortest-path tree; each later slice re-runs Dijkstra
-//! with every `(router, out-edge)` pair already claimed by earlier slices
-//! toward the same destination charged a penalty larger than any real
-//! path, then diverts routers still stuck on a spent arc to a fresh
-//! downhill one. A router reuses an arc only when it has no fresh one
-//! left, so every slice is a full tree — loop-free and
-//! destination-reaching wherever the destination is reachable at all —
-//! while staying maximally arc-disjoint. That is the contract the
-//! splicing slice strategy needs.
+//! "Exploring the Limits of Static Failover Routing" shows that `k`
+//! arc-disjoint arborescences per destination, with a circular switching
+//! order over them, survive `k - 1` link cuts by local rerouting alone.
+//! This module builds neither, and proves no such bound.
+//! [`arc_diverse_parents`] is a greedy heuristic in that direction:
+//! slice 0 is the plain shortest-path tree; each later slice re-runs
+//! Dijkstra with every `(router, out-edge)` pair already claimed by
+//! earlier slices toward the same destination charged a penalty larger
+//! than any real path, then diverts routers still stuck on a spent arc
+//! to a fresh downhill one. Once a router's up-degree runs out it reuses
+//! a spent arc, so every slice is a full tree (loop-free and
+//! destination-reaching wherever the destination is reachable at all),
+//! which is the contract the splicing slice strategy needs. How many
+//! failures the result survives is not checked anywhere: the out-arcs
+//! are disjoint only as far as the greedy order and the degree allow.
 //!
 //! Determinism matters more than optimality here (the sweep compares
 //! strategies at fixed seeds), so ties break exactly like
@@ -37,8 +37,9 @@ use std::collections::BinaryHeap;
 /// penalty exceeding any real path, so a router falls back to a spent arc
 /// rather than going unrouted. Every slice is a complete shortest-path
 /// tree of the `mask`-up subgraph — loop-free, and reaching `root` from
-/// every node that can reach it at all — with out-arcs pairwise disjoint
-/// wherever the router's up-degree allows.
+/// every node that can reach it at all. Out-arcs are kept apart greedily,
+/// slice by slice; nothing guarantees they are as disjoint as the
+/// router's up-degree would allow.
 pub fn arc_diverse_parents(
     g: &Graph,
     root: NodeId,

@@ -262,31 +262,86 @@ mod tests {
         assert!(downed >= 1);
     }
 
+    /// The `overlay_splicing` row's overlay at the lab's default seed:
+    /// Sprint, every third PoP a member, i.i.d. link loss in [0, 5 %).
+    fn row_overlay() -> (Graph, Overlay) {
+        let topo = sprint();
+        let g = topo.graph();
+        let seed = 20080817;
+        let mut loss_rng = Rng::seed_from_u64(seed ^ 0x1055);
+        let loss: Vec<f64> = (0..g.edge_count())
+            .map(|_| loss_rng.gen_range_f64(0.0..0.05))
+            .collect();
+        let members = g.nodes().step_by(3).collect();
+        let ov = Overlay::build(&g, &topo.latencies(), &loss, members, 3, 1, seed);
+        (g, ov)
+    }
+
+    /// Underlay storms for the claim below: enough that the Hoeffding
+    /// half-width at δ = 1e-3 leaves room for the margin.
+    const CLAIM_TRIALS: u64 = 2000;
+
+    /// Splicing the three metric trees never disconnects more member
+    /// pairs than any one of them (the union keeps every single tree), and
+    /// wins in some storm, on a small overlay and on the
+    /// `overlay_splicing` row's own (storm i drawn from `seed + i`, as the
+    /// row draws it).
+    ///
+    /// On the row's overlay at p = 0.05 this also checks §5's overlay
+    /// claim: spliced routing disconnects at least 4 points fewer of the
+    /// member pairs than each single-metric overlay. Band: each metric's
+    /// per-storm gap lies in [0, 1], so by Hoeffding its mean is at most
+    /// sqrt(ln(3/δ) / 2n) above the true mean with probability 1 − δ/3;
+    /// at δ = 1e-3 over the three metrics, a gap whose true mean is under
+    /// 0.04 passes with probability at most δ.
     #[test]
     fn spliced_metrics_survive_more_failures_than_any_single() {
-        let (g, ov) = overlay();
-        let os = OverlaySplicing::build(ov, vec![Metric::Latency, Metric::Loss, Metric::Hops]);
-        let mut rng = Rng::seed_from_u64(11);
-        let mut single = 0usize;
-        let mut spliced = 0usize;
-        for _ in 0..60 {
-            let mut under = EdgeMask::all_up(g.edge_count());
-            for e in g.edge_ids() {
-                if rng.gen_bool(0.06) {
-                    under.fail(e);
+        let metrics = [Metric::Latency, Metric::Loss, Metric::Hops];
+        // Each metric's per-storm gap, single-metric minus spliced, as a
+        // fraction of the ordered member pairs.
+        let gaps_by_metric = |g: &Graph, ov: &Overlay, p: f64, trials: u64, seed: u64| {
+            let spliced = OverlaySplicing::build(ov.clone(), metrics.to_vec());
+            let singles = metrics.map(|m| OverlaySplicing::build(ov.clone(), vec![m]));
+            let m = ov.member_count();
+            let pairs = (m * (m - 1)) as f64;
+            let mut gaps = [(); 3].map(|_| Vec::new());
+            for trial in 0..trials {
+                let mut rng = Rng::seed_from_u64(seed + trial);
+                let mut under = EdgeMask::all_up(g.edge_count());
+                for e in g.edge_ids() {
+                    if rng.gen_bool(p) {
+                        under.fail(e);
+                    }
+                }
+                let cut = spliced.disconnected_pairs(metrics.len(), &under);
+                for (single, gap) in singles.iter().zip(&mut gaps) {
+                    let single_cut = single.disconnected_pairs(1, &under);
+                    assert!(cut <= single_cut, "splicing metrics must not hurt");
+                    gap.push((single_cut - cut) as f64 / pairs);
                 }
             }
-            single += os.disconnected_pairs(1, &under);
-            spliced += os.disconnected_pairs(3, &under);
+            for (metric, gap) in metrics.iter().zip(&gaps) {
+                assert!(
+                    gap.iter().any(|&x| x > 0.0),
+                    "{metric:?}: splicing never won"
+                );
+            }
+            gaps
+        };
+        let (g, ov) = overlay();
+        gaps_by_metric(&g, &ov, 0.06, 60, 11);
+        let (g, ov) = row_overlay();
+        let gaps = gaps_by_metric(&g, &ov, 0.05, CLAIM_TRIALS, 20080817);
+
+        let delta: f64 = 1e-3;
+        let half_width = ((3.0 / delta).ln() / (2.0 * CLAIM_TRIALS as f64)).sqrt();
+        for (metric, gap) in metrics.iter().zip(&gaps) {
+            let mean = gap.iter().sum::<f64>() / gap.len() as f64;
+            assert!(
+                mean - half_width >= 0.04,
+                "{metric:?}: spliced beats it by {mean:.4} ± {half_width:.4}, not by 0.04"
+            );
         }
-        assert!(
-            spliced <= single,
-            "splicing metrics must not hurt: {spliced} vs {single}"
-        );
-        assert!(
-            spliced < single,
-            "with 60 storms, metric splicing should win at least once"
-        );
     }
 
     #[test]

@@ -15,13 +15,11 @@
 //!   busiest surviving link?
 //! * **Capacity** ([`capacity`]): §5 suggests splicing bits could let end
 //!   hosts "achieve throughput that approaches the capacity of the
-//!   underlying graph"; we measure the max-flow of the union-of-slices
-//!   subgraph against the full graph's.
+//!   underlying graph"; we measure the arc-disjoint paths the slices'
+//!   successor graphs offer against the full graph's s–t max-flow.
 //!
-//! Demands come from a gravity-model [`matrix::TrafficMatrix`]; the
-//! tuned single-path baseline §5 compares against is built by
-//! [`optimize`]'s Fortz–Thorup-style weight search.
-
+//! Demands come from a gravity-model [`matrix::TrafficMatrix`].
+//!
 //! A fourth, engine-facing piece rides along: [`flows`] generates the
 //! seeded, Zipf-skewed, per-shard-deterministic packet streams the
 //! batch forwarding engine and its differential oracle consume.
@@ -30,7 +28,6 @@ pub mod capacity;
 pub mod flows;
 pub mod load;
 pub mod matrix;
-pub mod optimize;
 pub mod shift;
 
 pub use flows::{FlowConfig, FlowGen, FlowStream};

@@ -4,7 +4,7 @@
 //! accumulate. Three modes:
 //!
 //! * [`RoutingMode::ShortestPath`] — everything in slice 0 (today's
-//!   routing, the Fortz–Thorup-tuned baseline's structure);
+//!   single-path routing);
 //! * [`RoutingMode::HashSpread`] — each flow pinned to its
 //!   `Hash(src, dst)` slice, Algorithm 1's default: splicing's "automatic"
 //!   load balancing with zero configuration;
@@ -32,11 +32,8 @@ pub enum RoutingMode {
 pub struct LoadReport {
     /// Load carried by each link (edge-id indexed).
     pub per_edge: Vec<f64>,
-    /// Demand that could not be delivered (no route).
+    /// Demand that could not be delivered (no working slice path).
     pub undelivered: f64,
-    /// Flows that delivered nothing at all (in `EqualSplit`, a flow with
-    /// any surviving slice path is not counted here).
-    pub stranded_flows: usize,
 }
 
 impl LoadReport {
@@ -66,9 +63,9 @@ impl LoadReport {
     }
 }
 
-/// Route one unit along the slice path from `s` to `t`, adding `amount`
-/// to each traversed link. Returns false if the walk dead-ends (failed
-/// link, no route) — the caller counts the demand undelivered.
+/// Route `amount` along the slice path from `s` to `t`, adding it to
+/// each traversed link. Returns false, adding nothing, if the path
+/// crosses a failed link or has no route.
 fn route_flow(
     splicing: &Splicing,
     mask: &EdgeMask,
@@ -91,8 +88,11 @@ fn route_flow(
 }
 
 /// Compute link loads for `tm` under `mode` with the links in `mask`
-/// failed. Flows whose path is broken are stranded (no rerouting); see
-/// [`link_loads_with_recovery`] for the post-failure steady state.
+/// failed. A flow whose slice path broke (under
+/// [`RoutingMode::EqualSplit`], each share of it) recovers onto the
+/// first slice, in id order, with a working path: the post-recovery
+/// steady state the §5 "selfish routing" question is about. Demand with
+/// no working slice path is undelivered.
 pub fn link_loads(
     splicing: &Splicing,
     g: &Graph,
@@ -102,103 +102,29 @@ pub fn link_loads(
 ) -> LoadReport {
     let mut per_edge = vec![0.0; g.edge_count()];
     let mut undelivered = 0.0;
-    let mut stranded_flows = 0usize;
     let k = splicing.k();
     for (s, t, d) in tm.flows() {
-        match mode {
-            RoutingMode::ShortestPath => {
-                if !route_flow(splicing, mask, 0, s, t, d, &mut per_edge) {
-                    undelivered += d;
-                    stranded_flows += 1;
-                }
-            }
+        // The primary slices the flow's shares start on, and each share.
+        let (primaries, amount) = match mode {
+            RoutingMode::ShortestPath => (0..1, d),
             RoutingMode::HashSpread => {
                 let slice = slice_for_flow(s, t, k);
-                if !route_flow(splicing, mask, slice, s, t, d, &mut per_edge) {
-                    undelivered += d;
-                    stranded_flows += 1;
-                }
+                (slice..slice + 1, d)
             }
-            RoutingMode::EqualSplit => {
-                let share = d / k as f64;
-                let mut delivered_any = false;
-                for slice in 0..k {
-                    if route_flow(splicing, mask, slice, s, t, share, &mut per_edge) {
-                        delivered_any = true;
-                    } else {
-                        undelivered += share;
-                    }
-                }
-                if !delivered_any {
-                    stranded_flows += 1;
-                }
+            RoutingMode::EqualSplit => (0..k, d / k as f64),
+        };
+        for primary in primaries {
+            let delivered = std::iter::once(primary)
+                .chain((0..k).filter(|&slice| slice != primary))
+                .any(|slice| route_flow(splicing, mask, slice, s, t, amount, &mut per_edge));
+            if !delivered {
+                undelivered += amount;
             }
         }
     }
     LoadReport {
         per_edge,
         undelivered,
-        stranded_flows,
-    }
-}
-
-/// Like [`link_loads`], but flows whose primary slice path broke recover
-/// onto the first slice (in id order) with a working path — the
-/// post-recovery steady state the §5 "selfish routing" question is about.
-/// Only flows with *no* working slice path are stranded.
-pub fn link_loads_with_recovery(
-    splicing: &Splicing,
-    g: &Graph,
-    tm: &TrafficMatrix,
-    mode: RoutingMode,
-    mask: &EdgeMask,
-) -> LoadReport {
-    let mut per_edge = vec![0.0; g.edge_count()];
-    let mut undelivered = 0.0;
-    let mut stranded_flows = 0usize;
-    let k = splicing.k();
-    for (s, t, d) in tm.flows() {
-        let primary = match mode {
-            RoutingMode::ShortestPath => 0,
-            RoutingMode::HashSpread => slice_for_flow(s, t, k),
-            // Equal-split recovers each share independently below.
-            RoutingMode::EqualSplit => 0,
-        };
-        let route_with_fallback = |primary: usize, amount: f64, per_edge: &mut [f64]| -> bool {
-            if route_flow(splicing, mask, primary, s, t, amount, per_edge) {
-                return true;
-            }
-            (0..k)
-                .filter(|&slice| slice != primary)
-                .any(|slice| route_flow(splicing, mask, slice, s, t, amount, per_edge))
-        };
-        match mode {
-            RoutingMode::ShortestPath | RoutingMode::HashSpread => {
-                if !route_with_fallback(primary, d, &mut per_edge) {
-                    undelivered += d;
-                    stranded_flows += 1;
-                }
-            }
-            RoutingMode::EqualSplit => {
-                let share = d / k as f64;
-                let mut delivered_any = false;
-                for slice in 0..k {
-                    if route_with_fallback(slice, share, &mut per_edge) {
-                        delivered_any = true;
-                    } else {
-                        undelivered += share;
-                    }
-                }
-                if !delivered_any {
-                    stranded_flows += 1;
-                }
-            }
-        }
-    }
-    LoadReport {
-        per_edge,
-        undelivered,
-        stranded_flows,
     }
 }
 
@@ -249,42 +175,65 @@ mod tests {
         );
     }
 
+    /// The k = 1 deployment over the same graph and seed: slice 0 alone,
+    /// so a broken path has no slice to recover onto.
+    fn single_path(g: &Graph) -> Splicing {
+        Splicing::build(g, &SplicingConfig::degree_based(1, 0.0, 3.0), 9)
+    }
+
     #[test]
     fn failures_strand_demand_in_single_path_mode() {
-        let (g, sp, tm) = setup();
+        let (g, _, tm) = setup();
+        let single = single_path(&g);
         // Fail slice 0's Seattle uplink used toward many destinations.
-        let (_, e) = sp.next_hop(0, NodeId(0), NodeId(10)).unwrap();
+        let (_, e) = single.next_hop(0, NodeId(0), NodeId(10)).unwrap();
         let mask = EdgeMask::from_failed(g.edge_count(), &[e]);
-        let report = link_loads(&sp, &g, &tm, RoutingMode::ShortestPath, &mask);
+        let report = link_loads(&single, &g, &tm, RoutingMode::ShortestPath, &mask);
         assert!(report.undelivered > 0.0);
     }
 
     #[test]
     fn recovery_routing_reduces_stranding() {
         let (g, sp, tm) = setup();
+        let single = single_path(&g);
         let (_, e) = sp.next_hop(0, NodeId(0), NodeId(10)).unwrap();
         let mask = EdgeMask::from_failed(g.edge_count(), &[e]);
-        let plain = link_loads(&sp, &g, &tm, RoutingMode::ShortestPath, &mask);
-        let recovered = link_loads_with_recovery(&sp, &g, &tm, RoutingMode::ShortestPath, &mask);
-        assert!(recovered.undelivered <= plain.undelivered);
-        assert!(recovered.stranded_flows <= plain.stranded_flows);
+        let plain = link_loads(&single, &g, &tm, RoutingMode::ShortestPath, &mask);
+        let recovered = link_loads(&sp, &g, &tm, RoutingMode::ShortestPath, &mask);
+        assert!(recovered.undelivered < plain.undelivered);
         // Recovered demand rides longer paths: total carried load grows.
         let carried = |r: &LoadReport| r.per_edge.iter().sum::<f64>();
         assert!(carried(&recovered) >= carried(&plain) - 1e-9);
     }
 
+    /// With nothing failed no share leaves its primary slice: the loads
+    /// are each share's primary slice path, summed.
     #[test]
     fn recovery_routing_no_failures_is_identity() {
         let (g, sp, tm) = setup();
         let up = EdgeMask::all_up(g.edge_count());
+        let k = sp.k();
         for mode in [
             RoutingMode::ShortestPath,
             RoutingMode::HashSpread,
             RoutingMode::EqualSplit,
         ] {
-            let a = link_loads(&sp, &g, &tm, mode, &up);
-            let b = link_loads_with_recovery(&sp, &g, &tm, mode, &up);
-            assert_eq!(a, b, "{mode:?}");
+            let mut primary_only = vec![0.0; g.edge_count()];
+            for (s, t, d) in tm.flows() {
+                let shares = match mode {
+                    RoutingMode::ShortestPath => vec![(0, d)],
+                    RoutingMode::HashSpread => vec![(slice_for_flow(s, t, k), d)],
+                    RoutingMode::EqualSplit => (0..k).map(|i| (i, d / k as f64)).collect(),
+                };
+                for (slice, amount) in shares {
+                    for (_, e) in sp.arena().plane(slice).path(s, t) {
+                        primary_only[e.index()] += amount;
+                    }
+                }
+            }
+            let report = link_loads(&sp, &g, &tm, mode, &up);
+            assert_eq!(report.per_edge, primary_only, "{mode:?}");
+            assert_eq!(report.undelivered, 0.0, "{mode:?}");
         }
     }
 
@@ -293,7 +242,6 @@ mod tests {
         let report = LoadReport {
             per_edge: vec![1.0, 3.0, 2.0, 2.0],
             undelivered: 0.0,
-            stranded_flows: 0,
         };
         assert_eq!(report.max(), 3.0);
         assert_eq!(report.mean(), 2.0);
@@ -301,7 +249,6 @@ mod tests {
         let flat = LoadReport {
             per_edge: vec![2.0; 4],
             undelivered: 0.0,
-            stranded_flows: 0,
         };
         assert_eq!(flat.cv(), 0.0);
     }
@@ -311,7 +258,6 @@ mod tests {
         let r = LoadReport {
             per_edge: vec![],
             undelivered: 0.0,
-            stranded_flows: 0,
         };
         assert_eq!(r.max(), 0.0);
         assert_eq!(r.mean(), 0.0);

@@ -15,15 +15,6 @@ pub struct TrafficMatrix {
 }
 
 impl TrafficMatrix {
-    /// Uniform demand `d` between every ordered pair.
-    pub fn uniform(n: usize, d: f64) -> TrafficMatrix {
-        let mut demand = vec![d; n * n];
-        for i in 0..n {
-            demand[i * n + i] = 0.0;
-        }
-        TrafficMatrix { n, demand }
-    }
-
     /// Gravity model: node mass = degree × lognormal-ish random factor;
     /// demand(s, t) ∝ mass(s)·mass(t), normalized so total demand is
     /// `total`.
@@ -53,17 +44,6 @@ impl TrafficMatrix {
         TrafficMatrix { n, demand }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// Demand from `s` to `t`.
-    #[inline]
-    pub fn demand(&self, s: NodeId, t: NodeId) -> f64 {
-        self.demand[s.index() * self.n + t.index()]
-    }
-
     /// Total offered load.
     pub fn total(&self) -> f64 {
         self.demand.iter().sum()
@@ -86,29 +66,20 @@ mod tests {
     use splice_topology::abilene::abilene;
 
     #[test]
-    fn uniform_matrix() {
-        let m = TrafficMatrix::uniform(4, 2.0);
-        assert_eq!(m.demand(NodeId(0), NodeId(1)), 2.0);
-        assert_eq!(m.demand(NodeId(2), NodeId(2)), 0.0);
-        assert_eq!(m.total(), 2.0 * 12.0);
-        assert_eq!(m.flows().count(), 12);
-    }
-
-    #[test]
     fn gravity_normalizes_and_respects_degree() {
         let g = abilene().graph();
         let m = TrafficMatrix::gravity(&g, 100.0, 7);
         assert!((m.total() - 100.0).abs() < 1e-9);
-        // No self-demand.
-        for u in g.nodes() {
-            assert_eq!(m.demand(u, u), 0.0);
-        }
+        // No self-demand; every other ordered pair has some.
+        assert!(m.flows().all(|(s, t, _)| s != t));
+        let n = g.node_count();
+        assert_eq!(m.flows().count(), n * (n - 1));
         // Bigger-degree nodes attract more demand on average.
         let deg_of = |i: u32| g.degree(NodeId(i));
-        let into: Vec<f64> = g
-            .nodes()
-            .map(|t| g.nodes().map(|s| m.demand(s, t)).sum::<f64>())
-            .collect();
+        let mut into = vec![0.0; n];
+        for (_, t, d) in m.flows() {
+            into[t.index()] += d;
+        }
         let (hub, _) = into
             .iter()
             .enumerate()

@@ -6,7 +6,7 @@
 //! and measures how the busiest surviving link's load changes under each
 //! routing mode.
 
-use crate::load::{link_loads, link_loads_with_recovery, LoadReport, RoutingMode};
+use crate::load::{link_loads, RoutingMode};
 use crate::matrix::TrafficMatrix;
 use splice_core::slices::Splicing;
 use splice_graph::{EdgeId, EdgeMask, Graph};
@@ -22,8 +22,6 @@ pub struct ShiftResult {
     pub peak_after: f64,
     /// Demand stranded after the failure.
     pub undelivered: f64,
-    /// Flows that delivered nothing at all after the failure.
-    pub stranded_flows: usize,
 }
 
 impl ShiftResult {
@@ -48,12 +46,11 @@ pub fn single_link_failure_sweep(
     mode: RoutingMode,
 ) -> Vec<ShiftResult> {
     let up = EdgeMask::all_up(g.edge_count());
-    let before: LoadReport = link_loads(splicing, g, tm, mode, &up);
-    let peak_before = before.max();
+    let peak_before = link_loads(splicing, g, tm, mode, &up).max();
     g.edge_ids()
         .map(|e| {
             let mask = EdgeMask::from_failed(g.edge_count(), &[e]);
-            let after = link_loads_with_recovery(splicing, g, tm, mode, &mask);
+            let after = link_loads(splicing, g, tm, mode, &mask);
             // Peak over *surviving* links.
             let peak_after = after
                 .per_edge
@@ -67,7 +64,6 @@ pub fn single_link_failure_sweep(
                 peak_before,
                 peak_after,
                 undelivered: after.undelivered,
-                stranded_flows: after.stranded_flows,
             }
         })
         .collect()
@@ -86,6 +82,7 @@ mod tests {
     use super::*;
     use splice_core::slices::SplicingConfig;
     use splice_topology::abilene::abilene;
+    use splice_topology::sprint::sprint;
 
     fn setup() -> (Graph, Splicing, TrafficMatrix) {
         let g = abilene().graph();
@@ -106,31 +103,38 @@ mod tests {
     }
 
     #[test]
-    fn equal_split_fully_strands_fewer_flows() {
-        // A flow loses *everything* under EqualSplit only if every slice's
-        // path died — which implies slice 0's died too, so the set of
-        // fully stranded flows can only shrink versus single-path routing.
-        let (g, sp, tm) = setup();
-        let single = single_link_failure_sweep(&sp, &g, &tm, RoutingMode::ShortestPath);
-        let split = single_link_failure_sweep(&sp, &g, &tm, RoutingMode::EqualSplit);
-        for (a, b) in single.iter().zip(&split) {
-            assert!(
-                b.stranded_flows <= a.stranded_flows,
-                "link {:?}: split strands {} flows, single {}",
-                a.failed,
-                b.stranded_flows,
-                a.stranded_flows
-            );
-        }
-    }
-
-    #[test]
     fn worst_case_shift_is_finite_and_nonnegative() {
         let (g, sp, tm) = setup();
         let res = single_link_failure_sweep(&sp, &g, &tm, RoutingMode::HashSpread);
         let w = worst_case_shift(&res);
         assert!(w >= 0.0);
         assert!(w.is_finite());
+    }
+
+    /// §5's selfish-routing claim, on the `te_load_balance` row's
+    /// workload (Sprint, k = 5, a gravity matrix of 1000 units, deployment
+    /// and matrix drawn from one seed): spreading flows over slices, by
+    /// hash or by equal split, shifts less load onto the busiest surviving
+    /// link under the worst single-link failure than single-path routing
+    /// does, at every seed in 1..=12. Deterministic per seed: no band.
+    /// (The claim is Sprint's: hash-spread's worst shift exceeds
+    /// single-path's at 10 of these 12 seeds on Abilene, at 4 on GEANT.)
+    #[test]
+    fn spreading_shifts_less_than_single_path_on_sprint() {
+        let g = sprint().graph();
+        for seed in 1..=12 {
+            let sp = Splicing::build(&g, &SplicingConfig::degree_based(5, 0.0, 3.0), seed);
+            let tm = TrafficMatrix::gravity(&g, 1000.0, seed);
+            let worst = |mode| worst_case_shift(&single_link_failure_sweep(&sp, &g, &tm, mode));
+            let single = worst(RoutingMode::ShortestPath);
+            for mode in [RoutingMode::HashSpread, RoutingMode::EqualSplit] {
+                let spread = worst(mode);
+                assert!(
+                    spread < single,
+                    "seed {seed}: {mode:?} worst shift {spread:.3} vs single-path {single:.3}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -140,7 +144,6 @@ mod tests {
             peak_before: 10.0,
             peak_after: 12.0,
             undelivered: 0.0,
-            stranded_flows: 0,
         };
         assert!((r.peak_increase() - 0.2).abs() < 1e-12);
         let z = ShiftResult {
@@ -148,7 +151,6 @@ mod tests {
             peak_before: 0.0,
             peak_after: 5.0,
             undelivered: 0.0,
-            stranded_flows: 0,
         };
         assert_eq!(z.peak_increase(), 0.0);
     }

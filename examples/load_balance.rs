@@ -1,6 +1,6 @@
 //! "Automatic" load balancing (§5): Algorithm 1's hash-default slice
-//! selection spreads flows across trees even with no failures, without
-//! any Fortz–Thorup-style weight tuning.
+//! selection spreads flows across trees even with no failures, with no
+//! per-matrix weight tuning.
 //!
 //! ```text
 //! cargo run --release --example load_balance

@@ -34,7 +34,6 @@ run $LAB run state_vs_diversity
 
 # Everything §5-§6 sketch, built and measured.
 run $LAB run te_load_balance
-run $LAB run te_vs_tuning --trials "$(t tune 1500)"
 run $LAB run capacity_multipath
 run $LAB run bgp_splicing --trials "$(t bgp 200)"
 run $LAB run overlay_splicing --trials "$(t overlay 250)"
