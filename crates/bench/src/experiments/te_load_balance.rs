@@ -46,34 +46,33 @@ fn run(ctx: &mut RunContext<'_>) -> Result<ExperimentOutput, LabError> {
         ("equal-split", RoutingMode::EqualSplit),
     ];
     let mut rows = Vec::new();
+    let mut stranded = 0.0;
     for (name, mode) in modes {
         let report = link_loads(&splicing, &g, &tm, mode, &up);
         let sweep = single_link_failure_sweep(&splicing, &g, &tm, mode);
-        let stranded: f64 = sweep.iter().map(|r| r.undelivered).sum::<f64>() / sweep.len() as f64;
+        // Demand strands exactly when no slice path survives, which no
+        // mode changes: every mode's sweep gives this same figure.
+        stranded = sweep.iter().map(|r| r.undelivered).sum::<f64>() / sweep.len() as f64;
         rows.push(vec![
             name.to_string(),
             format!("{:.1}", report.max()),
             format!("{:.1}", report.mean()),
             format!("{:.3}", report.cv()),
             format!("{:.3}", worst_case_shift(&sweep)),
-            format!("{:.2}", stranded),
         ]);
     }
 
     Ok(ExperimentOutput {
         artifacts: vec![Artifact::table(
             format!("te_load_balance_{}.txt", ctx.topology.name),
-            &[
-                "mode",
-                "peak load",
-                "mean load",
-                "cv",
-                "worst peak shift",
-                "avg stranded demand",
-            ],
+            &["mode", "peak load", "mean load", "cv", "worst peak shift"],
             rows,
         )],
         notes: vec![
+            format!(
+                "avg stranded demand per single-link failure: {stranded:.2} in every mode (demand"
+            ),
+            "strands only where no slice path survives, and no mode changes that).".to_string(),
             "reading: spreading across slices disperses flows but rides longer paths, so"
                 .to_string(),
             "total and peak load can rise on distance-weighted maps — the §5 trade-off the"

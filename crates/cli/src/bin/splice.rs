@@ -22,8 +22,8 @@ use splice_telemetry::{
     Router, Ticker,
 };
 use splice_testkit::{
-    derive_seed, flight_tail, forward_oracle, replay, shrink, Divergence, ForwardOracleOptions,
-    ReplayOptions, Scenario,
+    apply_batches, derive_seed, flight_tail, forward_oracle, replay, schedule_to_batches, shrink,
+    Divergence, ForwardOracleOptions, ReplayOptions, Scenario,
 };
 use splice_topology::Topology;
 use splice_traffic::{FlowConfig, FlowGen};
@@ -286,10 +286,19 @@ fn exp_run(name: &str, flags: &Flags) -> Result<(), String> {
 }
 
 /// `splice exp run-all` / `resume`: the whole catalogue, journaled to
-/// per-experiment shards; `resume` skips shards already complete.
+/// per-experiment shards; `resume` skips shards already complete. Every
+/// row runs; the command exits 1 naming the rows that failed.
 fn exp_run_all(resume: bool, flags: &Flags) -> Result<(), String> {
     let args = lab_args(flags)?;
-    run_all(CATALOGUE, &args, resume).unwrap_or_else(|e| run_failed(e));
+    let summary = run_all(CATALOGUE, &args, resume).unwrap_or_else(|e| run_failed(e));
+    if !summary.failed.is_empty() {
+        run_failed(format!(
+            "{} of {} experiment(s) failed: {}",
+            summary.failed.len(),
+            CATALOGUE.len(),
+            summary.failed.join(", ")
+        ));
+    }
     Ok(())
 }
 
@@ -615,18 +624,17 @@ fn cmd_daemon(flags: &Flags) -> Result<(), String> {
     handle.shutdown();
     let (cp, loop_report) = event_loop.join().expect("control event loop panicked");
 
-    // Exit oracle: replay the exact ingest log through a second control
-    // plane with a different batch partition (one event per pass). The
-    // two final FIBs must be bit-identical — any batch partition of the
-    // same schedule lands on the same deployment.
+    // Exit oracle: fold the exact ingest log, one event per pass, through
+    // the memo-free `Splicing::repair_batch` — a different batch
+    // partition and none of the control plane's state (its shadow
+    // weights, its distance memo). The two final FIBs must be
+    // bit-identical: any batch partition of the same schedule lands on
+    // the same deployment.
     let events = log.lock().expect("event log lock poisoned").clone();
-    let mut oracle = ControlPlane::new(g.clone(), base, 1);
-    for ev in &events {
-        oracle.ingest(ev);
-    }
-    oracle.flush();
+    let weights: Vec<Vec<f64>> = (0..base.k()).map(|s| base.weights(s).to_vec()).collect();
+    let oracle = apply_batches(&g, &base, &schedule_to_batches(&weights, &events, 1));
     let daemon_sum = fib_checksum(cp.graph(), cp.current());
-    let oracle_sum = fib_checksum(oracle.graph(), oracle.current());
+    let oracle_sum = fib_checksum(&g, &oracle);
 
     let packets: u64 = reports.iter().map(|r| r.stats.packets).sum();
     let bursts: u64 = reports.iter().map(|r| r.bursts).sum();

@@ -35,23 +35,38 @@ pub fn bits_per_hop(k: usize) -> u8 {
 /// The per-hop forwarding-bits header of Algorithm 1.
 ///
 /// The bitstream is right-aligned: the low `bits_per_hop` bits select the
-/// slice at the *next* hop. A 128-bit store comfortably holds the paper's
+/// slice at the *next* hop. A 128-bit stream comfortably holds the paper's
 /// 20 hops × `lg(k)` bits for any practical `k`.
+///
+/// The stream is stored as two `u64` words rather than one `u128`, whose
+/// 16-byte alignment would pad a `(u32, u32, ForwardingBits)` packet to
+/// 48 bytes; as words it packs into 32.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ForwardingBits {
-    bits: u128,
+    /// Low and high halves of the 128-bit stream.
+    words: [u64; 2],
     len_bits: u8,
     bph: u8,
 }
 
 impl ForwardingBits {
+    fn with_stream(bits: u128, len_bits: u8, bph: u8) -> Self {
+        ForwardingBits {
+            words: [bits as u64, (bits >> 64) as u64],
+            len_bits,
+            bph,
+        }
+    }
+
+    /// The 128-bit stream the two words hold.
+    #[inline]
+    fn stream(&self) -> u128 {
+        (self.words[1] as u128) << 64 | self.words[0] as u128
+    }
+
     /// An empty header (no bits left): traffic stays in its current slice.
     pub fn empty(k: usize) -> Self {
-        ForwardingBits {
-            bits: 0,
-            len_bits: 0,
-            bph: bits_per_hop(k),
-        }
+        ForwardingBits::with_stream(0, 0, bits_per_hop(k))
     }
 
     /// Encode an explicit per-hop slice sequence (`hops[0]` read first).
@@ -73,11 +88,7 @@ impl ForwardingBits {
             assert!((h as usize) < k, "hop value {h} out of range for k={k}");
             bits = (bits << bph) | h as u128;
         }
-        ForwardingBits {
-            bits,
-            len_bits: (hops.len() * bph as usize) as u8,
-            bph,
-        }
+        ForwardingBits::with_stream(bits, (hops.len() * bph as usize) as u8, bph)
     }
 
     /// A header keeping traffic pinned to `slice` for its whole journey:
@@ -102,10 +113,10 @@ impl ForwardingBits {
         if self.bph == 0 || self.len_bits == 0 {
             return None;
         }
+        let bits = self.stream();
         let mask = (1u128 << self.bph) - 1;
-        let mut raw = (self.bits & mask) as usize;
-        self.bits >>= self.bph;
-        self.len_bits -= self.bph;
+        let mut raw = (bits & mask) as usize;
+        *self = ForwardingBits::with_stream(bits >> self.bph, self.len_bits - self.bph, self.bph);
         // Reduce modulo k without a hardware divide on the hot path: a
         // header built for this k has `raw < 2^lg(k) < 2k`, so one
         // subtract suffices; the real `%` only runs for wire headers
@@ -136,7 +147,7 @@ impl ForwardingBits {
         let mut out = [0u8; 18];
         out[0] = self.bph;
         out[1] = self.len_bits;
-        out[2..].copy_from_slice(&self.bits.to_le_bytes());
+        out[2..].copy_from_slice(&self.stream().to_le_bytes());
         out
     }
 
@@ -164,11 +175,7 @@ impl ForwardingBits {
         if len_bits < 128 && (bits >> len_bits) != 0 {
             return None; // non-canonical: set bits beyond the stream
         }
-        Some(ForwardingBits {
-            bits,
-            len_bits,
-            bph,
-        })
+        Some(ForwardingBits::with_stream(bits, len_bits, bph))
     }
 }
 
@@ -252,12 +259,32 @@ mod tests {
     #[test]
     fn non_power_of_two_values_reduced() {
         // k = 3 uses 2 bits; a raw 3 decodes as 3 % 3 = 0.
-        let mut h = ForwardingBits {
-            bits: 0b11,
-            len_bits: 2,
-            bph: 2,
-        };
+        let mut h = ForwardingBits::from_hops(&[3], 4);
         assert_eq!(h.read_and_shift(3), Some(0));
+        // A wire header whose `bph` is oversized for k takes the `%`.
+        let mut wire = [0u8; 18];
+        (wire[0], wire[1], wire[2]) = (4, 4, 7);
+        let mut h = ForwardingBits::from_bytes(&wire).unwrap();
+        assert_eq!(h.read_and_shift(3), Some(1));
+    }
+
+    /// A packet is `(src, dst, ForwardingBits)`; the stream's storage
+    /// must not pad it past half a cache line.
+    #[test]
+    fn a_packet_fits_in_32_bytes() {
+        assert!(std::mem::size_of::<(u32, u32, ForwardingBits)>() <= 32);
+    }
+
+    /// Reading crosses the boundary between the two stream words the way
+    /// one 128-bit shift does: hops straddling bit 64 come out intact.
+    #[test]
+    fn hops_straddling_the_word_boundary_read_back() {
+        let hops: Vec<u8> = (0..42).map(|i| (i * 5 % 8) as u8).collect();
+        let mut h = ForwardingBits::from_hops(&hops, 8);
+        for &want in &hops {
+            assert_eq!(h.read_and_shift(8), Some(want as usize));
+        }
+        assert!(h.is_exhausted());
     }
 
     #[test]

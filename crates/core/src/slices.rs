@@ -12,7 +12,7 @@ use crate::strategy::{observed_fill, with_spf_workspace, StrategyKind};
 use splice_graph::dijkstra::{validate_weights, SpfWorkspace, WeightError};
 use splice_graph::traversal::reverse_reachable;
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
-use splice_routing::arena::{PlaneMut, RepairStats, SpliceFib};
+use splice_routing::arena::{DistanceMemo, PlaneDistances, PlaneMut, RepairStats, SpliceFib};
 use splice_routing::spf::{FlightEvent, SpfTelemetry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -388,6 +388,10 @@ impl Splicing {
     /// result is bit-identical either way, whatever the spare held. A
     /// no-op batch returns the spare unused (dropped), since the result
     /// shares this deployment's arena.
+    ///
+    /// Every column a delta pass patches is loaded with distances folded
+    /// from its parent chains. The control plane, which keeps them
+    /// between repairs, runs this same engine with its distance memo.
     pub fn try_repair_batch_recycling(
         &self,
         g: &Graph,
@@ -395,6 +399,32 @@ impl Splicing {
         telemetry: Option<&SpfTelemetry>,
         recycle: Option<SpliceFib>,
     ) -> Result<(Splicing, RepairStats), WeightError> {
+        self.repair_batch_with_memo(g, events, telemetry, recycle, None)
+    }
+
+    /// The repair engine behind [`Splicing::try_repair_batch_recycling`],
+    /// with an optional [`DistanceMemo`] of this deployment's delta
+    /// planes: patched columns load their distances from it when it knows
+    /// them (and fold their parent chains, as without a memo, when it
+    /// does not), and every column a pass loads leaves its new distances
+    /// there. The result is bit-identical with or without one.
+    ///
+    /// The memo must describe this deployment — `k` planes over its `n`
+    /// routers, every known column the fold of this arena's parents under
+    /// this deployment's weights — and on `Ok` it describes the returned
+    /// one. It is read and written by delta passes only, so a strategy
+    /// without delta repair never touches it.
+    pub(crate) fn repair_batch_with_memo(
+        &self,
+        g: &Graph,
+        events: &[RepairEvent],
+        telemetry: Option<&SpfTelemetry>,
+        recycle: Option<SpliceFib>,
+        mut memo: Option<&mut DistanceMemo>,
+    ) -> Result<(Splicing, RepairStats), WeightError> {
+        if let Some(memo) = &memo {
+            assert_eq!((memo.k(), memo.n()), (self.k, self.fib.n()), "memo shape");
+        }
         // Validate the whole batch before touching anything.
         for event in events {
             if let RepairEvent::SliceReweight {
@@ -510,10 +540,15 @@ impl Splicing {
                     continue;
                 }
                 let base_weights = &self.weights[slice];
+                let mut dists = match memo.as_deref_mut() {
+                    Some(memo) => memo.plane_mut(slice),
+                    None => PlaneDistances::none(),
+                };
                 stats.absorb(repair_plane_batched(
                     g,
                     slice,
                     &mut plane,
+                    &mut dists,
                     self.strategy,
                     self.seed,
                     base_weights,
@@ -731,6 +766,7 @@ fn masked_rebuild_stats(g: &Graph) -> RepairStats {
         patched_columns: g.node_count(),
         skipped_columns: 0,
         frontier_nodes: g.node_count(),
+        ..RepairStats::default()
     }
 }
 
@@ -754,12 +790,14 @@ struct MaskDelta<'a> {
 /// masked rebuild at the final state.
 ///
 /// `final_weights` must already hold every reweight's final value (it
-/// aliases `base_weights` when the slice was not reweighted).
+/// aliases `base_weights` when the slice was not reweighted). `memo` is
+/// the plane's distances, read and kept current by the delta passes.
 #[allow(clippy::too_many_arguments)]
 fn repair_plane_batched(
     g: &Graph,
     slice: usize,
     plane: &mut PlaneMut<'_>,
+    memo: &mut PlaneDistances<'_>,
     strategy: StrategyKind,
     seed: u64,
     base_weights: &[f64],
@@ -796,7 +834,7 @@ fn repair_plane_batched(
             let old = cur[edge.index()];
             cur[edge.index()] = final_weights[edge.index()];
             stats.absorb(observed_pass(telemetry, "patch_reweight", slice, || {
-                plane.patch_reweight(g, &mut cur, delta.before, edge, old, ws)
+                plane.patch_reweight(g, &mut cur, delta.before, edge, old, memo, ws)
             }));
         }
     }
@@ -807,13 +845,14 @@ fn repair_plane_batched(
                 final_weights,
                 delta.with_failures,
                 delta.newly_failed,
+                memo,
                 ws,
             )
         }));
     }
     if !delta.restored.is_empty() {
         stats.absorb(observed_pass(telemetry, "patch_restore", slice, || {
-            plane.patch_restores(g, final_weights, delta.after, delta.restored, ws)
+            plane.patch_restores(g, final_weights, delta.after, delta.restored, memo, ws)
         }));
     }
     stats
@@ -1684,6 +1723,7 @@ mod tests {
                                         g,
                                         slice,
                                         &mut plane,
+                                        &mut PlaneDistances::none(),
                                         strategy,
                                         start.build_seed(),
                                         start.weights(slice),

@@ -10,7 +10,7 @@
 use splice_core::slices::{RepairEvent, Splicing, SplicingConfig};
 use splice_core::strategy::StrategyKind;
 use splice_graph::{EdgeId, EdgeMask, Graph, SpfWorkspace};
-use splice_routing::{RepairStats, SpliceFib};
+use splice_routing::{DistanceMemo, PlaneDistances, RepairStats, SpliceFib};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -109,29 +109,45 @@ fn warm_delta_repairs_do_not_allocate() {
     let (failed, up) = (EdgeMask::from_failed(m, &down), EdgeMask::all_up(m));
     let (e, w0) = (EdgeId(5), w[5]);
     let mut ws = SpfWorkspace::new();
-    // Fail, restore, reweight up, reweight down: the plane ends where it
-    // started, so every cycle after the first does identical work.
-    let mut cycle = || {
-        let mut stats = RepairStats::default();
-        stats.absorb(plane.patch_failures(&g, &w, &failed, &down, &mut ws));
-        stats.absorb(plane.patch_restores(&g, &w, &up, &down, &mut ws));
-        w[e.index()] = w0 * 4.0;
-        stats.absorb(plane.patch_reweight(&g, &mut w, &up, e, w0, &mut ws));
-        w[e.index()] = w0;
-        stats.absorb(plane.patch_reweight(&g, &mut w, &up, e, w0 * 4.0, &mut ws));
-        stats
-    };
-    let warm = cycle();
-    assert!(
-        warm.patched_columns > 0 && warm.frontier_nodes > 0,
-        "{warm:?}"
-    );
-    let before = ALLOCATIONS.with(Cell::get);
-    for _ in 0..5 {
-        assert_eq!(cycle(), warm);
+    let mut memo = DistanceMemo::new(2, g.node_count());
+    // Memo-free, then through a distance memo the first cycle teaches.
+    for use_memo in [false, true] {
+        // Fail, restore, reweight up, reweight down: the plane ends where
+        // it started, so every cycle after the first does identical work.
+        let mut cycle = || {
+            let mut dists = if use_memo {
+                memo.plane_mut(1)
+            } else {
+                PlaneDistances::none()
+            };
+            let mut stats = RepairStats::default();
+            stats.absorb(plane.patch_failures(&g, &w, &failed, &down, &mut dists, &mut ws));
+            stats.absorb(plane.patch_restores(&g, &w, &up, &down, &mut dists, &mut ws));
+            w[e.index()] = w0 * 4.0;
+            stats.absorb(plane.patch_reweight(&g, &mut w, &up, e, w0, &mut dists, &mut ws));
+            w[e.index()] = w0;
+            let old = w0 * 4.0;
+            stats.absorb(plane.patch_reweight(&g, &mut w, &up, e, old, &mut dists, &mut ws));
+            stats
+        };
+        cycle();
+        let warm = cycle();
+        assert!(
+            warm.patched_columns > 0 && warm.frontier_nodes > 0,
+            "{warm:?}"
+        );
+        assert_eq!(warm.memo_columns > 0, use_memo, "{warm:?}");
+        let before = ALLOCATIONS.with(Cell::get);
+        for _ in 0..5 {
+            assert_eq!(cycle(), warm);
+        }
+        let after = ALLOCATIONS.with(Cell::get);
+        assert_eq!(
+            after - before,
+            0,
+            "5 warm delta cycles allocated (memo: {use_memo})"
+        );
     }
-    let after = ALLOCATIONS.with(Cell::get);
-    assert_eq!(after - before, 0, "5 warm delta cycles allocated");
     assert!(fib == sp.arena().clone_prefix(2), "the cycle returns home");
 }
 

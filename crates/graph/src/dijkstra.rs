@@ -256,7 +256,10 @@ impl SpfWorkspace {
     /// Distances are reconstructed by walking parent chains and summing
     /// `weights` parent-first — the same `dist[parent] + w(edge)` additions
     /// the original Dijkstra run performed, so the reconstructed values are
-    /// bit-identical to the ones the full run computed.
+    /// bit-identical to the ones the full run computed. That fold is O(n)
+    /// per column however little the repair then changes; a caller that
+    /// kept the distances of the tree's last run or repair loads them with
+    /// [`Self::load_known`] instead, and comes here only on a miss.
     ///
     /// # Panics
     /// Panics if `weights.len() != g.edge_count()` or the parent pointers
@@ -312,6 +315,30 @@ impl SpfWorkspace {
                 }
             }
         }
+    }
+
+    /// Load a tree whose distances are already known, so it can be
+    /// repaired incrementally without [`Self::load_tree`]'s chain fold:
+    /// `parent_of(u)` as there, and `dist` the router-indexed distances
+    /// that fold would produce (`f64::INFINITY` on unreachable nodes) —
+    /// exactly what [`Self::distances`] held after the run or repair that
+    /// produced the tree. A repair then proceeds bit-identically to one
+    /// started from `load_tree`, at one copy per node instead of one
+    /// addition per chain link.
+    pub fn load_known<F>(&mut self, root: NodeId, dist: &[f64], parent_of: F)
+    where
+        F: Fn(usize) -> Option<(NodeId, EdgeId)>,
+    {
+        debug_assert_eq!(dist[root.index()], 0.0, "the root is at distance 0");
+        self.dist.clear();
+        self.dist.extend_from_slice(dist);
+        self.parent.clear();
+        self.parent.extend((0..dist.len()).map(parent_of));
+        // `load_tree` settles exactly the nodes whose chain reaches the
+        // root, i.e. those at a finite distance.
+        self.settled.clear();
+        self.settled.extend(dist.iter().map(|d| d.is_finite()));
+        self.heap.clear();
     }
 
     /// Classify every node as clean or dirty by walking its parent chain:
@@ -852,6 +879,31 @@ mod tests {
             ws.load_tree(&g, root, &w, |u| fresh.parent[u]);
             assert_eq!(ws.parents(), &fresh.parent[..]);
             assert_eq!(ws.distances(), &fresh.dist[..]);
+        }
+    }
+
+    /// Repairs started from `load_known` with the distances a run left
+    /// behind equal repairs started from `load_tree`'s chain fold, bit
+    /// for bit, on every root and failed edge.
+    #[test]
+    fn load_known_repairs_like_load_tree() {
+        let g = from_edges(4, &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]);
+        let w = vec![0.1, 0.2, 0.7, 0.3];
+        for root in g.nodes() {
+            for e in g.edge_ids() {
+                let fresh = dijkstra(&g, root, &w);
+                let mask = EdgeMask::from_failed(g.edge_count(), &[e]);
+                let (mut folded, mut known) = (SpfWorkspace::new(), SpfWorkspace::new());
+                folded.load_tree(&g, root, &w, |u| fresh.parent[u]);
+                known.load_known(root, &fresh.dist, |u| fresh.parent[u]);
+                folded.repair_failures(&g, root, &w, &mask, &[e]);
+                known.repair_failures(&g, root, &w, &mask, &[e]);
+                assert_eq!(known.parents(), folded.parents());
+                let bits = |ws: &SpfWorkspace| -> Vec<u64> {
+                    ws.distances().iter().map(|d| d.to_bits()).collect()
+                };
+                assert_eq!(bits(&known), bits(&folded), "root {root:?}, {e:?}");
+            }
         }
     }
 

@@ -45,6 +45,12 @@ pub struct RepairStats {
     pub skipped_columns: usize,
     /// Total re-relaxed nodes across all patched columns.
     pub frontier_nodes: usize,
+    /// Columns loaded for repair whose distances were re-derived by
+    /// folding the installed parent chains ([`SpfWorkspace::load_tree`]).
+    pub folded_columns: usize,
+    /// Columns loaded for repair whose distances were read from a
+    /// [`DistanceMemo`] instead ([`SpfWorkspace::load_known`]).
+    pub memo_columns: usize,
 }
 
 impl RepairStats {
@@ -53,6 +59,104 @@ impl RepairStats {
         self.patched_columns += other.patched_columns;
         self.skipped_columns += other.skipped_columns;
         self.frontier_nodes += other.frontier_nodes;
+        self.folded_columns += other.folded_columns;
+        self.memo_columns += other.memo_columns;
+    }
+}
+
+/// The SPF distances behind a deployment's delta-repairable planes, kept
+/// between repairs: one `f64` per `(slice, router, dst)` entry, in the
+/// arena's destination-major order, and one flag per `(slice, dst)`
+/// column saying whether that column's distances are known yet.
+///
+/// A delta repair needs the distances of each tree it patches. Without a
+/// memo it re-derives them from the installed parent chains, O(n) per
+/// column however few entries the event changes; with one it copies them
+/// in, and writes back what the repair computed. The memo is kept beside
+/// the arena, never in it, so published snapshots do not carry it. It
+/// starts empty and learns a column the first time a repair loads it.
+#[derive(Clone, Debug)]
+pub struct DistanceMemo {
+    n: usize,
+    dist: Box<[f64]>,
+    known: Box<[bool]>,
+}
+
+impl DistanceMemo {
+    /// A memo for `k` planes over `n` routers that knows no column yet.
+    pub fn new(k: usize, n: usize) -> DistanceMemo {
+        DistanceMemo {
+            n,
+            dist: vec![f64::INFINITY; k * n * n].into_boxed_slice(),
+            known: vec![false; k * n].into_boxed_slice(),
+        }
+    }
+
+    /// Number of planes covered.
+    pub fn k(&self) -> usize {
+        self.known.len() / self.n.max(1)
+    }
+
+    /// Number of routers (= destinations) per plane.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The router-indexed distances toward `dst` in `slice`, if known.
+    pub fn column(&self, slice: usize, dst: NodeId) -> Option<&[f64]> {
+        let c = slice * self.n + dst.index();
+        self.known[c].then(|| &self.dist[c * self.n..(c + 1) * self.n])
+    }
+
+    /// Plane `slice`'s share, for the `PlaneMut::patch_*` passes.
+    pub fn plane_mut(&mut self, slice: usize) -> PlaneDistances<'_> {
+        let n = self.n;
+        PlaneDistances {
+            n,
+            dist: &mut self.dist[slice * n * n..(slice + 1) * n * n],
+            known: &mut self.known[slice * n..(slice + 1) * n],
+        }
+    }
+}
+
+/// One plane's distances in a [`DistanceMemo`] (see
+/// [`DistanceMemo::plane_mut`]), or none at all
+/// ([`PlaneDistances::none`]): the memo-free passes fold every column
+/// they load and record nothing.
+#[derive(Debug)]
+pub struct PlaneDistances<'a> {
+    n: usize,
+    dist: &'a mut [f64],
+    known: &'a mut [bool],
+}
+
+impl PlaneDistances<'_> {
+    /// No memo: every load folds parent chains, every record is dropped.
+    pub fn none() -> PlaneDistances<'static> {
+        PlaneDistances {
+            n: 0,
+            dist: &mut [],
+            known: &mut [],
+        }
+    }
+
+    /// The router-indexed distances toward `dst`, if known.
+    #[inline]
+    fn column(&self, dst: NodeId) -> Option<&[f64]> {
+        let d = dst.index();
+        (d < self.known.len() && self.known[d]).then(|| &self.dist[d * self.n..(d + 1) * self.n])
+    }
+
+    /// Remember `dist` as the distances toward `dst` (a no-op without a
+    /// memo). They must be what folding the column's installed parent
+    /// chains gives.
+    #[inline]
+    pub fn record(&mut self, dst: NodeId, dist: &[f64]) {
+        let d = dst.index();
+        if d < self.known.len() {
+            self.dist[d * self.n..(d + 1) * self.n].copy_from_slice(dist);
+            self.known[d] = true;
+        }
     }
 }
 
@@ -212,22 +316,76 @@ impl PlaneMut<'_> {
         }
     }
 
+    /// Load the `dst` column into `ws` for a repair: from `memo` when it
+    /// knows the column's distances, else by folding the installed parent
+    /// chains under `weights` — counted in `stats` either way. Returns
+    /// whether it folded (the memo does not know the column yet).
+    fn load_column(
+        &self,
+        g: &Graph,
+        dst: NodeId,
+        weights: &[f64],
+        memo: &PlaneDistances<'_>,
+        ws: &mut SpfWorkspace,
+        stats: &mut RepairStats,
+    ) -> bool {
+        let parent_of = |u: usize| self.lookup(NodeId(u as u32), dst);
+        match memo.column(dst) {
+            Some(dist) => {
+                ws.load_known(dst, dist, parent_of);
+                stats.memo_columns += 1;
+                false
+            }
+            None => {
+                ws.load_tree(g, dst, weights, parent_of);
+                stats.folded_columns += 1;
+                true
+            }
+        }
+    }
+
+    /// After a column was loaded and repaired in `ws`: write it back when
+    /// the repair `touched` any node, and record its distances in `memo`
+    /// when they changed or the memo did not know them yet (`folded`).
+    fn store_column(
+        &mut self,
+        dst: NodeId,
+        touched: usize,
+        folded: bool,
+        memo: &mut PlaneDistances<'_>,
+        ws: &SpfWorkspace,
+        stats: &mut RepairStats,
+    ) {
+        if touched > 0 {
+            self.patch_column(dst, ws.parents());
+            stats.patched_columns += 1;
+            stats.frontier_nodes += touched;
+        } else {
+            stats.skipped_columns += 1;
+        }
+        if touched > 0 || folded {
+            memo.record(dst, ws.distances());
+        }
+    }
+
     /// Incrementally repair this plane after the links in `newly_failed`
     /// went down. `mask` is the new cumulative failure mask (with
     /// `newly_failed` already failed) and `weights` the slice's weight
     /// vector; the plane must hold the forwarding state that was correct
-    /// immediately before the event.
+    /// immediately before the event, and `memo` (if any) its distances.
     ///
     /// Columns whose tree does not cross a newly failed link are skipped
     /// after an O(n) bitmask scan — their entries are provably unchanged.
     /// Touched columns are loaded into `ws`, repaired via
-    /// [`SpfWorkspace::repair_failures`], and written back whole.
+    /// [`SpfWorkspace::repair_failures`], and written back whole, their
+    /// distances recorded in `memo`.
     pub fn patch_failures(
         &mut self,
         g: &Graph,
         weights: &[f64],
         mask: &EdgeMask,
         newly_failed: &[EdgeId],
+        memo: &mut PlaneDistances<'_>,
         ws: &mut SpfWorkspace,
     ) -> RepairStats {
         assert_eq!(self.n, g.node_count(), "plane built for a different graph");
@@ -238,20 +396,21 @@ impl PlaneMut<'_> {
                 stats.skipped_columns += 1;
                 continue;
             }
-            ws.load_tree(g, t, weights, |u| self.lookup(NodeId(u as u32), t));
-            stats.frontier_nodes += ws.repair_failures(g, t, weights, mask, newly_failed);
-            self.patch_column(t, ws.parents());
-            stats.patched_columns += 1;
+            let folded = self.load_column(g, t, weights, memo, ws, &mut stats);
+            let touched = ws.repair_failures(g, t, weights, mask, newly_failed);
+            self.store_column(t, touched, folded, memo, ws, &mut stats);
         }
         stats
     }
 
     /// Incrementally repair this plane after `edge`'s weight changed from
     /// `old_weight` to `weights[edge]` (`weights` is the slice's new
-    /// vector, handed back unchanged). Weight increases skip columns that
-    /// do not route over `edge`; decreases probe every column, but a
-    /// probe that changes nothing costs one relaxation and skips the
-    /// write-back.
+    /// vector, handed back unchanged; `memo` as in
+    /// [`PlaneMut::patch_failures`], holding pre-event distances). Weight
+    /// increases skip columns that do not route over `edge`; decreases
+    /// probe every column, but a probe that changes nothing costs one
+    /// relaxation and skips the write-back.
+    #[allow(clippy::too_many_arguments)]
     pub fn patch_reweight(
         &mut self,
         g: &Graph,
@@ -259,6 +418,7 @@ impl PlaneMut<'_> {
         mask: &EdgeMask,
         edge: EdgeId,
         old_weight: f64,
+        memo: &mut PlaneDistances<'_>,
         ws: &mut SpfWorkspace,
     ) -> RepairStats {
         assert_eq!(self.n, g.node_count(), "plane built for a different graph");
@@ -273,20 +433,14 @@ impl PlaneMut<'_> {
                 stats.skipped_columns += 1;
                 continue;
             }
-            // Loaded trees must reconstruct the *pre-event* distances, so
-            // the chain walk sums the old weight; the repair then relaxes
+            // Loaded trees must hold the *pre-event* distances, so a
+            // chain fold sums the old weight; the repair then relaxes
             // under the new one.
             weights[edge.index()] = old_weight;
-            ws.load_tree(g, t, weights, |u| self.lookup(NodeId(u as u32), t));
+            let folded = self.load_column(g, t, weights, memo, ws, &mut stats);
             weights[edge.index()] = new_weight;
             let touched = ws.repair_reweight(g, t, weights, mask, edge, old_weight);
-            if touched == 0 {
-                stats.skipped_columns += 1;
-                continue;
-            }
-            stats.frontier_nodes += touched;
-            self.patch_column(t, ws.parents());
-            stats.patched_columns += 1;
+            self.store_column(t, touched, folded, memo, ws, &mut stats);
         }
         stats
     }
@@ -295,45 +449,43 @@ impl PlaneMut<'_> {
     /// back up. `mask` is the new failure mask (with `restored` already
     /// up) and `weights` the slice's weight vector; the plane must hold
     /// the forwarding state that was correct under `weights` while those
-    /// links were still down.
+    /// links were still down, and `memo` (if any) its distances.
     ///
     /// A restored link can improve any column, so every column is
-    /// probed — but the probe is two parent-chain walks
-    /// ([`PlaneMut::chain_distance`]), not a tree load: a column is loaded
-    /// into `ws` only once some restored link shortens a route or wins a
-    /// tie-break in it, then every remaining link is relaxed in the same
-    /// workspace ([`SpfWorkspace::repair_restore`]) and the column is
-    /// written back once.
+    /// probed — but the probe reads two distances (from `memo`, or by
+    /// walking two parent chains, [`PlaneMut::chain_distance`]), not a
+    /// tree load: a column is loaded into `ws` only once some restored
+    /// link shortens a route or wins a tie-break in it, then every
+    /// remaining link is relaxed in the same workspace
+    /// ([`SpfWorkspace::repair_restore`]) and the column is written back
+    /// once.
     pub fn patch_restores(
         &mut self,
         g: &Graph,
         weights: &[f64],
         mask: &EdgeMask,
         restored: &[EdgeId],
+        memo: &mut PlaneDistances<'_>,
         ws: &mut SpfWorkspace,
     ) -> RepairStats {
         assert_eq!(self.n, g.node_count(), "plane built for a different graph");
         let mut stats = RepairStats::default();
         for t in g.nodes() {
-            let mut loaded = false;
+            let mut folded = None;
             let mut touched = 0usize;
             for &edge in restored {
-                if !loaded {
-                    if !self.restore_changes_column(g, weights, t, edge, &mut ws.path) {
+                if folded.is_none() {
+                    if !self.restore_changes_column(g, weights, t, edge, memo, &mut ws.path) {
                         continue;
                     }
-                    ws.load_tree(g, t, weights, |u| self.lookup(NodeId(u as u32), t));
-                    loaded = true;
+                    folded = Some(self.load_column(g, t, weights, memo, ws, &mut stats));
                 }
                 touched += ws.repair_restore(g, t, weights, mask, edge);
             }
-            if touched == 0 {
-                stats.skipped_columns += 1;
-                continue;
+            match folded {
+                Some(folded) => self.store_column(t, touched, folded, memo, ws, &mut stats),
+                None => stats.skipped_columns += 1,
             }
-            stats.frontier_nodes += touched;
-            self.patch_column(t, ws.parents());
-            stats.patched_columns += 1;
         }
         stats
     }
@@ -342,18 +494,25 @@ impl PlaneMut<'_> {
     /// it gives one endpoint a strictly shorter route through the other,
     /// or an equally short one that outranks the installed parent in the
     /// `(parent, edge)` tie-break. Exact, not conservative — the same
-    /// comparisons [`SpfWorkspace::repair_restore`] starts from.
+    /// comparisons [`SpfWorkspace::repair_restore`] starts from. The two
+    /// endpoint distances are read from `memo` when it knows the column.
     fn restore_changes_column(
         &self,
         g: &Graph,
         weights: &[f64],
         dst: NodeId,
         edge: EdgeId,
+        memo: &PlaneDistances<'_>,
         chain: &mut Vec<u32>,
     ) -> bool {
         let (a, b) = (g.edge(edge).u, g.edge(edge).v);
-        let da = self.chain_distance(dst, a, weights, chain);
-        let db = self.chain_distance(dst, b, weights, chain);
+        let (da, db) = match memo.column(dst) {
+            Some(dist) => (dist[a.index()], dist[b.index()]),
+            None => (
+                self.chain_distance(dst, a, weights, chain),
+                self.chain_distance(dst, b, weights, chain),
+            ),
+        };
         let w = weights[edge.index()];
         [(a, da, b, db), (b, db, a, da)]
             .into_iter()
@@ -938,9 +1097,14 @@ mod tests {
             fill_up(&mut arena, 0, &g, &w);
             let mut mask = EdgeMask::all_up(g.edge_count());
             mask.fail(fail);
-            let stats = arena
-                .plane_mut(0)
-                .patch_failures(&g, &w, &mask, &[fail], &mut ws);
+            let stats = arena.plane_mut(0).patch_failures(
+                &g,
+                &w,
+                &mask,
+                &[fail],
+                &mut PlaneDistances::none(),
+                &mut ws,
+            );
             assert_eq!(
                 stats.patched_columns + stats.skipped_columns,
                 g.node_count(),
@@ -968,6 +1132,7 @@ mod tests {
                     &mask,
                     edge,
                     old[edge.index()],
+                    &mut PlaneDistances::none(),
                     &mut ws,
                 );
                 assert_plane_matches_rebuild(&arena, &g, &new_w, 0, &mask);
@@ -994,9 +1159,14 @@ mod tests {
                 for e in batch {
                     mask.restore(*e);
                 }
-                let stats = arena
-                    .plane_mut(0)
-                    .patch_restores(&g, &w, &mask, batch, &mut ws);
+                let stats = arena.plane_mut(0).patch_restores(
+                    &g,
+                    &w,
+                    &mask,
+                    batch,
+                    &mut PlaneDistances::none(),
+                    &mut ws,
+                );
                 assert_eq!(
                     stats.patched_columns + stats.skipped_columns,
                     g.node_count(),
@@ -1012,11 +1182,119 @@ mod tests {
         let mut arena = SpliceFib::empty(1, g.node_count());
         arena.plane_mut(0).fill(&g, &heavy, &mask, &mut ws);
         mask.restore(EdgeId(2));
-        let stats = arena
-            .plane_mut(0)
-            .patch_restores(&g, &heavy, &mask, &[EdgeId(2)], &mut ws);
+        let stats = arena.plane_mut(0).patch_restores(
+            &g,
+            &heavy,
+            &mask,
+            &[EdgeId(2)],
+            &mut PlaneDistances::none(),
+            &mut ws,
+        );
         assert_eq!(stats.patched_columns, 0);
         assert_plane_matches_rebuild(&arena, &g, &heavy, 0, &mask);
+    }
+
+    /// Every column `memo` knows for plane `slice` holds, bit for bit,
+    /// what folding the arena's installed parent chains under `w` gives.
+    fn assert_memo_matches_fold(
+        arena: &SpliceFib,
+        slice: usize,
+        g: &splice_graph::Graph,
+        w: &[f64],
+        memo: &DistanceMemo,
+    ) {
+        let mut ws = SpfWorkspace::new();
+        for t in g.nodes() {
+            let Some(dist) = memo.column(slice, t) else {
+                continue;
+            };
+            ws.load_tree(g, t, w, |u| arena.lookup(slice, NodeId(u as u32), t));
+            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(dist), bits(ws.distances()), "column {t:?}");
+        }
+    }
+
+    /// The same event sequence patched with and without a memo: equal
+    /// planes after every pass, the memo equal to the chain fold, and
+    /// columns folded once, then read.
+    #[test]
+    fn patches_through_a_memo_match_memo_free_patches() {
+        let g = from_edges(
+            5,
+            &[
+                (0, 1, 1.0),
+                (1, 2, 1.0),
+                (2, 3, 1.0),
+                (3, 4, 1.0),
+                (4, 0, 1.0),
+                (1, 3, 2.0),
+                (0, 2, 2.0),
+            ],
+        );
+        let mut w = g.base_weights();
+        let mut ws = SpfWorkspace::new();
+        let mut plain = SpliceFib::empty(1, g.node_count());
+        fill_up(&mut plain, 0, &g, &w);
+        let mut memoed = plain.clone();
+        let mut memo = DistanceMemo::new(1, g.node_count());
+        let mut mask = EdgeMask::all_up(g.edge_count());
+        let mut totals = RepairStats::default();
+        for step in 0..8 {
+            let e = EdgeId(step % 4);
+            let (plain_stats, memo_stats) = match step % 4 {
+                0 => {
+                    mask.fail(e);
+                    let mut run = |plane: &mut PlaneMut<'_>, memo: &mut PlaneDistances<'_>| {
+                        plane.patch_failures(&g, &w, &mask, &[e], memo, &mut ws)
+                    };
+                    (
+                        run(&mut plain.plane_mut(0), &mut PlaneDistances::none()),
+                        run(&mut memoed.plane_mut(0), &mut memo.plane_mut(0)),
+                    )
+                }
+                1 | 2 => {
+                    let e = EdgeId(5 + step % 2);
+                    let old = w[e.index()];
+                    w[e.index()] = if step % 4 == 1 { old * 3.0 } else { old * 0.25 };
+                    let mut run = |plane: &mut PlaneMut<'_>, memo: &mut PlaneDistances<'_>| {
+                        let mut cur = w.clone();
+                        plane.patch_reweight(&g, &mut cur, &mask, e, old, memo, &mut ws)
+                    };
+                    (
+                        run(&mut plain.plane_mut(0), &mut PlaneDistances::none()),
+                        run(&mut memoed.plane_mut(0), &mut memo.plane_mut(0)),
+                    )
+                }
+                _ => {
+                    let restored: Vec<EdgeId> = mask.failed_edges().collect();
+                    restored.iter().for_each(|&e| mask.restore(e));
+                    let mut run = |plane: &mut PlaneMut<'_>, memo: &mut PlaneDistances<'_>| {
+                        plane.patch_restores(&g, &w, &mask, &restored, memo, &mut ws)
+                    };
+                    (
+                        run(&mut plain.plane_mut(0), &mut PlaneDistances::none()),
+                        run(&mut memoed.plane_mut(0), &mut memo.plane_mut(0)),
+                    )
+                }
+            };
+            assert_eq!(memoed, plain, "step {step}");
+            assert_plane_matches_rebuild(&memoed, &g, &w, 0, &mask);
+            assert_memo_matches_fold(&memoed, 0, &g, &w, &memo);
+            let work = |s: RepairStats| (s.patched_columns, s.skipped_columns, s.frontier_nodes);
+            assert_eq!(
+                work(memo_stats),
+                work(plain_stats),
+                "step {step}: the memo changes where distances come from, nothing else"
+            );
+            assert_eq!(plain_stats.memo_columns, 0);
+            assert_eq!(
+                memo_stats.folded_columns + memo_stats.memo_columns,
+                plain_stats.folded_columns
+            );
+            totals.absorb(memo_stats);
+        }
+        assert!(totals.folded_columns <= g.node_count(), "{totals:?}");
+        assert!(totals.memo_columns > 0, "{totals:?}");
     }
 
     #[test]
@@ -1045,13 +1323,24 @@ mod tests {
         // repair through a lone `plane_mut` borrow.
         let mut mask = EdgeMask::all_up(g.edge_count());
         mask.fail(EdgeId(0));
-        let stats_direct =
-            direct
-                .plane_mut(0)
-                .patch_failures(&g, &w0, &mask, &[EdgeId(0)], &mut ws);
+        let stats_direct = direct.plane_mut(0).patch_failures(
+            &g,
+            &w0,
+            &mask,
+            &[EdgeId(0)],
+            &mut PlaneDistances::none(),
+            &mut ws,
+        );
         let stats_plane = {
             let mut planes = via_planes.planes_mut();
-            planes[0].patch_failures(&g, &w0, &mask, &[EdgeId(0)], &mut ws)
+            planes[0].patch_failures(
+                &g,
+                &w0,
+                &mask,
+                &[EdgeId(0)],
+                &mut PlaneDistances::none(),
+                &mut ws,
+            )
         };
         assert_eq!(stats_plane, stats_direct);
         assert_eq!(via_planes, direct);

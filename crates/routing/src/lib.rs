@@ -34,5 +34,5 @@ pub mod ecmp;
 pub mod snapshot;
 pub mod spf;
 
-pub use arena::{Plane, PlaneMut, RepairStats, SpliceFib, NO_ROUTE};
+pub use arena::{DistanceMemo, Plane, PlaneDistances, PlaneMut, RepairStats, SpliceFib, NO_ROUTE};
 pub use snapshot::{SnapshotFeed, SnapshotHub, SnapshotUpdate};

@@ -86,7 +86,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::SpliceFib;
+    use crate::arena::{PlaneDistances, SpliceFib};
     use splice_graph::dijkstra::{all_destinations, SpfWorkspace};
     use splice_graph::graph::from_edges;
     use splice_graph::{EdgeId, EdgeMask, Graph};
@@ -133,9 +133,14 @@ mod tests {
         let mut fib = filled(&g, &w, &EdgeMask::all_up(g.edge_count()));
         let failed = EdgeId(0);
         let mask = EdgeMask::from_failed(g.edge_count(), &[failed]);
-        let stats =
-            fib.plane_mut(0)
-                .patch_failures(&g, &w, &mask, &[failed], &mut SpfWorkspace::new());
+        let stats = fib.plane_mut(0).patch_failures(
+            &g,
+            &w,
+            &mask,
+            &[failed],
+            &mut PlaneDistances::none(),
+            &mut SpfWorkspace::new(),
+        );
         assert!(stats.patched_columns > 0);
         // The repaired plane equals a from-scratch build on the failed
         // topology.

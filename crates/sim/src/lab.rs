@@ -601,6 +601,9 @@ pub struct RunAllSummary {
     pub ran: Vec<String>,
     /// Experiments skipped because their shard was already complete.
     pub skipped: Vec<String>,
+    /// Experiments that returned an error, in catalogue order; their
+    /// shards stay header-only, so `resume` retries them.
+    pub failed: Vec<String>,
     /// Final deployment-cache counters for the sweep.
     pub cache: CacheStats,
 }
@@ -609,7 +612,9 @@ pub struct RunAllSummary {
 /// cache. Each experiment is journaled to its shard (header first, then
 /// one line per artifact, then a completion line); with `resume`,
 /// experiments whose shard is already complete *under the same
-/// configuration* are skipped.
+/// configuration* are skipped. An experiment that errors is reported and
+/// the sweep goes on to the next row; the summary names every failed
+/// row. Only a journal that cannot be written stops the sweep.
 pub fn run_all(
     catalogue: &[Experiment],
     args: &LabArgs,
@@ -618,6 +623,7 @@ pub fn run_all(
     let cache = DeploymentCache::new();
     let mut ran = Vec::new();
     let mut skipped = Vec::new();
+    let mut failed = Vec::new();
     for exp in catalogue {
         let config = args.configure(exp.default_trials);
         let header = shard_header(exp.name, &config);
@@ -630,7 +636,14 @@ pub fn run_all(
         // Truncate to header-only first: the shard stays incomplete until
         // the run lands, so a crash mid-experiment re-runs it on resume.
         write_text(&shard, &format!("{header}\n"))?;
-        let summary = run_experiment(exp, args, &cache)?;
+        let summary = match run_experiment(exp, args, &cache) {
+            Ok(summary) => summary,
+            Err(e) => {
+                eprintln!("[splice-lab] {}: failed: {e}", exp.name);
+                failed.push(exp.name.to_string());
+                continue;
+            }
+        };
         for path in &summary.artifacts {
             append_line(
                 &shard,
@@ -650,15 +663,17 @@ pub fn run_all(
     }
     let cache = cache.stats();
     println!(
-        "[splice-lab] sweep done: {} ran, {} skipped; deployment cache {} hits / {} misses",
+        "[splice-lab] sweep done: {} ran, {} skipped, {} failed; deployment cache {} hits / {} misses",
         ran.len(),
         skipped.len(),
+        failed.len(),
         cache.hits,
         cache.misses
     );
     Ok(RunAllSummary {
         ran,
         skipped,
+        failed,
         cache,
     })
 }
@@ -722,6 +737,22 @@ mod tests {
             notes: vec!["dummy done".into()],
         })
     }
+
+    /// A row that always errors, as `overlay_splicing` does on a graph
+    /// too small for an overlay.
+    const BROKEN: Experiment = Experiment {
+        name: "broken",
+        aliases: &[],
+        describe: "engine test double that fails",
+        default_trials: 3,
+        run: |_| Err(LabError::Io(std::io::Error::other("no overlay fits"))),
+    };
+
+    /// The dummy under another name, so it journals its own shard.
+    const DUMMY_TAIL: Experiment = Experiment {
+        name: "dummy_tail",
+        ..DUMMY
+    };
 
     fn temp_out(tag: &str) -> LabArgs {
         let mut args = LabArgs {
@@ -814,6 +845,27 @@ mod tests {
         moved.seed = 999;
         let third = run_all(&[DUMMY], &moved, true).unwrap();
         assert_eq!(third.ran, vec!["dummy".to_string()]);
+        std::fs::remove_dir_all(&args.out).ok();
+    }
+
+    /// A failing middle row is reported and the rows after it still run;
+    /// its shard stays header-only, so `resume` retries only it.
+    #[test]
+    fn run_all_runs_the_rows_after_a_failing_one() {
+        let args = temp_out("failing-row");
+        let catalogue = [DUMMY, BROKEN, DUMMY_TAIL];
+        let first = run_all(&catalogue, &args, false).unwrap();
+        assert_eq!(first.ran, ["dummy", "dummy_tail"]);
+        assert_eq!(first.failed, ["broken"]);
+        let shard = std::fs::read_to_string(shard_path(&args.out, "broken")).unwrap();
+        assert_eq!(
+            shard,
+            format!("{}\n", shard_header("broken", &args.configure(3)))
+        );
+        let second = run_all(&catalogue, &args, true).unwrap();
+        assert_eq!(second.skipped, ["dummy", "dummy_tail"]);
+        assert!(second.ran.is_empty());
+        assert_eq!(second.failed, ["broken"]);
         std::fs::remove_dir_all(&args.out).ok();
     }
 

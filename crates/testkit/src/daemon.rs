@@ -257,4 +257,75 @@ mod tests {
         assert!(rep.subscriber_in_sync);
         assert_eq!(rep.stats.publishes, 0);
     }
+
+    /// The control plane's distance memo under seeded churn on Abilene
+    /// and Sprint, at batch caps 1, 3 and 16. After every pass, every
+    /// column the memo knows equals the chain fold of the arena the plane
+    /// now holds, bit for bit, and that arena equals the memo-free
+    /// `Splicing::repair_batch` fold of the same events. No column is
+    /// folded twice, and nudging one memo entry by one ulp is caught.
+    #[test]
+    fn control_plane_memo_matches_the_chain_fold_after_every_pass() {
+        use crate::oracle::memo_divergence;
+        use splice_core::slices::SplicingConfig;
+
+        for (name, k, seed) in [("abilene", 3, 31u64), ("sprint", 5, 32)] {
+            let g = splice_topology::resolve(name).unwrap().graph();
+            let base = Splicing::build(&g, &SplicingConfig::degree_based(k, 0.0, 3.0), seed);
+            let events = churn_schedule(&g, k, 500, seed);
+            for max_batch in [1usize, 3, 16] {
+                let mut cp = ControlPlane::new(g.clone(), base.clone(), max_batch);
+                let mut oracle = base.clone();
+                let (mut folded_up_to, mut passes) = (0, 0);
+                for i in 0..=events.len() {
+                    // One step past the schedule flushes what is pending.
+                    match events.get(i) {
+                        Some(ev) => cp.ingest(ev),
+                        None => cp.flush(),
+                    };
+                    if cp.pending_len() > 0 {
+                        continue;
+                    }
+                    // Everything before `end` is repaired in: fold the
+                    // same events, from the weights the oracle runs now.
+                    let end = (i + 1).min(events.len());
+                    let weights: Vec<Vec<f64>> =
+                        (0..k).map(|s| oracle.weights(s).to_vec()).collect();
+                    for batch in schedule_to_batches(&weights, &events[folded_up_to..end], 64) {
+                        oracle = oracle.repair_batch(&g, &batch);
+                    }
+                    folded_up_to = end;
+                    let at = format!("{name} max_batch {max_batch} event {i}");
+                    assert!(cp.current().arena() == oracle.arena(), "{at}: arena");
+                    assert_eq!(cp.current().failed_mask(), oracle.failed_mask(), "{at}");
+                    let memo = cp.distance_memo().expect("a delta plane keeps a memo");
+                    if let Some(d) = memo_divergence(&g, cp.current(), memo) {
+                        panic!("{at}: {d}");
+                    }
+                    passes += 1;
+                }
+                assert!(passes >= 500 / max_batch / 2, "{name}: {passes} passes");
+                // Each column is folded once, on its first touch, and read
+                // from the memo ever after.
+                let work = cp.stats().repair;
+                assert!(
+                    work.folded_columns <= k * g.node_count(),
+                    "{name}: {work:?}"
+                );
+                assert!(work.memo_columns > work.folded_columns, "{name}: {work:?}");
+
+                // The check is sharp: one ulp in one known entry fails it.
+                let mut nudged = cp.distance_memo().unwrap().clone();
+                let (slice, t) = (0..k)
+                    .flat_map(|s| g.nodes().map(move |t| (s, t)))
+                    .find(|&(s, t)| nudged.column(s, t).is_some())
+                    .expect("churn taught the memo some column");
+                let mut column = nudged.column(slice, t).unwrap().to_vec();
+                let u = (t.index() + 1) % column.len();
+                column[u] = f64::from_bits(column[u].to_bits() + 1);
+                nudged.plane_mut(slice).record(t, &column);
+                assert!(memo_divergence(&g, cp.current(), &nudged).is_some());
+            }
+        }
+    }
 }

@@ -33,7 +33,7 @@ pub mod strategies;
 pub use check::{flight_tail, replay, Divergence, ReplayOptions, ReplayReport};
 pub use daemon::{daemon_replay, DaemonReplayReport};
 pub use forward_oracle::{forward_oracle, ForwardOracleOptions, ForwardOracleReport};
-pub use oracle::{naive_walk, outcome_signature, OracleTables};
+pub use oracle::{memo_divergence, naive_walk, outcome_signature, OracleTables};
 pub use scenario::{derive_seed, PerturbationSpec, Scenario, TopologySpec};
 pub use schedule::{apply_batches, churn_schedule, schedule_to_batches};
 pub use shrink::{shrink, ShrinkResult};

@@ -14,11 +14,16 @@
 //!   Algorithm 1 over the oracle tables, mirroring the data-plane
 //!   semantics (an exhausted header stays in its current slice) of
 //!   `Forwarder::forward` without sharing any of its code.
+//!
+//! Beside them, [`memo_divergence`] checks the control plane's distance
+//! memo against the chain fold it stands in for.
 
 use splice_core::forwarding::{ForwardingOutcome, Trace, TraceStep};
 use splice_core::hash::slice_for_flow;
 use splice_core::header::ForwardingBits;
+use splice_core::slices::Splicing;
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId, SpfWorkspace};
+use splice_routing::DistanceMemo;
 use std::collections::HashSet;
 
 /// A parent pointer: the neighbor one hop closer and the edge to it.
@@ -146,6 +151,33 @@ fn steps_signature(t: &Trace) -> String {
         .map(|s| format!("{}:{}@{}", s.node.index(), s.slice, s.edge.index()))
         .collect();
     format!("[{}]", hops.join(","))
+}
+
+/// The first entry of `memo` that is not, bit for bit, what folding
+/// `sp`'s installed parent chains under its weights gives
+/// ([`SpfWorkspace::load_tree`]), described; `None` when every column the
+/// memo knows agrees. This is the invariant the control plane's memo must
+/// keep across every repair pass: it stands in for exactly that fold.
+pub fn memo_divergence(g: &Graph, sp: &Splicing, memo: &DistanceMemo) -> Option<String> {
+    let mut ws = SpfWorkspace::new();
+    for slice in 0..sp.k() {
+        for t in g.nodes() {
+            let Some(dist) = memo.column(slice, t) else {
+                continue;
+            };
+            ws.load_tree(g, t, sp.weights(slice), |u| {
+                sp.next_hop(slice, NodeId(u as u32), t)
+            });
+            let folded = ws.distances();
+            if let Some(u) = (0..dist.len()).find(|&u| dist[u].to_bits() != folded[u].to_bits()) {
+                return Some(format!(
+                    "slice {slice} toward {t:?}: router {u} memo {:e} vs fold {:e}",
+                    dist[u], folded[u]
+                ));
+            }
+        }
+    }
+    None
 }
 
 #[cfg(test)]

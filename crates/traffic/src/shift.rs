@@ -102,6 +102,33 @@ mod tests {
         }
     }
 
+    /// Stranded demand does not depend on the routing mode: with recovery
+    /// routing, demand strands exactly where no slice path survives. This
+    /// is why the `te_load_balance` row states the figure once.
+    #[test]
+    fn stranded_demand_is_the_same_in_every_mode() {
+        let (g, sp, tm) = setup();
+        let stranded = |mode| -> Vec<f64> {
+            single_link_failure_sweep(&sp, &g, &tm, mode)
+                .iter()
+                .map(|r| r.undelivered)
+                .collect()
+        };
+        let single = stranded(RoutingMode::ShortestPath);
+        assert!(
+            single.iter().any(|&u| u > 0.0),
+            "some failure strands demand"
+        );
+        for mode in [RoutingMode::HashSpread, RoutingMode::EqualSplit] {
+            for (e, (a, b)) in single.iter().zip(stranded(mode)).enumerate() {
+                assert!(
+                    (a - b).abs() <= 1e-9 * a.max(1.0),
+                    "{mode:?} edge {e}: {a} vs {b}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn worst_case_shift_is_finite_and_nonnegative() {
         let (g, sp, tm) = setup();
