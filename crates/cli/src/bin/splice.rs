@@ -22,8 +22,8 @@ use splice_telemetry::{
     Router, Ticker,
 };
 use splice_testkit::{
-    apply_batches, derive_seed, flight_tail, forward_oracle, replay, schedule_to_batches, shrink,
-    Divergence, ForwardOracleOptions, ReplayOptions, Scenario,
+    apply_batches, derive_seed, flight_tail, forward_oracle, replay, schedule_to_batches,
+    scratch_rebuild, shrink, Divergence, ForwardOracleOptions, ReplayOptions, Scenario,
 };
 use splice_topology::Topology;
 use splice_traffic::{FlowConfig, FlowGen};
@@ -624,17 +624,21 @@ fn cmd_daemon(flags: &Flags) -> Result<(), String> {
     handle.shutdown();
     let (cp, loop_report) = event_loop.join().expect("control event loop panicked");
 
-    // Exit oracle: fold the exact ingest log, one event per pass, through
-    // the memo-free `Splicing::repair_batch` — a different batch
-    // partition and none of the control plane's state (its shadow
-    // weights, its distance memo). The two final FIBs must be
-    // bit-identical: any batch partition of the same schedule lands on
-    // the same deployment.
+    // Two exit oracles, neither sharing the control plane's state (its
+    // shadow weights, its deployment's distances). The exact ingest log
+    // folded one event per pass through `Splicing::repair_batch` is a
+    // different batch partition but the same delta engine, so a fault in
+    // that engine would show on both sides. A from-scratch rebuild at the
+    // fold's final weights and mask (one strategy fill per slice, no
+    // repair, no kept distances) catches that. All three final FIBs must
+    // be bit-identical.
     let events = log.lock().expect("event log lock poisoned").clone();
     let weights: Vec<Vec<f64>> = (0..base.k()).map(|s| base.weights(s).to_vec()).collect();
     let oracle = apply_batches(&g, &base, &schedule_to_batches(&weights, &events, 1));
     let daemon_sum = fib_checksum(cp.graph(), cp.current());
     let oracle_sum = fib_checksum(&g, &oracle);
+    let scratch_sum = fib_checksum(&g, &scratch_rebuild(&g, &oracle));
+    let matched = daemon_sum == oracle_sum && oracle_sum == scratch_sum;
 
     let packets: u64 = reports.iter().map(|r| r.stats.packets).sum();
     let bursts: u64 = reports.iter().map(|r| r.bursts).sum();
@@ -662,12 +666,9 @@ fn cmd_daemon(flags: &Flags) -> Result<(), String> {
         ticker.missed()
     );
     println!(
-        "[spliced] fib checksum {daemon_sum:016x} vs batch oracle {oracle_sum:016x} ({})",
-        if daemon_sum == oracle_sum {
-            "match"
-        } else {
-            "MISMATCH"
-        }
+        "[spliced] fib checksum {daemon_sum:016x} vs batch oracle {oracle_sum:016x} \
+         vs scratch rebuild {scratch_sum:016x} ({})",
+        if matched { "match" } else { "MISMATCH" }
     );
 
     if let Some(path) = flags.get("metrics") {
@@ -699,15 +700,16 @@ fn cmd_daemon(flags: &Flags) -> Result<(), String> {
             .field_u64("ticks_missed", ticker.missed())
             .field_str("fib_checksum", &format!("{daemon_sum:016x}"))
             .field_str("oracle_checksum", &format!("{oracle_sum:016x}"))
-            .field_bool("checksums_match", daemon_sum == oracle_sum)
+            .field_str("scratch_checksum", &format!("{scratch_sum:016x}"))
+            .field_bool("checksums_match", matched)
             .finish();
         write_file(path, &(manifest + "\n"))?;
         println!("[spliced] wrote {path}");
     }
     server.shutdown();
 
-    if daemon_sum != oracle_sum {
-        run_failed("daemon: live FIB diverged from the batch oracle");
+    if !matched {
+        run_failed("daemon: live FIB diverged from the batch oracle or the scratch rebuild");
     }
     Ok(())
 }

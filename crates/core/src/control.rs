@@ -38,26 +38,23 @@
 //! ([`Splicing::try_repair_batch_recycling`]) — sustained churn then
 //! runs allocation-free in the steady state.
 //!
-//! ## The distance memo
+//! ## Distances
 //!
 //! A delta pass repairs each column it patches from that column's SPF
-//! distances. A one-shot repair re-derives them by folding the installed
-//! parent chains, O(n) per column though an event moves only a handful
-//! of entries. The control plane instead keeps a [`DistanceMemo`] for a
-//! strategy with delta repair: one `f64` per `(slice, router, dst)`
-//! entry, 108,160 bytes for Sprint at k = 5. Each pass reads the
-//! distances of the columns it loads from the memo and writes back what
-//! it computed, so a column is folded once, on its first touch, and read
-//! ever after; nothing is primed up front, which would only lengthen
-//! set-up. Like the recycling scratch, the memo belongs to the running
-//! plane, not to any snapshot: published arenas do not carry it, and it
-//! is dropped when the event loop exits. The repaired bytes are the same
-//! with or without it.
+//! distances. They live in the deployment ([`Splicing::distances`]):
+//! one `f64` per `(slice, router, dst)` entry, 108,160 bytes for Sprint
+//! at k = 5, recorded by the build and kept current by every pass. The
+//! plane repairs the deployment it holds in place, so once it holds the
+//! distances alone (after the first pass, which copies them if the
+//! caller kept the base) each pass writes them without a copy.
+//! Published arenas never carry them. Like the recycling scratch they
+//! serve only a running plane: they are dropped when the event loop
+//! exits, and a repair after that derives them again.
 
 use crate::slices::{RepairEvent, Splicing};
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
 use splice_routing::spf::{Histogram, SpfTelemetry};
-use splice_routing::{DistanceMemo, RepairStats, SnapshotHub, SpliceFib};
+use splice_routing::{RepairStats, SnapshotHub, SpliceFib};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -227,9 +224,7 @@ pub struct ControlStats {
     /// Repairs that reused a recycled arena instead of allocating.
     pub arenas_recycled: u64,
     /// Column work summed over every repair pass: columns patched and
-    /// skipped, frontier nodes, and where the loaded columns' distances
-    /// came from (folded from parent chains on a column's first touch,
-    /// read from the distance memo after that).
+    /// skipped, and frontier nodes.
     pub repair: RepairStats,
 }
 
@@ -253,9 +248,6 @@ pub struct ControlPlane {
     telemetry: Option<SpfTelemetry>,
     retired: Vec<Arc<SpliceFib>>,
     spares: Vec<SpliceFib>,
-    /// SPF distances of `current`'s columns, for strategies with delta
-    /// repair, until the loop exits (see the module docs).
-    memo: Option<DistanceMemo>,
     stats: ControlStats,
 }
 
@@ -269,10 +261,6 @@ impl ControlPlane {
         let shadow_weights: Vec<Vec<f64>> = (0..k).map(|s| base.weights(s).to_vec()).collect();
         let shadow_mask = (*base.failed_mask()).clone();
         let hub = Arc::new(SnapshotHub::new(Arc::clone(base.arena())));
-        let memo = base
-            .strategy()
-            .supports_delta_repair()
-            .then(|| DistanceMemo::new(k, g.node_count()));
         ControlPlane {
             g,
             current: base,
@@ -284,7 +272,6 @@ impl ControlPlane {
             telemetry: None,
             retired: Vec::new(),
             spares: Vec::new(),
-            memo,
             stats: ControlStats::default(),
         }
     }
@@ -320,12 +307,6 @@ impl ControlPlane {
         self.stats
     }
 
-    /// The distances the plane keeps of its deployment's columns: `None`
-    /// for a strategy without delta repair and once the loop has exited.
-    pub fn distance_memo(&self) -> Option<&DistanceMemo> {
-        self.memo.as_ref()
-    }
-
     /// Ingest one event: failures, recoveries and reweights all join the
     /// pending batch, which is flushed when it reaches `max_batch` — or
     /// when the event is a recovery, which closes the batch it joins
@@ -334,7 +315,7 @@ impl ControlPlane {
     /// `flood-churn` benchmark's memory figure inside its bound, and
     /// CHANGES.md (PR 16) says why and when to delete it. That benchmark
     /// keeps every finished round alive, so a faster loop reads as more
-    /// memory: with the distance memo it finishes a median 20.5 rounds in
+    /// memory: with its distances kept it finishes a median 20.5 rounds in
     /// its 20 s where it finished 14, and `peak_rss_mb` reads 14.5 MB
     /// where it read 13.3 (smaller packets win back ~1 MB of that).
     /// Reweights compose multiplicatively, so a long
@@ -413,28 +394,21 @@ impl ControlPlane {
                 .any(|e| matches!(e, RepairEvent::SliceReweight { .. }));
         let spare = if changes { self.reclaim_spare() } else { None };
         let recycled = spare.is_some();
-        let (next, stats) = self
+        let old = Arc::clone(self.current.arena());
+        let stats = self
             .current
-            .repair_batch_with_memo(
-                &self.g,
-                &events,
-                self.telemetry.as_ref(),
-                spare,
-                self.memo.as_mut(),
-            )
+            .repair_in_place(&self.g, &events, self.telemetry.as_ref(), spare)
             .expect("ingest only queues finite, positive reweights");
         self.stats.repair_batches += 1;
         self.stats.repair.absorb(stats);
-        self.install(next, recycled)
+        self.install(old, recycled)
     }
 
-    /// Swap in the repaired deployment; if its arena actually changed,
-    /// retire the superseded one and publish. A pass that coalesced to a
-    /// no-op (the result shares the old arena) publishes nothing — the
-    /// FIB subscribers would act on did not change.
-    fn install(&mut self, next: Splicing, recycled: bool) -> Option<u64> {
-        let old = Arc::clone(self.current.arena());
-        self.current = next;
+    /// After a repair: if the arena actually changed from `old`, retire
+    /// `old` and publish. A pass that coalesced to a no-op (the
+    /// deployment kept its arena) publishes nothing — the FIB
+    /// subscribers would act on did not change.
+    fn install(&mut self, old: Arc<SpliceFib>, recycled: bool) -> Option<u64> {
         if Arc::ptr_eq(&old, self.current.arena()) {
             return None;
         }
@@ -476,14 +450,15 @@ impl ControlPlane {
     }
 
     /// Let go of what only a running plane needs — the recycling scratch
-    /// (retired snapshots, spare arenas), the distance memo and the
-    /// telemetry handles (a flight ring can be larger than the FIB) — once
-    /// its loop has exited. The deployment, the hub and the counters stay
-    /// for final inspection; a later repair runs memo-free.
+    /// (retired snapshots, spare arenas), the deployment's distances and
+    /// the telemetry handles (a flight ring can be larger than the FIB) —
+    /// once its loop has exited. The deployment's forwarding state, the
+    /// hub and the counters stay for final inspection; a later repair
+    /// derives the distances again.
     fn quiesce(&mut self) {
         self.retired = Vec::new();
         self.spares = Vec::new();
-        self.memo = None;
+        self.current.drop_distances();
         self.telemetry = None;
     }
 }
@@ -988,9 +963,9 @@ mod tests {
         assert_eq!(report.stats.events, 4);
         assert!(report.final_epoch >= 1);
         // A plane that has left its loop holds no recycling scratch and
-        // no distance memo.
+        // no distances.
         assert!(cp.retired.is_empty() && cp.spares.is_empty());
-        assert!(cp.distance_memo().is_none());
+        assert!(cp.current().distances().is_none());
         assert_eq!(hub.epoch(), report.final_epoch);
         // Every event's latency was recorded.
         assert_eq!(latency.count(), 4);

@@ -6,13 +6,18 @@
 //! "k = 1 (normal)" baseline) slice 0 uses the *unperturbed* base weights,
 //! so a single-slice splicing is exactly ordinary shortest-path routing;
 //! slices 1..k are independently perturbed.
+//!
+//! A deployment of a strategy with delta repair carries its planes' SPF
+//! distances beside the arena, from its build on, and every repair reads
+//! and carries them forward ([`Splicing::distances`]); a control plane's
+//! are dropped when its event loop exits.
 
 use crate::perturb::PerturbationKind;
 use crate::strategy::{observed_fill, with_spf_workspace, StrategyKind};
 use splice_graph::dijkstra::{validate_weights, SpfWorkspace, WeightError};
 use splice_graph::traversal::reverse_reachable;
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
-use splice_routing::arena::{DistanceMemo, PlaneDistances, PlaneMut, RepairStats, SpliceFib};
+use splice_routing::arena::{DistanceMemo, PlaneMut, RepairStats, SpliceFib};
 use splice_routing::spf::{FlightEvent, SpfTelemetry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,6 +109,8 @@ impl SplicingConfig {
 /// The arena and the weight vectors are shared behind `Arc`s, so cloning
 /// a `Splicing` — and, crucially, taking a [`Splicing::prefix`] view — is
 /// O(1) and copies no forwarding state.
+/// A strategy with delta repair also carries its planes' SPF distances,
+/// shared the same way ([`Splicing::distances`]).
 #[derive(Clone, Debug)]
 pub struct Splicing {
     /// Slices visible through this handle (≤ planes built in `fib`).
@@ -122,6 +129,9 @@ pub struct Splicing {
     /// The build seed, kept so rebuild-only strategies can regenerate a
     /// slice's randomness (trees) deterministically during repair.
     seed: u64,
+    /// SPF distances of the arena's planes (shared); see
+    /// [`Splicing::distances`].
+    dist: Option<Arc<DistanceMemo>>,
 }
 
 impl Splicing {
@@ -135,7 +145,8 @@ impl Splicing {
     /// injecting corrupted forwarding state (e.g. a slice whose columns
     /// skipped a repair) to prove its oracles catch it. The result
     /// carries SPF-shaped state: repairs use the perturbed-SPF delta
-    /// engine.
+    /// engine. It carries no distances, so its first repair derives them
+    /// by folding the installed parent chains.
     ///
     /// # Panics
     /// Panics when the shapes disagree: no slices, mismatched
@@ -154,6 +165,7 @@ impl Splicing {
             failed: Arc::new(failed),
             strategy: StrategyKind::PerturbedSpf,
             seed: 0,
+            dist: None,
         }
     }
 
@@ -230,6 +242,8 @@ impl Splicing {
     /// slice in order, `weights(slice, planes_so_far)` produces its vector
     /// (it may read the planes already filled), which is validated, filled
     /// into plane `slice` by `strategy` over the all-up graph, and kept.
+    /// A strategy with delta repair records each plane's distances in the
+    /// same fill.
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -243,13 +257,20 @@ impl Splicing {
     ) -> Result<Splicing, WeightError> {
         assert!(k >= 1, "need at least one slice");
         let mut fib = SpliceFib::empty(k, g.node_count());
+        let mut dist = strategy
+            .supports_delta_repair()
+            .then(|| DistanceMemo::new(k, g.node_count()));
         let mut vectors = Vec::with_capacity(k);
         let all_up = EdgeMask::all_up(g.edge_count());
         with_spf_workspace(|ws| -> Result<(), WeightError> {
             for slice in 0..k {
                 let w = weights(slice, &fib);
                 validate_weights(g, &w)?;
-                strategy.fill_slice(g, slice, seed, &w, &all_up, ws, &mut fib, telemetry);
+                let (plane, d) = (&mut fib.plane_mut(slice), dist.as_mut());
+                let d = d.map(|d| d.plane_mut(slice));
+                observed_fill(
+                    strategy, g, slice, seed, &w, &all_up, ws, plane, d, telemetry,
+                );
                 vectors.push(w);
             }
             Ok(())
@@ -261,6 +282,7 @@ impl Splicing {
             failed: Arc::new(all_up),
             strategy,
             seed,
+            dist: dist.map(Arc::new),
         })
     }
 
@@ -277,17 +299,12 @@ impl Splicing {
     ///
     /// This is a zero-copy *view*: a k-prefix is literally the first k
     /// planes of the shared arena, so per-trial prefix loops in the
-    /// Monte-Carlo experiments cost two `Arc` clones, not a deep copy.
+    /// Monte-Carlo experiments cost a few `Arc` clones, not a deep copy.
+    /// The view shares the distances too, and a repair of it carries
+    /// exactly its `k` planes' worth.
     pub fn prefix(&self, k: usize) -> Splicing {
         assert!(k >= 1 && k <= self.k());
-        Splicing {
-            k,
-            weights: Arc::clone(&self.weights),
-            fib: Arc::clone(&self.fib),
-            failed: Arc::clone(&self.failed),
-            strategy: self.strategy,
-            seed: self.seed,
-        }
+        Splicing { k, ..self.clone() }
     }
 
     /// How this deployment's slices were constructed.
@@ -309,6 +326,25 @@ impl Splicing {
     #[inline]
     pub fn failed_mask(&self) -> &EdgeMask {
         &self.failed
+    }
+
+    /// The SPF distances of this deployment's planes, one per
+    /// `(slice, router, dst)` entry. The build's fill records them, and
+    /// every delta repair reads them and hands its result what it
+    /// computed, so no repair re-derives them. They live beside the
+    /// arena, so published snapshots never carry them. `None` for a
+    /// strategy without delta repair, for a [`Splicing::from_parts`]
+    /// deployment before its first repair, and for a control plane's once
+    /// its loop has exited. A prefix view's may hold more planes than
+    /// [`Splicing::k`], as its arena does.
+    pub fn distances(&self) -> Option<&DistanceMemo> {
+        self.dist.as_deref()
+    }
+
+    /// Let go of the distances (a running control plane's, once its loop
+    /// has exited); a later repair derives them again.
+    pub(crate) fn drop_distances(&mut self) {
+        self.dist = None;
     }
 
     /// Absorb one topology or weight event: [`Splicing::repair_batch`]
@@ -389,9 +425,9 @@ impl Splicing {
     /// no-op batch returns the spare unused (dropped), since the result
     /// shares this deployment's arena.
     ///
-    /// Every column a delta pass patches is loaded with distances folded
-    /// from its parent chains. The control plane, which keeps them
-    /// between repairs, runs this same engine with its distance memo.
+    /// Delta passes load this deployment's distances and write what they
+    /// compute into a copy, which the result carries. The control plane
+    /// runs the same engine on a deployment it holds alone, in place.
     pub fn try_repair_batch_recycling(
         &self,
         g: &Graph,
@@ -399,32 +435,20 @@ impl Splicing {
         telemetry: Option<&SpfTelemetry>,
         recycle: Option<SpliceFib>,
     ) -> Result<(Splicing, RepairStats), WeightError> {
-        self.repair_batch_with_memo(g, events, telemetry, recycle, None)
+        let mut repaired = self.clone();
+        let stats = repaired.repair_in_place(g, events, telemetry, recycle)?;
+        Ok((repaired, stats))
     }
 
-    /// The repair engine behind [`Splicing::try_repair_batch_recycling`],
-    /// with an optional [`DistanceMemo`] of this deployment's delta
-    /// planes: patched columns load their distances from it when it knows
-    /// them (and fold their parent chains, as without a memo, when it
-    /// does not), and every column a pass loads leaves its new distances
-    /// there. The result is bit-identical with or without one.
-    ///
-    /// The memo must describe this deployment — `k` planes over its `n`
-    /// routers, every known column the fold of this arena's parents under
-    /// this deployment's weights — and on `Ok` it describes the returned
-    /// one. It is read and written by delta passes only, so a strategy
-    /// without delta repair never touches it.
-    pub(crate) fn repair_batch_with_memo(
-        &self,
+    /// The repair engine behind [`Splicing::try_repair_batch_recycling`]:
+    /// turn `self` into the post-batch deployment (unchanged on `Err`).
+    pub(crate) fn repair_in_place(
+        &mut self,
         g: &Graph,
         events: &[RepairEvent],
         telemetry: Option<&SpfTelemetry>,
         recycle: Option<SpliceFib>,
-        mut memo: Option<&mut DistanceMemo>,
-    ) -> Result<(Splicing, RepairStats), WeightError> {
-        if let Some(memo) = &memo {
-            assert_eq!((memo.k(), memo.n()), (self.k, self.fib.n()), "memo shape");
-        }
+    ) -> Result<RepairStats, WeightError> {
         // Validate the whole batch before touching anything.
         for event in events {
             if let RepairEvent::SliceReweight {
@@ -498,10 +522,13 @@ impl Splicing {
         }
 
         if !mask_changed && final_weights.is_none() {
-            // Nothing survived coalescing: share everything (a clone is
-            // three `Arc` bumps).
-            return Ok((self.clone(), RepairStats::default()));
+            // Nothing survived coalescing: the deployment stands as it is.
+            return Ok(RepairStats::default());
         }
+        let mut dist = self
+            .strategy
+            .supports_delta_repair()
+            .then(|| self.owned_distances(g));
 
         // The failure pass runs before the restore pass, under the
         // pre-batch mask plus the new failures.
@@ -540,15 +567,11 @@ impl Splicing {
                     continue;
                 }
                 let base_weights = &self.weights[slice];
-                let mut dists = match memo.as_deref_mut() {
-                    Some(memo) => memo.plane_mut(slice),
-                    None => PlaneDistances::none(),
-                };
                 stats.absorb(repair_plane_batched(
                     g,
                     slice,
                     &mut plane,
-                    &mut dists,
+                    dist.as_mut().map(|d| d.plane_mut(slice)),
                     self.strategy,
                     self.seed,
                     base_weights,
@@ -560,24 +583,27 @@ impl Splicing {
                 ));
             }
         });
-        Ok((
-            Splicing {
-                k: self.k,
-                weights: match final_weights {
-                    Some(w) => w.into(),
-                    None => Arc::clone(&self.weights),
-                },
-                fib: Arc::new(fib),
-                failed: if mask_changed {
-                    Arc::new(mask)
-                } else {
-                    Arc::clone(&self.failed)
-                },
-                strategy: self.strategy,
-                seed: self.seed,
-            },
-            stats,
-        ))
+        if let Some(w) = final_weights {
+            self.weights = w.into();
+        }
+        self.fib = Arc::new(fib);
+        if mask_changed {
+            self.failed = Arc::new(mask);
+        }
+        self.dist = dist.map(Arc::new);
+        Ok(stats)
+    }
+
+    /// The distances for a repair to write: moved out when no other
+    /// handle shares them, else copied (a prefix view's first `k` planes),
+    /// and folded from the installed parent chains when there are none.
+    fn owned_distances(&mut self, g: &Graph) -> DistanceMemo {
+        match self.dist.take().map(Arc::try_unwrap) {
+            Some(Ok(memo)) if memo.k() == self.k => memo,
+            Some(Ok(memo)) => memo.clone_prefix(self.k),
+            Some(Err(shared)) => shared.clone_prefix(self.k),
+            None => DistanceMemo::fold(g, &self.fib, &self.weights[..self.k]),
+        }
     }
 
     /// The weight vector of `slice`.
@@ -766,7 +792,6 @@ fn masked_rebuild_stats(g: &Graph) -> RepairStats {
         patched_columns: g.node_count(),
         skipped_columns: 0,
         frontier_nodes: g.node_count(),
-        ..RepairStats::default()
     }
 }
 
@@ -790,14 +815,15 @@ struct MaskDelta<'a> {
 /// masked rebuild at the final state.
 ///
 /// `final_weights` must already hold every reweight's final value (it
-/// aliases `base_weights` when the slice was not reweighted). `memo` is
-/// the plane's distances, read and kept current by the delta passes.
+/// aliases `base_weights` when the slice was not reweighted). `dist` is
+/// the plane's distances, read and kept current by the delta passes;
+/// it is there exactly when the strategy has delta repair.
 #[allow(clippy::too_many_arguments)]
 fn repair_plane_batched(
     g: &Graph,
     slice: usize,
     plane: &mut PlaneMut<'_>,
-    memo: &mut PlaneDistances<'_>,
+    dist: Option<&mut [f64]>,
     strategy: StrategyKind,
     seed: u64,
     base_weights: &[f64],
@@ -808,7 +834,7 @@ fn repair_plane_batched(
     telemetry: Option<&SpfTelemetry>,
 ) -> RepairStats {
     let mut stats = RepairStats::default();
-    if !strategy.supports_delta_repair() {
+    let Some(dist) = dist else {
         // One masked rebuild at the batch's final (weights, mask) — by
         // the determinism contract this equals folding the events.
         observed_fill(
@@ -820,11 +846,12 @@ fn repair_plane_batched(
             delta.after,
             ws,
             plane,
+            None,
             telemetry,
         );
         stats.absorb(masked_rebuild_stats(g));
         return stats;
-    }
+    };
     if !reweighted.is_empty() {
         // Walk the cumulative weight vector from pre-batch to final,
         // one exact delta pass per reweighted edge. The mask stays the
@@ -834,7 +861,7 @@ fn repair_plane_batched(
             let old = cur[edge.index()];
             cur[edge.index()] = final_weights[edge.index()];
             stats.absorb(observed_pass(telemetry, "patch_reweight", slice, || {
-                plane.patch_reweight(g, &mut cur, delta.before, edge, old, memo, ws)
+                plane.patch_reweight(g, &cur, delta.before, edge, old, dist, ws)
             }));
         }
     }
@@ -845,14 +872,14 @@ fn repair_plane_batched(
                 final_weights,
                 delta.with_failures,
                 delta.newly_failed,
-                memo,
+                dist,
                 ws,
             )
         }));
     }
     if !delta.restored.is_empty() {
         stats.absorb(observed_pass(telemetry, "patch_restore", slice, || {
-            plane.patch_restores(g, final_weights, delta.after, delta.restored, memo, ws)
+            plane.patch_restores(g, final_weights, delta.after, delta.restored, dist, ws)
         }));
     }
     stats
@@ -1717,13 +1744,14 @@ mod tests {
                         .map(|job| {
                             scope.spawn(|| {
                                 let mut ws = SpfWorkspace::new();
+                                let mut dist = start.distances().map(|d| d.clone_prefix(k));
                                 let mut local = RepairStats::default();
                                 for (slice, mut plane) in job {
                                     local.absorb(repair_plane_batched(
                                         g,
                                         slice,
                                         &mut plane,
-                                        &mut PlaneDistances::none(),
+                                        dist.as_mut().map(|d| d.plane_mut(slice)),
                                         strategy,
                                         start.build_seed(),
                                         start.weights(slice),

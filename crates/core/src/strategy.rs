@@ -198,6 +198,12 @@ impl StrategyKind {
     /// recycled arena held there, without copying the old plane first.
     /// Computes and never observes: timing is the caller's, through
     /// [`StrategyKind::fill_slice`] or the repair engine.
+    ///
+    /// With `dist` (the plane's `n·n` distances, see
+    /// [`DistanceMemo::plane_mut`](splice_routing::DistanceMemo::plane_mut))
+    /// a strategy with delta repair records each column's SPF distances
+    /// as the fill computes them; the build passes it for exactly those
+    /// strategies, the others have no distances to record.
     #[allow(clippy::too_many_arguments)]
     pub fn fill_plane(
         self,
@@ -208,9 +214,11 @@ impl StrategyKind {
         mask: &EdgeMask,
         ws: &mut SpfWorkspace,
         plane: &mut PlaneMut<'_>,
+        dist: Option<&mut [f64]>,
     ) {
+        debug_assert!(dist.is_none() || self.supports_delta_repair());
         match self {
-            StrategyKind::PerturbedSpf => plane.fill(g, weights, mask, ws),
+            StrategyKind::PerturbedSpf => plane.fill(g, weights, mask, ws, dist),
             StrategyKind::RandomSpanningTree => {
                 fill_plane_from_forest(slice, seed, plane, |rng, forest| {
                     random_spanning_forest(g, mask, rng, forest)
@@ -234,8 +242,8 @@ impl StrategyKind {
         }
     }
 
-    /// [`StrategyKind::fill_plane`] into plane `slice` of an owned arena
-    /// — the build form. With `telemetry`, the fill adds one
+    /// [`StrategyKind::fill_plane`] into plane `slice` of an owned arena,
+    /// recording no distances. With `telemetry`, the fill adds one
     /// `splice_spf_seconds` sample and one `fill/<strategy>` flight event.
     #[allow(clippy::too_many_arguments)]
     pub fn fill_slice(
@@ -251,7 +259,7 @@ impl StrategyKind {
     ) {
         let mut plane = fib.plane_mut(slice);
         observed_fill(
-            self, g, slice, seed, weights, mask, ws, &mut plane, telemetry,
+            self, g, slice, seed, weights, mask, ws, &mut plane, None, telemetry,
         );
     }
 
@@ -280,8 +288,8 @@ impl StrategyKind {
 /// Run `strategy`'s [`StrategyKind::fill_plane`] and, with `telemetry`,
 /// observe it: one `splice_spf_seconds` sample and one `fill/<strategy>`
 /// flight event per plane. The one place a fill is timed — the build
-/// (through [`StrategyKind::fill_slice`]) and the repair engine's
-/// rebuild both come here. Tables are bit-identical either way.
+/// and the repair engine's rebuild both come here. Tables are
+/// bit-identical either way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn observed_fill(
     strategy: StrategyKind,
@@ -292,13 +300,14 @@ pub(crate) fn observed_fill(
     mask: &EdgeMask,
     ws: &mut SpfWorkspace,
     plane: &mut PlaneMut<'_>,
+    dist: Option<&mut [f64]>,
     telemetry: Option<&SpfTelemetry>,
 ) {
     let Some(tel) = telemetry else {
-        return strategy.fill_plane(g, slice, seed, weights, mask, ws, plane);
+        return strategy.fill_plane(g, slice, seed, weights, mask, ws, plane, dist);
     };
     let t0 = Instant::now();
-    strategy.fill_plane(g, slice, seed, weights, mask, ws, plane);
+    strategy.fill_plane(g, slice, seed, weights, mask, ws, plane, dist);
     tel.spf_seconds.record_duration(t0.elapsed());
     if let Some(flight) = &tel.flight {
         flight.record(FlightEvent::new("fill", strategy.name()).field("slice", slice as u64));

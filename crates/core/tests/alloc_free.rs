@@ -1,7 +1,9 @@
 //! A warm repair allocates nothing per plane or per column: forest fills
 //! and the delta-SPF passes run in per-thread scratch that is sized once
 //! and reused, so the repair path of a long-running control plane never
-//! reaches the allocator for them. Checked at the allocator itself rather
+//! reaches the allocator for them. A pass through the batch engine
+//! allocates as often at any k: one copy of the distances when it shares
+//! them, never one per plane. Checked at the allocator itself rather
 //! than at each buffer's capacity — a buffer that regrows allocates, and
 //! so would any temporary nobody thought to list.
 //!
@@ -10,7 +12,7 @@
 use splice_core::slices::{RepairEvent, Splicing, SplicingConfig};
 use splice_core::strategy::StrategyKind;
 use splice_graph::{EdgeId, EdgeMask, Graph, SpfWorkspace};
-use splice_routing::{DistanceMemo, PlaneDistances, RepairStats, SpliceFib};
+use splice_routing::{RepairStats, SpliceFib};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -104,51 +106,39 @@ fn warm_delta_repairs_do_not_allocate() {
     let sp = Splicing::build(&g, &SplicingConfig::degree_based(2, 0.0, 3.0), 42);
     let mut fib = sp.arena().clone_prefix(2);
     let mut plane = fib.plane_mut(1);
+    let mut memo = sp.distances().expect("a built delta deployment").clone();
+    let dist = memo.plane_mut(1);
     let mut w = sp.weights(1).to_vec();
     let down = [EdgeId(1), EdgeId(70), EdgeId(71)];
     let (failed, up) = (EdgeMask::from_failed(m, &down), EdgeMask::all_up(m));
     let (e, w0) = (EdgeId(5), w[5]);
     let mut ws = SpfWorkspace::new();
-    let mut memo = DistanceMemo::new(2, g.node_count());
-    // Memo-free, then through a distance memo the first cycle teaches.
-    for use_memo in [false, true] {
-        // Fail, restore, reweight up, reweight down: the plane ends where
-        // it started, so every cycle after the first does identical work.
-        let mut cycle = || {
-            let mut dists = if use_memo {
-                memo.plane_mut(1)
-            } else {
-                PlaneDistances::none()
-            };
-            let mut stats = RepairStats::default();
-            stats.absorb(plane.patch_failures(&g, &w, &failed, &down, &mut dists, &mut ws));
-            stats.absorb(plane.patch_restores(&g, &w, &up, &down, &mut dists, &mut ws));
-            w[e.index()] = w0 * 4.0;
-            stats.absorb(plane.patch_reweight(&g, &mut w, &up, e, w0, &mut dists, &mut ws));
-            w[e.index()] = w0;
-            let old = w0 * 4.0;
-            stats.absorb(plane.patch_reweight(&g, &mut w, &up, e, old, &mut dists, &mut ws));
-            stats
-        };
-        cycle();
-        let warm = cycle();
-        assert!(
-            warm.patched_columns > 0 && warm.frontier_nodes > 0,
-            "{warm:?}"
-        );
-        assert_eq!(warm.memo_columns > 0, use_memo, "{warm:?}");
-        let before = ALLOCATIONS.with(Cell::get);
-        for _ in 0..5 {
-            assert_eq!(cycle(), warm);
-        }
-        let after = ALLOCATIONS.with(Cell::get);
-        assert_eq!(
-            after - before,
-            0,
-            "5 warm delta cycles allocated (memo: {use_memo})"
-        );
+    // Fail, restore, reweight up, reweight down: the plane ends where it
+    // started, so every cycle after the first does identical work.
+    let mut cycle = || {
+        let mut stats = RepairStats::default();
+        stats.absorb(plane.patch_failures(&g, &w, &failed, &down, dist, &mut ws));
+        stats.absorb(plane.patch_restores(&g, &w, &up, &down, dist, &mut ws));
+        w[e.index()] = w0 * 4.0;
+        stats.absorb(plane.patch_reweight(&g, &w, &up, e, w0, dist, &mut ws));
+        w[e.index()] = w0;
+        stats.absorb(plane.patch_reweight(&g, &w, &up, e, w0 * 4.0, dist, &mut ws));
+        stats
+    };
+    cycle();
+    let warm = cycle();
+    assert!(
+        warm.patched_columns > 0 && warm.frontier_nodes > 0,
+        "{warm:?}"
+    );
+    let before = ALLOCATIONS.with(Cell::get);
+    for _ in 0..5 {
+        assert_eq!(cycle(), warm);
     }
+    let after = ALLOCATIONS.with(Cell::get);
+    assert_eq!(after - before, 0, "5 warm delta cycles allocated");
     assert!(fib == sp.arena().clone_prefix(2), "the cycle returns home");
+    assert!(&memo == sp.distances().unwrap(), "and so do its distances");
 }
 
 /// Allocator calls on this thread for each pass of a fail / fail+restore

@@ -1,5 +1,6 @@
 //! Property-based tests for the splicing primitive.
 
+use splice_core::coverage::{build_coverage_aware, CoverageConfig};
 use splice_core::header::{bits_per_hop, CounterHeader, ForwardingBits};
 use splice_core::perturb::PerturbationKind;
 use splice_core::recovery::{HeaderStrategy, NetworkRecovery};
@@ -10,8 +11,8 @@ use splice_graph::{EdgeId, EdgeMask, Graph, NodeId, Rng, SpfWorkspace};
 use splice_routing::SpliceFib;
 // Ring-backbone graphs (always initially connected) and masked
 // multigraphs from the shared testkit generators.
-use splice_testkit::run_cases;
 use splice_testkit::strategies::{backbone_graph, multigraph_with_mask, vec_of};
+use splice_testkit::{memo_divergence, run_cases};
 
 /// An index below `len` from a raw draw, for a pick whose range depends
 /// on the kind of event it ends up in.
@@ -131,6 +132,83 @@ fn prefix_views_match_smaller_builds() {
         }
         assert_eq!(view.total_state(), rebuilt.total_state());
         assert_eq!(view.state_bytes(), rebuilt.state_bytes());
+    });
+}
+
+/// Every deployment of a strategy with delta repair carries its SPF
+/// distances from the start, bit for bit the chain fold of its arena: a
+/// build, one from explicit weight vectors, a coverage-aware build and a
+/// prefix view. Rebuild-only strategies carry none. Repairing a prefix
+/// view leaves exactly its k planes' worth and its source untouched, and
+/// a deployment assembled from parts derives them on its first repair.
+#[test]
+fn deployments_carry_complete_distances_from_the_start() {
+    run_cases(24, |rng| {
+        let g = backbone_graph(rng);
+        let seed = rng.next_u64();
+        let k = rng.gen_range(2..=4usize);
+        let cfg = SplicingConfig::degree_based(k, 0.0, 3.0);
+        let built = Splicing::build(&g, &cfg, seed);
+        let vectors = (0..k).map(|s| built.weights(s).to_vec()).collect();
+        let coverage = CoverageConfig {
+            base: cfg.clone(),
+            penalty: 0.5,
+        };
+        let view = built.prefix(k - 1);
+        for (name, sp) in [
+            ("build", &built),
+            (
+                "weight vectors",
+                &Splicing::from_weight_vectors(&g, vectors),
+            ),
+            ("coverage-aware", &build_coverage_aware(&g, &coverage, seed)),
+            ("prefix view", &view),
+        ] {
+            let memo = sp
+                .distances()
+                .unwrap_or_else(|| panic!("{name}: no distances"));
+            if let Some(d) = memo_divergence(&g, sp, memo) {
+                panic!("{name}: {d}");
+            }
+        }
+
+        let e = EdgeId(pick(rng.next_u64(), g.edge_count()) as u32);
+        for strategy in StrategyKind::ALL {
+            if strategy.supports_delta_repair() {
+                continue;
+            }
+            let sp = Splicing::build(&g, &cfg.clone().with_strategy(strategy), seed);
+            let repaired = sp.repair(&g, &RepairEvent::LinkFailure(e));
+            assert!(sp.distances().is_none() && repaired.distances().is_none());
+        }
+
+        let before = built.distances().unwrap().clone();
+        let repaired = view.repair(&g, &RepairEvent::LinkFailure(e));
+        let memo = repaired.distances().expect("a repaired delta deployment");
+        assert_eq!((memo.k(), memo.n()), (k - 1, g.node_count()));
+        assert_eq!(memo_divergence(&g, &repaired, memo), None);
+        assert!(std::ptr::eq(
+            view.distances().unwrap(),
+            built.distances().unwrap()
+        ));
+        assert!(
+            built.distances().unwrap() == &before,
+            "the view's source is untouched"
+        );
+
+        let weights = (0..k).map(|s| built.weights(s).to_vec()).collect();
+        let parts = Splicing::from_parts(
+            weights,
+            built.arena().clone_prefix(k),
+            built.failed_mask().clone(),
+        );
+        assert!(parts.distances().is_none());
+        let repaired = parts.repair(&g, &RepairEvent::LinkFailure(e));
+        let memo = repaired.distances().expect("a repair derives them");
+        assert_eq!(memo_divergence(&g, &repaired, memo), None);
+        let want = built.repair(&g, &RepairEvent::LinkFailure(e));
+        assert!(repaired.arena().slabs() == want.arena().slabs());
+        assert!(repaired.distances() == want.distances());
     });
 }
 

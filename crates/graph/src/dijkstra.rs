@@ -127,8 +127,6 @@ pub struct SpfWorkspace {
     /// (`splice_routing`'s `PlaneMut::patch_*`), so a warm workspace
     /// repairs without allocating. The workspace never touches it.
     pub edge_flags: Vec<bool>,
-    /// Edge-id scratch kept for the same caller, on the same terms.
-    pub path: Vec<u32>,
 }
 
 /// `mark` value: the node's tree chain avoids every affected edge, so its
@@ -257,9 +255,10 @@ impl SpfWorkspace {
     /// `weights` parent-first — the same `dist[parent] + w(edge)` additions
     /// the original Dijkstra run performed, so the reconstructed values are
     /// bit-identical to the ones the full run computed. That fold is O(n)
-    /// per column however little the repair then changes; a caller that
-    /// kept the distances of the tree's last run or repair loads them with
-    /// [`Self::load_known`] instead, and comes here only on a miss.
+    /// per column however little a repair then changes, so repairs load
+    /// the distances kept from the tree's last run or repair with
+    /// [`Self::load_known`]; this fold derives them for a tree whose
+    /// distances were never kept, and checks the kept ones.
     ///
     /// # Panics
     /// Panics if `weights.len() != g.edge_count()` or the parent pointers

@@ -25,6 +25,7 @@
 use splice_graph::dijkstra::SpfWorkspace;
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Sentinel for "no installed entry" in both slabs. Valid node and edge
 /// ids are dense and far below `u32::MAX`, so the sentinel can never
@@ -45,12 +46,6 @@ pub struct RepairStats {
     pub skipped_columns: usize,
     /// Total re-relaxed nodes across all patched columns.
     pub frontier_nodes: usize,
-    /// Columns loaded for repair whose distances were re-derived by
-    /// folding the installed parent chains ([`SpfWorkspace::load_tree`]).
-    pub folded_columns: usize,
-    /// Columns loaded for repair whose distances were read from a
-    /// [`DistanceMemo`] instead ([`SpfWorkspace::load_known`]).
-    pub memo_columns: usize,
 }
 
 impl RepairStats {
@@ -59,42 +54,59 @@ impl RepairStats {
         self.patched_columns += other.patched_columns;
         self.skipped_columns += other.skipped_columns;
         self.frontier_nodes += other.frontier_nodes;
-        self.folded_columns += other.folded_columns;
-        self.memo_columns += other.memo_columns;
     }
 }
 
-/// The SPF distances behind a deployment's delta-repairable planes, kept
-/// between repairs: one `f64` per `(slice, router, dst)` entry, in the
-/// arena's destination-major order, and one flag per `(slice, dst)`
-/// column saying whether that column's distances are known yet.
+/// The SPF distances behind a deployment's delta-repairable planes: one
+/// `f64` per `(slice, router, dst)` entry, in the arena's
+/// destination-major order, `f64::INFINITY` where no route exists.
 ///
-/// A delta repair needs the distances of each tree it patches. Without a
-/// memo it re-derives them from the installed parent chains, O(n) per
-/// column however few entries the event changes; with one it copies them
-/// in, and writes back what the repair computed. The memo is kept beside
-/// the arena, never in it, so published snapshots do not carry it. It
-/// starts empty and learns a column the first time a repair loads it.
-#[derive(Clone, Debug)]
+/// A delta repair needs the distances of each tree it patches. The
+/// build's fill records them as Dijkstra leaves them
+/// ([`PlaneMut::fill`]), and every repair pass reads them
+/// ([`SpfWorkspace::load_known`]) and writes back what it computed, so
+/// they are complete from the start and never re-derived. The memo is
+/// kept beside the arena, never in it, so published snapshots do not
+/// carry it.
+#[derive(Clone, Debug, PartialEq)]
 pub struct DistanceMemo {
     n: usize,
     dist: Box<[f64]>,
-    known: Box<[bool]>,
 }
 
 impl DistanceMemo {
-    /// A memo for `k` planes over `n` routers that knows no column yet.
+    /// A memo for `k` planes over `n` routers, every distance infinite
+    /// until a fill records the planes.
     pub fn new(k: usize, n: usize) -> DistanceMemo {
         DistanceMemo {
             n,
             dist: vec![f64::INFINITY; k * n * n].into_boxed_slice(),
-            known: vec![false; k * n].into_boxed_slice(),
         }
+    }
+
+    /// The distances of `fib`'s first `weights.len()` planes, derived by
+    /// folding each column's installed parent chains under its slice's
+    /// weights ([`SpfWorkspace::load_tree`]) — bit for bit what the fills
+    /// and repairs that produced the columns computed. O(k·n²); for a
+    /// deployment assembled from explicit parts, which has none recorded.
+    pub fn fold(g: &Graph, fib: &SpliceFib, weights: &[Vec<f64>]) -> DistanceMemo {
+        let n = fib.n();
+        let mut memo = DistanceMemo::new(weights.len(), n);
+        let mut ws = SpfWorkspace::new();
+        for (slice, w) in weights.iter().enumerate() {
+            let plane = memo.plane_mut(slice);
+            for t in g.nodes() {
+                ws.load_tree(g, t, w, |u| fib.lookup(slice, NodeId(u as u32), t));
+                let d = t.index();
+                plane[d * n..(d + 1) * n].copy_from_slice(ws.distances());
+            }
+        }
+        memo
     }
 
     /// Number of planes covered.
     pub fn k(&self) -> usize {
-        self.known.len() / self.n.max(1)
+        self.dist.len() / (self.n * self.n).max(1)
     }
 
     /// Number of routers (= destinations) per plane.
@@ -102,60 +114,27 @@ impl DistanceMemo {
         self.n
     }
 
-    /// The router-indexed distances toward `dst` in `slice`, if known.
-    pub fn column(&self, slice: usize, dst: NodeId) -> Option<&[f64]> {
+    /// The router-indexed distances toward `dst` in `slice`.
+    pub fn column(&self, slice: usize, dst: NodeId) -> &[f64] {
         let c = slice * self.n + dst.index();
-        self.known[c].then(|| &self.dist[c * self.n..(c + 1) * self.n])
+        &self.dist[c * self.n..(c + 1) * self.n]
     }
 
-    /// Plane `slice`'s share, for the `PlaneMut::patch_*` passes.
-    pub fn plane_mut(&mut self, slice: usize) -> PlaneDistances<'_> {
-        let n = self.n;
-        PlaneDistances {
-            n,
-            dist: &mut self.dist[slice * n * n..(slice + 1) * n * n],
-            known: &mut self.known[slice * n..(slice + 1) * n],
-        }
-    }
-}
-
-/// One plane's distances in a [`DistanceMemo`] (see
-/// [`DistanceMemo::plane_mut`]), or none at all
-/// ([`PlaneDistances::none`]): the memo-free passes fold every column
-/// they load and record nothing.
-#[derive(Debug)]
-pub struct PlaneDistances<'a> {
-    n: usize,
-    dist: &'a mut [f64],
-    known: &'a mut [bool],
-}
-
-impl PlaneDistances<'_> {
-    /// No memo: every load folds parent chains, every record is dropped.
-    pub fn none() -> PlaneDistances<'static> {
-        PlaneDistances {
-            n: 0,
-            dist: &mut [],
-            known: &mut [],
-        }
+    /// Plane `slice`'s `n·n` distances, destination-major like the
+    /// arena's plane: the fill's output and the `PlaneMut::patch_*`
+    /// passes' input.
+    pub fn plane_mut(&mut self, slice: usize) -> &mut [f64] {
+        let len = self.n * self.n;
+        &mut self.dist[slice * len..(slice + 1) * len]
     }
 
-    /// The router-indexed distances toward `dst`, if known.
-    #[inline]
-    fn column(&self, dst: NodeId) -> Option<&[f64]> {
-        let d = dst.index();
-        (d < self.known.len() && self.known[d]).then(|| &self.dist[d * self.n..(d + 1) * self.n])
-    }
-
-    /// Remember `dist` as the distances toward `dst` (a no-op without a
-    /// memo). They must be what folding the column's installed parent
-    /// chains gives.
-    #[inline]
-    pub fn record(&mut self, dst: NodeId, dist: &[f64]) {
-        let d = dst.index();
-        if d < self.known.len() {
-            self.dist[d * self.n..(d + 1) * self.n].copy_from_slice(dist);
-            self.known[d] = true;
+    /// A new memo holding copies of the first `k` planes, as
+    /// [`SpliceFib::clone_prefix`] copies an arena's.
+    pub fn clone_prefix(&self, k: usize) -> DistanceMemo {
+        assert!(k <= self.k(), "prefix {k} exceeds memo k = {}", self.k());
+        DistanceMemo {
+            n: self.n,
+            dist: self.dist[..k * self.n * self.n].into(),
         }
     }
 }
@@ -216,12 +195,19 @@ impl PlaneMut<'_> {
         plane_idx(self.n, router, dst)
     }
 
+    /// Where the `dst` column sits in the plane's slabs, and in its
+    /// distances.
+    #[inline]
+    fn column(&self, dst: NodeId) -> Range<usize> {
+        let start = self.idx(0, dst.index());
+        start..start + self.n
+    }
+
     /// The `dst` column of both slabs, router-indexed and writable:
     /// `(next_hop, out_edge)`.
     #[inline]
     fn column_mut(&mut self, dst: NodeId) -> (&mut [u32], &mut [u32]) {
-        let start = self.idx(0, dst.index());
-        let run = start..start + self.n;
+        let run = self.column(dst);
         (&mut self.next_hop[run.clone()], &mut self.out_edge[run])
     }
 
@@ -292,8 +278,7 @@ impl PlaneMut<'_> {
     /// flagged in the edge-indexed `marked` bitmask — the O(n) pre-scan
     /// that lets repairs skip columns an event cannot have touched.
     fn column_uses_marked(&self, dst: NodeId, marked: &[bool]) -> bool {
-        let start = self.idx(0, dst.index());
-        self.out_edge[start..start + self.n]
+        self.out_edge[self.column(dst)]
             .iter()
             .any(|&oe| oe != NO_ROUTE && marked[oe as usize])
     }
@@ -301,70 +286,60 @@ impl PlaneMut<'_> {
     /// Run destination-rooted Dijkstra for every node under `weights`
     /// over the `mask`-up subgraph, reusing `ws` across all n roots, and
     /// write every column back whole — the one full-plane SPF write.
+    /// With `dist` (the plane's `n·n` distances, see
+    /// [`DistanceMemo::plane_mut`]) each column's distances are recorded
+    /// too, as the run leaves them.
     ///
     /// The tree rooted at `t` holds, for every router, its next hop
     /// toward `t`, so each run's parent array *is* one column and lands
     /// as one contiguous run. Unreachable pairs are written as
     /// [`NO_ROUTE`], so a dirty plane is fine.
-    pub fn fill(&mut self, g: &Graph, weights: &[f64], mask: &EdgeMask, ws: &mut SpfWorkspace) {
+    pub fn fill(
+        &mut self,
+        g: &Graph,
+        weights: &[f64],
+        mask: &EdgeMask,
+        ws: &mut SpfWorkspace,
+        mut dist: Option<&mut [f64]>,
+    ) {
         assert_eq!(self.n, g.node_count(), "plane built for a different graph");
         // An all-up mask filters nothing; skip its per-edge test.
         let mask = (mask.failed_count() > 0).then_some(mask);
         for t in g.nodes() {
             ws.run(g, t, weights, mask);
             self.patch_column(t, ws.parents());
-        }
-    }
-
-    /// Load the `dst` column into `ws` for a repair: from `memo` when it
-    /// knows the column's distances, else by folding the installed parent
-    /// chains under `weights` — counted in `stats` either way. Returns
-    /// whether it folded (the memo does not know the column yet).
-    fn load_column(
-        &self,
-        g: &Graph,
-        dst: NodeId,
-        weights: &[f64],
-        memo: &PlaneDistances<'_>,
-        ws: &mut SpfWorkspace,
-        stats: &mut RepairStats,
-    ) -> bool {
-        let parent_of = |u: usize| self.lookup(NodeId(u as u32), dst);
-        match memo.column(dst) {
-            Some(dist) => {
-                ws.load_known(dst, dist, parent_of);
-                stats.memo_columns += 1;
-                false
-            }
-            None => {
-                ws.load_tree(g, dst, weights, parent_of);
-                stats.folded_columns += 1;
-                true
+            if let Some(dist) = dist.as_deref_mut() {
+                dist[self.column(t)].copy_from_slice(ws.distances());
             }
         }
     }
 
-    /// After a column was loaded and repaired in `ws`: write it back when
-    /// the repair `touched` any node, and record its distances in `memo`
-    /// when they changed or the memo did not know them yet (`folded`).
+    /// Load the `dst` column into `ws` for a repair: its installed
+    /// parents and its distances from `dist`.
+    fn load_column(&self, dst: NodeId, dist: &[f64], ws: &mut SpfWorkspace) {
+        ws.load_known(dst, &dist[self.column(dst)], |u| {
+            self.lookup(NodeId(u as u32), dst)
+        });
+    }
+
+    /// After a column was loaded and repaired in `ws`: when the repair
+    /// `touched` any node, write its parents back to the plane and its
+    /// distances back to `dist`.
     fn store_column(
         &mut self,
         dst: NodeId,
         touched: usize,
-        folded: bool,
-        memo: &mut PlaneDistances<'_>,
+        dist: &mut [f64],
         ws: &SpfWorkspace,
         stats: &mut RepairStats,
     ) {
         if touched > 0 {
             self.patch_column(dst, ws.parents());
+            dist[self.column(dst)].copy_from_slice(ws.distances());
             stats.patched_columns += 1;
             stats.frontier_nodes += touched;
         } else {
             stats.skipped_columns += 1;
-        }
-        if touched > 0 || folded {
-            memo.record(dst, ws.distances());
         }
     }
 
@@ -372,23 +347,24 @@ impl PlaneMut<'_> {
     /// went down. `mask` is the new cumulative failure mask (with
     /// `newly_failed` already failed) and `weights` the slice's weight
     /// vector; the plane must hold the forwarding state that was correct
-    /// immediately before the event, and `memo` (if any) its distances.
+    /// immediately before the event, and `dist` its distances (the
+    /// plane's `n·n`, see [`DistanceMemo::plane_mut`]).
     ///
     /// Columns whose tree does not cross a newly failed link are skipped
     /// after an O(n) bitmask scan — their entries are provably unchanged.
     /// Touched columns are loaded into `ws`, repaired via
     /// [`SpfWorkspace::repair_failures`], and written back whole, their
-    /// distances recorded in `memo`.
+    /// distances into `dist`.
     pub fn patch_failures(
         &mut self,
         g: &Graph,
         weights: &[f64],
         mask: &EdgeMask,
         newly_failed: &[EdgeId],
-        memo: &mut PlaneDistances<'_>,
+        dist: &mut [f64],
         ws: &mut SpfWorkspace,
     ) -> RepairStats {
-        assert_eq!(self.n, g.node_count(), "plane built for a different graph");
+        self.assert_shape(g, dist);
         mark_edges(&mut ws.edge_flags, g.edge_count(), newly_failed);
         let mut stats = RepairStats::default();
         for t in g.nodes() {
@@ -396,34 +372,32 @@ impl PlaneMut<'_> {
                 stats.skipped_columns += 1;
                 continue;
             }
-            let folded = self.load_column(g, t, weights, memo, ws, &mut stats);
+            self.load_column(t, dist, ws);
             let touched = ws.repair_failures(g, t, weights, mask, newly_failed);
-            self.store_column(t, touched, folded, memo, ws, &mut stats);
+            self.store_column(t, touched, dist, ws, &mut stats);
         }
         stats
     }
 
     /// Incrementally repair this plane after `edge`'s weight changed from
     /// `old_weight` to `weights[edge]` (`weights` is the slice's new
-    /// vector, handed back unchanged; `memo` as in
-    /// [`PlaneMut::patch_failures`], holding pre-event distances). Weight
-    /// increases skip columns that do not route over `edge`; decreases
-    /// probe every column, but a probe that changes nothing costs one
-    /// relaxation and skips the write-back.
+    /// vector; `dist` as in [`PlaneMut::patch_failures`], holding
+    /// pre-event distances). Weight increases skip columns that do not
+    /// route over `edge`; decreases probe every column, but a probe that
+    /// changes nothing costs one relaxation and skips the write-back.
     #[allow(clippy::too_many_arguments)]
     pub fn patch_reweight(
         &mut self,
         g: &Graph,
-        weights: &mut [f64],
+        weights: &[f64],
         mask: &EdgeMask,
         edge: EdgeId,
         old_weight: f64,
-        memo: &mut PlaneDistances<'_>,
+        dist: &mut [f64],
         ws: &mut SpfWorkspace,
     ) -> RepairStats {
-        assert_eq!(self.n, g.node_count(), "plane built for a different graph");
-        let new_weight = weights[edge.index()];
-        let increase = new_weight > old_weight;
+        self.assert_shape(g, dist);
+        let increase = weights[edge.index()] > old_weight;
         mark_edges(&mut ws.edge_flags, g.edge_count(), &[edge]);
         let mut stats = RepairStats::default();
         for t in g.nodes() {
@@ -433,14 +407,9 @@ impl PlaneMut<'_> {
                 stats.skipped_columns += 1;
                 continue;
             }
-            // Loaded trees must hold the *pre-event* distances, so a
-            // chain fold sums the old weight; the repair then relaxes
-            // under the new one.
-            weights[edge.index()] = old_weight;
-            let folded = self.load_column(g, t, weights, memo, ws, &mut stats);
-            weights[edge.index()] = new_weight;
+            self.load_column(t, dist, ws);
             let touched = ws.repair_reweight(g, t, weights, mask, edge, old_weight);
-            self.store_column(t, touched, folded, memo, ws, &mut stats);
+            self.store_column(t, touched, dist, ws, &mut stats);
         }
         stats
     }
@@ -449,70 +418,70 @@ impl PlaneMut<'_> {
     /// back up. `mask` is the new failure mask (with `restored` already
     /// up) and `weights` the slice's weight vector; the plane must hold
     /// the forwarding state that was correct under `weights` while those
-    /// links were still down, and `memo` (if any) its distances.
+    /// links were still down, and `dist` its distances.
     ///
     /// A restored link can improve any column, so every column is
-    /// probed — but the probe reads two distances (from `memo`, or by
-    /// walking two parent chains, [`PlaneMut::chain_distance`]), not a
-    /// tree load: a column is loaded into `ws` only once some restored
-    /// link shortens a route or wins a tie-break in it, then every
-    /// remaining link is relaxed in the same workspace
-    /// ([`SpfWorkspace::repair_restore`]) and the column is written back
-    /// once.
+    /// probed — but the probe reads two distances, not a tree load: a
+    /// column is loaded into `ws` only once some restored link shortens
+    /// a route or wins a tie-break in it, then every remaining link is
+    /// relaxed in the same workspace ([`SpfWorkspace::repair_restore`])
+    /// and the column is written back once.
     pub fn patch_restores(
         &mut self,
         g: &Graph,
         weights: &[f64],
         mask: &EdgeMask,
         restored: &[EdgeId],
-        memo: &mut PlaneDistances<'_>,
+        dist: &mut [f64],
         ws: &mut SpfWorkspace,
     ) -> RepairStats {
-        assert_eq!(self.n, g.node_count(), "plane built for a different graph");
+        self.assert_shape(g, dist);
         let mut stats = RepairStats::default();
         for t in g.nodes() {
-            let mut folded = None;
+            let mut loaded = false;
             let mut touched = 0usize;
             for &edge in restored {
-                if folded.is_none() {
-                    if !self.restore_changes_column(g, weights, t, edge, memo, &mut ws.path) {
+                if !loaded {
+                    if !self.restore_changes_column(g, weights, t, edge, &dist[self.column(t)]) {
                         continue;
                     }
-                    folded = Some(self.load_column(g, t, weights, memo, ws, &mut stats));
+                    self.load_column(t, dist, ws);
+                    loaded = true;
                 }
                 touched += ws.repair_restore(g, t, weights, mask, edge);
             }
-            match folded {
-                Some(folded) => self.store_column(t, touched, folded, memo, ws, &mut stats),
-                None => stats.skipped_columns += 1,
+            if loaded {
+                self.store_column(t, touched, dist, ws, &mut stats);
+            } else {
+                stats.skipped_columns += 1;
             }
         }
         stats
+    }
+
+    /// The delta passes' shape check: a plane over `g`'s routers, and
+    /// one distance per entry.
+    fn assert_shape(&self, g: &Graph, dist: &[f64]) {
+        assert_eq!(self.n, g.node_count(), "plane built for a different graph");
+        assert_eq!(dist.len(), self.n * self.n, "one distance per plane entry");
     }
 
     /// Whether bringing `edge` up changes the `dst` column as installed:
     /// it gives one endpoint a strictly shorter route through the other,
     /// or an equally short one that outranks the installed parent in the
     /// `(parent, edge)` tie-break. Exact, not conservative — the same
-    /// comparisons [`SpfWorkspace::repair_restore`] starts from. The two
-    /// endpoint distances are read from `memo` when it knows the column.
+    /// comparisons [`SpfWorkspace::repair_restore`] starts from, on the
+    /// two endpoints' entries of `dist`, the column's distances.
     fn restore_changes_column(
         &self,
         g: &Graph,
         weights: &[f64],
         dst: NodeId,
         edge: EdgeId,
-        memo: &PlaneDistances<'_>,
-        chain: &mut Vec<u32>,
+        dist: &[f64],
     ) -> bool {
         let (a, b) = (g.edge(edge).u, g.edge(edge).v);
-        let (da, db) = match memo.column(dst) {
-            Some(dist) => (dist[a.index()], dist[b.index()]),
-            None => (
-                self.chain_distance(dst, a, weights, chain),
-                self.chain_distance(dst, b, weights, chain),
-            ),
-        };
+        let (da, db) = (dist[a.index()], dist[b.index()]);
         let w = weights[edge.index()];
         [(a, da, b, db), (b, db, a, da)]
             .into_iter()
@@ -524,34 +493,6 @@ impl PlaneMut<'_> {
                         Ordering::Greater => false,
                     }
             })
-    }
-
-    /// `node`'s distance to `dst` along its installed parent chain,
-    /// summed root-first — the same `dist[parent] + w(edge)` additions,
-    /// in the same order, as the Dijkstra run that produced the column
-    /// (and as [`SpfWorkspace::load_tree`]), so the value is bit-identical
-    /// to both. `f64::INFINITY` when the chain never reaches `dst`.
-    fn chain_distance(
-        &self,
-        dst: NodeId,
-        node: NodeId,
-        weights: &[f64],
-        chain: &mut Vec<u32>,
-    ) -> f64 {
-        chain.clear();
-        let mut u = node;
-        while u != dst {
-            let Some((p, e)) = self.lookup(u, dst) else {
-                return f64::INFINITY;
-            };
-            chain.push(e.0);
-            assert!(chain.len() <= self.n, "parent pointers contain a cycle");
-            u = p;
-        }
-        chain
-            .iter()
-            .rev()
-            .fold(0.0, |d, &e| d + weights[e as usize])
     }
 }
 
@@ -909,7 +850,44 @@ mod tests {
         let up = EdgeMask::all_up(g.edge_count());
         arena
             .plane_mut(slice)
-            .fill(g, w, &up, &mut SpfWorkspace::new());
+            .fill(g, w, &up, &mut SpfWorkspace::new(), None);
+    }
+
+    /// Fill plane `slice` under `w` over the `mask`-up subgraph and
+    /// return the distances the fill recorded.
+    fn fill_recording(
+        arena: &mut SpliceFib,
+        slice: usize,
+        g: &splice_graph::Graph,
+        w: &[f64],
+        mask: &EdgeMask,
+        ws: &mut SpfWorkspace,
+    ) -> Vec<f64> {
+        let mut dist = vec![0.0; g.node_count() * g.node_count()];
+        arena.plane_mut(slice).fill(g, w, mask, ws, Some(&mut dist));
+        dist
+    }
+
+    /// `dist` holds, bit for bit, what folding plane `slice`'s installed
+    /// parent chains under `w` gives, column by column.
+    fn assert_distances_match_fold(
+        arena: &SpliceFib,
+        slice: usize,
+        g: &splice_graph::Graph,
+        w: &[f64],
+        dist: &[f64],
+    ) {
+        let folded = DistanceMemo::fold(
+            g,
+            &arena.clone_prefix(slice + 1),
+            &vec![w.to_vec(); slice + 1],
+        );
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for t in g.nodes() {
+            let n = g.node_count();
+            let column = &dist[t.index() * n..(t.index() + 1) * n];
+            assert_eq!(bits(column), bits(folded.column(slice, t)), "column {t:?}");
+        }
     }
 
     #[test]
@@ -1014,7 +992,7 @@ mod tests {
         mask.fail(EdgeId(0));
         arena
             .plane_mut(0)
-            .fill(&g, &w, &mask, &mut SpfWorkspace::new());
+            .fill(&g, &w, &mask, &mut SpfWorkspace::new(), None);
         assert_plane_matches_rebuild(&arena, &g, &w, 0, &mask);
     }
 
@@ -1094,23 +1072,20 @@ mod tests {
         for fail in g.edge_ids() {
             let mut arena = SpliceFib::empty(1, g.node_count());
             let mut ws = SpfWorkspace::new();
-            fill_up(&mut arena, 0, &g, &w);
             let mut mask = EdgeMask::all_up(g.edge_count());
+            let mut dist = fill_recording(&mut arena, 0, &g, &w, &mask, &mut ws);
             mask.fail(fail);
-            let stats = arena.plane_mut(0).patch_failures(
-                &g,
-                &w,
-                &mask,
-                &[fail],
-                &mut PlaneDistances::none(),
-                &mut ws,
-            );
+            let stats =
+                arena
+                    .plane_mut(0)
+                    .patch_failures(&g, &w, &mask, &[fail], &mut dist, &mut ws);
             assert_eq!(
                 stats.patched_columns + stats.skipped_columns,
                 g.node_count(),
                 "every column accounted for"
             );
             assert_plane_matches_rebuild(&arena, &g, &w, 0, &mask);
+            assert_distances_match_fold(&arena, 0, &g, &w, &dist);
         }
     }
 
@@ -1125,17 +1100,18 @@ mod tests {
                 new_w[edge.index()] *= factor;
                 let mut arena = SpliceFib::empty(1, g.node_count());
                 let mut ws = SpfWorkspace::new();
-                fill_up(&mut arena, 0, &g, &old);
+                let mut dist = fill_recording(&mut arena, 0, &g, &old, &mask, &mut ws);
                 arena.plane_mut(0).patch_reweight(
                     &g,
-                    &mut new_w,
+                    &new_w,
                     &mask,
                     edge,
                     old[edge.index()],
-                    &mut PlaneDistances::none(),
+                    &mut dist,
                     &mut ws,
                 );
                 assert_plane_matches_rebuild(&arena, &g, &new_w, 0, &mask);
+                assert_distances_match_fold(&arena, 0, &g, &new_w, &dist);
             }
         }
     }
@@ -1152,27 +1128,23 @@ mod tests {
         ] {
             let mut mask = EdgeMask::from_failed(g.edge_count(), &down);
             let mut arena = SpliceFib::empty(1, g.node_count());
-            arena.plane_mut(0).fill(&g, &w, &mask, &mut ws);
+            let mut dist = fill_recording(&mut arena, 0, &g, &w, &mask, &mut ws);
             // Bring the links back one batch at a time: first alone, then
             // the rest together.
             for batch in [&down[..1], &down[1..]] {
                 for e in batch {
                     mask.restore(*e);
                 }
-                let stats = arena.plane_mut(0).patch_restores(
-                    &g,
-                    &w,
-                    &mask,
-                    batch,
-                    &mut PlaneDistances::none(),
-                    &mut ws,
-                );
+                let stats = arena
+                    .plane_mut(0)
+                    .patch_restores(&g, &w, &mask, batch, &mut dist, &mut ws);
                 assert_eq!(
                     stats.patched_columns + stats.skipped_columns,
                     g.node_count(),
                     "every column accounted for"
                 );
                 assert_plane_matches_rebuild(&arena, &g, &w, 0, &mask);
+                assert_distances_match_fold(&arena, 0, &g, &w, &dist);
             }
         }
         // A link no column would route over (or tie on) patches nothing:
@@ -1180,45 +1152,23 @@ mod tests {
         let heavy = [1.0, 2.0, 1000.0, 2.0];
         let mut mask = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2)]);
         let mut arena = SpliceFib::empty(1, g.node_count());
-        arena.plane_mut(0).fill(&g, &heavy, &mask, &mut ws);
+        let mut dist = fill_recording(&mut arena, 0, &g, &heavy, &mask, &mut ws);
         mask.restore(EdgeId(2));
-        let stats = arena.plane_mut(0).patch_restores(
-            &g,
-            &heavy,
-            &mask,
-            &[EdgeId(2)],
-            &mut PlaneDistances::none(),
-            &mut ws,
-        );
+        let stats =
+            arena
+                .plane_mut(0)
+                .patch_restores(&g, &heavy, &mask, &[EdgeId(2)], &mut dist, &mut ws);
         assert_eq!(stats.patched_columns, 0);
         assert_plane_matches_rebuild(&arena, &g, &heavy, 0, &mask);
     }
 
-    /// Every column `memo` knows for plane `slice` holds, bit for bit,
-    /// what folding the arena's installed parent chains under `w` gives.
-    fn assert_memo_matches_fold(
-        arena: &SpliceFib,
-        slice: usize,
-        g: &splice_graph::Graph,
-        w: &[f64],
-        memo: &DistanceMemo,
-    ) {
-        let mut ws = SpfWorkspace::new();
-        for t in g.nodes() {
-            let Some(dist) = memo.column(slice, t) else {
-                continue;
-            };
-            ws.load_tree(g, t, w, |u| arena.lookup(slice, NodeId(u as u32), t));
-            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(dist), bits(ws.distances()), "column {t:?}");
-        }
-    }
-
-    /// The same event sequence patched with and without a memo: equal
-    /// planes after every pass, the memo equal to the chain fold, and
-    /// columns folded once, then read.
+    /// A stack of failure, reweight and restore passes on one plane:
+    /// after every pass the plane equals a rebuild, and the distances the
+    /// passes read and wrote equal the chain fold of the plane, bit for
+    /// bit — so each pass starts from exactly the distances a fold would
+    /// give it.
     #[test]
-    fn patches_through_a_memo_match_memo_free_patches() {
+    fn patches_keep_their_distances_equal_to_the_chain_fold() {
         let g = from_edges(
             5,
             &[
@@ -1233,68 +1183,36 @@ mod tests {
         );
         let mut w = g.base_weights();
         let mut ws = SpfWorkspace::new();
-        let mut plain = SpliceFib::empty(1, g.node_count());
-        fill_up(&mut plain, 0, &g, &w);
-        let mut memoed = plain.clone();
-        let mut memo = DistanceMemo::new(1, g.node_count());
         let mut mask = EdgeMask::all_up(g.edge_count());
-        let mut totals = RepairStats::default();
+        let mut arena = SpliceFib::empty(1, g.node_count());
+        let mut dist = fill_recording(&mut arena, 0, &g, &w, &mask, &mut ws);
+        assert_distances_match_fold(&arena, 0, &g, &w, &dist);
+        let mut patched = 0;
         for step in 0..8 {
-            let e = EdgeId(step % 4);
-            let (plain_stats, memo_stats) = match step % 4 {
+            let mut plane = arena.plane_mut(0);
+            let stats = match step % 4 {
                 0 => {
+                    let e = EdgeId(step % 4);
                     mask.fail(e);
-                    let mut run = |plane: &mut PlaneMut<'_>, memo: &mut PlaneDistances<'_>| {
-                        plane.patch_failures(&g, &w, &mask, &[e], memo, &mut ws)
-                    };
-                    (
-                        run(&mut plain.plane_mut(0), &mut PlaneDistances::none()),
-                        run(&mut memoed.plane_mut(0), &mut memo.plane_mut(0)),
-                    )
+                    plane.patch_failures(&g, &w, &mask, &[e], &mut dist, &mut ws)
                 }
                 1 | 2 => {
                     let e = EdgeId(5 + step % 2);
                     let old = w[e.index()];
                     w[e.index()] = if step % 4 == 1 { old * 3.0 } else { old * 0.25 };
-                    let mut run = |plane: &mut PlaneMut<'_>, memo: &mut PlaneDistances<'_>| {
-                        let mut cur = w.clone();
-                        plane.patch_reweight(&g, &mut cur, &mask, e, old, memo, &mut ws)
-                    };
-                    (
-                        run(&mut plain.plane_mut(0), &mut PlaneDistances::none()),
-                        run(&mut memoed.plane_mut(0), &mut memo.plane_mut(0)),
-                    )
+                    plane.patch_reweight(&g, &w, &mask, e, old, &mut dist, &mut ws)
                 }
                 _ => {
                     let restored: Vec<EdgeId> = mask.failed_edges().collect();
                     restored.iter().for_each(|&e| mask.restore(e));
-                    let mut run = |plane: &mut PlaneMut<'_>, memo: &mut PlaneDistances<'_>| {
-                        plane.patch_restores(&g, &w, &mask, &restored, memo, &mut ws)
-                    };
-                    (
-                        run(&mut plain.plane_mut(0), &mut PlaneDistances::none()),
-                        run(&mut memoed.plane_mut(0), &mut memo.plane_mut(0)),
-                    )
+                    plane.patch_restores(&g, &w, &mask, &restored, &mut dist, &mut ws)
                 }
             };
-            assert_eq!(memoed, plain, "step {step}");
-            assert_plane_matches_rebuild(&memoed, &g, &w, 0, &mask);
-            assert_memo_matches_fold(&memoed, 0, &g, &w, &memo);
-            let work = |s: RepairStats| (s.patched_columns, s.skipped_columns, s.frontier_nodes);
-            assert_eq!(
-                work(memo_stats),
-                work(plain_stats),
-                "step {step}: the memo changes where distances come from, nothing else"
-            );
-            assert_eq!(plain_stats.memo_columns, 0);
-            assert_eq!(
-                memo_stats.folded_columns + memo_stats.memo_columns,
-                plain_stats.folded_columns
-            );
-            totals.absorb(memo_stats);
+            patched += stats.patched_columns;
+            assert_plane_matches_rebuild(&arena, &g, &w, 0, &mask);
+            assert_distances_match_fold(&arena, 0, &g, &w, &dist);
         }
-        assert!(totals.folded_columns <= g.node_count(), "{totals:?}");
-        assert!(totals.memo_columns > 0, "{totals:?}");
+        assert!(patched > 0);
     }
 
     #[test]
@@ -1310,8 +1228,8 @@ mod tests {
             let up = EdgeMask::all_up(g.edge_count());
             let mut planes = via_planes.planes_mut();
             assert_eq!(planes.len(), 2);
-            planes[0].fill(&g, &w0, &up, &mut ws);
-            planes[1].fill(&g, &w1, &up, &mut ws);
+            planes[0].fill(&g, &w0, &up, &mut ws, None);
+            planes[1].fill(&g, &w1, &up, &mut ws, None);
         }
         // ... and through one `plane_mut` borrow at a time; bit-identical.
         let mut direct = SpliceFib::empty(2, g.node_count());
@@ -1322,26 +1240,20 @@ mod tests {
         // Repair through a view handed out with its siblings equals
         // repair through a lone `plane_mut` borrow.
         let mut mask = EdgeMask::all_up(g.edge_count());
+        let dist = fill_recording(&mut direct, 0, &g, &w0, &mask, &mut ws);
         mask.fail(EdgeId(0));
-        let stats_direct = direct.plane_mut(0).patch_failures(
-            &g,
-            &w0,
-            &mask,
-            &[EdgeId(0)],
-            &mut PlaneDistances::none(),
-            &mut ws,
-        );
+        let failed = [EdgeId(0)];
+        let mut dist_direct = dist.clone();
+        let stats_direct =
+            direct
+                .plane_mut(0)
+                .patch_failures(&g, &w0, &mask, &failed, &mut dist_direct, &mut ws);
+        let mut dist_plane = dist;
         let stats_plane = {
             let mut planes = via_planes.planes_mut();
-            planes[0].patch_failures(
-                &g,
-                &w0,
-                &mask,
-                &[EdgeId(0)],
-                &mut PlaneDistances::none(),
-                &mut ws,
-            )
+            planes[0].patch_failures(&g, &w0, &mask, &failed, &mut dist_plane, &mut ws)
         };
+        assert_eq!(dist_plane, dist_direct);
         assert_eq!(stats_plane, stats_direct);
         assert_eq!(via_planes, direct);
     }

@@ -86,7 +86,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::{PlaneDistances, SpliceFib};
+    use crate::arena::SpliceFib;
     use splice_graph::dijkstra::{all_destinations, SpfWorkspace};
     use splice_graph::graph::from_edges;
     use splice_graph::{EdgeId, EdgeMask, Graph};
@@ -110,7 +110,8 @@ mod tests {
     /// Plane 0 filled under `w` over the `mask`-up subgraph.
     fn filled(g: &Graph, w: &[f64], mask: &EdgeMask) -> SpliceFib {
         let mut fib = SpliceFib::empty(1, g.node_count());
-        fib.plane_mut(0).fill(g, w, mask, &mut SpfWorkspace::new());
+        fib.plane_mut(0)
+            .fill(g, w, mask, &mut SpfWorkspace::new(), None);
         fib
     }
 
@@ -130,17 +131,16 @@ mod tests {
     fn repaired_plane_matches_full_rebuild() {
         let g = diamond();
         let w = g.base_weights();
-        let mut fib = filled(&g, &w, &EdgeMask::all_up(g.edge_count()));
+        let mut fib = SpliceFib::empty(1, g.node_count());
+        let mut dist = vec![0.0; g.node_count() * g.node_count()];
+        let mut ws = SpfWorkspace::new();
+        let up = EdgeMask::all_up(g.edge_count());
+        fib.plane_mut(0).fill(&g, &w, &up, &mut ws, Some(&mut dist));
         let failed = EdgeId(0);
         let mask = EdgeMask::from_failed(g.edge_count(), &[failed]);
-        let stats = fib.plane_mut(0).patch_failures(
-            &g,
-            &w,
-            &mask,
-            &[failed],
-            &mut PlaneDistances::none(),
-            &mut SpfWorkspace::new(),
-        );
+        let stats = fib
+            .plane_mut(0)
+            .patch_failures(&g, &w, &mask, &[failed], &mut dist, &mut ws);
         assert!(stats.patched_columns > 0);
         // The repaired plane equals a from-scratch build on the failed
         // topology.

@@ -17,9 +17,11 @@
 //! 3. sampled data-plane walks (`Forwarder::forward`) vs. an independent
 //!    naive walker over the oracle tables;
 //! 4. invariants: the shadow failure mask and weight vectors match the
-//!    deployment's, repair stats stay within arena bounds, no installed
-//!    next hop rides a failed link, every slice is loop-free toward every
-//!    destination, NoRevisit headers never produce a persistent loop,
+//!    deployment's, its SPF distances equal the chain fold of its arena
+//!    bit for bit ([`memo_divergence`]; delta strategies only), repair
+//!    stats stay within arena bounds, no installed next hop rides a
+//!    failed link, every slice is loop-free toward every destination,
+//!    NoRevisit headers never produce a persistent loop,
 //!    BoundedSwitches walks never exceed their switch cap, and (until a
 //!    slice is reweighted; SPF family only) per-slice distances respect
 //!    the perturbation's stretch bound (Theorem A.1's `2Dk`, or `1 + b`
@@ -34,7 +36,7 @@
 //! checkpoint against tables the oracles build from scratch on the
 //! restored topology.
 
-use crate::oracle::{naive_walk, outcome_signature, OracleTables};
+use crate::oracle::{memo_divergence, naive_walk, outcome_signature, OracleTables};
 use crate::scenario::{PerturbationSpec, Scenario};
 use splice_core::control::{hops_still_count, ControlEvent};
 use splice_core::forwarding::{Forwarder, ForwarderOptions, ForwardingOutcome};
@@ -45,6 +47,7 @@ use splice_core::strategy::{with_spf_workspace, StrategyKind};
 use splice_graph::bellman_ford::bellman_ford_masked;
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId, Rng};
 use splice_routing::spf::{FlightEvent, FlightRecorder};
+use splice_routing::SpliceFib;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -432,12 +435,7 @@ pub(crate) fn strategy_oracle(
     mask: &EdgeMask,
 ) -> OracleTables {
     let k = weights.len();
-    let mut fib = splice_routing::arena::SpliceFib::empty(k, g.node_count());
-    with_spf_workspace(|ws| {
-        for (slice, w) in weights.iter().enumerate() {
-            kind.fill_slice(g, slice, seed, w, mask, ws, &mut fib, None);
-        }
-    });
+    let fib = scratch_fib(g, kind, seed, weights, mask);
     let next = (0..k)
         .map(|slice| {
             g.nodes()
@@ -449,6 +447,35 @@ pub(crate) fn strategy_oracle(
         next,
         dist: vec![Vec::new(); k],
     }
+}
+
+/// One arena plane per weight vector, each filled from scratch by
+/// `kind`'s own construction over the `mask`-up subgraph
+/// ([`StrategyKind::fill_slice`]) — no repair, no kept distances.
+fn scratch_fib(
+    g: &Graph,
+    kind: StrategyKind,
+    seed: u64,
+    weights: &[&[f64]],
+    mask: &EdgeMask,
+) -> SpliceFib {
+    let mut fib = SpliceFib::empty(weights.len(), g.node_count());
+    with_spf_workspace(|ws| {
+        for (slice, w) in weights.iter().enumerate() {
+            kind.fill_slice(g, slice, seed, w, mask, ws, &mut fib, None);
+        }
+    });
+    fib
+}
+
+/// `sp`'s slices rebuilt from scratch ([`scratch_fib`]) at its weights
+/// and failed mask, by its strategy and build seed: no repair, no kept
+/// distances. A deployment's `fib_checksum` must equal its rebuild's.
+pub fn scratch_rebuild(g: &Graph, sp: &Splicing) -> Splicing {
+    let weights: Vec<Vec<f64>> = (0..sp.k()).map(|s| sp.weights(s).to_vec()).collect();
+    let refs: Vec<&[f64]> = weights.iter().map(Vec::as_slice).collect();
+    let fib = scratch_fib(g, sp.strategy(), sp.build_seed(), &refs, sp.failed_mask());
+    Splicing::from_parts(weights, fib, sp.failed_mask().clone())
 }
 
 /// Compare one deployment against every oracle and invariant.
@@ -539,6 +566,16 @@ fn check_deployment(
                 }
             }
         }
+    }
+
+    // The distances every delta pass loads must be, bit for bit, the
+    // chain fold of the arena they belong to.
+    if let Some(detail) = sp.distances().and_then(|memo| memo_divergence(g, sp, memo)) {
+        return fail(Divergence::Invariant {
+            step,
+            name: "distances".into(),
+            detail,
+        });
     }
 
     // Strategy-agnostic structural invariants: no installed next hop

@@ -258,19 +258,26 @@ mod tests {
         assert_eq!(rep.stats.publishes, 0);
     }
 
-    /// The control plane's distance memo under seeded churn on Abilene
-    /// and Sprint, at batch caps 1, 3 and 16. After every pass, every
-    /// column the memo knows equals the chain fold of the arena the plane
-    /// now holds, bit for bit, and that arena equals the memo-free
-    /// `Splicing::repair_batch` fold of the same events. No column is
-    /// folded twice, and nudging one memo entry by one ulp is caught.
+    /// The deployment's distances under seeded churn through a control
+    /// plane on Abilene and Sprint, at batch caps 1, 3 and 16. After every
+    /// pass the plane's arena equals testkit's from-scratch
+    /// [`OracleTables`] at the (weights, mask) the one-shot
+    /// `Splicing::repair_batch` fold of the same events reached, its
+    /// distances equal the oracle's distances bit for bit, and both the
+    /// plane's distances and the one-shot result's equal the chain fold
+    /// of their arenas ([`memo_divergence`]). Nudging one entry by one
+    /// ulp is caught.
+    ///
+    /// [`OracleTables`]: crate::oracle::OracleTables
+    /// [`memo_divergence`]: crate::oracle::memo_divergence
     #[test]
     fn control_plane_memo_matches_the_chain_fold_after_every_pass() {
-        use crate::oracle::memo_divergence;
+        use crate::oracle::{memo_divergence, OracleTables};
         use splice_core::slices::SplicingConfig;
 
         for (name, k, seed) in [("abilene", 3, 31u64), ("sprint", 5, 32)] {
             let g = splice_topology::resolve(name).unwrap().graph();
+            let n = g.node_count();
             let base = Splicing::build(&g, &SplicingConfig::degree_based(k, 0.0, 3.0), seed);
             let events = churn_schedule(&g, k, 500, seed);
             for max_batch in [1usize, 3, 16] {
@@ -296,35 +303,46 @@ mod tests {
                     }
                     folded_up_to = end;
                     let at = format!("{name} max_batch {max_batch} event {i}");
-                    assert!(cp.current().arena() == oracle.arena(), "{at}: arena");
-                    assert_eq!(cp.current().failed_mask(), oracle.failed_mask(), "{at}");
-                    let memo = cp.distance_memo().expect("a delta plane keeps a memo");
-                    if let Some(d) = memo_divergence(&g, cp.current(), memo) {
-                        panic!("{at}: {d}");
+                    let current = cp.current();
+                    assert_eq!(current.failed_mask(), oracle.failed_mask(), "{at}");
+                    let weights: Vec<&[f64]> = (0..k).map(|s| oracle.weights(s)).collect();
+                    let tables = OracleTables::build(&g, &weights, oracle.failed_mask());
+                    let memo = current
+                        .distances()
+                        .expect("a delta plane carries distances");
+                    for (s, w) in weights.iter().enumerate() {
+                        assert_eq!(current.weights(s), *w, "{at}: slice {s} weights");
+                        for t in g.nodes() {
+                            let (next, dist) =
+                                (&tables.next[s][t.index()], &tables.dist[s][t.index()]);
+                            let column = memo.column(s, t);
+                            for u in g.nodes() {
+                                let (cell, i) =
+                                    (format!("{at}: slice {s} {u:?} -> {t:?}"), u.index());
+                                assert_eq!(current.next_hop(s, u, t), next[i], "{cell}");
+                                assert_eq!(column[i].to_bits(), dist[i].to_bits(), "{cell}");
+                            }
+                        }
+                    }
+                    for sp in [current, &oracle] {
+                        let memo = sp
+                            .distances()
+                            .expect("a delta deployment carries distances");
+                        if let Some(d) = memo_divergence(&g, sp, memo) {
+                            panic!("{at}: {d}");
+                        }
                     }
                     passes += 1;
                 }
                 assert!(passes >= 500 / max_batch / 2, "{name}: {passes} passes");
-                // Each column is folded once, on its first touch, and read
-                // from the memo ever after.
-                let work = cp.stats().repair;
-                assert!(
-                    work.folded_columns <= k * g.node_count(),
-                    "{name}: {work:?}"
-                );
-                assert!(work.memo_columns > work.folded_columns, "{name}: {work:?}");
 
-                // The check is sharp: one ulp in one known entry fails it.
-                let mut nudged = cp.distance_memo().unwrap().clone();
-                let (slice, t) = (0..k)
-                    .flat_map(|s| g.nodes().map(move |t| (s, t)))
-                    .find(|&(s, t)| nudged.column(s, t).is_some())
-                    .expect("churn taught the memo some column");
-                let mut column = nudged.column(slice, t).unwrap().to_vec();
-                let u = (t.index() + 1) % column.len();
-                column[u] = f64::from_bits(column[u].to_bits() + 1);
-                nudged.plane_mut(slice).record(t, &column);
-                assert!(memo_divergence(&g, cp.current(), &nudged).is_some());
+                // The check is sharp: one ulp in one entry fails it.
+                let current = cp.current();
+                let mut nudged = current.distances().unwrap().clone();
+                let (slice, t, u) = (k - 1, 0, 1);
+                let entry = &mut nudged.plane_mut(slice)[t * n + u];
+                *entry = f64::from_bits(entry.to_bits() + 1);
+                assert!(memo_divergence(&g, current, &nudged).is_some());
             }
         }
     }

@@ -30,7 +30,7 @@ pub mod schedule;
 pub mod shrink;
 pub mod strategies;
 
-pub use check::{flight_tail, replay, Divergence, ReplayOptions, ReplayReport};
+pub use check::{flight_tail, replay, scratch_rebuild, Divergence, ReplayOptions, ReplayReport};
 pub use daemon::{daemon_replay, DaemonReplayReport};
 pub use forward_oracle::{forward_oracle, ForwardOracleOptions, ForwardOracleReport};
 pub use oracle::{memo_divergence, naive_walk, outcome_signature, OracleTables};

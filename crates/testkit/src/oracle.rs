@@ -15,8 +15,8 @@
 //!   semantics (an exhausted header stays in its current slice) of
 //!   `Forwarder::forward` without sharing any of its code.
 //!
-//! Beside them, [`memo_divergence`] checks the control plane's distance
-//! memo against the chain fold it stands in for.
+//! Beside them, [`memo_divergence`] checks a deployment's SPF distances
+//! against the chain fold they stand in for.
 
 use splice_core::forwarding::{ForwardingOutcome, Trace, TraceStep};
 use splice_core::hash::slice_for_flow;
@@ -153,18 +153,17 @@ fn steps_signature(t: &Trace) -> String {
     format!("[{}]", hops.join(","))
 }
 
-/// The first entry of `memo` that is not, bit for bit, what folding
-/// `sp`'s installed parent chains under its weights gives
-/// ([`SpfWorkspace::load_tree`]), described; `None` when every column the
-/// memo knows agrees. This is the invariant the control plane's memo must
-/// keep across every repair pass: it stands in for exactly that fold.
+/// The first entry of `memo`'s first `sp.k()` planes that is not, bit
+/// for bit, what folding `sp`'s installed parent chains under its weights
+/// gives ([`SpfWorkspace::load_tree`]), described; `None` when every
+/// column agrees. This is the invariant a deployment's distances
+/// ([`Splicing::distances`]) must keep across every repair pass: each
+/// pass loads them in place of exactly that fold.
 pub fn memo_divergence(g: &Graph, sp: &Splicing, memo: &DistanceMemo) -> Option<String> {
     let mut ws = SpfWorkspace::new();
     for slice in 0..sp.k() {
         for t in g.nodes() {
-            let Some(dist) = memo.column(slice, t) else {
-                continue;
-            };
+            let dist = memo.column(slice, t);
             ws.load_tree(g, t, sp.weights(slice), |u| {
                 sp.next_hop(slice, NodeId(u as u32), t)
             });
