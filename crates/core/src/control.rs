@@ -18,8 +18,10 @@
 //! delta like any other event: it joins the pending batch as a
 //! [`RepairEvent::LinkRestore`] and coalesces with the failures and
 //! reweights already there, so a link that fails and recovers inside one
-//! batch costs no SPF work at all. (A recovery also closes the batch it
-//! joins — see [`ControlPlane::ingest`].) There is one convergence path — the pending batch through
+//! batch costs no SPF work at all, and every link a batch restores is
+//! relaxed into each column at once. A batch closes only at `max_batch`
+//! or at a flush — in [`run_event_loop`], once the loop has drained the
+//! channel. There is one convergence path — the pending batch through
 //! [`Splicing::try_repair_batch_recycling`] — and because that engine is
 //! bit-identical to folding its events one at a time, and each pass to a
 //! from-scratch build at the resulting weights and mask, the final
@@ -308,17 +310,10 @@ impl ControlPlane {
     }
 
     /// Ingest one event: failures, recoveries and reweights all join the
-    /// pending batch, which is flushed when it reaches `max_batch` — or
-    /// when the event is a recovery, which closes the batch it joins
-    /// (one pass, one publish, coalesced with everything pending).
-    /// Nothing in the engine needs that early flush: it keeps the
-    /// `flood-churn` benchmark's memory figure inside its bound, and
-    /// CHANGES.md (PR 16) says why and when to delete it. That benchmark
-    /// keeps every finished round alive, so a faster loop reads as more
-    /// memory: with its distances kept it finishes a median 20.5 rounds in
-    /// its 20 s where it finished 14, and `peak_rss_mb` reads 14.5 MB
-    /// where it read 13.3 (smaller packets win back ~1 MB of that).
-    /// Reweights compose multiplicatively, so a long
+    /// pending batch, which is flushed when it reaches `max_batch` (a
+    /// caller flushes the rest with [`ControlPlane::flush`]; the event
+    /// loop does once it has drained its channel). Reweights compose
+    /// multiplicatively, so a long
     /// enough run of them leaves the range the repair engine can route
     /// over ([`hops_still_count`]); such a reweight changes nothing (it
     /// still counts in [`ControlStats::events`]). Returns the epoch of
@@ -363,7 +358,6 @@ impl ControlPlane {
             ControlEvent::Recover(e) => {
                 self.shadow_mask.restore(*e);
                 self.pending.push(RepairEvent::LinkRestore(*e));
-                return self.flush();
             }
         }
         if self.pending.len() >= self.max_batch {
@@ -807,10 +801,12 @@ mod tests {
             milli: 2500,
         });
         cp.ingest(&ControlEvent::FailLink(EdgeId(7)));
-        // The recovery coalesces with what is pending and closes the
-        // batch: four events, one pass, one publish.
-        assert_eq!(cp.pending_len(), 3);
-        assert_eq!(cp.ingest(&ControlEvent::Recover(EdgeId(2))), Some(1));
+        // The recovery coalesces with what is pending and leaves the
+        // batch open; the flush repairs all four events in one pass and
+        // publishes once.
+        assert_eq!(cp.ingest(&ControlEvent::Recover(EdgeId(2))), None);
+        assert_eq!((cp.pending_len(), cp.stats().repair_batches), (4, 0));
+        assert_eq!(cp.flush(), Some(1));
         assert_eq!((cp.pending_len(), cp.stats().repair_batches), (0, 1));
         // Oracle: rebuild from base carrying the reweight + still-down set.
         let w05 = sp.weights(0)[5] * 2.5;
@@ -843,8 +839,9 @@ mod tests {
         let tel = SpfTelemetry::register(&Registry::new());
         let mut cp = ControlPlane::new(g.clone(), sp.clone(), 16).with_telemetry(tel.clone());
         for ev in ControlEvent::parse_schedule("f3+r3").unwrap() {
-            assert!(cp.ingest(&ev).is_none(), "a batch that nets to nothing");
+            assert!(cp.ingest(&ev).is_none());
         }
+        assert!(cp.flush().is_none(), "a batch that nets to nothing");
         assert_eq!((cp.pending_len(), cp.stats().repair_batches), (0, 1));
         assert_eq!(tel.spf_repair_seconds.count(), 0, "no plane was patched");
         assert!(Arc::ptr_eq(cp.current().arena(), sp.arena()));
@@ -867,8 +864,9 @@ mod tests {
         batched.ingest(&ControlEvent::FailLink(EdgeId(3)));
         assert_eq!(batched.flush(), Some(1));
         assert!(batched.ingest(&ControlEvent::FailLink(EdgeId(5))).is_none());
+        assert!(batched.ingest(&ControlEvent::Recover(EdgeId(3))).is_none());
         assert_eq!(
-            batched.ingest(&ControlEvent::Recover(EdgeId(3))),
+            batched.flush(),
             Some(2),
             "one pass, one publish for the pair"
         );
@@ -1055,7 +1053,8 @@ mod tests {
         }
         cp.ingest(&ControlEvent::FailLink(EdgeId(1)));
         cp.ingest(&ControlEvent::FailLink(EdgeId(4)));
-        assert!(cp.ingest(&ControlEvent::Recover(EdgeId(1))).is_some());
+        cp.ingest(&ControlEvent::Recover(EdgeId(1)));
+        assert!(cp.flush().is_some());
         replayed.push(RepairEvent::LinkSetFailure(vec![EdgeId(4)]));
         let oracle = sp.repair_batch(&g, &replayed);
         assert_eq!(cp.current().arena(), oracle.arena());

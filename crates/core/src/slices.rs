@@ -256,7 +256,7 @@ impl Splicing {
         mut weights: impl FnMut(usize, &SpliceFib) -> Vec<f64>,
     ) -> Result<Splicing, WeightError> {
         assert!(k >= 1, "need at least one slice");
-        let mut fib = SpliceFib::empty(k, g.node_count());
+        let mut fib = SpliceFib::for_graph(k, g);
         let mut dist = strategy
             .supports_delta_repair()
             .then(|| DistanceMemo::new(k, g.node_count()));
@@ -867,14 +867,7 @@ fn repair_plane_batched(
     }
     if !delta.newly_failed.is_empty() {
         stats.absorb(observed_pass(telemetry, "patch_failures", slice, || {
-            plane.patch_failures(
-                g,
-                final_weights,
-                delta.with_failures,
-                delta.newly_failed,
-                dist,
-                ws,
-            )
+            plane.patch_failures(g, final_weights, delta.with_failures, dist, ws)
         }));
     }
     if !delta.restored.is_empty() {
@@ -1118,9 +1111,10 @@ mod tests {
             }
         }
         assert_eq!(sp.total_state(), installed);
+        // Two u16 words per entry.
         assert_eq!(
             sp.state_bytes(),
-            sp.k() * 2 * g.node_count() * g.node_count() * 4
+            sp.k() * 2 * g.node_count() * g.node_count() * 2
         );
         // The same weights handed in explicitly build the same arena.
         let explicit = (0..sp.k()).map(|i| sp.weights(i).to_vec()).collect();
@@ -1151,6 +1145,15 @@ mod tests {
     fn zero_k_rejected() {
         let g = diamond();
         Splicing::build(&g, &SplicingConfig::degree_based(0, 0.0, 3.0), 1);
+    }
+
+    /// Arena entries are `u16`: a graph whose link ids reach the sentinel
+    /// is refused when its arena is built, before any entry is written.
+    #[test]
+    #[should_panic(expected = "65535 links exceed the arena's limit")]
+    fn a_build_over_65535_links_is_rejected() {
+        let g = from_edges(2, &vec![(0, 1, 1.0); 65_535]);
+        Splicing::build(&g, &SplicingConfig::degree_based(1, 0.0, 3.0), 1);
     }
 
     /// Every (slice, router, dst) next hop of `sp` equals a from-scratch

@@ -275,11 +275,12 @@ impl StrategyKind {
     /// Logical per-slice control state in bytes on an `n`-node graph —
     /// what a compressed control plane would have to carry, as opposed to
     /// the arena's physical (always dense) footprint. A full next-hop
-    /// matrix costs `2·n²·4` bytes; a shared tree costs one `(parent
-    /// node, out edge)` pair per node.
+    /// matrix costs `2·n²·2` bytes (two `u16` words per entry, as the
+    /// arena stores it); a shared tree costs one `(parent node, out
+    /// edge)` pair of `u32`s per node.
     pub fn slice_state_bytes(self, n: usize) -> usize {
         match self {
-            StrategyKind::PerturbedSpf | StrategyKind::ArcDisjointFailover => 2 * n * n * 4,
+            StrategyKind::PerturbedSpf | StrategyKind::ArcDisjointFailover => 2 * n * n * 2,
             StrategyKind::RandomSpanningTree | StrategyKind::LowStretchTree => n * 8,
         }
     }
@@ -646,7 +647,7 @@ mod tests {
         let n = g.node_count();
         let spf = Splicing::build(&g, &cfg_for(StrategyKind::PerturbedSpf, 3), 5);
         let tree = Splicing::build(&g, &cfg_for(StrategyKind::RandomSpanningTree, 3), 5);
-        assert_eq!(spf.logical_state_bytes(), 3 * 2 * n * n * 4);
+        assert_eq!(spf.logical_state_bytes(), 3 * 2 * n * n * 2);
         assert_eq!(spf.logical_state_bytes(), spf.state_bytes());
         assert_eq!(tree.logical_state_bytes(), 3 * n * 8);
         assert!(tree.logical_state_bytes() < tree.state_bytes());

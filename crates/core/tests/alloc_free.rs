@@ -117,7 +117,7 @@ fn warm_delta_repairs_do_not_allocate() {
     // started, so every cycle after the first does identical work.
     let mut cycle = || {
         let mut stats = RepairStats::default();
-        stats.absorb(plane.patch_failures(&g, &w, &failed, &down, dist, &mut ws));
+        stats.absorb(plane.patch_failures(&g, &w, &failed, dist, &mut ws));
         stats.absorb(plane.patch_restores(&g, &w, &up, &down, dist, &mut ws));
         w[e.index()] = w0 * 4.0;
         stats.absorb(plane.patch_reweight(&g, &w, &up, e, w0, dist, &mut ws));

@@ -886,7 +886,8 @@ fn assert_forest_kernel_matches_reference(g: &Graph, mask: &EdgeMask, seed: u64)
                 for t in g.nodes() {
                     let junk =
                         splice_core::hash::splitmix64(seed ^ (u.0 as u64) << 32 ^ t.0 as u64);
-                    got.set(slice, u, t, Some((NodeId(junk as u32 >> 1), EdgeId(t.0))));
+                    let junk = NodeId(u32::from(junk as u16 >> 1));
+                    got.set(slice, u, t, Some((junk, EdgeId(t.0))));
                 }
             }
             let mut rng = Rng::seed_from_u64(slice_seed(seed, slice));

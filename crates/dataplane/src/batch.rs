@@ -28,9 +28,10 @@
 //!   arena is destination-major, so each lane precomputes where its
 //!   `(slice, dst)` column starts, re-derives it only on a slice
 //!   switch, and every hop it takes in that slice is `start + node`: one
-//!   add, into one contiguous `4·n`-byte run per slab that the walk (and
+//!   add, into one contiguous `2·n`-byte run per slab that the walk (and
 //!   every other packet toward that destination) keeps hot, with
-//!   `NO_ROUTE` (`u32::MAX`) rejected straight off the raw word.
+//!   `NO_ROUTE` (`u16::MAX`) rejected straight off the raw word before it
+//!   is widened.
 //!
 //! Semantics are exactly `Forwarder::forward`'s (the differential
 //! oracle in `splice-testkit` holds all engines to that): initial slice
@@ -346,7 +347,7 @@ impl BatchForwarder {
                     if nh == NO_ROUTE {
                         break 'walk (WalkClass::DeadEnd, NO_SLICE);
                     }
-                    let edge = out_edge[idx];
+                    let (nh, edge) = (u32::from(nh), u32::from(out_edge[idx]));
                     if CHECK_MASK && mask.is_failed(splice_graph::EdgeId(edge)) {
                         break 'walk (WalkClass::LinkDown, slice);
                     }
@@ -372,7 +373,7 @@ impl BatchForwarder {
                     if nh == NO_ROUTE {
                         break 'walk (WalkClass::DeadEnd, NO_SLICE);
                     }
-                    let edge = out_edge[idx];
+                    let (nh, edge) = (u32::from(nh), u32::from(out_edge[idx]));
                     if CHECK_MASK && mask.is_failed(splice_graph::EdgeId(edge)) {
                         break 'walk (WalkClass::LinkDown, slice);
                     }

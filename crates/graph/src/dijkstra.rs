@@ -118,22 +118,22 @@ pub struct SpfWorkspace {
     parent: Vec<Option<(NodeId, EdgeId)>>,
     settled: Vec<bool>,
     heap: BinaryHeap<HeapEntry>,
-    /// Scratch for repair: per-node clean/dirty classification.
+    /// Scratch for repair: per-node clean/dirty classification, or the
+    /// lowered/swept bits of a relaxation.
     mark: Vec<u8>,
     /// Scratch for repair: the parent chain being walked, or the nodes
     /// whose distance a relaxation changed.
     stack: Vec<u32>,
-    /// Edge-indexed flags kept for a caller that repairs column by column
-    /// (`splice_routing`'s `PlaneMut::patch_*`), so a warm workspace
-    /// repairs without allocating. The workspace never touches it.
-    pub edge_flags: Vec<bool>,
 }
 
 /// `mark` value: the node's tree chain avoids every affected edge, so its
 /// distance and parent are provably unchanged by the event.
 const MARK_CLEAN: u8 = 1;
-/// `mark` value: the node is in an affected subtree and must be re-relaxed.
+/// `mark` value: the node is in an affected subtree and must be re-relaxed;
+/// in a relaxation, the bit for "this node's distance was lowered".
 const MARK_DIRTY: u8 = 2;
+/// `mark` bit of a relaxation: the parent sweep has visited this node.
+const MARK_SWEPT: u8 = 4;
 
 impl SpfWorkspace {
     /// An empty workspace; buffers grow on first use.
@@ -418,23 +418,25 @@ impl SpfWorkspace {
         self.drain(g, weights, Some(mask));
     }
 
-    /// Incrementally repair the loaded tree after the links in
-    /// `newly_failed` went down. `mask` is the *new* cumulative failure
-    /// mask (with `newly_failed` already failed); the workspace must hold
-    /// the tree that was correct immediately before the event (via
-    /// [`Self::run`], [`Self::load_tree`], or a previous repair).
+    /// Incrementally repair the loaded tree after some links went down.
+    /// `mask` is the *new* cumulative failure mask (the newly failed links
+    /// already failed); the workspace must hold the tree that was correct
+    /// immediately before the event (via [`Self::run`], [`Self::load_tree`],
+    /// or a previous repair).
     ///
-    /// Only the subtrees hanging below a failed tree edge are recomputed;
-    /// every other node's distance and parent are provably unchanged.
-    /// Returns the number of affected (re-relaxed) nodes — the repair
-    /// frontier.
+    /// That tree uses only links that were up before the event, so a tree
+    /// edge failed in `mask` is exactly a newly failed one: the dirty test
+    /// is one mask bit per chain link, however many links the batch
+    /// failed. Only the subtrees hanging below such an edge are
+    /// recomputed; every other node's distance and parent are provably
+    /// unchanged. Returns the number of affected (re-relaxed) nodes — the
+    /// repair frontier.
     pub fn repair_failures(
         &mut self,
         g: &Graph,
         root: NodeId,
         weights: &[f64],
         mask: &EdgeMask,
-        newly_failed: &[EdgeId],
     ) -> usize {
         assert_eq!(
             weights.len(),
@@ -446,10 +448,8 @@ impl SpfWorkspace {
             g.node_count(),
             "workspace does not hold a tree for this graph"
         );
-        let dirty = self.mark_dirty_subtrees(
-            root,
-            |_, p| matches!(p, Some((_, e)) if newly_failed.contains(&e)),
-        );
+        let dirty =
+            self.mark_dirty_subtrees(root, |_, p| matches!(p, Some((_, e)) if mask.is_failed(e)));
         if dirty > 0 {
             self.reseed_dirty(g, weights, mask);
         }
@@ -512,27 +512,29 @@ impl SpfWorkspace {
             self.reseed_dirty(g, weights, mask);
             return dirty;
         }
-        self.relax_improved_edge(g, root, weights, mask, edge)
+        self.relax_improved_edges(g, root, weights, mask, &[edge])
     }
 
-    /// Incrementally repair the loaded tree after `edge` came back up.
-    /// `mask` is the *new* failure mask (with `edge` already restored);
-    /// the workspace must hold the tree that was correct under `weights`
-    /// while `edge` was still down. Returns the number of nodes whose
-    /// distance or parent changed.
+    /// Incrementally repair the loaded tree after the links in `restored`
+    /// came back up. `mask` is the *new* failure mask (with every link of
+    /// `restored` already up); the workspace must hold the tree that was
+    /// correct under `weights` while they were all still down. Returns the
+    /// number of nodes whose distance changed, or, when none did, whose
+    /// parent did.
     ///
     /// A restored link is a weight decrease from +∞: it can only improve
     /// distances, re-attach a component that was cut off, or win the
     /// `(parent, edge)` tie-break at one of its endpoints — the same
-    /// relaxation [`Self::repair_reweight`] runs for a cheaper link, so
-    /// the result matches a full rebuild bit for bit.
-    pub fn repair_restore(
+    /// relaxation [`Self::repair_reweight`] runs for a cheaper link, run
+    /// once for the whole set, so the result matches a full rebuild bit
+    /// for bit.
+    pub fn repair_restores(
         &mut self,
         g: &Graph,
         root: NodeId,
         weights: &[f64],
         mask: &EdgeMask,
-        edge: EdgeId,
+        restored: &[EdgeId],
     ) -> usize {
         assert_eq!(
             weights.len(),
@@ -544,36 +546,46 @@ impl SpfWorkspace {
             g.node_count(),
             "workspace does not hold a tree for this graph"
         );
-        assert!(mask.is_up(edge), "{edge:?} must be up in the new mask");
-        self.relax_improved_edge(g, root, weights, mask, edge)
+        for &edge in restored {
+            assert!(mask.is_up(edge), "{edge:?} must be up in the new mask");
+        }
+        self.relax_improved_edges(g, root, weights, mask, restored)
     }
 
-    /// `edge` just got better — cheaper, or back up — and every other
-    /// constraint of the loaded tree still holds: relax `edge` in both
-    /// directions under `weights`, then propagate strict improvements.
-    /// Distances converge to the exact fixpoint (every value is some
-    /// path's weight fold, and every edge constraint is re-checked when
-    /// its tail improves); parents are then recomputed canonically where
-    /// they can have moved. Returns the number of nodes whose distance
-    /// changed, or, when none did, whose parent did.
-    fn relax_improved_edge(
+    /// Every link of `edges` just got better — cheaper, or back up — and
+    /// every other constraint of the loaded tree still holds: relax each
+    /// in both directions under `weights`, then propagate strict
+    /// improvements in one heap pass. Distances converge to the exact
+    /// fixpoint (every value is some path's weight fold, and every edge
+    /// constraint is re-checked when its tail improves).
+    ///
+    /// A canonical parent depends only on the node's own distance, its
+    /// neighbours' distances and the up edges at it, so only a changed
+    /// node, a neighbour of one, or an endpoint of a relaxed link can have
+    /// a new one; the parent sweep recomputes exactly those, each once,
+    /// and everything else keeps the parent it was loaded with. Returns
+    /// the number of nodes whose distance changed, or, when none did,
+    /// whose parent did.
+    fn relax_improved_edges(
         &mut self,
         g: &Graph,
         root: NodeId,
         weights: &[f64],
         mask: &EdgeMask,
-        edge: EdgeId,
+        edges: &[EdgeId],
     ) -> usize {
-        let (eu, ev) = (g.edge(edge).u, g.edge(edge).v);
-        let w = weights[edge.index()];
         self.heap.clear();
         self.mark.clear();
         self.mark.resize(g.node_count(), 0);
         self.stack.clear();
-        for (a, b) in [(eu, ev), (ev, eu)] {
-            if self.dist[a.index()].is_finite() {
-                let nd = self.dist[a.index()] + w;
-                self.lower(b, nd);
+        for &edge in edges {
+            let (eu, ev) = (g.edge(edge).u, g.edge(edge).v);
+            let w = weights[edge.index()];
+            for (a, b) in [(eu, ev), (ev, eu)] {
+                if self.dist[a.index()].is_finite() {
+                    let nd = self.dist[a.index()] + w;
+                    self.lower(b, nd);
+                }
             }
         }
         while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
@@ -587,30 +599,44 @@ impl SpfWorkspace {
             }
         }
         let changed = self.stack.len();
-        if changed == 0 {
-            // No distance moved, but the edge may have become an optimal
-            // predecessor of one of its endpoints, which can win the
-            // lexicographic tie-break.
-            return [eu, ev]
-                .into_iter()
-                .filter(|&v| self.recompute_parent(g, weights, mask, root, v))
-                .count();
-        }
-        // A canonical parent depends only on the node's own distance, its
-        // neighbours' distances and the edges at it, so only a changed
-        // node or a neighbour of one can have a new one (`edge`'s
-        // endpoints among them: one changed first, the other is next to
-        // it). Everything else keeps the parent it was loaded with. The
-        // recompute is idempotent, so a node next to several changed ones
-        // is simply visited once per such neighbour.
+        let mut reparented = 0;
         for i in 0..changed {
             let c = NodeId(self.stack[i]);
-            self.recompute_parent(g, weights, mask, root, c);
+            reparented += self.sweep(g, weights, mask, root, c) as usize;
             for &(u, _) in g.neighbors(c) {
-                self.recompute_parent(g, weights, mask, root, u);
+                reparented += self.sweep(g, weights, mask, root, u) as usize;
             }
         }
-        changed
+        // An endpoint next to no changed node can still gain an equally
+        // short route over its link that wins the tie-break.
+        for &edge in edges {
+            for v in [g.edge(edge).u, g.edge(edge).v] {
+                reparented += self.sweep(g, weights, mask, root, v) as usize;
+            }
+        }
+        if changed > 0 {
+            changed
+        } else {
+            reparented
+        }
+    }
+
+    /// The parent sweep's visit: recompute `v`'s canonical parent the
+    /// first time the sweep reaches it, and report whether it changed.
+    #[inline]
+    fn sweep(
+        &mut self,
+        g: &Graph,
+        weights: &[f64],
+        mask: &EdgeMask,
+        root: NodeId,
+        v: NodeId,
+    ) -> bool {
+        if self.mark[v.index()] & MARK_SWEPT != 0 {
+            return false;
+        }
+        self.mark[v.index()] |= MARK_SWEPT;
+        self.recompute_parent(g, weights, mask, root, v)
     }
 
     /// Lower `v`'s distance to `nd` if that is a strict improvement,
@@ -620,8 +646,8 @@ impl SpfWorkspace {
         if nd.total_cmp(&self.dist[v.index()]) == Ordering::Less {
             self.dist[v.index()] = nd;
             self.heap.push(HeapEntry { dist: nd, node: v });
-            if self.mark[v.index()] == 0 {
-                self.mark[v.index()] = MARK_DIRTY;
+            if self.mark[v.index()] & MARK_DIRTY == 0 {
+                self.mark[v.index()] |= MARK_DIRTY;
                 self.stack.push(v.0);
             }
         }
@@ -895,8 +921,8 @@ mod tests {
                 let (mut folded, mut known) = (SpfWorkspace::new(), SpfWorkspace::new());
                 folded.load_tree(&g, root, &w, |u| fresh.parent[u]);
                 known.load_known(root, &fresh.dist, |u| fresh.parent[u]);
-                folded.repair_failures(&g, root, &w, &mask, &[e]);
-                known.repair_failures(&g, root, &w, &mask, &[e]);
+                folded.repair_failures(&g, root, &w, &mask);
+                known.repair_failures(&g, root, &w, &mask);
                 assert_eq!(known.parents(), folded.parents());
                 let bits = |ws: &SpfWorkspace| -> Vec<u64> {
                     ws.distances().iter().map(|d| d.to_bits()).collect()
@@ -926,7 +952,7 @@ mod tests {
                 ws.run(&g, root, &w, None);
                 let mut mask = EdgeMask::all_up(g.edge_count());
                 mask.fail(e);
-                ws.repair_failures(&g, root, &w, &mask, &[e]);
+                ws.repair_failures(&g, root, &w, &mask);
                 assert_matches_fresh(&ws, &g, root, &w, &mask);
             }
         }
@@ -943,7 +969,7 @@ mod tests {
         assert_eq!(ws.parents()[3], Some((NodeId(1), EdgeId(2))));
         let mut mask = EdgeMask::all_up(g.edge_count());
         mask.fail(EdgeId(2));
-        ws.repair_failures(&g, NodeId(0), &w, &mask, &[EdgeId(2)]);
+        ws.repair_failures(&g, NodeId(0), &w, &mask);
         assert_eq!(ws.parents()[3], Some((NodeId(2), EdgeId(3))));
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
     }
@@ -968,10 +994,10 @@ mod tests {
         ws.run(&g, NodeId(0), &w, None);
         let mut mask = EdgeMask::all_up(g.edge_count());
         mask.fail(EdgeId(0));
-        ws.repair_failures(&g, NodeId(0), &w, &mask, &[EdgeId(0)]);
+        ws.repair_failures(&g, NodeId(0), &w, &mask);
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
         mask.fail(EdgeId(4));
-        ws.repair_failures(&g, NodeId(0), &w, &mask, &[EdgeId(4)]);
+        ws.repair_failures(&g, NodeId(0), &w, &mask);
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
     }
 
@@ -983,7 +1009,7 @@ mod tests {
         ws.run(&g, NodeId(2), &w, None);
         let mut mask = EdgeMask::all_up(2);
         mask.fail(EdgeId(1));
-        let frontier = ws.repair_failures(&g, NodeId(2), &w, &mask, &[EdgeId(1)]);
+        let frontier = ws.repair_failures(&g, NodeId(2), &w, &mask);
         assert_eq!(frontier, 2, "both 0 and 1 hang below the failed link");
         assert_matches_fresh(&ws, &g, NodeId(2), &w, &mask);
         assert_eq!(ws.distances()[0], f64::INFINITY);
@@ -1001,7 +1027,7 @@ mod tests {
         assert_eq!(ws.parents()[2], Some((NodeId(3), EdgeId(3))));
         let mut mask = EdgeMask::all_up(g.edge_count());
         mask.fail(EdgeId(2));
-        let frontier = ws.repair_failures(&g, NodeId(3), &w, &mask, &[EdgeId(2)]);
+        let frontier = ws.repair_failures(&g, NodeId(3), &w, &mask);
         assert_eq!(frontier, 0);
         assert_matches_fresh(&ws, &g, NodeId(3), &w, &mask);
     }
@@ -1085,7 +1111,7 @@ mod tests {
         let mut ws = SpfWorkspace::new();
         ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
         mask.restore(EdgeId(2));
-        let touched = ws.repair_restore(&g, NodeId(0), &w, &mask, EdgeId(2));
+        let touched = ws.repair_restores(&g, NodeId(0), &w, &mask, &[EdgeId(2)]);
         assert_eq!(touched, 1, "only node 3 re-picks its parent");
         assert_eq!(ws.distances(), &down.dist[..], "no distance moved");
         assert_eq!(ws.parents()[3], Some((NodeId(1), EdgeId(2))));
@@ -1106,7 +1132,10 @@ mod tests {
         let mut ws = SpfWorkspace::new();
         ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
         mask.restore(EdgeId(3));
-        assert_eq!(ws.repair_restore(&g, NodeId(0), &w, &mask, EdgeId(3)), 1);
+        assert_eq!(
+            ws.repair_restores(&g, NodeId(0), &w, &mask, &[EdgeId(3)]),
+            1
+        );
         assert_eq!(ws.distances()[3], down.dist[3], "3's distance stays");
         assert_eq!(ws.parents()[3], Some((NodeId(1), EdgeId(2))));
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
@@ -1125,7 +1154,7 @@ mod tests {
         let mut ws = SpfWorkspace::new();
         ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
         mask.restore(EdgeId(1));
-        let touched = ws.repair_restore(&g, NodeId(0), &w, &mask, EdgeId(1));
+        let touched = ws.repair_restores(&g, NodeId(0), &w, &mask, &[EdgeId(1)]);
         assert_eq!(touched, 2, "both cut-off nodes come back");
         assert_eq!(ws.distances()[3], 3.0);
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
@@ -1136,7 +1165,10 @@ mod tests {
         let down = dijkstra_masked(&g, NodeId(0), &w, &mask);
         ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
         mask.restore(EdgeId(2));
-        assert_eq!(ws.repair_restore(&g, NodeId(0), &w, &mask, EdgeId(2)), 0);
+        assert_eq!(
+            ws.repair_restores(&g, NodeId(0), &w, &mask, &[EdgeId(2)]),
+            0
+        );
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
     }
 
@@ -1151,7 +1183,7 @@ mod tests {
                 let mut ws = SpfWorkspace::new();
                 ws.run(&g, root, &w, Some(&mask));
                 mask.restore(e);
-                ws.repair_restore(&g, root, &w, &mask, e);
+                ws.repair_restores(&g, root, &w, &mask, &[e]);
                 assert_matches_fresh(&ws, &g, root, &w, &mask);
             }
         }

@@ -140,12 +140,11 @@ fn repair_failures_matches_rebuild() {
     run_cases(128, |rng| {
         let (g, mask) = multigraph_with_mask(rng);
         let w = g.base_weights();
-        let newly: Vec<EdgeId> = mask.failed_edges().collect();
         let mut ws = SpfWorkspace::new();
         let mut fresh = SpfWorkspace::new();
         for root in g.nodes() {
             ws.run(&g, root, &w, None);
-            ws.repair_failures(&g, root, &w, &mask, &newly);
+            ws.repair_failures(&g, root, &w, &mask);
             fresh.run(&g, root, &w, Some(&mask));
             for i in 0..g.node_count() {
                 assert!(
@@ -211,6 +210,54 @@ fn repair_reweight_matches_rebuild() {
     });
 }
 
+/// Restoring a set of links in one relaxation is bit-identical — distances
+/// by `to_bits`, parents exactly — to a from-scratch masked run, and to
+/// restoring the same links one at a time, for every root. Weights are
+/// small integers, so equal-cost routes are common, and with them an
+/// endpoint of a restored link that no lowered distance reaches but whose
+/// new link wins the `(parent, edge)` tie-break.
+#[test]
+fn restoring_a_link_set_in_one_relaxation_matches_rebuild_and_one_at_a_time() {
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    run_cases(256, |rng| {
+        let g = multigraph(rng);
+        let m = g.edge_count();
+        let w: Vec<f64> = (0..m).map(|_| rng.gen_range(1..=3u32) as f64).collect();
+        let mut edges: Vec<EdgeId> = g.edge_ids().collect();
+        rng.shuffle(&mut edges);
+        let (restored, rest) = edges.split_at(rng.gen_range(1..=m.min(8)));
+        // Some other links stay down through the restore.
+        let still_down: Vec<EdgeId> = rest
+            .iter()
+            .copied()
+            .filter(|_| rng.gen_bool(0.25))
+            .collect();
+        let after = EdgeMask::from_failed(m, &still_down);
+        let mut before = after.clone();
+        restored.iter().for_each(|&e| before.fail(e));
+        for root in g.nodes() {
+            let down = dijkstra_masked(&g, root, &w, &before);
+            let fresh = dijkstra_masked(&g, root, &w, &after);
+            let mut set = SpfWorkspace::new();
+            set.load_known(root, &down.dist, |u| down.parent[u]);
+            set.repair_restores(&g, root, &w, &after, restored);
+            let at = format!("root {root:?}, restored {restored:?}");
+            assert_eq!(bits(set.distances()), bits(&fresh.dist), "{at}");
+            assert_eq!(set.parents(), &fresh.parent[..], "{at}");
+
+            let mut one = SpfWorkspace::new();
+            one.load_known(root, &down.dist, |u| down.parent[u]);
+            let mut mask = before.clone();
+            for &e in restored {
+                mask.restore(e);
+                one.repair_restores(&g, root, &w, &mask, &[e]);
+            }
+            assert_eq!(bits(one.distances()), bits(set.distances()), "{at}");
+            assert_eq!(one.parents(), set.parents(), "{at}");
+        }
+    });
+}
+
 /// Delta-SPF restore of a failed edge — on a tree reloaded from
 /// parent pointers, the way a FIB column is — is bit-identical to a
 /// from-scratch masked run, one restored edge after another until the
@@ -232,7 +279,7 @@ fn repair_restore_matches_rebuild() {
             ws.load_tree(&g, root, &w, |u| before.parent[u]);
             for e in failed.failed_edges() {
                 mask.restore(e);
-                ws.repair_restore(&g, root, &w, &mask, e);
+                ws.repair_restores(&g, root, &w, &mask, &[e]);
                 let fresh = dijkstra_masked(&g, root, &w, &mask);
                 for i in 0..g.node_count() {
                     assert!(

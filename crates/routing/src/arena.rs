@@ -4,11 +4,19 @@
 //! The paper's §4.2 scalability claim is that splicing state grows
 //! linearly in k. This module makes that state a measurable object: a
 //! [`SpliceFib`] holds `next_hop` and `out_edge` as two slice-major
-//! `Box<[u32]>` slabs indexed O(1) by `(slice, router, dst)`, with
-//! [`NO_ROUTE`] (`u32::MAX`) standing in for "no entry" — no nesting, no
+//! `Box<[u16]>` slabs indexed O(1) by `(slice, router, dst)`, with
+//! [`NO_ROUTE`] (`u16::MAX`) standing in for "no entry" — no nesting, no
 //! per-entry `Option` overhead, no pointer chasing on the data-plane hot
 //! path. A k-prefix of a splicing is literally the first k planes of the
 //! slab, so prefix "views" share the arena instead of deep-cloning it.
+//!
+//! An entry is two `u16` words, 4 bytes: Sprint's five planes take
+//! 54,080 bytes. So an arena covers graphs of fewer than 65,535 routers
+//! and links (every id below [`NO_ROUTE`]); [`SpliceFib::for_graph`]
+//! rejects a larger graph with a message, and every write converts its
+//! ids checked, so an entry is never silently truncated. A dense `k·n²` plane could
+//! not reach that size anyway (at 50,000 routers one plane is 10 GB);
+//! graphs that large need a compressed representation, not wider words.
 //!
 //! Within a plane the slabs are *destination-major*: the `n` routers'
 //! entries toward one destination are one contiguous run (a "column").
@@ -27,10 +35,21 @@ use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
 use std::cmp::Ordering;
 use std::ops::Range;
 
-/// Sentinel for "no installed entry" in both slabs. Valid node and edge
-/// ids are dense and far below `u32::MAX`, so the sentinel can never
-/// collide with real state.
-pub const NO_ROUTE: u32 = u32::MAX;
+/// Sentinel for "no installed entry" in both slabs. Node and edge ids are
+/// dense, and an arena only covers graphs whose ids all lie below it
+/// ([`SpliceFib::for_graph`]), so the sentinel never collides with real
+/// state.
+pub const NO_ROUTE: u16 = u16::MAX;
+
+/// Narrow a node or edge id to an arena word, or panic naming the limit:
+/// an entry is never silently truncated.
+#[inline]
+fn word(id: u32) -> u16 {
+    match u16::try_from(id) {
+        Ok(w) if w != NO_ROUTE => w,
+        _ => panic!("id {id} does not fit an arena entry: node and edge ids must be below 65,535"),
+    }
+}
 
 /// What an incremental repair of one (or more) slice planes did: how many
 /// destination columns were rewritten, how many were proven untouched and
@@ -139,17 +158,6 @@ impl DistanceMemo {
     }
 }
 
-/// Set `marked` to the edge-indexed membership flags of `edges`, once per
-/// plane, so the per-column pre-scan costs O(1) per entry instead of
-/// O(|edges|) — SRLG-sized failure sets stay linear instead of quadratic.
-fn mark_edges(marked: &mut Vec<bool>, edge_count: usize, edges: &[EdgeId]) {
-    marked.clear();
-    marked.resize(edge_count, false);
-    for e in edges {
-        marked[e.index()] = true;
-    }
-}
-
 /// Offset of entry `(router, dst)` within a plane — the one place the
 /// destination-major order is written down.
 #[inline]
@@ -160,9 +168,9 @@ fn plane_idx(n: usize, router: usize, dst: usize) -> usize {
 
 /// Store `entry` (or the sentinel pair) into one slot of each slab.
 #[inline]
-fn store(next_hop: &mut u32, out_edge: &mut u32, entry: Option<(NodeId, EdgeId)>) {
+fn store(next_hop: &mut u16, out_edge: &mut u16, entry: Option<(NodeId, EdgeId)>) {
     (*next_hop, *out_edge) = match entry {
-        Some((nh, e)) => (nh.index() as u32, e.index() as u32),
+        Some((nh, e)) => (word(nh.0), word(e.0)),
         None => (NO_ROUTE, NO_ROUTE),
     };
 }
@@ -179,8 +187,8 @@ fn store(next_hop: &mut u32, out_edge: &mut u32, entry: Option<(NodeId, EdgeId)>
 #[derive(Debug)]
 pub struct PlaneMut<'a> {
     n: usize,
-    next_hop: &'a mut [u32],
-    out_edge: &'a mut [u32],
+    next_hop: &'a mut [u16],
+    out_edge: &'a mut [u16],
 }
 
 impl PlaneMut<'_> {
@@ -206,7 +214,7 @@ impl PlaneMut<'_> {
     /// The `dst` column of both slabs, router-indexed and writable:
     /// `(next_hop, out_edge)`.
     #[inline]
-    fn column_mut(&mut self, dst: NodeId) -> (&mut [u32], &mut [u32]) {
+    fn column_mut(&mut self, dst: NodeId) -> (&mut [u16], &mut [u16]) {
         let run = self.column(dst);
         (&mut self.next_hop[run.clone()], &mut self.out_edge[run])
     }
@@ -219,7 +227,7 @@ impl PlaneMut<'_> {
         if nh == NO_ROUTE {
             None
         } else {
-            Some((NodeId(nh), EdgeId(self.out_edge[i])))
+            Some((NodeId(nh.into()), EdgeId(self.out_edge[i].into())))
         }
     }
 
@@ -240,7 +248,7 @@ impl PlaneMut<'_> {
     /// parent's column with two entries changed, because only the arc
     /// between them turns round (`parent(c)` now routes down it, `c` no
     /// longer routes at all). So each column after the first is one
-    /// `memcpy` of `4·n` bytes per slab and two stores per slab.
+    /// `memcpy` of `2·n` bytes per slab and two stores per slab.
     ///
     /// `preorder` lists the tree's nodes, root first, every node after
     /// its parent; `parent_arc(u)` is `u`'s raw `(parent, edge)` pair,
@@ -255,7 +263,10 @@ impl PlaneMut<'_> {
         let Some((&root, below)) = preorder.split_first() else {
             return;
         };
-        let arc = |u| parent_arc(u).expect("only the root lacks a parent arc");
+        let arc = |u| {
+            let (p, e) = parent_arc(u).expect("only the root lacks a parent arc");
+            (word(p), word(e))
+        };
         let (next_hop, out_edge) = self.column_mut(NodeId(root));
         next_hop.fill(NO_ROUTE);
         out_edge.fill(NO_ROUTE);
@@ -266,7 +277,7 @@ impl PlaneMut<'_> {
         for &c in below {
             let (p, e) = arc(c);
             let (from, to) = (self.idx(0, p as usize), self.idx(0, c as usize));
-            for (slab, at_parent) in [(&mut *self.next_hop, c), (&mut *self.out_edge, e)] {
+            for (slab, at_parent) in [(&mut *self.next_hop, word(c)), (&mut *self.out_edge, e)] {
                 slab.copy_within(from..from + n, to);
                 slab[to + p as usize] = at_parent;
                 slab[to + c as usize] = NO_ROUTE;
@@ -274,13 +285,13 @@ impl PlaneMut<'_> {
         }
     }
 
-    /// Whether any router's installed out-edge in the `dst` column is
-    /// flagged in the edge-indexed `marked` bitmask — the O(n) pre-scan
-    /// that lets repairs skip columns an event cannot have touched.
-    fn column_uses_marked(&self, dst: NodeId, marked: &[bool]) -> bool {
+    /// Whether any router's installed out-edge in the `dst` column is an
+    /// edge `hit` picks — the O(n) pre-scan that lets repairs skip
+    /// columns an event cannot have touched.
+    fn column_uses(&self, dst: NodeId, hit: impl Fn(EdgeId) -> bool) -> bool {
         self.out_edge[self.column(dst)]
             .iter()
-            .any(|&oe| oe != NO_ROUTE && marked[oe as usize])
+            .any(|&oe| oe != NO_ROUTE && hit(EdgeId(oe.into())))
     }
 
     /// Run destination-rooted Dijkstra for every node under `weights`
@@ -343,16 +354,18 @@ impl PlaneMut<'_> {
         }
     }
 
-    /// Incrementally repair this plane after the links in `newly_failed`
-    /// went down. `mask` is the new cumulative failure mask (with
-    /// `newly_failed` already failed) and `weights` the slice's weight
-    /// vector; the plane must hold the forwarding state that was correct
-    /// immediately before the event, and `dist` its distances (the
-    /// plane's `n·n`, see [`DistanceMemo::plane_mut`]).
+    /// Incrementally repair this plane after some links went down.
+    /// `mask` is the new cumulative failure mask (the newly failed links
+    /// already failed) and `weights` the slice's weight vector; the plane
+    /// must hold the forwarding state that was correct immediately before
+    /// the event, and `dist` its distances (the plane's `n·n`, see
+    /// [`DistanceMemo::plane_mut`]).
     ///
-    /// Columns whose tree does not cross a newly failed link are skipped
-    /// after an O(n) bitmask scan — their entries are provably unchanged.
-    /// Touched columns are loaded into `ws`, repaired via
+    /// That state routes only over links that were up before, so an
+    /// installed out-edge failed in `mask` is a newly failed one. Columns
+    /// that use none are skipped after an O(n) scan of mask bits — their
+    /// entries are provably unchanged, however many links the batch
+    /// failed. Touched columns are loaded into `ws`, repaired via
     /// [`SpfWorkspace::repair_failures`], and written back whole, their
     /// distances into `dist`.
     pub fn patch_failures(
@@ -360,20 +373,18 @@ impl PlaneMut<'_> {
         g: &Graph,
         weights: &[f64],
         mask: &EdgeMask,
-        newly_failed: &[EdgeId],
         dist: &mut [f64],
         ws: &mut SpfWorkspace,
     ) -> RepairStats {
         self.assert_shape(g, dist);
-        mark_edges(&mut ws.edge_flags, g.edge_count(), newly_failed);
         let mut stats = RepairStats::default();
         for t in g.nodes() {
-            if !self.column_uses_marked(t, &ws.edge_flags) {
+            if !self.column_uses(t, |e| mask.is_failed(e)) {
                 stats.skipped_columns += 1;
                 continue;
             }
             self.load_column(t, dist, ws);
-            let touched = ws.repair_failures(g, t, weights, mask, newly_failed);
+            let touched = ws.repair_failures(g, t, weights, mask);
             self.store_column(t, touched, dist, ws, &mut stats);
         }
         stats
@@ -398,12 +409,11 @@ impl PlaneMut<'_> {
     ) -> RepairStats {
         self.assert_shape(g, dist);
         let increase = weights[edge.index()] > old_weight;
-        mark_edges(&mut ws.edge_flags, g.edge_count(), &[edge]);
         let mut stats = RepairStats::default();
         for t in g.nodes() {
             // An increase on a link a column does not route over cannot
             // change that column; a decrease can improve any column.
-            if increase && !self.column_uses_marked(t, &ws.edge_flags) {
+            if increase && !self.column_uses(t, |e| e == edge) {
                 stats.skipped_columns += 1;
                 continue;
             }
@@ -421,11 +431,12 @@ impl PlaneMut<'_> {
     /// links were still down, and `dist` its distances.
     ///
     /// A restored link can improve any column, so every column is
-    /// probed — but the probe reads two distances, not a tree load: a
-    /// column is loaded into `ws` only once some restored link shortens
-    /// a route or wins a tie-break in it, then every remaining link is
-    /// relaxed in the same workspace ([`SpfWorkspace::repair_restore`])
-    /// and the column is written back once.
+    /// probed once for the whole set — but the probe reads two distances
+    /// per link, not a tree load: a column is loaded into `ws` only when
+    /// some restored link shortens a route or wins a tie-break in it,
+    /// then the whole set is relaxed at once
+    /// ([`SpfWorkspace::repair_restores`]) and the column is written back
+    /// once.
     pub fn patch_restores(
         &mut self,
         g: &Graph,
@@ -438,23 +449,17 @@ impl PlaneMut<'_> {
         self.assert_shape(g, dist);
         let mut stats = RepairStats::default();
         for t in g.nodes() {
-            let mut loaded = false;
-            let mut touched = 0usize;
-            for &edge in restored {
-                if !loaded {
-                    if !self.restore_changes_column(g, weights, t, edge, &dist[self.column(t)]) {
-                        continue;
-                    }
-                    self.load_column(t, dist, ws);
-                    loaded = true;
-                }
-                touched += ws.repair_restore(g, t, weights, mask, edge);
-            }
-            if loaded {
-                self.store_column(t, touched, dist, ws, &mut stats);
-            } else {
+            let column = &dist[self.column(t)];
+            if !restored
+                .iter()
+                .any(|&edge| self.restore_changes_column(g, weights, t, edge, column))
+            {
                 stats.skipped_columns += 1;
+                continue;
             }
+            self.load_column(t, dist, ws);
+            let touched = ws.repair_restores(g, t, weights, mask, restored);
+            self.store_column(t, touched, dist, ws, &mut stats);
         }
         stats
     }
@@ -470,7 +475,7 @@ impl PlaneMut<'_> {
     /// it gives one endpoint a strictly shorter route through the other,
     /// or an equally short one that outranks the installed parent in the
     /// `(parent, edge)` tie-break. Exact, not conservative — the same
-    /// comparisons [`SpfWorkspace::repair_restore`] starts from, on the
+    /// comparisons [`SpfWorkspace::repair_restores`] starts from, on the
     /// two endpoints' entries of `dist`, the column's distances.
     fn restore_changes_column(
         &self,
@@ -502,8 +507,8 @@ impl PlaneMut<'_> {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Plane<'a> {
     n: usize,
-    next_hop: &'a [u32],
-    out_edge: &'a [u32],
+    next_hop: &'a [u16],
+    out_edge: &'a [u16],
 }
 
 impl<'a> Plane<'a> {
@@ -517,7 +522,7 @@ impl<'a> Plane<'a> {
     /// is [`NO_ROUTE`] for an uninstalled entry. No `Option` wrapping —
     /// batch walkers branch on the sentinel themselves.
     #[inline]
-    pub fn lookup_raw(&self, router: u32, dst: u32) -> (u32, u32) {
+    pub fn lookup_raw(&self, router: u32, dst: u32) -> (u16, u16) {
         let i = plane_idx(self.n, router as usize, dst as usize);
         (self.next_hop[i], self.out_edge[i])
     }
@@ -529,7 +534,7 @@ impl<'a> Plane<'a> {
         self.out_edge
             .iter()
             .filter(|&&e| e != NO_ROUTE)
-            .map(|&e| EdgeId(e))
+            .map(|&e| EdgeId(e.into()))
     }
 
     /// Typed lookup, same contract as [`SpliceFib::lookup`].
@@ -539,7 +544,7 @@ impl<'a> Plane<'a> {
         if nh == NO_ROUTE {
             None
         } else {
-            Some((NodeId(nh), EdgeId(e)))
+            Some((NodeId(nh.into()), EdgeId(e.into())))
         }
     }
 
@@ -590,9 +595,9 @@ impl Iterator for PlanePath<'_> {
         if nh == NO_ROUTE {
             return None;
         }
-        self.at = nh;
+        self.at = nh.into();
         self.hops += 1;
-        Some((NodeId(nh), EdgeId(e)))
+        Some((NodeId(self.at), EdgeId(e.into())))
     }
 }
 
@@ -601,7 +606,7 @@ impl Iterator for PlanePath<'_> {
 /// Layout: `plane(slice) → column(dst) → router`, i.e. entry
 /// `(slice, router, dst)` lives at `(slice·n + dst)·n + router`. The
 /// routers' entries toward one destination in one slice are therefore
-/// one contiguous run of `n` words per slab, and one slice's full table
+/// one contiguous run of `n` `u16` words per slab, and one slice's full table
 /// (a "plane") is a contiguous `n·n` block — which is what makes
 /// zero-copy k-prefix views possible. [`SpliceFib::lookup`] and
 /// [`SpliceFib::set`] speak `(slice, router, dst)`; only this module and
@@ -610,13 +615,21 @@ impl Iterator for PlanePath<'_> {
 pub struct SpliceFib {
     k: usize,
     n: usize,
-    next_hop: Box<[u32]>,
-    out_edge: Box<[u32]>,
+    next_hop: Box<[u16]>,
+    out_edge: Box<[u16]>,
 }
 
 impl SpliceFib {
     /// An arena for `k` slices over `n` routers with no installed entries.
+    ///
+    /// # Panics
+    /// Panics when `n` reaches 65,535: router ids must stay below
+    /// [`NO_ROUTE`].
     pub fn empty(k: usize, n: usize) -> SpliceFib {
+        assert!(
+            n < NO_ROUTE as usize,
+            "{n} routers exceed the arena's limit: node and edge ids must be below 65,535"
+        );
         let len = k * n * n;
         SpliceFib {
             k,
@@ -624,6 +637,21 @@ impl SpliceFib {
             next_hop: vec![NO_ROUTE; len].into_boxed_slice(),
             out_edge: vec![NO_ROUTE; len].into_boxed_slice(),
         }
+    }
+
+    /// An empty arena for `k` slices over `g`'s routers — the one a build
+    /// fills.
+    ///
+    /// # Panics
+    /// Panics when `g` has 65,535 or more routers or links: every id an
+    /// entry may hold must stay below [`NO_ROUTE`].
+    pub fn for_graph(k: usize, g: &Graph) -> SpliceFib {
+        let m = g.edge_count();
+        assert!(
+            m < NO_ROUTE as usize,
+            "{m} links exceed the arena's limit: node and edge ids must be below 65,535"
+        );
+        SpliceFib::empty(k, g.node_count())
     }
 
     #[inline]
@@ -641,7 +669,7 @@ impl SpliceFib {
         if nh == NO_ROUTE {
             None
         } else {
-            Some((NodeId(nh), EdgeId(self.out_edge[i])))
+            Some((NodeId(nh.into()), EdgeId(self.out_edge[i].into())))
         }
     }
 
@@ -670,14 +698,15 @@ impl SpliceFib {
     }
 
     /// Total arena footprint in bytes — the measured §4.2 state size.
-    /// Exactly `k · n² · 2 · 4` bytes: linear in k by construction.
+    /// Exactly `k · n² · 2 · 2` bytes (two `u16` words per entry): linear
+    /// in k by construction.
     pub fn state_bytes(&self) -> usize {
-        (self.next_hop.len() + self.out_edge.len()) * std::mem::size_of::<u32>()
+        (self.next_hop.len() + self.out_edge.len()) * std::mem::size_of::<u16>()
     }
 
     /// Bytes of a single slice plane (both slabs).
     pub fn plane_bytes(&self) -> usize {
-        2 * self.n * self.n * std::mem::size_of::<u32>()
+        2 * self.n * self.n * std::mem::size_of::<u16>()
     }
 
     /// Installed (non-sentinel) entries across the first `k_prefix`
@@ -799,9 +828,9 @@ impl SpliceFib {
     /// the batch-forwarding fast path: a walker precomputes one
     /// [`column_start`](SpliceFib::column_start) per packet and advances
     /// with a single add per hop, re-deriving the base only when the
-    /// packet switches slices.
+    /// packet switches slices, and widens each word it reads.
     #[inline]
-    pub fn slabs(&self) -> (&[u32], &[u32]) {
+    pub fn slabs(&self) -> (&[u16], &[u16]) {
         (&self.next_hop, &self.out_edge)
     }
 
@@ -949,9 +978,51 @@ mod tests {
         let a1 = SpliceFib::empty(1, n);
         let a4 = SpliceFib::empty(4, n);
         assert_eq!(a4.state_bytes(), 4 * a1.state_bytes());
-        assert_eq!(a1.state_bytes(), 2 * n * n * 4);
         assert_eq!(a1.plane_bytes(), a1.state_bytes());
         assert_eq!(a4.plane_bytes(), a1.state_bytes());
+    }
+
+    /// Two `u16` words per `(slice, router, dst)` entry: `k·n²·2·2`
+    /// bytes, 54,080 for Sprint's 52 routers at k = 5.
+    #[test]
+    fn state_bytes_are_two_u16_words_per_entry() {
+        for (k, n) in [(1, 7), (3, 11), (5, 52)] {
+            assert_eq!(SpliceFib::empty(k, n).state_bytes(), k * n * n * 2 * 2);
+        }
+        assert_eq!(SpliceFib::empty(5, 52).state_bytes(), 54_080);
+    }
+
+    #[test]
+    #[should_panic(expected = "65535 routers exceed the arena's limit")]
+    fn an_arena_over_65535_routers_is_rejected() {
+        SpliceFib::empty(1, 65_535);
+    }
+
+    /// Two routers joined by 65,535 parallel links: the last link's id
+    /// would be the sentinel, so the build refuses the graph up front.
+    #[test]
+    #[should_panic(expected = "65535 links exceed the arena's limit")]
+    fn a_graph_with_65535_links_is_rejected_when_its_arena_is_built() {
+        let g = from_edges(2, &vec![(0, 1, 1.0); 65_535]);
+        SpliceFib::for_graph(1, &g);
+    }
+
+    /// One link fewer fits, and every id below the sentinel round-trips.
+    #[test]
+    fn ids_up_to_65534_fit_an_entry() {
+        let g = from_edges(2, &vec![(0, 1, 1.0); 65_534]);
+        let mut arena = SpliceFib::for_graph(1, &g);
+        let top = Some((NodeId(1), EdgeId(65_534)));
+        arena.set(0, NodeId(0), NodeId(1), top);
+        assert_eq!(arena.lookup(0, NodeId(0), NodeId(1)), top);
+    }
+
+    /// A write of an id the words cannot hold panics; it never truncates.
+    #[test]
+    #[should_panic(expected = "id 65535 does not fit an arena entry")]
+    fn an_entry_is_never_truncated() {
+        let mut arena = SpliceFib::empty(1, 3);
+        arena.set(0, NodeId(0), NodeId(1), Some((NodeId(1), EdgeId(65_535))));
     }
 
     /// Rebuild `slice` from scratch under `weights`/`mask` and assert the
@@ -1075,10 +1146,9 @@ mod tests {
             let mut mask = EdgeMask::all_up(g.edge_count());
             let mut dist = fill_recording(&mut arena, 0, &g, &w, &mask, &mut ws);
             mask.fail(fail);
-            let stats =
-                arena
-                    .plane_mut(0)
-                    .patch_failures(&g, &w, &mask, &[fail], &mut dist, &mut ws);
+            let stats = arena
+                .plane_mut(0)
+                .patch_failures(&g, &w, &mask, &mut dist, &mut ws);
             assert_eq!(
                 stats.patched_columns + stats.skipped_columns,
                 g.node_count(),
@@ -1194,7 +1264,7 @@ mod tests {
                 0 => {
                     let e = EdgeId(step % 4);
                     mask.fail(e);
-                    plane.patch_failures(&g, &w, &mask, &[e], &mut dist, &mut ws)
+                    plane.patch_failures(&g, &w, &mask, &mut dist, &mut ws)
                 }
                 1 | 2 => {
                     let e = EdgeId(5 + step % 2);
@@ -1242,16 +1312,15 @@ mod tests {
         let mut mask = EdgeMask::all_up(g.edge_count());
         let dist = fill_recording(&mut direct, 0, &g, &w0, &mask, &mut ws);
         mask.fail(EdgeId(0));
-        let failed = [EdgeId(0)];
         let mut dist_direct = dist.clone();
         let stats_direct =
             direct
                 .plane_mut(0)
-                .patch_failures(&g, &w0, &mask, &failed, &mut dist_direct, &mut ws);
+                .patch_failures(&g, &w0, &mask, &mut dist_direct, &mut ws);
         let mut dist_plane = dist;
         let stats_plane = {
             let mut planes = via_planes.planes_mut();
-            planes[0].patch_failures(&g, &w0, &mask, &failed, &mut dist_plane, &mut ws)
+            planes[0].patch_failures(&g, &w0, &mask, &mut dist_plane, &mut ws)
         };
         assert_eq!(dist_plane, dist_direct);
         assert_eq!(stats_plane, stats_direct);
@@ -1288,7 +1357,8 @@ mod tests {
                 let run = (s * n + t) * n..(s * n + t + 1) * n;
                 for (u, (&nh, &oe)) in next_hop[run.clone()].iter().zip(&out_edge[run]).enumerate()
                 {
-                    let want = entry(s, u, t).map_or((NO_ROUTE, NO_ROUTE), |(nh, e)| (nh.0, e.0));
+                    let want = entry(s, u, t)
+                        .map_or((NO_ROUTE, NO_ROUTE), |(nh, e)| (nh.0 as u16, e.0 as u16));
                     assert_eq!((nh, oe), want, "slice {s} dst {t} router {u}");
                     assert_eq!(arena.plane(s).lookup_raw(u as u32, t as u32), want);
                     assert_eq!(

@@ -140,7 +140,7 @@ mod tests {
         let mask = EdgeMask::from_failed(g.edge_count(), &[failed]);
         let stats = fib
             .plane_mut(0)
-            .patch_failures(&g, &w, &mask, &[failed], &mut dist, &mut ws);
+            .patch_failures(&g, &w, &mask, &mut dist, &mut ws);
         assert!(stats.patched_columns > 0);
         // The repaired plane equals a from-scratch build on the failed
         // topology.

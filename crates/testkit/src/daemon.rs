@@ -246,6 +246,42 @@ mod tests {
         replay(&sc, &ReplayOptions::default()).expect("guarded replay stays divergence-free");
     }
 
+    /// A recovery coalesces like every other event: a `ControlPlane` fed
+    /// a churn schedule, then flushed once, runs exactly the passes
+    /// `schedule_to_batches` cuts at the same cap and lands on
+    /// `apply_batches`' result.
+    #[test]
+    fn control_plane_cuts_batches_where_the_batch_driver_does() {
+        use splice_core::slices::SplicingConfig;
+
+        for (name, k, seed) in [("abilene", 3, 41u64), ("sprint", 5, 42)] {
+            let g = splice_topology::resolve(name).unwrap().graph();
+            let base = Splicing::build(&g, &SplicingConfig::degree_based(k, 0.0, 3.0), seed);
+            let events = churn_schedule(&g, k, 400, seed);
+            let recoveries = events
+                .iter()
+                .filter(|e| matches!(e, ControlEvent::Recover(_)))
+                .count();
+            assert!(recoveries >= 20, "{name}: {recoveries} recoveries");
+            let weights: Vec<Vec<f64>> = (0..k).map(|s| base.weights(s).to_vec()).collect();
+            for cap in [1usize, 3, 16] {
+                let batches = schedule_to_batches(&weights, &events, cap);
+                let mut cp = ControlPlane::new(g.clone(), base.clone(), cap);
+                for ev in &events {
+                    cp.ingest(ev);
+                }
+                cp.flush();
+                let at = format!("{name} cap {cap}");
+                assert_eq!(cp.stats().repair_batches, batches.len() as u64, "{at}");
+                assert_eq!(
+                    fib_checksum(&g, cp.current()),
+                    fib_checksum(&g, &apply_batches(&g, &base, &batches)),
+                    "{at}"
+                );
+            }
+        }
+    }
+
     /// An empty schedule publishes nothing: epoch stays 0 and the
     /// subscriber keeps the primed base arena.
     #[test]
