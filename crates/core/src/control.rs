@@ -42,7 +42,7 @@
 //!
 //! ## Distances
 //!
-//! A delta pass repairs each column it patches from that column's SPF
+//! A delta repair patches each column it changes from that column's SPF
 //! distances. They live in the deployment ([`Splicing::distances`]):
 //! one `f64` per `(slice, router, dst)` entry, 108,160 bytes for Sprint
 //! at k = 5, recorded by the build and kept current by every pass. The
@@ -495,7 +495,7 @@ impl std::fmt::Debug for ControlPlane {
 /// `(slice, node, dst)` next hop plus the failed-edge set. Two
 /// deployments with equal checksums forward identically. This is the
 /// canonical acceptance oracle shared by the testkit's daemon
-/// differential test and `spliced`'s exit check.
+/// differential test and `splice daemon`'s exit check.
 pub fn fib_checksum(g: &Graph, sp: &Splicing) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -10,11 +10,14 @@
 //! A deployment of a strategy with delta repair carries its planes' SPF
 //! distances beside the arena, from its build on, and every repair reads
 //! and carries them forward ([`Splicing::distances`]); a control plane's
-//! are dropped when its event loop exits.
+//! are dropped when its event loop exits. A repair batch reaches each
+//! dirty plane as one delta ([`PlaneMut::patch`]): its failures and
+//! weight increases, then its restores and weight decreases, in one load
+//! and one write-back per changed column.
 
 use crate::perturb::PerturbationKind;
 use crate::strategy::{observed_fill, with_spf_workspace, StrategyKind};
-use splice_graph::dijkstra::{validate_weights, SpfWorkspace, WeightError};
+use splice_graph::dijkstra::{validate_weights, SpfDelta, SpfWorkspace, WeightError};
 use splice_graph::traversal::reverse_reachable;
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
 use splice_routing::arena::{DistanceMemo, PlaneMut, RepairStats, SpliceFib};
@@ -106,7 +109,9 @@ impl SplicingConfig {
 /// A full splicing deployment: `k` slices over one graph, with all
 /// forwarding state in one flat [`SpliceFib`] arena.
 ///
-/// The arena and the weight vectors are shared behind `Arc`s, so cloning
+/// The arena and the weight vectors (each slice's behind its own `Arc`,
+/// so a reweight copies only the vectors it changes) are shared behind
+/// `Arc`s, so cloning
 /// a `Splicing` — and, crucially, taking a [`Splicing::prefix`] view — is
 /// O(1) and copies no forwarding state.
 /// A strategy with delta repair also carries its planes' SPF distances,
@@ -116,7 +121,7 @@ pub struct Splicing {
     /// Slices visible through this handle (≤ planes built in `fib`).
     k: usize,
     /// Per-slice weight vectors for every *built* plane (shared).
-    weights: Arc<[Vec<f64>]>,
+    weights: Arc<[Arc<Vec<f64>>]>,
     /// The flat forwarding-state arena (shared).
     fib: Arc<SpliceFib>,
     /// Failed-link set the arena's state reflects (all-up for a fresh
@@ -160,7 +165,7 @@ impl Splicing {
         }
         Splicing {
             k: weights.len(),
-            weights: weights.into(),
+            weights: weights.into_iter().map(Arc::new).collect(),
             fib: Arc::new(fib),
             failed: Arc::new(failed),
             strategy: StrategyKind::PerturbedSpf,
@@ -271,7 +276,7 @@ impl Splicing {
                 observed_fill(
                     strategy, g, slice, seed, &w, &all_up, ws, plane, d, telemetry,
                 );
-                vectors.push(w);
+                vectors.push(Arc::new(w));
             }
             Ok(())
         })?;
@@ -385,21 +390,24 @@ impl Splicing {
     /// copy, since the rebuild overwrites every entry. The batch is first
     /// coalesced: failures and restores are folded, in order, into one
     /// net mask change (a fail/restore pair on one link cancels before
-    /// any SPF runs) and reweights dedup per `(slice, edge)`. Each dirty
-    /// slice then gets, in this order, one short reweight chain under the
-    /// pre-batch mask, one failure pass for all newly failed links, and
-    /// one restore pass for all restored links under the final mask (or,
-    /// for strategies without delta repair, one masked rebuild at the
-    /// final state), one plane after another on the calling thread with
-    /// its warm workspace — no thread is spawned. Also returned: what the
-    /// repair did — columns patched vs proven untouched and the total
-    /// re-relaxed frontier, folded across slices.
+    /// any SPF runs) and reweights dedup per `(slice, edge)`, each a raise
+    /// or a cut by its final value. Each dirty slice then gets one delta
+    /// repair ([`PlaneMut::patch`]), which loads and writes back each
+    /// column it changes once: the failures and raises first, under the
+    /// raise-only state (restored links still down, cut links at their
+    /// old weights), then the restores and cuts in one relaxation under
+    /// the final state. A strategy without delta repair gets one masked
+    /// rebuild at the final state instead. The planes are repaired one
+    /// after another on the calling thread with its warm workspace — no
+    /// thread is spawned. Also returned: what the repair did — columns
+    /// patched vs proven untouched and the total re-relaxed frontier,
+    /// folded across slices.
     ///
     /// The result is bit-identical to building from scratch on the
     /// post-batch topology, and therefore to absorbing the events one
     /// batch of one at a time (property-tested across every strategy):
-    /// every pass leaves a plane equal to a masked rebuild at its current
-    /// (weights, mask), and the deterministic tie-break makes parents a
+    /// each phase leaves a plane equal to a masked rebuild at its state,
+    /// and the deterministic tie-break makes parents a
     /// pure function of exact distances, so any event order that ends at
     /// the same final (weights, mask) ends at the same bytes. Batches
     /// stack: each starts from the mask the last one ended on (see
@@ -425,7 +433,7 @@ impl Splicing {
     /// no-op batch returns the spare unused (dropped), since the result
     /// shares this deployment's arena.
     ///
-    /// Delta passes load this deployment's distances and write what they
+    /// Delta repairs load this deployment's distances and write what they
     /// compute into a copy, which the result carries. The control plane
     /// runs the same engine on a deployment it holds alone, in place.
     pub fn try_repair_batch_recycling(
@@ -479,7 +487,7 @@ impl Splicing {
         // the result.
         let mut mask = (*self.failed).clone();
         let mut reweighted: Vec<Vec<EdgeId>> = vec![Vec::new(); self.k];
-        let mut final_weights: Option<Vec<Vec<f64>>> = None;
+        let mut final_weights: Option<Vec<Arc<Vec<f64>>>> = None;
         for event in events {
             match event {
                 RepairEvent::LinkFailure(e) => mask.fail(*e),
@@ -497,7 +505,7 @@ impl Splicing {
                     if !reweighted[*slice].contains(edge) {
                         reweighted[*slice].push(*edge);
                     }
-                    w[*slice][edge.index()] = *new_weight;
+                    Arc::make_mut(&mut w[*slice])[edge.index()] = *new_weight;
                 }
             }
         }
@@ -530,20 +538,20 @@ impl Splicing {
             .supports_delta_repair()
             .then(|| self.owned_distances(g));
 
-        // The failure pass runs before the restore pass, under the
-        // pre-batch mask plus the new failures.
-        let with_failures = (!restored.is_empty()).then(|| {
+        // The raise-only mask: the new failures in, restored links still
+        // down.
+        let raise_mask = (!restored.is_empty()).then(|| {
             let mut m = mask.clone();
             restored.iter().for_each(|e| m.fail(*e));
             m
         });
-        let delta = MaskDelta {
-            before: &self.failed,
-            with_failures: with_failures.as_ref().unwrap_or(&mask),
-            after: &mask,
-            newly_failed: &newly,
-            restored: &restored,
-        };
+        let mut delta = BatchDelta::new(
+            raise_mask.as_ref().unwrap_or(&mask),
+            &mask,
+            &newly,
+            &restored,
+            &reweighted,
+        );
 
         // A slice is dirty when the batch changed the topology (every
         // plane shares the mask) or it was reweighted. A strategy without
@@ -566,7 +574,10 @@ impl Splicing {
                 if !dirty(slice) {
                     continue;
                 }
-                let base_weights = &self.weights[slice];
+                let base_weights = &self.weights[slice][..];
+                let final_weights = final_weights
+                    .as_ref()
+                    .map_or(base_weights, |w| &w[slice][..]);
                 stats.absorb(repair_plane_batched(
                     g,
                     slice,
@@ -574,10 +585,7 @@ impl Splicing {
                     dist.as_mut().map(|d| d.plane_mut(slice)),
                     self.strategy,
                     self.seed,
-                    base_weights,
-                    final_weights.as_ref().map_or(base_weights, |w| &w[slice]),
-                    &reweighted[slice],
-                    delta,
+                    &delta.plane(base_weights, final_weights, &reweighted[slice]),
                     ws,
                     telemetry,
                 ));
@@ -602,7 +610,10 @@ impl Splicing {
             Some(Ok(memo)) if memo.k() == self.k => memo,
             Some(Ok(memo)) => memo.clone_prefix(self.k),
             Some(Err(shared)) => shared.clone_prefix(self.k),
-            None => DistanceMemo::fold(g, &self.fib, &self.weights[..self.k]),
+            None => {
+                let weights: Vec<&[f64]> = (0..self.k).map(|s| self.weights(s)).collect();
+                DistanceMemo::fold(g, &self.fib, &weights)
+            }
         }
     }
 
@@ -762,7 +773,7 @@ impl Splicing {
     /// §4.2's union formulation, as an edge indicator.
     pub fn union_edges(&self, k_prefix: usize) -> Vec<bool> {
         assert!(k_prefix >= 1 && k_prefix <= self.k());
-        let mut used = vec![false; self.weights[0].len()];
+        let mut used = vec![false; self.failed.len()];
         for slice in 0..k_prefix {
             for e in self.fib.plane(slice).used_edges() {
                 used[e.index()] = true;
@@ -775,7 +786,7 @@ impl Splicing {
     /// tractable diversity proxy, count the distinct (node, next-hop)
     /// pairs toward `dst` across the first `k_prefix` slices.
     pub fn diversity_toward(&self, dst: NodeId, k_prefix: usize) -> usize {
-        let mask = EdgeMask::all_up(self.weights[0].len());
+        let mask = EdgeMask::all_up(self.failed.len());
         self.successors_toward(dst, k_prefix, &mask)
             .iter()
             .map(|s| s.len())
@@ -795,29 +806,100 @@ fn masked_rebuild_stats(g: &Graph) -> RepairStats {
     }
 }
 
-/// What a coalesced batch does to the failure mask, shared by every
-/// plane: `with_failures` = `before` ∪ `newly_failed`, and `after` =
-/// `with_failures` ∖ `restored` is the batch's final mask.
-#[derive(Clone, Copy)]
-struct MaskDelta<'a> {
-    before: &'a EdgeMask,
-    with_failures: &'a EdgeMask,
-    after: &'a EdgeMask,
-    newly_failed: &'a [EdgeId],
+/// A coalesced batch as the planes' delta repairs read it: the raise-only
+/// and final masks and the failed and restored links, which every plane
+/// shares, and
+/// the scratch each plane's [`SpfDelta`] is assembled in — sized once per
+/// batch, so no plane allocates.
+struct BatchDelta<'a> {
+    raise_mask: &'a EdgeMask,
+    mask: &'a EdgeMask,
+    failed: &'a [EdgeId],
     restored: &'a [EdgeId],
+    raise_weights: Vec<f64>,
+    raised: Vec<EdgeId>,
+    lowered: Vec<EdgeId>,
 }
 
-/// Repair one plane against a coalesced batch: chain the slice's deduped
-/// reweights (each pass exact, under the pre-batch mask), then one
-/// failure pass for the whole union, then one restore pass under the
-/// final mask. Each pass leaves the plane equal to a masked rebuild at
-/// its (weights, mask). Rebuild-only strategies collapse to a single
-/// masked rebuild at the final state.
+impl<'a> BatchDelta<'a> {
+    /// `raise_mask` is `mask` with every link of `restored` still failed;
+    /// `failed` lists the links the batch took down, and `reweighted` each
+    /// slice's reweighted links.
+    fn new(
+        raise_mask: &'a EdgeMask,
+        mask: &'a EdgeMask,
+        failed: &'a [EdgeId],
+        restored: &'a [EdgeId],
+        reweighted: &[Vec<EdgeId>],
+    ) -> BatchDelta<'a> {
+        let most = reweighted.iter().map(Vec::len).max().unwrap_or(0);
+        BatchDelta {
+            raise_mask,
+            mask,
+            failed,
+            restored,
+            raise_weights: Vec::new(),
+            raised: Vec::with_capacity(most),
+            lowered: Vec::with_capacity(restored.len() + most),
+        }
+    }
+
+    /// The delta of one slice whose weights went from `base` to `fin`,
+    /// differing only on `reweighted`: each reweight is a raise or a cut
+    /// by its final value, and the raise-only weights are `fin` with
+    /// every cut undone (`fin` itself when the slice has no cut).
+    fn plane<'s>(
+        &'s mut self,
+        base: &[f64],
+        fin: &'s [f64],
+        reweighted: &[EdgeId],
+    ) -> SpfDelta<'s> {
+        self.raised.clear();
+        self.lowered.clear();
+        self.lowered.extend_from_slice(self.restored);
+        let mut cut = false;
+        for &e in reweighted {
+            let (old, new) = (base[e.index()], fin[e.index()]);
+            if new > old {
+                self.raised.push(e);
+            } else if new < old {
+                cut = true;
+                // A restored link is in `lowered` already, and one that
+                // ends the batch down improves nothing.
+                if self.raise_mask.is_up(e) {
+                    self.lowered.push(e);
+                }
+            }
+        }
+        let raise_weights = if cut {
+            self.raise_weights.clear();
+            self.raise_weights.extend_from_slice(fin);
+            for &e in reweighted {
+                self.raise_weights[e.index()] = base[e.index()].max(fin[e.index()]);
+            }
+            &self.raise_weights
+        } else {
+            fin
+        };
+        SpfDelta {
+            raise_weights,
+            raise_mask: self.raise_mask,
+            weights: fin,
+            mask: self.mask,
+            failed: self.failed,
+            raised: &self.raised,
+            lowered: &self.lowered,
+        }
+    }
+}
+
+/// Repair one plane against a coalesced batch: one delta repair of every
+/// column the batch can have changed ([`PlaneMut::patch`]), observed as
+/// one pass. Rebuild-only strategies get one masked rebuild at the
+/// batch's final state instead, observed as the fill it is.
 ///
-/// `final_weights` must already hold every reweight's final value (it
-/// aliases `base_weights` when the slice was not reweighted). `dist` is
-/// the plane's distances, read and kept current by the delta passes;
-/// it is there exactly when the strategy has delta repair.
+/// `dist` is the plane's distances, read and kept current by the delta
+/// repair; it is there exactly when the strategy has delta repair.
 #[allow(clippy::too_many_arguments)]
 fn repair_plane_batched(
     g: &Graph,
@@ -826,14 +908,10 @@ fn repair_plane_batched(
     dist: Option<&mut [f64]>,
     strategy: StrategyKind,
     seed: u64,
-    base_weights: &[f64],
-    final_weights: &[f64],
-    reweighted: &[EdgeId],
-    delta: MaskDelta<'_>,
+    delta: &SpfDelta<'_>,
     ws: &mut SpfWorkspace,
     telemetry: Option<&SpfTelemetry>,
 ) -> RepairStats {
-    let mut stats = RepairStats::default();
     let Some(dist) = dist else {
         // One masked rebuild at the batch's final (weights, mask) — by
         // the determinism contract this equals folding the events.
@@ -842,50 +920,25 @@ fn repair_plane_batched(
             g,
             slice,
             seed,
-            final_weights,
-            delta.after,
+            delta.weights,
+            delta.mask,
             ws,
             plane,
             None,
             telemetry,
         );
-        stats.absorb(masked_rebuild_stats(g));
-        return stats;
+        return masked_rebuild_stats(g);
     };
-    if !reweighted.is_empty() {
-        // Walk the cumulative weight vector from pre-batch to final,
-        // one exact delta pass per reweighted edge. The mask stays the
-        // pre-batch one; failures and restores land afterwards.
-        let mut cur = base_weights.to_vec();
-        for &edge in reweighted {
-            let old = cur[edge.index()];
-            cur[edge.index()] = final_weights[edge.index()];
-            stats.absorb(observed_pass(telemetry, "patch_reweight", slice, || {
-                plane.patch_reweight(g, &cur, delta.before, edge, old, dist, ws)
-            }));
-        }
-    }
-    if !delta.newly_failed.is_empty() {
-        stats.absorb(observed_pass(telemetry, "patch_failures", slice, || {
-            plane.patch_failures(g, final_weights, delta.with_failures, dist, ws)
-        }));
-    }
-    if !delta.restored.is_empty() {
-        stats.absorb(observed_pass(telemetry, "patch_restore", slice, || {
-            plane.patch_restores(g, final_weights, delta.after, delta.restored, dist, ws)
-        }));
-    }
-    stats
+    observed_patch(telemetry, slice, || plane.patch(g, delta, dist, ws))
 }
 
-/// Run one delta pass over plane `slice` and, with `telemetry`, observe
-/// it the way [`observed_fill`] observes a fill: one
+/// Run plane `slice`'s delta repair and, with `telemetry`, observe it
+/// the way [`observed_fill`] observes a fill: one
 /// `splice_spf_repair_seconds` and one `splice_spf_repair_frontier`
-/// sample and one `repair/<pass>` flight event. Entries are bit-identical
+/// sample and one `repair/patch` flight event. Entries are bit-identical
 /// either way.
-fn observed_pass(
+fn observed_patch(
     telemetry: Option<&SpfTelemetry>,
-    pass: &'static str,
     slice: usize,
     patch: impl FnOnce() -> RepairStats,
 ) -> RepairStats {
@@ -898,7 +951,7 @@ fn observed_pass(
     tel.spf_repair_frontier.record(stats.frontier_nodes as u64);
     if let Some(flight) = &tel.flight {
         flight.record(
-            FlightEvent::new("repair", pass)
+            FlightEvent::new("repair", "patch")
                 .field("slice", slice as u64)
                 .field("frontier", stats.frontier_nodes as u64)
                 .field("patched", stats.patched_columns as u64)
@@ -1328,7 +1381,7 @@ mod tests {
         // One per-plane repair event per slice follows the trigger.
         let planes = events
             .iter()
-            .filter(|e| e.event.kind == "repair" && e.event.name == "patch_failures")
+            .filter(|e| e.event.kind == "repair" && e.event.name == "patch")
             .count();
         assert_eq!(planes, 2);
     }
@@ -1386,9 +1439,9 @@ mod tests {
         let passes = rec
             .snapshot()
             .iter()
-            .filter(|e| e.event.kind == "repair" && e.event.name == "patch_restore")
+            .filter(|e| e.event.kind == "repair" && e.event.name == "patch")
             .count();
-        assert_eq!(passes, 3, "one restore pass per plane, nothing else");
+        assert_eq!(passes, 3, "one delta repair per plane, nothing else");
         assert_eq!(tel.spf_repair_seconds.count(), 3);
         // Restoring the last link lands back on the fresh build's bytes;
         // restoring it again is free.
@@ -1709,7 +1762,7 @@ mod tests {
                 // The engine repairs every plane on the calling thread, one
                 // warm workspace for all k. The fan-out it replaced — two
                 // workers, a cold workspace each, planes dealt round-robin
-                // through the same per-plane passes — must land on the same
+                // through the same per-plane repair — must land on the same
                 // bytes having done the same work.
                 let (before, after) = (start.failed_mask(), batched.failed_mask());
                 let newly: Vec<EdgeId> =
@@ -1717,15 +1770,8 @@ mod tests {
                 let restored: Vec<EdgeId> =
                     before.failed_edges().filter(|&e| after.is_up(e)).collect();
                 assert_eq!(restored, [EdgeId(9)]);
-                let mut with_failures = after.clone();
-                restored.iter().for_each(|&e| with_failures.fail(e));
-                let delta = MaskDelta {
-                    before,
-                    with_failures: &with_failures,
-                    after,
-                    newly_failed: &newly,
-                    restored: &restored,
-                };
+                let mut raise_mask = after.clone();
+                restored.iter().for_each(|&e| raise_mask.fail(e));
                 let reweighted: Vec<Vec<EdgeId>> = (0..k)
                     .map(|s| {
                         g.edge_ids()
@@ -1735,7 +1781,8 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                let reweighted = &reweighted;
+                let (reweighted, raise_mask) = (&reweighted, &raise_mask);
+                let (newly, restored) = (&newly, &restored);
                 let mut fanned = start.arena().clone_prefix(k);
                 let mut jobs = [Vec::new(), Vec::new()];
                 for (slice, plane) in fanned.planes_mut().into_iter().enumerate() {
@@ -1748,6 +1795,8 @@ mod tests {
                             scope.spawn(|| {
                                 let mut ws = SpfWorkspace::new();
                                 let mut dist = start.distances().map(|d| d.clone_prefix(k));
+                                let mut delta =
+                                    BatchDelta::new(raise_mask, after, newly, restored, reweighted);
                                 let mut local = RepairStats::default();
                                 for (slice, mut plane) in job {
                                     local.absorb(repair_plane_batched(
@@ -1757,10 +1806,11 @@ mod tests {
                                         dist.as_mut().map(|d| d.plane_mut(slice)),
                                         strategy,
                                         start.build_seed(),
-                                        start.weights(slice),
-                                        batched.weights(slice),
-                                        &reweighted[slice],
-                                        delta,
+                                        &delta.plane(
+                                            start.weights(slice),
+                                            batched.weights(slice),
+                                            &reweighted[slice],
+                                        ),
                                         &mut ws,
                                         None,
                                     ));

@@ -53,9 +53,9 @@
 //! Strategies compute; this crate observes. A plane fill — at build time
 //! or as a repair's rebuild — is timed in one place (`observed_fill`:
 //! one `splice_spf_seconds` sample, one `fill/<strategy>` flight event),
-//! and the repair engine times each delta pass the same way (one
-//! `splice_spf_repair_{seconds,frontier}` sample, one `repair/<pass>`
-//! event).
+//! and the repair engine times each plane's delta repair the same way
+//! (one `splice_spf_repair_{seconds,frontier}` sample, one
+//! `repair/patch` event).
 
 use crate::slices::SplicingConfig;
 use splice_graph::dijkstra::SpfWorkspace;
@@ -410,9 +410,9 @@ mod tests {
 
     /// SPF work is observed in one place, the same way for every
     /// strategy: each filled plane adds exactly one `splice_spf_seconds`
-    /// sample and one `fill/<strategy>` flight event, each delta pass one
-    /// `splice_spf_repair_*` sample and one `repair/<pass>` event — and
-    /// observing never changes a table.
+    /// sample and one `fill/<strategy>` flight event, each delta-repaired
+    /// plane one `splice_spf_repair_*` sample and one `repair/patch`
+    /// event — and observing never changes a table.
     #[test]
     fn every_fill_and_delta_pass_is_observed_once() {
         use crate::slices::RepairEvent;
@@ -444,7 +444,7 @@ mod tests {
         }
 
         // One batch failing a link, restoring another and reweighting
-        // slice 1: the delta engine runs every pass on every dirty plane.
+        // slice 1: the delta engine repairs each dirty plane once.
         let batch = |sp: &Splicing| {
             [
                 RepairEvent::LinkFailure(EdgeId(3)),
@@ -469,18 +469,9 @@ mod tests {
             .filter(|e| e.event.kind == "repair")
             .map(|e| (e.event.name, e.event.fields[0].1))
             .collect();
-        assert_eq!(
-            passes,
-            [
-                ("patch_failures", 0),
-                ("patch_restore", 0),
-                ("patch_reweight", 1),
-                ("patch_failures", 1),
-                ("patch_restore", 1),
-            ]
-        );
-        assert_eq!(tel.spf_repair_seconds.count(), 5);
-        assert_eq!(tel.spf_repair_frontier.count(), 5);
+        assert_eq!(passes, [("patch", 0), ("patch", 1)]);
+        assert_eq!(tel.spf_repair_seconds.count(), 2);
+        assert_eq!(tel.spf_repair_frontier.count(), 2);
         assert_eq!(tel.spf_seconds.count(), 0, "a delta pass is not a fill");
         assert!(reg
             .render_prometheus()

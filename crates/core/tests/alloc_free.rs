@@ -1,9 +1,10 @@
 //! A warm repair allocates nothing per plane or per column: forest fills
-//! and the delta-SPF passes run in per-thread scratch that is sized once
+//! and the delta-SPF repair run in per-thread scratch that is sized once
 //! and reused, so the repair path of a long-running control plane never
 //! reaches the allocator for them. A pass through the batch engine
 //! allocates as often at any k: one copy of the distances when it shares
-//! them, never one per plane. Checked at the allocator itself rather
+//! them and one raise-only weight vector when a slice has a cut, never
+//! one per plane. Checked at the allocator itself rather
 //! than at each buffer's capacity — a buffer that regrows allocates, and
 //! so would any temporary nobody thought to list.
 //!
@@ -11,7 +12,7 @@
 
 use splice_core::slices::{RepairEvent, Splicing, SplicingConfig};
 use splice_core::strategy::StrategyKind;
-use splice_graph::{EdgeId, EdgeMask, Graph, SpfWorkspace};
+use splice_graph::{EdgeId, EdgeMask, Graph, SpfDelta, SpfWorkspace};
 use splice_routing::{RepairStats, SpliceFib};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -108,21 +109,51 @@ fn warm_delta_repairs_do_not_allocate() {
     let mut plane = fib.plane_mut(1);
     let mut memo = sp.distances().expect("a built delta deployment").clone();
     let dist = memo.plane_mut(1);
-    let mut w = sp.weights(1).to_vec();
+    let w = sp.weights(1).to_vec();
+    let e = EdgeId(5);
+    let mut dearer = w.clone();
+    dearer[e.index()] *= 4.0;
     let down = [EdgeId(1), EdgeId(70), EdgeId(71)];
     let (failed, up) = (EdgeMask::from_failed(m, &down), EdgeMask::all_up(m));
-    let (e, w0) = (EdgeId(5), w[5]);
+    let edge = [e];
+    // Fail; restore and reweight up in one batch; reweight down: the
+    // plane ends where it started, so every cycle after the first does
+    // identical work.
+    let batches = [
+        SpfDelta {
+            raise_weights: &w,
+            raise_mask: &failed,
+            weights: &w,
+            mask: &failed,
+            failed: &down,
+            raised: &[],
+            lowered: &[],
+        },
+        SpfDelta {
+            raise_weights: &dearer,
+            raise_mask: &failed,
+            weights: &dearer,
+            mask: &up,
+            failed: &[],
+            raised: &edge,
+            lowered: &down,
+        },
+        SpfDelta {
+            raise_weights: &dearer,
+            raise_mask: &up,
+            weights: &w,
+            mask: &up,
+            failed: &[],
+            raised: &[],
+            lowered: &edge,
+        },
+    ];
     let mut ws = SpfWorkspace::new();
-    // Fail, restore, reweight up, reweight down: the plane ends where it
-    // started, so every cycle after the first does identical work.
     let mut cycle = || {
         let mut stats = RepairStats::default();
-        stats.absorb(plane.patch_failures(&g, &w, &failed, dist, &mut ws));
-        stats.absorb(plane.patch_restores(&g, &w, &up, &down, dist, &mut ws));
-        w[e.index()] = w0 * 4.0;
-        stats.absorb(plane.patch_reweight(&g, &w, &up, e, w0, dist, &mut ws));
-        w[e.index()] = w0;
-        stats.absorb(plane.patch_reweight(&g, &w, &up, e, w0 * 4.0, dist, &mut ws));
+        for delta in &batches {
+            stats.absorb(plane.patch(&g, delta, dist, &mut ws));
+        }
         stats
     };
     cycle();
@@ -141,16 +172,27 @@ fn warm_delta_repairs_do_not_allocate() {
     assert!(&memo == sp.distances().unwrap(), "and so do its distances");
 }
 
-/// Allocator calls on this thread for each pass of a fail / fail+restore
-/// / restore cycle through the batch engine, on a recycled arena, after
-/// one warm-up cycle.
+/// Allocator calls on this thread for each pass of a fail /
+/// fail+restore+raise / restore+cut cycle through the batch engine, on a
+/// recycled arena, after one warm-up cycle. The cut is slice 1's, so the
+/// raise-only weights it needs are built once per batch at any k.
 fn engine_pass_allocations(g: &Graph, k: usize) -> Vec<u64> {
     let sp = Splicing::build(g, &SplicingConfig::degree_based(k, 0.0, 3.0), 42);
-    let (a, b) = (EdgeId(1), EdgeId(70));
+    let (a, b, e) = (EdgeId(1), EdgeId(70), EdgeId(5));
+    let reweight = |new_weight| RepairEvent::SliceReweight {
+        slice: 1,
+        edge: e,
+        new_weight,
+    };
+    let w = sp.weights(1)[e.index()];
     let batches = [
         vec![RepairEvent::LinkFailure(a)],
-        vec![RepairEvent::LinkFailure(b), RepairEvent::LinkRestore(a)],
-        vec![RepairEvent::LinkRestore(b)],
+        vec![
+            RepairEvent::LinkFailure(b),
+            RepairEvent::LinkRestore(a),
+            reweight(w * 4.0),
+        ],
+        vec![RepairEvent::LinkRestore(b), reweight(w)],
     ];
     let mut calls = Vec::new();
     for round in 0..2 {

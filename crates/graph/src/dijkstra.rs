@@ -126,6 +126,37 @@ pub struct SpfWorkspace {
     stack: Vec<u32>,
 }
 
+/// One batch of link changes, as a delta repair reads it: the tree's
+/// inputs in two states, and the links that moved.
+///
+/// The *raise-only* state applies the batch's failures and weight
+/// increases and nothing else: restored links are still down, and
+/// decreased links keep their old weights. So no link is better in it
+/// than before the batch, and it differs from that only on `failed` and
+/// `raised`; the final state differs from it only on `lowered`, each of
+/// which is better. [`SpfWorkspace::repair`] runs one phase in each
+/// state.
+#[derive(Clone, Copy, Debug)]
+pub struct SpfDelta<'a> {
+    /// The raise-only weights: the final ones with every decreased link
+    /// at its old value.
+    pub raise_weights: &'a [f64],
+    /// The raise-only mask: the final one with every restored link still
+    /// failed.
+    pub raise_mask: &'a EdgeMask,
+    /// The batch's final weights.
+    pub weights: &'a [f64],
+    /// The batch's final mask.
+    pub mask: &'a EdgeMask,
+    /// The links the batch failed: up before it, down in `raise_mask`.
+    pub failed: &'a [EdgeId],
+    /// The links whose weight went up.
+    pub raised: &'a [EdgeId],
+    /// The links restored or made cheaper that are up in the final mask,
+    /// each once.
+    pub lowered: &'a [EdgeId],
+}
+
 /// `mark` value: the node's tree chain avoids every affected edge, so its
 /// distance and parent are provably unchanged by the event.
 const MARK_CLEAN: u8 = 1;
@@ -341,13 +372,10 @@ impl SpfWorkspace {
     }
 
     /// Classify every node as clean or dirty by walking its parent chain:
-    /// dirty if the chain passes through a node for which `dirty_root`
-    /// returns true (chains are memoized, so this is O(n) total). Returns
-    /// the dirty count.
-    fn mark_dirty_subtrees<F>(&mut self, root: NodeId, dirty_root: F) -> usize
-    where
-        F: Fn(usize, Option<(NodeId, EdgeId)>) -> bool,
-    {
+    /// dirty if the chain crosses a tree link `hit` picks (chains are
+    /// memoized, so this is O(n) total). Returns the dirty count.
+    fn mark_dirty_subtrees(&mut self, root: NodeId, hit: impl Fn(EdgeId) -> bool) -> usize {
+        let hits = |p: Option<(NodeId, EdgeId)>| p.is_some_and(|(_, e)| hit(e));
         let n = self.parent.len();
         self.mark.clear();
         self.mark.resize(n, 0);
@@ -366,12 +394,12 @@ impl SpfWorkspace {
                 }
                 chain.push(u as u32);
                 assert!(chain.len() <= n, "parent pointers contain a cycle");
-                if dirty_root(u, self.parent[u]) {
+                if hits(self.parent[u]) {
                     break MARK_DIRTY;
                 }
                 match self.parent[u] {
                     Some((p, _)) => u = p.index(),
-                    // Unreachable before the event; stays untouched.
+                    // Unreachable before the batch; stays untouched.
                     None => break MARK_CLEAN,
                 }
             };
@@ -418,138 +446,67 @@ impl SpfWorkspace {
         self.drain(g, weights, Some(mask));
     }
 
-    /// Incrementally repair the loaded tree after some links went down.
-    /// `mask` is the *new* cumulative failure mask (the newly failed links
-    /// already failed); the workspace must hold the tree that was correct
-    /// immediately before the event (via [`Self::run`], [`Self::load_tree`],
-    /// or a previous repair).
+    /// Incrementally repair the loaded tree after one batch of link
+    /// changes, `delta` (see [`SpfDelta`]). The workspace must hold the
+    /// tree that was correct before the batch (via [`Self::run`],
+    /// [`Self::load_tree`], [`Self::load_known`] or a previous repair).
+    /// Returns the number of re-relaxed nodes, the repair frontier: the
+    /// nodes phase 1 reset, plus the nodes whose distance phase 2
+    /// lowered or, when it lowered none, whose parent it moved.
     ///
-    /// That tree uses only links that were up before the event, so a tree
-    /// edge failed in `mask` is exactly a newly failed one: the dirty test
-    /// is one mask bit per chain link, however many links the batch
-    /// failed. Only the subtrees hanging below such an edge are
-    /// recomputed; every other node's distance and parent are provably
-    /// unchanged. Returns the number of affected (re-relaxed) nodes — the
-    /// repair frontier.
-    pub fn repair_failures(
-        &mut self,
-        g: &Graph,
-        root: NodeId,
-        weights: &[f64],
-        mask: &EdgeMask,
-    ) -> usize {
-        assert_eq!(
-            weights.len(),
-            g.edge_count(),
-            "weight vector length must equal edge count"
-        );
+    /// *Phase 1*, under the raise-only state, unless `failed` and `raised`
+    /// are both empty: every node whose tree chain crosses a link failed
+    /// in `raise_mask` or listed in `raised` is reset and reseeded. That
+    /// tree used only links that were up before the batch, so such a link
+    /// is one the batch failed or made dearer.
+    /// No link is better in the raise-only state than before the batch,
+    /// so every other node keeps its distance and parent. Under the final
+    /// state that would not hold — a restored or cheaper link can shorten
+    /// a chain that crosses no raised link — which is why phase 1 must
+    /// not see them.
+    ///
+    /// *Phase 2*, under the final state: the final state differs from the
+    /// raise-only one only on `lowered`, each of them better, so one
+    /// relaxation over that set ([`Self::relax_improved_edges`]) finishes
+    /// the repair. Each phase leaves the tree a fresh masked run computes
+    /// at its state, bit for bit.
+    ///
+    /// # Panics
+    /// Panics if a weight vector's length is not the edge count, the
+    /// workspace holds no tree for `g`, or a `lowered` link is failed in
+    /// the final mask.
+    pub fn repair(&mut self, g: &Graph, root: NodeId, delta: &SpfDelta<'_>) -> usize {
+        for weights in [delta.raise_weights, delta.weights] {
+            assert_eq!(
+                weights.len(),
+                g.edge_count(),
+                "weight vector length must equal edge count"
+            );
+        }
         assert_eq!(
             self.dist.len(),
             g.node_count(),
             "workspace does not hold a tree for this graph"
         );
-        let dirty =
-            self.mark_dirty_subtrees(root, |_, p| matches!(p, Some((_, e)) if mask.is_failed(e)));
+        let raised = |e: EdgeId| delta.raise_mask.is_failed(e) || delta.raised.contains(&e);
+        let dirty = if delta.failed.is_empty() && delta.raised.is_empty() {
+            0
+        } else {
+            self.mark_dirty_subtrees(root, raised)
+        };
         if dirty > 0 {
-            self.reseed_dirty(g, weights, mask);
+            self.reseed_dirty(g, delta.raise_weights, delta.raise_mask);
         }
-        dirty
-    }
-
-    /// Incrementally repair the loaded tree after `edge`'s weight changed
-    /// from `old_weight` to `weights[edge]` (`weights` is the full *new*
-    /// vector). The workspace must hold the tree that was correct under
-    /// the old weights and `mask`. Returns the number of nodes whose
-    /// distance or parent changed.
-    ///
-    /// Weight increases repair the failed-link way: only the subtree below
-    /// `edge` (when it is a tree edge) is re-relaxed; an increase on a
-    /// non-tree edge is a complete no-op. Weight decreases propagate
-    /// strict improvements outward from `edge` and then recompute the
-    /// canonical parent wherever a distance changed — parents are a pure
-    /// function of exact distances under the deterministic tie-break, so
-    /// this too matches a full rebuild bit for bit.
-    pub fn repair_reweight(
-        &mut self,
-        g: &Graph,
-        root: NodeId,
-        weights: &[f64],
-        mask: &EdgeMask,
-        edge: EdgeId,
-        old_weight: f64,
-    ) -> usize {
-        assert_eq!(
-            weights.len(),
-            g.edge_count(),
-            "weight vector length must equal edge count"
-        );
-        assert_eq!(
-            self.dist.len(),
-            g.node_count(),
-            "workspace does not hold a tree for this graph"
-        );
-        let new_w = weights[edge.index()];
-        assert!(
-            new_w.is_finite() && new_w > 0.0,
-            "weight {new_w} on {edge:?} must be positive and finite"
-        );
-        if mask.is_failed(edge) || new_w == old_weight {
-            return 0;
-        }
-        let (eu, ev) = (g.edge(edge).u, g.edge(edge).v);
-        if new_w > old_weight {
-            // Increase: affects shortest paths only when `edge` carries
-            // tree traffic, i.e. one endpoint's parent pointer crosses it.
-            let child = if self.parent[eu.index()] == Some((ev, edge)) {
-                Some(eu)
-            } else if self.parent[ev.index()] == Some((eu, edge)) {
-                Some(ev)
-            } else {
-                None
-            };
-            let Some(x) = child else { return 0 };
-            let dirty = self.mark_dirty_subtrees(root, |u, _| u == x.index());
-            self.reseed_dirty(g, weights, mask);
+        if delta.lowered.is_empty() {
             return dirty;
         }
-        self.relax_improved_edges(g, root, weights, mask, &[edge])
-    }
-
-    /// Incrementally repair the loaded tree after the links in `restored`
-    /// came back up. `mask` is the *new* failure mask (with every link of
-    /// `restored` already up); the workspace must hold the tree that was
-    /// correct under `weights` while they were all still down. Returns the
-    /// number of nodes whose distance changed, or, when none did, whose
-    /// parent did.
-    ///
-    /// A restored link is a weight decrease from +∞: it can only improve
-    /// distances, re-attach a component that was cut off, or win the
-    /// `(parent, edge)` tie-break at one of its endpoints — the same
-    /// relaxation [`Self::repair_reweight`] runs for a cheaper link, run
-    /// once for the whole set, so the result matches a full rebuild bit
-    /// for bit.
-    pub fn repair_restores(
-        &mut self,
-        g: &Graph,
-        root: NodeId,
-        weights: &[f64],
-        mask: &EdgeMask,
-        restored: &[EdgeId],
-    ) -> usize {
-        assert_eq!(
-            weights.len(),
-            g.edge_count(),
-            "weight vector length must equal edge count"
-        );
-        assert_eq!(
-            self.dist.len(),
-            g.node_count(),
-            "workspace does not hold a tree for this graph"
-        );
-        for &edge in restored {
-            assert!(mask.is_up(edge), "{edge:?} must be up in the new mask");
+        for &edge in delta.lowered {
+            assert!(
+                delta.mask.is_up(edge),
+                "{edge:?} must be up in the final mask"
+            );
         }
-        self.relax_improved_edges(g, root, weights, mask, restored)
+        dirty + self.relax_improved_edges(g, root, delta.weights, delta.mask, delta.lowered)
     }
 
     /// Every link of `edges` just got better — cheaper, or back up — and
@@ -640,11 +597,14 @@ impl SpfWorkspace {
     }
 
     /// Lower `v`'s distance to `nd` if that is a strict improvement,
-    /// queueing it and recording it as changed the first time.
+    /// queueing it and recording it as changed the first time. A node the
+    /// relaxation reaches is settled, as after a full run, so a later
+    /// repair of this tree reseeds from it.
     #[inline]
     fn lower(&mut self, v: NodeId, nd: f64) {
         if nd.total_cmp(&self.dist[v.index()]) == Ordering::Less {
             self.dist[v.index()] = nd;
+            self.settled[v.index()] = true;
             self.heap.push(HeapEntry { dist: nd, node: v });
             if self.mark[v.index()] & MARK_DIRTY == 0 {
                 self.mark[v.index()] |= MARK_DIRTY;
@@ -880,6 +840,69 @@ mod tests {
         assert!(msg.contains("weight vector length"), "{msg}");
     }
 
+    /// A batch that only failed the links of `failed`: `mask` already
+    /// has them failed, and both states are `(w, mask)`.
+    fn failures<'a>(w: &'a [f64], mask: &'a EdgeMask, failed: &'a [EdgeId]) -> SpfDelta<'a> {
+        SpfDelta {
+            raise_weights: w,
+            raise_mask: mask,
+            weights: w,
+            mask,
+            failed,
+            raised: &[],
+            lowered: &[],
+        }
+    }
+
+    /// Repair the loaded tree after `e`'s weight moved from `old[e]` to
+    /// `new[e]` (the vectors differ nowhere else), every link of `mask`
+    /// staying as it is.
+    fn reweight(
+        ws: &mut SpfWorkspace,
+        g: &Graph,
+        root: NodeId,
+        (old, new): (&[f64], &[f64]),
+        mask: &EdgeMask,
+        e: EdgeId,
+    ) -> usize {
+        let edge = [e];
+        let up = new[e.index()] > old[e.index()];
+        let down = new[e.index()] < old[e.index()];
+        let delta = SpfDelta {
+            raise_weights: if down { old } else { new },
+            raise_mask: mask,
+            weights: new,
+            mask,
+            failed: &[],
+            raised: if up { &edge } else { &[] },
+            lowered: if down { &edge } else { &[] },
+        };
+        ws.repair(g, root, &delta)
+    }
+
+    /// Repair the loaded tree, correct under `w` with `before` failed,
+    /// after the links of `restored` came back up (`after` is `before`
+    /// without them).
+    fn restores(
+        ws: &mut SpfWorkspace,
+        g: &Graph,
+        root: NodeId,
+        w: &[f64],
+        (before, after): (&EdgeMask, &EdgeMask),
+        restored: &[EdgeId],
+    ) -> usize {
+        let delta = SpfDelta {
+            raise_weights: w,
+            raise_mask: before,
+            weights: w,
+            mask: after,
+            failed: &[],
+            raised: &[],
+            lowered: restored,
+        };
+        ws.repair(g, root, &delta)
+    }
+
     /// Assert the workspace holds exactly the tree a fresh masked run
     /// computes: distances and parents, bit for bit.
     fn assert_matches_fresh(
@@ -921,8 +944,8 @@ mod tests {
                 let (mut folded, mut known) = (SpfWorkspace::new(), SpfWorkspace::new());
                 folded.load_tree(&g, root, &w, |u| fresh.parent[u]);
                 known.load_known(root, &fresh.dist, |u| fresh.parent[u]);
-                folded.repair_failures(&g, root, &w, &mask);
-                known.repair_failures(&g, root, &w, &mask);
+                folded.repair(&g, root, &failures(&w, &mask, &[e]));
+                known.repair(&g, root, &failures(&w, &mask, &[e]));
                 assert_eq!(known.parents(), folded.parents());
                 let bits = |ws: &SpfWorkspace| -> Vec<u64> {
                     ws.distances().iter().map(|d| d.to_bits()).collect()
@@ -952,7 +975,7 @@ mod tests {
                 ws.run(&g, root, &w, None);
                 let mut mask = EdgeMask::all_up(g.edge_count());
                 mask.fail(e);
-                ws.repair_failures(&g, root, &w, &mask);
+                ws.repair(&g, root, &failures(&w, &mask, &[e]));
                 assert_matches_fresh(&ws, &g, root, &w, &mask);
             }
         }
@@ -969,7 +992,7 @@ mod tests {
         assert_eq!(ws.parents()[3], Some((NodeId(1), EdgeId(2))));
         let mut mask = EdgeMask::all_up(g.edge_count());
         mask.fail(EdgeId(2));
-        ws.repair_failures(&g, NodeId(0), &w, &mask);
+        ws.repair(&g, NodeId(0), &failures(&w, &mask, &[EdgeId(2)]));
         assert_eq!(ws.parents()[3], Some((NodeId(2), EdgeId(3))));
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
     }
@@ -994,10 +1017,10 @@ mod tests {
         ws.run(&g, NodeId(0), &w, None);
         let mut mask = EdgeMask::all_up(g.edge_count());
         mask.fail(EdgeId(0));
-        ws.repair_failures(&g, NodeId(0), &w, &mask);
+        ws.repair(&g, NodeId(0), &failures(&w, &mask, &[EdgeId(0)]));
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
         mask.fail(EdgeId(4));
-        ws.repair_failures(&g, NodeId(0), &w, &mask);
+        ws.repair(&g, NodeId(0), &failures(&w, &mask, &[EdgeId(4)]));
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
     }
 
@@ -1009,7 +1032,7 @@ mod tests {
         ws.run(&g, NodeId(2), &w, None);
         let mut mask = EdgeMask::all_up(2);
         mask.fail(EdgeId(1));
-        let frontier = ws.repair_failures(&g, NodeId(2), &w, &mask);
+        let frontier = ws.repair(&g, NodeId(2), &failures(&w, &mask, &[EdgeId(1)]));
         assert_eq!(frontier, 2, "both 0 and 1 hang below the failed link");
         assert_matches_fresh(&ws, &g, NodeId(2), &w, &mask);
         assert_eq!(ws.distances()[0], f64::INFINITY);
@@ -1027,7 +1050,7 @@ mod tests {
         assert_eq!(ws.parents()[2], Some((NodeId(3), EdgeId(3))));
         let mut mask = EdgeMask::all_up(g.edge_count());
         mask.fail(EdgeId(2));
-        let frontier = ws.repair_failures(&g, NodeId(3), &w, &mask);
+        let frontier = ws.repair(&g, NodeId(3), &failures(&w, &mask, &[EdgeId(2)]));
         assert_eq!(frontier, 0);
         assert_matches_fresh(&ws, &g, NodeId(3), &w, &mask);
     }
@@ -1043,7 +1066,7 @@ mod tests {
                 new_w[e.index()] *= 7.5;
                 let mut ws = SpfWorkspace::new();
                 ws.run(&g, root, &old, None);
-                ws.repair_reweight(&g, root, &new_w, &mask, e, old[e.index()]);
+                reweight(&mut ws, &g, root, (&old, &new_w), &mask, e);
                 assert_matches_fresh(&ws, &g, root, &new_w, &mask);
             }
         }
@@ -1060,7 +1083,7 @@ mod tests {
                 new_w[e.index()] *= 0.25;
                 let mut ws = SpfWorkspace::new();
                 ws.run(&g, root, &old, None);
-                ws.repair_reweight(&g, root, &new_w, &mask, e, old[e.index()]);
+                reweight(&mut ws, &g, root, (&old, &new_w), &mask, e);
                 assert_matches_fresh(&ws, &g, root, &new_w, &mask);
             }
         }
@@ -1079,19 +1102,19 @@ mod tests {
         new_w[2] = 1.0; // 0-2 now 1.0: path 0-2-3 costs 3.0, ties 0-1-3
         let mut ws = SpfWorkspace::new();
         ws.run(&g, NodeId(3), &old, None);
-        ws.repair_reweight(&g, NodeId(3), &new_w, &mask, EdgeId(2), old[2]);
+        reweight(&mut ws, &g, NodeId(3), (&old, &new_w), &mask, EdgeId(2));
         assert_matches_fresh(&ws, &g, NodeId(3), &new_w, &mask);
     }
 
     #[test]
-    fn repair_reweight_same_weight_is_noop() {
+    fn repair_same_weight_is_noop() {
         let g = diamond();
         let mask = EdgeMask::all_up(g.edge_count());
         let w = g.base_weights();
         let mut ws = SpfWorkspace::new();
         ws.run(&g, NodeId(0), &w, None);
         assert_eq!(
-            ws.repair_reweight(&g, NodeId(0), &w, &mask, EdgeId(1), w[1]),
+            reweight(&mut ws, &g, NodeId(0), (&w, &w), &mask, EdgeId(1)),
             0
         );
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
@@ -1110,8 +1133,9 @@ mod tests {
         assert_eq!(down.parent[3], Some((NodeId(2), EdgeId(3))));
         let mut ws = SpfWorkspace::new();
         ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
+        let before = mask.clone();
         mask.restore(EdgeId(2));
-        let touched = ws.repair_restores(&g, NodeId(0), &w, &mask, &[EdgeId(2)]);
+        let touched = restores(&mut ws, &g, NodeId(0), &w, (&before, &mask), &[EdgeId(2)]);
         assert_eq!(touched, 1, "only node 3 re-picks its parent");
         assert_eq!(ws.distances(), &down.dist[..], "no distance moved");
         assert_eq!(ws.parents()[3], Some((NodeId(1), EdgeId(2))));
@@ -1131,9 +1155,10 @@ mod tests {
         assert_eq!(down.parent[3], Some((NodeId(2), EdgeId(1))));
         let mut ws = SpfWorkspace::new();
         ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
+        let before = mask.clone();
         mask.restore(EdgeId(3));
         assert_eq!(
-            ws.repair_restores(&g, NodeId(0), &w, &mask, &[EdgeId(3)]),
+            restores(&mut ws, &g, NodeId(0), &w, (&before, &mask), &[EdgeId(3)]),
             1
         );
         assert_eq!(ws.distances()[3], down.dist[3], "3's distance stays");
@@ -1153,8 +1178,9 @@ mod tests {
         assert_eq!(down.parent[3], None);
         let mut ws = SpfWorkspace::new();
         ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
+        let before = mask.clone();
         mask.restore(EdgeId(1));
-        let touched = ws.repair_restores(&g, NodeId(0), &w, &mask, &[EdgeId(1)]);
+        let touched = restores(&mut ws, &g, NodeId(0), &w, (&before, &mask), &[EdgeId(1)]);
         assert_eq!(touched, 2, "both cut-off nodes come back");
         assert_eq!(ws.distances()[3], 3.0);
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
@@ -1164,9 +1190,10 @@ mod tests {
         mask.fail(EdgeId(2));
         let down = dijkstra_masked(&g, NodeId(0), &w, &mask);
         ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
+        let before = mask.clone();
         mask.restore(EdgeId(2));
         assert_eq!(
-            ws.repair_restores(&g, NodeId(0), &w, &mask, &[EdgeId(2)]),
+            restores(&mut ws, &g, NodeId(0), &w, (&before, &mask), &[EdgeId(2)]),
             0
         );
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
@@ -1182,8 +1209,9 @@ mod tests {
                 mask.fail(e);
                 let mut ws = SpfWorkspace::new();
                 ws.run(&g, root, &w, Some(&mask));
+                let before = mask.clone();
                 mask.restore(e);
-                ws.repair_restores(&g, root, &w, &mask, &[e]);
+                restores(&mut ws, &g, root, &w, (&before, &mask), &[e]);
                 assert_matches_fresh(&ws, &g, root, &w, &mask);
             }
         }

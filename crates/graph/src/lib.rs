@@ -54,7 +54,9 @@ pub mod unionfind;
 pub mod yen;
 
 pub use crate::graph::{Edge, Graph, GraphBuilder};
-pub use dijkstra::{dijkstra, dijkstra_masked, validate_weights, SpfWorkspace, WeightError};
+pub use dijkstra::{
+    dijkstra, dijkstra_masked, validate_weights, SpfDelta, SpfWorkspace, WeightError,
+};
 pub use failover::arc_diverse_parents;
 pub use ids::{EdgeId, NodeId};
 pub use mask::EdgeMask;

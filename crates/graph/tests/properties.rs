@@ -8,11 +8,14 @@ use splice_graph::bellman_ford::bellman_ford;
 use splice_graph::maxflow::{edge_connectivity_st, global_edge_connectivity};
 use splice_graph::mincut::min_cut_links;
 use splice_graph::traversal::{components, connected, disconnected_pairs, reachable_from};
-use splice_graph::{dijkstra, dijkstra_masked, EdgeId, EdgeMask, NodeId, SpfWorkspace, UnionFind};
+use splice_graph::{
+    dijkstra, dijkstra_masked, EdgeId, EdgeMask, Graph, NodeId, Rng, SpfDelta, SpfWorkspace,
+    UnionFind,
+};
 // The random-graph generators live in the shared testkit so every
 // crate's property suite draws from the same distributions.
 use splice_testkit::run_cases;
-use splice_testkit::strategies::{multigraph, multigraph_with_mask, vec_of};
+use splice_testkit::strategies::{multigraph, multigraph_with_mask, random_mask, vec_of};
 
 /// Dijkstra and Bellman–Ford agree on every distance.
 #[test]
@@ -132,6 +135,102 @@ fn disconnected_pairs_consistent() {
     });
 }
 
+/// One batch of link changes over `g`, as [`SpfWorkspace::repair`]
+/// reads it: the raise-only state, the final state, and the links that
+/// were raised and lowered between them.
+struct Batch {
+    raise_weights: Vec<f64>,
+    raise_mask: EdgeMask,
+    weights: Vec<f64>,
+    mask: EdgeMask,
+    failed: Vec<EdgeId>,
+    raised: Vec<EdgeId>,
+    lowered: Vec<EdgeId>,
+}
+
+impl Batch {
+    /// The batch that takes `(w, mask)` to `(weights, after)`.
+    fn between(w: &[f64], mask: &EdgeMask, weights: Vec<f64>, after: EdgeMask) -> Batch {
+        let edges = || (0..w.len() as u32).map(EdgeId);
+        let restored = |e: EdgeId| mask.is_failed(e) && after.is_up(e);
+        let mut raise_mask = after.clone();
+        edges()
+            .filter(|&e| restored(e))
+            .for_each(|e| raise_mask.fail(e));
+        let raise_weights = w.iter().zip(&weights).map(|(a, b)| a.max(*b)).collect();
+        let raised = edges().filter(|e| weights[e.index()] > w[e.index()]);
+        let cheaper = |e: EdgeId| weights[e.index()] < w[e.index()] && raise_mask.is_up(e);
+        Batch {
+            failed: edges()
+                .filter(|&e| mask.is_up(e) && after.is_failed(e))
+                .collect(),
+            raised: raised.collect(),
+            lowered: edges().filter(|&e| restored(e) || cheaper(e)).collect(),
+            raise_weights,
+            raise_mask,
+            weights,
+            mask: after,
+        }
+    }
+
+    fn delta(&self) -> SpfDelta<'_> {
+        SpfDelta {
+            raise_weights: &self.raise_weights,
+            raise_mask: &self.raise_mask,
+            weights: &self.weights,
+            mask: &self.mask,
+            failed: &self.failed,
+            raised: &self.raised,
+            lowered: &self.lowered,
+        }
+    }
+}
+
+/// Draw the next batch from `(w, mask)`, in one of four shapes: links
+/// failed, one link reweighted by a real factor, one link restored, or
+/// a mix where every link may be failed or restored and reweighted to a
+/// small integer, so a batch holds increases and decreases together and
+/// reweighted links that also fail or come back.
+fn next_batch(g: &Graph, w: &[f64], mask: &EdgeMask, rng: &mut Rng) -> Batch {
+    let (mut weights, mut after) = (w.to_vec(), mask.clone());
+    let pick = |rng: &mut Rng| EdgeId(rng.gen_range(0..g.edge_count() as u32));
+    match rng.gen_range(0..4u32) {
+        0 => g
+            .edge_ids()
+            .filter(|_| rng.gen_bool(0.3))
+            .for_each(|e| after.fail(e)),
+        1 => {
+            let e = pick(rng);
+            weights[e.index()] *= if rng.gen_bool(0.5) {
+                rng.gen_range_f64(0.1..0.9)
+            } else {
+                rng.gen_range_f64(1.0..8.0)
+            };
+        }
+        2 => {
+            let down: Vec<EdgeId> = mask.failed_edges().collect();
+            if !down.is_empty() {
+                after.restore(down[rng.gen_range(0..down.len())]);
+            }
+        }
+        _ => {
+            for e in g.edge_ids() {
+                if rng.gen_bool(0.3) {
+                    if after.is_up(e) {
+                        after.fail(e);
+                    } else {
+                        after.restore(e);
+                    }
+                }
+                if rng.gen_bool(0.4) {
+                    weights[e.index()] = rng.gen_range(1..=4u32) as f64;
+                }
+            }
+        }
+    }
+    Batch::between(w, mask, weights, after)
+}
+
 /// Delta-SPF repair after failing a random edge subset is bit-identical
 /// — distances by `total_cmp`, parents exactly — to a from-scratch
 /// masked run, for every root.
@@ -140,12 +239,13 @@ fn repair_failures_matches_rebuild() {
     run_cases(128, |rng| {
         let (g, mask) = multigraph_with_mask(rng);
         let w = g.base_weights();
+        let batch = Batch::between(&w, &EdgeMask::all_up(g.edge_count()), w.clone(), mask);
         let mut ws = SpfWorkspace::new();
         let mut fresh = SpfWorkspace::new();
         for root in g.nodes() {
             ws.run(&g, root, &w, None);
-            ws.repair_failures(&g, root, &w, &mask);
-            fresh.run(&g, root, &w, Some(&mask));
+            ws.repair(&g, root, &batch.delta());
+            fresh.run(&g, root, &w, Some(&batch.mask));
             for i in 0..g.node_count() {
                 assert!(
                     ws.distances()[i].total_cmp(&fresh.distances()[i]).is_eq(),
@@ -183,12 +283,13 @@ fn repair_reweight_matches_rebuild() {
         let mut new_w = old_w.clone();
         new_w[e.index()] = old_w[e.index()] * factor;
         let mask = EdgeMask::all_up(g.edge_count());
+        let batch = Batch::between(&old_w, &mask, new_w, mask.clone());
         let mut ws = SpfWorkspace::new();
         let mut fresh = SpfWorkspace::new();
         for root in g.nodes() {
             ws.run(&g, root, &old_w, Some(&mask));
-            ws.repair_reweight(&g, root, &new_w, &mask, e, old_w[e.index()]);
-            fresh.run(&g, root, &new_w, Some(&mask));
+            ws.repair(&g, root, &batch.delta());
+            fresh.run(&g, root, &batch.weights, Some(&mask));
             for i in 0..g.node_count() {
                 assert!(
                     ws.distances()[i].total_cmp(&fresh.distances()[i]).is_eq(),
@@ -208,6 +309,105 @@ fn repair_reweight_matches_rebuild() {
             }
         }
     });
+}
+
+/// Delta-SPF restore of a failed edge — on a tree reloaded from
+/// parent pointers, the way a FIB column is — is bit-identical to a
+/// from-scratch masked run, one restored edge after another until the
+/// mask is empty. Weights are small integers so equal-cost routes
+/// (and with them the `(parent, edge)` tie-break) are the common
+/// case, not the exception.
+#[test]
+fn repair_restore_matches_rebuild() {
+    run_cases(128, |rng| {
+        let (g, failed) = multigraph_with_mask(rng);
+        let picks = vec_of(rng, 30..=30, |r| r.gen_range(1..=3u8));
+        let w: Vec<f64> = (0..g.edge_count())
+            .map(|i| picks[i % picks.len()] as f64)
+            .collect();
+        let mut ws = SpfWorkspace::new();
+        for root in g.nodes() {
+            let mut mask = failed.clone();
+            let before = dijkstra_masked(&g, root, &w, &mask);
+            ws.load_tree(&g, root, &w, |u| before.parent[u]);
+            for e in failed.failed_edges() {
+                let down = mask.clone();
+                mask.restore(e);
+                let batch = Batch::between(&w, &down, w.clone(), mask.clone());
+                ws.repair(&g, root, &batch.delta());
+                let fresh = dijkstra_masked(&g, root, &w, &mask);
+                for i in 0..g.node_count() {
+                    assert!(
+                        ws.distances()[i].total_cmp(&fresh.dist[i]).is_eq(),
+                        "dist mismatch at node {} of root {:?} after restoring {:?}: {} vs {}",
+                        i,
+                        root,
+                        e,
+                        ws.distances()[i],
+                        fresh.dist[i]
+                    );
+                    assert_eq!(
+                        ws.parents()[i],
+                        fresh.parent[i],
+                        "parent mismatch at node {} of root {:?} after restoring {:?}",
+                        i,
+                        root,
+                        e
+                    );
+                }
+            }
+        }
+    });
+}
+
+/// One delta repair per batch, on a tree loaded the way a FIB column is,
+/// is bit-identical — distances by `to_bits`, parents exactly — to a
+/// fresh masked run at the batch's final state, for every root, over
+/// four stacked batches. Weights start as small integers, so equal-cost
+/// routes and the `(parent, edge)` tie-break are common. The batches
+/// cover failures alone, one reweight either way, one restore, and
+/// mixes with a raise and a cut in one batch and reweighted links that
+/// fail or come back in it; the mixes must have drawn each overlap.
+#[test]
+fn a_mixed_batch_repairs_like_a_fresh_run() {
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut seen = [0usize; 3];
+    run_cases(256, |rng| {
+        let g = multigraph(rng);
+        let mut w: Vec<f64> = g
+            .edge_ids()
+            .map(|_| rng.gen_range(1..=3u32) as f64)
+            .collect();
+        let mut mask = random_mask(&g, rng);
+        let mut trees: Vec<SpfWorkspace> = g
+            .nodes()
+            .map(|root| {
+                let start = dijkstra_masked(&g, root, &w, &mask);
+                let mut ws = SpfWorkspace::new();
+                ws.load_known(root, &start.dist, |u| start.parent[u]);
+                ws
+            })
+            .collect();
+        for step in 0..4 {
+            let batch = next_batch(&g, &w, &mask, rng);
+            let reweighted = |e: &EdgeId| batch.weights[e.index()] != w[e.index()];
+            let failed = |e: &EdgeId| mask.is_up(*e) && batch.mask.is_failed(*e);
+            let restored = |e: &EdgeId| mask.is_failed(*e) && batch.mask.is_up(*e);
+            seen[0] += g.edge_ids().any(|e| reweighted(&e) && failed(&e)) as usize;
+            seen[1] += g.edge_ids().any(|e| reweighted(&e) && restored(&e)) as usize;
+            seen[2] +=
+                (!batch.raised.is_empty() && batch.lowered.iter().any(|e| !restored(e))) as usize;
+            for (root, ws) in g.nodes().zip(&mut trees) {
+                ws.repair(&g, root, &batch.delta());
+                let fresh = dijkstra_masked(&g, root, &batch.weights, &batch.mask);
+                let at = format!("step {step}, root {root:?}");
+                assert_eq!(bits(ws.distances()), bits(&fresh.dist), "{at}");
+                assert_eq!(ws.parents(), &fresh.parent[..], "{at}");
+            }
+            (w, mask) = (batch.weights, batch.mask);
+        }
+    });
+    assert!(seen.iter().all(|&n| n >= 20), "overlaps drawn: {seen:?}");
 }
 
 /// Restoring a set of links in one relaxation is bit-identical — distances
@@ -238,9 +438,24 @@ fn restoring_a_link_set_in_one_relaxation_matches_rebuild_and_one_at_a_time() {
         for root in g.nodes() {
             let down = dijkstra_masked(&g, root, &w, &before);
             let fresh = dijkstra_masked(&g, root, &w, &after);
+            let restore = |ws: &mut SpfWorkspace,
+                           before: &EdgeMask,
+                           after: &EdgeMask,
+                           restored: &[EdgeId]| {
+                let delta = SpfDelta {
+                    raise_weights: &w,
+                    raise_mask: before,
+                    weights: &w,
+                    mask: after,
+                    failed: &[],
+                    raised: &[],
+                    lowered: restored,
+                };
+                ws.repair(&g, root, &delta)
+            };
             let mut set = SpfWorkspace::new();
             set.load_known(root, &down.dist, |u| down.parent[u]);
-            set.repair_restores(&g, root, &w, &after, restored);
+            restore(&mut set, &before, &after, restored);
             let at = format!("root {root:?}, restored {restored:?}");
             assert_eq!(bits(set.distances()), bits(&fresh.dist), "{at}");
             assert_eq!(set.parents(), &fresh.parent[..], "{at}");
@@ -249,58 +464,12 @@ fn restoring_a_link_set_in_one_relaxation_matches_rebuild_and_one_at_a_time() {
             one.load_known(root, &down.dist, |u| down.parent[u]);
             let mut mask = before.clone();
             for &e in restored {
+                let down = mask.clone();
                 mask.restore(e);
-                one.repair_restores(&g, root, &w, &mask, &[e]);
+                restore(&mut one, &down, &mask, &[e]);
             }
             assert_eq!(bits(one.distances()), bits(set.distances()), "{at}");
             assert_eq!(one.parents(), set.parents(), "{at}");
-        }
-    });
-}
-
-/// Delta-SPF restore of a failed edge — on a tree reloaded from
-/// parent pointers, the way a FIB column is — is bit-identical to a
-/// from-scratch masked run, one restored edge after another until the
-/// mask is empty. Weights are small integers so equal-cost routes
-/// (and with them the `(parent, edge)` tie-break) are the common
-/// case, not the exception.
-#[test]
-fn repair_restore_matches_rebuild() {
-    run_cases(128, |rng| {
-        let (g, failed) = multigraph_with_mask(rng);
-        let picks = vec_of(rng, 30..=30, |r| r.gen_range(1..=3u8));
-        let w: Vec<f64> = (0..g.edge_count())
-            .map(|i| picks[i % picks.len()] as f64)
-            .collect();
-        let mut ws = SpfWorkspace::new();
-        for root in g.nodes() {
-            let mut mask = failed.clone();
-            let before = dijkstra_masked(&g, root, &w, &mask);
-            ws.load_tree(&g, root, &w, |u| before.parent[u]);
-            for e in failed.failed_edges() {
-                mask.restore(e);
-                ws.repair_restores(&g, root, &w, &mask, &[e]);
-                let fresh = dijkstra_masked(&g, root, &w, &mask);
-                for i in 0..g.node_count() {
-                    assert!(
-                        ws.distances()[i].total_cmp(&fresh.dist[i]).is_eq(),
-                        "dist mismatch at node {} of root {:?} after restoring {:?}: {} vs {}",
-                        i,
-                        root,
-                        e,
-                        ws.distances()[i],
-                        fresh.dist[i]
-                    );
-                    assert_eq!(
-                        ws.parents()[i],
-                        fresh.parent[i],
-                        "parent mismatch at node {} of root {:?} after restoring {:?}",
-                        i,
-                        root,
-                        e
-                    );
-                }
-            }
         }
     });
 }

@@ -28,9 +28,13 @@
 //! `SpliceFib` is the only table type in the workspace: the protocol
 //! simulator and every slice construction fill planes of one directly,
 //! through [`PlaneMut`], and a caller that only needs one slice's path
-//! reads it down one column through [`Plane::path`].
+//! reads it down one column through [`Plane::path`]. A plane is written
+//! whole by one fill ([`PlaneMut::fill`]) and repaired by one delta call
+//! per batch of link changes ([`PlaneMut::patch`]), which loads and
+//! writes back each column it changes once, whatever mix of failures,
+//! restores and reweights the batch holds.
 
-use splice_graph::dijkstra::SpfWorkspace;
+use splice_graph::dijkstra::{SpfDelta, SpfWorkspace};
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -108,7 +112,7 @@ impl DistanceMemo {
     /// weights ([`SpfWorkspace::load_tree`]) — bit for bit what the fills
     /// and repairs that produced the columns computed. O(k·n²); for a
     /// deployment assembled from explicit parts, which has none recorded.
-    pub fn fold(g: &Graph, fib: &SpliceFib, weights: &[Vec<f64>]) -> DistanceMemo {
+    pub fn fold(g: &Graph, fib: &SpliceFib, weights: &[&[f64]]) -> DistanceMemo {
         let n = fib.n();
         let mut memo = DistanceMemo::new(weights.len(), n);
         let mut ws = SpfWorkspace::new();
@@ -140,8 +144,8 @@ impl DistanceMemo {
     }
 
     /// Plane `slice`'s `n·n` distances, destination-major like the
-    /// arena's plane: the fill's output and the `PlaneMut::patch_*`
-    /// passes' input.
+    /// arena's plane: what [`PlaneMut::fill`] records and
+    /// [`PlaneMut::patch`] reads and keeps current.
     pub fn plane_mut(&mut self, slice: usize) -> &mut [f64] {
         let len = self.n * self.n;
         &mut self.dist[slice * len..(slice + 1) * len]
@@ -181,9 +185,9 @@ fn store(next_hop: &mut u16, out_edge: &mut u16, entry: Option<(NodeId, EdgeId)>
 /// Planes are contiguous and non-overlapping, so
 /// [`SpliceFib::planes_mut`] can hand out every slice at once — this is
 /// the unit the batched repair engine works in, one plane after another.
-/// This is the only write API for a plane: every fill and patch lives
-/// here, and the arena itself writes single entries only
-/// ([`SpliceFib::set`]).
+/// This is the only write API for a plane: one whole-plane fill, one
+/// delta repair per batch, and the column writes both are made of; the
+/// arena itself writes single entries only ([`SpliceFib::set`]).
 #[derive(Debug)]
 pub struct PlaneMut<'a> {
     n: usize,
@@ -354,130 +358,76 @@ impl PlaneMut<'_> {
         }
     }
 
-    /// Incrementally repair this plane after some links went down.
-    /// `mask` is the new cumulative failure mask (the newly failed links
-    /// already failed) and `weights` the slice's weight vector; the plane
-    /// must hold the forwarding state that was correct immediately before
-    /// the event, and `dist` its distances (the plane's `n·n`, see
+    /// Incrementally repair this plane after one batch of link changes:
+    /// `delta` (see [`SpfDelta`]) in this slice's weights. The plane must
+    /// hold the forwarding state that was correct before the batch, and
+    /// `dist` its distances (the plane's `n·n`, see
     /// [`DistanceMemo::plane_mut`]).
     ///
-    /// That state routes only over links that were up before, so an
-    /// installed out-edge failed in `mask` is a newly failed one. Columns
-    /// that use none are skipped after an O(n) scan of mask bits — their
-    /// entries are provably unchanged, however many links the batch
-    /// failed. Touched columns are loaded into `ws`, repaired via
-    /// [`SpfWorkspace::repair_failures`], and written back whole, their
-    /// distances into `dist`.
-    pub fn patch_failures(
+    /// Each column is loaded into `ws`, repaired
+    /// ([`SpfWorkspace::repair`]) and written back whole, its distances
+    /// into `dist`, at most once per batch; a column the batch provably
+    /// leaves as it is is skipped. The probe that decides is exact, on
+    /// the column as installed: a lowered link that shortens a route or
+    /// wins a tie-break in it (two distances per link), or, when the batch
+    /// failed or raised any link, an installed out-edge that is failed in
+    /// the raise-only mask or was raised (one O(n) scan). A column with
+    /// neither stands through phase 1, and phase 2 then has nothing to
+    /// improve; a column with only the first skips phase 1.
+    pub fn patch(
         &mut self,
         g: &Graph,
-        weights: &[f64],
-        mask: &EdgeMask,
+        delta: &SpfDelta<'_>,
         dist: &mut [f64],
         ws: &mut SpfWorkspace,
     ) -> RepairStats {
         self.assert_shape(g, dist);
         let mut stats = RepairStats::default();
+        let raises = !delta.failed.is_empty() || !delta.raised.is_empty();
+        // A column whose tree crosses no failed or raised link stands
+        // through phase 1, so it is repaired with neither listed.
+        let lowers_only = SpfDelta {
+            failed: &[],
+            raised: &[],
+            ..*delta
+        };
         for t in g.nodes() {
-            if !self.column_uses(t, |e| mask.is_failed(e)) {
-                stats.skipped_columns += 1;
-                continue;
-            }
-            self.load_column(t, dist, ws);
-            let touched = ws.repair_failures(g, t, weights, mask);
-            self.store_column(t, touched, dist, ws, &mut stats);
-        }
-        stats
-    }
-
-    /// Incrementally repair this plane after `edge`'s weight changed from
-    /// `old_weight` to `weights[edge]` (`weights` is the slice's new
-    /// vector; `dist` as in [`PlaneMut::patch_failures`], holding
-    /// pre-event distances). Weight increases skip columns that do not
-    /// route over `edge`; decreases probe every column, but a probe that
-    /// changes nothing costs one relaxation and skips the write-back.
-    #[allow(clippy::too_many_arguments)]
-    pub fn patch_reweight(
-        &mut self,
-        g: &Graph,
-        weights: &[f64],
-        mask: &EdgeMask,
-        edge: EdgeId,
-        old_weight: f64,
-        dist: &mut [f64],
-        ws: &mut SpfWorkspace,
-    ) -> RepairStats {
-        self.assert_shape(g, dist);
-        let increase = weights[edge.index()] > old_weight;
-        let mut stats = RepairStats::default();
-        for t in g.nodes() {
-            // An increase on a link a column does not route over cannot
-            // change that column; a decrease can improve any column.
-            if increase && !self.column_uses(t, |e| e == edge) {
-                stats.skipped_columns += 1;
-                continue;
-            }
-            self.load_column(t, dist, ws);
-            let touched = ws.repair_reweight(g, t, weights, mask, edge, old_weight);
-            self.store_column(t, touched, dist, ws, &mut stats);
-        }
-        stats
-    }
-
-    /// Incrementally repair this plane after the links in `restored` came
-    /// back up. `mask` is the new failure mask (with `restored` already
-    /// up) and `weights` the slice's weight vector; the plane must hold
-    /// the forwarding state that was correct under `weights` while those
-    /// links were still down, and `dist` its distances.
-    ///
-    /// A restored link can improve any column, so every column is
-    /// probed once for the whole set — but the probe reads two distances
-    /// per link, not a tree load: a column is loaded into `ws` only when
-    /// some restored link shortens a route or wins a tie-break in it,
-    /// then the whole set is relaxed at once
-    /// ([`SpfWorkspace::repair_restores`]) and the column is written back
-    /// once.
-    pub fn patch_restores(
-        &mut self,
-        g: &Graph,
-        weights: &[f64],
-        mask: &EdgeMask,
-        restored: &[EdgeId],
-        dist: &mut [f64],
-        ws: &mut SpfWorkspace,
-    ) -> RepairStats {
-        self.assert_shape(g, dist);
-        let mut stats = RepairStats::default();
-        for t in g.nodes() {
+            let raised = raises
+                && self.column_uses(t, |e| {
+                    delta.raise_mask.is_failed(e) || delta.raised.contains(&e)
+                });
             let column = &dist[self.column(t)];
-            if !restored
-                .iter()
-                .any(|&edge| self.restore_changes_column(g, weights, t, edge, column))
+            if !raised
+                && !delta
+                    .lowered
+                    .iter()
+                    .any(|&edge| self.lowers_column(g, delta.weights, t, edge, column))
             {
                 stats.skipped_columns += 1;
                 continue;
             }
             self.load_column(t, dist, ws);
-            let touched = ws.repair_restores(g, t, weights, mask, restored);
+            let touched = ws.repair(g, t, if raised { delta } else { &lowers_only });
             self.store_column(t, touched, dist, ws, &mut stats);
         }
         stats
     }
 
-    /// The delta passes' shape check: a plane over `g`'s routers, and
+    /// The delta repair's shape check: a plane over `g`'s routers, and
     /// one distance per entry.
     fn assert_shape(&self, g: &Graph, dist: &[f64]) {
         assert_eq!(self.n, g.node_count(), "plane built for a different graph");
         assert_eq!(dist.len(), self.n * self.n, "one distance per plane entry");
     }
 
-    /// Whether bringing `edge` up changes the `dst` column as installed:
-    /// it gives one endpoint a strictly shorter route through the other,
-    /// or an equally short one that outranks the installed parent in the
-    /// `(parent, edge)` tie-break. Exact, not conservative — the same
-    /// comparisons [`SpfWorkspace::repair_restores`] starts from, on the
-    /// two endpoints' entries of `dist`, the column's distances.
-    fn restore_changes_column(
+    /// Whether `edge`, up and now cheaper at `weights[edge]` than the
+    /// column was built with (or back up), changes the `dst` column as
+    /// installed: it gives one endpoint a strictly shorter route through
+    /// the other, or an equally short one that outranks the installed
+    /// parent in the `(parent, edge)` tie-break. Exact, not conservative
+    /// — the comparisons [`SpfWorkspace::repair`]'s phase 2 starts from,
+    /// on the two endpoints' entries of `dist`, the column's distances.
+    fn lowers_column(
         &self,
         g: &Graph,
         weights: &[f64],
@@ -906,11 +856,7 @@ mod tests {
         w: &[f64],
         dist: &[f64],
     ) {
-        let folded = DistanceMemo::fold(
-            g,
-            &arena.clone_prefix(slice + 1),
-            &vec![w.to_vec(); slice + 1],
-        );
+        let folded = DistanceMemo::fold(g, &arena.clone_prefix(slice + 1), &vec![w; slice + 1]);
         let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for t in g.nodes() {
             let n = g.node_count();
@@ -1136,19 +1082,66 @@ mod tests {
         assert_eq!(patched, direct);
     }
 
+    /// Patch `plane` for the batch that takes `(w, mask)` to
+    /// `(new_w, after)`, its raise-only state derived as the repair
+    /// engine derives it.
+    fn patch_between(
+        plane: &mut PlaneMut<'_>,
+        g: &splice_graph::Graph,
+        (w, mask): (&[f64], &EdgeMask),
+        (new_w, after): (&[f64], &EdgeMask),
+        dist: &mut [f64],
+        ws: &mut SpfWorkspace,
+    ) -> RepairStats {
+        let restored = |e: EdgeId| mask.is_failed(e) && after.is_up(e);
+        let mut raise_mask = after.clone();
+        g.edge_ids()
+            .filter(|&e| restored(e))
+            .for_each(|e| raise_mask.fail(e));
+        let raise_weights: Vec<f64> = w.iter().zip(new_w).map(|(a, b)| a.max(*b)).collect();
+        let cheaper = |e: EdgeId| new_w[e.index()] < w[e.index()] && raise_mask.is_up(e);
+        let failed: Vec<EdgeId> = g
+            .edge_ids()
+            .filter(|&e| mask.is_up(e) && after.is_failed(e))
+            .collect();
+        let raised: Vec<EdgeId> = g
+            .edge_ids()
+            .filter(|e| new_w[e.index()] > w[e.index()])
+            .collect();
+        let lowered: Vec<EdgeId> = g
+            .edge_ids()
+            .filter(|&e| restored(e) || cheaper(e))
+            .collect();
+        let delta = SpfDelta {
+            raise_weights: &raise_weights,
+            raise_mask: &raise_mask,
+            weights: new_w,
+            mask: after,
+            failed: &failed,
+            raised: &raised,
+            lowered: &lowered,
+        };
+        plane.patch(g, &delta, dist, ws)
+    }
+
     #[test]
-    fn patch_failures_matches_rebuild_and_skips_untouched() {
+    fn patch_of_a_failure_matches_rebuild_and_skips_untouched() {
         let g = diamond();
         let w = g.base_weights();
         for fail in g.edge_ids() {
             let mut arena = SpliceFib::empty(1, g.node_count());
             let mut ws = SpfWorkspace::new();
-            let mut mask = EdgeMask::all_up(g.edge_count());
-            let mut dist = fill_recording(&mut arena, 0, &g, &w, &mask, &mut ws);
-            mask.fail(fail);
-            let stats = arena
-                .plane_mut(0)
-                .patch_failures(&g, &w, &mask, &mut dist, &mut ws);
+            let up = EdgeMask::all_up(g.edge_count());
+            let mut dist = fill_recording(&mut arena, 0, &g, &w, &up, &mut ws);
+            let mask = EdgeMask::from_failed(g.edge_count(), &[fail]);
+            let stats = patch_between(
+                &mut arena.plane_mut(0),
+                &g,
+                (&w, &up),
+                (&w, &mask),
+                &mut dist,
+                &mut ws,
+            );
             assert_eq!(
                 stats.patched_columns + stats.skipped_columns,
                 g.node_count(),
@@ -1160,7 +1153,7 @@ mod tests {
     }
 
     #[test]
-    fn patch_reweight_matches_rebuild_both_directions() {
+    fn patch_of_a_reweight_matches_rebuild_both_directions() {
         let g = diamond();
         let mask = EdgeMask::all_up(g.edge_count());
         for edge in g.edge_ids() {
@@ -1171,12 +1164,11 @@ mod tests {
                 let mut arena = SpliceFib::empty(1, g.node_count());
                 let mut ws = SpfWorkspace::new();
                 let mut dist = fill_recording(&mut arena, 0, &g, &old, &mask, &mut ws);
-                arena.plane_mut(0).patch_reweight(
+                patch_between(
+                    &mut arena.plane_mut(0),
                     &g,
-                    &new_w,
-                    &mask,
-                    edge,
-                    old[edge.index()],
+                    (&old, &mask),
+                    (&new_w, &mask),
                     &mut dist,
                     &mut ws,
                 );
@@ -1187,7 +1179,7 @@ mod tests {
     }
 
     #[test]
-    fn patch_restores_matches_rebuild_and_skips_untouched() {
+    fn patch_of_restores_matches_rebuild_and_skips_untouched() {
         let g = diamond();
         let w = g.base_weights();
         let mut ws = SpfWorkspace::new();
@@ -1202,12 +1194,18 @@ mod tests {
             // Bring the links back one batch at a time: first alone, then
             // the rest together.
             for batch in [&down[..1], &down[1..]] {
+                let before = mask.clone();
                 for e in batch {
                     mask.restore(*e);
                 }
-                let stats = arena
-                    .plane_mut(0)
-                    .patch_restores(&g, &w, &mask, batch, &mut dist, &mut ws);
+                let stats = patch_between(
+                    &mut arena.plane_mut(0),
+                    &g,
+                    (&w, &before),
+                    (&w, &mask),
+                    &mut dist,
+                    &mut ws,
+                );
                 assert_eq!(
                     stats.patched_columns + stats.skipped_columns,
                     g.node_count(),
@@ -1220,23 +1218,28 @@ mod tests {
         // A link no column would route over (or tie on) patches nothing:
         // 0-2-3 at 1000 + 2 never competes with 0-1-3 at 1 + 2.
         let heavy = [1.0, 2.0, 1000.0, 2.0];
-        let mut mask = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2)]);
+        let before = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2)]);
+        let up = EdgeMask::all_up(g.edge_count());
         let mut arena = SpliceFib::empty(1, g.node_count());
-        let mut dist = fill_recording(&mut arena, 0, &g, &heavy, &mask, &mut ws);
-        mask.restore(EdgeId(2));
-        let stats =
-            arena
-                .plane_mut(0)
-                .patch_restores(&g, &heavy, &mask, &[EdgeId(2)], &mut dist, &mut ws);
+        let mut dist = fill_recording(&mut arena, 0, &g, &heavy, &before, &mut ws);
+        let stats = patch_between(
+            &mut arena.plane_mut(0),
+            &g,
+            (&heavy, &before),
+            (&heavy, &up),
+            &mut dist,
+            &mut ws,
+        );
         assert_eq!(stats.patched_columns, 0);
-        assert_plane_matches_rebuild(&arena, &g, &heavy, 0, &mask);
+        assert_plane_matches_rebuild(&arena, &g, &heavy, 0, &up);
     }
 
-    /// A stack of failure, reweight and restore passes on one plane:
-    /// after every pass the plane equals a rebuild, and the distances the
-    /// passes read and wrote equal the chain fold of the plane, bit for
-    /// bit — so each pass starts from exactly the distances a fold would
-    /// give it.
+    /// A stack of batches on one plane, each patched in one call: a
+    /// failure; a raise and a cut together; every restore with a cut;
+    /// a link reweighted up as it fails. After every batch the plane
+    /// equals a rebuild, and the distances the patch read and wrote
+    /// equal the chain fold of the plane, bit for bit — so each batch
+    /// starts from exactly the distances a fold would give it.
     #[test]
     fn patches_keep_their_distances_equal_to_the_chain_fold() {
         let g = from_edges(
@@ -1258,26 +1261,32 @@ mod tests {
         let mut dist = fill_recording(&mut arena, 0, &g, &w, &mask, &mut ws);
         assert_distances_match_fold(&arena, 0, &g, &w, &dist);
         let mut patched = 0;
-        for step in 0..8 {
-            let mut plane = arena.plane_mut(0);
-            let stats = match step % 4 {
-                0 => {
-                    let e = EdgeId(step % 4);
-                    mask.fail(e);
-                    plane.patch_failures(&g, &w, &mask, &mut dist, &mut ws)
+        for step in 0..8u32 {
+            let (mut new_w, mut after) = (w.clone(), mask.clone());
+            match step % 4 {
+                0 => after.fail(EdgeId(step % 4)),
+                1 => {
+                    new_w[5] *= 3.0;
+                    new_w[6] *= 0.25;
                 }
-                1 | 2 => {
-                    let e = EdgeId(5 + step % 2);
-                    let old = w[e.index()];
-                    w[e.index()] = if step % 4 == 1 { old * 3.0 } else { old * 0.25 };
-                    plane.patch_reweight(&g, &w, &mask, e, old, &mut dist, &mut ws)
+                2 => {
+                    mask.failed_edges().for_each(|e| after.restore(e));
+                    new_w[5] *= 0.5;
                 }
                 _ => {
-                    let restored: Vec<EdgeId> = mask.failed_edges().collect();
-                    restored.iter().for_each(|&e| mask.restore(e));
-                    plane.patch_restores(&g, &w, &mask, &restored, &mut dist, &mut ws)
+                    after.fail(EdgeId(1));
+                    new_w[1] *= 2.0;
                 }
-            };
+            }
+            let stats = patch_between(
+                &mut arena.plane_mut(0),
+                &g,
+                (&w, &mask),
+                (&new_w, &after),
+                &mut dist,
+                &mut ws,
+            );
+            (w, mask) = (new_w, after);
             patched += stats.patched_columns;
             assert_plane_matches_rebuild(&arena, &g, &w, 0, &mask);
             assert_distances_match_fold(&arena, 0, &g, &w, &dist);
@@ -1309,18 +1318,30 @@ mod tests {
 
         // Repair through a view handed out with its siblings equals
         // repair through a lone `plane_mut` borrow.
-        let mut mask = EdgeMask::all_up(g.edge_count());
-        let dist = fill_recording(&mut direct, 0, &g, &w0, &mask, &mut ws);
-        mask.fail(EdgeId(0));
+        let up = EdgeMask::all_up(g.edge_count());
+        let dist = fill_recording(&mut direct, 0, &g, &w0, &up, &mut ws);
+        let mask = EdgeMask::from_failed(g.edge_count(), &[EdgeId(0)]);
+        let states = ((&w0[..], &up), (&w0[..], &mask));
         let mut dist_direct = dist.clone();
-        let stats_direct =
-            direct
-                .plane_mut(0)
-                .patch_failures(&g, &w0, &mask, &mut dist_direct, &mut ws);
+        let stats_direct = patch_between(
+            &mut direct.plane_mut(0),
+            &g,
+            states.0,
+            states.1,
+            &mut dist_direct,
+            &mut ws,
+        );
         let mut dist_plane = dist;
         let stats_plane = {
             let mut planes = via_planes.planes_mut();
-            planes[0].patch_failures(&g, &w0, &mask, &mut dist_plane, &mut ws)
+            patch_between(
+                &mut planes[0],
+                &g,
+                states.0,
+                states.1,
+                &mut dist_plane,
+                &mut ws,
+            )
         };
         assert_eq!(dist_plane, dist_direct);
         assert_eq!(stats_plane, stats_direct);

@@ -3,11 +3,13 @@
 //!
 //! The work itself is [`PlaneMut`]'s — [`PlaneMut::fill`] for a whole
 //! plane (what a real router runs after flooding quiesces, on the
-//! instance's weight vector), `PlaneMut::patch_*` for one delta pass. `splice-core` is the one place that work is timed
-//! and recorded, into an [`SpfTelemetry`].
+//! instance's weight vector), [`PlaneMut::patch`] for one batch's delta
+//! repair. `splice-core` is the one place that work is timed and
+//! recorded, into an [`SpfTelemetry`].
 //!
 //! [`PlaneMut`]: crate::arena::PlaneMut
 //! [`PlaneMut::fill`]: crate::arena::PlaneMut::fill
+//! [`PlaneMut::patch`]: crate::arena::PlaneMut::patch
 
 // Re-exported so downstream crates (splice-core) can build flight events,
 // registries, and latency histograms without a direct telemetry
@@ -30,16 +32,17 @@ pub struct SpfTelemetry {
     /// per splicing build — the §4.2 state-size accounting.
     pub arena_bytes: Arc<Histogram>,
     /// Wall time of one incremental slice-plane repair (one
-    /// `PlaneMut::patch_*` pass), one observation per pass — the
+    /// `PlaneMut::patch` call), one observation per repaired plane — the
     /// counterpart of `spf_seconds` for the delta-SPF path.
     pub spf_repair_seconds: Arc<Histogram>,
     /// Re-relaxed nodes per repaired plane (the repair frontier). Small
     /// frontiers are the whole point of repairing instead of rebuilding;
     /// this histogram is the evidence.
     pub spf_repair_frontier: Arc<Histogram>,
-    /// When set, every filled plane and every delta pass also drops one
-    /// structured event into the flight recorder (`fill/<strategy>` with
-    /// the slice; `repair/<pass>` with slice, frontier and columns), so a
+    /// When set, every filled plane and every delta-repaired plane also
+    /// drops one structured event into the flight recorder
+    /// (`fill/<strategy>` with the slice; `repair/patch` with slice,
+    /// frontier and columns), so a
     /// failure's dump shows what the control plane just did.
     pub flight: Option<FlightRecorder>,
 }
@@ -87,7 +90,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::arena::SpliceFib;
-    use splice_graph::dijkstra::{all_destinations, SpfWorkspace};
+    use splice_graph::dijkstra::{all_destinations, SpfDelta, SpfWorkspace};
     use splice_graph::graph::from_edges;
     use splice_graph::{EdgeId, EdgeMask, Graph};
 
@@ -138,9 +141,16 @@ mod tests {
         fib.plane_mut(0).fill(&g, &w, &up, &mut ws, Some(&mut dist));
         let failed = EdgeId(0);
         let mask = EdgeMask::from_failed(g.edge_count(), &[failed]);
-        let stats = fib
-            .plane_mut(0)
-            .patch_failures(&g, &w, &mask, &mut dist, &mut ws);
+        let delta = SpfDelta {
+            raise_weights: &w,
+            raise_mask: &mask,
+            weights: &w,
+            mask: &mask,
+            failed: &[failed],
+            raised: &[],
+            lowered: &[],
+        };
+        let stats = fib.plane_mut(0).patch(&g, &delta, &mut dist, &mut ws);
         assert!(stats.patched_columns > 0);
         // The repaired plane equals a from-scratch build on the failed
         // topology.

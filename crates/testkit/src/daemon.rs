@@ -92,6 +92,7 @@ mod tests {
     use splice_core::control::ControlEvent;
     use splice_core::strategy::StrategyKind;
     use splice_graph::EdgeId;
+    use splice_routing::RepairStats;
 
     const ALL_STRATEGIES: [StrategyKind; 4] = [
         StrategyKind::PerturbedSpf,
@@ -279,6 +280,45 @@ mod tests {
                     "{at}"
                 );
             }
+        }
+    }
+
+    /// The work ledger of the control plane on the 400-event churn
+    /// schedule [`control_plane_cuts_batches_where_the_batch_driver_does`]
+    /// uses, at batch cap 16: how many repair passes ran, and the columns
+    /// they patched and skipped and the nodes they re-relaxed. A change
+    /// to the repair engine that moves a count shows here, with the
+    /// numbers, before any timing does. Each batch loads each dirty
+    /// column at most once, so patched and skipped columns sum to
+    /// batches × k × n.
+    #[test]
+    fn control_plane_work_ledger_is_pinned() {
+        use splice_core::slices::SplicingConfig;
+
+        for (name, k, seed, batches, patched, skipped, frontier) in [
+            ("abilene", 3, 41u64, 25u64, 818usize, 7usize, 6_714usize),
+            ("sprint", 5, 42, 25, 6_400, 100, 250_476),
+        ] {
+            let g = splice_topology::resolve(name).unwrap().graph();
+            let base = Splicing::build(&g, &SplicingConfig::degree_based(k, 0.0, 3.0), seed);
+            let mut cp = ControlPlane::new(g.clone(), base, 16);
+            for ev in &churn_schedule(&g, k, 400, seed) {
+                cp.ingest(ev);
+            }
+            cp.flush();
+            let stats = cp.stats();
+            assert_eq!(stats.repair_batches, batches, "{name}");
+            let columns = batches as usize * k * g.node_count();
+            assert_eq!(patched + skipped, columns, "{name}");
+            assert_eq!(
+                stats.repair,
+                RepairStats {
+                    patched_columns: patched,
+                    skipped_columns: skipped,
+                    frontier_nodes: frontier,
+                },
+                "{name}"
+            );
         }
     }
 
