@@ -11,9 +11,9 @@
 //! distances beside the arena, from its build on, and every repair reads
 //! and carries them forward ([`Splicing::distances`]); a control plane's
 //! are dropped when its event loop exits. A repair batch reaches each
-//! dirty plane as one delta ([`PlaneMut::patch`]): its failures and
-//! weight increases, then its restores and weight decreases, in one load
-//! and one write-back per changed column.
+//! dirty plane as one delta ([`PlaneMut::patch`]): its failures,
+//! restores and reweights of either sign in one load and one relaxation
+//! per changed column, whose moved entries alone are written back.
 
 use crate::perturb::PerturbationKind;
 use crate::strategy::{observed_fill, with_spf_workspace, StrategyKind};
@@ -392,11 +392,10 @@ impl Splicing {
     /// net mask change (a fail/restore pair on one link cancels before
     /// any SPF runs) and reweights dedup per `(slice, edge)`, each a raise
     /// or a cut by its final value. Each dirty slice then gets one delta
-    /// repair ([`PlaneMut::patch`]), which loads and writes back each
-    /// column it changes once: the failures and raises first, under the
-    /// raise-only state (restored links still down, cut links at their
-    /// old weights), then the restores and cuts in one relaxation under
-    /// the final state. A strategy without delta repair gets one masked
+    /// repair ([`PlaneMut::patch`]), which loads each column it changes
+    /// once, repairs it in one relaxation under the final state and
+    /// writes back only the entries that relaxation reset or moved. A
+    /// strategy without delta repair gets one masked
     /// rebuild at the final state instead. The planes are repaired one
     /// after another on the calling thread with its warm workspace — no
     /// thread is spawned. Also returned: what the repair did — columns
@@ -406,10 +405,10 @@ impl Splicing {
     /// The result is bit-identical to building from scratch on the
     /// post-batch topology, and therefore to absorbing the events one
     /// batch of one at a time (property-tested across every strategy):
-    /// each phase leaves a plane equal to a masked rebuild at its state,
-    /// and the deterministic tie-break makes parents a
-    /// pure function of exact distances, so any event order that ends at
-    /// the same final (weights, mask) ends at the same bytes. Batches
+    /// each repair leaves a plane equal to a masked rebuild at the final
+    /// state, and the deterministic tie-break makes parents a pure
+    /// function of exact distances, so any event order that ends at the
+    /// same final (weights, mask) ends at the same bytes. Batches
     /// stack: each starts from the mask the last one ended on (see
     /// [`Splicing::failed_mask`]), which failures grow and restores
     /// shrink.
@@ -795,28 +794,28 @@ impl Splicing {
 }
 
 /// The [`RepairStats`] a masked full rebuild of one plane reports: every
-/// column rewritten, nothing provably skippable, and the frontier counted
+/// column rewritten, nothing provably skippable, the frontier counted
 /// once per plane (one global pass recomputes the whole plane, unlike the
-/// delta engine's per-column frontiers).
+/// delta engine's per-column frontiers), and every entry written.
 fn masked_rebuild_stats(g: &Graph) -> RepairStats {
+    let n = g.node_count();
     RepairStats {
-        patched_columns: g.node_count(),
+        patched_columns: n,
         skipped_columns: 0,
-        frontier_nodes: g.node_count(),
+        frontier_nodes: n,
+        entries_written: n * n,
     }
 }
 
 /// A coalesced batch as the planes' delta repairs read it: the raise-only
 /// and final masks and the failed and restored links, which every plane
-/// shares, and
-/// the scratch each plane's [`SpfDelta`] is assembled in — sized once per
-/// batch, so no plane allocates.
+/// shares, and the scratch each plane's [`SpfDelta`] is assembled in —
+/// sized once per batch, so no plane allocates.
 struct BatchDelta<'a> {
     raise_mask: &'a EdgeMask,
     mask: &'a EdgeMask,
     failed: &'a [EdgeId],
     restored: &'a [EdgeId],
-    raise_weights: Vec<f64>,
     raised: Vec<EdgeId>,
     lowered: Vec<EdgeId>,
 }
@@ -838,7 +837,6 @@ impl<'a> BatchDelta<'a> {
             mask,
             failed,
             restored,
-            raise_weights: Vec::new(),
             raised: Vec::with_capacity(most),
             lowered: Vec::with_capacity(restored.len() + most),
         }
@@ -846,8 +844,7 @@ impl<'a> BatchDelta<'a> {
 
     /// The delta of one slice whose weights went from `base` to `fin`,
     /// differing only on `reweighted`: each reweight is a raise or a cut
-    /// by its final value, and the raise-only weights are `fin` with
-    /// every cut undone (`fin` itself when the slice has no cut).
+    /// by its final value.
     fn plane<'s>(
         &'s mut self,
         base: &[f64],
@@ -857,32 +854,17 @@ impl<'a> BatchDelta<'a> {
         self.raised.clear();
         self.lowered.clear();
         self.lowered.extend_from_slice(self.restored);
-        let mut cut = false;
         for &e in reweighted {
             let (old, new) = (base[e.index()], fin[e.index()]);
             if new > old {
                 self.raised.push(e);
-            } else if new < old {
-                cut = true;
+            } else if new < old && self.raise_mask.is_up(e) {
                 // A restored link is in `lowered` already, and one that
                 // ends the batch down improves nothing.
-                if self.raise_mask.is_up(e) {
-                    self.lowered.push(e);
-                }
+                self.lowered.push(e);
             }
         }
-        let raise_weights = if cut {
-            self.raise_weights.clear();
-            self.raise_weights.extend_from_slice(fin);
-            for &e in reweighted {
-                self.raise_weights[e.index()] = base[e.index()].max(fin[e.index()]);
-            }
-            &self.raise_weights
-        } else {
-            fin
-        };
         SpfDelta {
-            raise_weights,
             raise_mask: self.raise_mask,
             weights: fin,
             mask: self.mask,

@@ -3,8 +3,7 @@
 //! and reused, so the repair path of a long-running control plane never
 //! reaches the allocator for them. A pass through the batch engine
 //! allocates as often at any k: one copy of the distances when it shares
-//! them and one raise-only weight vector when a slice has a cut, never
-//! one per plane. Checked at the allocator itself rather
+//! them, never one per plane. Checked at the allocator itself rather
 //! than at each buffer's capacity — a buffer that regrows allocates, and
 //! so would any temporary nobody thought to list.
 //!
@@ -121,7 +120,6 @@ fn warm_delta_repairs_do_not_allocate() {
     // identical work.
     let batches = [
         SpfDelta {
-            raise_weights: &w,
             raise_mask: &failed,
             weights: &w,
             mask: &failed,
@@ -130,7 +128,6 @@ fn warm_delta_repairs_do_not_allocate() {
             lowered: &[],
         },
         SpfDelta {
-            raise_weights: &dearer,
             raise_mask: &failed,
             weights: &dearer,
             mask: &up,
@@ -139,7 +136,6 @@ fn warm_delta_repairs_do_not_allocate() {
             lowered: &down,
         },
         SpfDelta {
-            raise_weights: &dearer,
             raise_mask: &up,
             weights: &w,
             mask: &up,
@@ -174,8 +170,8 @@ fn warm_delta_repairs_do_not_allocate() {
 
 /// Allocator calls on this thread for each pass of a fail /
 /// fail+restore+raise / restore+cut cycle through the batch engine, on a
-/// recycled arena, after one warm-up cycle. The cut is slice 1's, so the
-/// raise-only weights it needs are built once per batch at any k.
+/// recycled arena, after one warm-up cycle. The raise and the cut are
+/// slice 1's, so only that slice's weight vector is copied, at any k.
 fn engine_pass_allocations(g: &Graph, k: usize) -> Vec<u64> {
     let sp = Splicing::build(g, &SplicingConfig::degree_based(k, 0.0, 3.0), 42);
     let (a, b, e) = (EdgeId(1), EdgeId(70), EdgeId(5));

@@ -116,31 +116,28 @@ impl PartialOrd for HeapEntry {
 pub struct SpfWorkspace {
     dist: Vec<f64>,
     parent: Vec<Option<(NodeId, EdgeId)>>,
+    /// A full run's settled flags; [`Self::load_tree`]'s "distance
+    /// known" flags.
     settled: Vec<bool>,
     heap: BinaryHeap<HeapEntry>,
-    /// Scratch for repair: per-node clean/dirty classification, or the
-    /// lowered/swept bits of a relaxation.
+    /// Scratch for repair: per-node clean and listed bits.
     mark: Vec<u8>,
-    /// Scratch for repair: the parent chain being walked, or the nodes
-    /// whose distance a relaxation changed.
+    /// Scratch for [`Self::load_tree`]: the parent chain being walked.
     stack: Vec<u32>,
+    /// The nodes the last repair reset or moved, each once.
+    touched: Vec<NodeId>,
 }
 
 /// One batch of link changes, as a delta repair reads it: the tree's
-/// inputs in two states, and the links that moved.
+/// final inputs, and the links that moved.
 ///
-/// The *raise-only* state applies the batch's failures and weight
-/// increases and nothing else: restored links are still down, and
-/// decreased links keep their old weights. So no link is better in it
-/// than before the batch, and it differs from that only on `failed` and
-/// `raised`; the final state differs from it only on `lowered`, each of
-/// which is better. [`SpfWorkspace::repair`] runs one phase in each
-/// state.
+/// The *raise-only* mask applies the batch's failures and nothing else:
+/// restored links are still down in it. So a tree link failed in it, or
+/// listed in `raised`, is one the batch made worse, and every other link
+/// is up in the final state and no dearer. [`SpfWorkspace::repair`]
+/// classifies the tree by the first and relaxes under the final state.
 #[derive(Clone, Copy, Debug)]
 pub struct SpfDelta<'a> {
-    /// The raise-only weights: the final ones with every decreased link
-    /// at its old value.
-    pub raise_weights: &'a [f64],
     /// The raise-only mask: the final one with every restored link still
     /// failed.
     pub raise_mask: &'a EdgeMask,
@@ -157,14 +154,12 @@ pub struct SpfDelta<'a> {
     pub lowered: &'a [EdgeId],
 }
 
-/// `mark` value: the node's tree chain avoids every affected edge, so its
-/// distance and parent are provably unchanged by the event.
+/// `mark` bit: the node's tree chain crosses no link the batch made
+/// worse, so its loaded distance bounds its new one from above.
 const MARK_CLEAN: u8 = 1;
-/// `mark` value: the node is in an affected subtree and must be re-relaxed;
-/// in a relaxation, the bit for "this node's distance was lowered".
-const MARK_DIRTY: u8 = 2;
-/// `mark` bit of a relaxation: the parent sweep has visited this node.
-const MARK_SWEPT: u8 = 4;
+/// `mark` bit: the node is on the repair's `touched` list — reset, because
+/// its chain crosses a link the batch made worse, or moved by the drain.
+const MARK_LISTED: u8 = 2;
 
 impl SpfWorkspace {
     /// An empty workspace; buffers grow on first use.
@@ -201,14 +196,6 @@ impl SpfWorkspace {
             dist: 0.0,
             node: root,
         });
-        self.drain(g, weights, mask);
-    }
-
-    /// The shared settle loop: pop in distance order, relax neighbors with
-    /// the deterministic tie-break. Used by both full runs ([`Self::run`])
-    /// and incremental repairs, so repaired trees are produced by the exact
-    /// relaxation rule a from-scratch build uses.
-    fn drain(&mut self, g: &Graph, weights: &[f64], mask: Option<&EdgeMask>) {
         while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
             if self.settled[u.index()] {
                 continue;
@@ -275,6 +262,15 @@ impl SpfWorkspace {
     #[inline]
     pub fn distances(&self) -> &[f64] {
         &self.dist
+    }
+
+    /// The nodes the last [`Self::repair`] reset or moved, each once: the
+    /// only ones whose parent or distance can differ from the tree it
+    /// repaired, so a write-back of the repaired tree stores these and
+    /// nothing else.
+    #[inline]
+    pub fn touched(&self) -> &[NodeId] {
+        &self.touched
     }
 
     /// Load an existing shortest-path tree into the workspace so it can be
@@ -364,184 +360,127 @@ impl SpfWorkspace {
         self.dist.extend_from_slice(dist);
         self.parent.clear();
         self.parent.extend((0..dist.len()).map(parent_of));
-        // `load_tree` settles exactly the nodes whose chain reaches the
-        // root, i.e. those at a finite distance.
-        self.settled.clear();
-        self.settled.extend(dist.iter().map(|d| d.is_finite()));
-        self.heap.clear();
     }
 
-    /// Classify every node as clean or dirty by walking its parent chain:
-    /// dirty if the chain crosses a tree link `hit` picks (chains are
-    /// memoized, so this is O(n) total). Returns the dirty count.
-    fn mark_dirty_subtrees(&mut self, root: NodeId, hit: impl Fn(EdgeId) -> bool) -> usize {
-        let hits = |p: Option<(NodeId, EdgeId)>| p.is_some_and(|(_, e)| hit(e));
+    /// Classify every node by walking its parent chain: dirty if the
+    /// chain crosses a tree link `hit` picks, clean otherwise. Chains are
+    /// memoized, so this is O(n) total. A chain is walked on `touched`
+    /// itself: a dirty one stays there, listed, and a clean one is
+    /// popped off again.
+    fn mark_dirty_subtrees(&mut self, root: NodeId, hit: impl Fn(EdgeId) -> bool) {
         let n = self.parent.len();
-        self.mark.clear();
-        self.mark.resize(n, 0);
         self.mark[root.index()] = MARK_CLEAN;
-        let mut dirty = 0usize;
-        let chain = &mut self.stack;
         for start in 0..n {
             if self.mark[start] != 0 {
                 continue;
             }
-            chain.clear();
+            let from = self.touched.len();
             let mut u = start;
             let state = loop {
                 if self.mark[u] != 0 {
                     break self.mark[u];
                 }
-                chain.push(u as u32);
-                assert!(chain.len() <= n, "parent pointers contain a cycle");
-                if hits(self.parent[u]) {
-                    break MARK_DIRTY;
-                }
+                self.touched.push(NodeId(u as u32));
+                assert!(
+                    self.touched.len() - from <= n,
+                    "parent pointers contain a cycle"
+                );
                 match self.parent[u] {
+                    Some((_, e)) if hit(e) => break MARK_LISTED,
                     Some((p, _)) => u = p.index(),
                     // Unreachable before the batch; stays untouched.
                     None => break MARK_CLEAN,
                 }
             };
-            for &v in chain.iter() {
-                self.mark[v as usize] = state;
-                if state == MARK_DIRTY {
-                    dirty += 1;
-                }
+            for v in &self.touched[from..] {
+                self.mark[v.index()] = state;
+            }
+            if state == MARK_CLEAN {
+                self.touched.truncate(from);
             }
         }
-        dirty
-    }
-
-    /// Reset every dirty node, then re-seed each one from its settled
-    /// (clean, reachable) neighbors over up edges and run the shared
-    /// settle loop. The seeding offers every clean optimal predecessor
-    /// before any dirty node settles; dirty predecessors are offered in
-    /// settle order, exactly as in a full run — so the recomputed subtree
-    /// is bit-identical to a from-scratch rebuild.
-    fn reseed_dirty(&mut self, g: &Graph, weights: &[f64], mask: &EdgeMask) {
-        self.heap.clear();
-        for u in 0..self.mark.len() {
-            if self.mark[u] == MARK_DIRTY {
-                self.dist[u] = f64::INFINITY;
-                self.parent[u] = None;
-                self.settled[u] = false;
-            }
-        }
-        for d in 0..self.mark.len() {
-            if self.mark[d] != MARK_DIRTY {
-                continue;
-            }
-            let v = NodeId(d as u32);
-            for &(u, e) in g.neighbors(v) {
-                if mask.is_failed(e) || !self.settled[u.index()] {
-                    continue;
-                }
-                let nd = self.dist[u.index()] + weights[e.index()];
-                if self.offer(u, e, v, nd) {
-                    self.heap.push(HeapEntry { dist: nd, node: v });
-                }
-            }
-        }
-        self.drain(g, weights, Some(mask));
     }
 
     /// Incrementally repair the loaded tree after one batch of link
-    /// changes, `delta` (see [`SpfDelta`]). The workspace must hold the
-    /// tree that was correct before the batch (via [`Self::run`],
+    /// changes, `delta` (see [`SpfDelta`]), in one label-correcting heap
+    /// pass under the final state. The workspace must hold the tree that
+    /// was correct before the batch (via [`Self::run`],
     /// [`Self::load_tree`], [`Self::load_known`] or a previous repair).
-    /// Returns the number of re-relaxed nodes, the repair frontier: the
-    /// nodes phase 1 reset, plus the nodes whose distance phase 2
-    /// lowered or, when it lowered none, whose parent it moved.
+    /// Returns the repair frontier: the nodes the pass reset or moved,
+    /// each once, which [`Self::touched`] lists.
     ///
-    /// *Phase 1*, under the raise-only state, unless `failed` and `raised`
-    /// are both empty: every node whose tree chain crosses a link failed
-    /// in `raise_mask` or listed in `raised` is reset and reseeded. That
-    /// tree used only links that were up before the batch, so such a link
-    /// is one the batch failed or made dearer.
-    /// No link is better in the raise-only state than before the batch,
-    /// so every other node keeps its distance and parent. Under the final
-    /// state that would not hold — a restored or cheaper link can shorten
-    /// a chain that crosses no raised link — which is why phase 1 must
-    /// not see them.
+    /// *Classification*, unless `failed` and `raised` are both empty: a
+    /// node is dirty when its tree chain crosses a link failed in
+    /// `raise_mask` or listed in `raised`. Every other node's chain is up
+    /// in the final state and no dearer, so its loaded distance is an
+    /// upper bound on its new one. Dirty nodes are reset.
     ///
-    /// *Phase 2*, under the final state: the final state differs from the
-    /// raise-only one only on `lowered`, each of them better, so one
-    /// relaxation over that set ([`Self::relax_improved_edges`]) finishes
-    /// the repair. Each phase leaves the tree a fresh masked run computes
-    /// at its state, bit for bit.
+    /// *Seeds*: each dirty node is offered a route from each of its
+    /// clean, reachable neighbours over up links, and each `lowered`
+    /// link is offered in both directions.
+    ///
+    /// *Drain*: one heap pass that skips stale entries and offers every up
+    /// neighbour of each popped node under the canonical rule — a
+    /// strictly shorter route lowers and queues the node, clean or dirty;
+    /// an equally short one with a smaller `(parent, edge)` re-picks its
+    /// parent and queues nothing. Every label stays an upper bound on the
+    /// node's distance, and a popped node's is final, so the drain ends
+    /// at the exact distances of a fresh masked run.
+    ///
+    /// *No parent sweep*: any optimal predecessor of a node whose entry
+    /// can change is either popped at its final distance, which offers
+    /// the node, or clean and unchanged, and then the link between them is
+    /// a seed — the node is dirty or the link is lowered; otherwise the
+    /// node's entry stood before the batch and still does. So every
+    /// parent ends at the lexicographic minimum a fresh run picks, bit
+    /// for bit.
     ///
     /// # Panics
-    /// Panics if a weight vector's length is not the edge count, the
+    /// Panics if the weight vector's length is not the edge count, the
     /// workspace holds no tree for `g`, or a `lowered` link is failed in
     /// the final mask.
     pub fn repair(&mut self, g: &Graph, root: NodeId, delta: &SpfDelta<'_>) -> usize {
-        for weights in [delta.raise_weights, delta.weights] {
-            assert_eq!(
-                weights.len(),
-                g.edge_count(),
-                "weight vector length must equal edge count"
-            );
-        }
+        let (weights, mask) = (delta.weights, delta.mask);
+        assert_eq!(
+            weights.len(),
+            g.edge_count(),
+            "weight vector length must equal edge count"
+        );
+        let n = g.node_count();
         assert_eq!(
             self.dist.len(),
-            g.node_count(),
+            n,
             "workspace does not hold a tree for this graph"
         );
-        let raised = |e: EdgeId| delta.raise_mask.is_failed(e) || delta.raised.contains(&e);
-        let dirty = if delta.failed.is_empty() && delta.raised.is_empty() {
-            0
-        } else {
-            self.mark_dirty_subtrees(root, raised)
-        };
-        if dirty > 0 {
-            self.reseed_dirty(g, delta.raise_weights, delta.raise_mask);
-        }
-        if delta.lowered.is_empty() {
-            return dirty;
+        self.heap.clear();
+        self.touched.clear();
+        self.mark.clear();
+        self.mark.resize(n, 0);
+        if !delta.failed.is_empty() || !delta.raised.is_empty() {
+            self.mark_dirty_subtrees(root, |e| {
+                delta.raise_mask.is_failed(e) || delta.raised.contains(&e)
+            });
+            for &v in &self.touched {
+                self.dist[v.index()] = f64::INFINITY;
+                self.parent[v.index()] = None;
+            }
+            for i in 0..self.touched.len() {
+                let v = self.touched[i];
+                for &(u, e) in g.neighbors(v) {
+                    let du = self.dist[u.index()];
+                    if mask.is_up(e) && self.mark[u.index()] == MARK_CLEAN && du.is_finite() {
+                        self.relax(u, e, v, du + weights[e.index()]);
+                    }
+                }
+            }
         }
         for &edge in delta.lowered {
-            assert!(
-                delta.mask.is_up(edge),
-                "{edge:?} must be up in the final mask"
-            );
-        }
-        dirty + self.relax_improved_edges(g, root, delta.weights, delta.mask, delta.lowered)
-    }
-
-    /// Every link of `edges` just got better — cheaper, or back up — and
-    /// every other constraint of the loaded tree still holds: relax each
-    /// in both directions under `weights`, then propagate strict
-    /// improvements in one heap pass. Distances converge to the exact
-    /// fixpoint (every value is some path's weight fold, and every edge
-    /// constraint is re-checked when its tail improves).
-    ///
-    /// A canonical parent depends only on the node's own distance, its
-    /// neighbours' distances and the up edges at it, so only a changed
-    /// node, a neighbour of one, or an endpoint of a relaxed link can have
-    /// a new one; the parent sweep recomputes exactly those, each once,
-    /// and everything else keeps the parent it was loaded with. Returns
-    /// the number of nodes whose distance changed, or, when none did,
-    /// whose parent did.
-    fn relax_improved_edges(
-        &mut self,
-        g: &Graph,
-        root: NodeId,
-        weights: &[f64],
-        mask: &EdgeMask,
-        edges: &[EdgeId],
-    ) -> usize {
-        self.heap.clear();
-        self.mark.clear();
-        self.mark.resize(g.node_count(), 0);
-        self.stack.clear();
-        for &edge in edges {
-            let (eu, ev) = (g.edge(edge).u, g.edge(edge).v);
-            let w = weights[edge.index()];
-            for (a, b) in [(eu, ev), (ev, eu)] {
-                if self.dist[a.index()].is_finite() {
-                    let nd = self.dist[a.index()] + w;
-                    self.lower(b, nd);
+            assert!(mask.is_up(edge), "{edge:?} must be up in the final mask");
+            let (a, b) = (g.edge(edge).u, g.edge(edge).v);
+            for (u, v) in [(a, b), (b, a)] {
+                let du = self.dist[u.index()];
+                if du.is_finite() {
+                    self.relax(u, edge, v, du + weights[edge.index()]);
                 }
             }
         }
@@ -550,105 +489,29 @@ impl SpfWorkspace {
                 continue; // stale entry, a better one was pushed later
             }
             for &(v, e) in g.neighbors(u) {
-                if !mask.is_failed(e) {
-                    self.lower(v, d + weights[e.index()]);
+                if mask.is_up(e) {
+                    self.relax(u, e, v, d + weights[e.index()]);
                 }
             }
         }
-        let changed = self.stack.len();
-        let mut reparented = 0;
-        for i in 0..changed {
-            let c = NodeId(self.stack[i]);
-            reparented += self.sweep(g, weights, mask, root, c) as usize;
-            for &(u, _) in g.neighbors(c) {
-                reparented += self.sweep(g, weights, mask, root, u) as usize;
-            }
-        }
-        // An endpoint next to no changed node can still gain an equally
-        // short route over its link that wins the tie-break.
-        for &edge in edges {
-            for v in [g.edge(edge).u, g.edge(edge).v] {
-                reparented += self.sweep(g, weights, mask, root, v) as usize;
-            }
-        }
-        if changed > 0 {
-            changed
-        } else {
-            reparented
-        }
+        self.touched.len()
     }
 
-    /// The parent sweep's visit: recompute `v`'s canonical parent the
-    /// first time the sweep reaches it, and report whether it changed.
+    /// A repair's offer of "via `u` over `e` at `nd`" to `v`, under the
+    /// canonical rule ([`Self::offer`]): queue `v` if the route is
+    /// strictly shorter, and list it the first time it moves.
     #[inline]
-    fn sweep(
-        &mut self,
-        g: &Graph,
-        weights: &[f64],
-        mask: &EdgeMask,
-        root: NodeId,
-        v: NodeId,
-    ) -> bool {
-        if self.mark[v.index()] & MARK_SWEPT != 0 {
-            return false;
+    fn relax(&mut self, u: NodeId, e: EdgeId, v: NodeId, nd: f64) {
+        let shorter = nd.total_cmp(&self.dist[v.index()]) == Ordering::Less;
+        if !self.offer(u, e, v, nd) {
+            return;
         }
-        self.mark[v.index()] |= MARK_SWEPT;
-        self.recompute_parent(g, weights, mask, root, v)
-    }
-
-    /// Lower `v`'s distance to `nd` if that is a strict improvement,
-    /// queueing it and recording it as changed the first time. A node the
-    /// relaxation reaches is settled, as after a full run, so a later
-    /// repair of this tree reseeds from it.
-    #[inline]
-    fn lower(&mut self, v: NodeId, nd: f64) {
-        if nd.total_cmp(&self.dist[v.index()]) == Ordering::Less {
-            self.dist[v.index()] = nd;
-            self.settled[v.index()] = true;
+        if shorter {
             self.heap.push(HeapEntry { dist: nd, node: v });
-            if self.mark[v.index()] & MARK_DIRTY == 0 {
-                self.mark[v.index()] |= MARK_DIRTY;
-                self.stack.push(v.0);
-            }
         }
-    }
-
-    /// Set `parent[v]` to the canonical choice — the lexicographically
-    /// smallest `(u, e)` over up edges with `dist[u] + w(e) == dist[v]` —
-    /// and report whether it changed. This is exactly the parent a full
-    /// Dijkstra run converges to under the equal-distance tie-break.
-    fn recompute_parent(
-        &mut self,
-        g: &Graph,
-        weights: &[f64],
-        mask: &EdgeMask,
-        root: NodeId,
-        v: NodeId,
-    ) -> bool {
-        if v == root || !self.dist[v.index()].is_finite() {
-            return false;
-        }
-        let dv = self.dist[v.index()];
-        let mut best: Option<(NodeId, EdgeId)> = None;
-        for &(u, e) in g.neighbors(v) {
-            if mask.is_failed(e) {
-                continue;
-            }
-            let du = self.dist[u.index()];
-            if !du.is_finite() {
-                continue;
-            }
-            if (du + weights[e.index()]).total_cmp(&dv) == Ordering::Equal
-                && best.is_none_or(|b| (u, e) < b)
-            {
-                best = Some((u, e));
-            }
-        }
-        if self.parent[v.index()] != best {
-            self.parent[v.index()] = best;
-            true
-        } else {
-            false
+        if self.mark[v.index()] & MARK_LISTED == 0 {
+            self.mark[v.index()] |= MARK_LISTED;
+            self.touched.push(v);
         }
     }
 }
@@ -841,10 +704,9 @@ mod tests {
     }
 
     /// A batch that only failed the links of `failed`: `mask` already
-    /// has them failed, and both states are `(w, mask)`.
+    /// has them failed, and is both the raise-only and the final mask.
     fn failures<'a>(w: &'a [f64], mask: &'a EdgeMask, failed: &'a [EdgeId]) -> SpfDelta<'a> {
         SpfDelta {
-            raise_weights: w,
             raise_mask: mask,
             weights: w,
             mask,
@@ -869,7 +731,6 @@ mod tests {
         let up = new[e.index()] > old[e.index()];
         let down = new[e.index()] < old[e.index()];
         let delta = SpfDelta {
-            raise_weights: if down { old } else { new },
             raise_mask: mask,
             weights: new,
             mask,
@@ -892,7 +753,6 @@ mod tests {
         restored: &[EdgeId],
     ) -> usize {
         let delta = SpfDelta {
-            raise_weights: w,
             raise_mask: before,
             weights: w,
             mask: after,
@@ -1145,9 +1005,10 @@ mod tests {
     #[test]
     fn restore_rewins_tie_break_at_a_neighbour_of_a_moved_node() {
         // With 0-1 down, 3 hangs off 2 (cost 3) and 1 off 3 (cost 4).
-        // Restoring 0-1 moves only 1 (to 2), which gives 3 — not an
+        // Restoring 0-1 moves 1's distance (to 2), which gives 3 — not an
         // endpoint of the restored link — an equal route via 1 that
-        // outranks (2, e1): the parent pass must visit 1's neighbours.
+        // outranks (2, e1): popping 1 must offer it to its neighbours.
+        // Both nodes moved.
         let g = from_edges(4, &[(0, 2, 2.0), (2, 3, 1.0), (1, 3, 1.0), (0, 1, 2.0)]);
         let w = g.base_weights();
         let mut mask = EdgeMask::from_failed(g.edge_count(), &[EdgeId(3)]);
@@ -1159,11 +1020,55 @@ mod tests {
         mask.restore(EdgeId(3));
         assert_eq!(
             restores(&mut ws, &g, NodeId(0), &w, (&before, &mask), &[EdgeId(3)]),
-            1
+            2
         );
+        assert_eq!(ws.touched(), &[NodeId(1), NodeId(3)]);
         assert_eq!(ws.distances()[3], down.dist[3], "3's distance stays");
         assert_eq!(ws.parents()[3], Some((NodeId(1), EdgeId(2))));
         assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
+    }
+
+    #[test]
+    fn a_reattached_subtree_lowers_clean_nodes_beyond_it() {
+        // Before the batch, 1 hangs off the root over e0 (cost 8), and 2
+        // and 3 route round it: 2 over e4 (6), 3 through 2 (7). The batch
+        // fails e0 and restores e2 (4-1), so the dirty 1 re-attaches
+        // through 4 at 2 — and the clean 2 and 3, whose chains cross no
+        // failed link, must be lowered through it (to 3 and 4), though
+        // neither is dirty or an endpoint of a lowered link.
+        let g = from_edges(
+            5,
+            &[
+                (0, 1, 8.0),
+                (0, 4, 1.0),
+                (4, 1, 1.0),
+                (1, 2, 1.0),
+                (0, 2, 6.0),
+                (2, 3, 1.0),
+            ],
+        );
+        let w = g.base_weights();
+        let before = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2)]);
+        let down = dijkstra_masked(&g, NodeId(0), &w, &before);
+        assert_eq!(down.parent[2], Some((NodeId(0), EdgeId(4))));
+        assert_eq!(down.parent[3], Some((NodeId(2), EdgeId(5))));
+        let after = EdgeMask::from_failed(g.edge_count(), &[EdgeId(0)]);
+        let raise_mask = EdgeMask::from_failed(g.edge_count(), &[EdgeId(0), EdgeId(2)]);
+        let mut ws = SpfWorkspace::new();
+        ws.load_known(NodeId(0), &down.dist, |u| down.parent[u]);
+        let delta = SpfDelta {
+            raise_mask: &raise_mask,
+            weights: &w,
+            mask: &after,
+            failed: &[EdgeId(0)],
+            raised: &[],
+            lowered: &[EdgeId(2)],
+        };
+        assert_eq!(ws.repair(&g, NodeId(0), &delta), 3);
+        assert_eq!(ws.touched(), &[NodeId(1), NodeId(2), NodeId(3)]);
+        assert_eq!(&ws.distances()[1..4], &[2.0, 3.0, 4.0]);
+        assert_eq!(ws.parents()[3], Some((NodeId(2), EdgeId(5))));
+        assert_matches_fresh(&ws, &g, NodeId(0), &w, &after);
     }
 
     #[test]

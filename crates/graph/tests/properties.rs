@@ -136,10 +136,9 @@ fn disconnected_pairs_consistent() {
 }
 
 /// One batch of link changes over `g`, as [`SpfWorkspace::repair`]
-/// reads it: the raise-only state, the final state, and the links that
-/// were raised and lowered between them.
+/// reads it: the raise-only mask, the final state, and the links that
+/// were failed, raised and lowered between them.
 struct Batch {
-    raise_weights: Vec<f64>,
     raise_mask: EdgeMask,
     weights: Vec<f64>,
     mask: EdgeMask,
@@ -157,7 +156,6 @@ impl Batch {
         edges()
             .filter(|&e| restored(e))
             .for_each(|e| raise_mask.fail(e));
-        let raise_weights = w.iter().zip(&weights).map(|(a, b)| a.max(*b)).collect();
         let raised = edges().filter(|e| weights[e.index()] > w[e.index()]);
         let cheaper = |e: EdgeId| weights[e.index()] < w[e.index()] && raise_mask.is_up(e);
         Batch {
@@ -166,7 +164,6 @@ impl Batch {
                 .collect(),
             raised: raised.collect(),
             lowered: edges().filter(|&e| restored(e) || cheaper(e)).collect(),
-            raise_weights,
             raise_mask,
             weights,
             mask: after,
@@ -175,7 +172,6 @@ impl Batch {
 
     fn delta(&self) -> SpfDelta<'_> {
         SpfDelta {
-            raise_weights: &self.raise_weights,
             raise_mask: &self.raise_mask,
             weights: &self.weights,
             mask: &self.mask,
@@ -410,6 +406,65 @@ fn a_mixed_batch_repairs_like_a_fresh_run() {
     assert!(seen.iter().all(|&n| n >= 20), "overlaps drawn: {seen:?}");
 }
 
+/// A repair moves only the nodes it lists ([`SpfWorkspace::touched`]),
+/// each once. Over four stacked batches from the mixed-batch generator,
+/// every root's tree is loaded from an installed copy the way a FIB
+/// column is, repaired, and written back at the listed nodes only. Every
+/// node off the list keeps the parent and the distance (by `to_bits`) it
+/// was loaded with, and the installed copy then equals a fresh masked
+/// run at the batch's final state, bit for bit.
+#[test]
+fn a_repair_moves_only_the_nodes_it_lists() {
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut listed = 0usize;
+    run_cases(256, |rng| {
+        let g = multigraph(rng);
+        let n = g.node_count();
+        let mut w: Vec<f64> = g
+            .edge_ids()
+            .map(|_| rng.gen_range(1..=3u32) as f64)
+            .collect();
+        let mut mask = random_mask(&g, rng);
+        let mut installed: Vec<_> = g
+            .nodes()
+            .map(|root| dijkstra_masked(&g, root, &w, &mask))
+            .collect();
+        let mut ws = SpfWorkspace::new();
+        for step in 0..4 {
+            let batch = next_batch(&g, &w, &mask, rng);
+            for (root, tree) in g.nodes().zip(&mut installed) {
+                let at = format!("step {step}, root {root:?}");
+                ws.load_known(root, &tree.dist, |u| tree.parent[u]);
+                let frontier = ws.repair(&g, root, &batch.delta());
+                assert_eq!(frontier, ws.touched().len(), "{at}");
+                let mut on_list = vec![false; n];
+                for &u in ws.touched() {
+                    assert!(!on_list[u.index()], "{at}: {u:?} listed twice");
+                    on_list[u.index()] = true;
+                }
+                for u in (0..n).filter(|&u| !on_list[u]) {
+                    assert_eq!(ws.parents()[u], tree.parent[u], "{at}, node {u}");
+                    assert_eq!(
+                        ws.distances()[u].to_bits(),
+                        tree.dist[u].to_bits(),
+                        "{at}, node {u}"
+                    );
+                }
+                for &u in ws.touched() {
+                    tree.parent[u.index()] = ws.parents()[u.index()];
+                    tree.dist[u.index()] = ws.distances()[u.index()];
+                }
+                let fresh = dijkstra_masked(&g, root, &batch.weights, &batch.mask);
+                assert_eq!(bits(&tree.dist), bits(&fresh.dist), "{at}");
+                assert_eq!(tree.parent, fresh.parent, "{at}");
+                listed += frontier;
+            }
+            (w, mask) = (batch.weights, batch.mask);
+        }
+    });
+    assert!(listed > 0, "no repair moved a node");
+}
+
 /// Restoring a set of links in one relaxation is bit-identical — distances
 /// by `to_bits`, parents exactly — to a from-scratch masked run, and to
 /// restoring the same links one at a time, for every root. Weights are
@@ -443,7 +498,6 @@ fn restoring_a_link_set_in_one_relaxation_matches_rebuild_and_one_at_a_time() {
                            after: &EdgeMask,
                            restored: &[EdgeId]| {
                 let delta = SpfDelta {
-                    raise_weights: &w,
                     raise_mask: before,
                     weights: &w,
                     mask: after,

@@ -21,18 +21,20 @@
 //! Within a plane the slabs are *destination-major*: the `n` routers'
 //! entries toward one destination are one contiguous run (a "column").
 //! That is the unit everything here works in — a slice is a family of
-//! destination-rooted trees, so a repair loads, scans and rewrites whole
-//! columns at unit stride, and a packet, whose destination never
-//! changes, stays inside one column per slice for its whole walk.
+//! destination-rooted trees, so a repair loads and scans whole columns at
+//! unit stride and writes back the entries it moved, and a packet, whose
+//! destination never changes, stays inside one column per slice for its
+//! whole walk.
 //!
 //! `SpliceFib` is the only table type in the workspace: the protocol
 //! simulator and every slice construction fill planes of one directly,
 //! through [`PlaneMut`], and a caller that only needs one slice's path
 //! reads it down one column through [`Plane::path`]. A plane is written
 //! whole by one fill ([`PlaneMut::fill`]) and repaired by one delta call
-//! per batch of link changes ([`PlaneMut::patch`]), which loads and
-//! writes back each column it changes once, whatever mix of failures,
-//! restores and reweights the batch holds.
+//! per batch of link changes ([`PlaneMut::patch`]), which loads each
+//! column it changes once, relaxes it once under the batch's final
+//! state and writes back only the entries that moved, whatever mix of
+//! failures, restores and reweights the batch holds.
 
 use splice_graph::dijkstra::{SpfDelta, SpfWorkspace};
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
@@ -67,8 +69,12 @@ pub struct RepairStats {
     /// Columns left byte-identical (the event provably could not change
     /// them).
     pub skipped_columns: usize,
-    /// Total re-relaxed nodes across all patched columns.
+    /// The repair frontier: the nodes a pass reset or moved, each once
+    /// per column, summed over the patched columns.
     pub frontier_nodes: usize,
+    /// Entries the pass stored: each delta-repaired column writes back
+    /// only its frontier, a masked rebuild all `n²` of its plane.
+    pub entries_written: usize,
 }
 
 impl RepairStats {
@@ -77,6 +83,7 @@ impl RepairStats {
         self.patched_columns += other.patched_columns;
         self.skipped_columns += other.skipped_columns;
         self.frontier_nodes += other.frontier_nodes;
+        self.entries_written += other.entries_written;
     }
 }
 
@@ -337,25 +344,32 @@ impl PlaneMut<'_> {
         });
     }
 
-    /// After a column was loaded and repaired in `ws`: when the repair
-    /// `touched` any node, write its parents back to the plane and its
-    /// distances back to `dist`.
+    /// After a column was loaded and repaired in `ws`: write back the
+    /// entries the repair reset or moved ([`SpfWorkspace::touched`]),
+    /// their parents to the plane and their distances to `dist`, and
+    /// nothing else — every other entry of the column is unchanged.
     fn store_column(
         &mut self,
         dst: NodeId,
-        touched: usize,
         dist: &mut [f64],
         ws: &SpfWorkspace,
         stats: &mut RepairStats,
     ) {
-        if touched > 0 {
-            self.patch_column(dst, ws.parents());
-            dist[self.column(dst)].copy_from_slice(ws.distances());
-            stats.patched_columns += 1;
-            stats.frontier_nodes += touched;
-        } else {
+        let touched = ws.touched();
+        if touched.is_empty() {
             stats.skipped_columns += 1;
+            return;
         }
+        let dist = &mut dist[self.column(dst)];
+        let (next_hop, out_edge) = self.column_mut(dst);
+        for &u in touched {
+            let u = u.index();
+            store(&mut next_hop[u], &mut out_edge[u], ws.parents()[u]);
+            dist[u] = ws.distances()[u];
+        }
+        stats.patched_columns += 1;
+        stats.frontier_nodes += touched.len();
+        stats.entries_written += touched.len();
     }
 
     /// Incrementally repair this plane after one batch of link changes:
@@ -364,16 +378,18 @@ impl PlaneMut<'_> {
     /// `dist` its distances (the plane's `n·n`, see
     /// [`DistanceMemo::plane_mut`]).
     ///
-    /// Each column is loaded into `ws`, repaired
-    /// ([`SpfWorkspace::repair`]) and written back whole, its distances
-    /// into `dist`, at most once per batch; a column the batch provably
-    /// leaves as it is is skipped. The probe that decides is exact, on
-    /// the column as installed: a lowered link that shortens a route or
-    /// wins a tie-break in it (two distances per link), or, when the batch
+    /// Each column is loaded into `ws` and repaired in one relaxation
+    /// ([`SpfWorkspace::repair`]) at most once per batch, and only the
+    /// entries that relaxation reset or moved are written back, to the
+    /// plane and to `dist`; a column the batch provably leaves as it is
+    /// is skipped. The probe that decides is exact, on the column as
+    /// installed: a lowered link that shortens a route or wins a
+    /// tie-break in it (two distances per link), or, when the batch
     /// failed or raised any link, an installed out-edge that is failed in
     /// the raise-only mask or was raised (one O(n) scan). A column with
-    /// neither stands through phase 1, and phase 2 then has nothing to
-    /// improve; a column with only the first skips phase 1.
+    /// neither has no dirty node and no seed, so the relaxation would
+    /// move nothing; a column with only the first is repaired with
+    /// nothing listed as failed or raised, so it skips classification.
     pub fn patch(
         &mut self,
         g: &Graph,
@@ -384,8 +400,8 @@ impl PlaneMut<'_> {
         self.assert_shape(g, dist);
         let mut stats = RepairStats::default();
         let raises = !delta.failed.is_empty() || !delta.raised.is_empty();
-        // A column whose tree crosses no failed or raised link stands
-        // through phase 1, so it is repaired with neither listed.
+        // A column whose tree crosses no failed or raised link has no
+        // dirty node, so it is repaired with neither listed.
         let lowers_only = SpfDelta {
             failed: &[],
             raised: &[],
@@ -407,8 +423,8 @@ impl PlaneMut<'_> {
                 continue;
             }
             self.load_column(t, dist, ws);
-            let touched = ws.repair(g, t, if raised { delta } else { &lowers_only });
-            self.store_column(t, touched, dist, ws, &mut stats);
+            ws.repair(g, t, if raised { delta } else { &lowers_only });
+            self.store_column(t, dist, ws, &mut stats);
         }
         stats
     }
@@ -425,7 +441,7 @@ impl PlaneMut<'_> {
     /// installed: it gives one endpoint a strictly shorter route through
     /// the other, or an equally short one that outranks the installed
     /// parent in the `(parent, edge)` tie-break. Exact, not conservative
-    /// — the comparisons [`SpfWorkspace::repair`]'s phase 2 starts from,
+    /// — the offers [`SpfWorkspace::repair`] seeds a lowered link with,
     /// on the two endpoints' entries of `dist`, the column's distances.
     fn lowers_column(
         &self,
@@ -1083,8 +1099,8 @@ mod tests {
     }
 
     /// Patch `plane` for the batch that takes `(w, mask)` to
-    /// `(new_w, after)`, its raise-only state derived as the repair
-    /// engine derives it.
+    /// `(new_w, after)`, its raise-only mask and link lists derived as
+    /// the repair engine derives them.
     fn patch_between(
         plane: &mut PlaneMut<'_>,
         g: &splice_graph::Graph,
@@ -1098,7 +1114,6 @@ mod tests {
         g.edge_ids()
             .filter(|&e| restored(e))
             .for_each(|e| raise_mask.fail(e));
-        let raise_weights: Vec<f64> = w.iter().zip(new_w).map(|(a, b)| a.max(*b)).collect();
         let cheaper = |e: EdgeId| new_w[e.index()] < w[e.index()] && raise_mask.is_up(e);
         let failed: Vec<EdgeId> = g
             .edge_ids()
@@ -1113,7 +1128,6 @@ mod tests {
             .filter(|&e| restored(e) || cheaper(e))
             .collect();
         let delta = SpfDelta {
-            raise_weights: &raise_weights,
             raise_mask: &raise_mask,
             weights: new_w,
             mask: after,

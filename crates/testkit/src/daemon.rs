@@ -286,18 +286,19 @@ mod tests {
     /// The work ledger of the control plane on the 400-event churn
     /// schedule [`control_plane_cuts_batches_where_the_batch_driver_does`]
     /// uses, at batch cap 16: how many repair passes ran, and the columns
-    /// they patched and skipped and the nodes they re-relaxed. A change
-    /// to the repair engine that moves a count shows here, with the
-    /// numbers, before any timing does. Each batch loads each dirty
-    /// column at most once, so patched and skipped columns sum to
-    /// batches × k × n.
+    /// they patched and skipped, the nodes they reset or moved and the
+    /// entries they wrote. A change to the repair engine that moves a
+    /// count shows here, with the numbers, before any timing does. Each
+    /// batch loads each dirty column at most once, so patched and skipped
+    /// columns sum to batches × k × n, and writes back only the entries
+    /// it reset or moved, so entries written equal the frontier.
     #[test]
     fn control_plane_work_ledger_is_pinned() {
         use splice_core::slices::SplicingConfig;
 
         for (name, k, seed, batches, patched, skipped, frontier) in [
-            ("abilene", 3, 41u64, 25u64, 818usize, 7usize, 6_714usize),
-            ("sprint", 5, 42, 25, 6_400, 100, 250_476),
+            ("abilene", 3, 41u64, 25u64, 818usize, 7usize, 5_212usize),
+            ("sprint", 5, 42, 25, 6_400, 100, 199_684),
         ] {
             let g = splice_topology::resolve(name).unwrap().graph();
             let base = Splicing::build(&g, &SplicingConfig::degree_based(k, 0.0, 3.0), seed);
@@ -316,6 +317,7 @@ mod tests {
                     patched_columns: patched,
                     skipped_columns: skipped,
                     frontier_nodes: frontier,
+                    entries_written: frontier,
                 },
                 "{name}"
             );
