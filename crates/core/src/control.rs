@@ -226,7 +226,7 @@ pub struct ControlStats {
     /// Repairs that reused a recycled arena instead of allocating.
     pub arenas_recycled: u64,
     /// Column work summed over every repair pass: columns patched and
-    /// skipped, frontier nodes and entries written.
+    /// skipped, frontier nodes, and entries written and loaded.
     pub repair: RepairStats,
 }
 

@@ -804,6 +804,7 @@ fn masked_rebuild_stats(g: &Graph) -> RepairStats {
         skipped_columns: 0,
         frontier_nodes: n,
         entries_written: n * n,
+        entries_loaded: 0,
     }
 }
 

@@ -75,6 +75,9 @@ pub struct RepairStats {
     /// Entries the pass stored: each delta-repaired column writes back
     /// only its frontier, a masked rebuild all `n²` of its plane.
     pub entries_written: usize,
+    /// Column entries the pass read into its workspace: `n` for each
+    /// column it loaded, none for a masked rebuild.
+    pub entries_loaded: usize,
 }
 
 impl RepairStats {
@@ -84,6 +87,7 @@ impl RepairStats {
         self.skipped_columns += other.skipped_columns;
         self.frontier_nodes += other.frontier_nodes;
         self.entries_written += other.entries_written;
+        self.entries_loaded += other.entries_loaded;
     }
 }
 
@@ -423,6 +427,7 @@ impl PlaneMut<'_> {
                 continue;
             }
             self.load_column(t, dist, ws);
+            stats.entries_loaded += self.n;
             ws.repair(g, t, if raised { delta } else { &lowers_only });
             self.store_column(t, dist, ws, &mut stats);
         }

@@ -285,32 +285,46 @@ mod tests {
 
     /// The work ledger of the control plane on the 400-event churn
     /// schedule [`control_plane_cuts_batches_where_the_batch_driver_does`]
-    /// uses, at batch cap 16: how many repair passes ran, and the columns
-    /// they patched and skipped, the nodes they reset or moved and the
-    /// entries they wrote. A change to the repair engine that moves a
-    /// count shows here, with the numbers, before any timing does. Each
-    /// batch loads each dirty column at most once, so patched and skipped
-    /// columns sum to batches × k × n, and writes back only the entries
-    /// it reset or moved, so entries written equal the frontier.
+    /// uses, at batch cap 1 (`paced-churn`'s shape) and 16: how many
+    /// repair passes ran, and the columns they patched and skipped, the
+    /// nodes they reset or moved and the column entries they read and
+    /// wrote. A change to the repair engine that moves a count shows
+    /// here, with the numbers, before any timing does. Each batch repairs
+    /// each column at most once, so patched and skipped columns sum to
+    /// batches × k × n, and writes back only the entries it reset or
+    /// moved, so entries written equal the frontier.
     #[test]
     fn control_plane_work_ledger_is_pinned() {
         use splice_core::slices::SplicingConfig;
 
-        for (name, k, seed, batches, patched, skipped, frontier) in [
-            ("abilene", 3, 41u64, 25u64, 818usize, 7usize, 5_212usize),
-            ("sprint", 5, 42, 25, 6_400, 100, 199_684),
+        for (name, k, seed, cap, batches, patched, skipped, frontier, loaded) in [
+            (
+                "abilene",
+                3,
+                41u64,
+                1,
+                400u64,
+                8_684usize,
+                3_240usize,
+                27_556usize,
+                95_524usize,
+            ),
+            ("abilene", 3, 41, 16, 25, 818, 7, 5_212, 8_998),
+            ("sprint", 5, 42, 1, 400, 64_401, 26_651, 375_076, 3_348_852),
+            ("sprint", 5, 42, 16, 25, 6_400, 100, 199_684, 332_800),
         ] {
+            let at = format!("{name}, cap {cap}");
             let g = splice_topology::resolve(name).unwrap().graph();
             let base = Splicing::build(&g, &SplicingConfig::degree_based(k, 0.0, 3.0), seed);
-            let mut cp = ControlPlane::new(g.clone(), base, 16);
+            let mut cp = ControlPlane::new(g.clone(), base, cap);
             for ev in &churn_schedule(&g, k, 400, seed) {
                 cp.ingest(ev);
             }
             cp.flush();
             let stats = cp.stats();
-            assert_eq!(stats.repair_batches, batches, "{name}");
-            let columns = batches as usize * k * g.node_count();
-            assert_eq!(patched + skipped, columns, "{name}");
+            assert_eq!(stats.repair_batches, batches, "{at}");
+            let visited = stats.repair.patched_columns + stats.repair.skipped_columns;
+            assert!(visited <= batches as usize * k * g.node_count(), "{at}");
             assert_eq!(
                 stats.repair,
                 RepairStats {
@@ -318,8 +332,9 @@ mod tests {
                     skipped_columns: skipped,
                     frontier_nodes: frontier,
                     entries_written: frontier,
+                    entries_loaded: loaded,
                 },
-                "{name}"
+                "{at}"
             );
         }
     }
