@@ -537,20 +537,7 @@ impl Splicing {
             .supports_delta_repair()
             .then(|| self.owned_distances(g));
 
-        // The raise-only mask: the new failures in, restored links still
-        // down.
-        let raise_mask = (!restored.is_empty()).then(|| {
-            let mut m = mask.clone();
-            restored.iter().for_each(|e| m.fail(*e));
-            m
-        });
-        let mut delta = BatchDelta::new(
-            raise_mask.as_ref().unwrap_or(&mask),
-            &mask,
-            &newly,
-            &restored,
-            &reweighted,
-        );
+        let mut delta = BatchDelta::new(&mask, &newly, &restored, &reweighted);
 
         // A slice is dirty when the batch changed the topology (every
         // plane shares the mask) or it was reweighted. A strategy without
@@ -808,12 +795,11 @@ fn masked_rebuild_stats(g: &Graph) -> RepairStats {
     }
 }
 
-/// A coalesced batch as the planes' delta repairs read it: the raise-only
-/// and final masks and the failed and restored links, which every plane
-/// shares, and the scratch each plane's [`SpfDelta`] is assembled in —
-/// sized once per batch, so no plane allocates.
+/// A coalesced batch as the planes' delta repairs read it: the final mask
+/// and the failed and restored links, which every plane shares, and the
+/// scratch each plane's [`SpfDelta`] is assembled in — sized once per
+/// batch, so no plane allocates.
 struct BatchDelta<'a> {
-    raise_mask: &'a EdgeMask,
     mask: &'a EdgeMask,
     failed: &'a [EdgeId],
     restored: &'a [EdgeId],
@@ -822,11 +808,10 @@ struct BatchDelta<'a> {
 }
 
 impl<'a> BatchDelta<'a> {
-    /// `raise_mask` is `mask` with every link of `restored` still failed;
-    /// `failed` lists the links the batch took down, and `reweighted` each
-    /// slice's reweighted links.
+    /// `mask` is the batch's final mask, `failed` lists the links the
+    /// batch took down, `restored` those it brought back, and
+    /// `reweighted` each slice's reweighted links.
     fn new(
-        raise_mask: &'a EdgeMask,
         mask: &'a EdgeMask,
         failed: &'a [EdgeId],
         restored: &'a [EdgeId],
@@ -834,7 +819,6 @@ impl<'a> BatchDelta<'a> {
     ) -> BatchDelta<'a> {
         let most = reweighted.iter().map(Vec::len).max().unwrap_or(0);
         BatchDelta {
-            raise_mask,
             mask,
             failed,
             restored,
@@ -859,14 +843,13 @@ impl<'a> BatchDelta<'a> {
             let (old, new) = (base[e.index()], fin[e.index()]);
             if new > old {
                 self.raised.push(e);
-            } else if new < old && self.raise_mask.is_up(e) {
+            } else if new < old && self.mask.is_up(e) && !self.restored.contains(&e) {
                 // A restored link is in `lowered` already, and one that
                 // ends the batch down improves nothing.
                 self.lowered.push(e);
             }
         }
         SpfDelta {
-            raise_mask: self.raise_mask,
             weights: fin,
             mask: self.mask,
             failed: self.failed,
@@ -1753,8 +1736,6 @@ mod tests {
                 let restored: Vec<EdgeId> =
                     before.failed_edges().filter(|&e| after.is_up(e)).collect();
                 assert_eq!(restored, [EdgeId(9)]);
-                let mut raise_mask = after.clone();
-                restored.iter().for_each(|&e| raise_mask.fail(e));
                 let reweighted: Vec<Vec<EdgeId>> = (0..k)
                     .map(|s| {
                         g.edge_ids()
@@ -1764,7 +1745,7 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                let (reweighted, raise_mask) = (&reweighted, &raise_mask);
+                let reweighted = &reweighted;
                 let (newly, restored) = (&newly, &restored);
                 let mut fanned = start.arena().clone_prefix(k);
                 let mut jobs = [Vec::new(), Vec::new()];
@@ -1778,8 +1759,7 @@ mod tests {
                             scope.spawn(|| {
                                 let mut ws = SpfWorkspace::new();
                                 let mut dist = start.distances().map(|d| d.clone_prefix(k));
-                                let mut delta =
-                                    BatchDelta::new(raise_mask, after, newly, restored, reweighted);
+                                let mut delta = BatchDelta::new(after, newly, restored, reweighted);
                                 let mut local = RepairStats::default();
                                 for (slice, mut plane) in job {
                                     local.absorb(repair_plane_batched(

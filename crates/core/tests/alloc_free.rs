@@ -120,7 +120,6 @@ fn warm_delta_repairs_do_not_allocate() {
     // identical work.
     let batches = [
         SpfDelta {
-            raise_mask: &failed,
             weights: &w,
             mask: &failed,
             failed: &down,
@@ -128,7 +127,6 @@ fn warm_delta_repairs_do_not_allocate() {
             lowered: &[],
         },
         SpfDelta {
-            raise_mask: &failed,
             weights: &dearer,
             mask: &up,
             failed: &[],
@@ -136,7 +134,6 @@ fn warm_delta_repairs_do_not_allocate() {
             lowered: &down,
         },
         SpfDelta {
-            raise_mask: &up,
             weights: &w,
             mask: &up,
             failed: &[],

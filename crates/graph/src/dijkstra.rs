@@ -120,8 +120,14 @@ pub struct SpfWorkspace {
     /// known" flags.
     settled: Vec<bool>,
     heap: BinaryHeap<HeapEntry>,
-    /// Scratch for repair: per-node clean and listed bits.
-    mark: Vec<u8>,
+    /// Repair scratch, per node: `epoch` once the pass has read the
+    /// node's entry from its column, `epoch + 1` once the node is also
+    /// on `touched`, anything older when the pass has not reached it.
+    stamp: Vec<u32>,
+    /// The current repair pass's stamp; even, and advanced by two a pass.
+    epoch: u32,
+    /// Entries the last repair read from its column.
+    loaded: usize,
     /// Scratch for [`Self::load_tree`]: the parent chain being walked.
     stack: Vec<u32>,
     /// The nodes the last repair reset or moved, each once.
@@ -131,21 +137,19 @@ pub struct SpfWorkspace {
 /// One batch of link changes, as a delta repair reads it: the tree's
 /// final inputs, and the links that moved.
 ///
-/// The *raise-only* mask applies the batch's failures and nothing else:
-/// restored links are still down in it. So a tree link failed in it, or
-/// listed in `raised`, is one the batch made worse, and every other link
-/// is up in the final state and no dearer. [`SpfWorkspace::repair`]
-/// classifies the tree by the first and relaxes under the final state.
+/// A tree link failed in the final `mask` or listed in `raised` is one
+/// the batch made worse: a link down before the batch is in no tree, so
+/// the failed tree links are exactly the tree links among `failed`.
+/// Every other tree link is up in the final state and no dearer.
+/// [`SpfWorkspace::repair`] finds the subtrees below the first and
+/// relaxes under the final state.
 #[derive(Clone, Copy, Debug)]
 pub struct SpfDelta<'a> {
-    /// The raise-only mask: the final one with every restored link still
-    /// failed.
-    pub raise_mask: &'a EdgeMask,
     /// The batch's final weights.
     pub weights: &'a [f64],
     /// The batch's final mask.
     pub mask: &'a EdgeMask,
-    /// The links the batch failed: up before it, down in `raise_mask`.
+    /// The links the batch failed: up before it, down in `mask`.
     pub failed: &'a [EdgeId],
     /// The links whose weight went up.
     pub raised: &'a [EdgeId],
@@ -154,12 +158,74 @@ pub struct SpfDelta<'a> {
     pub lowered: &'a [EdgeId],
 }
 
-/// `mark` bit: the node's tree chain crosses no link the batch made
-/// worse, so its loaded distance bounds its new one from above.
-const MARK_CLEAN: u8 = 1;
-/// `mark` bit: the node is on the repair's `touched` list — reset, because
-/// its chain crosses a link the batch made worse, or moved by the drain.
-const MARK_LISTED: u8 = 2;
+/// The tree a repair starts from, read in place one node at a time: a
+/// destination column as installed before the batch, and its distances.
+///
+/// An out-edge is the whole entry: the next hop is the link's other
+/// endpoint. [`SpfWorkspace::repair`] reads a node's distance the first
+/// time its pass reaches the node, and out-edges where it searches for
+/// dirty subtrees or breaks a tie, so a column stored elsewhere — a FIB
+/// plane's out-edge slab and the deployment's distances — is repaired
+/// without being copied.
+pub trait SptColumn {
+    /// `u`'s installed out-edge toward the root: `None` at the root and on
+    /// nodes without a route.
+    fn out_edge(&self, u: NodeId) -> Option<EdgeId>;
+
+    /// `u`'s distance to the root, `f64::INFINITY` without a route.
+    fn distance(&self, u: NodeId) -> f64;
+}
+
+impl SptColumn for Spt {
+    #[inline]
+    fn out_edge(&self, u: NodeId) -> Option<EdgeId> {
+        self.parent[u.index()].map(|(_, e)| e)
+    }
+
+    #[inline]
+    fn distance(&self, u: NodeId) -> f64 {
+        self.dist[u.index()]
+    }
+}
+
+/// The canonical rule: whether the route "via `u` over `e` at `nd`"
+/// beats a label at distance `dv` whose parent is `pv()` — strictly
+/// shorter, or equal with a lexicographically smaller `(parent node,
+/// edge)` pair. The parent is read only on a tie.
+///
+/// The equal-distance tie-break makes the final parent a pure function
+/// of the exact distances: whichever order offers arrive in, the stored
+/// parent converges to the lexicographic minimum over all optimal
+/// predecessors. That is what lets an incremental repair reproduce a
+/// full rebuild bit for bit.
+#[inline]
+fn beats(
+    nd: f64,
+    dv: f64,
+    via: (NodeId, EdgeId),
+    pv: impl FnOnce() -> Option<(NodeId, EdgeId)>,
+) -> bool {
+    match nd.total_cmp(&dv) {
+        Ordering::Less => true,
+        Ordering::Equal => pv().is_none_or(|p| via < p),
+        Ordering::Greater => false,
+    }
+}
+
+impl Spt {
+    /// Repair this tree in place after one batch of link changes: one
+    /// [`SpfWorkspace::repair`] that reads it as its column, then the
+    /// nodes that repair reset or moved written back, parents and
+    /// distances. Returns the repair frontier.
+    pub fn repair(&mut self, g: &Graph, delta: &SpfDelta<'_>, ws: &mut SpfWorkspace) -> usize {
+        let frontier = ws.repair(g, self.root, delta, &*self);
+        for &u in ws.touched() {
+            self.parent[u.index()] = ws.parent[u.index()];
+            self.dist[u.index()] = ws.dist[u.index()];
+        }
+        frontier
+    }
+}
 
 impl SpfWorkspace {
     /// An empty workspace; buffers grow on first use.
@@ -222,27 +288,11 @@ impl SpfWorkspace {
     }
 
     /// Offer `v` the route "via `u` over `e` at distance `nd`"; record it
-    /// if it is better under the canonical rule (strictly shorter, or equal
-    /// with a lexicographically smaller `(parent node, edge)` pair) and
-    /// report whether it was taken.
-    ///
-    /// The equal-distance tie-break makes the final parent a pure function
-    /// of the exact distances: whichever order offers arrive in, the stored
-    /// parent converges to the lexicographic minimum over all optimal
-    /// predecessors. That is what lets an incremental repair reproduce a
-    /// full rebuild bit for bit.
+    /// if it [beats](beats) `v`'s label and report whether it was taken.
     #[inline]
     fn offer(&mut self, u: NodeId, e: EdgeId, v: NodeId, nd: f64) -> bool {
-        let better = match nd.total_cmp(&self.dist[v.index()]) {
-            Ordering::Less => true,
-            // Deterministic tie-break: prefer the lower parent node
-            // id, then the lower edge id.
-            Ordering::Equal => match self.parent[v.index()] {
-                Some((pu, pe)) => (u, e) < (pu, pe),
-                None => true,
-            },
-            Ordering::Greater => false,
-        };
+        let i = v.index();
+        let better = beats(nd, self.dist[i], (u, e), || self.parent[i]);
         if better {
             self.dist[v.index()] = nd;
             self.parent[v.index()] = Some((u, e));
@@ -252,40 +302,49 @@ impl SpfWorkspace {
 
     /// Parent pointers of the last run: `parents()[u]` is `u`'s next hop
     /// and outgoing edge toward the root (`None` at the root itself and on
-    /// unreachable nodes).
+    /// unreachable nodes). After a [`Self::repair`], only the entries of
+    /// the nodes it [touched](Self::touched) are meaningful.
     #[inline]
     pub fn parents(&self) -> &[Option<(NodeId, EdgeId)>] {
         &self.parent
     }
 
-    /// Distances of the last run, `f64::INFINITY` when unreachable.
+    /// Distances of the last run, `f64::INFINITY` when unreachable. After
+    /// a [`Self::repair`], as [`Self::parents`].
     #[inline]
     pub fn distances(&self) -> &[f64] {
         &self.dist
     }
 
     /// The nodes the last [`Self::repair`] reset or moved, each once: the
-    /// only ones whose parent or distance can differ from the tree it
-    /// repaired, so a write-back of the repaired tree stores these and
+    /// only ones whose parent or distance can differ from the column it
+    /// read, so a write-back of the repaired tree stores these and
     /// nothing else.
     #[inline]
     pub fn touched(&self) -> &[NodeId] {
         &self.touched
     }
 
-    /// Load an existing shortest-path tree into the workspace so it can be
-    /// repaired incrementally: `parent_of(u)` supplies `u`'s stored next
-    /// hop and outgoing edge toward `root` (`None` at the root and on
-    /// unreachable nodes), exactly the shape a FIB column stores.
+    /// How many column entries the last [`Self::repair`] read: each node
+    /// whose entry the pass needed, once. A node reset as dirty is not
+    /// read, and neither is any node the pass never reached.
+    #[inline]
+    pub fn loaded(&self) -> usize {
+        self.loaded
+    }
+
+    /// Load an existing shortest-path tree and reconstruct its distances:
+    /// `parent_of(u)` supplies `u`'s stored next hop and outgoing edge
+    /// toward `root` (`None` at the root and on unreachable nodes),
+    /// exactly the shape a FIB column stores.
     ///
     /// Distances are reconstructed by walking parent chains and summing
     /// `weights` parent-first — the same `dist[parent] + w(edge)` additions
     /// the original Dijkstra run performed, so the reconstructed values are
     /// bit-identical to the ones the full run computed. That fold is O(n)
-    /// per column however little a repair then changes, so repairs load
-    /// the distances kept from the tree's last run or repair with
-    /// [`Self::load_known`]; this fold derives them for a tree whose
-    /// distances were never kept, and checks the kept ones.
+    /// per column, so repairs never run it: they read the distances kept
+    /// from the tree's last run or repair. This derives them for a tree
+    /// whose distances were never kept, and checks the kept ones.
     ///
     /// # Panics
     /// Panics if `weights.len() != g.edge_count()` or the parent pointers
@@ -343,81 +402,30 @@ impl SpfWorkspace {
         }
     }
 
-    /// Load a tree whose distances are already known, so it can be
-    /// repaired incrementally without [`Self::load_tree`]'s chain fold:
-    /// `parent_of(u)` as there, and `dist` the router-indexed distances
-    /// that fold would produce (`f64::INFINITY` on unreachable nodes) —
-    /// exactly what [`Self::distances`] held after the run or repair that
-    /// produced the tree. A repair then proceeds bit-identically to one
-    /// started from `load_tree`, at one copy per node instead of one
-    /// addition per chain link.
-    pub fn load_known<F>(&mut self, root: NodeId, dist: &[f64], parent_of: F)
-    where
-        F: Fn(usize) -> Option<(NodeId, EdgeId)>,
-    {
-        debug_assert_eq!(dist[root.index()], 0.0, "the root is at distance 0");
-        self.dist.clear();
-        self.dist.extend_from_slice(dist);
-        self.parent.clear();
-        self.parent.extend((0..dist.len()).map(parent_of));
-    }
-
-    /// Classify every node by walking its parent chain: dirty if the
-    /// chain crosses a tree link `hit` picks, clean otherwise. Chains are
-    /// memoized, so this is O(n) total. A chain is walked on `touched`
-    /// itself: a dirty one stays there, listed, and a clean one is
-    /// popped off again.
-    fn mark_dirty_subtrees(&mut self, root: NodeId, hit: impl Fn(EdgeId) -> bool) {
-        let n = self.parent.len();
-        self.mark[root.index()] = MARK_CLEAN;
-        for start in 0..n {
-            if self.mark[start] != 0 {
-                continue;
-            }
-            let from = self.touched.len();
-            let mut u = start;
-            let state = loop {
-                if self.mark[u] != 0 {
-                    break self.mark[u];
-                }
-                self.touched.push(NodeId(u as u32));
-                assert!(
-                    self.touched.len() - from <= n,
-                    "parent pointers contain a cycle"
-                );
-                match self.parent[u] {
-                    Some((_, e)) if hit(e) => break MARK_LISTED,
-                    Some((p, _)) => u = p.index(),
-                    // Unreachable before the batch; stays untouched.
-                    None => break MARK_CLEAN,
-                }
-            };
-            for v in &self.touched[from..] {
-                self.mark[v.index()] = state;
-            }
-            if state == MARK_CLEAN {
-                self.touched.truncate(from);
-            }
-        }
-    }
-
-    /// Incrementally repair the loaded tree after one batch of link
-    /// changes, `delta` (see [`SpfDelta`]), in one label-correcting heap
-    /// pass under the final state. The workspace must hold the tree that
-    /// was correct before the batch (via [`Self::run`],
-    /// [`Self::load_tree`], [`Self::load_known`] or a previous repair).
-    /// Returns the repair frontier: the nodes the pass reset or moved,
-    /// each once, which [`Self::touched`] lists.
+    /// Repair the tree `column` holds, correct before one batch of link
+    /// changes `delta` (see [`SpfDelta`]), in one label-correcting heap
+    /// pass under the final state. `column` is read in place and never
+    /// written: the pass keeps the entries it reads or changes in the
+    /// workspace, and returns the repair frontier — the nodes it reset
+    /// or moved, each once, which [`Self::touched`] lists and whose new
+    /// entries [`Self::parents`] and [`Self::distances`] hold.
     ///
-    /// *Classification*, unless `failed` and `raised` are both empty: a
-    /// node is dirty when its tree chain crosses a link failed in
-    /// `raise_mask` or listed in `raised`. Every other node's chain is up
-    /// in the final state and no dearer, so its loaded distance is an
-    /// upper bound on its new one. Dirty nodes are reset.
+    /// *Dirty subtrees*: a failed or raised link is a tree link exactly
+    /// when it is the installed out-edge of one of its endpoints — the
+    /// child; both cannot be, or the column would hold a two-node cycle.
+    /// The subtree below each such child is dirty, and it is found by a
+    /// search down from the children: `w` hangs below `x` exactly when
+    /// `w`'s out-edge is a link between `w` and `x`, so the search scans
+    /// each dirty node's graph neighbours and reads their out-edges only.
+    /// Those are exactly the nodes whose tree chain crosses a link the
+    /// batch made worse. Every other node's chain is up in the final
+    /// state and no dearer, so its installed distance bounds its new one
+    /// from above. Dirty nodes are reset without being read.
     ///
     /// *Seeds*: each dirty node is offered a route from each of its
     /// clean, reachable neighbours over up links, and each `lowered`
-    /// link is offered in both directions.
+    /// link is offered in both directions. A column with no dirty node
+    /// and no offer taken is left as it is, with an empty frontier.
     ///
     /// *Drain*: one heap pass that skips stale entries and offers every up
     /// neighbour of each popped node under the canonical rule — a
@@ -435,41 +443,54 @@ impl SpfWorkspace {
     /// parent ends at the lexicographic minimum a fresh run picks, bit
     /// for bit.
     ///
+    /// *Loads*: the pass reads an entry the first time it needs one — a
+    /// seed's clean endpoint, or a node an offer reaches — and a per-node
+    /// stamp tells which it has read, so its work grows with the dirty
+    /// subtrees and the frontier's neighbourhood, not with the column.
+    ///
     /// # Panics
-    /// Panics if the weight vector's length is not the edge count, the
-    /// workspace holds no tree for `g`, or a `lowered` link is failed in
-    /// the final mask.
-    pub fn repair(&mut self, g: &Graph, root: NodeId, delta: &SpfDelta<'_>) -> usize {
+    /// Panics if the weight vector's length is not the edge count, or a
+    /// `lowered` link is failed in the final mask.
+    pub fn repair(
+        &mut self,
+        g: &Graph,
+        root: NodeId,
+        delta: &SpfDelta<'_>,
+        column: &impl SptColumn,
+    ) -> usize {
         let (weights, mask) = (delta.weights, delta.mask);
         assert_eq!(
             weights.len(),
             g.edge_count(),
             "weight vector length must equal edge count"
         );
-        let n = g.node_count();
-        assert_eq!(
-            self.dist.len(),
-            n,
-            "workspace does not hold a tree for this graph"
-        );
-        self.heap.clear();
-        self.touched.clear();
-        self.mark.clear();
-        self.mark.resize(n, 0);
-        if !delta.failed.is_empty() || !delta.raised.is_empty() {
-            self.mark_dirty_subtrees(root, |e| {
-                delta.raise_mask.is_failed(e) || delta.raised.contains(&e)
-            });
-            for &v in &self.touched {
-                self.dist[v.index()] = f64::INFINITY;
-                self.parent[v.index()] = None;
+        debug_assert!(column.out_edge(root).is_none(), "the root has no route");
+        self.begin_pass(g.node_count());
+        for &e in delta.failed.iter().chain(delta.raised) {
+            let edge = g.edge(e);
+            for child in [edge.u, edge.v] {
+                if !self.listed(child) && column.out_edge(child) == Some(e) {
+                    self.reset_dirty(child);
+                }
             }
-            for i in 0..self.touched.len() {
-                let v = self.touched[i];
-                for &(u, e) in g.neighbors(v) {
-                    let du = self.dist[u.index()];
-                    if mask.is_up(e) && self.mark[u.index()] == MARK_CLEAN && du.is_finite() {
-                        self.relax(u, e, v, du + weights[e.index()]);
+        }
+        // `touched` is the search's queue: every dirty node is on it.
+        let mut next = 0;
+        while let Some(&x) = self.touched.get(next) {
+            next += 1;
+            for &(w, e) in g.neighbors(x) {
+                if !self.listed(w) && column.out_edge(w) == Some(e) {
+                    self.reset_dirty(w);
+                }
+            }
+        }
+        for i in 0..self.touched.len() {
+            let v = self.touched[i];
+            for &(u, e) in g.neighbors(v) {
+                if mask.is_up(e) && !self.listed(u) {
+                    let du = self.load(column, u);
+                    if du.is_finite() {
+                        self.relax(g, column, (u, e), v, du + weights[e.index()]);
                     }
                 }
             }
@@ -478,9 +499,9 @@ impl SpfWorkspace {
             assert!(mask.is_up(edge), "{edge:?} must be up in the final mask");
             let (a, b) = (g.edge(edge).u, g.edge(edge).v);
             for (u, v) in [(a, b), (b, a)] {
-                let du = self.dist[u.index()];
+                let du = self.load(column, u);
                 if du.is_finite() {
-                    self.relax(u, edge, v, du + weights[edge.index()]);
+                    self.relax(g, column, (u, edge), v, du + weights[edge.index()]);
                 }
             }
         }
@@ -490,27 +511,89 @@ impl SpfWorkspace {
             }
             for &(v, e) in g.neighbors(u) {
                 if mask.is_up(e) {
-                    self.relax(u, e, v, d + weights[e.index()]);
+                    self.relax(g, column, (u, e), v, d + weights[e.index()]);
                 }
             }
         }
         self.touched.len()
     }
 
-    /// A repair's offer of "via `u` over `e` at `nd`" to `v`, under the
-    /// canonical rule ([`Self::offer`]): queue `v` if the route is
-    /// strictly shorter, and list it the first time it moves.
+    /// Start a repair pass over `n` nodes: advance the epoch, so no node
+    /// counts as read or listed, and clear the pass's lists.
+    fn begin_pass(&mut self, n: usize) {
+        self.dist.resize(n, f64::INFINITY);
+        self.parent.resize(n, None);
+        if self.stamp.len() != n || self.epoch > u32::MAX - 2 {
+            self.stamp.clear();
+            self.stamp.resize(n, 0);
+            self.epoch = 0;
+        }
+        self.epoch += 2;
+        self.heap.clear();
+        self.touched.clear();
+        self.loaded = 0;
+    }
+
+    /// Whether `v` is on this pass's `touched` list.
     #[inline]
-    fn relax(&mut self, u: NodeId, e: EdgeId, v: NodeId, nd: f64) {
-        let shorter = nd.total_cmp(&self.dist[v.index()]) == Ordering::Less;
-        if !self.offer(u, e, v, nd) {
+    fn listed(&self, v: NodeId) -> bool {
+        self.stamp[v.index()] == self.epoch + 1
+    }
+
+    /// Reset the dirty `v` to unreachable and list it, without reading
+    /// its entry.
+    #[inline]
+    fn reset_dirty(&mut self, v: NodeId) {
+        self.dist[v.index()] = f64::INFINITY;
+        self.parent[v.index()] = None;
+        self.stamp[v.index()] = self.epoch + 1;
+        self.touched.push(v);
+    }
+
+    /// `v`'s label, its distance read from `column` the first time the
+    /// pass needs it.
+    #[inline]
+    fn load(&mut self, column: &impl SptColumn, v: NodeId) -> f64 {
+        let i = v.index();
+        if self.stamp[i] < self.epoch {
+            self.dist[i] = column.distance(v);
+            self.stamp[i] = self.epoch;
+            self.loaded += 1;
+        }
+        self.dist[i]
+    }
+
+    /// A repair's offer of "via `u` over `e` at `nd`" to `v`, under the
+    /// canonical rule ([`beats`]): take it, queue `v` if the route is
+    /// strictly shorter, and list `v` the first time it moves. A node off
+    /// the list still has its installed parent, which only a tie reads.
+    #[inline]
+    fn relax(
+        &mut self,
+        g: &Graph,
+        column: &impl SptColumn,
+        (u, e): (NodeId, EdgeId),
+        v: NodeId,
+        nd: f64,
+    ) {
+        let (i, dv) = (v.index(), self.load(column, v));
+        let installed = || {
+            if self.listed(v) {
+                self.parent[i]
+            } else {
+                column.out_edge(v).map(|pe| (g.edge(pe).other(v), pe))
+            }
+        };
+        if !beats(nd, dv, (u, e), installed) {
             return;
         }
-        if shorter {
+        self.dist[i] = nd;
+        self.parent[i] = Some((u, e));
+        if nd.total_cmp(&dv).is_lt() {
             self.heap.push(HeapEntry { dist: nd, node: v });
         }
-        if self.mark[v.index()] & MARK_LISTED == 0 {
-            self.mark[v.index()] |= MARK_LISTED;
+        if !self.listed(v) {
+            self.stamp[i] = self.epoch + 1;
             self.touched.push(v);
         }
     }
@@ -704,10 +787,9 @@ mod tests {
     }
 
     /// A batch that only failed the links of `failed`: `mask` already
-    /// has them failed, and is both the raise-only and the final mask.
+    /// has them failed.
     fn failures<'a>(w: &'a [f64], mask: &'a EdgeMask, failed: &'a [EdgeId]) -> SpfDelta<'a> {
         SpfDelta {
-            raise_mask: mask,
             weights: w,
             mask,
             failed,
@@ -716,13 +798,12 @@ mod tests {
         }
     }
 
-    /// Repair the loaded tree after `e`'s weight moved from `old[e]` to
-    /// `new[e]` (the vectors differ nowhere else), every link of `mask`
-    /// staying as it is.
+    /// Repair `tree` after `e`'s weight moved from `old[e]` to `new[e]`
+    /// (the vectors differ nowhere else), every link of `mask` staying as
+    /// it is.
     fn reweight(
-        ws: &mut SpfWorkspace,
+        tree: &mut Spt,
         g: &Graph,
-        root: NodeId,
         (old, new): (&[f64], &[f64]),
         mask: &EdgeMask,
         e: EdgeId,
@@ -731,50 +812,46 @@ mod tests {
         let up = new[e.index()] > old[e.index()];
         let down = new[e.index()] < old[e.index()];
         let delta = SpfDelta {
-            raise_mask: mask,
             weights: new,
             mask,
             failed: &[],
             raised: if up { &edge } else { &[] },
             lowered: if down { &edge } else { &[] },
         };
-        ws.repair(g, root, &delta)
+        tree.repair(g, &delta, &mut SpfWorkspace::new())
     }
 
-    /// Repair the loaded tree, correct under `w` with `before` failed,
-    /// after the links of `restored` came back up (`after` is `before`
-    /// without them).
+    /// Repair `tree`, correct under `w` before the links of `restored`
+    /// came back up, to the final mask `after`.
     fn restores(
-        ws: &mut SpfWorkspace,
+        tree: &mut Spt,
         g: &Graph,
-        root: NodeId,
         w: &[f64],
-        (before, after): (&EdgeMask, &EdgeMask),
+        after: &EdgeMask,
         restored: &[EdgeId],
     ) -> usize {
         let delta = SpfDelta {
-            raise_mask: before,
             weights: w,
             mask: after,
             failed: &[],
             raised: &[],
             lowered: restored,
         };
-        ws.repair(g, root, &delta)
+        tree.repair(g, &delta, &mut SpfWorkspace::new())
     }
 
-    /// Assert the workspace holds exactly the tree a fresh masked run
-    /// computes: distances and parents, bit for bit.
-    fn assert_matches_fresh(
-        ws: &SpfWorkspace,
-        g: &Graph,
-        root: NodeId,
-        w: &[f64],
-        mask: &EdgeMask,
-    ) {
-        let fresh = dijkstra_masked(g, root, w, mask);
-        assert_eq!(ws.parents(), &fresh.parent[..], "parents, root {root:?}");
-        assert_eq!(ws.distances(), &fresh.dist[..], "distances, root {root:?}");
+    /// Assert `tree` is exactly the tree a fresh masked run computes:
+    /// distances and parents, bit for bit.
+    fn assert_matches_fresh(tree: &Spt, g: &Graph, w: &[f64], mask: &EdgeMask) {
+        let fresh = dijkstra_masked(g, tree.root, w, mask);
+        assert_eq!(tree.parent, fresh.parent, "parents, root {:?}", tree.root);
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&tree.dist),
+            bits(&fresh.dist),
+            "distances, root {:?}",
+            tree.root
+        );
     }
 
     #[test]
@@ -790,26 +867,29 @@ mod tests {
         }
     }
 
-    /// Repairs started from `load_known` with the distances a run left
-    /// behind equal repairs started from `load_tree`'s chain fold, bit
-    /// for bit, on every root and failed edge.
+    /// Repairs of a column whose distances were folded from its parent
+    /// chains ([`SpfWorkspace::load_tree`]) equal repairs of the column
+    /// with the distances its run left behind, bit for bit, on every root
+    /// and failed edge.
     #[test]
-    fn load_known_repairs_like_load_tree() {
+    fn repairs_from_folded_distances_match_repairs_from_run_distances() {
         let g = from_edges(4, &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]);
         let w = vec![0.1, 0.2, 0.7, 0.3];
+        let mut ws = SpfWorkspace::new();
         for root in g.nodes() {
             for e in g.edge_ids() {
-                let fresh = dijkstra(&g, root, &w);
-                let mask = EdgeMask::from_failed(g.edge_count(), &[e]);
-                let (mut folded, mut known) = (SpfWorkspace::new(), SpfWorkspace::new());
-                folded.load_tree(&g, root, &w, |u| fresh.parent[u]);
-                known.load_known(root, &fresh.dist, |u| fresh.parent[u]);
-                folded.repair(&g, root, &failures(&w, &mask, &[e]));
-                known.repair(&g, root, &failures(&w, &mask, &[e]));
-                assert_eq!(known.parents(), folded.parents());
-                let bits = |ws: &SpfWorkspace| -> Vec<u64> {
-                    ws.distances().iter().map(|d| d.to_bits()).collect()
+                let mut known = dijkstra(&g, root, &w);
+                ws.load_tree(&g, root, &w, |u| known.parent[u]);
+                let mut folded = Spt {
+                    root,
+                    dist: ws.distances().to_vec(),
+                    parent: ws.parents().to_vec(),
                 };
+                let mask = EdgeMask::from_failed(g.edge_count(), &[e]);
+                folded.repair(&g, &failures(&w, &mask, &[e]), &mut ws);
+                known.repair(&g, &failures(&w, &mask, &[e]), &mut ws);
+                assert_eq!(known.parent, folded.parent);
+                let bits = |t: &Spt| -> Vec<u64> { t.dist.iter().map(|d| d.to_bits()).collect() };
                 assert_eq!(bits(&known), bits(&folded), "root {root:?}, {e:?}");
             }
         }
@@ -829,14 +909,13 @@ mod tests {
     fn repair_single_failure_matches_fresh_run() {
         let g = diamond();
         let w = g.base_weights();
+        let mut ws = SpfWorkspace::new();
         for root in g.nodes() {
             for e in g.edge_ids() {
-                let mut ws = SpfWorkspace::new();
-                ws.run(&g, root, &w, None);
-                let mut mask = EdgeMask::all_up(g.edge_count());
-                mask.fail(e);
-                ws.repair(&g, root, &failures(&w, &mask, &[e]));
-                assert_matches_fresh(&ws, &g, root, &w, &mask);
+                let mut tree = dijkstra(&g, root, &w);
+                let mask = EdgeMask::from_failed(g.edge_count(), &[e]);
+                tree.repair(&g, &failures(&w, &mask, &[e]), &mut ws);
+                assert_matches_fresh(&tree, &g, &w, &mask);
             }
         }
     }
@@ -847,14 +926,16 @@ mod tests {
         // back exactly where a fresh run would.
         let g = from_edges(4, &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]);
         let w = g.base_weights();
-        let mut ws = SpfWorkspace::new();
-        ws.run(&g, NodeId(0), &w, None);
-        assert_eq!(ws.parents()[3], Some((NodeId(1), EdgeId(2))));
-        let mut mask = EdgeMask::all_up(g.edge_count());
-        mask.fail(EdgeId(2));
-        ws.repair(&g, NodeId(0), &failures(&w, &mask, &[EdgeId(2)]));
-        assert_eq!(ws.parents()[3], Some((NodeId(2), EdgeId(3))));
-        assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
+        let mut tree = dijkstra(&g, NodeId(0), &w);
+        assert_eq!(tree.parent[3], Some((NodeId(1), EdgeId(2))));
+        let mask = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2)]);
+        tree.repair(
+            &g,
+            &failures(&w, &mask, &[EdgeId(2)]),
+            &mut SpfWorkspace::new(),
+        );
+        assert_eq!(tree.parent[3], Some((NodeId(2), EdgeId(3))));
+        assert_matches_fresh(&tree, &g, &w, &mask);
     }
 
     #[test]
@@ -874,45 +955,78 @@ mod tests {
         );
         let w = g.base_weights();
         let mut ws = SpfWorkspace::new();
-        ws.run(&g, NodeId(0), &w, None);
+        let mut tree = dijkstra(&g, NodeId(0), &w);
         let mut mask = EdgeMask::all_up(g.edge_count());
         mask.fail(EdgeId(0));
-        ws.repair(&g, NodeId(0), &failures(&w, &mask, &[EdgeId(0)]));
-        assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
+        tree.repair(&g, &failures(&w, &mask, &[EdgeId(0)]), &mut ws);
+        assert_matches_fresh(&tree, &g, &w, &mask);
         mask.fail(EdgeId(4));
-        ws.repair(&g, NodeId(0), &failures(&w, &mask, &[EdgeId(4)]));
-        assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
+        tree.repair(&g, &failures(&w, &mask, &[EdgeId(4)]), &mut ws);
+        assert_matches_fresh(&tree, &g, &w, &mask);
     }
 
     #[test]
     fn repair_disconnecting_failure_marks_unreachable() {
         let g = from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]);
         let w = g.base_weights();
+        let mut tree = dijkstra(&g, NodeId(2), &w);
+        let mask = EdgeMask::from_failed(2, &[EdgeId(1)]);
         let mut ws = SpfWorkspace::new();
-        ws.run(&g, NodeId(2), &w, None);
-        let mut mask = EdgeMask::all_up(2);
-        mask.fail(EdgeId(1));
-        let frontier = ws.repair(&g, NodeId(2), &failures(&w, &mask, &[EdgeId(1)]));
+        let frontier = tree.repair(&g, &failures(&w, &mask, &[EdgeId(1)]), &mut ws);
         assert_eq!(frontier, 2, "both 0 and 1 hang below the failed link");
-        assert_matches_fresh(&ws, &g, NodeId(2), &w, &mask);
-        assert_eq!(ws.distances()[0], f64::INFINITY);
+        assert_eq!(ws.loaded(), 0, "a dirty node is reset without a read");
+        assert_matches_fresh(&tree, &g, &w, &mask);
+        assert_eq!(tree.dist[0], f64::INFINITY);
     }
 
     #[test]
     fn repair_non_tree_failure_is_noop() {
         let g = diamond();
         let w = g.base_weights();
-        let mut ws = SpfWorkspace::new();
-        ws.run(&g, NodeId(3), &w, None);
+        let mut tree = dijkstra(&g, NodeId(3), &w);
         // 0-2 (edge 2) carries no tree traffic toward 3: 0 routes via 1,
         // 2 routes directly via edge 3.
-        assert_eq!(ws.parents()[0], Some((NodeId(1), EdgeId(0))));
-        assert_eq!(ws.parents()[2], Some((NodeId(3), EdgeId(3))));
-        let mut mask = EdgeMask::all_up(g.edge_count());
-        mask.fail(EdgeId(2));
-        let frontier = ws.repair(&g, NodeId(3), &failures(&w, &mask, &[EdgeId(2)]));
+        assert_eq!(tree.parent[0], Some((NodeId(1), EdgeId(0))));
+        assert_eq!(tree.parent[2], Some((NodeId(3), EdgeId(3))));
+        let mask = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2)]);
+        let mut ws = SpfWorkspace::new();
+        let frontier = tree.repair(&g, &failures(&w, &mask, &[EdgeId(2)]), &mut ws);
         assert_eq!(frontier, 0);
-        assert_matches_fresh(&ws, &g, NodeId(3), &w, &mask);
+        assert_eq!(ws.loaded(), 0, "two out-edge reads find no tree link");
+        assert_matches_fresh(&tree, &g, &w, &mask);
+    }
+
+    #[test]
+    fn a_repair_reads_only_the_entries_its_pass_reaches() {
+        // A path 0-1-…-7 rooted at 0 with a chord 0-6: failing 2-3 resets
+        // 3, 4 and 5 — the subtree below 3 — whose one way back is through
+        // 6, which hangs off the chord. The pass reads the one clean
+        // neighbour it seeds from, 6, and no other entry.
+        let g = from_edges(
+            8,
+            &[
+                (0, 1, 1.0),
+                (1, 2, 1.0),
+                (2, 3, 1.0),
+                (3, 4, 1.0),
+                (4, 5, 1.0),
+                (5, 6, 1.0),
+                (6, 7, 1.0),
+                (0, 6, 5.0),
+            ],
+        );
+        let w = g.base_weights();
+        let mut tree = dijkstra(&g, NodeId(0), &w);
+        assert_eq!(tree.parent[5], Some((NodeId(4), EdgeId(4))));
+        let mask = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2)]);
+        let mut ws = SpfWorkspace::new();
+        assert_eq!(
+            tree.repair(&g, &failures(&w, &mask, &[EdgeId(2)]), &mut ws),
+            3
+        );
+        assert_eq!(ws.touched(), &[NodeId(3), NodeId(4), NodeId(5)]);
+        assert_eq!(ws.loaded(), 1, "6 only");
+        assert_matches_fresh(&tree, &g, &w, &mask);
     }
 
     #[test]
@@ -924,10 +1038,9 @@ mod tests {
                 let old = g.base_weights();
                 let mut new_w = old.clone();
                 new_w[e.index()] *= 7.5;
-                let mut ws = SpfWorkspace::new();
-                ws.run(&g, root, &old, None);
-                reweight(&mut ws, &g, root, (&old, &new_w), &mask, e);
-                assert_matches_fresh(&ws, &g, root, &new_w, &mask);
+                let mut tree = dijkstra(&g, root, &old);
+                reweight(&mut tree, &g, (&old, &new_w), &mask, e);
+                assert_matches_fresh(&tree, &g, &new_w, &mask);
             }
         }
     }
@@ -941,10 +1054,9 @@ mod tests {
                 let old = g.base_weights();
                 let mut new_w = old.clone();
                 new_w[e.index()] *= 0.25;
-                let mut ws = SpfWorkspace::new();
-                ws.run(&g, root, &old, None);
-                reweight(&mut ws, &g, root, (&old, &new_w), &mask, e);
-                assert_matches_fresh(&ws, &g, root, &new_w, &mask);
+                let mut tree = dijkstra(&g, root, &old);
+                reweight(&mut tree, &g, (&old, &new_w), &mask, e);
+                assert_matches_fresh(&tree, &g, &new_w, &mask);
             }
         }
     }
@@ -960,10 +1072,9 @@ mod tests {
         let old = g.base_weights(); // [1, 2, 2, 2]
         let mut new_w = old.clone();
         new_w[2] = 1.0; // 0-2 now 1.0: path 0-2-3 costs 3.0, ties 0-1-3
-        let mut ws = SpfWorkspace::new();
-        ws.run(&g, NodeId(3), &old, None);
-        reweight(&mut ws, &g, NodeId(3), (&old, &new_w), &mask, EdgeId(2));
-        assert_matches_fresh(&ws, &g, NodeId(3), &new_w, &mask);
+        let mut tree = dijkstra(&g, NodeId(3), &old);
+        reweight(&mut tree, &g, (&old, &new_w), &mask, EdgeId(2));
+        assert_matches_fresh(&tree, &g, &new_w, &mask);
     }
 
     #[test]
@@ -971,13 +1082,9 @@ mod tests {
         let g = diamond();
         let mask = EdgeMask::all_up(g.edge_count());
         let w = g.base_weights();
-        let mut ws = SpfWorkspace::new();
-        ws.run(&g, NodeId(0), &w, None);
-        assert_eq!(
-            reweight(&mut ws, &g, NodeId(0), (&w, &w), &mask, EdgeId(1)),
-            0
-        );
-        assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
+        let mut tree = dijkstra(&g, NodeId(0), &w);
+        assert_eq!(reweight(&mut tree, &g, (&w, &w), &mask, EdgeId(1)), 0);
+        assert_matches_fresh(&tree, &g, &w, &mask);
     }
 
     #[test]
@@ -987,19 +1094,16 @@ mod tests {
         // (2, e3) and a fresh run picks it.
         let g = from_edges(4, &[(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]);
         let w = g.base_weights();
-        let mut mask = EdgeMask::all_up(g.edge_count());
-        mask.fail(EdgeId(2));
+        let mut mask = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2)]);
         let down = dijkstra_masked(&g, NodeId(0), &w, &mask);
         assert_eq!(down.parent[3], Some((NodeId(2), EdgeId(3))));
-        let mut ws = SpfWorkspace::new();
-        ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
-        let before = mask.clone();
+        let mut tree = down.clone();
         mask.restore(EdgeId(2));
-        let touched = restores(&mut ws, &g, NodeId(0), &w, (&before, &mask), &[EdgeId(2)]);
+        let touched = restores(&mut tree, &g, &w, &mask, &[EdgeId(2)]);
         assert_eq!(touched, 1, "only node 3 re-picks its parent");
-        assert_eq!(ws.distances(), &down.dist[..], "no distance moved");
-        assert_eq!(ws.parents()[3], Some((NodeId(1), EdgeId(2))));
-        assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
+        assert_eq!(tree.dist, down.dist, "no distance moved");
+        assert_eq!(tree.parent[3], Some((NodeId(1), EdgeId(2))));
+        assert_matches_fresh(&tree, &g, &w, &mask);
     }
 
     #[test]
@@ -1014,18 +1118,21 @@ mod tests {
         let mut mask = EdgeMask::from_failed(g.edge_count(), &[EdgeId(3)]);
         let down = dijkstra_masked(&g, NodeId(0), &w, &mask);
         assert_eq!(down.parent[3], Some((NodeId(2), EdgeId(1))));
-        let mut ws = SpfWorkspace::new();
-        ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
-        let before = mask.clone();
+        let mut tree = down.clone();
         mask.restore(EdgeId(3));
-        assert_eq!(
-            restores(&mut ws, &g, NodeId(0), &w, (&before, &mask), &[EdgeId(3)]),
-            2
-        );
+        let delta = SpfDelta {
+            weights: &w,
+            mask: &mask,
+            failed: &[],
+            raised: &[],
+            lowered: &[EdgeId(3)],
+        };
+        let mut ws = SpfWorkspace::new();
+        assert_eq!(tree.repair(&g, &delta, &mut ws), 2);
         assert_eq!(ws.touched(), &[NodeId(1), NodeId(3)]);
-        assert_eq!(ws.distances()[3], down.dist[3], "3's distance stays");
-        assert_eq!(ws.parents()[3], Some((NodeId(1), EdgeId(2))));
-        assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
+        assert_eq!(tree.dist[3], down.dist[3], "3's distance stays");
+        assert_eq!(tree.parent[3], Some((NodeId(1), EdgeId(2))));
+        assert_matches_fresh(&tree, &g, &w, &mask);
     }
 
     #[test]
@@ -1049,26 +1156,23 @@ mod tests {
         );
         let w = g.base_weights();
         let before = EdgeMask::from_failed(g.edge_count(), &[EdgeId(2)]);
-        let down = dijkstra_masked(&g, NodeId(0), &w, &before);
-        assert_eq!(down.parent[2], Some((NodeId(0), EdgeId(4))));
-        assert_eq!(down.parent[3], Some((NodeId(2), EdgeId(5))));
+        let mut tree = dijkstra_masked(&g, NodeId(0), &w, &before);
+        assert_eq!(tree.parent[2], Some((NodeId(0), EdgeId(4))));
+        assert_eq!(tree.parent[3], Some((NodeId(2), EdgeId(5))));
         let after = EdgeMask::from_failed(g.edge_count(), &[EdgeId(0)]);
-        let raise_mask = EdgeMask::from_failed(g.edge_count(), &[EdgeId(0), EdgeId(2)]);
         let mut ws = SpfWorkspace::new();
-        ws.load_known(NodeId(0), &down.dist, |u| down.parent[u]);
         let delta = SpfDelta {
-            raise_mask: &raise_mask,
             weights: &w,
             mask: &after,
             failed: &[EdgeId(0)],
             raised: &[],
             lowered: &[EdgeId(2)],
         };
-        assert_eq!(ws.repair(&g, NodeId(0), &delta), 3);
+        assert_eq!(tree.repair(&g, &delta, &mut ws), 3);
         assert_eq!(ws.touched(), &[NodeId(1), NodeId(2), NodeId(3)]);
-        assert_eq!(&ws.distances()[1..4], &[2.0, 3.0, 4.0]);
-        assert_eq!(ws.parents()[3], Some((NodeId(2), EdgeId(5))));
-        assert_matches_fresh(&ws, &g, NodeId(0), &w, &after);
+        assert_eq!(&tree.dist[1..4], &[2.0, 3.0, 4.0]);
+        assert_eq!(tree.parent[3], Some((NodeId(2), EdgeId(5))));
+        assert_matches_fresh(&tree, &g, &w, &after);
     }
 
     #[test]
@@ -1076,32 +1180,23 @@ mod tests {
         // Path 0-1-2-3 with a chord 2-3: failing 1-2 cuts {2, 3} off.
         let g = from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 3, 4.0)]);
         let w = g.base_weights();
-        let mut mask = EdgeMask::all_up(g.edge_count());
-        mask.fail(EdgeId(1));
-        let down = dijkstra_masked(&g, NodeId(0), &w, &mask);
-        assert_eq!(down.dist[2], f64::INFINITY);
-        assert_eq!(down.parent[3], None);
-        let mut ws = SpfWorkspace::new();
-        ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
-        let before = mask.clone();
+        let mut mask = EdgeMask::from_failed(g.edge_count(), &[EdgeId(1)]);
+        let mut tree = dijkstra_masked(&g, NodeId(0), &w, &mask);
+        assert_eq!(tree.dist[2], f64::INFINITY);
+        assert_eq!(tree.parent[3], None);
         mask.restore(EdgeId(1));
-        let touched = restores(&mut ws, &g, NodeId(0), &w, (&before, &mask), &[EdgeId(1)]);
+        let touched = restores(&mut tree, &g, &w, &mask, &[EdgeId(1)]);
         assert_eq!(touched, 2, "both cut-off nodes come back");
-        assert_eq!(ws.distances()[3], 3.0);
-        assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
+        assert_eq!(tree.dist[3], 3.0);
+        assert_matches_fresh(&tree, &g, &w, &mask);
         // A link between two nodes that both stay unreachable changes
         // nothing.
         mask.fail(EdgeId(1));
         mask.fail(EdgeId(2));
-        let down = dijkstra_masked(&g, NodeId(0), &w, &mask);
-        ws.load_tree(&g, NodeId(0), &w, |u| down.parent[u]);
-        let before = mask.clone();
+        let mut tree = dijkstra_masked(&g, NodeId(0), &w, &mask);
         mask.restore(EdgeId(2));
-        assert_eq!(
-            restores(&mut ws, &g, NodeId(0), &w, (&before, &mask), &[EdgeId(2)]),
-            0
-        );
-        assert_matches_fresh(&ws, &g, NodeId(0), &w, &mask);
+        assert_eq!(restores(&mut tree, &g, &w, &mask, &[EdgeId(2)]), 0);
+        assert_matches_fresh(&tree, &g, &w, &mask);
     }
 
     #[test]
@@ -1110,14 +1205,11 @@ mod tests {
         let w = g.base_weights();
         for root in g.nodes() {
             for e in g.edge_ids() {
-                let mut mask = EdgeMask::all_up(g.edge_count());
-                mask.fail(e);
-                let mut ws = SpfWorkspace::new();
-                ws.run(&g, root, &w, Some(&mask));
-                let before = mask.clone();
+                let mut mask = EdgeMask::from_failed(g.edge_count(), &[e]);
+                let mut tree = dijkstra_masked(&g, root, &w, &mask);
                 mask.restore(e);
-                restores(&mut ws, &g, root, &w, (&before, &mask), &[e]);
-                assert_matches_fresh(&ws, &g, root, &w, &mask);
+                restores(&mut tree, &g, &w, &mask, &[e]);
+                assert_matches_fresh(&tree, &g, &w, &mask);
             }
         }
     }

@@ -55,7 +55,7 @@ pub mod yen;
 
 pub use crate::graph::{Edge, Graph, GraphBuilder};
 pub use dijkstra::{
-    dijkstra, dijkstra_masked, validate_weights, SpfDelta, SpfWorkspace, WeightError,
+    dijkstra, dijkstra_masked, validate_weights, SpfDelta, SpfWorkspace, SptColumn, WeightError,
 };
 pub use failover::arc_diverse_parents;
 pub use ids::{EdgeId, NodeId};

@@ -9,7 +9,7 @@ use splice_graph::maxflow::{edge_connectivity_st, global_edge_connectivity};
 use splice_graph::mincut::min_cut_links;
 use splice_graph::traversal::{components, connected, disconnected_pairs, reachable_from};
 use splice_graph::{
-    dijkstra, dijkstra_masked, EdgeId, EdgeMask, Graph, NodeId, Rng, SpfDelta, SpfWorkspace,
+    dijkstra, dijkstra_masked, EdgeId, EdgeMask, Graph, NodeId, Rng, SpfDelta, SpfWorkspace, Spt,
     UnionFind,
 };
 // The random-graph generators live in the shared testkit so every
@@ -136,10 +136,9 @@ fn disconnected_pairs_consistent() {
 }
 
 /// One batch of link changes over `g`, as [`SpfWorkspace::repair`]
-/// reads it: the raise-only mask, the final state, and the links that
-/// were failed, raised and lowered between them.
+/// reads it: the final state, and the links that were failed, raised and
+/// lowered on the way to it.
 struct Batch {
-    raise_mask: EdgeMask,
     weights: Vec<f64>,
     mask: EdgeMask,
     failed: Vec<EdgeId>,
@@ -152,19 +151,15 @@ impl Batch {
     fn between(w: &[f64], mask: &EdgeMask, weights: Vec<f64>, after: EdgeMask) -> Batch {
         let edges = || (0..w.len() as u32).map(EdgeId);
         let restored = |e: EdgeId| mask.is_failed(e) && after.is_up(e);
-        let mut raise_mask = after.clone();
-        edges()
-            .filter(|&e| restored(e))
-            .for_each(|e| raise_mask.fail(e));
         let raised = edges().filter(|e| weights[e.index()] > w[e.index()]);
-        let cheaper = |e: EdgeId| weights[e.index()] < w[e.index()] && raise_mask.is_up(e);
+        let cheaper =
+            |e: EdgeId| weights[e.index()] < w[e.index()] && mask.is_up(e) && after.is_up(e);
         Batch {
             failed: edges()
                 .filter(|&e| mask.is_up(e) && after.is_failed(e))
                 .collect(),
             raised: raised.collect(),
             lowered: edges().filter(|&e| restored(e) || cheaper(e)).collect(),
-            raise_mask,
             weights,
             mask: after,
         }
@@ -172,7 +167,6 @@ impl Batch {
 
     fn delta(&self) -> SpfDelta<'_> {
         SpfDelta {
-            raise_mask: &self.raise_mask,
             weights: &self.weights,
             mask: &self.mask,
             failed: &self.failed,
@@ -227,8 +221,17 @@ fn next_batch(g: &Graph, w: &[f64], mask: &EdgeMask, rng: &mut Rng) -> Batch {
     Batch::between(w, mask, weights, after)
 }
 
+/// Assert `tree` equals a fresh masked run under `(w, mask)`: distances
+/// by `to_bits`, parents exactly.
+fn assert_matches_fresh(g: &Graph, tree: &Spt, w: &[f64], mask: &EdgeMask, at: &str) {
+    let fresh = dijkstra_masked(g, tree.root, w, mask);
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&tree.dist), bits(&fresh.dist), "distances, {at}");
+    assert_eq!(tree.parent, fresh.parent, "parents, {at}");
+}
+
 /// Delta-SPF repair after failing a random edge subset is bit-identical
-/// — distances by `total_cmp`, parents exactly — to a from-scratch
+/// — distances by `to_bits`, parents exactly — to a from-scratch
 /// masked run, for every root.
 #[test]
 fn repair_failures_matches_rebuild() {
@@ -237,28 +240,10 @@ fn repair_failures_matches_rebuild() {
         let w = g.base_weights();
         let batch = Batch::between(&w, &EdgeMask::all_up(g.edge_count()), w.clone(), mask);
         let mut ws = SpfWorkspace::new();
-        let mut fresh = SpfWorkspace::new();
         for root in g.nodes() {
-            ws.run(&g, root, &w, None);
-            ws.repair(&g, root, &batch.delta());
-            fresh.run(&g, root, &w, Some(&batch.mask));
-            for i in 0..g.node_count() {
-                assert!(
-                    ws.distances()[i].total_cmp(&fresh.distances()[i]).is_eq(),
-                    "dist mismatch at node {} of root {:?}: {} vs {}",
-                    i,
-                    root,
-                    ws.distances()[i],
-                    fresh.distances()[i]
-                );
-                assert_eq!(
-                    ws.parents()[i],
-                    fresh.parents()[i],
-                    "parent mismatch at node {} of root {:?}",
-                    i,
-                    root
-                );
-            }
+            let mut tree = dijkstra(&g, root, &w);
+            tree.repair(&g, &batch.delta(), &mut ws);
+            assert_matches_fresh(&g, &tree, &w, &batch.mask, &format!("root {root:?}"));
         }
     });
 }
@@ -281,38 +266,21 @@ fn repair_reweight_matches_rebuild() {
         let mask = EdgeMask::all_up(g.edge_count());
         let batch = Batch::between(&old_w, &mask, new_w, mask.clone());
         let mut ws = SpfWorkspace::new();
-        let mut fresh = SpfWorkspace::new();
         for root in g.nodes() {
-            ws.run(&g, root, &old_w, Some(&mask));
-            ws.repair(&g, root, &batch.delta());
-            fresh.run(&g, root, &batch.weights, Some(&mask));
-            for i in 0..g.node_count() {
-                assert!(
-                    ws.distances()[i].total_cmp(&fresh.distances()[i]).is_eq(),
-                    "dist mismatch at node {} of root {:?} (factor {})",
-                    i,
-                    root,
-                    factor
-                );
-                assert_eq!(
-                    ws.parents()[i],
-                    fresh.parents()[i],
-                    "parent mismatch at node {} of root {:?} (factor {})",
-                    i,
-                    root,
-                    factor
-                );
-            }
+            let mut tree = dijkstra(&g, root, &old_w);
+            tree.repair(&g, &batch.delta(), &mut ws);
+            let at = format!("root {root:?} (factor {factor})");
+            assert_matches_fresh(&g, &tree, &batch.weights, &mask, &at);
         }
     });
 }
 
-/// Delta-SPF restore of a failed edge — on a tree reloaded from
-/// parent pointers, the way a FIB column is — is bit-identical to a
-/// from-scratch masked run, one restored edge after another until the
-/// mask is empty. Weights are small integers so equal-cost routes
-/// (and with them the `(parent, edge)` tie-break) are the common
-/// case, not the exception.
+/// Delta-SPF restore of a failed edge — on a tree whose distances were
+/// folded from its parent pointers, the way a deployment assembled from
+/// parts gets them — is bit-identical to a from-scratch masked run, one
+/// restored edge after another until the mask is empty. Weights are
+/// small integers so equal-cost routes (and with them the `(parent,
+/// edge)` tie-break) are the common case, not the exception.
 #[test]
 fn repair_restore_matches_rebuild() {
     run_cases(128, |rng| {
@@ -326,38 +294,25 @@ fn repair_restore_matches_rebuild() {
             let mut mask = failed.clone();
             let before = dijkstra_masked(&g, root, &w, &mask);
             ws.load_tree(&g, root, &w, |u| before.parent[u]);
+            let mut tree = Spt {
+                root,
+                dist: ws.distances().to_vec(),
+                parent: ws.parents().to_vec(),
+            };
             for e in failed.failed_edges() {
                 let down = mask.clone();
                 mask.restore(e);
                 let batch = Batch::between(&w, &down, w.clone(), mask.clone());
-                ws.repair(&g, root, &batch.delta());
-                let fresh = dijkstra_masked(&g, root, &w, &mask);
-                for i in 0..g.node_count() {
-                    assert!(
-                        ws.distances()[i].total_cmp(&fresh.dist[i]).is_eq(),
-                        "dist mismatch at node {} of root {:?} after restoring {:?}: {} vs {}",
-                        i,
-                        root,
-                        e,
-                        ws.distances()[i],
-                        fresh.dist[i]
-                    );
-                    assert_eq!(
-                        ws.parents()[i],
-                        fresh.parent[i],
-                        "parent mismatch at node {} of root {:?} after restoring {:?}",
-                        i,
-                        root,
-                        e
-                    );
-                }
+                tree.repair(&g, &batch.delta(), &mut ws);
+                let at = format!("root {root:?} after restoring {e:?}");
+                assert_matches_fresh(&g, &tree, &w, &mask, &at);
             }
         }
     });
 }
 
-/// One delta repair per batch, on a tree loaded the way a FIB column is,
-/// is bit-identical — distances by `to_bits`, parents exactly — to a
+/// One delta repair per batch, reading the tree in place the way a FIB
+/// column is read, is bit-identical — distances by `to_bits`, parents exactly — to a
 /// fresh masked run at the batch's final state, for every root, over
 /// four stacked batches. Weights start as small integers, so equal-cost
 /// routes and the `(parent, edge)` tie-break are common. The batches
@@ -366,7 +321,6 @@ fn repair_restore_matches_rebuild() {
 /// fail or come back in it; the mixes must have drawn each overlap.
 #[test]
 fn a_mixed_batch_repairs_like_a_fresh_run() {
-    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut seen = [0usize; 3];
     run_cases(256, |rng| {
         let g = multigraph(rng);
@@ -375,15 +329,11 @@ fn a_mixed_batch_repairs_like_a_fresh_run() {
             .map(|_| rng.gen_range(1..=3u32) as f64)
             .collect();
         let mut mask = random_mask(&g, rng);
-        let mut trees: Vec<SpfWorkspace> = g
+        let mut trees: Vec<Spt> = g
             .nodes()
-            .map(|root| {
-                let start = dijkstra_masked(&g, root, &w, &mask);
-                let mut ws = SpfWorkspace::new();
-                ws.load_known(root, &start.dist, |u| start.parent[u]);
-                ws
-            })
+            .map(|root| dijkstra_masked(&g, root, &w, &mask))
             .collect();
+        let mut ws = SpfWorkspace::new();
         for step in 0..4 {
             let batch = next_batch(&g, &w, &mask, rng);
             let reweighted = |e: &EdgeId| batch.weights[e.index()] != w[e.index()];
@@ -393,12 +343,10 @@ fn a_mixed_batch_repairs_like_a_fresh_run() {
             seen[1] += g.edge_ids().any(|e| reweighted(&e) && restored(&e)) as usize;
             seen[2] +=
                 (!batch.raised.is_empty() && batch.lowered.iter().any(|e| !restored(e))) as usize;
-            for (root, ws) in g.nodes().zip(&mut trees) {
-                ws.repair(&g, root, &batch.delta());
-                let fresh = dijkstra_masked(&g, root, &batch.weights, &batch.mask);
-                let at = format!("step {step}, root {root:?}");
-                assert_eq!(bits(ws.distances()), bits(&fresh.dist), "{at}");
-                assert_eq!(ws.parents(), &fresh.parent[..], "{at}");
+            for tree in &mut trees {
+                tree.repair(&g, &batch.delta(), &mut ws);
+                let at = format!("step {step}, root {:?}", tree.root);
+                assert_matches_fresh(&g, tree, &batch.weights, &batch.mask, &at);
             }
             (w, mask) = (batch.weights, batch.mask);
         }
@@ -407,15 +355,14 @@ fn a_mixed_batch_repairs_like_a_fresh_run() {
 }
 
 /// A repair moves only the nodes it lists ([`SpfWorkspace::touched`]),
-/// each once. Over four stacked batches from the mixed-batch generator,
-/// every root's tree is loaded from an installed copy the way a FIB
-/// column is, repaired, and written back at the listed nodes only. Every
-/// node off the list keeps the parent and the distance (by `to_bits`) it
-/// was loaded with, and the installed copy then equals a fresh masked
-/// run at the batch's final state, bit for bit.
+/// each once, and reads each column entry at most once. Over four
+/// stacked batches from the mixed-batch generator, every root's
+/// installed tree is read in place, repaired, and written back at the
+/// listed nodes only ([`Spt::repair`]); the installed copy then equals a
+/// fresh masked run at the batch's final state, bit for bit, so no node
+/// off the list needed a new entry.
 #[test]
 fn a_repair_moves_only_the_nodes_it_lists() {
-    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut listed = 0usize;
     run_cases(256, |rng| {
         let g = multigraph(rng);
@@ -432,31 +379,17 @@ fn a_repair_moves_only_the_nodes_it_lists() {
         let mut ws = SpfWorkspace::new();
         for step in 0..4 {
             let batch = next_batch(&g, &w, &mask, rng);
-            for (root, tree) in g.nodes().zip(&mut installed) {
-                let at = format!("step {step}, root {root:?}");
-                ws.load_known(root, &tree.dist, |u| tree.parent[u]);
-                let frontier = ws.repair(&g, root, &batch.delta());
+            for tree in &mut installed {
+                let at = format!("step {step}, root {:?}", tree.root);
+                let frontier = tree.repair(&g, &batch.delta(), &mut ws);
                 assert_eq!(frontier, ws.touched().len(), "{at}");
                 let mut on_list = vec![false; n];
                 for &u in ws.touched() {
                     assert!(!on_list[u.index()], "{at}: {u:?} listed twice");
                     on_list[u.index()] = true;
                 }
-                for u in (0..n).filter(|&u| !on_list[u]) {
-                    assert_eq!(ws.parents()[u], tree.parent[u], "{at}, node {u}");
-                    assert_eq!(
-                        ws.distances()[u].to_bits(),
-                        tree.dist[u].to_bits(),
-                        "{at}, node {u}"
-                    );
-                }
-                for &u in ws.touched() {
-                    tree.parent[u.index()] = ws.parents()[u.index()];
-                    tree.dist[u.index()] = ws.distances()[u.index()];
-                }
-                let fresh = dijkstra_masked(&g, root, &batch.weights, &batch.mask);
-                assert_eq!(bits(&tree.dist), bits(&fresh.dist), "{at}");
-                assert_eq!(tree.parent, fresh.parent, "{at}");
+                assert!(ws.loaded() <= n, "{at}: {} entries read", ws.loaded());
+                assert_matches_fresh(&g, tree, &batch.weights, &batch.mask, &at);
                 listed += frontier;
             }
             (w, mask) = (batch.weights, batch.mask);
@@ -490,40 +423,32 @@ fn restoring_a_link_set_in_one_relaxation_matches_rebuild_and_one_at_a_time() {
         let after = EdgeMask::from_failed(m, &still_down);
         let mut before = after.clone();
         restored.iter().for_each(|&e| before.fail(e));
+        let mut ws = SpfWorkspace::new();
         for root in g.nodes() {
             let down = dijkstra_masked(&g, root, &w, &before);
-            let fresh = dijkstra_masked(&g, root, &w, &after);
-            let restore = |ws: &mut SpfWorkspace,
-                           before: &EdgeMask,
-                           after: &EdgeMask,
-                           restored: &[EdgeId]| {
+            let mut restore = |tree: &mut Spt, after: &EdgeMask, restored: &[EdgeId]| {
                 let delta = SpfDelta {
-                    raise_mask: before,
                     weights: &w,
                     mask: after,
                     failed: &[],
                     raised: &[],
                     lowered: restored,
                 };
-                ws.repair(&g, root, &delta)
+                tree.repair(&g, &delta, &mut ws);
             };
-            let mut set = SpfWorkspace::new();
-            set.load_known(root, &down.dist, |u| down.parent[u]);
-            restore(&mut set, &before, &after, restored);
+            let mut set = down.clone();
+            restore(&mut set, &after, restored);
             let at = format!("root {root:?}, restored {restored:?}");
-            assert_eq!(bits(set.distances()), bits(&fresh.dist), "{at}");
-            assert_eq!(set.parents(), &fresh.parent[..], "{at}");
+            assert_matches_fresh(&g, &set, &w, &after, &at);
 
-            let mut one = SpfWorkspace::new();
-            one.load_known(root, &down.dist, |u| down.parent[u]);
+            let mut one = down;
             let mut mask = before.clone();
             for &e in restored {
-                let down = mask.clone();
                 mask.restore(e);
-                restore(&mut one, &down, &mask, &[e]);
+                restore(&mut one, &mask, &[e]);
             }
-            assert_eq!(bits(one.distances()), bits(set.distances()), "{at}");
-            assert_eq!(one.parents(), set.parents(), "{at}");
+            assert_eq!(bits(&one.dist), bits(&set.dist), "{at}");
+            assert_eq!(one.parent, set.parent, "{at}");
         }
     });
 }

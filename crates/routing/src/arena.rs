@@ -36,9 +36,8 @@
 //! state and writes back only the entries that moved, whatever mix of
 //! failures, restores and reweights the batch holds.
 
-use splice_graph::dijkstra::{SpfDelta, SpfWorkspace};
+use splice_graph::dijkstra::{SpfDelta, SpfWorkspace, SptColumn};
 use splice_graph::{EdgeId, EdgeMask, Graph, NodeId};
-use std::cmp::Ordering;
 use std::ops::Range;
 
 /// Sentinel for "no installed entry" in both slabs. Node and edge ids are
@@ -300,15 +299,6 @@ impl PlaneMut<'_> {
         }
     }
 
-    /// Whether any router's installed out-edge in the `dst` column is an
-    /// edge `hit` picks — the O(n) pre-scan that lets repairs skip
-    /// columns an event cannot have touched.
-    fn column_uses(&self, dst: NodeId, hit: impl Fn(EdgeId) -> bool) -> bool {
-        self.out_edge[self.column(dst)]
-            .iter()
-            .any(|&oe| oe != NO_ROUTE && hit(EdgeId(oe.into())))
-    }
-
     /// Run destination-rooted Dijkstra for every node under `weights`
     /// over the `mask`-up subgraph, reusing `ws` across all n roots, and
     /// write every column back whole — the one full-plane SPF write.
@@ -340,16 +330,8 @@ impl PlaneMut<'_> {
         }
     }
 
-    /// Load the `dst` column into `ws` for a repair: its installed
-    /// parents and its distances from `dist`.
-    fn load_column(&self, dst: NodeId, dist: &[f64], ws: &mut SpfWorkspace) {
-        ws.load_known(dst, &dist[self.column(dst)], |u| {
-            self.lookup(NodeId(u as u32), dst)
-        });
-    }
-
-    /// After a column was loaded and repaired in `ws`: write back the
-    /// entries the repair reset or moved ([`SpfWorkspace::touched`]),
+    /// After a column was repaired in `ws`: write back the entries the
+    /// repair reset or moved ([`SpfWorkspace::touched`]),
     /// their parents to the plane and their distances to `dist`, and
     /// nothing else — every other entry of the column is unchanged.
     fn store_column(
@@ -382,18 +364,17 @@ impl PlaneMut<'_> {
     /// `dist` its distances (the plane's `n·n`, see
     /// [`DistanceMemo::plane_mut`]).
     ///
-    /// Each column is loaded into `ws` and repaired in one relaxation
-    /// ([`SpfWorkspace::repair`]) at most once per batch, and only the
-    /// entries that relaxation reset or moved are written back, to the
-    /// plane and to `dist`; a column the batch provably leaves as it is
-    /// is skipped. The probe that decides is exact, on the column as
-    /// installed: a lowered link that shortens a route or wins a
-    /// tie-break in it (two distances per link), or, when the batch
-    /// failed or raised any link, an installed out-edge that is failed in
-    /// the raise-only mask or was raised (one O(n) scan). A column with
-    /// neither has no dirty node and no seed, so the relaxation would
-    /// move nothing; a column with only the first is repaired with
-    /// nothing listed as failed or raised, so it skips classification.
+    /// Each column is repaired in one relaxation
+    /// ([`SpfWorkspace::repair`]) that reads the column's slabs and
+    /// distances in place, only where its pass reaches them: the
+    /// out-edges at the failed and raised links' endpoints and below the
+    /// dirty children they find, and the entries of the nodes it seeds or
+    /// offers a route. Only the entries that relaxation reset or moved
+    /// are written back, to the plane and to `dist`. A column with no
+    /// failed or raised tree link and no lowered link that shortens a
+    /// route or wins a tie-break in it moves nothing and is counted
+    /// skipped; finding that out costs two out-edge reads per failed or
+    /// raised link and two entries per lowered one.
     pub fn patch(
         &mut self,
         g: &Graph,
@@ -403,32 +384,14 @@ impl PlaneMut<'_> {
     ) -> RepairStats {
         self.assert_shape(g, dist);
         let mut stats = RepairStats::default();
-        let raises = !delta.failed.is_empty() || !delta.raised.is_empty();
-        // A column whose tree crosses no failed or raised link has no
-        // dirty node, so it is repaired with neither listed.
-        let lowers_only = SpfDelta {
-            failed: &[],
-            raised: &[],
-            ..*delta
-        };
         for t in g.nodes() {
-            let raised = raises
-                && self.column_uses(t, |e| {
-                    delta.raise_mask.is_failed(e) || delta.raised.contains(&e)
-                });
-            let column = &dist[self.column(t)];
-            if !raised
-                && !delta
-                    .lowered
-                    .iter()
-                    .any(|&edge| self.lowers_column(g, delta.weights, t, edge, column))
-            {
-                stats.skipped_columns += 1;
-                continue;
-            }
-            self.load_column(t, dist, ws);
-            stats.entries_loaded += self.n;
-            ws.repair(g, t, if raised { delta } else { &lowers_only });
+            let run = self.column(t);
+            let column = ColumnView {
+                out_edge: &self.out_edge[run.clone()],
+                dist: &dist[run],
+            };
+            ws.repair(g, t, delta, &column);
+            stats.entries_loaded += ws.loaded();
             self.store_column(t, dist, ws, &mut stats);
         }
         stats
@@ -440,35 +403,25 @@ impl PlaneMut<'_> {
         assert_eq!(self.n, g.node_count(), "plane built for a different graph");
         assert_eq!(dist.len(), self.n * self.n, "one distance per plane entry");
     }
+}
 
-    /// Whether `edge`, up and now cheaper at `weights[edge]` than the
-    /// column was built with (or back up), changes the `dst` column as
-    /// installed: it gives one endpoint a strictly shorter route through
-    /// the other, or an equally short one that outranks the installed
-    /// parent in the `(parent, edge)` tie-break. Exact, not conservative
-    /// — the offers [`SpfWorkspace::repair`] seeds a lowered link with,
-    /// on the two endpoints' entries of `dist`, the column's distances.
-    fn lowers_column(
-        &self,
-        g: &Graph,
-        weights: &[f64],
-        dst: NodeId,
-        edge: EdgeId,
-        dist: &[f64],
-    ) -> bool {
-        let (a, b) = (g.edge(edge).u, g.edge(edge).v);
-        let (da, db) = (dist[a.index()], dist[b.index()]);
-        let w = weights[edge.index()];
-        [(a, da, b, db), (b, db, a, da)]
-            .into_iter()
-            .any(|(u, du, v, dv)| {
-                du.is_finite()
-                    && match (du + w).total_cmp(&dv) {
-                        Ordering::Less => true,
-                        Ordering::Equal => self.lookup(v, dst).is_none_or(|p| (u, edge) < p),
-                        Ordering::Greater => false,
-                    }
-            })
+/// One column of a plane's out-edge slab and its distances, as a repair
+/// reads them in place ([`SptColumn`]).
+struct ColumnView<'c> {
+    out_edge: &'c [u16],
+    dist: &'c [f64],
+}
+
+impl SptColumn for ColumnView<'_> {
+    #[inline]
+    fn out_edge(&self, u: NodeId) -> Option<EdgeId> {
+        let oe = self.out_edge[u.index()];
+        (oe != NO_ROUTE).then(|| EdgeId(oe.into()))
+    }
+
+    #[inline]
+    fn distance(&self, u: NodeId) -> f64 {
+        self.dist[u.index()]
     }
 }
 
@@ -1104,8 +1057,8 @@ mod tests {
     }
 
     /// Patch `plane` for the batch that takes `(w, mask)` to
-    /// `(new_w, after)`, its raise-only mask and link lists derived as
-    /// the repair engine derives them.
+    /// `(new_w, after)`, its link lists derived as the repair engine
+    /// derives them.
     fn patch_between(
         plane: &mut PlaneMut<'_>,
         g: &splice_graph::Graph,
@@ -1115,11 +1068,8 @@ mod tests {
         ws: &mut SpfWorkspace,
     ) -> RepairStats {
         let restored = |e: EdgeId| mask.is_failed(e) && after.is_up(e);
-        let mut raise_mask = after.clone();
-        g.edge_ids()
-            .filter(|&e| restored(e))
-            .for_each(|e| raise_mask.fail(e));
-        let cheaper = |e: EdgeId| new_w[e.index()] < w[e.index()] && raise_mask.is_up(e);
+        let cheaper =
+            |e: EdgeId| new_w[e.index()] < w[e.index()] && mask.is_up(e) && after.is_up(e);
         let failed: Vec<EdgeId> = g
             .edge_ids()
             .filter(|&e| mask.is_up(e) && after.is_failed(e))
@@ -1133,7 +1083,6 @@ mod tests {
             .filter(|&e| restored(e) || cheaper(e))
             .collect();
         let delta = SpfDelta {
-            raise_mask: &raise_mask,
             weights: new_w,
             mask: after,
             failed: &failed,

@@ -142,7 +142,6 @@ mod tests {
         let failed = EdgeId(0);
         let mask = EdgeMask::from_failed(g.edge_count(), &[failed]);
         let delta = SpfDelta {
-            raise_mask: &mask,
             weights: &w,
             mask: &mask,
             failed: &[failed],
