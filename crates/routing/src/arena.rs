@@ -21,8 +21,8 @@
 //! Within a plane the slabs are *destination-major*: the `n` routers'
 //! entries toward one destination are one contiguous run (a "column").
 //! That is the unit everything here works in — a slice is a family of
-//! destination-rooted trees, so a repair loads and scans whole columns at
-//! unit stride and writes back the entries it moved, and a packet, whose
+//! destination-rooted trees, so a repair works inside one column
+//! and writes back the entries it moved, and a packet, whose
 //! destination never changes, stays inside one column per slice for its
 //! whole walk.
 //!
@@ -31,9 +31,10 @@
 //! through [`PlaneMut`], and a caller that only needs one slice's path
 //! reads it down one column through [`Plane::path`]. A plane is written
 //! whole by one fill ([`PlaneMut::fill`]) and repaired by one delta call
-//! per batch of link changes ([`PlaneMut::patch`]), which loads each
-//! column it changes once, relaxes it once under the batch's final
-//! state and writes back only the entries that moved, whatever mix of
+//! per batch of link changes ([`PlaneMut::patch`]), which relaxes each
+//! column once under the batch's final state, reading its out-edges and
+//! distances in place only where the pass reaches, and writes back only
+//! the entries that moved, whatever mix of
 //! failures, restores and reweights the batch holds.
 
 use splice_graph::dijkstra::{SpfDelta, SpfWorkspace, SptColumn};
@@ -97,7 +98,7 @@ impl RepairStats {
 /// A delta repair needs the distances of each tree it patches. The
 /// build's fill records them as Dijkstra leaves them
 /// ([`PlaneMut::fill`]), and every repair pass reads them
-/// ([`SpfWorkspace::load_known`]) and writes back what it computed, so
+/// in place ([`SpfWorkspace::repair`]) and writes back what it computed, so
 /// they are complete from the start and never re-derived. The memo is
 /// kept beside the arena, never in it, so published snapshots do not
 /// carry it.
