@@ -15,7 +15,7 @@ use crate::graph::Graph;
 use crate::ids::{EdgeId, NodeId};
 use crate::mask::EdgeMask;
 use crate::spt::Spt;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -78,30 +78,30 @@ pub fn validate_weights(g: &Graph, weights: &[f64]) -> Result<(), WeightError> {
     Ok(())
 }
 
-/// Heap entry: min-heap by distance, tie-broken by node id.
-#[derive(Copy, Clone, Debug, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
+/// Heap entry: min-heap by distance, tie-broken by node id, held as one
+/// integer key — the distance's bits above the node — so that a heap
+/// comparison is one integer comparison.
+///
+/// Distances are sums of positive weights, so never negative, and on
+/// non-negative floats (infinity included) the bit patterns order exactly
+/// as the values do. On any other input the key is still a total order,
+/// so the heap cannot panic or loop.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct HeapEntry(Reverse<u128>);
 
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for min-heap semantics on BinaryHeap (a max-heap).
-        // `total_cmp` gives a total order even on NaN (which validated
-        // weights never produce), so ordering cannot panic.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
+impl HeapEntry {
+    #[inline(always)]
+    fn new(dist: f64, node: NodeId) -> HeapEntry {
+        HeapEntry(Reverse(
+            u128::from(dist.to_bits()) << 32 | u128::from(node.0),
+        ))
     }
-}
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    /// The entry's distance and node.
+    #[inline(always)]
+    fn get(self) -> (f64, NodeId) {
+        let Reverse(key) = self.0;
+        (f64::from_bits((key >> 32) as u64), NodeId(key as u32))
     }
 }
 
@@ -217,6 +217,11 @@ impl Spt {
     /// [`SpfWorkspace::repair`] that reads it as its column, then the
     /// nodes that repair reset or moved written back, parents and
     /// distances. Returns the repair frontier.
+    ///
+    /// This is the seam the repair's tests drive it through, on trees
+    /// they check against fresh runs. A deployment's planes are repaired
+    /// column by column in the FIB arena instead, which reads its own
+    /// slabs as the column and writes back the same frontier.
     pub fn repair(&mut self, g: &Graph, delta: &SpfDelta<'_>, ws: &mut SpfWorkspace) -> usize {
         let frontier = ws.repair(g, self.root, delta, &*self);
         for &u in ws.touched() {
@@ -258,11 +263,8 @@ impl SpfWorkspace {
         );
         self.reset(g.node_count());
         self.dist[root.index()] = 0.0;
-        self.heap.push(HeapEntry {
-            dist: 0.0,
-            node: root,
-        });
-        while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
+        self.heap.push(HeapEntry::new(0.0, root));
+        while let Some((d, u)) = self.heap.pop().map(HeapEntry::get) {
             if self.settled[u.index()] {
                 continue;
             }
@@ -277,11 +279,11 @@ impl SpfWorkspace {
                     continue;
                 }
                 // Weight sanity is [`validate_weights`]'s job at slice-build
-                // time; the hot loop stays assertion-free and, thanks to
-                // `total_cmp`, terminates even on smuggled NaN.
+                // time; the hot loop stays assertion-free and, its orders
+                // being total, terminates even on smuggled NaN.
                 let nd = d + weights[e.index()];
                 if self.offer(u, e, v, nd) {
-                    self.heap.push(HeapEntry { dist: nd, node: v });
+                    self.heap.push(HeapEntry::new(nd, v));
                 }
             }
         }
@@ -469,7 +471,7 @@ impl SpfWorkspace {
         for &e in delta.failed.iter().chain(delta.raised) {
             let edge = g.edge(e);
             for child in [edge.u, edge.v] {
-                if !self.listed(child) && column.out_edge(child) == Some(e) {
+                if column.out_edge(child) == Some(e) && !self.listed(child) {
                     self.reset_dirty(child);
                 }
             }
@@ -479,7 +481,7 @@ impl SpfWorkspace {
         while let Some(&x) = self.touched.get(next) {
             next += 1;
             for &(w, e) in g.neighbors(x) {
-                if !self.listed(w) && column.out_edge(w) == Some(e) {
+                if column.out_edge(w) == Some(e) && !self.listed(w) {
                     self.reset_dirty(w);
                 }
             }
@@ -488,7 +490,7 @@ impl SpfWorkspace {
             let v = self.touched[i];
             for &(u, e) in g.neighbors(v) {
                 if mask.is_up(e) && !self.listed(u) {
-                    let du = self.load(column, u);
+                    let (du, _) = self.label(column, u);
                     if du.is_finite() {
                         self.relax(g, column, (u, e), v, du + weights[e.index()]);
                     }
@@ -499,13 +501,13 @@ impl SpfWorkspace {
             assert!(mask.is_up(edge), "{edge:?} must be up in the final mask");
             let (a, b) = (g.edge(edge).u, g.edge(edge).v);
             for (u, v) in [(a, b), (b, a)] {
-                let du = self.load(column, u);
+                let (du, _) = self.label(column, u);
                 if du.is_finite() {
                     self.relax(g, column, (u, edge), v, du + weights[edge.index()]);
                 }
             }
         }
-        while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
+        while let Some((d, u)) = self.heap.pop().map(HeapEntry::get) {
             if d.total_cmp(&self.dist[u.index()]) == Ordering::Greater {
                 continue; // stale entry, a better one was pushed later
             }
@@ -551,23 +553,24 @@ impl SpfWorkspace {
     }
 
     /// `v`'s label, its distance read from `column` the first time the
-    /// pass needs it.
-    #[inline]
-    fn load(&mut self, column: &impl SptColumn, v: NodeId) -> f64 {
+    /// pass needs it, and whether `v` is listed.
+    #[inline(always)]
+    fn label(&mut self, column: &impl SptColumn, v: NodeId) -> (f64, bool) {
         let i = v.index();
-        if self.stamp[i] < self.epoch {
+        let stamp = self.stamp[i];
+        if stamp < self.epoch {
             self.dist[i] = column.distance(v);
             self.stamp[i] = self.epoch;
             self.loaded += 1;
         }
-        self.dist[i]
+        (self.dist[i], stamp == self.epoch + 1)
     }
 
     /// A repair's offer of "via `u` over `e` at `nd`" to `v`, under the
     /// canonical rule ([`beats`]): take it, queue `v` if the route is
     /// strictly shorter, and list `v` the first time it moves. A node off
     /// the list still has its installed parent, which only a tie reads.
-    #[inline]
+    #[inline(always)]
     fn relax(
         &mut self,
         g: &Graph,
@@ -576,9 +579,9 @@ impl SpfWorkspace {
         v: NodeId,
         nd: f64,
     ) {
-        let (i, dv) = (v.index(), self.load(column, v));
+        let (i, (dv, listed)) = (v.index(), self.label(column, v));
         let installed = || {
-            if self.listed(v) {
+            if listed {
                 self.parent[i]
             } else {
                 column.out_edge(v).map(|pe| (g.edge(pe).other(v), pe))
@@ -590,9 +593,9 @@ impl SpfWorkspace {
         self.dist[i] = nd;
         self.parent[i] = Some((u, e));
         if nd.total_cmp(&dv).is_lt() {
-            self.heap.push(HeapEntry { dist: nd, node: v });
+            self.heap.push(HeapEntry::new(nd, v));
         }
-        if !self.listed(v) {
+        if !listed {
             self.stamp[i] = self.epoch + 1;
             self.touched.push(v);
         }
@@ -606,9 +609,10 @@ impl SpfWorkspace {
 /// failure scenarios.
 ///
 /// Weights are assumed positive and finite — run [`validate_weights`]
-/// first when they come from untrusted input. Ordering inside the walk
-/// uses `f64::total_cmp`, so even a NaN that slips past validation
-/// terminates the walk instead of panicking a comparator.
+/// first when they come from untrusted input. Every order inside the walk
+/// is total (`f64::total_cmp`, and the heap's integer key), so even a NaN
+/// that slips past validation terminates the walk instead of panicking a
+/// comparator.
 ///
 /// # Panics
 /// Panics if `weights.len() != g.edge_count()`.
