@@ -12,8 +12,8 @@
 //! parents exactly, distances by `to_bits`.
 //!
 //! The full scope is 17⁶ = 24,137,569 cases (Σ over link sets of 16^m),
-//! about 16 s in release; it is `#[ignore]`d here and run by CI in
-//! release. The default run covers every graph of up to 5 links.
+//! 6–10 s in release on a 2-core box; it is `#[ignore]`d here and run by
+//! CI in release. The default run covers every graph of up to 5 links.
 
 use splice_graph::graph::from_edges;
 use splice_graph::{dijkstra_masked, EdgeId, EdgeMask, NodeId, SpfDelta, SpfWorkspace, Spt};

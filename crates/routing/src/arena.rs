@@ -75,8 +75,10 @@ pub struct RepairStats {
     /// Entries the pass stored: each delta-repaired column writes back
     /// only its frontier, a masked rebuild all `n²` of its plane.
     pub entries_written: usize,
-    /// Column entries the pass read into its workspace: `n` for each
-    /// column it loaded, none for a masked rebuild.
+    /// Column entries the pass read into its workspace, as
+    /// [`SpfWorkspace::loaded`] counts them per column: each entry a
+    /// delta repair needed, once, and none of the dirty nodes it reset
+    /// unread; none for a masked rebuild.
     pub entries_loaded: usize,
 }
 

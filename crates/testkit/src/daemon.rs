@@ -290,8 +290,10 @@ mod tests {
     /// nodes they reset or moved and the column entries they read and
     /// wrote. A change to the repair engine that moves a count shows
     /// here, with the numbers, before any timing does. Each batch repairs
-    /// each column at most once, so patched and skipped columns sum to
-    /// batches × k × n, and writes back only the entries it reset or
+    /// each column of the planes it changed at most once: at cap 16 every
+    /// batch changes the topology, so patched and skipped columns sum to
+    /// batches × k × n, while at cap 1 a reweight-only batch visits its
+    /// one plane. A repair writes back only the entries it reset or
     /// moved, so entries written equal the frontier.
     #[test]
     fn control_plane_work_ledger_is_pinned() {
@@ -316,8 +318,10 @@ mod tests {
             cp.flush();
             let stats = cp.stats();
             assert_eq!(stats.repair_batches, batches, "{at}");
-            let visited = stats.repair.patched_columns + stats.repair.skipped_columns;
-            assert!(visited <= batches as usize * k * g.node_count(), "{at}");
+            if cap == 16 {
+                let visited = stats.repair.patched_columns + stats.repair.skipped_columns;
+                assert_eq!(visited, batches as usize * k * g.node_count(), "{at}");
+            }
             assert_eq!(
                 stats.repair,
                 RepairStats {
